@@ -9,7 +9,6 @@ verification drivers for the shift theorem and the classification of
 finitely generated injectives, all in exact rational arithmetic.
 """
 
-from .backend import BACKEND
 from .category import GroupTable, Morphism, Window
 from .linalg import RationalMatrix, Subspace
 from .modules import (
@@ -64,3 +63,6 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+# The elimination kernel in use; there is one, in pure Python.
+BACKEND = "pure"

@@ -1,9 +1,8 @@
 """Pure-Python integer Gauss-Jordan kernel.
 
-This is the reference implementation of the elimination kernel; the Cython
-twin in ``_rref_c.pyx`` implements the identical algorithm and must produce
-bit-identical output.  Everything upstream (kernels, images, solvers, hom
-spaces) reduces to this routine, so it is the hot loop of the whole package.
+This is the package's one elimination kernel.  Everything upstream
+(kernels, images, solvers, hom spaces) reduces to this routine, so it is the
+hot loop of the whole package.
 
 Contract of :func:`rref_int`:
 

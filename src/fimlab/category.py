@@ -64,6 +64,37 @@ def unit(m: int, i: int) -> Obj:
     return tuple(1 if j == i - 1 else 0 for j in range(m))
 
 
+# -- checked reads of parsed JSON ------------------------------------------
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", bool: "a boolean"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_field(d, key: str, kind: type, path: str = "", optional: bool = False):
+    """``d[key]`` checked to be of JSON type ``kind``.
+
+    Anything else raises a ValueError whose message starts with the field
+    path (``path.key``).  An optional field may be absent or null, and then
+    reads as None.
+    """
+    where = f"{path}.{key}" if path else key
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'document'}: expected an object")
+    val = d.get(key)
+    if val is None:
+        if optional:
+            return None
+        if key not in d:
+            raise ValueError(f"{where}: missing field")
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
+        raise ValueError(f"{where}: expected {_JSON_KINDS[kind]}")
+    return val
+
+
 class GroupTable:
     """A finite group given by its multiplication table.
 
@@ -234,9 +265,23 @@ class GroupTable:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupTable":
-        g = GroupTable(d["mult"], tuple(d.get("generators", ())), d.get("name", ""))
-        if g.order != d["order"]:
-            raise ValueError("declared order does not match table size")
+        """Parse the wire format; a malformed field raises a ValueError whose
+        message starts with the field's path."""
+        mult = json_field(d, "mult", list)
+        for i, row in enumerate(mult):
+            if not (isinstance(row, list) and all(_is_int(x) for x in row)):
+                raise ValueError(f"mult[{i}]: expected a list of integers")
+        gens = json_field(d, "generators", list, optional=True) or []
+        for i, x in enumerate(gens):
+            if not (_is_int(x) and 0 <= x < len(mult)):
+                raise ValueError(f"generators[{i}]: expected an element index")
+        name = json_field(d, "name", str, optional=True)
+        try:
+            g = GroupTable(mult, tuple(gens), "" if name is None else name)
+        except ValueError as exc:
+            raise ValueError(f"mult: {exc}") from None
+        if g.order != json_field(d, "order", int):
+            raise ValueError("order: declared order does not match table size")
         return g
 
 

@@ -408,7 +408,8 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
             gp_idx = aut_element_index(s, sigma_inv) * og
             acc = acc + kron(RationalMatrix(perm, ninj, ninj), rho[gp_idx])
         e = acc.scale(Fraction(1, aut_order))
-        assert e * e == e, "averaging idempotent failed"
+        if e * e != e:
+            raise AssertionError("averaging idempotent failed")
         spaces[n] = image_basis(e)
 
     # generator actions on the big spaces, then restrict

@@ -254,7 +254,8 @@ def free_cover(v: TruncatedModule):
         for j in range(h0_dim):
             target = [Fraction(1) if r == j else _ZERO for r in range(h0_dim)]
             u = solve(proj, target)
-            assert u is not None
+            if u is None:
+                raise AssertionError("H0 generator has no lift")
             lifts.append(u)
         gen_data.append((n, lifts))
     if not gen_data:
@@ -330,7 +331,8 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
             h1_spaces[n] = Subspace.zero(0)
             continue
         lift = solve_matrix(qk, RationalMatrix.identity(qk.nrows))
-        assert lift is not None
+        if lift is None:
+            raise AssertionError("H0 projection of the kernel has no section")
         induced = qp * k_incl.blocks[n] * lift
         h1_spaces[n] = kernel_basis(induced)
     h1mod, _ = submodule_from_stable_subspaces(h0k.h0_module, h1_spaces)

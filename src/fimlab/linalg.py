@@ -2,11 +2,12 @@
 
 Everything in the package that touches a linear map goes through this
 module: matrices are dense grids of ``fractions.Fraction`` entries, and all
-rank-type computations reduce to the integer Gauss-Jordan kernel selected in
-:mod:`fimlab.backend`.  No floating point anywhere.
+rank-type computations reduce to the integer Gauss-Jordan kernel
+:func:`fimlab._rref_py.rref_int`.  No floating point anywhere.
 
 A :class:`Subspace` is always stored through the reduced row echelon form of
-a spanning set, so subspace equality is plain matrix equality.
+a spanning set, so subspace equality is plain matrix equality, and its pivot
+columns give solves and quotient maps without a further elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .backend import rref_int
+from ._rref_py import rref_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -295,6 +296,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
+    @property
+    def pivots(self) -> tuple:
+        """Pivot column of each basis row (its leading nonzero entry)."""
+        return tuple(
+            next(j for j, x in enumerate(row) if x) for row in self.basis.rows
+        )
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -382,77 +390,75 @@ def row_space(mat: RationalMatrix) -> Subspace:
     return Subspace.from_spanning(mat.ncols, mat.rows)
 
 
+def _solve_augmented(mat: RationalMatrix, rhs_rows, k: int):
+    """Rows of one solution X of M X = B from the RREF of [M | B].
+
+    ``rhs_rows`` are the rows of the k-column right-hand side B.  A pivot
+    among B's columns marks an inconsistent column, and the answer is None.
+    Free variables are zero, so column j of X is what eliminating [M | b_j]
+    alone would give.
+    """
+    n = mat.ncols
+    int_rows = [
+        _clear_denominators(row + tuple(b)) for row, b in zip(mat.rows, rhs_rows)
+    ]
+    pivots, out_rows, denoms = rref_int(int_rows, n + k)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[_ZERO] * k for _ in range(n)]
+    for r, c in enumerate(pivots):
+        orow = out_rows[r]
+        x[c] = [Fraction(orow[n + j], denoms[r]) for j in range(k)]
+    return x
+
+
 def solve(mat: RationalMatrix, b) -> tuple | None:
     """One solution of M x = b, or None when the system is inconsistent."""
     b = tuple(_as_fraction(x) for x in b)
     if len(b) != mat.nrows:
         raise ValueError("right-hand side length mismatch")
-    n = mat.ncols
-    aug = RationalMatrix(
-        [row + (bi,) for row, bi in zip(mat.rows, b)], mat.nrows, n + 1
-    )
-    int_rows = [_clear_denominators(row) for row in aug.rows]
-    pivots, out_rows, denoms = rref_int(int_rows, n + 1)
-    if n in pivots:
-        return None
-    x = [_ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = Fraction(out_rows[r][n], denoms[r])
-    return tuple(x)
+    x = _solve_augmented(mat, [(bi,) for bi in b], 1)
+    return None if x is None else tuple(row[0] for row in x)
 
 
 def solve_matrix(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix | None:
-    """Solve M X = B column by column; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.ncols):
-        x = solve(mat, rhs.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return RationalMatrix(
-        [[cols[j][i] for j in range(rhs.ncols)] for i in range(mat.ncols)],
-        mat.ncols,
-        rhs.ncols,
-    )
+    """Solve M X = B in one elimination; None if any column is inconsistent."""
+    if rhs.nrows != mat.nrows:
+        raise ValueError("right-hand side length mismatch")
+    x = _solve_augmented(mat, rhs.rows, rhs.ncols)
+    return None if x is None else RationalMatrix(x, mat.ncols, rhs.ncols)
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix | None:
     if mat.nrows != mat.ncols:
         return None
-    sol = solve_matrix(mat, RationalMatrix.identity(mat.nrows))
-    if sol is None or not (mat * sol == RationalMatrix.identity(mat.nrows)):
+    ident = RationalMatrix.identity(mat.nrows)
+    sol = solve_matrix(mat, ident)
+    if sol is None or mat * sol != ident:
         return None
     return sol
 
 
 def quotient_map(ambient_dim: int, sub: Subspace) -> RationalMatrix:
-    """A surjection Q: Q^d -> Q^(d-dim sub) with Q b = 0 for b in sub.
+    """The surjection Q: Q^d -> Q^(d-dim sub) with kernel sub, canonically.
 
-    The complement is spanned by the unit vectors at the non-pivot columns
-    of the subspace basis, which makes the construction canonical.
+    The complement is spanned by the unit vectors e_f at the non-pivot
+    columns f of the subspace basis, and Q v lists the coordinates of v
+    along them.  As v = sum_r v[p_r] b_r + sum_f c_f e_f, row f of Q is
+    e_f - sum_r b_r[f] e_{p_r}: read off the RREF, with no elimination.
     """
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace has wrong ambient dimension")
-    r = sub.dim
-    d = ambient_dim
-    if r == 0:
-        return RationalMatrix.identity(d)
-    pivot_cols = []
-    for row in sub.basis.rows:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivot_cols.append(j)
-                break
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(d) if j not in pivot_set]
-    comp = RationalMatrix(
-        [[_ONE if j == f else _ZERO for j in range(d)] for f in free_cols],
-        len(free_cols),
-        d,
-    )
-    # A = [basis; comp] is invertible; Q reads off the comp-coordinates:
-    # Q = [0 | I] * (A^T)^{-1}, so that Q v = coefficients of v along comp.
-    a_t = sub.basis.vstack(comp).transpose()
-    inv = inverse(a_t)
-    assert inv is not None, "basis + complement failed to be invertible"
-    return RationalMatrix(inv.rows[r:], d - r, d)
+    pivots = sub.pivots
+    pivot_set = set(pivots)
+    rows = []
+    for f in range(ambient_dim):
+        if f in pivot_set:
+            continue
+        row = [_ZERO] * ambient_dim
+        row[f] = _ONE
+        for p, b in zip(pivots, sub.basis.rows):
+            if b[f]:
+                row[p] = -b[f]
+        rows.append(row)
+    return RationalMatrix(rows, len(rows), ambient_dim)

@@ -31,10 +31,12 @@ from .category import (
     generator_keys,
     injection_index_table,
     invert_perm,
+    json_field,
     leq,
     morphism_of_key,
     sub,
     unit,
+    _is_int,
 )
 from .linalg import (
     RationalMatrix,
@@ -46,7 +48,7 @@ from .linalg import (
     kron,
     quotient_map,
     rank,
-    rref,
+    row_space,
     solve,
     solve_matrix,
 )
@@ -83,6 +85,18 @@ def parse_obj(s: str) -> tuple:
 
 def matrix_to_lists(mat: RationalMatrix):
     return [[fraction_str(x) for x in row] for row in mat.rows]
+
+
+def _obj_field(d, key: str, path: str = "", optional: bool = False):
+    """An object string field of parsed JSON, parsed; ValueError naming it."""
+    text = json_field(d, key, str, path, optional)
+    if text is None:
+        return None
+    try:
+        return parse_obj(text)
+    except ValueError as exc:
+        where = f"{path}.{key}" if path else key
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def matrix_from_lists(rows, nrows, ncols) -> RationalMatrix:
@@ -174,15 +188,19 @@ class Presentation:
     @staticmethod
     def from_dict(d: dict) -> "Presentation":
         slots = []
-        for g in d["generators"]:
-            lab = g.get("label")
-            lab = None if lab is None else tuple(tuple(p) for p in lab)
-            slots.append((parse_obj(g["at"]), lab))
-        rb = d.get("relation_bound")
+        for i, g in enumerate(json_field(d, "generators", list)):
+            path = f"generators[{i}]"
+            lab = json_field(g, "label", list, path, optional=True)
+            if lab is not None:
+                if not all(isinstance(p, list) and all(_is_int(x) for x in p)
+                           for p in lab):
+                    raise ValueError(f"{path}.label: expected integer lists")
+                lab = tuple(tuple(p) for p in lab)
+            slots.append((_obj_field(g, "at", path), lab))
         return Presentation(
             tuple(slots),
-            None if rb is None else parse_obj(rb),
-            bool(d.get("observed_only", False)),
+            _obj_field(d, "relation_bound", optional=True),
+            bool(json_field(d, "observed_only", bool, optional=True)),
         )
 
 
@@ -415,35 +433,67 @@ class TruncatedModule:
 
     @staticmethod
     def from_dict(d: dict) -> "TruncatedModule":
-        group = GroupTable.from_dict(d["group_ref"])
-        window = Window(parse_obj(d["window"]))
-        if window.m != d["m"]:
-            raise ValueError("window does not match declared m")
-        dims = {parse_obj(k): v for k, v in d["dims"].items()}
+        """Parse the wire format; a malformed field raises a ValueError whose
+        message starts with the field's path."""
+        group_ref = json_field(d, "group_ref", dict)
+        try:
+            group = GroupTable.from_dict(group_ref)
+        except ValueError as exc:
+            raise ValueError(f"group_ref.{exc}") from None
+        window = Window(_obj_field(d, "window"))
+        if window.m != json_field(d, "m", int):
+            raise ValueError("m: window does not match declared m")
+        dims = {}
+        for k, dim in json_field(d, "dims", dict).items():
+            try:
+                n = parse_obj(k)
+            except ValueError as exc:
+                raise ValueError(f"dims.{k}: {exc}") from None
+            if not _is_int(dim):
+                raise ValueError(f"dims.{k}: expected an integer")
+            dims[n] = dim
         m = window.m
+        known = set(generator_keys(window, group))
         actions = {}
-        for item in d["actions"]:
-            gen = item["gen"]
+        for idx, item in enumerate(json_field(d, "actions", list)):
+            path = f"actions[{idx}]"
+            gen = json_field(item, "gen", dict, path)
+            at = _obj_field(gen, "at", f"{path}.gen")
             if "incl" in gen:
-                key = ("incl", gen["incl"], parse_obj(gen["at"]))
-                src = key[2]
-                tgt = add(src, unit(m, gen["incl"]))
+                i = json_field(gen, "incl", int, f"{path}.gen")
+                key = ("incl", i, at)
+                src = at
+                tgt = add(src, unit(m, i))
             elif "swap" in gen:
-                i, k = gen["swap"]
-                key = ("swap", i, k, parse_obj(gen["at"]))
-                src = tgt = key[3]
+                pair = json_field(gen, "swap", list, f"{path}.gen")
+                if len(pair) != 2 or not all(_is_int(x) for x in pair):
+                    raise ValueError(f"{path}.gen.swap: expected two integers")
+                key = ("swap", pair[0], pair[1], at)
+                src = tgt = at
             else:
-                key = ("grp", gen["grp"], parse_obj(gen["at"]))
-                src = tgt = key[2]
-            actions[key] = matrix_from_lists(item["matrix"], dims[tgt], dims[src])
-        pres = d.get("presentation")
+                key = ("grp", json_field(gen, "grp", int, f"{path}.gen"), at)
+                src = tgt = at
+            if key not in known:
+                raise ValueError(f"{path}.gen: no such generator on the window")
+            if key in actions:
+                raise ValueError(f"{path}.gen: generator given twice")
+            for n in (src, tgt):
+                if n not in dims:
+                    raise ValueError(f"{path}.gen: no dimension at {obj_str(n)}")
+            rows = json_field(item, "matrix", list, path)
+            try:
+                actions[key] = matrix_from_lists(rows, dims[tgt], dims[src])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}.matrix: {exc}") from None
+        pres = json_field(d, "presentation", dict, optional=True)
+        if pres is not None:
+            try:
+                pres = Presentation.from_dict(pres)
+            except ValueError as exc:
+                raise ValueError(f"presentation.{exc}") from None
+        name = json_field(d, "name", str, optional=True)
         return TruncatedModule(
-            window,
-            group,
-            dims,
-            actions,
-            None if pres is None else Presentation.from_dict(pres),
-            d.get("name", ""),
+            window, group, dims, actions, pres, "" if name is None else name
         )
 
     def to_json(self) -> str:
@@ -769,22 +819,26 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
     spaces = {tuple(k): s for k, s in spaces.items()}
     projs = {}
     dims = {}
+    free_cols = {}
     for n in v.window.objects():
         q = quotient_map(v.dims[n], spaces[n])
         projs[n] = q
         dims[n] = q.nrows
+        pivot_set = set(spaces[n].pivots)
+        free_cols[n] = [j for j in range(v.dims[n]) if j not in pivot_set]
     actions = {}
     for key in generator_keys(v.window, v.group):
         src = key[2] if key[0] != "swap" else key[3]
         tgt = v._gen_target(key)
-        # induced action B with B . proj_src = proj_tgt . action
+        # induced action B with B . proj_src = proj_tgt . action; proj_src is
+        # the identity on the source's free columns, so B is read off there
         big = projs[tgt] * v.actions[key]
-        sol = solve_matrix(projs[src].transpose(), big.transpose())
-        if sol is None:
-            raise ValueError(f"subspaces are not action-stable at {key}")
-        b = sol.transpose()
+        cols = free_cols[src]
+        b = RationalMatrix(
+            [[row[j] for j in cols] for row in big.rows], big.nrows, len(cols)
+        )
         if b * projs[src] != big:
-            raise ValueError(f"quotient action ill-defined at {key}")
+            raise ValueError(f"subspaces are not action-stable at {key}")
         actions[key] = b
     pres = None
     if v.presentation is not None:
@@ -1009,7 +1063,8 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
                 r_mat = _aut_right_action_matrix(n, t, sigma, group, g)
                 acc = acc + kron(r_mat, kron(x_mat, rho_g[group.inverse[g]]))
         e = acc.scale(norm)
-        assert e * e == e, "symmetrizer failed to be idempotent"
+        if e * e != e:
+            raise AssertionError("symmetrizer failed to be idempotent")
         spaces[t] = image_basis(e)
     pres = Presentation.make([(n, lambdas)], n)
     mod, _ = submodule_from_stable_subspaces(
@@ -1058,7 +1113,8 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
                 x_mat = kron(x_mat, s.matrix_of_perm(ti))
             acc = acc + kron(p_mat, x_mat)
         e = acc.scale(norm)
-        assert e * e == e, "averaging failed to be idempotent"
+        if e * e != e:
+            raise AssertionError("averaging failed to be idempotent")
         spaces[t] = image_basis(e)
     mod, _ = submodule_from_stable_subspaces(big, spaces, None,
                                              name or f"E{lambdas}")
@@ -1196,23 +1252,12 @@ class NaturalitySolver:
                 self.coeff[n] = {}
                 self._same_object_constraints(n)
                 continue
-            red = rref(a)
-            pivots = []
-            for row in red.rows:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        pivots.append(j)
-                        break
+            pivots = row_space(a).pivots
             b = RationalMatrix(
                 [[a.rows[r][j] for j in pivots] for r in range(dv)], dv, len(pivots)
             )
             ib = image_basis(b) if pivots else Subspace.zero(dv)
-            lead_coords = []
-            for row in ib.basis.rows:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        lead_coords.append(j)
-                        break
+            lead_coords = ib.pivots
             comp_coords = [j for j in range(dv) if j not in lead_coords]
             comp_cols = RationalMatrix(
                 [
@@ -1224,7 +1269,8 @@ class NaturalitySolver:
             )
             mfull = b.hstack(comp_cols) if pivots else comp_cols
             minv = inverse(mfull)
-            assert minv is not None, "incoming image plus complement not a basis"
+            if minv is None:
+                raise AssertionError("incoming image plus complement not a basis")
             block = {}
             r_im = len(pivots)
             for k, cm in cmats.items():

@@ -315,7 +315,8 @@ def specht(lam) -> SpechtRep:
             [[action_bt_cols[c][r] for c in range(dim)] for r in range(len(tabloids))]
         )
         mat = solve_matrix(bt, rhs)
-        assert mat is not None, "polytabloid span was not stable under the swap"
+        if mat is None:
+            raise AssertionError("polytabloid span was not stable under the swap")
         gens.append(mat)
     rep = SpechtRep(lam, n, dim, tuple(gens))
     expected = hook_length_dim(lam)

@@ -636,7 +636,8 @@ def _min_poly_in_algebra(mult, unit, x, dim):
                 RationalMatrix([list(p) for p in powers]).transpose(),
                 cur,
             )
-            assert combo is not None
+            if combo is None:
+                raise AssertionError("dependent power is not a combination of lower ones")
             return [-c for c in combo] + [Fraction(1)]
         powers.append(cur)
         rows.append(list(cur))
@@ -690,7 +691,8 @@ def _poly_divide_linear(coeffs, r):
     for c in high[1:-1]:
         out.append(c + out[-1] * r)
     rem = high[-1] + out[-1] * r
-    assert rem == 0, "not a root"
+    if rem != 0:
+        raise AssertionError("not a root")
     return list(reversed(out))
 
 
@@ -713,12 +715,14 @@ def end_ring(v: TruncatedModule) -> EndRingData:
         for b in range(d):
             comp = basis[a].compose(basis[b])
             coords = solve(bmat, _vectorize_map(comp, objs))
-            assert coords is not None, "composition left the hom space"
+            if coords is None:
+                raise AssertionError("composition left the hom space")
             row.append(tuple(coords))
         struct.append(tuple(row))
     struct = tuple(struct)
     ident_coords = solve(bmat, _vectorize_map(ModuleMap.identity(v), objs))
-    assert ident_coords is not None
+    if ident_coords is None:
+        raise AssertionError("identity is not in the hom space")
     # left multiplication matrices and the trace form
     lmats = []
     for a in range(d):
@@ -742,7 +746,8 @@ def end_ring(v: TruncatedModule) -> EndRingData:
 
     proj = _qm(d, rad)
     lift = solve_matrix(proj, RationalMatrix.identity(q))
-    assert lift is not None
+    if lift is None:
+        raise AssertionError("radical quotient map has no section")
 
     def mult(xc, yc):
         return data.multiply(xc, yc)
@@ -865,7 +870,8 @@ def ext1_vanishes(v: TruncatedModule, i_mod: TruncatedModule) -> ExtReport:
     for phi in hom_p:
         comp = phi.compose(k_incl)
         coords = solve(bk, _vectorize_map(comp, objs))
-        assert coords is not None, "restriction left the hom space"
+        if coords is None:
+            raise AssertionError("restriction left the hom space")
         image_vecs.append(list(coords))
     rk = rank(RationalMatrix(image_vecs)) if image_vecs else 0
     dim_ext = len(hom_k) - rk

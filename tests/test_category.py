@@ -95,6 +95,14 @@ def test_enumerate_injections_requires_leq():
         enumerate_injections((2,), (1,))
 
 
+def random_injection(a, b, rng):
+    """A uniformly random injection a -> b: an ordered sample of a_i
+    distinct points of [b_i] in each coordinate."""
+    return Morphism(
+        a, b, tuple(tuple(rng.sample(range(1, y + 1), x)) for x, y in zip(a, b)), 0
+    )
+
+
 def test_compose_identity_and_associativity():
     rng = random.Random(5)
     objs = [(a, b) for a in range(3) for b in range(3)]
@@ -103,9 +111,9 @@ def test_compose_identity_and_associativity():
         b = tuple(x + rng.randint(0, 2) for x in a)
         c = tuple(x + rng.randint(0, 2) for x in b)
         d = tuple(x + rng.randint(0, 2) for x in c)
-        f = rng.choice(enumerate_injections(c, d))
-        g = rng.choice(enumerate_injections(b, c))
-        h = rng.choice(enumerate_injections(a, b))
+        f = random_injection(c, d, rng)
+        g = random_injection(b, c, rng)
+        h = random_injection(a, b, rng)
         assert compose(f, compose(g, h)) == compose(compose(f, g), h)
         assert compose(f, identity_morphism(c)) == f
         assert compose(identity_morphism(d), f) == f

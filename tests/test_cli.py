@@ -108,3 +108,12 @@ def test_group_file_build(tmp_path, capsys):
         "--group", str(gpath), "-o", str(out),
     )
     assert code == 0 and payload["dims"]["(1,)"] == 2
+
+
+def test_validate_malformed_module_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"m": 1}))
+    code, payload = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert payload["type"] == "ValueError"
+    assert "group_ref" in payload["error"]

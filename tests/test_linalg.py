@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fimlab.linalg
+import fimlab.modules
+from fimlab._rref_py import rref_int
+from fimlab.category import Window
 from fimlab.linalg import (
     RationalMatrix,
     Subspace,
@@ -16,7 +20,9 @@ from fimlab.linalg import (
     rank,
     rref,
     solve,
+    solve_matrix,
 )
+from fimlab.modules import close_under_actions, make_free, quotient
 
 F = Fraction
 
@@ -59,13 +65,43 @@ def test_rref_rank_one_collapse():
     assert rref(m) == RationalMatrix([[1, 2], [0, 0]])
 
 
+# Degenerate kernel inputs: no rows, a zero row, a zero 1x1, a rank-one
+# collapse with a trailing zero row.
+DEGENERATE_KERNEL_INPUTS = [
+    ([], 3),
+    ([[0, 0, 0]], 3),
+    ([[1]], 1),
+    ([[0]], 1),
+    ([[2, 4], [1, 2], [0, 0]], 2),
+]
+
+
 def test_rref_invertible_to_identity_and_matches_naive():
     m = RationalMatrix([[1, 2], [3, 4]])
     assert rref(m) == RationalMatrix.identity(2)
-    for rows in ([[1, 2], [3, 4]], [[0, 1, 2], [1, 1, 1], [2, 3, 4]], [[5]]):
+    extra = [rows for rows, _ in DEGENERATE_KERNEL_INPUTS]
+    for rows in [[[1, 2], [3, 4]], [[0, 1, 2], [1, 1, 1], [2, 3, 4]], [[5]]] + extra:
         got = rref(RationalMatrix(rows))
         want = naive_row_reduce(rows)
         assert got == RationalMatrix(want)
+
+
+@pytest.mark.parametrize("rows,ncols", DEGENERATE_KERNEL_INPUTS)
+def test_rref_int_contract_on_degenerate_input(rows, ncols):
+    pivots, out_rows, denoms = rref_int([r[:] for r in rows], ncols)
+    want = naive_row_reduce(rows)
+    assert [[F(x, d) for x in row] for row, d in zip(out_rows, denoms)] == want
+    assert pivots == [next(j for j, x in enumerate(r) if x) for r in want if any(r)]
+    for r, (row, d) in enumerate(zip(out_rows, denoms)):
+        assert d > 0
+        if r >= len(pivots):
+            assert d == 1 and not any(row)
+
+
+def with_degenerate_examples(test):
+    for rows, _ in DEGENERATE_KERNEL_INPUTS:
+        test = example(rows)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +112,7 @@ def test_rref_invertible_to_identity_and_matches_naive():
         max_size=5,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
+@with_degenerate_examples
 def test_rref_idempotent_and_matches_naive(rows):
     m = RationalMatrix(rows)
     red = rref(m)
@@ -180,3 +217,203 @@ def test_entries_reduced_fractions():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
+
+
+# -- solvers and quotient maps against independent constructions -----------
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def matrices(max_rows=5, max_cols=5, min_rows=0, min_cols=0):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda nr: st.integers(min_cols, max_cols).flatmap(
+            lambda nc: st.lists(
+                st.lists(rational, min_size=nc, max_size=nc),
+                min_size=nr,
+                max_size=nr,
+            ).map(lambda rows: RationalMatrix(rows, nr, nc))
+        )
+    )
+
+
+def _sympy_dm(mat):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    return DomainMatrix(
+        [[qq(x.numerator, x.denominator) for x in row] for row in mat.rows],
+        mat.shape,
+        qq,
+    )
+
+
+def _from_sympy(x):
+    return F(int(x.numerator), int(x.denominator))
+
+
+def sympy_solve_matrix(mat, rhs):
+    """Oracle: sympy's RREF of [M | B]; free variables set to zero."""
+    n = mat.ncols
+    red, pivots = _sympy_dm(mat).hstack(_sympy_dm(rhs)).rref()
+    if any(p >= n for p in pivots):
+        return None
+    out = [[F(0)] * rhs.ncols for _ in range(n)]
+    rows = red.to_list()
+    for r, p in enumerate(pivots):
+        out[p] = [_from_sympy(x) for x in rows[r][n:]]
+    return RationalMatrix(out, n, rhs.ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_solve_matrix_matches_sympy(mat, k, rnd):
+    # Half the right-hand sides are images M X, so consistent systems show up.
+    if rnd.random() < 0.5:
+        x = RationalMatrix(
+            [[F(rnd.randint(-3, 3)) for _ in range(k)] for _ in range(mat.ncols)],
+            mat.ncols,
+            k,
+        )
+        rhs = mat * x
+    else:
+        rhs = RationalMatrix(
+            [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(k)]
+             for _ in range(mat.nrows)],
+            mat.nrows,
+            k,
+        )
+    got = solve_matrix(mat, rhs)
+    assert got == sympy_solve_matrix(mat, rhs)
+    if got is not None:
+        assert mat * got == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n, n, n)))
+def test_inverse_matches_sympy(mat):
+    dm = _sympy_dm(mat)
+    got = inverse(mat)
+    if dm.det() == 0:
+        assert got is None
+    else:
+        want = [[_from_sympy(x) for x in row] for row in dm.inv().to_list()]
+        assert got == RationalMatrix(want)
+
+
+def test_solve_matrix_with_no_rows():
+    m = RationalMatrix([], 0, 3)
+    rhs = RationalMatrix([], 0, 2)
+    assert solve_matrix(m, rhs) == RationalMatrix.zeros(3, 2)
+    assert solve(m, ()) == (F(0),) * 3
+
+
+def test_solve_matrix_with_no_columns_on_the_right():
+    m = RationalMatrix([[1, 2], [2, 4]])
+    got = solve_matrix(m, RationalMatrix([[], []], 2, 0))
+    assert got is not None and got.shape == (2, 0)
+
+
+def test_solve_matrix_one_inconsistent_column_gives_none():
+    m = RationalMatrix([[1, 1], [1, 1], [0, 0]])
+    good = RationalMatrix([[2, 0], [2, 0], [0, 0]])
+    assert solve_matrix(m, good) is not None
+    bad = RationalMatrix([[2, 0, 1], [2, 0, 1], [0, 0, 1]])
+    assert solve_matrix(m, bad) is None
+    assert solve_matrix(m, RationalMatrix([[1, 1, 3], [1, 2, 3], [0, 0, 0]])) is None
+
+
+def test_solve_matrix_rejects_wrong_rhs_height():
+    with pytest.raises(ValueError):
+        solve_matrix(RationalMatrix.identity(2), RationalMatrix.identity(3))
+
+
+def test_solve_is_one_column_of_solve_matrix():
+    rng = random.Random(17)
+    for _ in range(30):
+        nr, nc, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        m = rand_matrix(rng, nr, nc, span=3)
+        rhs = m * rand_matrix(rng, nc, k, span=3)
+        sol = solve_matrix(m, rhs)
+        for j in range(k):
+            assert solve(m, rhs.col(j)) == sol.col(j)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = fimlab.linalg.rref_int
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(fimlab.linalg, "rref_int", counting)
+    return calls
+
+
+def test_each_solver_is_one_elimination(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    m = RationalMatrix([[1, 2, 0], [3, 5, 1], [0, 1, 4]])
+    solve(m, (1, 2, 3))
+    assert len(calls) == 1
+    solve_matrix(m, RationalMatrix.identity(3))
+    assert len(calls) == 2
+    inverse(m)
+    assert len(calls) == 3
+    sub = Subspace.from_spanning(3, [(1, 2, 0)])
+    del calls[:]
+    quotient_map(3, sub)
+    assert calls == []
+
+
+def test_quotient_makes_no_solve_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quotient called a solver")
+
+    monkeypatch.setattr(fimlab.modules, "solve", refuse)
+    monkeypatch.setattr(fimlab.modules, "solve_matrix", refuse)
+    p = make_free((1,), Window((3,)))
+    seeds = {(2,): Subspace.from_spanning(2, [(1, -1)])}
+    q, proj = quotient(p, close_under_actions(p, seeds))
+    assert q.dims == {(0,): 0, (1,): 1, (2,): 1, (3,): 1}
+    assert proj.is_natural()
+
+
+def test_quotient_rejects_unstable_subspaces():
+    p = make_free((1,), Window((2,)))
+    spaces = {n: Subspace.zero(d) for n, d in p.dims.items()}
+    spaces[(1,)] = Subspace.full(1)
+    with pytest.raises(ValueError, match="not action-stable"):
+        quotient(p, spaces)
+
+
+def test_subspace_pivots():
+    sub = Subspace.from_spanning(4, [(0, 2, 4, 0), (0, 0, 0, 3), (0, 1, 2, 1)])
+    assert sub.pivots == (1, 3)
+    assert Subspace.zero(3).pivots == ()
+    assert Subspace.full(3).pivots == (0, 1, 2)
+
+
+def inverse_based_quotient_map(d, sub):
+    """The construction quotient_map replaced: invert [basis; complement]^T
+    and keep the complement coordinates."""
+    if sub.dim == 0:
+        return RationalMatrix.identity(d)
+    free = [j for j in range(d) if j not in sub.pivots]
+    comp = RationalMatrix([[int(j == f) for j in range(d)] for f in free], len(free), d)
+    inv = inverse(sub.basis.vstack(comp).transpose())
+    return RationalMatrix(inv.rows[sub.dim:], d - sub.dim, d)
+
+
+def test_quotient_map_matches_inverse_construction():
+    rng = random.Random(23)
+    for _ in range(40):
+        d = rng.randint(1, 7)
+        k = rng.randint(0, d + 1)
+        sub = Subspace.from_spanning(
+            d,
+            [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+             for _ in range(k)],
+        )
+        assert quotient_map(d, sub) == inverse_based_quotient_map(d, sub)
+    assert quotient_map(0, Subspace.zero(0)) == RationalMatrix.identity(0)

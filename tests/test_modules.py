@@ -280,6 +280,93 @@ def test_serialization_round_trip():
         assert back.to_json() == text  # bit-exact round trip
 
 
+def _json_paths(node, path=()):
+    """Every (path, value) below a parsed JSON document."""
+    yield path, node
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _json_paths(v, path + (i,))
+
+
+def _mutated(doc, path, value, delete=False):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def test_from_dict_rejects_malformed_fields_with_value_error():
+    mod = make_induced(((1, 1),), Window((2,)), GroupTable.cyclic(2))
+    doc = mod.to_dict()
+    assert doc["presentation"] is not None
+    for path, _ in list(_json_paths(doc))[1:]:
+        variants = [_mutated(doc, path, v) for v in (None, 7, True, "x", "(9)", [], {})]
+        if isinstance(path[-1], str):
+            variants.append(_mutated(doc, path, None, delete=True))
+        for bad in variants:
+            try:
+                TruncatedModule.from_dict(bad)
+            except ValueError:
+                pass
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"m": 1}, "group_ref: missing field"),
+        ([], "document: expected an object"),
+        ({"m": 1, "group_ref": {"order": 1}}, "group_ref.mult: missing field"),
+        ({"m": 1, "group_ref": {"order": 1, "mult": [[0, 1]]}}, "group_ref.mult: "),
+        ({"m": 1, "group_ref": {"order": 2, "mult": [[0]]}}, "group_ref.order: "),
+        (
+            {"m": 1, "group_ref": {"order": 1, "mult": [[0]], "generators": [3]}},
+            "group_ref.generators[0]: ",
+        ),
+    ],
+)
+def test_from_dict_names_the_bad_field(doc, field):
+    with pytest.raises(ValueError) as info:
+        TruncatedModule.from_dict(doc)
+    assert str(info.value).startswith(field)
+
+
+def test_from_dict_names_nested_module_fields():
+    doc = make_free((1,), Window((2,)), TRIV).to_dict()
+    cases = [
+        (("window",), "(1,x)", "window: "),
+        (("m",), 2, "m: "),
+        (("dims", "(1)"), "1", "dims.(1): expected an integer"),
+        (("dims",), {"(0)": 0, "(2)": 2}, "actions[0].gen: no dimension at (1)"),
+        (("actions", 1, "matrix"), [["1/0"]], "actions[1].matrix: "),
+        (("presentation", "generators", 0, "at"), 3,
+         "presentation.generators[0].at: expected a string"),
+        (("presentation", "observed_only"), "yes",
+         "presentation.observed_only: expected a boolean"),
+        (("actions", 0, "gen"), {"incl": 5, "at": "(1)"},
+         "actions[0].gen: no such generator on the window"),
+        (("actions", 1), doc["actions"][0], "actions[1].gen: generator given twice"),
+    ]
+    for path, value, field in cases:
+        with pytest.raises(ValueError) as info:
+            TruncatedModule.from_dict(_mutated(doc, path, value))
+        assert str(info.value).startswith(field), (path, str(info.value))
+
+
+def test_group_table_from_dict_round_trip_and_checks():
+    g = GroupTable.symmetric(3)
+    assert GroupTable.from_dict(g.to_dict()) == g
+    with pytest.raises(ValueError, match=r"^mult\[1\]: "):
+        GroupTable.from_dict({"order": 2, "mult": [[0, 1], "10"]})
+
+
 def test_serialization_rational_strings():
     mod = make_induced(((1, 1),), Window((2,)), TRIV)
     d = mod.to_dict()
