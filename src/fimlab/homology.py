@@ -25,7 +25,6 @@ from .category import (
     generator_keys,
     invert_perm,
     leq,
-    sub,
     unit,
 )
 from .linalg import (
@@ -33,16 +32,17 @@ from .linalg import (
     Subspace,
     image_basis,
     kernel_basis,
-    quotient_map,
-    solve,
     solve_matrix,
 )
 from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
+    cover_block,
     direct_sum,
+    h0_generators,
     make_free,
+    positive_degree_image,
     quotient,
     submodule_from_stable_subspaces,
     zero_module,
@@ -102,52 +102,6 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
                 actions[key] = v.actions[("grp", j - n_aut_gens, full)]
     return TruncatedModule(new_window, group, dims, actions, None,
                            f"{v.name}[[{s}]]" if v.name else "")
-
-
-# -- the positive-S-degree ideal ------------------------------------------
-
-
-def _close_subspace_under(mats, space: Subspace) -> Subspace:
-    changed = True
-    while changed:
-        changed = False
-        for mat in mats:
-            if space.dim == 0:
-                return space
-            img = (mat * space.basis.transpose()).transpose()
-            new = space.add(Subspace.from_spanning(space.ambient_dim, img.rows))
-            if new.dim != space.dim:
-                space = new
-                changed = True
-    return space
-
-
-def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
-    """(I_S V)(n): the span of images of all positive-S-degree morphisms,
-    computed as the automorphism closure of the standard-inclusion images.
-
-    Any injection of positive S-degree factors as an automorphism after a
-    standard inclusion, so closing the inclusion images under the swap and
-    group generators at n captures every image.
-    """
-    n = tuple(n)
-    d = v.dims[n]
-    total = Subspace.zero(d)
-    for i in S:
-        if n[i - 1] == 0:
-            continue
-        below = sub(n, unit(v.m, i))
-        mat = v.actions[("incl", i, below)]
-        total = total.add(image_basis(mat))
-    if total.dim == 0:
-        return total
-    auto_mats = []
-    for i in range(1, v.m + 1):
-        for k in range(1, n[i - 1]):
-            auto_mats.append(v.actions[("swap", i, k, n)])
-    for j in range(len(v.group.generators)):
-        auto_mats.append(v.actions[("grp", j, n)])
-    return _close_subspace_under(auto_mats, total)
 
 
 # -- H0 ---------------------------------------------------------------------
@@ -237,69 +191,21 @@ def t0_degree(v: TruncatedModule, S) -> tuple:
 def free_cover(v: TruncatedModule):
     """A surjection P -> V from a minimal free module, with its kernel.
 
-    Generators are lifted from H_0 over the full coordinate set, object by
-    object in increasing degree, so the cover matches every S-homological
-    degree t_0 at once.  Returns (P, pi, K, K_incl).
+    P has one copy of F(n) per generator of ``h0_generators`` (lifts of H_0
+    over the full coordinate set, in increasing degree), so the cover
+    matches every S-homological degree t_0 at once.  Returns
+    (P, pi, K, K_incl).
     """
-    full_S = tuple(range(1, v.m + 1))
-    gen_data = []  # (object, lifted vectors in V(n))
-    for n in v.window.objects_by_degree():
-        space = positive_degree_image(v, full_S, n) if v.m else Subspace.zero(v.dims[n])
-        d = v.dims[n]
-        h0_dim = d - space.dim
-        if h0_dim == 0:
-            continue
-        proj = quotient_map(d, space)
-        lifts = []
-        for j in range(h0_dim):
-            target = [Fraction(1) if r == j else _ZERO for r in range(h0_dim)]
-            u = solve(proj, target)
-            if u is None:
-                raise AssertionError("H0 generator has no lift")
-            lifts.append(u)
-        gen_data.append((n, lifts))
-    if not gen_data:
+    gens = h0_generators(v)
+    if not gens:
         p = zero_module(v.window, v.group)
         k = zero_module(v.window, v.group)
         return p, ModuleMap.zero(p, v), k, ModuleMap.zero(k, p)
-    summands = []
-    for n, lifts in gen_data:
-        for _ in lifts:
-            summands.append(make_free(n, v.window, v.group))
-    p, incls = direct_sum(*summands)
-    slots = []
-    for n, lifts in gen_data:
-        slots.extend([(n, None)] * len(lifts))
+    slots = [(n, None) for n, lifts in gens for _ in lifts]
+    p, _ = direct_sum(*[make_free(n, v.window, v.group) for n, _ in slots])
     gbound = Presentation.make(slots, None).gen_bound(v.m)
     p.presentation = Presentation.make(slots, gbound)  # free: no relations
-    og = v.group.order
-    blocks = {}
-    for t in v.window.objects():
-        cols = []
-        for n, lifts in gen_data:
-            if leq(n, t):
-                injs = enumerate_injections(n, t)
-            else:
-                injs = []
-            for u in lifts:
-                for beta in injs:
-                    for h in range(og):
-                        mor = Morphism(beta.source, beta.target, beta.maps, h)
-                        mat = v.evaluate(mor)
-                        cols.append(mat.apply(u))
-                if not injs:
-                    pass
-        d_t = v.dims[t]
-        if cols:
-            block = RationalMatrix(
-                [[col[r] for col in cols] for r in range(d_t)], d_t, len(cols)
-            )
-        else:
-            block = RationalMatrix.zeros(d_t, p.dims[t])
-        if block.ncols != p.dims[t]:
-            raise AssertionError("cover column bookkeeping is off")
-        blocks[t] = block
-    pi = ModuleMap(p, v, blocks)
+    pi = ModuleMap(p, v, {t: cover_block(v, gens, t) for t in v.window.objects()})
     if not pi.is_surjective_objectwise():
         raise AssertionError("minimal cover failed to surject inside the window")
     ker_spaces = {n: kernel_basis(b) for n, b in pi.blocks.items()}

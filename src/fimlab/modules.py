@@ -5,10 +5,11 @@ A :class:`TruncatedModule` stores a dimension per window object and one
 exact rational matrix per category generator; arbitrary morphisms act
 through :func:`fimlab.category.factor_morphism`.  Constructors cover free,
 induced (Specht-isotypic image), co-free, coinduced, external tensor,
-direct sums, submodules and quotients.  Hom spaces are computed by a
-degreewise propagation solver that parametrizes a natural transformation by
-its values on generator slots; with a certified presentation inside the
-window this computes the honest Hom space of the untruncated modules.
+direct sums, submodules and quotients.  Hom(V, W) is computed by Yoneda
+from generators of V read off its own data: a map is a choice of values in
+W at the generators, subject to killing the kernel of V's free cover; with a
+certified presentation inside the window this is the honest Hom space of
+the untruncated modules.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .linalg import (
     kron,
     quotient_map,
     rank,
-    row_space,
     solve,
     solve_matrix,
 )
@@ -291,10 +291,10 @@ class TruncatedModule:
         """The action matrix of an arbitrary window morphism."""
         if not (self.window.contains(mor.source) and self.window.contains(mor.target)):
             raise MarginError(f"morphism {mor} leaves the window")
-        keys = factor_morphism(mor, self.group)
-        mat = RationalMatrix.identity(self.dims[mor.target])
-        for key in keys:
-            mat = mat * self.actions[key]
+        # right to left: the products stay as narrow as the source
+        mat = RationalMatrix.identity(self.dims[mor.source])
+        for key in reversed(factor_morphism(mor, self.group)):
+            mat = self.actions[key] * mat
         if mat.shape != (self.dims[mor.target], self.dims[mor.source]):
             raise AssertionError("evaluation produced a wrong shape")
         return mat
@@ -452,6 +452,12 @@ class TruncatedModule:
             if not _is_int(dim):
                 raise ValueError(f"dims.{k}: expected an integer")
             dims[n] = dim
+        # checked before anything walks the window, which may be huge
+        if len(dims) != prod(max(b + 1, 0) for b in window.bound):
+            raise ValueError("dims: not one entry per object of the window")
+        for n in dims:
+            if not window.contains(n):
+                raise ValueError(f"dims.{obj_str(n)}: outside the window")
         m = window.m
         known = set(generator_keys(window, group))
         actions = {}
@@ -477,9 +483,6 @@ class TruncatedModule:
                 raise ValueError(f"{path}.gen: no such generator on the window")
             if key in actions:
                 raise ValueError(f"{path}.gen: generator given twice")
-            for n in (src, tgt):
-                if n not in dims:
-                    raise ValueError(f"{path}.gen: no dimension at {obj_str(n)}")
             rows = json_field(item, "matrix", list, path)
             try:
                 actions[key] = matrix_from_lists(rows, dims[tgt], dims[src])
@@ -1142,17 +1145,125 @@ def aut_rep_at(v: TruncatedModule, n) -> ProductRep:
     )
 
 
+# -- generators and the free cover ----------------------------------------
+
+
+def _close_subspace_under(mats, space: Subspace) -> Subspace:
+    changed = True
+    while changed:
+        changed = False
+        for mat in mats:
+            if space.dim in (0, space.ambient_dim):
+                return space
+            img = (mat * space.basis.transpose()).transpose()
+            new = Subspace.from_spanning(space.ambient_dim, space.basis.rows + img.rows)
+            if new.dim != space.dim:
+                space = new
+                changed = True
+    return space
+
+
+def _automorphism_mats(v: TruncatedModule, n) -> list:
+    """The swap and group generator actions at n."""
+    mats = [v.actions[("swap", i, k, n)]
+            for i in range(1, v.m + 1) for k in range(1, n[i - 1])]
+    return mats + [v.actions[("grp", j, n)] for j in range(len(v.group.generators))]
+
+
+def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
+    """(I_S V)(n): the span of images of all positive-S-degree morphisms,
+    computed as the automorphism closure of the standard-inclusion images.
+
+    Any injection of positive S-degree factors as an automorphism after a
+    standard inclusion, so closing the inclusion images under the swap and
+    group generators at n captures every image.
+    """
+    n = tuple(n)
+    total = Subspace.zero(v.dims[n])
+    for i in S:
+        if n[i - 1] == 0:
+            continue
+        below = sub(n, unit(v.m, i))
+        total = total.add(image_basis(v.actions[("incl", i, below)]))
+    return _close_subspace_under(_automorphism_mats(v, n), total)
+
+
+def h0_generators(v: TruncatedModule) -> list:
+    """Generators of V as a module, as [(n, lifts)] in increasing degree.
+
+    The lifts at n are unit vectors e_f at non-pivot coordinates f of the
+    positive-degree image I(n), so ``quotient_map`` sends each to a unit
+    vector and lifting costs no solve.  e_f is skipped when it already lies
+    in the swap and group closure of I(n) and the lifts before it, so F(n)
+    itself has one generator, not one per element of Aut(n) x G.  The
+    images of the lifts under all window morphisms span V at every object.
+    """
+    full_s = tuple(range(1, v.m + 1))
+    out = []
+    for n in v.window.objects_by_degree():
+        d = v.dims[n]
+        span = positive_degree_image(v, full_s, n)
+        if span.dim == d:
+            continue
+        autos = _automorphism_mats(v, n)
+        base = span.dim
+        pivots = set(span.pivots)
+        lifts = []
+        for f in range(d):
+            if f in pivots:
+                continue
+            e = tuple(_ONE if r == f else _ZERO for r in range(d))
+            # the non-pivot unit vectors are independent modulo I(n), so e
+            # can lie in the span only once a closure has added more
+            if span.dim > base + len(lifts) and span.contains(e):
+                continue
+            lifts.append(e)
+            span = _close_subspace_under(
+                autos, Subspace.from_spanning(d, span.basis.rows + (e,)))
+        out.append((n, lifts))
+    return out
+
+
+def _basis_morphisms(n, x, group: GroupTable) -> list:
+    """The basis of F(n)(x) as morphisms (beta, h), in make_free's order."""
+    if not leq(n, x):
+        return []
+    return [Morphism(b.source, b.target, b.maps, h)
+            for b in enumerate_injections(n, x) for h in range(group.order)]
+
+
+def _from_columns(cols, nrows: int) -> RationalMatrix:
+    return RationalMatrix(cols, len(cols), nrows).transpose()
+
+
+def cover_block(v: TruncatedModule, gens, x) -> RationalMatrix:
+    """The map P(x) -> V(x) of the cover sending generator i to its lift u_i:
+    column (i, beta, h) is V(beta, h) u_i, generators in order and (beta, h)
+    in the order of make_free's basis."""
+    cols = []
+    for n, lifts in gens:
+        lift_mat = _from_columns(lifts, v.dims[n])
+        images = [v.evaluate(mor) * lift_mat for mor in _basis_morphisms(n, x, v.group)]
+        for j in range(len(lifts)):
+            cols.extend(img.col(j) for img in images)
+    return _from_columns(cols, v.dims[x])
+
+
 # -- the naturality solver -------------------------------------------------
 
 
 class NaturalitySolver:
-    """Parametrizes natural transformations V -> W degree by degree.
+    """Hom(V, W) by Yoneda from the generators of V.
 
-    Blocks at an object are determined, through the inclusion generators,
-    by blocks below plus new free parameters on a complement of the incoming
-    images; automorphism and group generators contribute linear constraints.
-    The result is exactly the space of natural transformations between the
-    truncated modules.
+    With generators u_i in V(n_i) (:func:`h0_generators`) and their cover
+    pi: P = ⊕ F(n_i) -> V, a natural map P -> W is a free choice of
+    t_i in W(n_i), acting by Phi_x(beta, h) = W(beta, h) t_i.  It factors
+    through V exactly when Phi_x kills ker pi_x at every object x, and the
+    map V -> W is then Phi_x S_x for a section S_x of pi_x.  ``nparams`` is
+    the sum of dim W(n_i); ``rows`` are the constraints, the entries of
+    Phi_x(t) k for k in a basis of each ker pi_x.  As pi is onto at every
+    object of the window, the solutions are exactly the natural
+    transformations between the truncated modules.
     """
 
     def __init__(self, v: TruncatedModule, w: TruncatedModule):
@@ -1160,191 +1271,63 @@ class NaturalitySolver:
             raise ValueError("hom requires matching window and group")
         self.v = v
         self.w = w
-        self.nparams = 0
-        self.coeff = {}
+        gens = h0_generators(v)
+        self.nparams = sum(len(lifts) * w.dims[n] for n, lifts in gens)
+        self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
+        self._sections = {}
         self.rows = []
-        self._build()
+        for x in v.window.objects():
+            terms = []
+            offset = 0
+            for n, lifts in gens:
+                wmats = [w.evaluate(mor) for mor in _basis_morphisms(n, x, v.group)]
+                for _ in lifts:
+                    terms.extend((offset, wm) for wm in wmats)
+                    offset += w.dims[n]
+            self._terms[x] = terms
+            pi_x = cover_block(v, gens, x)
+            section = solve_matrix(pi_x, RationalMatrix.identity(v.dims[x]))
+            if section is None:
+                raise AssertionError(f"the generators do not span V at {x}")
+            self._sections[x] = section
+            for k in kernel_basis(pi_x).basis.rows:
+                self.rows.extend(row for row in self._rows_of(x, k) if any(row))
 
-    def _add_constraint_matrix(self, combo):
-        """combo: dict param -> matrix; one scalar row per entry."""
-        shapes = {mat.shape for mat in combo.values()}
-        if not shapes:
-            return
-        (nr, nc) = shapes.pop()
-        for r in range(nr):
-            for c in range(nc):
-                row = {}
-                for k, mat in combo.items():
-                    val = mat.rows[r][c]
-                    if val:
-                        row[k] = val
-                if row:
-                    self.rows.append(row)
-
-    def _same_object_constraints(self, n):
-        v, w = self.v, self.w
-        keys = []
-        for i in range(1, v.m + 1):
-            for k in range(1, n[i - 1]):
-                keys.append(("swap", i, k, n))
-        for j in range(len(v.group.generators)):
-            keys.append(("grp", j, n))
-        for key in keys:
-            va = v.actions[key]
-            wa = w.actions[key]
-            combo = {}
-            for k, mat in self.coeff.get(n, {}).items():
-                diff = wa * mat - mat * va
-                if not diff.is_zero():
-                    combo[k] = diff
-            self._add_constraint_matrix(combo)
-
-    def _build(self):
-        v, w = self.v, self.w
-        for n in v.window.objects_by_degree():
-            dv, dw = v.dims[n], w.dims[n]
-            incoming = [
-                ("incl", i, sub(n, unit(v.m, i)))
-                for i in range(1, v.m + 1)
-                if n[i - 1] >= 1
-            ]
-            if not incoming:
-                block = {}
-                for r in range(dw):
-                    for c in range(dv):
-                        rows = [[_ZERO] * dv for _ in range(dw)]
-                        rows[r][c] = _ONE
-                        block[self.nparams] = RationalMatrix(rows, dw, dv)
-                        self.nparams += 1
-                self.coeff[n] = block
-                self._same_object_constraints(n)
+    def _rows_of(self, x, y):
+        """The matrix of t -> Phi_x(t) y, for y in P(x), as rows."""
+        rows = [[_ZERO] * self.nparams for _ in range(self.w.dims[x])]
+        for yc, (offset, wm) in zip(y, self._terms[x]):
+            if not yc:
                 continue
-            amats = [v.actions[key] for key in incoming]
-            a = amats[0]
-            for extra in amats[1:]:
-                a = a.hstack(extra)
-            q = a.ncols
-            # RHS per parameter: W-action times the source block
-            cmats = {}
-            for key in incoming:
-                src = key[2]
-                wa = w.actions[key]
-                src_coeff = self.coeff.get(src, {})
-                width = v.dims[src]
-                for k in range(self.nparams):
-                    mat = src_coeff.get(k)
-                    piece = (
-                        RationalMatrix.zeros(dw, width) if mat is None else wa * mat
-                    )
-                    cmats[k] = piece if k not in cmats else cmats[k].hstack(piece)
-            # consistency along column dependencies of a
-            ker = kernel_basis(a)
-            for kv in ker.basis.rows:
-                kv_col = RationalMatrix.column(kv)
-                combo = {}
-                for k, cm in cmats.items():
-                    prod_mat = cm * kv_col
-                    if not prod_mat.is_zero():
-                        combo[k] = prod_mat
-                self._add_constraint_matrix(combo)
-            # pivot columns of a give an honest basis of the incoming image
-            if dv == 0:
-                self.coeff[n] = {}
-                self._same_object_constraints(n)
-                continue
-            pivots = row_space(a).pivots
-            b = RationalMatrix(
-                [[a.rows[r][j] for j in pivots] for r in range(dv)], dv, len(pivots)
-            )
-            ib = image_basis(b) if pivots else Subspace.zero(dv)
-            lead_coords = ib.pivots
-            comp_coords = [j for j in range(dv) if j not in lead_coords]
-            comp_cols = RationalMatrix(
-                [
-                    [_ONE if r == j else _ZERO for j in comp_coords]
-                    for r in range(dv)
-                ],
-                dv,
-                len(comp_coords),
-            )
-            mfull = b.hstack(comp_cols) if pivots else comp_cols
-            minv = inverse(mfull)
-            if minv is None:
-                raise AssertionError("incoming image plus complement not a basis")
-            block = {}
-            r_im = len(pivots)
-            for k, cm in cmats.items():
-                cj = RationalMatrix(
-                    [[cm.rows[r][j] for j in pivots] for r in range(dw)],
-                    dw,
-                    r_im,
-                )
-                padded = cj.hstack(RationalMatrix.zeros(dw, dv - r_im))
-                mat = padded * minv
-                if not mat.is_zero():
-                    block[k] = mat
-            for cidx in range(len(comp_coords)):
-                for r in range(dw):
-                    sel = [[_ZERO] * dv for _ in range(dw)]
-                    sel[r][r_im + cidx] = _ONE
-                    block[self.nparams] = RationalMatrix(sel, dw, dv) * minv
-                    self.nparams += 1
-            self.coeff[n] = block
-            self._same_object_constraints(n)
+            for row, wrow in zip(rows, wm.rows):
+                for j, a in enumerate(wrow):
+                    if a:
+                        row[offset + j] += yc * a
+        return rows
 
-    def _solution_to_map(self, tvec) -> ModuleMap:
+    def _solution_to_map(self, t) -> ModuleMap:
         blocks = {}
-        for n in self.v.window.objects():
-            dv, dw = self.v.dims[n], self.w.dims[n]
-            acc = RationalMatrix.zeros(dw, dv)
-            for k, mat in self.coeff.get(n, {}).items():
-                tk = tvec[k]
-                if tk:
-                    acc = acc + mat.scale(tk)
-            blocks[n] = acc
+        for x, terms in self._terms.items():
+            cols = [wm.apply(t[offset:offset + wm.ncols]) for offset, wm in terms]
+            blocks[x] = _from_columns(cols, self.w.dims[x]) * self._sections[x]
         return ModuleMap(self.v, self.w, blocks)
 
-    def _constraint_matrix(self) -> RationalMatrix:
-        rows = []
-        for row in self.rows:
-            dense = [_ZERO] * self.nparams
-            for k, val in row.items():
-                dense[k] = val
-            rows.append(dense)
-        if not rows:
-            return RationalMatrix.zeros(0, self.nparams)
-        return RationalMatrix(rows, len(rows), self.nparams)
-
     def basis(self):
-        if self.nparams == 0:
-            return []
-        ker = kernel_basis(self._constraint_matrix())
+        ker = kernel_basis(RationalMatrix(self.rows, len(self.rows), self.nparams))
         return [self._solution_to_map(t) for t in ker.basis.rows]
 
     def solve_with_conditions(self, conditions):
         """One natural map satisfying block(n) * r = c for each (n, r, c),
         or None.  Used for extension problems along inclusions."""
-        hom_rows = self._constraint_matrix()
-        extra_rows = []
-        rhs = [_ZERO] * hom_rows.nrows
+        rows = list(self.rows)
+        rhs = [_ZERO] * len(rows)
         for n, rmat, cmat in conditions:
             n = tuple(n)
-            combo = self.coeff.get(n, {})
-            for r in range(cmat.nrows):
-                for c in range(cmat.ncols):
-                    dense = [_ZERO] * self.nparams
-                    for k, mat in combo.items():
-                        val = (mat * rmat).rows[r][c]
-                        if val:
-                            dense[k] = val
-                    extra_rows.append(dense)
-                    rhs.append(cmat.rows[r][c])
-        full = RationalMatrix(
-            list(hom_rows.rows) + extra_rows,
-            hom_rows.nrows + len(extra_rows),
-            self.nparams,
-        )
-        sol = solve(full, rhs)
+            ys = self._sections[n] * rmat  # block(n) r = Phi_n(t) S_n r
+            for j in range(ys.ncols):
+                rows.extend(self._rows_of(n, ys.col(j)))
+                rhs.extend(cmat.col(j))
+        sol = solve(RationalMatrix(rows, len(rows), self.nparams), rhs)
         if sol is None:
             return None
         return self._solution_to_map(sol)

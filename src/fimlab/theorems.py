@@ -34,6 +34,7 @@ from .modules import (
     close_under_actions,
     direct_sum,
     external_tensor,
+    h0_generators,
     hom_space,
     make_cofree,
     make_free,
@@ -427,16 +428,7 @@ def _synth_presentation(mod: TruncatedModule) -> Presentation:
     """A window-level presentation: observed generator slots, relations
     bounded by the window (used only to drive searches; statuses formed
     from it are window-bounded by construction)."""
-    from .homology import positive_degree_image
-
-    slots = []
-    full_S = tuple(range(1, mod.m + 1))
-    for n in mod.window.objects_by_degree():
-        if mod.dims[n] == 0:
-            continue
-        img = positive_degree_image(mod, full_S, n)
-        if img.dim < mod.dims[n]:
-            slots.append((n, None))
+    slots = [(n, None) for n, _ in h0_generators(mod)]
     return Presentation.make(slots, mod.window.bound, observed_only=True)
 
 

@@ -397,3 +397,15 @@ def test_observed_presentations_never_claim_exact():
     assert h0(shadow, (1,)).status_t0 == WINDOW_BOUNDED
     assert h1(shadow, (1,)).status_t1 == WINDOW_BOUNDED
     assert detect_torsion(shadow, (1,)).status == WINDOW_BOUNDED
+
+
+def test_free_cover_is_minimal_under_automorphisms():
+    """A free module is its own cover even where its generator has
+    automorphisms, with or without a group factor."""
+    from fimlab.category import GroupTable
+
+    for v in (make_free((2,), Window((4,)), TRIV),
+              make_free((1,), Window((3,)), GroupTable.symmetric(2))):
+        p, pi, k, _ = free_cover(v)
+        assert p.dims == v.dims and k.is_zero()
+        assert pi.is_natural() and pi.is_iso()

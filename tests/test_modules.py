@@ -344,7 +344,8 @@ def test_from_dict_names_nested_module_fields():
         (("window",), "(1,x)", "window: "),
         (("m",), 2, "m: "),
         (("dims", "(1)"), "1", "dims.(1): expected an integer"),
-        (("dims",), {"(0)": 0, "(2)": 2}, "actions[0].gen: no dimension at (1)"),
+        (("dims",), {"(0)": 0, "(2)": 2}, "dims: not one entry per object"),
+        (("dims",), {"(0)": 0, "(1)": 1, "(3)": 2}, "dims.(3): outside the window"),
         (("actions", 1, "matrix"), [["1/0"]], "actions[1].matrix: "),
         (("presentation", "generators", 0, "at"), 3,
          "presentation.generators[0].at: expected a string"),
@@ -434,3 +435,139 @@ def test_make_coinduced_m2_dims():
     assert e.dims[(0, 1)] == 0  # killed by antisymmetry
     assert all(e.dims[n] == 0 for n in e.window.objects() if n[0] == 3)
     assert e.validate().ok
+
+
+# -- Hom against the definition ---------------------------------------------
+
+
+def _vectorized(mp):
+    return [x for n in mp.source.window.objects() for row in mp.blocks[n].rows
+            for x in row]
+
+
+def _hom_by_definition(v, w):
+    """Natural transformations V -> W straight from the definition: every
+    block entry X_n[r, c] is an unknown, and each generator g: s -> t adds
+    one row per entry of W(g) X_s - X_t V(g)."""
+    from fimlab.category import generator_keys
+    from fimlab.linalg import kernel_basis
+
+    offset, total = {}, 0
+    for n in v.window.objects():
+        offset[n] = total
+        total += w.dims[n] * v.dims[n]
+    rows = []
+    for key in generator_keys(v.window, v.group):
+        s = key[3] if key[0] == "swap" else key[2]
+        t = v._gen_target(key)
+        va, wa = v.actions[key], w.actions[key]
+        for r in range(w.dims[t]):
+            for c in range(v.dims[s]):
+                row = [F(0)] * total
+                for k in range(w.dims[s]):
+                    row[offset[s] + k * v.dims[s] + c] += wa[r, k]
+                for k in range(v.dims[t]):
+                    row[offset[t] + r * v.dims[t] + k] -= va[k, c]
+                rows.append(row)
+    return kernel_basis(RationalMatrix(rows, len(rows), total))
+
+
+def _oracle_pairs():
+    from fimlab.functors import ind
+    from fimlab.samples import point_module, random_presented_module, truncated_constant
+
+    pairs = []
+    for bound in ((2, 2), (3,)):
+        mods = [random_presented_module(Window(bound), s) for s in range(12)]
+        mods += [point_module(Window(bound)), truncated_constant(Window(bound), 2)]
+        for a, b in zip(mods, mods[1:] + mods[:1]):
+            pairs += [(a, b), (a, a)]
+    w3 = Window((3,))
+    for l in ((0,), (1,), (2,)):
+        pairs.append((make_cofree(l, w3, TRIV), make_induced(((1, 1),), w3, TRIV)))
+        pairs.append((make_cofree(l, w3, TRIV), make_induced(((2,),), w3, TRIV)))
+    for la, lb in ((((2,),), ((1, 1),)), (((2,),), ((2,),)), (((1,),), ((2,),))):
+        pairs.append((make_coinduced(la, w3, TRIV), make_coinduced(lb, w3, TRIV)))
+    s2 = GroupTable.symmetric(2)
+    induced_e1 = ind(make_cofree((1,), w3, TRIV), s2)
+    induced_point = ind(point_module(w3), s2)
+    pairs += [(induced_e1, induced_e1), (make_free((1,), w3, s2), induced_e1),
+              (induced_point, induced_e1), (induced_point, make_free((0,), w3, s2))]
+    # no presentation, as the horseshoe step solves on restricted modules
+    v = random_presented_module(w3, 0)
+    bare = TruncatedModule(v.window, v.group, v.dims, v.actions, None)
+    pairs += [(bare, v), (bare, make_cofree((2,), w3, TRIV))]
+    return pairs
+
+
+def test_hom_matches_the_definition():
+    from fimlab.modules import NaturalitySolver
+
+    for v, w in _oracle_pairs():
+        oracle = _hom_by_definition(v, w)
+        basis = NaturalitySolver(v, w).basis()
+        assert len(basis) == oracle.dim, (v.name, w.name)
+        assert all(mp.is_natural() for mp in basis)
+        span = Subspace.from_spanning(oracle.ambient_dim,
+                                      [_vectorized(mp) for mp in basis])
+        assert span == oracle, (v.name, w.name)
+
+
+def test_hom_of_free_has_one_parameter_block():
+    """Hom(F(2), F(2)) is F(2)(2): one generator, two parameters, no
+    constraint, two maps."""
+    from fimlab.modules import NaturalitySolver
+
+    v = make_free((2,), Window((6,)), TRIV)
+    solver = NaturalitySolver(v, v)
+    assert solver.nparams == 2 and solver.rows == []
+    maps = solver.basis()
+    assert len(maps) == 2 and all(mp.is_natural() for mp in maps)
+
+
+def test_hom_is_additive_over_direct_sums():
+    from fimlab.samples import random_presented_module
+
+    w = Window((2, 2))
+    a, b, c = (random_presented_module(w, s) for s in (1, 2, 3))
+    ab, _ = direct_sum(a, b)
+    assert len(hom_space(ab, c)) == len(hom_space(a, c)) + len(hom_space(b, c))
+    assert len(hom_space(c, ab)) == len(hom_space(c, a)) + len(hom_space(c, b))
+
+
+def test_solve_with_conditions():
+    from fimlab.modules import NaturalitySolver
+    from fimlab.samples import random_presented_module
+
+    w = Window((3,))
+    v = random_presented_module(w, 4)
+    t = make_cofree((2,), w, TRIV)
+    solver = NaturalitySolver(v, t)
+    basis = solver.basis()
+    assert basis
+    target = basis[0]
+    for mp in basis[1:]:
+        target = target.add(mp.scale(2))
+    # conditions read off a natural map are solvable
+    conds = [(n, RationalMatrix.identity(v.dims[n]), target.blocks[n])
+             for n in ((1,), (2,))]
+    got = solver.solve_with_conditions(conds)
+    assert got is not None and got.is_natural()
+    for n, r, c in conds:
+        assert got.blocks[n] * r == c
+    # Hom(F(1), F(1)) is the scalars: no map sends e_0 to e_1 at (2,)
+    f1 = make_free((1,), w, TRIV)
+    e0 = RationalMatrix([[1], [0]])
+    e1 = RationalMatrix([[0], [1]])
+    one = NaturalitySolver(f1, f1)
+    assert one.solve_with_conditions([((2,), e0, e1)]) is None
+    assert one.solve_with_conditions([((2,), e0, e0)]) == ModuleMap.identity(f1)
+
+
+def test_from_dict_bounds_the_window_before_enumerating():
+    doc = make_free((0, 0), Window((1, 1)), TRIV).to_dict()
+    doc["window"] = "(1000000000,1000000000)"
+    doc["dims"] = {"(0,0)": 1}
+    with pytest.raises(ValueError) as info:
+        TruncatedModule.from_dict(doc)
+    assert str(info.value).startswith("dims")
