@@ -340,14 +340,16 @@ def split_obj(n, S, not_S):
 
 
 def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
-                   window: Window, name: str = "") -> TruncatedModule:
+                   window: Window, name: str = "") -> tuple:
     """F_s(W): the induced module of an R_s-module along the coordinate
-    subset S.
+    subset S, with its inclusion into the unsymmetrized module.
 
     ``w_rs`` lives over the complement coordinates and carries the product
     group Aut(s) x G (aut generators first); the value of the result at
     (s' x t) is the Aut(s)-balanced tensor of the free module at s with
-    W(t), realized as the image of the averaging idempotent.
+    W(t), realized as the image of the averaging idempotent inside
+    Inj(s, s') x W(t).  Returns (module, inclusion) like
+    :func:`submodule_from_stable_subspaces`.
     """
     m = window.m
     S = normalize_subset(S, m)
@@ -462,9 +464,8 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
 
     big = TruncatedModule(window, group, big_dims, big_actions)
     pres = _induced_presentation(s, S, not_S, w_rs, m)
-    mod, _ = submodule_from_stable_subspaces(big, spaces, pres,
-                                             name or f"F_{s}({w_rs.name})")
-    return mod
+    return submodule_from_stable_subspaces(big, spaces, pres,
+                                           name or f"F_{s}({w_rs.name})")
 
 
 def _coordinate_gen_morphism(key, s_src, s_tgt, pos):
@@ -500,12 +501,6 @@ def _induced_presentation(s, S, not_S, w_rs, m):
 
 
 # -- explicit free-module decompositions (shift and derivative) ------------
-
-
-def _column_select(mat: RationalMatrix, cols) -> RationalMatrix:
-    return RationalMatrix(
-        [[row[c] for c in cols] for row in mat.rows], mat.nrows, len(cols)
-    )
 
 
 def shift_free_decomposition(n, i: int, window: Window,
@@ -602,7 +597,7 @@ def derivative_free_decomposition(n, i: int, window: Window,
     for t in w2.objects():
         first_width = free.dims[t]  # restricted M(n) columns come first
         cols = list(range(first_width, big_all.dims[t]))
-        mat = proj.blocks[t] * _column_select(iso_all.blocks[t], cols)
+        mat = proj.blocks[t] * iso_all.blocks[t].columns(cols)
         blocks[t] = mat
     iso = ModuleMap(big, derived, blocks)
     return iso, big, derived

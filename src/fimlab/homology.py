@@ -11,10 +11,8 @@ infinite one; INCONCLUSIVE marks searches that hit the boundary.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import (
     Morphism,
@@ -23,21 +21,15 @@ from .category import (
     degree,
     enumerate_injections,
     generator_keys,
-    invert_perm,
     leq,
     unit,
 )
-from .linalg import (
-    RationalMatrix,
-    Subspace,
-    image_basis,
-    kernel_basis,
-    solve_matrix,
-)
+from .linalg import RationalMatrix, Subspace, kernel_basis, quotient_map
 from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
+    close_under_actions,
     cover_block,
     direct_sum,
     h0_generators,
@@ -59,8 +51,6 @@ from .functors import (
 EXACT = "EXACT"
 WINDOW_BOUNDED = "WINDOW_BOUNDED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-_ZERO = Fraction(0)
 
 
 # -- slices ---------------------------------------------------------------
@@ -150,34 +140,41 @@ class HomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
+def _status(v: TruncatedModule, relations: bool) -> str:
+    """EXACT when V carries a certified presentation whose generators, and
+    with ``relations`` also its relations, lie inside the window."""
+    pres = v.presentation
+    if pres is None or pres.observed_only:
+        return WINDOW_BOUNDED
+    fits = pres.fits(v.window) if relations else pres.fits_generators(v.window)
+    return EXACT if fits else WINDOW_BOUNDED
+
+
+def _slices(mod: TruncatedModule, S):
+    """The nonzero S-slices of ``mod`` in increasing degree of the S-part,
+    and the largest such degree (-1 when there is none)."""
+    not_S = complement_subset(S, mod.m)
+    t_window = Window(tuple(mod.window.bound[i - 1] for i in not_S))
+    s_parts = sorted(
+        {split_obj(n, S, not_S)[0] for n in mod.window.objects()},
+        key=lambda s: (degree(s), s),
+    )
+    slices = {}
+    top = -1
+    for s in s_parts:
+        if any(mod.dims[interleave(S, not_S, s, t)] for t in t_window.objects()):
+            slices[s] = slice_module(mod, s, S)
+            top = max(top, degree(s))
+    return slices, top
+
+
 def h0(v: TruncatedModule, S) -> HomologyReport:
     """H_0 along S: the quotient by the positive-S-degree ideal, sliced."""
     S = normalize_subset(S, v.m)
     spaces = {n: positive_degree_image(v, S, n) for n in v.window.objects()}
     h0mod, proj = quotient(v, spaces, name=f"H0_{S}({v.name})" if v.name else "")
-    slices = {}
-    not_S = complement_subset(S, v.m)
-    s_parts = sorted(
-        {split_obj(n, S, not_S)[0] for n in v.window.objects()},
-        key=lambda s: (degree(s), s),
-    )
-    t0 = -1
-    for s in s_parts:
-        col = [
-            h0mod.dims[interleave(S, not_S, s, t)]
-            for t in Window(tuple(v.window.bound[i - 1] for i in not_S)).objects()
-        ]
-        if any(col):
-            slices[s] = slice_module(h0mod, s, S)
-            t0 = max(t0, degree(s))
-    pres = v.presentation
-    status = (
-        EXACT
-        if pres is not None and pres.fits_generators(v.window)
-        and not pres.observed_only
-        else WINDOW_BOUNDED
-    )
-    return HomologyReport(S, slices, t0, status, h0mod, proj)
+    slices, t0 = _slices(h0mod, S)
+    return HomologyReport(S, slices, t0, _status(v, relations=False), h0mod, proj)
 
 
 def t0_degree(v: TruncatedModule, S) -> tuple:
@@ -226,46 +223,20 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
     S = normalize_subset(S, v.m)
     rep = h0(v, S)
     p, pi, k, k_incl = cover if cover is not None else free_cover(v)
-    h0k = h0(k, S)
-    h0p = h0(p, S)
-    # induced map on H0: project a lift through the inclusion
+    k_spaces = {n: positive_degree_image(k, S, n) for n in v.window.objects()}
+    h0k, _ = quotient(k, k_spaces)
     h1_spaces = {}
     for n in v.window.objects():
-        qk = h0k.h0_projection.blocks[n]
-        qp = h0p.h0_projection.blocks[n]
-        if h0k.h0_module.dims[n] == 0:
-            h1_spaces[n] = Subspace.zero(0)
-            continue
-        lift = solve_matrix(qk, RationalMatrix.identity(qk.nrows))
-        if lift is None:
-            raise AssertionError("H0 projection of the kernel has no section")
-        induced = qp * k_incl.blocks[n] * lift
-        h1_spaces[n] = kernel_basis(induced)
-    h1mod, _ = submodule_from_stable_subspaces(h0k.h0_module, h1_spaces)
-    not_S = complement_subset(S, v.m)
-    slices = {}
-    t1 = -1
-    s_parts = sorted(
-        {split_obj(n, S, not_S)[0] for n in v.window.objects()},
-        key=lambda s: (degree(s), s),
-    )
-    for s in s_parts:
-        col = [
-            h1mod.dims[interleave(S, not_S, s, t)]
-            for t in Window(tuple(v.window.bound[i - 1] for i in not_S)).objects()
-        ]
-        if any(col):
-            slices[s] = slice_module(h1mod, s, S)
-            t1 = max(t1, degree(s))
-    pres = v.presentation
-    status = (
-        EXACT
-        if pres is not None and pres.fits(v.window) and not pres.observed_only
-        else WINDOW_BOUNDED
-    )
-    rep.h1_slices = slices
-    rep.t1 = t1
-    rep.status_t1 = status
+        # H_0(K) -> H_0(P) on the section that quotient reads its action
+        # off: the unit vectors at the free columns of I_S K, carried into P.
+        # Any section gives the same map, as K -> P sends I_S K into I_S P,
+        # which qp kills.
+        qp = quotient_map(p.dims[n], positive_degree_image(p, S, n))
+        lifts = k_incl.blocks[n].columns(k_spaces[n].free_columns)
+        h1_spaces[n] = kernel_basis(qp * lifts)
+    h1mod, _ = submodule_from_stable_subspaces(h0k, h1_spaces)
+    rep.h1_slices, rep.t1 = _slices(h1mod, S)
+    rep.status_t1 = _status(v, relations=True)
     rep.h1_dims = {n: h1mod.dims[n] for n in v.window.objects()}
     return rep
 
@@ -328,15 +299,8 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
                 mat = v.actions[("incl", i, cur)] * mat
                 cur = add(cur, unit(v.m, i))
         seeds[n] = kernel_basis(mat)
-    from .modules import close_under_actions
-
     spaces = close_under_actions(v, seeds)
-    pres = v.presentation
-    status = (
-        EXACT
-        if pres is not None and pres.fits(v.window) and not pres.observed_only
-        else WINDOW_BOUNDED
-    )
+    status = _status(v, relations=True)
     slots = [(n, None) for n in v.window.objects_by_degree() if spaces[n].dim > 0]
     tor_pres = Presentation.make(slots, None)
     mod, incl = submodule_from_stable_subspaces(
@@ -345,22 +309,25 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
     return TorsionVerdict(S, spaces, status, mod, incl, computable)
 
 
+def family_coordinates(outer: dict, inner: dict) -> dict | None:
+    """The family ``inner`` in the coordinates of the submodule that
+    ``outer`` spans (:func:`submodule_from_stable_subspaces`), or None when
+    some inner space does not lie in the outer one."""
+    out = {}
+    for n, space in outer.items():
+        coords = space.coordinates(inner[n].basis.transpose())
+        if coords is None:
+            return None
+        out[n] = Subspace.from_spanning(space.dim, coords.transpose().rows)
+    return out
+
+
 def subquotient(v: TruncatedModule, outer: dict, inner: dict):
     """The module outer/inner for nested action-stable families in V."""
-    outer_mod, outer_incl = submodule_from_stable_subspaces(v, outer)
-    inner_in_outer = {}
-    for n in v.window.objects():
-        if inner[n].dim == 0:
-            inner_in_outer[n] = Subspace.zero(outer_mod.dims[n])
-            continue
-        coords = solve_matrix(
-            outer_incl.blocks[n], inner[n].basis.transpose()
-        )
-        if coords is None:
-            raise ValueError("inner family is not contained in the outer one")
-        inner_in_outer[n] = Subspace.from_spanning(
-            outer_mod.dims[n], coords.transpose().rows
-        )
+    outer_mod, _ = submodule_from_stable_subspaces(v, outer)
+    inner_in_outer = family_coordinates(outer, inner)
+    if inner_in_outer is None:
+        raise ValueError("inner family is not contained in the outer one")
     q, _ = quotient(outer_mod, inner_in_outer)
     return q
 
@@ -405,7 +372,7 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     """The evaluation map F_s(V[[s]]) -> V from the universal property."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
-    fsw = induced_module(s, S, witness, v.group, v.window)
+    fsw, fsw_incl = induced_module(s, S, witness, v.group, v.window)
     # counit on the ambient (unsymmetrized) space: beta (x) w  ->  beta . w
     blocks = {}
     for n in v.window.objects():
@@ -432,51 +399,8 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
             len(cols),
         ) if cols else RationalMatrix.zeros(v.dims[n], 0)
         blocks[n] = big_mat
-    # restrict along the idempotent-image inclusion used by induced_module
-    fsw_big_incl = _induced_inclusion_blocks(v.window, v.group, s, S, witness, fsw)
-    final = {n: blocks[n] * fsw_big_incl[n] for n in v.window.objects()}
+    final = {n: blocks[n] * fsw_incl.blocks[n] for n in v.window.objects()}
     return ModuleMap(fsw, v, final), fsw
-
-
-def _induced_inclusion_blocks(window, group, s, S, witness, fsw):
-    """Rebuild the image-basis inclusion used inside induced_module."""
-    from .functors import aut_element_index
-    S = normalize_subset(S, window.m)
-    not_S = complement_subset(S, window.m)
-    s = tuple(s)
-    og = group.order
-    out = {}
-    for n in window.objects():
-        s_part, t_part = split_obj(n, S, not_S)
-        if not leq(s, s_part):
-            out[n] = RationalMatrix.zeros(0, fsw.dims[n])
-            continue
-        injs = enumerate_injections(s, s_part)
-        ninj = len(injs)
-        dw = witness.dims[t_part]
-        d = ninj * dw
-        if d == 0:
-            out[n] = RationalMatrix.zeros(0, 0)
-            continue
-        rho = witness.group_elements_at(t_part)
-        from .category import injection_index_table, compose as _compose
-        from .linalg import kron as _kron
-        index = injection_index_table(s, s_part)
-        auts = list(itertools.product(
-            *[itertools.permutations(range(1, x + 1)) for x in s]
-        ))
-        acc = RationalMatrix.zeros(d, d)
-        for sigma in auts:
-            sig_mor = Morphism(s, s, sigma, 0)
-            perm = [[_ZERO] * ninj for _ in range(ninj)]
-            for bi, beta in enumerate(injs):
-                perm[index[_compose(beta, sig_mor).maps]][bi] = Fraction(1)
-            sigma_inv = tuple(invert_perm(si) for si in sigma)
-            gp_idx = aut_element_index(s, sigma_inv) * og
-            acc = acc + _kron(RationalMatrix(perm, ninj, ninj), rho[gp_idx])
-        e = acc.scale(Fraction(1, len(auts)))
-        out[n] = image_basis(e).basis.transpose()
-    return out
 
 
 def is_S_induced(v: TruncatedModule, S, precomputed_h0=None) -> InducedVerdict:
@@ -532,8 +456,6 @@ def is_S_semi_induced(v: TruncatedModule, S, max_steps: int = 32):
     steps = []
     cert_status = rep.status_t1
     if ok:
-        from .modules import close_under_actions
-
         current_spaces = {
             n: Subspace.full(v.dims[n]) for n in v.window.objects()
         }

@@ -7,7 +7,8 @@ rank-type computations reduce to the integer Gauss-Jordan kernel
 
 A :class:`Subspace` is always stored through the reduced row echelon form of
 a spanning set, so subspace equality is plain matrix equality, and its pivot
-columns give solves and quotient maps without a further elimination.
+columns give coordinates, containment and quotient maps without a further
+elimination.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ class RationalMatrix:
 
     def col(self, j):
         return tuple(row[j] for row in self.rows)
+
+    def columns(self, cols) -> "RationalMatrix":
+        """The submatrix of the given columns, in the given order."""
+        return RationalMatrix(
+            [[row[j] for j in cols] for row in self.rows], self.nrows, len(cols)
+        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
@@ -303,6 +310,12 @@ class Subspace:
             next(j for j, x in enumerate(row) if x) for row in self.basis.rows
         )
 
+    @property
+    def free_columns(self) -> list:
+        """The non-pivot columns, in increasing order."""
+        pivot_set = set(self.pivots)
+        return [j for j in range(self.ambient_dim) if j not in pivot_set]
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -316,18 +329,23 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
+    def coordinates(self, mat: RationalMatrix) -> RationalMatrix | None:
+        """The unique X with basis^T X = mat, or None if a column of ``mat``
+        lies outside the subspace.
+
+        Basis row r is 1 at its pivot p_r and every other row is 0 there,
+        so row r of X is row p_r of ``mat``; the product checks the rest.
+        """
+        if mat.nrows != self.ambient_dim:
+            raise ValueError("coordinates need one row per ambient coordinate")
+        x = RationalMatrix([mat.rows[p] for p in self.pivots], self.dim, mat.ncols)
+        return x if self.basis.transpose() * x == mat else None
+
     def contains(self, vec) -> bool:
-        vec = tuple(_as_fraction(x) for x in vec)
-        if all(x == 0 for x in vec):
-            return True
-        stacked = self.basis.vstack(RationalMatrix([vec]))
-        return rank(stacked) == self.dim
+        return self.coordinates(RationalMatrix.column(vec)) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        stacked = self.basis.vstack(other.basis)
-        return rank(stacked) == self.dim
+        return self.coordinates(other.basis.transpose()) is not None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -450,11 +468,8 @@ def quotient_map(ambient_dim: int, sub: Subspace) -> RationalMatrix:
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace has wrong ambient dimension")
     pivots = sub.pivots
-    pivot_set = set(pivots)
     rows = []
-    for f in range(ambient_dim):
-        if f in pivot_set:
-            continue
+    for f in sub.free_columns:
         row = [_ZERO] * ambient_dim
         row[f] = _ONE
         for p, b in zip(pivots, sub.basis.rows):

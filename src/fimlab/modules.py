@@ -754,7 +754,8 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
                                     presentation=None, name=""):
     """Wrap action-stable subspaces as a module plus its inclusion map.
 
-    The caller guarantees stability; restriction failures raise.
+    The restricted action is read off the target space's pivot coordinates
+    (:meth:`Subspace.coordinates`); an unstable family raises.
     """
     spaces = {tuple(k): s for k, s in spaces.items()}
     dims = {n: spaces[n].dim for n in v.window.objects()}
@@ -762,11 +763,8 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
     for key in generator_keys(v.window, v.group):
         src = key[2] if key[0] != "swap" else key[3]
         tgt = v._gen_target(key)
-        big = v.actions[key]
-        src_basis = spaces[src].basis  # dim x ambient
-        tgt_basis = spaces[tgt].basis
-        rhs = big * src_basis.transpose()
-        restricted = solve_matrix(tgt_basis.transpose(), rhs)
+        rhs = v.actions[key] * spaces[src].basis.transpose()
+        restricted = spaces[tgt].coordinates(rhs)
         if restricted is None:
             raise ValueError(f"subspaces are not action-stable at {key}")
         actions[key] = restricted
@@ -822,13 +820,10 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
     spaces = {tuple(k): s for k, s in spaces.items()}
     projs = {}
     dims = {}
-    free_cols = {}
     for n in v.window.objects():
         q = quotient_map(v.dims[n], spaces[n])
         projs[n] = q
         dims[n] = q.nrows
-        pivot_set = set(spaces[n].pivots)
-        free_cols[n] = [j for j in range(v.dims[n]) if j not in pivot_set]
     actions = {}
     for key in generator_keys(v.window, v.group):
         src = key[2] if key[0] != "swap" else key[3]
@@ -836,10 +831,7 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
         # induced action B with B . proj_src = proj_tgt . action; proj_src is
         # the identity on the source's free columns, so B is read off there
         big = projs[tgt] * v.actions[key]
-        cols = free_cols[src]
-        b = RationalMatrix(
-            [[row[j] for j in cols] for row in big.rows], big.nrows, len(cols)
-        )
+        b = big.columns(spaces[src].free_columns)
         if b * projs[src] != big:
             raise ValueError(f"subspaces are not action-stable at {key}")
         actions[key] = b
@@ -1207,11 +1199,8 @@ def h0_generators(v: TruncatedModule) -> list:
             continue
         autos = _automorphism_mats(v, n)
         base = span.dim
-        pivots = set(span.pivots)
         lifts = []
-        for f in range(d):
-            if f in pivots:
-                continue
+        for f in span.free_columns:
             e = tuple(_ONE if r == f else _ZERO for r in range(d))
             # the non-pivot unit vectors are independent modulo I(n), so e
             # can lie in the span only once a closure has added more

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .category import GroupTable, Window
-from .linalg import RationalMatrix, Subspace
+from .linalg import RationalMatrix, Subspace, rank
 from .modules import (
     ModuleMap,
     TruncatedModule,
@@ -23,6 +23,7 @@ from .modules import (
     make_coinduced,
     make_free,
     make_induced,
+    restrict_window,
     submodule_from_stable_subspaces,
 )
 from .functors import (
@@ -431,10 +432,8 @@ def suite_thm4_10(seed: int = 0) -> SuiteReport:
         if ok:
             # injectivity accounting: the stacked blocks have full column
             # rank, so the member projections jointly see all of V(n)
-            from .linalg import rank as _rank
-
             ok = all(
-                _rank(wit.embedding.blocks[n]) == wit.embedding.source.dims[n]
+                rank(wit.embedding.blocks[n]) == wit.embedding.source.dims[n]
                 for n in wit.window.objects()
             )
         checks.append(Check(f"cogenerate: {name}", ok, detail))
@@ -477,8 +476,6 @@ def suite_thm2(seed: int = 0) -> SuiteReport:
             battery.append(v)
     for idx, v in enumerate(battery):
         label, i_mod = tensors[(idx * 7) % len(tensors)]
-        from .modules import restrict_window
-
         i_small = restrict_window(i_mod, Window((2, 2)))
         rep = ext1_vanishes(v, i_small)
         checks.append(

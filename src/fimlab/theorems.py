@@ -14,13 +14,23 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
-from .category import GroupTable, Window, degree, leq
+from .category import (
+    GroupTable,
+    Morphism,
+    Window,
+    degree,
+    enumerate_injections,
+    leq,
+)
 from .linalg import (
     RationalMatrix,
     Subspace,
     image_basis,
     kernel_basis,
+    kron,
+    quotient_map,
     rank,
     solve,
     solve_matrix,
@@ -39,10 +49,12 @@ from .modules import (
     make_cofree,
     make_free,
     quotient,
+    restrict_window,
     submodule_from_stable_subspaces,
     zero_module,
 )
 from .functors import (
+    averaging_splitting,
     canonical_map,
     complement_subset,
     ind,
@@ -57,15 +69,13 @@ from .homology import (
     INCONCLUSIVE,
     WINDOW_BOUNDED,
     detect_torsion,
+    family_coordinates,
     free_cover,
     h0,
     is_S_induced,
     is_S_semi_induced,
     tor_filtration,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0,
@@ -174,8 +184,6 @@ def _shift_composite_map(v: TruncatedModule, S, n: int) -> ModuleMap:
             cur = shift(cur, i)
     if blocks is None:
         return ModuleMap.identity(v)
-    from .modules import restrict_window
-
     source = restrict_window(v, cur.window)
     blocks = {t: blocks[t] for t in cur.window.objects()}
     return ModuleMap(source, cur, blocks)
@@ -258,8 +266,6 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
             members.append(desc)
             targets.append(built)
             blocks = {}
-            from .category import enumerate_injections, Morphism
-
             for t in window.objects():
                 rows = []
                 if leq(t, l):
@@ -312,19 +318,11 @@ def _horseshoe(x: TruncatedModule, sub_spaces, quot_emb, quot_proj,
 
 
 def _restrict_map(mp: ModuleMap, window: Window) -> ModuleMap:
-    from .modules import restrict_window
-
     return ModuleMap(
         restrict_window(mp.source, window),
         restrict_window(mp.target, window),
         {n: mp.blocks[n] for n in window.objects()},
     )
-
-
-def _restrict_mod(mod: TruncatedModule, window: Window) -> TruncatedModule:
-    from .modules import restrict_window
-
-    return restrict_window(mod, window)
 
 
 def cogenerate(v: TruncatedModule, max_shift: int = 3, seed: int = 0) -> CogenerationWitness:
@@ -346,8 +344,6 @@ def _cogenerate_inner(v: TruncatedModule, max_shift: int, seed: int):
         z = zero_module(v.window, group)
         return [], ModuleMap.zero(v, z), z, v.window
     if m == 0:
-        from .functors import averaging_splitting
-
         phi, _ = averaging_splitting(v)
         d = v.dims[()]
         desc = UMemberDesc((), with_group=not group.is_trivial())
@@ -365,20 +361,6 @@ def _cogenerate_inner(v: TruncatedModule, max_shift: int, seed: int):
     chain = [(j, terms[j - 1]) for j in range(1, m + 1)]
     members, emb, target = _embed_chain(v, chain, max_shift, seed)
     return members, emb, target, emb.source.window
-
-
-def _express_inside(outer_mod, outer_incl, family):
-    """Rewrite a nested family of subspaces in submodule coordinates."""
-    out = {}
-    for n in outer_mod.window.objects():
-        if family[n].dim == 0:
-            out[n] = Subspace.zero(outer_mod.dims[n])
-            continue
-        coords = solve_matrix(outer_incl.blocks[n], family[n].basis.transpose())
-        if coords is None:
-            raise _Inconclusive("filtration families are not nested")
-        out[n] = Subspace.from_spanning(outer_mod.dims[n], coords.transpose().rows)
-    return out
 
 
 def _common_window(wa: Window, wb: Window) -> Window:
@@ -399,7 +381,9 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
         return _torsion_free_embedding(x, (j,), max_shift, seed)
     a_mod, a_incl = submodule_from_stable_subspaces(x, family)
     a_mod.presentation = _synth_presentation(a_mod)
-    rest = [(jj, _express_inside(a_mod, a_incl, fam)) for jj, fam in chain[1:]]
+    rest = [(jj, family_coordinates(family, fam)) for jj, fam in chain[1:]]
+    if any(fam is None for _, fam in rest):
+        raise _Inconclusive("filtration families are not nested")
     a_members, a_emb, a_target = _embed_chain(a_mod, rest, max_shift, seed)
     if subdim == x.total_dim():
         tau = a_incl.inverse_map()  # x = A up to the basis change
@@ -412,7 +396,7 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
         q_mod, (j,), max_shift, seed
     )
     w = _common_window(a_emb.source.window, q_emb.source.window)
-    x_r = _restrict_mod(x, w)
+    x_r = restrict_window(x, w)
     emb, target = _horseshoe(
         x_r,
         family,
@@ -551,14 +535,8 @@ def _lift_member_desc(md: UMemberDesc, s, S, not_S, group) -> UMemberDesc:
 def _induced_functor_map(s, S, f: ModuleMap, group, window):
     """F_s applied to a map of R_s-modules (restrict the tensored map to the
     idempotent images on both sides)."""
-    from .category import enumerate_injections
-    from .homology import _induced_inclusion_blocks
-    from .linalg import kron
-
-    fs_source = induced_module(s, S, f.source, group, window)
-    fs_target = induced_module(s, S, f.target, group, window)
-    src_incl = _induced_inclusion_blocks(window, group, s, S, f.source, fs_source)
-    tgt_incl = _induced_inclusion_blocks(window, group, s, S, f.target, fs_target)
+    fs_source, src_incl = induced_module(s, S, f.source, group, window)
+    fs_target, tgt_incl = induced_module(s, S, f.target, group, window)
     not_S = complement_subset(S, window.m)
     blocks = {}
     for n in window.objects():
@@ -568,8 +546,7 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
             continue
         ninj = len(enumerate_injections(tuple(s), s_part))
         big = kron(RationalMatrix.identity(ninj), f.blocks[t_part])
-        rhs = big * src_incl[n]
-        sol = solve_matrix(tgt_incl[n], rhs)
+        sol = image_basis(tgt_incl.blocks[n]).coordinates(big * src_incl.blocks[n])
         if sol is None:
             raise _Inconclusive("induced map failed to restrict")
         blocks[n] = sol
@@ -639,8 +616,6 @@ def _min_poly_in_algebra(mult, unit, x, dim):
 
 def _poly_rational_roots(coeffs):
     """Rational roots of a polynomial given low-first coefficients."""
-    from math import gcd
-
     den = 1
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -734,9 +709,7 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     if q == 1:
         return data
 
-    from .linalg import quotient_map as _qm
-
-    proj = _qm(d, rad)
+    proj = quotient_map(d, rad)
     lift = solve_matrix(proj, RationalMatrix.identity(q))
     if lift is None:
         raise AssertionError("radical quotient map has no section")
@@ -843,31 +816,22 @@ def _is_window_finite(mod: TruncatedModule) -> bool:
 
 
 def ext1_vanishes(v: TruncatedModule, i_mod: TruncatedModule) -> ExtReport:
-    """dim Ext^1(V, I) via an explicit cover: the cokernel of
-    Hom(P, I) -> Hom(K, I)."""
+    """dim Ext^1(V, I) from a free cover 0 -> K -> P -> V -> 0: the cokernel
+    of the restriction Hom(P, I) -> Hom(K, I).
+
+    Hom(-, I) is left exact, so the restriction has kernel Hom(V, I); by
+    Yoneda, Hom(P, I) for P = F(n_1) + ... + F(n_r) has dimension
+    dim I(n_1) + ... + dim I(n_r).  The rank is the difference.
+    """
     if v.presentation is None or not v.presentation.fits(v.window):
         raise MarginError("ext1 needs a presented module inside the window")
-    p, pi, k, k_incl = free_cover(v)
-    hom_k = NaturalitySolver(k, i_mod).basis()
-    if not hom_k:
-        status = EXACT if _is_window_finite(i_mod) else WINDOW_BOUNDED
-        return ExtReport(0, True, status)
-    hom_p = NaturalitySolver(p, i_mod).basis()
-    objs = sorted(v.window.objects())
-    bk = RationalMatrix(
-        [[_vectorize_map(b, objs)[r] for b in hom_k]
-         for r in range(len(_vectorize_map(hom_k[0], objs)))]
-    )
-    image_vecs = []
-    for phi in hom_p:
-        comp = phi.compose(k_incl)
-        coords = solve(bk, _vectorize_map(comp, objs))
-        if coords is None:
-            raise AssertionError("restriction left the hom space")
-        image_vecs.append(list(coords))
-    rk = rank(RationalMatrix(image_vecs)) if image_vecs else 0
-    dim_ext = len(hom_k) - rk
+    p, _, k, _ = free_cover(v)
     status = EXACT if _is_window_finite(i_mod) else WINDOW_BOUNDED
+    dim_hom_k = len(NaturalitySolver(k, i_mod).basis())
+    if dim_hom_k == 0:
+        return ExtReport(0, True, status)
+    dim_hom_p = sum(i_mod.dims[n] for n, _ in p.presentation.generator_slots)
+    dim_ext = dim_hom_k - (dim_hom_p - len(NaturalitySolver(v, i_mod).basis()))
     return ExtReport(dim_ext, dim_ext == 0, status)
 
 

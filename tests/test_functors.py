@@ -210,7 +210,7 @@ def test_induced_module_unit_case():
     # s = (1) with trivial Aut: F_s(M(1) over the other coordinate) = M((1,1))
     w1 = Window((2,))
     w_rs = make_free((1,), w1, rs_group((1,), TRIV))
-    out = induced_module((1,), (1,), w_rs, TRIV, Window((2, 2)))
+    out, _ = induced_module((1,), (1,), w_rs, TRIV, Window((2, 2)))
     f = make_free((1, 1), Window((2, 2)), TRIV)
     assert out.dims == f.dims
     assert out.validate().ok
@@ -224,7 +224,7 @@ def test_induced_module_regular_aut_input_is_product():
     g_rs = rs_group(s, TRIV)
     w_prime = make_free((0,), Window((2,)), TRIV)
     w_rs = ind(w_prime, g_rs)  # regular Aut(s)-action
-    out = induced_module(s, (1,), w_rs, TRIV, Window((3, 2)))
+    out, _ = induced_module(s, (1,), w_rs, TRIV, Window((3, 2)))
     ms = make_free((2,), Window((3,)), TRIV)
     tensor = external_tensor(ms, w_prime)
     assert out.dims == tensor.dims
@@ -244,8 +244,8 @@ def test_f_s_preserves_surjections():
 
     spaces = close_under_actions(big, {(1,): Subspace.full(big.dims[(1,)])})
     small, proj = quotient(big, spaces)
-    fs_big = induced_module(s, (1,), big, TRIV, Window((2, 2)))
-    fs_small = induced_module(s, (1,), small, TRIV, Window((2, 2)))
+    fs_big, _ = induced_module(s, (1,), big, TRIV, Window((2, 2)))
+    fs_small, _ = induced_module(s, (1,), small, TRIV, Window((2, 2)))
     assert all(
         fs_big.dims[n] >= fs_small.dims[n] for n in fs_big.window.objects()
     )
@@ -287,7 +287,7 @@ def test_fs_universal_property_dimensions():
     S = (1,)
     g_rs = rs_group(s, TRIV)
     w_rs = make_free((1,), Window((2,)), g_rs)
-    fsw = induced_module(s, S, w_rs, TRIV, Window((2, 2)))
+    fsw, _ = induced_module(s, S, w_rs, TRIV, Window((2, 2)))
     for target_obj in ((1, 1), (0, 0)):
         n_mod = make_free(target_obj, Window((2, 2)), TRIV)
         lhs = len(hs(fsw, n_mod))
@@ -319,7 +319,7 @@ def test_induced_module_at_zero_object_is_constant_along_s():
     w_rs = with_trivial_group_action(
         make_free((1,), Window((2,)), TRIV), rs_group((0,), TRIV)
     )
-    out = induced_module((0,), (1,), w_rs, TRIV, Window((2, 2)))
+    out, _ = induced_module((0,), (1,), w_rs, TRIV, Window((2, 2)))
     for s_level in range(3):
         for t in range(3):
             assert out.dims[(s_level, t)] == w_rs.dims[(t,)]
@@ -335,7 +335,7 @@ def test_induced_module_matches_make_induced():
     # W = trivial S_2-rep tensor the constant module on the complement
     g_rs = rs_group((2,), TRIV)
     w_rs = with_trivial_group_action(make_free((0,), Window((2,)), TRIV), g_rs)
-    fs = induced_module((2,), (1,), w_rs, TRIV, Window((3, 2)))
+    fs, _ = induced_module((2,), (1,), w_rs, TRIV, Window((3, 2)))
     direct = make_induced(((2,), ()), Window((3, 2)), TRIV)
     assert fs.dims == direct.dims
     maps = hom_space(fs, direct)

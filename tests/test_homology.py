@@ -409,3 +409,39 @@ def test_free_cover_is_minimal_under_automorphisms():
         p, pi, k, _ = free_cover(v)
         assert p.dims == v.dims and k.is_zero()
         assert pi.is_natural() and pi.is_iso()
+
+
+def test_subquotient_rejects_inner_family_outside_outer():
+    v = point_module(Window((2,)))
+    outer = {n: Subspace.zero(v.dims[n]) for n in v.window.objects()}
+    inner = {n: Subspace.full(v.dims[n]) for n in v.window.objects()}
+    with pytest.raises(ValueError, match="not contained"):
+        subquotient(v, outer, inner)
+
+
+def _h1_dims_by_solved_section(v, S):
+    """The construction h1 replaced: map H_0(K) into H_0(P) through a section
+    of the kernel's H_0 projection found by solve_matrix."""
+    from fimlab.linalg import RationalMatrix, kernel_basis, solve_matrix
+
+    p, _, k, k_incl = free_cover(v)
+    qk, qp = h0(k, S).h0_projection, h0(p, S).h0_projection
+    dims = {}
+    for n in v.window.objects():
+        q = qk.blocks[n]
+        lift = solve_matrix(q, RationalMatrix.identity(q.nrows))
+        dims[n] = kernel_basis(qp.blocks[n] * k_incl.blocks[n] * lift).dim
+    return dims
+
+
+def test_h1_matches_solved_section_construction():
+    nonzero = 0
+    for bound in ((3, 3), (4,)):
+        for seed in range(12):
+            v = random_presented_module(Window(bound), seed)
+            subsets = [(1,), (2,), (1, 2)] if v.m == 2 else [(1,)]
+            for S in subsets:
+                got = h1(v, S).h1_dims
+                assert got == _h1_dims_by_solved_section(v, S), (bound, seed, S)
+                nonzero += any(got.values())
+    assert nonzero >= 5  # 9 of the 48 reports have nonzero H_1

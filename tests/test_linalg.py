@@ -22,7 +22,12 @@ from fimlab.linalg import (
     solve,
     solve_matrix,
 )
-from fimlab.modules import close_under_actions, make_free, quotient
+from fimlab.modules import (
+    close_under_actions,
+    make_free,
+    quotient,
+    submodule_from_stable_subspaces,
+)
 
 F = Fraction
 
@@ -417,3 +422,81 @@ def test_quotient_map_matches_inverse_construction():
         )
         assert quotient_map(d, sub) == inverse_based_quotient_map(d, sub)
     assert quotient_map(0, Subspace.zero(0)) == RationalMatrix.identity(0)
+
+
+# -- pivot coordinates -------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.integers(0, 3), st.randoms(use_true_random=False))
+@example(RationalMatrix([], 0, 3), 2, random.Random(0))
+@example(RationalMatrix([[1, 2, 0]]), 0, random.Random(0))
+@example(RationalMatrix([[0, 0]]), 1, random.Random(1))
+def test_coordinates_match_solve_matrix_and_sympy(span, k, rnd):
+    d = span.ncols
+    sub = Subspace.from_spanning(d, span.rows)
+    bt = sub.basis.transpose()
+    # Columns inside the subspace (images of basis^T) and, half the time,
+    # arbitrary columns that usually fall outside it.
+    inside = bt * RationalMatrix(
+        [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(k)]
+         for _ in range(sub.dim)],
+        sub.dim,
+        k,
+    )
+    outside = RationalMatrix(
+        [[F(rnd.randint(-3, 3)) for _ in range(k)] for _ in range(d)], d, k
+    )
+    for mat in (inside, outside) if rnd.random() < 0.5 else (inside,):
+        got = sub.coordinates(mat)
+        assert got == solve_matrix(bt, mat)
+        assert got == sympy_solve_matrix(bt, mat)
+        if got is not None:
+            assert got.shape == (sub.dim, k) and bt * got == mat
+        for j in range(k):
+            col = mat.col(j)
+            stacked = rank(sub.basis.vstack(RationalMatrix([col], 1, d)))
+            assert sub.contains(col) == (stacked == sub.dim)
+        cols = Subspace.from_spanning(d, mat.transpose().rows)
+        assert sub.contains_subspace(cols) == (got is not None)
+
+
+def test_coordinates_degenerate_shapes():
+    zero = Subspace.zero(3)
+    assert zero.coordinates(RationalMatrix.zeros(3, 2)) == RationalMatrix([], 0, 2)
+    assert zero.coordinates(RationalMatrix([[0], [1], [0]])) is None
+    sub = Subspace.from_spanning(3, [(1, 2, 0), (0, 0, 1)])
+    assert sub.coordinates(RationalMatrix([[], [], []], 3, 0)).shape == (2, 0)
+    assert Subspace.zero(0).coordinates(RationalMatrix([], 0, 2)).shape == (0, 2)
+    with pytest.raises(ValueError):
+        sub.coordinates(RationalMatrix.identity(2))
+
+
+def test_coordinates_make_no_elimination(monkeypatch):
+    sub = Subspace.from_spanning(4, [(1, 2, 0, 1), (0, 1, 1, 0)])
+    calls = _count_kernel_calls(monkeypatch)
+    mat = RationalMatrix([[1, 0], [2, 1], [0, 1], [1, 0]])
+    assert sub.coordinates(mat) == RationalMatrix([[1, 0], [2, 1]])
+    assert sub.contains((1, 3, 1, 1)) and not sub.contains((0, 0, 0, 1))
+    assert calls == []
+
+
+def test_submodule_makes_no_solve_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("submodule_from_stable_subspaces called a solver")
+
+    monkeypatch.setattr(fimlab.modules, "solve", refuse)
+    monkeypatch.setattr(fimlab.modules, "solve_matrix", refuse)
+    p = make_free((1,), Window((3,)))
+    seeds = {(2,): Subspace.from_spanning(2, [(1, -1)])}
+    sub, incl = submodule_from_stable_subspaces(p, close_under_actions(p, seeds))
+    assert sub.dims == {(0,): 0, (1,): 0, (2,): 1, (3,): 2}
+    assert sub.validate().ok and incl.is_natural()
+
+
+def test_submodule_rejects_unstable_subspaces():
+    p = make_free((1,), Window((2,)))
+    spaces = {n: Subspace.zero(d) for n, d in p.dims.items()}
+    spaces[(1,)] = Subspace.full(1)
+    with pytest.raises(ValueError, match="not action-stable"):
+        submodule_from_stable_subspaces(p, spaces)
