@@ -305,9 +305,6 @@ class Window:
     def objects_by_degree(self):
         return sorted(self.objects(), key=lambda n: (degree(n), n))
 
-    def shrink(self, delta: Obj) -> "Window":
-        return Window(sub(self.bound, delta))
-
 
 @dataclass(frozen=True)
 class Morphism:
@@ -444,6 +441,15 @@ def generator_keys(window: Window, group: GroupTable):
         for j in range(len(group.generators)):
             keys.append(("grp", j, n))
     return keys
+
+
+def key_ends(key) -> tuple:
+    """(source, target) of the generator ``key``; every key keeps its
+    object, the source, as its last entry."""
+    n = key[-1]
+    if key[0] == "incl":
+        return n, add(n, unit(len(n), key[1]))
+    return n, n
 
 
 def morphism_of_key(key, group: GroupTable) -> Morphism:

@@ -61,6 +61,30 @@ def parse_coords(text) -> tuple:
     return tuple(int(x) for x in str(text).split(",") if x != "")
 
 
+def _flag_coords(text, flag: str) -> tuple:
+    """parse_coords of a required flag; a missing or malformed value raises
+    a ValueError that names the flag."""
+    if text is None:
+        raise ValueError(f"{flag}: required")
+    try:
+        return parse_coords(text)
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, "
+                         f"got {text!r}") from None
+
+
+def _flag_lambdas(text) -> tuple:
+    """The partitions of --lambdas; a missing or malformed value raises a
+    ValueError that names the flag."""
+    if text is None:
+        raise ValueError("--lambdas: required")
+    try:
+        return tuple(tuple(p) for p in json.loads(text))
+    except (TypeError, ValueError):
+        raise ValueError(f"--lambdas: expected a JSON list of integer lists, "
+                         f"got {text!r}") from None
+
+
 def _emit(payload, code: int) -> int:
     print(json.dumps(payload, sort_keys=True, indent=1))
     return code
@@ -76,9 +100,7 @@ def _load_group(arg, config) -> GroupTable:
 
 def _window_from(args, config) -> Window:
     text = getattr(args, "window", None) or config.get("window")
-    if text is None:
-        raise SystemExit("a window is required (--window or config)")
-    return Window(parse_coords(text))
+    return Window(_flag_coords(text, "--window"))
 
 
 def cmd_validate(args) -> int:
@@ -92,21 +114,21 @@ def cmd_build(args) -> int:
     config = load_config(args.config)
     group = _load_group(args.group, config)
     if args.kind == "tensor":
+        if len(args.inputs) != 2:
+            raise ValueError("inputs: tensor takes exactly two module files")
         a = TruncatedModule.load(args.inputs[0])
         b = TruncatedModule.load(args.inputs[1])
         mod = external_tensor(a, b)
     else:
         window = _window_from(args, config)
         if args.kind == "free":
-            mod = make_free(parse_coords(args.n), window, group)
+            mod = make_free(_flag_coords(args.n, "--n"), window, group)
         elif args.kind == "cofree":
-            mod = make_cofree(parse_coords(args.l), window, group)
+            mod = make_cofree(_flag_coords(args.l, "--l"), window, group)
         elif args.kind == "induced":
-            lambdas = tuple(tuple(p) for p in json.loads(args.lambdas))
-            mod = make_induced(lambdas, window, group)
+            mod = make_induced(_flag_lambdas(args.lambdas), window, group)
         elif args.kind == "coinduced":
-            lambdas = tuple(tuple(p) for p in json.loads(args.lambdas))
-            mod = make_coinduced(lambdas, window, group)
+            mod = make_coinduced(_flag_lambdas(args.lambdas), window, group)
         else:
             raise SystemExit(f"unknown build kind {args.kind}")
     mod.save(args.output)
@@ -116,7 +138,9 @@ def cmd_build(args) -> int:
 
 def cmd_functor(args) -> int:
     mod = TruncatedModule.load(args.module)
-    coords = parse_coords(args.i)
+    coords = _flag_coords(args.i, "-i")
+    if not coords:
+        raise ValueError("-i: expected a coordinate or a comma-separated subset")
     if args.op == "shift":
         out = shift(mod, coords[0]) if len(coords) == 1 else shift_sum(mod, coords)
     elif args.op == "derivative":

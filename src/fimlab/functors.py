@@ -14,14 +14,13 @@ from fractions import Fraction
 
 from .category import (
     GroupTable,
-    Morphism,
     Window,
     add,
-    compose,
     enumerate_injections,
     generator_keys,
     injection_index_table,
     invert_perm,
+    key_ends,
     leq,
     sub,
     unit,
@@ -38,6 +37,8 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
+    _aut_elements,
+    _aut_right_action_matrix,
     direct_sum,
     make_free,
     quotient,
@@ -48,6 +49,7 @@ from .modules import (
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
+_TRIV = GroupTable.trivial()
 
 
 def normalize_subset(S, m: int) -> tuple:
@@ -74,6 +76,8 @@ def shift(v: TruncatedModule, i: int) -> TruncatedModule:
     swap: V(iota(incl_i)) = V(swap_(i,1)) V(incl_i) one level up.
     """
     m = v.m
+    if not (1 <= i <= m):
+        raise ValueError(f"coordinate {i} out of range for m={m}")
     if v.window.bound[i - 1] < 1:
         raise MarginError(f"window margin exhausted in coordinate {i}")
     oi = unit(m, i)
@@ -369,47 +373,31 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         if window.bound[i - 1] < s[pos]:
             raise MarginError("window too small for the inducing object")
 
-    auts = list(itertools.product(
-        *[itertools.permutations(range(1, x + 1)) for x in s]
-    ))
+    auts = _aut_elements(s)
     og = group.order
-    aut_order = len(auts)
-
-    def w_rho(t):
-        return w_rs.group_elements_at(t)
+    # Inj(s, s') is the value of F(s) at s', and the S-coordinate generators
+    # act on it as they act on F(s)
+    free_s = make_free(s, Window(tuple(window.bound[i - 1] for i in S)))
 
     # big space at (s' x t): Inj(s, s') x W(t); idempotent image subspaces
     spaces = {}
     big_dims = {}
-    svals = {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        svals[n] = (s_part, t_part)
-        if not leq(s, s_part):
-            big_dims[n] = 0
-            spaces[n] = Subspace.zero(0)
-            continue
-        ninj = len(enumerate_injections(s, s_part))
-        dw = w_rs.dims[t_part]
-        d = ninj * dw
-        big_dims[n] = d
+        ninj = free_s.dims[s_part]
+        d = big_dims[n] = ninj * w_rs.dims[t_part]
         if d == 0:
             spaces[n] = Subspace.zero(0)
             continue
-        rho = w_rho(t_part)
+        rho = w_rs.group_elements_at(t_part)
         acc = RationalMatrix.zeros(d, d)
-        injs = enumerate_injections(s, s_part)
-        index = injection_index_table(s, s_part)
         for sigma in auts:
-            sig_mor = Morphism(s, s, sigma, 0)
-            perm = [[_ZERO] * ninj for _ in range(ninj)]
-            for bi, beta in enumerate(injs):
-                perm[index[compose(beta, sig_mor).maps]][bi] = _ONE
             # right action of sigma pairs with rho of (sigma^{-1}, 1_G)
+            perm = _aut_right_action_matrix(s, s_part, sigma, _TRIV, 0)
             sigma_inv = tuple(invert_perm(si) for si in sigma)
             gp_idx = aut_element_index(s, sigma_inv) * og
-            acc = acc + kron(RationalMatrix(perm, ninj, ninj), rho[gp_idx])
-        e = acc.scale(Fraction(1, aut_order))
+            acc = acc + kron(perm, rho[gp_idx])
+        e = acc.scale(Fraction(1, len(auts)))
         if e * e != e:
             raise AssertionError("averaging idempotent failed")
         spaces[n] = image_basis(e)
@@ -417,47 +405,22 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     # generator actions on the big spaces, then restrict
     big_actions = {}
     for key in generator_keys(window, group):
-        src = key[2] if key[0] != "swap" else key[3]
-        if key[0] == "incl":
-            tgt = add(src, unit(m, key[1]))
-        else:
-            tgt = src
-        ds, dt = big_dims[src], big_dims[tgt]
-        if ds == 0 or dt == 0:
-            big_actions[key] = RationalMatrix.zeros(dt, ds)
-            continue
-        s_src, t_src = svals[src]
-        s_tgt, t_tgt = svals[tgt]
-        ninj_src = len(enumerate_injections(s, s_src))
-        dw_src = w_rs.dims[t_src]
+        src, _ = key_ends(key)
+        s_src, t_src = split_obj(src, S, not_S)
+        ninj_src = free_s.dims[s_src]
         if key[0] == "grp":
-            j = key[1]
             # G sits after the aut generators in the product group
-            wkey = ("grp", len(aut_table(s).generators) + j, t_src)
+            wkey = ("grp", len(aut_table(s).generators) + key[1], t_src)
             big_actions[key] = kron(
                 RationalMatrix.identity(ninj_src), w_rs.actions[wkey]
             )
-            continue
-        i = key[1]
-        if i in S:
-            pos = S.index(i)
-            gen_one = _coordinate_gen_morphism(key, s_src, s_tgt, pos)
-            index_tgt = injection_index_table(s, s_tgt)
-            injs_src = enumerate_injections(s, s_src)
-            ninj_tgt = len(enumerate_injections(s, s_tgt))
-            perm = [[_ZERO] * ninj_src for _ in range(ninj_tgt)]
-            for bi, beta in enumerate(injs_src):
-                perm[index_tgt[compose(gen_one, beta).maps]][bi] = _ONE
+        elif key[1] in S:
+            skey = (key[0], S.index(key[1]) + 1) + key[2:-1] + (s_src,)
             big_actions[key] = kron(
-                RationalMatrix(perm, ninj_tgt, ninj_src),
-                RationalMatrix.identity(dw_src),
+                free_s.actions[skey], RationalMatrix.identity(w_rs.dims[t_src])
             )
         else:
-            pos = not_S.index(i)
-            if key[0] == "incl":
-                wkey = ("incl", pos + 1, t_src)
-            else:
-                wkey = ("swap", pos + 1, key[2], t_src)
+            wkey = (key[0], not_S.index(key[1]) + 1) + key[2:-1] + (t_src,)
             big_actions[key] = kron(
                 RationalMatrix.identity(ninj_src), w_rs.actions[wkey]
             )
@@ -466,27 +429,6 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     pres = _induced_presentation(s, S, not_S, w_rs, m)
     return submodule_from_stable_subspaces(big, spaces, pres,
                                            name or f"F_{s}({w_rs.name})")
-
-
-def _coordinate_gen_morphism(key, s_src, s_tgt, pos):
-    """The S-part morphism of an S-coordinate generator, as a morphism of
-    the S-split objects."""
-    if key[0] == "incl":
-        maps = []
-        for p, a in enumerate(s_src):
-            if p == pos:
-                maps.append(tuple(range(2, a + 2)))
-            else:
-                maps.append(tuple(range(1, a + 1)))
-        return Morphism(s_src, s_tgt, tuple(maps), 0)
-    _, _, k, _ = key
-    maps = []
-    for p, a in enumerate(s_src):
-        img = list(range(1, a + 1))
-        if p == pos:
-            img[k - 1], img[k] = img[k], img[k - 1]
-        maps.append(tuple(img))
-    return Morphism(s_src, s_tgt, tuple(maps), 0)
 
 
 def _induced_presentation(s, S, not_S, w_rs, m):

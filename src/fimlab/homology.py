@@ -110,12 +110,6 @@ class HomologyReport:
     status_t1: str | None = None
     h1_dims: dict | None = None
 
-    def h0_dim(self, n) -> int:
-        return self.h0_module.dims[tuple(n)]
-
-    def h0_is_zero(self) -> bool:
-        return self.h0_module.is_zero()
-
     def h1_is_zero(self) -> bool:
         if self.h1_dims is None:
             raise ValueError("h1 was not computed")
@@ -177,11 +171,6 @@ def h0(v: TruncatedModule, S) -> HomologyReport:
     return HomologyReport(S, slices, t0, _status(v, relations=False), h0mod, proj)
 
 
-def t0_degree(v: TruncatedModule, S) -> tuple:
-    rep = h0(v, S)
-    return rep.t0, rep.status_t0
-
-
 # -- free covers and H1 -----------------------------------------------------
 
 
@@ -239,11 +228,6 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
     rep.status_t1 = _status(v, relations=True)
     rep.h1_dims = {n: h1mod.dims[n] for n in v.window.objects()}
     return rep
-
-
-def t1_degree(v: TruncatedModule, S) -> tuple:
-    rep = h1(v, S)
-    return rep.t1, rep.status_t1
 
 
 # -- torsion ----------------------------------------------------------------

@@ -64,10 +64,6 @@ class RationalMatrix:
         )
 
     @staticmethod
-    def from_entries(entries) -> "RationalMatrix":
-        return RationalMatrix(entries)
-
-    @staticmethod
     def column(vec) -> "RationalMatrix":
         return RationalMatrix([[_as_fraction(x)] for x in vec])
 
@@ -245,6 +241,46 @@ def _clear_denominators(row):
     return [int(x * den) for x in row]
 
 
+def _divisors(x: int) -> set:
+    x = abs(x)
+    out = set()
+    d = 1
+    while d * d <= x:
+        if x % d == 0:
+            out.update((d, x // d))
+        d += 1
+    return out
+
+
+def rational_roots(coeffs) -> list:
+    """The distinct rational roots of a polynomial with rational
+    coefficients, given highest degree first.
+
+    0 comes first when it is a root; the others are found by the
+    rational-root theorem, trying p/q and -p/q for p dividing the constant
+    term and q the leading coefficient, in a fixed order.
+    """
+    ints = _clear_denominators(coeffs)
+    roots = []
+    if ints and ints[-1] == 0:
+        roots.append(_ZERO)
+        while ints and ints[-1] == 0:
+            ints.pop()
+    if len(ints) <= 1:
+        return roots
+    for p in _divisors(ints[-1]):
+        for q in _divisors(ints[0]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                val = _ZERO
+                for c in ints:
+                    val = val * cand + c
+                if val == 0:
+                    roots.append(cand)
+    return roots
+
+
 def rref(mat: RationalMatrix) -> RationalMatrix:
     """Reduced row echelon form (canonical; zero rows kept at the bottom)."""
     if mat.nrows == 0 or mat.ncols == 0:
@@ -402,10 +438,6 @@ def kernel_basis(mat: RationalMatrix) -> Subspace:
 def image_basis(mat: RationalMatrix) -> Subspace:
     """Canonical basis of the column space."""
     return Subspace.from_spanning(mat.nrows, mat.transpose().rows)
-
-
-def row_space(mat: RationalMatrix) -> Subspace:
-    return Subspace.from_spanning(mat.ncols, mat.rows)
 
 
 def _solve_augmented(mat: RationalMatrix, rhs_rows, k: int):

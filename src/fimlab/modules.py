@@ -33,6 +33,7 @@ from .category import (
     injection_index_table,
     invert_perm,
     json_field,
+    key_ends,
     leq,
     morphism_of_key,
     sub,
@@ -239,8 +240,7 @@ class TruncatedModule:
             mat = self.actions.get(key)
             if mat is None:
                 raise ValueError(f"missing action for generator {key}")
-            src = key[2] if key[0] != "swap" else key[3]
-            tgt = self._gen_target(key)
+            src, tgt = key_ends(key)
             if mat.shape != (self.dims[tgt], self.dims[src]):
                 raise ValueError(
                     f"action {key} has shape {mat.shape}, expected "
@@ -250,14 +250,6 @@ class TruncatedModule:
     @property
     def m(self) -> int:
         return self.window.m
-
-    def _gen_target(self, key):
-        if key[0] == "incl":
-            _, i, n = key
-            return add(n, unit(self.m, i))
-        if key[0] == "swap":
-            return key[3]
-        return key[2]
 
     def dim(self, n) -> int:
         return self.dims[tuple(n)]
@@ -458,7 +450,6 @@ class TruncatedModule:
         for n in dims:
             if not window.contains(n):
                 raise ValueError(f"dims.{obj_str(n)}: outside the window")
-        m = window.m
         known = set(generator_keys(window, group))
         actions = {}
         for idx, item in enumerate(json_field(d, "actions", list)):
@@ -466,23 +457,19 @@ class TruncatedModule:
             gen = json_field(item, "gen", dict, path)
             at = _obj_field(gen, "at", f"{path}.gen")
             if "incl" in gen:
-                i = json_field(gen, "incl", int, f"{path}.gen")
-                key = ("incl", i, at)
-                src = at
-                tgt = add(src, unit(m, i))
+                key = ("incl", json_field(gen, "incl", int, f"{path}.gen"), at)
             elif "swap" in gen:
                 pair = json_field(gen, "swap", list, f"{path}.gen")
                 if len(pair) != 2 or not all(_is_int(x) for x in pair):
                     raise ValueError(f"{path}.gen.swap: expected two integers")
                 key = ("swap", pair[0], pair[1], at)
-                src = tgt = at
             else:
                 key = ("grp", json_field(gen, "grp", int, f"{path}.gen"), at)
-                src = tgt = at
             if key not in known:
                 raise ValueError(f"{path}.gen: no such generator on the window")
             if key in actions:
                 raise ValueError(f"{path}.gen: generator given twice")
+            src, tgt = key_ends(key)
             rows = json_field(item, "matrix", list, path)
             try:
                 actions[key] = matrix_from_lists(rows, dims[tgt], dims[src])
@@ -560,8 +547,7 @@ class ModuleMap:
 
     def is_natural(self) -> bool:
         for key in generator_keys(self.source.window, self.source.group):
-            src = key[2] if key[0] != "swap" else key[3]
-            tgt = self.source._gen_target(key)
+            src, tgt = key_ends(key)
             lhs = self.blocks[tgt] * self.source.actions[key]
             rhs = self.target.actions[key] * self.blocks[src]
             if lhs != rhs:
@@ -662,8 +648,7 @@ def make_free(n, window: Window, group: GroupTable | None = None,
             dims[t] = 0
     actions = {}
     for key in generator_keys(window, group):
-        src = key[2] if key[0] != "swap" else key[3]
-        tgt = add(src, unit(window.m, key[1])) if key[0] == "incl" else src
+        src, tgt = key_ends(key)
         mat = [[_ZERO] * dims[src] for _ in range(dims[tgt])]
         if dims[src]:
             index = injection_index_table(n, tgt)
@@ -704,8 +689,7 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
             dims[t] = 0
     actions = {}
     for key in generator_keys(window, group):
-        src = key[2] if key[0] != "swap" else key[3]
-        tgt = add(src, unit(window.m, key[1])) if key[0] == "incl" else src
+        src, tgt = key_ends(key)
         mat = [[_ZERO] * dims[src] for _ in range(dims[tgt])]
         if dims[src] and dims[tgt]:
             if key[0] == "grp":
@@ -761,8 +745,7 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
     dims = {n: spaces[n].dim for n in v.window.objects()}
     actions = {}
     for key in generator_keys(v.window, v.group):
-        src = key[2] if key[0] != "swap" else key[3]
-        tgt = v._gen_target(key)
+        src, tgt = key_ends(key)
         rhs = v.actions[key] * spaces[src].basis.transpose()
         restricted = spaces[tgt].coordinates(rhs)
         if restricted is None:
@@ -786,8 +769,7 @@ def close_under_actions(v: TruncatedModule, seeds) -> dict:
     while changed:
         changed = False
         for key in generator_keys(v.window, v.group):
-            src = key[2] if key[0] != "swap" else key[3]
-            tgt = v._gen_target(key)
+            src, tgt = key_ends(key)
             if spaces[src].dim == 0:
                 continue
             img_vecs = (v.actions[key] * spaces[src].basis.transpose()).transpose()
@@ -826,8 +808,7 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
         dims[n] = q.nrows
     actions = {}
     for key in generator_keys(v.window, v.group):
-        src = key[2] if key[0] != "swap" else key[3]
-        tgt = v._gen_target(key)
+        src, tgt = key_ends(key)
         # induced action B with B . proj_src = proj_tgt . action; proj_src is
         # the identity on the source's free columns, so B is read off there
         big = projs[tgt] * v.actions[key]
@@ -887,20 +868,15 @@ def direct_sum(*mods, name="") -> tuple:
         pres = Presentation(tuple(slots), tuple(rel) if rel_known else None, observed)
     total = TruncatedModule(w, g, dims, actions, pres, name)
     incls = []
-    offset = {n: 0 for n in w.objects()}
-    for v in mods:
-        blocks = {}
-        for n in w.objects():
-            rowsel = []
-            for r in range(dims[n]):
-                row = [_ZERO] * v.dims[n]
-                if offset[n] <= r < offset[n] + v.dims[n]:
-                    row[r - offset[n]] = _ONE
-                rowsel.append(row)
-            blocks[n] = RationalMatrix(rowsel, dims[n], v.dims[n])
+    for j, v in enumerate(mods):
+        # the identity on summand j, between 0-column blocks of the others
+        blocks = {
+            n: block_diag([RationalMatrix.identity(u.dims[n]) if i == j
+                           else RationalMatrix.zeros(u.dims[n], 0)
+                           for i, u in enumerate(mods)])
+            for n in w.objects()
+        }
         incls.append(ModuleMap(v, total, blocks))
-        for n in w.objects():
-            offset[n] += v.dims[n]
     return total, incls
 
 

@@ -74,10 +74,6 @@ def random_presented_module(
     return q
 
 
-def random_module_battery(window: Window, seeds, **kw):
-    return [random_presented_module(window, s, **kw) for s in seeds]
-
-
 def truncated_constant(window: Window, cut: int, group=None) -> TruncatedModule:
     """M(0)/(submodule generated in degree ``cut``): a torsion module
     supported in degrees < cut (all coordinates summed)."""
@@ -91,25 +87,3 @@ def truncated_constant(window: Window, cut: int, group=None) -> TruncatedModule:
     spaces = close_under_actions(v, seeds)
     q, _ = quotient(v, spaces, name=f"M0/deg{cut}", rel_objects=list(seeds))
     return q
-
-
-def torsion_laden_battery(window: Window, seeds):
-    """Mixed torsion / torsion-free modules with certified presentations."""
-    out = []
-    for s in seeds:
-        rng = random.Random(s)
-        kind = rng.randrange(3)
-        if kind == 0:
-            out.append(truncated_constant(window, rng.randint(1, 2)))
-        elif kind == 1:
-            free = make_free(
-                tuple(1 if i == 0 else 0 for i in range(window.m)), window, TRIV
-            )
-            tor = truncated_constant(window, rng.randint(1, 2))
-            total, _ = direct_sum(free, tor, name=f"mix{s}")
-            out.append(total)
-        else:
-            out.append(
-                random_presented_module(window, s, max_gens=2, max_rels=2)
-            )
-    return out

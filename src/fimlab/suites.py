@@ -443,12 +443,6 @@ def suite_thm4_10(seed: int = 0) -> SuiteReport:
 # -- 9: injective classification --------------------------------------------
 
 
-def _degree2_factors(kind):
-    if kind == "proj":
-        return [((1,),), ((2,),), ((1, 1),)]
-    return [((1,),), ((2,),), ((1, 1),)]
-
-
 def suite_thm2(seed: int = 0) -> SuiteReport:
     t0 = time.time()
     checks = []
@@ -587,7 +581,7 @@ ALIASES = {
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
     key = ALIASES.get(name, name)
     if key not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        raise ValueError(f"--suite: unknown suite {name!r}; known: {sorted(SUITES)}")
     return SUITES[key](seed=seed)
 
 

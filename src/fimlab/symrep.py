@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 from .category import GroupTable, perm_to_adjacent
-from .linalg import RationalMatrix, kernel_basis, solve_matrix
+from .linalg import RationalMatrix, kernel_basis, rational_roots, solve_matrix
 
 
 # -- partitions ---------------------------------------------------------
@@ -268,12 +268,6 @@ class SpechtRep:
             mat = mat * self.gens[k - 1]
         return mat
 
-    def matrix_of_word(self, word) -> RationalMatrix:
-        mat = RationalMatrix.identity(self.dim)
-        for k in word:
-            mat = mat * self.gens[k - 1]
-        return mat
-
 
 @lru_cache(maxsize=None)
 def specht(lam) -> SpechtRep:
@@ -359,46 +353,6 @@ def _char_poly(mat: RationalMatrix):
     return coeffs
 
 
-def _rational_eigenvalues(mat: RationalMatrix):
-    """All rational roots of the characteristic polynomial."""
-    coeffs = _char_poly(mat)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    roots = []
-    if ints and ints[-1] == 0:
-        roots.append(Fraction(0))
-        while ints and ints[-1] == 0:
-            ints = ints[:-1]
-    if not ints or len(ints) == 1:
-        return roots
-    lead, const = ints[0], ints[-1]
-
-    def divisors(x):
-        x = abs(x)
-        out = set()
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.add(d)
-                out.add(x // d)
-            d += 1
-        return out
-
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                val = Fraction(0)
-                for c in ints:
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(cand)
-    return roots
-
-
 @dataclass(frozen=True)
 class GroupCharacterTable:
     group: GroupTable
@@ -464,7 +418,7 @@ def rational_character_table(group: GroupTable) -> GroupCharacterTable:
                     "class-sum action failed to restrict (irrational table?)"
                 )
             found_dim = 0
-            for eig in _rational_eigenvalues(a):
+            for eig in rational_roots(_char_poly(a)):
                 ker = kernel_basis(a - RationalMatrix.identity(a.nrows).scale(eig))
                 if ker.dim == 0:
                     continue
@@ -669,13 +623,6 @@ def decompose(rep: ProductRep) -> dict:
             f"multiplicities account for dim {total_dim}, rep has dim {rep.dim}"
         )
     return result
-
-
-def external_specht(lams) -> tuple:
-    """dim and kron'd generator matrices of the outer product of Spechts."""
-    reps = [specht(lam) for lam in lams]
-    dim = prod(r.dim for r in reps)
-    return dim, reps
 
 
 def regular_rep_matrices(group: GroupTable):

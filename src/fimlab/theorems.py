@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 
 from .category import (
     GroupTable,
@@ -32,6 +31,7 @@ from .linalg import (
     kron,
     quotient_map,
     rank,
+    rational_roots,
     solve,
     solve_matrix,
 )
@@ -249,9 +249,6 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     functionals xi(beta . x) on each support object."""
     window = x.window
     support = [n for n in window.objects_by_degree() if x.dims[n] > 0]
-    for n in support:
-        if any(a == b for a, b in zip(n, window.bound)) and x.dims[n] > 0:
-            pass  # support may touch the boundary; detection already flagged
     members = []
     targets = []
     maps_to = []
@@ -614,43 +611,6 @@ def _min_poly_in_algebra(mult, unit, x, dim):
             raise AssertionError("minimal polynomial search overflow")
 
 
-def _poly_rational_roots(coeffs):
-    """Rational roots of a polynomial given low-first coefficients."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        yield Fraction(0)
-    if len(ints) <= 1:
-        return
-
-    def divisors(x):
-        x = abs(x)
-        out = set()
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.update((d, x // d))
-            d += 1
-        return out
-
-    const, lead = ints[0], ints[-1]
-    seen = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    yield cand
-
-
 def _poly_divide_linear(coeffs, r):
     """coeffs / (t - r): synthetic division, low-first coefficients."""
     high = list(reversed(coeffs))
@@ -672,10 +632,7 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     objs = sorted(v.window.objects())
     if d == 0:
         return EndRingData(0, (), 0, False, False, [], (), None)
-    bmat = RationalMatrix(
-        [[_vectorize_map(b, objs)[r] for b in basis]
-         for r in range(len(_vectorize_map(basis[0], objs)))]
-    )
+    bmat = RationalMatrix([_vectorize_map(b, objs) for b in basis]).transpose()
     struct = []
     for a in range(d):
         row = []
@@ -741,7 +698,7 @@ def end_ring(v: TruncatedModule) -> EndRingData:
             mp = _min_poly_in_algebra(mult_q, unit_q, x, q)
         except AssertionError:
             continue
-        for r in _poly_rational_roots(mp):
+        for r in rational_roots(mp[::-1]):
             quot = _poly_divide_linear(mp, r)
             # evaluate quot at x, normalize by quot(r)
             qr = Fraction(0)

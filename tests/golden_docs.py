@@ -1,0 +1,165 @@
+"""The byte-identity set: fimlab outputs that a refactor must not change.
+
+``documents()`` yields (name, text) pairs and ``digests()`` maps each name
+to the sha256 of its text.  ``test_golden.py`` pins the digests, so a change
+that alters any answer or file fails there and names the document.  Run as a
+script to print the current digests as JSON (it needs no pytest):
+
+    PYTHONPATH=src python tests/golden_docs.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from fimlab.category import GroupTable, Window
+from fimlab.functors import (
+    derivative,
+    ind,
+    induced_module,
+    kernel_functor,
+    rs_group,
+)
+from fimlab.homology import free_cover, h1
+from fimlab.modules import (
+    ModuleMap,
+    direct_sum,
+    fraction_str,
+    make_cofree,
+    make_coinduced,
+    make_free,
+    make_induced,
+    matrix_to_lists,
+    obj_str,
+    with_trivial_group_action,
+)
+from fimlab.samples import random_presented_module
+from fimlab.suites import run_all
+from fimlab.symrep import GroupRep
+from fimlab.theorems import end_ring
+
+TRIV = GroupTable.trivial()
+GROUPS = {"1": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def _blocks(mp: ModuleMap) -> str:
+    return _dumps({obj_str(n): matrix_to_lists(b) for n, b in sorted(mp.blocks.items())})
+
+
+def _coords(xs):
+    return None if xs is None else [fraction_str(x) for x in xs]
+
+
+def _suites():
+    for rep in run_all(0):
+        d = rep.to_dict()
+        del d["elapsed_seconds"]
+        yield f"suite/{rep.suite}", _dumps(d)
+
+
+def _random_modules():
+    for bound in ((3, 3), (4,)):
+        everything = tuple(range(1, len(bound) + 1))
+        for seed in range(12):
+            v = random_presented_module(Window(bound), seed)
+            tag = f"random/{obj_str(bound)}/{seed}"
+            cover = free_cover(v)
+            yield f"{tag}/module", v.to_json()
+            yield f"{tag}/cover_P", cover[0].to_json()
+            yield f"{tag}/cover_K", cover[2].to_json()
+            yield f"{tag}/h1_S1", h1(v, (1,), cover).to_json()
+            yield f"{tag}/h1_all", h1(v, everything, cover).to_json()
+            yield f"{tag}/derivative_1", derivative(v, 1).to_json()
+            yield f"{tag}/kernel_1", kernel_functor(v, 1).to_json()
+
+
+def _specht_modules():
+    w3 = Window((3,))
+    for gname, group in GROUPS.items():
+        for lam in ((1,), (2,), (1, 1), (2, 1)):
+            yield (f"induced/{lam}/{gname}",
+                   make_induced((lam,), w3, group).to_json())
+            yield (f"coinduced/{lam}/{gname}",
+                   make_coinduced((lam,), w3, group).to_json())
+        yield (f"induced/(1,)x(1,)/{gname}",
+               make_induced(((1,), (1,)), Window((2, 2)), group).to_json())
+        if gname != "1":
+            regular = GroupRep.regular(group)
+            yield (f"induced/(1,)/{gname}/regular",
+                   make_induced(((1,),), w3, group, g_rep=regular).to_json())
+
+
+def _induced_modules():
+    """F_s(W) for R_s-modules W carrying Aut(s) x G, over S = (1,), (2,)
+    and (1,2), with free, regular and trivial Aut(s) x G actions."""
+    for gname in ("S2", "C3"):
+        group = GROUPS[gname]
+        cases = [
+            ((1,), (1,), (2, 2), make_free((1,), Window((2,)), rs_group((1,), group))),
+            ((2,), (1,), (3, 2), ind(make_free((0,), Window((2,))), rs_group((2,), group))),
+            ((1,), (2,), (2, 2), with_trivial_group_action(
+                make_free((1,), Window((2,))), rs_group((1,), group))),
+            ((1, 1), (1, 2), (2, 2, 1), ind(make_free((0,), Window((1,))),
+                                             rs_group((1, 1), group))),
+        ]
+        for s, S, bound, w_rs in cases:
+            mod, incl = induced_module(s, S, w_rs, group, Window(bound))
+            tag = f"induced_module/{gname}/{s}/{S}"
+            yield f"{tag}/module", mod.to_json()
+            yield f"{tag}/inclusion", _blocks(incl)
+
+
+def _end_rings():
+    w = Window((3,))
+    pairs = {
+        "F(1)+F(1)": (make_free((1,), w), make_free((1,), w)),
+        "F(1)+E(1)": (make_free((1,), w), make_cofree((1,), w)),
+    }
+    for label, mods in pairs.items():
+        total, _ = direct_sum(*mods)
+        data = end_ring(total)
+        yield f"end_ring/{label}", _dumps({
+            "dim": data.dim,
+            "radical_dim": data.radical_dim,
+            "is_local": data.is_local,
+            "identity_coords": _coords(data.identity_coords),
+            "idempotent_coords": _coords(data.idempotent_coords),
+        })
+
+
+def _direct_sums():
+    w = Window((2, 2))
+    s2 = GROUPS["S2"]
+    summands = [make_free((1, 0), w, s2), make_cofree((1, 1), w, s2),
+                make_free((0, 0), w, s2)]
+    total, incls = direct_sum(*summands)
+    yield "direct_sum/module", total.to_json()
+    for j, incl in enumerate(incls):
+        yield f"direct_sum/inclusion_{j}", _blocks(incl)
+
+
+def documents():
+    yield from _suites()
+    yield from _random_modules()
+    yield from _specht_modules()
+    yield from _induced_modules()
+    yield from _end_rings()
+    yield from _direct_sums()
+
+
+def digests() -> dict:
+    out = {}
+    for name, text in documents():
+        if name in out:
+            raise ValueError(f"document {name} listed twice")
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    print(_dumps(digests()))

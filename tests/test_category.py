@@ -16,6 +16,7 @@ from fimlab.category import (
     generator_keys,
     generators,
     identity_morphism,
+    key_ends,
     leq,
     morphism_of_key,
     perm_to_adjacent,
@@ -229,3 +230,14 @@ def test_every_window_morphism_factors_through_generators():
                     for key in reversed(keys):
                         acc = compose(morphism_of_key(key, group), acc, group)
                     assert acc == f
+
+
+@pytest.mark.parametrize("bound", [(0,), (3,), (2, 2), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "group", [GroupTable.trivial(), GroupTable.symmetric(2), GroupTable.cyclic(3)],
+    ids=["1", "S2", "C3"],
+)
+def test_key_ends_match_the_generator_morphism(bound, group):
+    for key in generator_keys(Window(bound), group):
+        mor = morphism_of_key(key, group)
+        assert key_ends(key) == (mor.source, mor.target)

@@ -87,6 +87,8 @@ def test_verify_paper_alias(capsys):
 def test_unknown_suite_fails(capsys):
     code, payload = run_cli(capsys, "verify-paper", "--suite", "bogus")
     assert code == 2 and "error" in payload
+    assert payload["type"] == "ValueError"
+    assert "--suite" in payload["error"] and "thm4.10" in payload["error"]
 
 
 def test_config_parsing(tmp_path):
@@ -117,3 +119,37 @@ def test_validate_malformed_module_exits_2_naming_the_field(tmp_path, capsys):
     assert code == 2
     assert payload["type"] == "ValueError"
     assert "group_ref" in payload["error"]
+
+
+@pytest.mark.parametrize("op", ["shift", "derivative", "kernel"])
+@pytest.mark.parametrize("i", ["0", "2"])
+def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
+    mod = tmp_path / "f1.json"
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "3", "-o", str(mod))
+    code, payload = run_cli(capsys, op, str(mod), "-i", i, "-o", str(tmp_path / "o.json"))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert f"coordinate {i} out of range for m=1" in payload["error"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["build", "free", "--window", "3"], "--n"),
+    (["build", "free", "--n", "x", "--window", "3"], "--n"),
+    (["build", "cofree", "--window", "3"], "--l"),
+    (["build", "induced", "--window", "3"], "--lambdas"),
+    (["build", "coinduced", "--window", "3", "--lambdas", "[[2]"], "--lambdas"),
+    (["build", "free", "--n", "1"], "--window"),
+    (["build", "tensor"], "inputs"),
+])
+def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
+    code, payload = run_cli(capsys, *argv, "-o", str(tmp_path / "o.json"))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith(f"{flag}:")
+
+
+@pytest.mark.parametrize("i", ["", ",", "one"])
+def test_functor_names_a_malformed_coordinate_flag(tmp_path, capsys, i):
+    mod = tmp_path / "f1.json"
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "3", "-o", str(mod))
+    code, payload = run_cli(capsys, "shift", str(mod), "-i", i, "-o", str(tmp_path / "o.json"))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith("-i:")

@@ -1,10 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from fimlab.category import GroupTable, Window
-from fimlab.linalg import RationalMatrix
+from fimlab.category import (
+    GroupTable,
+    Morphism,
+    Window,
+    compose,
+    enumerate_injections,
+    generator_keys,
+    injection_index_table,
+    invert_perm,
+    leq,
+    morphism_of_key,
+)
+from fimlab.linalg import RationalMatrix, Subspace, image_basis, kron
 from fimlab.modules import (
     MarginError,
     ModuleMap,
@@ -17,6 +29,7 @@ from fimlab.modules import (
     restrict_window,
 )
 from fimlab.functors import (
+    aut_element_index,
     aut_table,
     averaging_splitting,
     canonical_map,
@@ -340,3 +353,116 @@ def test_induced_module_matches_make_induced():
     assert fs.dims == direct.dims
     maps = hom_space(fs, direct)
     assert any(mp.is_iso() for mp in maps) or _iso_from_combo(maps)
+
+
+# -- single-coordinate functors refuse coordinates out of range --------------
+
+
+@pytest.mark.parametrize("i", [0, 3, -1])
+@pytest.mark.parametrize("op", [shift, canonical_map, kernel_functor, derivative])
+def test_functors_reject_coordinates_out_of_range(op, i):
+    v = make_free((1, 0), Window((2, 2)), TRIV)
+    with pytest.raises(ValueError, match=f"coordinate {i} out of range for m=2"):
+        op(v, i)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+@pytest.mark.parametrize(
+    "decompose", [shift_free_decomposition, derivative_free_decomposition])
+def test_free_decompositions_reject_coordinates_out_of_range(decompose, i):
+    with pytest.raises(ValueError, match="out of range"):
+        decompose((1, 1), i, Window((2, 2)), TRIV)
+
+
+# -- F_s(W) against the per-key permutation construction ---------------------
+
+
+def _induced_by_permutations(s, S, w_rs, group, window):
+    """The ambient module of F_s(W), written out from the definition: at
+    (s' x t) it is Inj(s, s') x W(t); an S-coordinate generator f acts by
+    beta -> f o beta on the injections, any other generator acts on W, and
+    the averaging idempotent pairs beta -> beta o sigma with rho(sigma^-1).
+    Returns (idempotent images, actions)."""
+    not_S = tuple(i for i in range(1, window.m + 1) if i not in S)
+    auts = list(itertools.product(
+        *[itertools.permutations(range(1, x + 1)) for x in s]))
+    n_aut_gens = len(aut_table(s).generators)
+
+    def split(n):
+        return tuple(n[i - 1] for i in S), tuple(n[i - 1] for i in not_S)
+
+    def injections(a):
+        return enumerate_injections(s, a) if leq(s, a) else []
+
+    def perm_matrix(f, a, b):
+        """The matrix of beta -> f(beta) from Inj(s, a) to Inj(s, b)."""
+        index = injection_index_table(s, b) if leq(s, b) else {}
+        rows = [[Fraction(0)] * len(injections(a)) for _ in index]
+        for j, beta in enumerate(injections(a)):
+            rows[index[f(beta).maps]][j] = Fraction(1)
+        return RationalMatrix(rows, len(index), len(injections(a)))
+
+    def ident(d):
+        return RationalMatrix.identity(d)
+
+    spaces = {}
+    for n in window.objects():
+        sp, t = split(n)
+        d = len(injections(sp)) * w_rs.dims[t]
+        if d == 0:
+            spaces[n] = Subspace.zero(0)
+            continue
+        rho = w_rs.group_elements_at(t)
+        acc = RationalMatrix.zeros(d, d)
+        for sigma in auts:
+            sig = Morphism(s, s, sigma)
+            p = perm_matrix(lambda beta: compose(beta, sig), sp, sp)
+            inv = aut_element_index(s, tuple(invert_perm(x) for x in sigma))
+            acc = acc + kron(p, rho[inv * group.order])
+        spaces[n] = image_basis(acc.scale(Fraction(1, len(auts))))
+    actions = {}
+    for key in generator_keys(window, group):
+        mor = morphism_of_key(key, group)
+        (sa, ta), (sb, _) = split(mor.source), split(mor.target)
+        if key[0] == "grp":
+            wkey = ("grp", n_aut_gens + key[1], ta)
+            actions[key] = kron(ident(len(injections(sa))), w_rs.actions[wkey])
+        elif key[1] in S:
+            f = Morphism(sa, sb, tuple(mor.maps[i - 1] for i in S))
+            p = perm_matrix(lambda beta: compose(f, beta), sa, sb)
+            actions[key] = kron(p, ident(w_rs.dims[ta]))
+        else:
+            pos = not_S.index(key[1]) + 1
+            wkey = (("incl", pos, ta) if key[0] == "incl"
+                    else ("swap", pos, key[2], ta))
+            actions[key] = kron(ident(len(injections(sa))), w_rs.actions[wkey])
+    return spaces, actions
+
+
+def _induced_cases():
+    from fimlab.modules import with_trivial_group_action
+    from fimlab.samples import random_presented_module
+
+    s2, c3 = GroupTable.symmetric(2), GroupTable.cyclic(3)
+    return [
+        ((1,), (1,), (2, 2), s2, make_free((1,), Window((2,)), rs_group((1,), s2))),
+        ((2,), (2,), (2, 2), c3, ind(make_free((0,), Window((2,)), TRIV),
+                                     rs_group((2,), c3))),
+        ((1, 1), (1, 2), (2, 2, 1), s2, ind(make_free((0,), Window((1,)), TRIV),
+                                            rs_group((1, 1), s2))),
+        ((2,), (1,), (3, 2), s2, with_trivial_group_action(
+            random_presented_module(Window((2,)), 3), rs_group((2,), s2))),
+    ]
+
+
+@pytest.mark.parametrize("case", _induced_cases(),
+                         ids=["S1-S2", "S2-C3", "S12-S2", "S1-S2-quotient"])
+def test_induced_module_matches_the_permutation_construction(case):
+    s, S, bound, group, w_rs = case
+    window = Window(bound)
+    mod, incl = induced_module(s, S, w_rs, group, window)
+    spaces, actions = _induced_by_permutations(s, S, w_rs, group, window)
+    assert incl.target.actions == actions
+    for n in window.objects():
+        assert image_basis(incl.blocks[n]) == spaces[n]
+    assert incl.is_natural() and mod.validate().ok

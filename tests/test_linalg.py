@@ -18,6 +18,7 @@ from fimlab.linalg import (
     kron,
     quotient_map,
     rank,
+    rational_roots,
     rref,
     solve,
     solve_matrix,
@@ -500,3 +501,53 @@ def test_submodule_rejects_unstable_subspaces():
     spaces[(1,)] = Subspace.full(1)
     with pytest.raises(ValueError, match="not action-stable"):
         submodule_from_stable_subspaces(p, spaces)
+
+
+# -- rational roots -----------------------------------------------------------
+
+
+def _poly_mul(a, b):
+    """Product of coefficient lists, highest degree first."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_value(coeffs, t):
+    val = F(0)
+    for c in coeffs:
+        val = val * t + c
+    return val
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=5),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+@example(factors=[(0, 1), (0, 2), (3, 2)], irreducible=False, scale=F(1))
+@example(factors=[], irreducible=True, scale=F(-1, 2))
+def test_rational_roots_of_products_of_linear_factors(factors, irreducible, scale):
+    """prod (q t - p), times t^2 + 1 or not, scaled: the roots are exactly
+    the p/q, each once, 0 first."""
+    coeffs = [scale]
+    for p, q in factors:
+        coeffs = _poly_mul(coeffs, [F(q), F(-p)])
+    if irreducible:
+        coeffs = _poly_mul(coeffs, [F(1), F(0), F(1)])
+    roots = rational_roots(coeffs)
+    assert all(_poly_value(coeffs, r) == 0 for r in roots)
+    assert len(set(roots)) == len(roots)
+    assert set(roots) == {F(p, q) for p, q in factors}
+    if F(0) in roots:
+        assert roots[0] == 0
+
+
+def test_rational_roots_of_constants_and_the_zero_polynomial():
+    assert rational_roots([F(5)]) == []
+    assert rational_roots([F(1), F(0), F(1)]) == []
+    assert rational_roots([F(0), F(0)]) == [F(0)]
+    assert rational_roots([F(1, 2), F(-1, 3)]) == [F(2, 3)]

@@ -449,7 +449,7 @@ def _hom_by_definition(v, w):
     """Natural transformations V -> W straight from the definition: every
     block entry X_n[r, c] is an unknown, and each generator g: s -> t adds
     one row per entry of W(g) X_s - X_t V(g)."""
-    from fimlab.category import generator_keys
+    from fimlab.category import generator_keys, key_ends
     from fimlab.linalg import kernel_basis
 
     offset, total = {}, 0
@@ -458,8 +458,7 @@ def _hom_by_definition(v, w):
         total += w.dims[n] * v.dims[n]
     rows = []
     for key in generator_keys(v.window, v.group):
-        s = key[3] if key[0] == "swap" else key[2]
-        t = v._gen_target(key)
+        s, t = key_ends(key)
         va, wa = v.actions[key], w.actions[key]
         for r in range(w.dims[t]):
             for c in range(v.dims[s]):
