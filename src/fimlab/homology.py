@@ -105,7 +105,6 @@ class HomologyReport:
     status_t0: str
     h0_module: TruncatedModule
     h0_projection: ModuleMap
-    h1_slices: dict | None = None
     t1: int | None = None
     status_t1: str | None = None
     h1_dims: dict | None = None
@@ -208,25 +207,23 @@ def free_cover(v: TruncatedModule):
 def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
     """H_1 along S from an explicit free cover (the long exact sequence
     identifies it with ker(H_0(K) -> H_0(P)) since free modules are
-    S-acyclic)."""
+    S-acyclic).  Reports its dimension at each object (``h1_dims``) and t1,
+    the largest S-degree where it is nonzero (-1 when there is none)."""
     S = normalize_subset(S, v.m)
+    not_S = complement_subset(S, v.m)
     rep = h0(v, S)
     p, pi, k, k_incl = cover if cover is not None else free_cover(v)
-    k_spaces = {n: positive_degree_image(k, S, n) for n in v.window.objects()}
-    h0k, _ = quotient(k, k_spaces)
-    h1_spaces = {}
+    rep.h1_dims = {}
     for n in v.window.objects():
-        # H_0(K) -> H_0(P) on the section that quotient reads its action
-        # off: the unit vectors at the free columns of I_S K, carried into P.
-        # Any section gives the same map, as K -> P sends I_S K into I_S P,
-        # which qp kills.
+        # H_0(K)(n) -> H_0(P)(n) on the unit vectors at the free columns of
+        # I_S K(n), carried into P.  Any section gives the same map, as
+        # K -> P sends I_S K into I_S P, which qp kills.
         qp = quotient_map(p.dims[n], positive_degree_image(p, S, n))
-        lifts = k_incl.blocks[n].columns(k_spaces[n].free_columns)
-        h1_spaces[n] = kernel_basis(qp * lifts)
-    h1mod, _ = submodule_from_stable_subspaces(h0k, h1_spaces)
-    rep.h1_slices, rep.t1 = _slices(h1mod, S)
+        free = positive_degree_image(k, S, n).free_columns
+        rep.h1_dims[n] = kernel_basis(qp * k_incl.blocks[n].columns(free)).dim
+    rep.t1 = max((degree(split_obj(n, S, not_S)[0])
+                  for n, d in rep.h1_dims.items() if d), default=-1)
     rep.status_t1 = _status(v, relations=True)
-    rep.h1_dims = {n: h1mod.dims[n] for n in v.window.objects()}
     return rep
 
 
@@ -387,11 +384,11 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     return ModuleMap(fsw, v, final), fsw
 
 
-def is_S_induced(v: TruncatedModule, S, precomputed_h0=None) -> InducedVerdict:
+def is_S_induced(v: TruncatedModule, S) -> InducedVerdict:
     """Induced along S: H_0 concentrated on one slice and the counit
     F_s(V[[s]]) -> V an isomorphism (checked blockwise on the window)."""
     S = normalize_subset(S, v.m)
-    rep = precomputed_h0 if precomputed_h0 is not None else h0(v, S)
+    rep = h0(v, S)
     reasons = []
     nonzero = sorted(rep.h0_slices.keys())
     if v.is_zero():
@@ -412,20 +409,59 @@ def is_S_induced(v: TruncatedModule, S, precomputed_h0=None) -> InducedVerdict:
 
 
 @dataclass
+class PeelStep:
+    """One layer of the semi-induced filtration.  ``module`` loses its
+    top-degree, lex-smallest H_0 slice ``s``: ``rest`` (with inclusion
+    ``rest_incl``) is the submodule that the other H_0 slices generate,
+    spanned by the family ``rest_spaces``, and ``piece`` = module / rest
+    (projection ``piece_proj``) is induced along S as ``verdict`` shows.
+    The next step peels ``rest``."""
+
+    module: TruncatedModule
+    s: tuple
+    rest_spaces: dict
+    rest: TruncatedModule
+    rest_incl: ModuleMap
+    piece: TruncatedModule
+    piece_proj: ModuleMap
+    verdict: InducedVerdict
+
+
+def _peel(v: TruncatedModule, S) -> PeelStep | None:
+    """One peel step of a nonzero module, or None when H_0 along S has no
+    slice inside the window."""
+    slices = h0(v, S).h0_slices
+    if not slices:
+        return None
+    maxdeg = max(degree(s) for s in slices)
+    s = min(t for t in slices if degree(t) == maxdeg)
+    not_S = complement_subset(S, v.m)
+    seeds = {}
+    for n in v.window.objects():
+        s_part, _ = split_obj(n, S, not_S)
+        if s_part != s and s_part in slices:
+            seeds[n] = Subspace.full(v.dims[n])
+    rest_spaces = close_under_actions(v, seeds)
+    rest, rest_incl = submodule_from_stable_subspaces(v, rest_spaces)
+    piece, piece_proj = quotient(v, rest_spaces)
+    return PeelStep(v, s, rest_spaces, rest, rest_incl, piece, piece_proj,
+                    is_S_induced(piece, S))
+
+
+@dataclass
 class SemiInducedCertificate:
-    steps: list  # (s, witness module, counit iso, quotient dims)
+    steps: list  # PeelStep, each peeling the previous step's rest
     status: str
 
     def verify(self, v: TruncatedModule) -> bool:
         """Re-check every step witness independently of the search path."""
-        for s, witness, iso, qdims in self.steps:
-            if iso is None:
-                return False
-            if not (iso.is_natural() and iso.is_iso()):
+        for step in self.steps:
+            iso = step.verdict.iso
+            if iso is None or not (iso.is_natural() and iso.is_iso()):
                 return False
         total = {n: 0 for n in v.window.objects()}
-        for _, _, _, qdims in self.steps:
-            for n, d in qdims.items():
+        for step in self.steps:
+            for n, d in step.piece.dims.items():
                 total[n] += d
         return all(total[n] == v.dims[n] for n in v.window.objects())
 
@@ -433,53 +469,21 @@ class SemiInducedCertificate:
 def is_S_semi_induced(v: TruncatedModule, S, max_steps: int = 32):
     """Semi-induced along S: H_1 = 0; a filtration certificate is extracted
     by repeatedly peeling the maximal-degree generator slice (lex-smallest
-    tie-break).  Returns (ok, certificate, report)."""
+    tie-break), at most ``max_steps`` times.  Returns (ok, certificate,
+    report)."""
     S = normalize_subset(S, v.m)
     rep = h1(v, S)
-    ok = all(d == 0 for d in rep.h1_dims.values())
+    ok = rep.h1_is_zero()
     steps = []
-    cert_status = rep.status_t1
-    if ok:
-        current_spaces = {
-            n: Subspace.full(v.dims[n]) for n in v.window.objects()
-        }
-        guard = 0
-        while any(sp.dim > 0 for sp in current_spaces.values()) and guard < max_steps:
-            guard += 1
-            cur_mod, cur_incl = submodule_from_stable_subspaces(v, current_spaces)
-            cur_rep = h0(cur_mod, S)
-            if not cur_rep.h0_slices:
-                cert_status = INCONCLUSIVE
-                break
-            maxdeg = max(degree(s) for s in cur_rep.h0_slices)
-            s = min(sorted(x for x in cur_rep.h0_slices if degree(x) == maxdeg))
-            not_S = complement_subset(S, v.m)
-            seeds = {}
-            for n in cur_mod.window.objects():
-                s_part, _ = split_obj(n, S, not_S)
-                if s_part != s and s_part in cur_rep.h0_slices:
-                    seeds[n] = Subspace.full(cur_mod.dims[n])
-            sub_spaces = close_under_actions(cur_mod, seeds) if seeds else {
-                n: Subspace.zero(cur_mod.dims[n]) for n in cur_mod.window.objects()
-            }
-            piece, piece_proj = quotient(cur_mod, sub_spaces)
-            verdict = is_S_induced(piece, S)
-            if not verdict.ok:
-                cert_status = INCONCLUSIVE
-                break
-            steps.append((s, verdict.witness, verdict.iso,
-                          {n: piece.dims[n] for n in piece.window.objects()}))
-            # descend: new spaces are the submodule inside v
-            new_spaces = {}
-            for n in v.window.objects():
-                if sub_spaces[n].dim == 0:
-                    new_spaces[n] = Subspace.zero(v.dims[n])
-                else:
-                    vecs = (cur_incl.blocks[n] * sub_spaces[n].basis.transpose()).transpose()
-                    new_spaces[n] = Subspace.from_spanning(v.dims[n], vecs.rows)
-            current_spaces = new_spaces
-        else:
-            if guard >= max_steps:
-                cert_status = INCONCLUSIVE
-    cert = SemiInducedCertificate(steps, cert_status)
-    return ok, cert, rep
+    status = rep.status_t1
+    cur = v
+    while ok and not cur.is_zero():
+        # a nonzero rest after max_steps peels is inconclusive, like a
+        # peel that finds no slice or a piece that is not induced
+        step = _peel(cur, S) if len(steps) < max_steps else None
+        if step is None or not step.verdict.ok:
+            status = INCONCLUSIVE
+            break
+        steps.append(step)
+        cur = step.rest
+    return ok, SemiInducedCertificate(steps, status), rep

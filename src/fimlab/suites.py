@@ -228,10 +228,11 @@ def suite_degree(seed: int = 0, count: int = 15) -> SuiteReport:
             continue
         made += 1
         S = (1,)
-        p, pi, kmod, _ = free_cover(v)
+        cover = free_cover(v)
+        p, _, kmod, _ = cover
         t0_p = h0(p, S).t0
         t0_k = h0(kmod, S).t0
-        rep_v = h1(v, S)
+        rep_v = h1(v, S, cover=cover)
         ok1 = t0_p <= max(t0_k, rep_v.t0)
         ok2 = rep_v.t1 <= max(-1, t0_k)
         checks.append(

@@ -19,7 +19,6 @@ from .category import (
     GroupTable,
     Morphism,
     Window,
-    degree,
     enumerate_injections,
     leq,
 )
@@ -41,7 +40,6 @@ from .modules import (
     NaturalitySolver,
     Presentation,
     TruncatedModule,
-    close_under_actions,
     direct_sum,
     external_tensor,
     h0_generators,
@@ -71,8 +69,6 @@ from .homology import (
     detect_torsion,
     family_coordinates,
     free_cover,
-    h0,
-    is_S_induced,
     is_S_semi_induced,
     tor_filtration,
 )
@@ -269,17 +265,12 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
                     injs = enumerate_injections(t, l)
                 else:
                     injs = []
-                if x.group.is_trivial():
-                    for beta in injs:
-                        mat = x.evaluate(beta)
-                        rows.append(mat.rows[j])
-                else:
-                    # basis of Ind(E(l)) at t: (beta, g), group fastest
-                    for beta in injs:
-                        for g in range(og):
-                            mor = Morphism(beta.source, beta.target, beta.maps, g)
-                            mat = x.evaluate(mor)
-                            rows.append(mat.rows[j])
+                # basis of Ind(E(l)) at t (E(l) itself for the trivial
+                # group): (beta, g), group fastest
+                for beta in injs:
+                    for g in range(og):
+                        mor = Morphism(beta.source, beta.target, beta.maps, g)
+                        rows.append(x.evaluate(mor).rows[j])
                 blocks[t] = RationalMatrix(rows, built.dims[t], x.dims[t])
             maps_to.append(ModuleMap(x, built, blocks))
     if not members:
@@ -295,8 +286,7 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     return members, emb, total
 
 
-def _horseshoe(x: TruncatedModule, sub_spaces, quot_emb, quot_proj,
-               sub_emb, sub_incl):
+def _horseshoe(x: TruncatedModule, quot_emb, quot_proj, sub_emb, sub_incl):
     """Combine an embedding of a submodule and one of the quotient into an
     embedding of the whole module (solving the extension problem)."""
     i_q = quot_emb.target
@@ -396,7 +386,6 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
     x_r = restrict_window(x, w)
     emb, target = _horseshoe(
         x_r,
-        family,
         _restrict_map(q_emb, w),
         _restrict_map(q_proj, w),
         _restrict_map(a_emb, w),
@@ -415,7 +404,8 @@ def _synth_presentation(mod: TruncatedModule) -> Presentation:
 
 def _torsion_free_embedding(q: TruncatedModule, S, max_shift, seed):
     """Embed an S-torsion-free module: compose the canonical-map embedding
-    into an iterated shift with the semi-induced peeling."""
+    into an iterated shift with the embedding along the shift's
+    semi-induced certificate."""
     S = normalize_subset(S, q.m)
     if q.is_zero():
         z = zero_module(q.window, q.group)
@@ -423,91 +413,57 @@ def _torsion_free_embedding(q: TruncatedModule, S, max_shift, seed):
     tor = detect_torsion(q, S)
     if not tor.is_zero():
         raise _Inconclusive("layer is not torsion-free; filtration unusable")
-    found_n = None
     for n_try in range(max_shift + 1):
         for i in S:
             if q.window.bound[i - 1] < n_try:
                 raise _Inconclusive("window too small for the shift search")
         w_n = shift_prod(q, S, n_try)
-        ok, cert, rep = is_S_semi_induced(w_n, S)
+        ok, cert, _ = is_S_semi_induced(w_n, S)
         if ok and cert.status != INCONCLUSIVE and cert.verify(w_n):
-            found_n = n_try
             break
-    if found_n is None:
+    else:
         raise _Inconclusive(f"no semi-induced shift within {max_shift} steps")
-    shifted = shift_prod(q, S, found_n)
-    into_shift = _shift_composite_map(q, S, found_n)
+    into_shift = _shift_composite_map(q, S, n_try)
     if not into_shift.is_injective_objectwise():
         raise _Inconclusive("canonical embedding failed injectivity in window")
-    members, emb, target = _semi_induced_embedding(shifted, S, max_shift, seed)
-    emb_total = emb.compose(into_shift)
-    return members, emb_total, target
+    members, emb, target = _semi_induced_embedding(w_n, cert.steps, S, max_shift, seed)
+    return members, emb.compose(into_shift), target
 
 
-def _semi_induced_embedding(x: TruncatedModule, S, max_shift, seed):
-    """Embed a semi-induced module by peeling maximal slices: each piece is
-    F_s of a smaller module, which is embedded recursively and transported
-    through an explicitly solved product-form isomorphism."""
-    S = normalize_subset(S, x.m)
-    not_S = complement_subset(S, x.m)
-    if x.is_zero():
+def _semi_induced_embedding(x: TruncatedModule, steps, S, max_shift, seed):
+    """Embed a semi-induced module along its certificate's peel steps,
+    bottom step first.  Each piece is F_s of its step's witness W, which is
+    embedded recursively and transported through an explicitly solved
+    product-form isomorphism; the horseshoe joins it to the rest's
+    embedding."""
+    if not steps:
         z = zero_module(x.window, x.group)
         return [], ModuleMap.zero(x, z), z
-    rep = h0(x, S)
-    if not rep.h0_slices:
-        raise _Inconclusive("nonzero module with empty H0 support in window")
-    maxdeg = max(degree(s) for s in rep.h0_slices)
-    s = min(sorted(t for t in rep.h0_slices if degree(t) == maxdeg))
-    seeds = {}
-    for n in x.window.objects():
-        s_part, _ = split_obj(n, S, not_S)
-        if s_part != s and s_part in rep.h0_slices:
-            seeds[n] = Subspace.full(x.dims[n])
-    sub_spaces = (
-        close_under_actions(x, seeds)
-        if seeds
-        else {n: Subspace.zero(x.dims[n]) for n in x.window.objects()}
-    )
-    piece, piece_proj = quotient(x, sub_spaces)
-    verdict = is_S_induced(piece, S)
-    if not verdict.ok:
-        raise _Inconclusive("peeled piece failed the induced check")
-    # piece ~ F_s(W); embed W recursively over the complement category
-    w_mod = verdict.witness
-    w_mod.presentation = _synth_presentation(w_mod)
-    w_members, w_emb, w_target = _cogenerate_sub(w_mod, max_shift, seed)
-    # transport: F_s(emb): F_s(W) -> F_s(target); counit iso piece ~ F_s(W)
-    fs_map, fs_source, fs_target = _induced_functor_map(
-        s, S, w_emb, x.group, x.window
-    )
-    piece_to_fs = verdict.iso.inverse_map()  # piece -> F_s(W)
-    lifted_members = [
-        _lift_member_desc(md, s, S, not_S, x.group) for md in w_members
-    ]
-    # canonical form of the target: built members over the full category;
-    # product-form isomorphism F_s(member) ~ built member, summandwise
-    built_targets = [
-        build_member(md, x.window, x.group) for md in lifted_members
-    ]
-    if built_targets:
-        built_total, _ = direct_sum(*built_targets)
-    else:
-        built_total = zero_module(x.window, x.group)
-    iso_49 = find_iso(fs_target, built_total, seed=seed)
-    if iso_49 is None:
-        raise _Inconclusive("product-form transport isomorphism not found")
-    piece_emb = iso_49.compose(fs_map).compose(piece_to_fs)
-    if sum(sp.dim for sp in sub_spaces.values()) == 0:
-        return lifted_members, piece_emb.compose(piece_proj), built_total
-    sub_mod, sub_incl = submodule_from_stable_subspaces(x, sub_spaces)
-    sub_mod.presentation = _synth_presentation(sub_mod)
-    rest_members, rest_emb, rest_target = _semi_induced_embedding(
-        sub_mod, S, max_shift, seed
-    )
-    emb, target = _horseshoe(
-        x, sub_spaces, piece_emb, piece_proj, rest_emb, sub_incl
-    )
-    return lifted_members + rest_members, emb, target
+    not_S = complement_subset(S, x.m)
+    members, emb, target = [], None, None
+    for step in reversed(steps):
+        # piece ~ F_s(W); embed W recursively over the complement category
+        w_mod = step.verdict.witness
+        w_mod.presentation = _synth_presentation(w_mod)
+        w_members, w_emb, _ = _cogenerate_sub(w_mod, max_shift, seed)
+        # transport: F_s(emb): F_s(W) -> F_s(target); counit iso piece ~ F_s(W)
+        fs_map = _induced_functor_map(step.s, S, w_emb, x.group, x.window)
+        lifted = [_lift_member_desc(md, step.s, S, not_S, x.group) for md in w_members]
+        # canonical form of the target: built members over the full category;
+        # product-form isomorphism F_s(member) ~ built member, summandwise
+        built = [build_member(md, x.window, x.group) for md in lifted]
+        built_total = direct_sum(*built)[0] if built else zero_module(x.window, x.group)
+        iso_49 = find_iso(fs_map.target, built_total, seed=seed)
+        if iso_49 is None:
+            raise _Inconclusive("product-form transport isomorphism not found")
+        piece_emb = iso_49.compose(fs_map).compose(step.verdict.iso.inverse_map())
+        if emb is None:  # the bottom step: its rest is zero
+            emb, target = piece_emb.compose(step.piece_proj), built_total
+        else:
+            emb, target = _horseshoe(step.module, piece_emb, step.piece_proj,
+                                     emb, step.rest_incl)
+        members = lifted + members
+    return members, emb, target
 
 
 def _cogenerate_sub(w_mod: TruncatedModule, max_shift, seed):
@@ -531,7 +487,7 @@ def _lift_member_desc(md: UMemberDesc, s, S, not_S, group) -> UMemberDesc:
 
 def _induced_functor_map(s, S, f: ModuleMap, group, window):
     """F_s applied to a map of R_s-modules (restrict the tensored map to the
-    idempotent images on both sides)."""
+    idempotent images on both sides), as a map F_s(source) -> F_s(target)."""
     fs_source, src_incl = induced_module(s, S, f.source, group, window)
     fs_target, tgt_incl = induced_module(s, S, f.target, group, window)
     not_S = complement_subset(S, window.m)
@@ -547,7 +503,7 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
         if sol is None:
             raise _Inconclusive("induced map failed to restrict")
         blocks[n] = sol
-    return ModuleMap(fs_source, fs_target, blocks), fs_source, fs_target
+    return ModuleMap(fs_source, fs_target, blocks)
 
 
 # -- endomorphism rings ------------------------------------------------------

@@ -1,7 +1,8 @@
 """The byte-identity set: fimlab outputs that a refactor must not change.
 
 ``documents()`` yields (name, text) pairs and ``digests()`` maps each name
-to the sha256 of its text.  ``test_golden.py`` pins the digests, so a change
+to the sha256 of its text; both compute the suite reports unless they are
+given them.  ``test_golden.py`` pins the digests, so a change
 that alters any answer or file fails there and names the document.  Run as a
 script to print the current digests as JSON (it needs no pytest):
 
@@ -55,11 +56,14 @@ def _coords(xs):
     return None if xs is None else [fraction_str(x) for x in xs]
 
 
-def _suites():
-    for rep in run_all(0):
-        d = rep.to_dict()
-        del d["elapsed_seconds"]
-        yield f"suite/{rep.suite}", _dumps(d)
+def _suites(reports=None):
+    """The ``run_all(0)`` reports without their timings; ``reports`` passes
+    in the same dicts already computed, as ``verify-paper`` prints them."""
+    if reports is None:
+        reports = [rep.to_dict() for rep in run_all(0)]
+    for d in reports:
+        yield f"suite/{d['suite']}", _dumps(
+            {k: x for k, x in d.items() if k != "elapsed_seconds"})
 
 
 def _random_modules():
@@ -143,8 +147,8 @@ def _direct_sums():
         yield f"direct_sum/inclusion_{j}", _blocks(incl)
 
 
-def documents():
-    yield from _suites()
+def documents(suite_reports=None):
+    yield from _suites(suite_reports)
     yield from _random_modules()
     yield from _specht_modules()
     yield from _induced_modules()
@@ -152,9 +156,9 @@ def documents():
     yield from _direct_sums()
 
 
-def digests() -> dict:
+def digests(suite_reports=None) -> dict:
     out = {}
-    for name, text in documents():
+    for name, text in documents(suite_reports):
         if name in out:
             raise ValueError(f"document {name} listed twice")
         out[name] = hashlib.sha256(text.encode()).hexdigest()

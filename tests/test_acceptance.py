@@ -1,16 +1,13 @@
 """Acceptance criteria, one test per criterion.
 
 Each criterion is a named CLI suite (`fimlab verify-paper --suite ...`);
-the tests run the suite through the CLI entry point, assert every check
-passed, enforce the stated time budget, and print one pass/fail line.
-All arithmetic underneath is exact rational.
+the tests run the suite through the CLI entry point (the session's
+``verify_paper`` fixture, whose reports the golden digests also read),
+assert every check passed, enforce the stated time budget, and print one
+pass/fail line.  All arithmetic underneath is exact rational.
 """
 
-import json
-
 import pytest
-
-from fimlab.cli import main
 
 CRITERIA = [
     # (number, description, suite name, budget seconds)
@@ -27,17 +24,10 @@ CRITERIA = [
 ]
 
 
-def _run_suite(capsys, suite):
-    code = main(["verify-paper", "--suite", suite])
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    return code, payload
-
-
 @pytest.mark.parametrize("number,desc,suite,budget", CRITERIA,
                          ids=[f"criterion-{c[0]:02d}-{c[2]}" for c in CRITERIA])
-def test_acceptance_criterion(capsys, number, desc, suite, budget):
-    code, payload = _run_suite(capsys, suite)
+def test_acceptance_criterion(capsys, verify_paper, number, desc, suite, budget):
+    code, payload = verify_paper(suite)
     report = payload["suites"][0]
     elapsed = report["elapsed_seconds"]
     failures = [c for c in report["checks"] if not c["ok"]]

@@ -15,11 +15,18 @@ from pathlib import Path
 
 from golden_docs import digests
 
+from fimlab.suites import SUITES
+
 PINNED = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
 
-def test_outputs_match_pinned_digests():
-    got = digests()
+def test_outputs_match_pinned_digests(verify_paper):
+    # the suite reports come from the same CLI runs as the acceptance tests
+    suite_reports = []
+    for name in SUITES:
+        _, payload = verify_paper(name)
+        suite_reports.extend(payload["suites"])
+    got = digests(suite_reports)
     assert sorted(got) == sorted(PINNED), "the document set itself changed"
     changed = [name for name, digest in PINNED.items() if got[name] != digest]
     assert not changed, f"documents differ from their pinned digests: {changed}"

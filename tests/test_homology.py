@@ -14,6 +14,7 @@ from fimlab.modules import (
 from fimlab.functors import derivative_sum, kernel_sum, shift
 from fimlab.homology import (
     EXACT,
+    INCONCLUSIVE,
     WINDOW_BOUNDED,
     detect_torsion,
     free_cover,
@@ -271,6 +272,45 @@ def test_semi_induced_free_and_certificate():
     ok2, cert2, _ = is_S_semi_induced(s, (1,))
     assert ok2 and cert2.verify(s)
     assert len(cert2.steps) == 2
+
+
+def test_semi_induced_certificate_steps_nest():
+    """Each peel step works on the previous step's rest, down to zero."""
+    cases = [
+        (direct_sum(make_free((1,), Window((4,)), TRIV),
+                    make_free((0,), Window((4,)), TRIV))[0], (1,)),
+        (make_induced(((2,), (1,)), Window((3, 2)), TRIV), (1,)),
+        (direct_sum(make_free((1, 0), Window((3, 3)), TRIV),
+                    make_free((0, 1), Window((3, 3)), TRIV))[0], (1, 2)),
+    ]
+    for v, S in cases:
+        ok, cert, _ = is_S_semi_induced(v, S)
+        assert ok and cert.status != INCONCLUSIVE and cert.verify(v)
+        assert cert.steps and cert.steps[0].module is v
+        for step, nxt in zip(cert.steps, cert.steps[1:]):
+            assert step.rest is nxt.module
+        assert cert.steps[-1].rest.is_zero()
+        for step in cert.steps:
+            assert step.rest_incl.source is step.rest
+            assert all(step.rest.dims[n] == step.rest_spaces[n].dim
+                       for n in v.window.objects())
+            assert step.rest_incl.target is step.module
+            assert step.piece_proj.source is step.module
+            assert step.verdict.ok and step.verdict.s == step.s
+            assert all(step.rest.dims[n] + step.piece.dims[n] == step.module.dims[n]
+                       for n in v.window.objects())
+
+
+def test_semi_induced_search_stops_at_max_steps():
+    """The peeling is bounded: a rest left over after max_steps peels makes
+    the certificate INCONCLUSIVE, not a longer search."""
+    w = Window((4,))
+    v, _ = direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))
+    ok, cert, _ = is_S_semi_induced(v, (1,), max_steps=1)
+    assert ok and cert.status == INCONCLUSIVE and len(cert.steps) == 1
+    assert not cert.steps[0].rest.is_zero()
+    ok, cert, _ = is_S_semi_induced(v, (1,), max_steps=2)
+    assert ok and cert.status == EXACT and len(cert.steps) == 2
 
 
 def test_shift_of_semi_induced_is_semi_induced():

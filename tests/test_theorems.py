@@ -102,6 +102,32 @@ def test_cogenerate_m2_torsion():
     )
 
 
+def test_cogenerate_checks_each_peeled_piece_once(monkeypatch):
+    """The embedding walks the semi-induced certificate's filtration: one
+    induced check per peel step, and none of its own."""
+    import sys
+
+    import fimlab.homology
+    from fimlab.homology import is_S_semi_induced
+
+    w = Window((4,))
+    v, _ = direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))
+    _, cert, _ = is_S_semi_induced(v, (1,))
+    real = fimlab.homology.is_S_induced
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fimlab") and getattr(mod, "is_S_induced", None) is real:
+            monkeypatch.setattr(mod, "is_S_induced", counting)
+    wit = cogenerate(v)
+    assert wit.status == EXACT and wit.verify()
+    assert len(calls) == len(cert.steps) == 2
+
+
 def test_end_ring_scalars():
     er = end_ring(make_free((0,), Window((3,)), TRIV))
     assert er.dim == 1 and er.radical_dim == 0 and er.is_local
