@@ -85,6 +85,14 @@ def _flag_lambdas(text) -> tuple:
                          f"got {text!r}") from None
 
 
+def _flag_bound(value: int, flag: str) -> int:
+    """A search bound flag; a negative value raises a ValueError that names
+    the flag."""
+    if value < 0:
+        raise ValueError(f"{flag}: must be >= 0, got {value}")
+    return value
+
+
 def _emit(payload, code: int) -> int:
     print(json.dumps(payload, sort_keys=True, indent=1))
     return code
@@ -173,15 +181,17 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_shift_theorem(args) -> int:
+    max_n = _flag_bound(args.max_n, "--max-n")
     mod = TruncatedModule.load(args.module)
-    result = shift_theorem_search(mod, parse_coords(args.S), args.max_n)
+    result = shift_theorem_search(mod, parse_coords(args.S), max_n)
     payload = {"n": result.n, "status": result.status, "log": result.log}
     return _emit(payload, 0 if result.conclusive else 1)
 
 
 def cmd_cogenerate(args) -> int:
+    max_shift = _flag_bound(args.max_shift, "--max-shift")
     mod = TruncatedModule.load(args.module)
-    wit = cogenerate(mod, max_shift=args.max_shift)
+    wit = cogenerate(mod, max_shift=max_shift)
     payload = {
         "status": wit.status,
         "members": [m.describe() for m in wit.members],

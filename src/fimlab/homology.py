@@ -18,13 +18,14 @@ from .category import (
     Morphism,
     Window,
     add,
+    count_injections,
     degree,
     enumerate_injections,
     generator_keys,
     leq,
     unit,
 )
-from .linalg import RationalMatrix, Subspace, kernel_basis, quotient_map
+from .linalg import RationalMatrix, Subspace, kernel_basis
 from .modules import (
     ModuleMap,
     Presentation,
@@ -205,22 +206,24 @@ def free_cover(v: TruncatedModule):
 
 
 def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
-    """H_1 along S from an explicit free cover (the long exact sequence
-    identifies it with ker(H_0(K) -> H_0(P)) since free modules are
-    S-acyclic).  Reports its dimension at each object (``h1_dims``) and t1,
-    the largest S-degree where it is nonzero (-1 when there is none)."""
+    """H_1 along S, ker(H_0(K) -> H_0(P)) for a free cover P -> V with
+    kernel K (free P is S-acyclic): its dimension at each object
+    (``h1_dims``) and t1, the largest S-degree where it is nonzero (-1 if
+    none).  It is counted: pi maps I_S P onto I_S V, so H_0 of K -> P -> V
+    -> 0 is exact and dim H_1 = dim H_0(K) - dim H_0(P) + dim H_0(V) at
+    each n.  P is free on its generator slots g, and F(g)(n), of dimension
+    |G| * #Inj(g, n), survives in H_0 exactly when n has g's S-part."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     rep = h0(v, S)
-    p, pi, k, k_incl = cover if cover is not None else free_cover(v)
+    p, _, k, _ = cover if cover is not None else free_cover(v)
     rep.h1_dims = {}
     for n in v.window.objects():
-        # H_0(K)(n) -> H_0(P)(n) on the unit vectors at the free columns of
-        # I_S K(n), carried into P.  Any section gives the same map, as
-        # K -> P sends I_S K into I_S P, which qp kills.
-        qp = quotient_map(p.dims[n], positive_degree_image(p, S, n))
-        free = positive_degree_image(k, S, n).free_columns
-        rep.h1_dims[n] = kernel_basis(qp * k_incl.blocks[n].columns(free)).dim
+        s_part = split_obj(n, S, not_S)[0]
+        h0_p = sum(count_injections(g, n) for g, _ in p.presentation.generator_slots
+                   if split_obj(g, S, not_S)[0] == s_part)
+        rep.h1_dims[n] = (k.dims[n] - positive_degree_image(k, S, n).dim
+                          - v.group.order * h0_p + rep.h0_module.dims[n])
     rep.t1 = max((degree(split_obj(n, S, not_S)[0])
                   for n, d in rep.h1_dims.items() if d), default=-1)
     rep.status_t1 = _status(v, relations=True)
@@ -427,10 +430,8 @@ class PeelStep:
     verdict: InducedVerdict
 
 
-def _peel(v: TruncatedModule, S) -> PeelStep | None:
-    """One peel step of a nonzero module, or None when H_0 along S has no
-    slice inside the window."""
-    slices = h0(v, S).h0_slices
+def _peel(v: TruncatedModule, S, slices) -> PeelStep | None:
+    """One peel step of v from its H_0 slices along S (None if there are none)."""
     if not slices:
         return None
     maxdeg = max(degree(s) for s in slices)
@@ -480,7 +481,8 @@ def is_S_semi_induced(v: TruncatedModule, S, max_steps: int = 32):
     while ok and not cur.is_zero():
         # a nonzero rest after max_steps peels is inconclusive, like a
         # peel that finds no slice or a piece that is not induced
-        step = _peel(cur, S) if len(steps) < max_steps else None
+        step = (_peel(cur, S, (h0(cur, S) if steps else rep).h0_slices)
+                if len(steps) < max_steps else None)
         if step is None or not step.verdict.ok:
             status = INCONCLUSIVE
             break

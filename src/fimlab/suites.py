@@ -321,10 +321,10 @@ def suite_thm1(seed: int = 0, max_n: int = 4) -> SuiteReport:
     t0 = time.time()
     checks = []
     for name, v, S in _thm1_battery():
-        tor = detect_torsion(v, S)
         res_search = shift_theorem_search(v, S, max_n)
         ok = res_search.n is not None and res_search.status == EXACT
-        detail = f"N={res_search.n}, torsion dims {sum(s.dim for s in tor.spaces.values())}"
+        torsion = sum(res_search.log[0]["torsion_dims"].values())  # n = 0: v itself
+        detail = f"N={res_search.n}, torsion dims {torsion}"
         checks.append(Check(f"shift theorem: {name}", ok, detail))
     return _finish("thm1", checks, t0)
 

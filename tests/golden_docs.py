@@ -24,6 +24,7 @@ from fimlab.functors import (
 )
 from fimlab.homology import free_cover, h1
 from fimlab.modules import (
+    MarginError,
     ModuleMap,
     direct_sum,
     fraction_str,
@@ -35,10 +36,10 @@ from fimlab.modules import (
     obj_str,
     with_trivial_group_action,
 )
-from fimlab.samples import random_presented_module
-from fimlab.suites import run_all
+from fimlab.samples import point_module, random_presented_module
+from fimlab.suites import _thm1_battery, run_all
 from fimlab.symrep import GroupRep
-from fimlab.theorems import end_ring
+from fimlab.theorems import end_ring, shift_theorem_search
 
 TRIV = GroupTable.trivial()
 GROUPS = {"1": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
@@ -80,6 +81,37 @@ def _random_modules():
             yield f"{tag}/h1_all", h1(v, everything, cover).to_json()
             yield f"{tag}/derivative_1", derivative(v, 1).to_json()
             yield f"{tag}/kernel_1", kernel_functor(v, 1).to_json()
+
+
+def _group_h1():
+    """H_1 over the nontrivial groups, whose free modules carry |G| copies
+    of every injection."""
+    for gname in ("S2", "C3"):
+        group = GROUPS[gname]
+        mods = [(f"random/{seed}", random_presented_module(Window((3,)), seed, group=group))
+                for seed in range(4)]
+        mods.append(("ind_point", ind(point_module(Window((3,))), group)))
+        mods.append(("free_(1,)", make_free((1,), Window((3,)), group)))
+        for label, v in mods:
+            yield f"h1/{gname}/{label}", h1(v, (1,)).to_json()
+
+
+def _shift_search(v, S, max_n) -> str:
+    try:
+        out = shift_theorem_search(v, S, max_n)
+    except MarginError as exc:
+        return _dumps({"MarginError": str(exc)})
+    return _dumps({"n": out.n, "status": out.status, "log": out.log})
+
+
+def _shift_searches():
+    for name, v, S in _thm1_battery():
+        yield f"shift_search/thm1/{name}", _shift_search(v, S, 4)
+    for seed in range(6):
+        v = random_presented_module(Window((5,)), seed)
+        for max_n in range(3):
+            yield (f"shift_search/random/(5,)/{seed}/max_n={max_n}",
+                   _shift_search(v, (1,), max_n))
 
 
 def _specht_modules():
@@ -150,6 +182,8 @@ def _direct_sums():
 def documents(suite_reports=None):
     yield from _suites(suite_reports)
     yield from _random_modules()
+    yield from _group_h1()
+    yield from _shift_searches()
     yield from _specht_modules()
     yield from _induced_modules()
     yield from _end_rings()

@@ -153,3 +153,15 @@ def test_functor_names_a_malformed_coordinate_flag(tmp_path, capsys, i):
     code, payload = run_cli(capsys, "shift", str(mod), "-i", i, "-o", str(tmp_path / "o.json"))
     assert code == 2 and payload["type"] == "ValueError"
     assert payload["error"].startswith("-i:")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["shift-theorem", "--S", "1", "--max-n", "-1"], "--max-n"),
+    (["cogenerate", "--max-shift", "-2"], "--max-shift"),
+])
+def test_negative_search_bound_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    mod = tmp_path / "f1.json"
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "4", "-o", str(mod))
+    code, payload = run_cli(capsys, argv[0], str(mod), *argv[1:])
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith(f"{flag}:")

@@ -11,7 +11,7 @@ from fimlab.modules import (
     make_induced,
     quotient,
 )
-from fimlab.functors import derivative_sum, kernel_sum, shift
+from fimlab.functors import derivative_sum, ind, kernel_sum, shift
 from fimlab.homology import (
     EXACT,
     INCONCLUSIVE,
@@ -474,14 +474,45 @@ def _h1_dims_by_solved_section(v, S):
     return dims
 
 
-def test_h1_matches_solved_section_construction():
-    nonzero = 0
+def _h1_oracle_inputs():
     for bound in ((3, 3), (4,)):
         for seed in range(12):
-            v = random_presented_module(Window(bound), seed)
-            subsets = [(1,), (2,), (1, 2)] if v.m == 2 else [(1,)]
-            for S in subsets:
-                got = h1(v, S).h1_dims
-                assert got == _h1_dims_by_solved_section(v, S), (bound, seed, S)
-                nonzero += any(got.values())
-    assert nonzero >= 5  # 9 of the 48 reports have nonzero H_1
+            yield (bound, seed), random_presented_module(Window(bound), seed)
+    # nontrivial groups: free modules carry |G| copies of every injection
+    for group in (GroupTable.symmetric(2), GroupTable.cyclic(3)):
+        w = Window((3,))
+        for seed in range(4):
+            yield (group.name, seed), random_presented_module(w, seed, group=group)
+        yield (group.name, "ind point"), ind(point_module(w), group)
+        yield (group.name, "free (1,)"), make_free((1,), w, group)
+
+
+def test_h1_matches_solved_section_construction():
+    nonzero = 0
+    for label, v in _h1_oracle_inputs():
+        subsets = [(1,), (2,), (1, 2)] if v.m == 2 else [(1,)]
+        for S in subsets:
+            got = h1(v, S).h1_dims
+            assert got == _h1_dims_by_solved_section(v, S), (label, S)
+            nonzero += any(got.values())
+    assert nonzero >= 13  # 17 of the 60 reports have nonzero H_1
+
+
+def test_h1_counts_h0_of_the_free_cover(monkeypatch):
+    """With a prebuilt cover, h1 reads H_0 of the free P off its generator
+    slots and never computes P's positive-degree image."""
+    import fimlab.homology
+
+    v = random_presented_module(Window((3, 3)), 0)
+    cover = free_cover(v)
+    real = fimlab.homology.positive_degree_image
+    seen = []
+
+    def recording(mod, S, n):
+        seen.append(mod)
+        return real(mod, S, n)
+
+    monkeypatch.setattr(fimlab.homology, "positive_degree_image", recording)
+    for S in ((1,), (2,), (1, 2)):
+        h1(v, S, cover=cover)
+    assert seen and not any(mod is cover[0] for mod in seen)

@@ -57,6 +57,46 @@ def test_shift_search_budget_guard():
         shift_theorem_search(tc, (1,), 4)
 
 
+def _record_calls(monkeypatch, name):
+    """Record every call of ``fimlab.homology.<name>`` by patching each
+    fimlab module that binds it; returns the list of argument tuples."""
+    import sys
+
+    import fimlab.homology
+
+    real = getattr(fimlab.homology, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("fimlab") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_shift_search_checks_each_shift_once(monkeypatch):
+    """A found certificate is verified, not recomputed on a fresh shift: one
+    semi-induced check per n tried."""
+    from fimlab.functors import shift_prod
+
+    calls = _record_calls(monkeypatch, "is_S_semi_induced")
+    v = truncated_constant(Window((5,)), 2)
+    out = shift_theorem_search(v, (1,), 3)
+    assert out.n == 2 and len(calls) == 3
+    assert out.certificate.verify(shift_prod(v, (1,), out.n))
+
+
+def test_negative_search_bounds_are_input_errors():
+    v = make_free((1,), Window((4,)), TRIV)
+    with pytest.raises(ValueError, match="max_n"):
+        shift_theorem_search(v, (1,), -1)
+    with pytest.raises(ValueError, match="max_shift"):
+        cogenerate(v, max_shift=-2)
+
+
 def test_embed_into_shift_free():
     v = make_free((0,), Window((3,)), TRIV)
     emb = embed_into_shift(v, (1,), 1)
@@ -105,24 +145,12 @@ def test_cogenerate_m2_torsion():
 def test_cogenerate_checks_each_peeled_piece_once(monkeypatch):
     """The embedding walks the semi-induced certificate's filtration: one
     induced check per peel step, and none of its own."""
-    import sys
-
-    import fimlab.homology
     from fimlab.homology import is_S_semi_induced
 
     w = Window((4,))
     v, _ = direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))
     _, cert, _ = is_S_semi_induced(v, (1,))
-    real = fimlab.homology.is_S_induced
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("fimlab") and getattr(mod, "is_S_induced", None) is real:
-            monkeypatch.setattr(mod, "is_S_induced", counting)
+    calls = _record_calls(monkeypatch, "is_S_induced")
     wit = cogenerate(v)
     assert wit.status == EXACT and wit.verify()
     assert len(calls) == len(cert.steps) == 2
