@@ -27,7 +27,9 @@ from fimlab.modules import (
     MarginError,
     ModuleMap,
     direct_sum,
+    external_tensor,
     fraction_str,
+    hom_space,
     make_cofree,
     make_coinduced,
     make_free,
@@ -150,6 +152,14 @@ def _induced_modules():
             yield f"{tag}/inclusion", _blocks(incl)
 
 
+def _structure(data) -> str:
+    return _dumps({
+        "radical_dim": data.radical_dim,
+        "structure_constants": [[_coords(c) for c in row]
+                                for row in data.structure_constants],
+    })
+
+
 def _end_rings():
     w = Window((3,))
     pairs = {
@@ -166,6 +176,28 @@ def _end_rings():
             "identity_coords": _coords(data.identity_coords),
             "idempotent_coords": _coords(data.idempotent_coords),
         })
+        yield f"end_ring/{label}/structure", _structure(data)
+    # three of thm2's tensors E(λ) ⊠ M(μ), M(λ) ⊠ M(μ), factors on (3,)
+    factor = {"M": make_induced, "E": make_coinduced}
+    for (k1, l1), (k2, l2) in ((("M", (1,)), ("E", (1,))),
+                               (("E", (2,)), ("M", (1, 1))),
+                               (("M", (1, 1)), ("M", (1, 1)))):
+        tensor = external_tensor(factor[k1]((l1,), w, TRIV),
+                                 factor[k2]((l2,), w, TRIV))
+        yield f"end_ring/{k1}{l1} x {k2}{l2}/structure", _structure(end_ring(tensor))
+
+
+def _hom_spaces():
+    """Hom bases block by block: the basis is the RREF kernel of the
+    naturality rows, so its maps are canonical, not just their span."""
+    w = Window((3,))
+    total, _ = direct_sum(make_free((1,), w), make_cofree((1,), w))
+    pairs = {
+        "random(3,)/4 -> E(2)": (random_presented_module(w, 4), make_cofree((2,), w)),
+        "F(1)+E(1) -> F(1)+E(1)": (total, total),
+    }
+    for label, (v, t) in pairs.items():
+        yield f"hom_space/{label}", _dumps([_blocks(mp) for mp in hom_space(v, t)])
 
 
 def _direct_sums():
@@ -187,6 +219,7 @@ def documents(suite_reports=None):
     yield from _specht_modules()
     yield from _induced_modules()
     yield from _end_rings()
+    yield from _hom_spaces()
     yield from _direct_sums()
 
 
