@@ -33,6 +33,7 @@ from .functors import (
     derivative_sum,
     kernel_functor,
     kernel_sum,
+    normalize_subset,
     shift,
     shift_sum,
 )
@@ -71,6 +72,17 @@ def _flag_coords(text, flag: str) -> tuple:
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated integers, "
                          f"got {text!r}") from None
+
+
+def _flag_subset(text, flag: str, m: int) -> tuple:
+    """The coordinate subset of a required flag, normalized for m; a missing,
+    malformed, empty or out-of-range value raises a ValueError that names
+    the flag."""
+    coords = _flag_coords(text, flag)
+    try:
+        return normalize_subset(coords, m)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _flag_lambdas(text) -> tuple:
@@ -170,20 +182,20 @@ def cmd_functor(args) -> int:
 
 def cmd_homology(args) -> int:
     mod = TruncatedModule.load(args.module)
-    rep = h1(mod, parse_coords(args.S))
+    rep = h1(mod, _flag_subset(args.S, "--S", mod.m))
     return _emit(rep.to_dict(), 0)
 
 
 def cmd_torsion(args) -> int:
     mod = TruncatedModule.load(args.module)
-    verdict = detect_torsion(mod, parse_coords(args.S))
+    verdict = detect_torsion(mod, _flag_subset(args.S, "--S", mod.m))
     return _emit(verdict.to_dict(), 0)
 
 
 def cmd_shift_theorem(args) -> int:
     max_n = _flag_bound(args.max_n, "--max-n")
     mod = TruncatedModule.load(args.module)
-    result = shift_theorem_search(mod, parse_coords(args.S), max_n)
+    result = shift_theorem_search(mod, _flag_subset(args.S, "--S", mod.m), max_n)
     payload = {"n": result.n, "status": result.status, "log": result.log}
     return _emit(payload, 0 if result.conclusive else 1)
 

@@ -18,6 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .category import (
@@ -577,9 +578,7 @@ class ModuleMap:
         )
 
     def is_injective_objectwise(self) -> bool:
-        return all(
-            kernel_basis(b).dim == 0 for b in self.blocks.values()
-        )
+        return all(rank(b) == b.ncols for b in self.blocks.values())
 
     def is_surjective_objectwise(self) -> bool:
         return all(
@@ -587,10 +586,9 @@ class ModuleMap:
         )
 
     def is_iso(self) -> bool:
-        for n, b in self.blocks.items():
-            if b.nrows != b.ncols or (b.nrows and inverse(b) is None):
-                return False
-        return True
+        return all(
+            b.nrows == b.ncols and rank(b) == b.nrows for b in self.blocks.values()
+        )
 
     def inverse_map(self) -> "ModuleMap":
         blocks = {}
@@ -1229,6 +1227,10 @@ class NaturalitySolver:
     Phi_x(t) k for k in a basis of each ker pi_x.  As pi is onto at every
     object of the window, the solutions are exactly the natural
     transformations between the truncated modules.
+
+    The solutions form the kernel of ``rows``, computed once; ``basis()`` is
+    its RREF basis, so a natural map's coordinates in that basis are its
+    generator values phi(u_i) = t_i read at the kernel's pivots.
     """
 
     def __init__(self, v: TruncatedModule, w: TruncatedModule):
@@ -1236,7 +1238,7 @@ class NaturalitySolver:
             raise ValueError("hom requires matching window and group")
         self.v = v
         self.w = w
-        gens = h0_generators(v)
+        gens = self._gens = h0_generators(v)
         self.nparams = sum(len(lifts) * w.dims[n] for n, lifts in gens)
         self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
         self._sections = {}
@@ -1277,9 +1279,25 @@ class NaturalitySolver:
             blocks[x] = _from_columns(cols, self.w.dims[x]) * self._sections[x]
         return ModuleMap(self.v, self.w, blocks)
 
+    @cached_property
+    def _kernel(self) -> Subspace:
+        return kernel_basis(RationalMatrix(self.rows, len(self.rows), self.nparams))
+
+    @property
+    def dim(self) -> int:
+        """dim Hom(V, W)."""
+        return self._kernel.dim
+
     def basis(self):
-        ker = kernel_basis(RationalMatrix(self.rows, len(self.rows), self.nparams))
-        return [self._solution_to_map(t) for t in ker.basis.rows]
+        return [self._solution_to_map(t) for t in self._kernel.basis.rows]
+
+    def coordinates(self, phi: ModuleMap) -> tuple | None:
+        """The coordinates of a natural phi: V -> W in ``basis()``, or None
+        when its generator values t_i = phi(u_i) lie outside the kernel.
+        Only those values are read, so phi must be natural."""
+        t = [c for n, lifts in self._gens for u in lifts for c in phi.block(n).apply(u)]
+        coords = self._kernel.coordinates(RationalMatrix([[c] for c in t], len(t), 1))
+        return None if coords is None else coords.col(0)
 
     def solve_with_conditions(self, conditions):
         """One natural map satisfying block(n) * r = c for each (n, r, c),
@@ -1298,12 +1316,10 @@ class NaturalitySolver:
         return self._solution_to_map(sol)
 
 
-def hom_space(v: TruncatedModule, w: TruncatedModule):
-    """A basis of Hom(V, W).
-
-    Requires V to carry a presentation that fits inside the window; then the
-    window solution space equals the Hom space of the untruncated modules,
-    so the answer is exact rather than an upper bound.
+def check_hom_source(v: TruncatedModule) -> None:
+    """Raise MarginError unless V carries a presentation that fits inside
+    the window; then the window solution space equals the Hom space of the
+    untruncated modules, so the answer is exact rather than an upper bound.
     """
     if v.presentation is None:
         raise MarginError("hom_space requires a presentation on the source")
@@ -1312,6 +1328,11 @@ def hom_space(v: TruncatedModule, w: TruncatedModule):
             "presentation degrees exceed the window; the hom space would "
             "only be an upper bound"
         )
+
+
+def hom_space(v: TruncatedModule, w: TruncatedModule):
+    """A basis of Hom(V, W), exact under :func:`check_hom_source`."""
+    check_hom_source(v)
     return NaturalitySolver(v, w).basis()
 
 

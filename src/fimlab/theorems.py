@@ -29,7 +29,6 @@ from .linalg import (
     kernel_basis,
     kron,
     quotient_map,
-    rank,
     rational_roots,
     solve,
     solve_matrix,
@@ -40,6 +39,7 @@ from .modules import (
     NaturalitySolver,
     Presentation,
     TruncatedModule,
+    check_hom_source,
     direct_sum,
     external_tensor,
     h0_generators,
@@ -511,14 +511,6 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
 # -- endomorphism rings ------------------------------------------------------
 
 
-def _vectorize_map(mp: ModuleMap, objs):
-    out = []
-    for n in objs:
-        for row in mp.blocks[n].rows:
-            out.extend(row)
-    return out
-
-
 @dataclass
 class EndRingData:
     dim: int
@@ -548,23 +540,20 @@ class EndRingData:
 
 
 def _min_poly_in_algebra(mult, unit, x, dim):
-    """Monic minimal polynomial coefficients (low degree first)."""
+    """Monic minimal polynomial coefficients (low degree first).
+
+    The first power of x that solves against the lower ones is the first
+    dependent one; the lower powers are independent, so the combination,
+    and with it the polynomial, is unique.
+    """
     powers = [tuple(unit)]
     cur = tuple(unit)
-    rows = [list(unit)]
     while True:
         cur = mult(cur, x)
-        stacked = RationalMatrix(rows + [list(cur)])
-        if rank(stacked) < stacked.nrows:
-            combo = solve(
-                RationalMatrix([list(p) for p in powers]).transpose(),
-                cur,
-            )
-            if combo is None:
-                raise AssertionError("dependent power is not a combination of lower ones")
+        combo = solve(RationalMatrix([list(p) for p in powers]).transpose(), cur)
+        if combo is not None:
             return [-c for c in combo] + [Fraction(1)]
         powers.append(cur)
-        rows.append(list(cur))
         if len(powers) > dim + 1:
             raise AssertionError("minimal polynomial search overflow")
 
@@ -584,34 +573,29 @@ def _poly_divide_linear(coeffs, r):
 def end_ring(v: TruncatedModule) -> EndRingData:
     """End(V) with structure constants, the radical via the trace form of
     the regular representation (char 0), and an idempotent search in the
-    semisimple quotient with Newton lifting."""
-    basis = hom_space(v, v)
+    semisimple quotient with Newton lifting.  Structure constants are the
+    Yoneda coordinates of the compositions (:meth:`NaturalitySolver.coordinates`)."""
+    check_hom_source(v)
+    solver = NaturalitySolver(v, v)
+    basis = solver.basis()
     d = len(basis)
-    objs = sorted(v.window.objects())
     if d == 0:
         return EndRingData(0, (), 0, False, False, [], (), None)
-    bmat = RationalMatrix([_vectorize_map(b, objs) for b in basis]).transpose()
     struct = []
     for a in range(d):
         row = []
         for b in range(d):
-            comp = basis[a].compose(basis[b])
-            coords = solve(bmat, _vectorize_map(comp, objs))
+            coords = solver.coordinates(basis[a].compose(basis[b]))
             if coords is None:
                 raise AssertionError("composition left the hom space")
-            row.append(tuple(coords))
+            row.append(coords)
         struct.append(tuple(row))
     struct = tuple(struct)
-    ident_coords = solve(bmat, _vectorize_map(ModuleMap.identity(v), objs))
+    ident_coords = solver.coordinates(ModuleMap.identity(v))
     if ident_coords is None:
         raise AssertionError("identity is not in the hom space")
-    # left multiplication matrices and the trace form
-    lmats = []
-    for a in range(d):
-        lmats.append(
-            RationalMatrix([[struct[a][b][e] for b in range(d)] for e in range(d)])
-        )
-    tr = [lm.trace() for lm in lmats]
+    # the trace form: tr[a] is the trace of left multiplication by basis a
+    tr = [sum((struct[a][b][b] for b in range(d)), Fraction(0)) for a in range(d)]
     gram = RationalMatrix(
         [[sum((struct[a][b][k] * tr[k] for k in range(d)), Fraction(0))
           for b in range(d)] for a in range(d)]
@@ -620,7 +604,7 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     radical_dim = rad.dim
     q = d - radical_dim
     data = EndRingData(d, struct, radical_dim, q == 1, False, basis,
-                       tuple(ident_coords), None)
+                       ident_coords, None)
     if q == 1:
         return data
 
@@ -629,25 +613,16 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     if lift is None:
         raise AssertionError("radical quotient map has no section")
 
-    def mult(xc, yc):
-        return data.multiply(xc, yc)
+    mult = data.multiply
 
     def mult_q(xq, yq):
-        xl = lift.apply(xq)
-        yl = lift.apply(yq)
-        return tuple(proj.apply(mult(xl, yl)))
+        return proj.apply(mult(lift.apply(xq), lift.apply(yq)))
 
-    unit_q = tuple(proj.apply(ident_coords))
+    unit_q = proj.apply(ident_coords)
     rng = random.Random(7)
-    candidates = []
-    for e in range(d):
-        vecq = tuple(proj.apply(tuple(Fraction(1) if i == e else Fraction(0)
-                                      for i in range(d))))
-        candidates.append(vecq)
-    for _ in range(24):
-        candidates.append(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(q))
-        )
+    candidates = [proj.col(e) for e in range(d)]  # the basis, modulo the radical
+    candidates += [tuple(Fraction(rng.randint(-3, 3)) for _ in range(q))
+                   for _ in range(24)]
     found = None
     for x in candidates:
         if all(c == 0 for c in x):
@@ -681,28 +656,20 @@ def end_ring(v: TruncatedModule) -> EndRingData:
             break
         if found is not None:
             break
-    if found is None:
-        data.search_exhausted = True
-        data.is_local = True
-        return data
-    # lift to an honest idempotent of End by Newton iteration
-    e = tuple(lift.apply(found))
-    for _ in range(30):
-        if mult(e, e) == e:
-            break
-        esq = mult(e, e)
-        ecu = mult(esq, e)
-        e = tuple(3 * a - 2 * b for a, b in zip(esq, ecu))
-    if mult(e, e) != e:
-        data.search_exhausted = True
-        data.is_local = True
-        return data
-    if all(c == 0 for c in e) or e == tuple(ident_coords):
-        data.search_exhausted = True
-        data.is_local = True
-        return data
-    data.is_local = False
-    data.idempotent_coords = e
+    if found is not None:
+        # lift to an honest idempotent of End by Newton iteration
+        e = lift.apply(found)
+        for _ in range(30):
+            esq = mult(e, e)
+            if esq == e:
+                break
+            e = tuple(3 * a - 2 * b for a, b in zip(esq, mult(esq, e)))
+        if mult(e, e) == e and any(e) and e != ident_coords:
+            data.is_local = False
+            data.idempotent_coords = e
+            return data
+    data.search_exhausted = True
+    data.is_local = True
     return data
 
 
@@ -742,11 +709,11 @@ def ext1_vanishes(v: TruncatedModule, i_mod: TruncatedModule) -> ExtReport:
         raise MarginError("ext1 needs a presented module inside the window")
     p, _, k, _ = free_cover(v)
     status = EXACT if _is_window_finite(i_mod) else WINDOW_BOUNDED
-    dim_hom_k = len(NaturalitySolver(k, i_mod).basis())
+    dim_hom_k = NaturalitySolver(k, i_mod).dim
     if dim_hom_k == 0:
         return ExtReport(0, True, status)
     dim_hom_p = sum(i_mod.dims[n] for n, _ in p.presentation.generator_slots)
-    dim_ext = dim_hom_k - (dim_hom_p - len(NaturalitySolver(v, i_mod).basis()))
+    dim_ext = dim_hom_k - (dim_hom_p - NaturalitySolver(v, i_mod).dim)
     return ExtReport(dim_ext, dim_ext == 0, status)
 
 

@@ -155,6 +155,20 @@ def test_functor_names_a_malformed_coordinate_flag(tmp_path, capsys, i):
     assert payload["error"].startswith("-i:")
 
 
+@pytest.mark.parametrize("command", ["homology", "torsion", "shift-theorem"])
+@pytest.mark.parametrize("S,message", [
+    ("a", "--S: expected comma-separated integers, got 'a'"),
+    ("", "--S: coordinate subset must be nonempty"),
+    ("5", "--S: subset (5,) out of range for m=1"),
+])
+def test_subset_flag_errors_name_the_flag(tmp_path, capsys, command, S, message):
+    mod = tmp_path / "f1.json"
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "3", "-o", str(mod))
+    code, payload = run_cli(capsys, command, str(mod), "--S", S)
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"] == message
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["shift-theorem", "--S", "1", "--max-n", "-1"], "--max-n"),
     (["cogenerate", "--max-shift", "-2"], "--max-shift"),

@@ -512,6 +512,116 @@ def test_hom_matches_the_definition():
         assert span == oracle, (v.name, w.name)
 
 
+# -- Yoneda coordinates against a solve ------------------------------------
+
+
+def _coordinates_by_solve(basis, phi):
+    """The route ``NaturalitySolver.coordinates`` replaced in end_ring:
+    vectorize the basis maps and solve for phi's vector."""
+    from fimlab.linalg import solve
+
+    if not basis:
+        return () if all(b.is_zero() for b in phi.blocks.values()) else None
+    bmat = RationalMatrix([_vectorized(b) for b in basis]).transpose()
+    return solve(bmat, _vectorized(phi))
+
+
+def _check_coordinates(solver, maps):
+    """``coordinates`` agrees with the solve, and sum c_a basis_a rebuilds
+    each map at every object, where the runtime check reads only the
+    generator values."""
+    basis = solver.basis()
+    assert solver.dim == len(basis)
+    for phi in maps:
+        coords = solver.coordinates(phi)
+        assert coords is not None and coords == _coordinates_by_solve(basis, phi)
+        rebuilt = ModuleMap.zero(solver.v, solver.w)
+        for c, b in zip(coords, basis):
+            rebuilt = rebuilt.add(b.scale(c))
+        assert rebuilt.blocks == phi.blocks
+
+
+def test_coordinates_match_the_solve_on_the_oracle_pairs():
+    from fimlab.modules import NaturalitySolver
+
+    for v, w in _oracle_pairs():
+        solver = NaturalitySolver(v, w)
+        basis = solver.basis()
+        maps = list(basis)
+        if basis:
+            combo = basis[0]
+            for k, b in enumerate(basis[1:], 2):
+                combo = combo.add(b.scale((-1) ** k * k))
+            maps.append(combo)
+        if v is w:
+            maps += [a.compose(b) for a in basis for b in basis]
+            maps.append(ModuleMap.identity(v))
+        _check_coordinates(solver, maps)
+
+
+def test_end_ring_structure_constants_match_the_solve():
+    from fimlab.modules import NaturalitySolver
+    from fimlab.theorems import end_ring
+
+    w = Window((3,))
+    mods = [
+        direct_sum(make_free((1,), w, TRIV), make_free((1,), w, TRIV))[0],
+        direct_sum(make_free((1,), w, TRIV), make_cofree((1,), w, TRIV))[0],
+        external_tensor(make_induced(((1,),), w, TRIV),
+                        make_coinduced(((1,),), w, TRIV)),
+        external_tensor(make_coinduced(((2,),), w, TRIV),
+                        make_induced(((1, 1),), w, TRIV)),
+        external_tensor(make_induced(((1, 1),), w, TRIV),
+                        make_induced(((1, 1),), w, TRIV)),
+    ]
+    for v in mods:
+        er = end_ring(v)
+        solver = NaturalitySolver(v, v)
+        comps = [a.compose(b) for a in er.basis for b in er.basis]
+        _check_coordinates(solver, comps + [ModuleMap.identity(v)])
+        assert solver.dim == er.dim == len(er.basis)
+        flat = [c for row in er.structure_constants for c in row]
+        assert flat == [_coordinates_by_solve(er.basis, comp) for comp in comps]
+        assert er.identity_coords == _coordinates_by_solve(er.basis, ModuleMap.identity(v))
+
+
+def test_coordinates_reject_generator_values_outside_the_kernel():
+    """Hom(point, F(0)) = 0: the map sending the point's generator to 1 is
+    not natural, and its generator value lies outside the kernel."""
+    from fimlab.modules import NaturalitySolver
+    from fimlab.samples import point_module
+
+    w = Window((3,))
+    v, t = point_module(w), make_free((0,), w, TRIV)
+    solver = NaturalitySolver(v, t)
+    assert solver.nparams == 1 and solver.dim == 0
+    blocks = {n: RationalMatrix.zeros(t.dims[n], v.dims[n]) for n in w.objects()}
+    blocks[(0,)] = RationalMatrix.identity(1)
+    assert solver.coordinates(ModuleMap(v, t, blocks)) is None
+    assert solver.coordinates(ModuleMap.zero(v, t)) == ()
+
+
+def test_map_predicates_match_the_inverse_and_the_kernel():
+    """is_iso and is_injective_objectwise take a rank per block; the oracle
+    is the route they replaced, an inverse and a kernel per block."""
+    from fimlab.linalg import inverse, kernel_basis
+
+    w = Window((3,))
+    v, inclusions = direct_sum(make_free((1,), w, TRIV), make_cofree((1,), w, TRIV))
+    maps = hom_space(v, v) + [ModuleMap.identity(v), ModuleMap.zero(v, v)]
+    maps += list(inclusions)
+    maps += [m for a, b in _oracle_pairs()[:6] for m in hom_space(a, b)]
+    verdicts = set()
+    for mp in maps:
+        blocks = mp.blocks.values()
+        iso = all(b.nrows == b.ncols and (b.nrows == 0 or inverse(b) is not None)
+                  for b in blocks)
+        injective = all(kernel_basis(b).dim == 0 for b in blocks)
+        assert mp.is_iso() == iso and mp.is_injective_objectwise() == injective
+        verdicts.add((iso, injective))
+    assert verdicts >= {(True, True), (False, True), (False, False)}
+
+
 def test_hom_of_free_has_one_parameter_block():
     """Hom(F(2), F(2)) is F(2)(2): one generator, two parameters, no
     constraint, two maps."""
