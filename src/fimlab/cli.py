@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one of %s, an alias (%s), or 'all'"
         % (sorted(SUITES), sorted(ALIASES)),
     )
-    vp.add_argument("--window", help="accepted for compatibility; suites pin windows")
     vp.add_argument("--seed", type=int)
     vp.add_argument("--config", help="key=value config file")
     vp.set_defaults(func=cmd_verify_paper)

@@ -105,12 +105,8 @@ def shift(v: TruncatedModule, i: int) -> TruncatedModule:
         else:
             _, j, n = key
             actions[key] = v.actions[("grp", j, add(n, oi))]
-    pres = v.presentation
-    if pres is not None:
-        # shifting preserves generation and relation degree bounds
-        pres = Presentation(pres.generator_slots, pres.relation_bound,
-                            pres.observed_only)
-    return TruncatedModule(new_window, v.group, dims, actions, pres,
+    # shifting preserves generation and relation degree bounds
+    return TruncatedModule(new_window, v.group, dims, actions, v.presentation,
                            f"Shift{i}({v.name})" if v.name else "")
 
 

@@ -132,16 +132,10 @@ class Presentation:
 
     @staticmethod
     def make(slots, relation_bound, observed_only=False):
-        norm = []
-        for item in slots:
-            if isinstance(item, tuple) and len(item) == 2 and (
-                item[1] is None or isinstance(item[1], tuple)
-            ) and not isinstance(item[0], int):
-                norm.append((tuple(item[0]), item[1]))
-            else:
-                norm.append((tuple(item), None))
+        """From (object, label) pairs and a bound, as tuples."""
+        norm = tuple((tuple(obj), lab) for obj, lab in slots)
         rb = None if relation_bound is None else tuple(relation_bound)
-        return Presentation(tuple(norm), rb, observed_only)
+        return Presentation(norm, rb, observed_only)
 
     def gen_bound(self, m: int) -> tuple:
         bound = [0] * m
@@ -755,37 +749,29 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
 
 
 def close_under_actions(v: TruncatedModule, seeds) -> dict:
-    """Smallest action-stable family of subspaces containing the seeds."""
-    spaces = {n: Subspace.zero(v.dims[n]) for n in v.window.objects()}
-    for n, s in seeds.items():
-        n = tuple(n)
-        if isinstance(s, Subspace):
-            spaces[n] = spaces[n].add(s)
-        else:
-            spaces[n] = spaces[n].add(Subspace.from_spanning(v.dims[n], s))
-    changed = True
-    while changed:
-        changed = False
-        for key in generator_keys(v.window, v.group):
-            src, tgt = key_ends(key)
-            if spaces[src].dim == 0:
-                continue
-            img_vecs = (v.actions[key] * spaces[src].basis.transpose()).transpose()
-            new = spaces[tgt].add(Subspace.from_spanning(v.dims[tgt], img_vecs.rows))
-            if new.dim != spaces[tgt].dim:
-                spaces[tgt] = new
-                changed = True
+    """Smallest action-stable family of subspaces containing the seed
+    subspaces, keyed in ``window.objects()`` order.
+
+    One pass in increasing degree: every positive-degree morphism into n
+    factors through some n - o_i, so the family at n is spanned by the
+    images of the family one degree down plus the automorphism closure of
+    n's seed.
+    """
+    full_s = tuple(range(1, v.m + 1))
+    spaces = dict.fromkeys(v.window.objects())
+    for n in v.window.objects_by_degree():
+        span = _images_from_below(v, full_s, n, spaces)
+        seed = seeds.get(n)
+        if seed is not None and seed.dim:
+            span = _close_subspace_under(_automorphism_mats(v, n), span.add(seed))
+        spaces[n] = span
     return spaces
 
 
 def submodule_generated(v: TruncatedModule, seeds, name=""):
-    """The submodule generated by the seed vectors, with its inclusion."""
+    """The submodule generated by the seed subspaces, with its inclusion."""
     spaces = close_under_actions(v, seeds)
-    slots = [
-        (tuple(n), None)
-        for n, s in seeds.items()
-        if (s.dim if isinstance(s, Subspace) else len(list(s))) > 0
-    ]
+    slots = [(n, None) for n, s in seeds.items() if s.dim > 0]
     pres = Presentation.make(slots, None)
     return submodule_from_stable_subspaces(v, spaces, pres, name)
 
@@ -1121,8 +1107,7 @@ def _close_subspace_under(mats, space: Subspace) -> Subspace:
         for mat in mats:
             if space.dim in (0, space.ambient_dim):
                 return space
-            img = (mat * space.basis.transpose()).transpose()
-            new = Subspace.from_spanning(space.ambient_dim, space.basis.rows + img.rows)
+            new = space.add(image_basis(mat * space.basis.transpose()))
             if new.dim != space.dim:
                 space = new
                 changed = True
@@ -1136,22 +1121,45 @@ def _automorphism_mats(v: TruncatedModule, n) -> list:
     return mats + [v.actions[("grp", j, n)] for j in range(len(v.group.generators))]
 
 
-def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
-    """(I_S V)(n): the span of images of all positive-S-degree morphisms,
-    computed as the automorphism closure of the standard-inclusion images.
+def _images_from_below(v: TruncatedModule, S, n, below) -> Subspace:
+    """The span at n of the images of ``below[n - o_i]`` (all of
+    V(n - o_i) when ``below`` is None) under every injection n - o_i -> n,
+    for i in S.
 
-    Any injection of positive S-degree factors as an automorphism after a
-    standard inclusion, so closing the inclusion images under the swap and
-    group generators at n captures every image.
+    Up to automorphisms of n - o_i, such an injection is fixed by the point
+    it misses in coordinate i: the standard inclusion misses 1, and
+    swap_(i,k) after the injection missing k misses k + 1.  An action-stable
+    ``below`` is kept in place by those automorphisms (and the group), so
+    n_i moved images per i span everything.  Stops once the span is full.
     """
-    n = tuple(n)
-    total = Subspace.zero(v.dims[n])
+    d = v.dims[n]
+    span = Subspace.zero(d)
     for i in S:
         if n[i - 1] == 0:
             continue
-        below = sub(n, unit(v.m, i))
-        total = total.add(image_basis(v.actions[("incl", i, below)]))
-    return _close_subspace_under(_automorphism_mats(v, n), total)
+        low = sub(n, unit(v.m, i))
+        img = v.actions[("incl", i, low)]
+        if below is not None:
+            img = img * below[low].basis.transpose()
+        if img.is_zero():
+            continue
+        for k in range(1, n[i - 1] + 1):
+            span = image_basis(span.basis.transpose().hstack(img))
+            if span.dim == d:
+                return span
+            if k < n[i - 1]:
+                img = v.actions[("swap", i, k, n)] * img
+    return span
+
+
+def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
+    """(I_S V)(n): the span of images of all positive-S-degree morphisms.
+
+    Each such morphism factors through some n - o_i -> n with i in S, so
+    this is the span of the images of the V(n - o_i)
+    (:func:`_images_from_below`).
+    """
+    return _images_from_below(v, S, tuple(n), None)
 
 
 def h0_generators(v: TruncatedModule) -> list:

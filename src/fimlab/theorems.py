@@ -772,18 +772,10 @@ def identify_summands(x: TruncatedModule, members, seed: int = 0,
         img_fam = {}
         coimg_fam = {}
         for n in mod.window.objects():
-            img = image_basis(e_map.blocks[n])
             one_minus = RationalMatrix.identity(mod.dims[n]) - e_map.blocks[n]
-            coimg = image_basis(one_minus)
-            # convert to x coordinates through the inclusion
-            img_fam[n] = Subspace.from_spanning(
-                x.dims[n],
-                (incl.blocks[n] * img.basis.transpose()).transpose().rows,
-            )
-            coimg_fam[n] = Subspace.from_spanning(
-                x.dims[n],
-                (incl.blocks[n] * coimg.basis.transpose()).transpose().rows,
-            )
+            # the images of e and 1 - e, in x coordinates through the inclusion
+            img_fam[n] = image_basis(incl.blocks[n] * e_map.blocks[n])
+            coimg_fam[n] = image_basis(incl.blocks[n] * one_minus)
         stack.append(img_fam)
         stack.append(coimg_fam)
     matches = []

@@ -179,3 +179,11 @@ def test_negative_search_bound_exits_2_naming_the_flag(tmp_path, capsys, argv, f
     code, payload = run_cli(capsys, argv[0], str(mod), *argv[1:])
     assert code == 2 and payload["type"] == "ValueError"
     assert payload["error"].startswith(f"{flag}:")
+
+
+def test_verify_paper_has_no_window_flag(capsys):
+    """Suites pin their windows, so ``--window`` is an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--suite", "roundtrip", "--window", "3"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimlab.category import GroupTable, Window, enumerate_injections, leq
 from fimlab.linalg import RationalMatrix, Subspace
@@ -510,6 +512,101 @@ def test_hom_matches_the_definition():
         span = Subspace.from_spanning(oracle.ambient_dim,
                                       [_vectorized(mp) for mp in basis])
         assert span == oracle, (v.name, w.name)
+
+
+# -- generated submodules and I_S V against the definitions ------------------
+
+
+_GROUPS = {"trivial": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
+
+
+def _close_by_sweep(v, seeds):
+    """The global sweep ``close_under_actions`` replaced, kept as the
+    reference: push the family along every generator until nothing grows."""
+    from fimlab.category import generator_keys, key_ends
+    from fimlab.linalg import image_basis
+
+    spaces = {n: Subspace.zero(v.dims[n]) for n in v.window.objects()}
+    for n, s in seeds.items():
+        spaces[n] = spaces[n].add(s)
+    changed = True
+    while changed:
+        changed = False
+        for key in generator_keys(v.window, v.group):
+            src, tgt = key_ends(key)
+            img = image_basis(v.actions[key] * spaces[src].basis.transpose())
+            new = spaces[tgt].add(img)
+            if new.dim != spaces[tgt].dim:
+                spaces[tgt] = new
+                changed = True
+    return spaces
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 3), (5,)]), st.sampled_from(sorted(_GROUPS)),
+       st.integers(0, 500), st.randoms(use_true_random=False))
+def test_close_under_actions_matches_the_sweep(bound, group, module_seed, rnd):
+    from fimlab.samples import random_presented_module
+
+    v = random_presented_module(Window(bound), module_seed, _GROUPS[group])
+    objs = v.window.objects()
+    seeds = {}
+    for n in rnd.sample(objs, rnd.randint(1, 3)):
+        vecs = [[rnd.randint(-2, 2) for _ in range(v.dims[n])]
+                for _ in range(rnd.randint(1, 2))]
+        seeds[n] = Subspace.from_spanning(v.dims[n], vecs)
+    got = close_under_actions(v, seeds)
+    assert list(got) == objs
+    assert got == _close_by_sweep(v, seeds)
+
+
+def _image_by_definition(v, S, n):
+    """(I_S V)(n) from the definition: the span of V(beta) over every
+    injection beta: a -> n of positive S-degree."""
+    cols = []
+    for a in v.window.objects():
+        if leq(a, n) and any(a[i - 1] < n[i - 1] for i in S):
+            for beta in enumerate_injections(a, n):
+                cols.extend(v.evaluate(beta).transpose().rows)
+    return Subspace.from_spanning(v.dims[n], cols)
+
+
+@pytest.mark.parametrize("group", ["S2", "C3"])
+@pytest.mark.parametrize("bound", [(3, 3), (4,)])
+def test_positive_degree_image_matches_the_definition(bound, group):
+    from itertools import combinations
+
+    from fimlab.modules import positive_degree_image
+    from fimlab.samples import random_presented_module
+
+    window, g = Window(bound), _GROUPS[group]
+    subsets = [S for r in range(1, window.m + 1)
+               for S in combinations(range(1, window.m + 1), r)]
+    mods = [make_free((1,) * window.m, window, g)]
+    mods += [random_presented_module(window, s, g) for s in range(2)]
+    for v in mods:
+        for n in window.objects():
+            for S in subsets:
+                assert positive_degree_image(v, S, n) == _image_by_definition(v, S, n)
+
+
+def test_no_fixpoint_sweeps(monkeypatch):
+    """I_S V(n) takes no automorphism closure, and a generated family takes
+    no sweep over the generator keys."""
+    import fimlab.modules as modules
+
+    def forbidden(*args):
+        raise AssertionError("fixpoint sweep")
+
+    v = make_free((1, 0), Window((3, 3)), GroupTable.symmetric(2))
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_close_subspace_under", forbidden)
+        for n in v.window.objects():
+            modules.positive_degree_image(v, (1, 2), n)
+    monkeypatch.setattr(modules, "generator_keys", forbidden)
+    seed = Subspace.from_spanning(v.dims[(1, 1)], [range(v.dims[(1, 1)])])
+    spaces = close_under_actions(v, {(1, 1): seed})
+    assert spaces[(3, 3)].dim > 0
 
 
 # -- Yoneda coordinates against a solve ------------------------------------
