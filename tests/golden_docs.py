@@ -126,25 +126,42 @@ def _specht_modules():
                    make_coinduced((lam,), w3, group).to_json())
         yield (f"induced/(1,)x(1,)/{gname}",
                make_induced(((1,), (1,)), Window((2, 2)), group).to_json())
+        w23 = Window((2, 3))
+        yield (f"induced/(1,)x(2,)/{gname}",
+               make_induced(((1,), (2,)), w23, group).to_json())
+        yield (f"coinduced/(1, 1)x(1,)/{gname}",
+               make_coinduced(((1, 1), (1,)), Window((2, 2)), group).to_json())
         if gname != "1":
             regular = GroupRep.regular(group)
             yield (f"induced/(1,)/{gname}/regular",
                    make_induced(((1,),), w3, group, g_rep=regular).to_json())
+            yield (f"induced/(1,)x(2,)/{gname}/regular",
+                   make_induced(((1,), (2,)), w23, group, g_rep=regular).to_json())
+    yield ("coinduced/(2, 1)/1/(4,)",
+           make_coinduced(((2, 1),), Window((4,))).to_json())
 
 
 def _induced_modules():
     """F_s(W) for R_s-modules W carrying Aut(s) x G, over S = (1,), (2,)
-    and (1,2), with free, regular and trivial Aut(s) x G actions."""
-    for gname in ("S2", "C3"):
-        group = GROUPS[gname]
-        cases = [
-            ((1,), (1,), (2, 2), make_free((1,), Window((2,)), rs_group((1,), group))),
-            ((2,), (1,), (3, 2), ind(make_free((0,), Window((2,))), rs_group((2,), group))),
-            ((1,), (2,), (2, 2), with_trivial_group_action(
-                make_free((1,), Window((2,))), rs_group((1,), group))),
-            ((1, 1), (1, 2), (2, 2, 1), ind(make_free((0,), Window((1,))),
-                                             rs_group((1, 1), group))),
-        ]
+    and (1,2), with free, regular and trivial Aut(s) x G actions; s = (3,)
+    has a non-abelian Aut(s)."""
+    for gname, group in GROUPS.items():
+        cases = []
+        if gname != "C3":
+            cases.append(((3,), (1,), (3, 1), ind(make_free((0,), Window((1,))),
+                                                  rs_group((3,), group))))
+        if gname != "1":
+            cases += [
+                ((1,), (1,), (2, 2), make_free((1,), Window((2,)), rs_group((1,), group))),
+                ((2,), (1,), (3, 2), ind(make_free((0,), Window((2,))),
+                                         rs_group((2,), group))),
+                ((1,), (2,), (2, 2), with_trivial_group_action(
+                    make_free((1,), Window((2,))), rs_group((1,), group))),
+                ((1, 1), (1, 2), (2, 2, 1), ind(make_free((0,), Window((1,))),
+                                                 rs_group((1, 1), group))),
+                ((2, 1), (1, 2), (2, 1, 1), ind(make_free((1,), Window((1,))),
+                                                 rs_group((2, 1), group))),
+            ]
         for s, S, bound, w_rs in cases:
             mod, incl = induced_module(s, S, w_rs, group, Window(bound))
             tag = f"induced_module/{gname}/{s}/{S}"
