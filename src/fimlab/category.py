@@ -422,6 +422,13 @@ def swap_morphism(n: Obj, i: int, k: int) -> Morphism:
     return Morphism(n, n, tuple(maps), 0)
 
 
+def aut_swaps(n: Obj) -> list:
+    """The adjacent transpositions generating Aut(n) = S_{n_1} x ... x
+    S_{n_m}, as (coordinate, k) for the swap of k and k+1: the generator
+    order of ``functors.aut_table(n)`` and of the swap keys at n."""
+    return [(i, k) for i, x in enumerate(n, start=1) for k in range(1, x)]
+
+
 def group_morphism(n: Obj, g: int) -> Morphism:
     mor = identity_morphism(n)
     return Morphism(mor.source, mor.target, mor.maps, g)
@@ -435,9 +442,7 @@ def generator_keys(window: Window, group: GroupTable):
         for i in range(1, m + 1):
             if n[i - 1] + 1 <= window.bound[i - 1]:
                 keys.append(("incl", i, n))
-        for i in range(1, m + 1):
-            for k in range(1, n[i - 1]):
-                keys.append(("swap", i, k, n))
+        keys.extend(("swap", i, k, n) for i, k in aut_swaps(n))
         for j in range(len(group.generators)):
             keys.append(("grp", j, n))
     return keys

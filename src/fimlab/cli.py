@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .category import GroupTable, Window
+from .category import GroupTable, Window, _is_int
 from .modules import (
     TruncatedModule,
     external_tensor,
@@ -40,6 +40,7 @@ from .functors import (
 from .homology import detect_torsion, h1
 from .theorems import cogenerate, end_ring, shift_theorem_search
 from .suites import ALIASES, SUITES, run_all, run_suite
+from .symrep import check_partition
 
 
 def load_config(path) -> dict:
@@ -86,15 +87,22 @@ def _flag_subset(text, flag: str, m: int) -> tuple:
 
 
 def _flag_lambdas(text) -> tuple:
-    """The partitions of --lambdas; a missing or malformed value raises a
-    ValueError that names the flag."""
+    """The partitions of --lambdas; a missing or malformed value, or one
+    that is not a list of partitions, raises a ValueError that names the
+    flag."""
     if text is None:
         raise ValueError("--lambdas: required")
     try:
-        return tuple(tuple(p) for p in json.loads(text))
+        lambdas = tuple(tuple(p) for p in json.loads(text))
+        if not all(_is_int(x) for p in lambdas for x in p):
+            raise TypeError
     except (TypeError, ValueError):
         raise ValueError(f"--lambdas: expected a JSON list of integer lists, "
                          f"got {text!r}") from None
+    try:
+        return tuple(check_partition(p) for p in lambdas)
+    except ValueError as exc:
+        raise ValueError(f"--lambdas: {exc}") from None
 
 
 def _flag_bound(value: int, flag: str) -> int:

@@ -9,20 +9,21 @@ returning boundary data of unknown validity.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import comb, prod
 
 from .category import (
     GroupTable,
     Window,
     add,
+    aut_swaps,
     enumerate_injections,
     generator_keys,
     injection_index_table,
-    invert_perm,
     key_ends,
     leq,
     sub,
+    swap_morphism,
     unit,
 )
 from .linalg import (
@@ -37,8 +38,8 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
-    _aut_elements,
     _aut_right_action_matrix,
+    _fixed_space,
     direct_sum,
     make_free,
     quotient,
@@ -225,20 +226,12 @@ def kernel_sum(v: TruncatedModule, S) -> TruncatedModule:
 
 
 def aut_table(s) -> GroupTable:
-    """Aut(s) = S_{s_1} x ... x S_{s_k} as a table group, left-fold order."""
+    """Aut(s) = S_{s_1} x ... x S_{s_k} as a table group, left-fold order;
+    its generators are the swaps of ``aut_swaps(s)``, in that order."""
     table = GroupTable.trivial()
     for x in s:
         table = GroupTable.product(table, GroupTable.symmetric(x))
     return table
-
-
-def aut_element_index(s, sigma) -> int:
-    """Index of (sigma_1, ..., sigma_k) in aut_table(s)."""
-    idx = 0
-    for x, si in zip(s, sigma):
-        perms = list(itertools.permutations(range(1, x + 1)))
-        idx = idx * len(perms) + perms.index(tuple(si))
-    return idx
 
 
 def rs_group(s, group: GroupTable) -> GroupTable:
@@ -347,9 +340,11 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     ``w_rs`` lives over the complement coordinates and carries the product
     group Aut(s) x G (aut generators first); the value of the result at
     (s' x t) is the Aut(s)-balanced tensor of the free module at s with
-    W(t), realized as the image of the averaging idempotent inside
-    Inj(s, s') x W(t).  Returns (module, inclusion) like
-    :func:`submodule_from_stable_subspaces`.
+    W(t), realized as the vectors of Inj(s, s') x W(t) fixed by each swap
+    sigma of Aut(s), acting by beta -> beta o sigma paired with W's action
+    of sigma.  Aut(s) acts freely on Inj(s, s'), so the value has dimension
+    prod_i C(s'_i, s_i) * dim W(t); a mismatch raises ValueError.  Returns
+    (module, inclusion) like :func:`submodule_from_stable_subspaces`.
     """
     m = window.m
     S = normalize_subset(S, m)
@@ -369,34 +364,29 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         if window.bound[i - 1] < s[pos]:
             raise MarginError("window too small for the inducing object")
 
-    auts = _aut_elements(s)
-    og = group.order
+    swaps = [swap_morphism(s, c, k) for c, k in aut_swaps(s)]
     # Inj(s, s') is the value of F(s) at s', and the S-coordinate generators
     # act on it as they act on F(s)
     free_s = make_free(s, Window(tuple(window.bound[i - 1] for i in S)))
 
-    # big space at (s' x t): Inj(s, s') x W(t); idempotent image subspaces
+    # big space at (s' x t): Inj(s, s') x W(t); fixed subspaces of the swaps,
+    # each an involution paired with W's aut generator of the same index
     spaces = {}
     big_dims = {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        ninj = free_s.dims[s_part]
-        d = big_dims[n] = ninj * w_rs.dims[t_part]
+        d = big_dims[n] = free_s.dims[s_part] * w_rs.dims[t_part]
         if d == 0:
             spaces[n] = Subspace.zero(0)
             continue
-        rho = w_rs.group_elements_at(t_part)
-        acc = RationalMatrix.zeros(d, d)
-        for sigma in auts:
-            # right action of sigma pairs with rho of (sigma^{-1}, 1_G)
-            perm = _aut_right_action_matrix(s, s_part, sigma, _TRIV, 0)
-            sigma_inv = tuple(invert_perm(si) for si in sigma)
-            gp_idx = aut_element_index(s, sigma_inv) * og
-            acc = acc + kron(perm, rho[gp_idx])
-        e = acc.scale(Fraction(1, len(auts)))
-        if e * e != e:
-            raise AssertionError("averaging idempotent failed")
-        spaces[n] = image_basis(e)
+        mats = [kron(_aut_right_action_matrix(s, s_part, sw, _TRIV, 0),
+                     w_rs.actions[("grp", j, t_part)])
+                for j, sw in enumerate(swaps)]
+        spaces[n] = _fixed_space(d, mats)
+        expected = prod(comb(a, b) for a, b in zip(s_part, s)) * w_rs.dims[t_part]
+        if spaces[n].dim != expected:
+            raise ValueError(f"induced value at {n} has dimension "
+                             f"{spaces[n].dim}, expected {expected}")
 
     # generator actions on the big spaces, then restrict
     big_actions = {}
@@ -406,7 +396,7 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         ninj_src = free_s.dims[s_src]
         if key[0] == "grp":
             # G sits after the aut generators in the product group
-            wkey = ("grp", len(aut_table(s).generators) + key[1], t_src)
+            wkey = ("grp", len(swaps) + key[1], t_src)
             big_actions[key] = kron(
                 RationalMatrix.identity(ninj_src), w_rs.actions[wkey]
             )

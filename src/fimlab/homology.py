@@ -18,6 +18,7 @@ from .category import (
     Morphism,
     Window,
     add,
+    aut_swaps,
     count_injections,
     degree,
     enumerate_injections,
@@ -69,11 +70,7 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
     for t in new_window.objects():
         dims[t] = v.dims[interleave(S, not_S, s, t)]
     actions = {}
-    n_aut_gens = sum(max(0, x - 1) for x in s)
-    aut_gen_list = []
-    for pos, x in enumerate(s):
-        for k in range(1, x):
-            aut_gen_list.append((S[pos], k))
+    aut_gens = aut_swaps(s)
     for key in generator_keys(new_window, group):
         if key[0] == "incl":
             _, j, t = key
@@ -86,11 +83,11 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
         else:
             _, j, t = key
             full = interleave(S, not_S, s, t)
-            if j < n_aut_gens:
-                coord, k = aut_gen_list[j]
-                actions[key] = v.actions[("swap", coord, k, full)]
+            if j < len(aut_gens):
+                pos, k = aut_gens[j]
+                actions[key] = v.actions[("swap", S[pos - 1], k, full)]
             else:
-                actions[key] = v.actions[("grp", j - n_aut_gens, full)]
+                actions[key] = v.actions[("grp", j - len(aut_gens), full)]
     return TruncatedModule(new_window, group, dims, actions, None,
                            f"{v.name}[[{s}]]" if v.name else "")
 

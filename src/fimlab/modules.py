@@ -14,30 +14,31 @@ the untruncated modules.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import prod
+from functools import cached_property, reduce
+from math import comb, prod
 
 from .category import (
     GroupTable,
     Morphism,
     Window,
     add,
+    aut_swaps,
     compose,
     degree,
     enumerate_injections,
     factor_morphism,
     generator_keys,
+    identity_morphism,
     injection_index_table,
-    invert_perm,
     json_field,
     key_ends,
     leq,
     morphism_of_key,
     sub,
+    swap_morphism,
     unit,
     _is_int,
 )
@@ -303,10 +304,7 @@ class TruncatedModule:
         m = self.m
         ident = {n: RationalMatrix.identity(d) for n, d in self.dims.items()}
         for n in self.window.objects():
-            swaps = {}
-            for i in range(1, m + 1):
-                for k in range(1, n[i - 1]):
-                    swaps[(i, k)] = self.actions[("swap", i, k, n)]
+            swaps = {(i, k): self.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
             for (i, k), s in swaps.items():
                 check(s * s == ident[n], f"swap ({i},{k}) at {n} is not an involution")
             for (i, k), s in swaps.items():
@@ -703,23 +701,16 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
     return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
 
 
-def _aut_elements(n):
-    """Elements of Aut(n) as tuples of image tuples, with their index."""
-    per_coord = [list(itertools.permutations(range(1, x + 1))) for x in n]
-    return list(itertools.product(*per_coord))
-
-
 def _aut_right_action_matrix(n, t, sigma, group: GroupTable, g: int):
-    """Right action of (sigma, g) on the basis of the free module at t:
-    (beta, h) -> (beta o sigma, h * g)."""
+    """Right action of (sigma, g), sigma an automorphism of n, on the basis
+    of the free module at t: (beta, h) -> (beta o sigma, h * g)."""
     injs = enumerate_injections(n, t)
     index = injection_index_table(n, t)
     og = group.order
     d = len(injs) * og
     mat = [[_ZERO] * d for _ in range(d)]
-    sig_mor = Morphism(n, n, sigma, 0)
     for bi, beta in enumerate(injs):
-        comp = compose(beta, sig_mor)
+        comp = compose(beta, sigma)
         ni = index[comp.maps]
         for h in range(og):
             mat[ni * og + group.mult[h][g]][bi * og + h] = _ONE
@@ -977,12 +968,36 @@ def _tensor_with_const(v: TruncatedModule, dim_x: int) -> TruncatedModule:
     return TruncatedModule(v.window, v.group, dims, actions)
 
 
+def _fixed_space(d: int, mats) -> Subspace:
+    """The vectors of Q^d fixed by every matrix in ``mats``: the invariants
+    of the group they generate, as the kernel of the stacked (A - I)."""
+    ident = RationalMatrix.identity(d)
+    rows = [row for mat in mats for row in (mat - ident).rows]
+    return kernel_basis(RationalMatrix(rows, len(rows), d))
+
+
+def _specht_swaps(n, spechts, tail_dim: int = 1) -> list:
+    """Per entry of aut_swaps(n), the adjacent swap on the outer Specht
+    product, tensored with the identity on a trailing factor."""
+    return [
+        reduce(kron, [sp.gens[k - 1] if j == i else RationalMatrix.identity(sp.dim)
+                      for j, sp in enumerate(spechts, start=1)]
+               + [RationalMatrix.identity(tail_dim)])
+        for i, k in aut_swaps(n)
+    ]
+
+
 def make_induced(lambdas, window: Window, group: GroupTable | None = None,
                  g_rep=None, name: str = "") -> TruncatedModule:
-    """The induced module at the Specht data: image of the symmetrizing
-    idempotent on (free module) x (outer Specht product) x (group rep).
+    """The induced module at the Specht data: the vectors of (free module)
+    x X, X = (outer Specht product) x (group rep), fixed by the generators
+    of Aut(n) x G, where (sigma, g) acts on injections x G from the right
+    and by the inverse on X.
 
     ``g_rep`` is a symrep.GroupRep for the group factor (default trivial).
+    Aut(n) x G acts freely on injections x G, so the value at t has
+    dimension prod_i C(t_i, n_i) * dim X; a mismatch, as from a ``g_rep``
+    that is not a representation, raises ValueError.
     """
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)
@@ -994,33 +1009,28 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     if g_rep is None:
         g_rep = GroupRep.trivial(group)
     spechts = [specht(l) for l in lambdas]
-    dim_x = prod(r.dim for r in spechts) * g_rep.dim
-    base = make_free(n, window, group)
-    big = _tensor_with_const(base, dim_x)
-    rho_g = g_rep.elements()
-    auts = _aut_elements(n)
-    norm = Fraction(1, len(auts) * group.order)
+    dim_s = prod(r.dim for r in spechts)
+    dim_x = dim_s * g_rep.dim
+    big = _tensor_with_const(make_free(n, window, group), dim_x)
+    swaps = [swap_morphism(n, i, k) for i, k in aut_swaps(n)]
+    x_swaps = _specht_swaps(n, spechts, g_rep.dim)
+    # a generator g is fixed together with its inverse: R(1, g^-1) x rho(g)
+    x_grp = [kron(RationalMatrix.identity(dim_s), mat) for mat in g_rep.gen_mats]
     spaces = {}
     for t in window.objects():
-        d = big.dims[t]
-        if d == 0:
+        if big.dims[t] == 0:
             spaces[t] = Subspace.zero(0)
             continue
-        acc = RationalMatrix.zeros(d, d)
-        for sigma in auts:
-            # pair the right action of (sigma, g) with rho of the inverse,
-            # so the diagonal assignment is a homomorphism
-            sigma_inv = tuple(invert_perm(si) for si in sigma)
-            x_mat = RationalMatrix.identity(1)
-            for s, si in zip(spechts, sigma_inv):
-                x_mat = kron(x_mat, s.matrix_of_perm(si))
-            for g in range(group.order):
-                r_mat = _aut_right_action_matrix(n, t, sigma, group, g)
-                acc = acc + kron(r_mat, kron(x_mat, rho_g[group.inverse[g]]))
-        e = acc.scale(norm)
-        if e * e != e:
-            raise AssertionError("symmetrizer failed to be idempotent")
-        spaces[t] = image_basis(e)
+        mats = [kron(_aut_right_action_matrix(n, t, sw, group, 0), x)
+                for sw, x in zip(swaps, x_swaps)]
+        mats += [kron(_aut_right_action_matrix(n, t, identity_morphism(n), group,
+                                               group.inverse[g]), x)
+                 for g, x in zip(group.generators, x_grp)]
+        spaces[t] = _fixed_space(big.dims[t], mats)
+        expected = prod(comb(a, b) for a, b in zip(t, n)) * dim_x
+        if spaces[t].dim != expected:
+            raise ValueError(f"induced value at {t} has dimension "
+                             f"{spaces[t].dim}, expected {expected}")
     pres = Presentation.make([(n, lambdas)], n)
     mod, _ = submodule_from_stable_subspaces(
         big, spaces, pres, name or f"M{lambdas}"
@@ -1030,9 +1040,10 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
 
 def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
                    name: str = "") -> TruncatedModule:
-    """The finite-dimensional injective at the Specht data: invariants of
-    the diagonal automorphism action on (co-free) x (outer Specht product).
-    The group factor acts trivially, as in make_cofree."""
+    """The finite-dimensional injective at the Specht data: the vectors of
+    (co-free) x (outer Specht product) fixed by the generators of Aut(l),
+    acting diagonally (tau o gamma on injections).  The group factor acts
+    trivially, as in make_cofree."""
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)
     if window.m != len(lambdas):
@@ -1041,36 +1052,25 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
     if not window.contains(l):
         raise MarginError(f"cogenerator object {l} lies outside the window")
     spechts = [specht(p) for p in lambdas]
-    dim_x = prod(r.dim for r in spechts)
     base = make_cofree(l, window, group)
-    big = _tensor_with_const(base, dim_x)
-    auts = _aut_elements(l)
-    norm = Fraction(1, len(auts))
+    big = _tensor_with_const(base, prod(r.dim for r in spechts))
+    swaps = [swap_morphism(l, i, k) for i, k in aut_swaps(l)]
+    x_swaps = _specht_swaps(l, spechts)
     spaces = {}
     for t in window.objects():
-        d = big.dims[t]
-        if d == 0:
+        nb = base.dims[t]
+        if nb == 0:
             spaces[t] = Subspace.zero(0)
             continue
-        injs = enumerate_injections(t, l) if leq(t, l) else []
-        index = injection_index_table(t, l) if leq(t, l) else {}
-        nb = base.dims[t]
-        acc = RationalMatrix.zeros(d, d)
-        for tau in auts:
-            tau_mor = Morphism(l, l, tau, 0)
+        injs = enumerate_injections(t, l)
+        index = injection_index_table(t, l)
+        mats = []
+        for tau, x_mat in zip(swaps, x_swaps):
             p_rows = [[_ZERO] * nb for _ in range(nb)]
             for gi, gamma in enumerate(injs):
-                moved = compose(tau_mor, gamma)
-                p_rows[index[moved.maps]][gi] = _ONE
-            p_mat = RationalMatrix(p_rows, nb, nb)
-            x_mat = RationalMatrix.identity(1)
-            for s, ti in zip(spechts, tau):
-                x_mat = kron(x_mat, s.matrix_of_perm(ti))
-            acc = acc + kron(p_mat, x_mat)
-        e = acc.scale(norm)
-        if e * e != e:
-            raise AssertionError("averaging failed to be idempotent")
-        spaces[t] = image_basis(e)
+                p_rows[index[compose(tau, gamma).maps]][gi] = _ONE
+            mats.append(kron(RationalMatrix(p_rows, nb, nb), x_mat))
+        spaces[t] = _fixed_space(big.dims[t], mats)
     mod, _ = submodule_from_stable_subspaces(big, spaces, None,
                                              name or f"E{lambdas}")
     slots = [
@@ -1084,10 +1084,7 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
 def aut_rep_at(v: TruncatedModule, n) -> ProductRep:
     """The Aut(n) x G representation carried by the value at n."""
     n = tuple(n)
-    swap_mats = {}
-    for i in range(1, v.m + 1):
-        for k in range(1, n[i - 1]):
-            swap_mats[(i, k)] = v.actions[("swap", i, k, n)]
+    swap_mats = {(i, k): v.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
     group_mats = [
         v.actions[("grp", j, n)] for j in range(len(v.group.generators))
     ]
@@ -1116,8 +1113,7 @@ def _close_subspace_under(mats, space: Subspace) -> Subspace:
 
 def _automorphism_mats(v: TruncatedModule, n) -> list:
     """The swap and group generator actions at n."""
-    mats = [v.actions[("swap", i, k, n)]
-            for i in range(1, v.m + 1) for k in range(1, n[i - 1])]
+    mats = [v.actions[("swap", i, k, n)] for i, k in aut_swaps(n)]
     return mats + [v.actions[("grp", j, n)] for j in range(len(v.group.generators))]
 
 

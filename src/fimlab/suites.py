@@ -8,6 +8,7 @@ can override the seed for the random batteries.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -90,15 +91,30 @@ class SuiteReport:
         }
 
 
-def _finish(name, checks, t0) -> SuiteReport:
-    return SuiteReport(name, all(c.ok for c in checks), checks, time.time() - t0)
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register a suite, a function of the seed returning its checks, under
+    ``name`` in SUITES; the registered function times the checks and returns
+    them as a SuiteReport."""
+    def register(checks_of):
+        @functools.wraps(checks_of)
+        def run(seed: int = 0) -> SuiteReport:
+            t0 = time.perf_counter()
+            checks = checks_of(seed)
+            return SuiteReport(name, all(c.ok for c in checks), checks,
+                               time.perf_counter() - t0)
+        SUITES[name] = run
+        return run
+    return register
 
 
 # -- 1: shift and derivative decompositions of free modules ----------------
 
 
-def suite_lemma2_3(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("lemma2.3")
+def suite_lemma2_3(seed: int = 0) -> list:
     checks = []
     for bound in ((3,), (2, 2)):
         window = Window(bound)
@@ -110,18 +126,17 @@ def suite_lemma2_3(seed: int = 0) -> SuiteReport:
                 iso_s, _, _ = shift_free_decomposition(n, i, window, TRIV)
                 ok = iso_s.is_natural() and iso_s.is_iso()
                 checks.append(Check(f"shift M{n} coord {i} window {bound}", ok))
-                if n[i - 1] >= 0:
-                    iso_d, _, _ = derivative_free_decomposition(n, i, window, TRIV)
-                    okd = iso_d.is_natural() and iso_d.is_iso()
-                    checks.append(Check(f"deriv M{n} coord {i} window {bound}", okd))
-    return _finish("lemma2.3", checks, t0)
+                iso_d, _, _ = derivative_free_decomposition(n, i, window, TRIV)
+                okd = iso_d.is_natural() and iso_d.is_iso()
+                checks.append(Check(f"deriv M{n} coord {i} window {bound}", okd))
+    return checks
 
 
 # -- 2: commutation of shifts and kernels -----------------------------------
 
 
-def suite_commutation(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("commutation")
+def suite_commutation(seed: int = 0) -> list:
     checks = []
     window = Window((3, 3))
     for k in range(10):
@@ -145,14 +160,14 @@ def suite_commutation(seed: int = 0) -> SuiteReport:
         checks.append(
             Check(f"kernel/shift commute iso (seed {seed + 20 + k})", same_dims and iso_ok)
         )
-    return _finish("commutation", checks, t0)
+    return checks
 
 
 # -- 3: torsion -------------------------------------------------------------
 
 
-def suite_torsion(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("torsion")
+def suite_torsion(seed: int = 0) -> list:
     checks = []
     mods = [random_presented_module(Window((3,)), seed + 100 + k) for k in range(10)]
     mods += [random_presented_module(Window((2, 2)), seed + 200 + k) for k in range(10)]
@@ -185,14 +200,14 @@ def suite_torsion(seed: int = 0) -> SuiteReport:
                     _is_window_finite(top_mod),
                 )
             )
-    return _finish("torsion", checks, t0)
+    return checks
 
 
 # -- 4: homological degrees --------------------------------------------------
 
 
-def suite_degree(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("degree")
+def suite_degree(seed: int = 0) -> list:
     checks = []
     count = 15
     made = 0
@@ -240,14 +255,14 @@ def suite_degree(seed: int = 0) -> SuiteReport:
                 f"t0(P)={t0_p}, t0(K)={t0_k}, t0(V)={rep_v.t0}, t1(V)={rep_v.t1}",
             )
         )
-    return _finish("degree", checks, t0)
+    return checks
 
 
 # -- 5: semi-induced ---------------------------------------------------------
 
 
-def suite_semiinduced(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("semiinduced")
+def suite_semiinduced(seed: int = 0) -> list:
     checks = []
     w1 = Window((3,))
     frees = [make_free((n,), w1, TRIV) for n in range(4)]
@@ -281,7 +296,7 @@ def suite_semiinduced(seed: int = 0) -> SuiteReport:
     v2 = make_induced(lam2, Window((3, 2)), TRIV)
     ver2 = is_S_induced(v2, (1, 2))
     checks.append(Check("induced round trip m=2", ver2.ok and ver2.iso.is_iso()))
-    return _finish("semiinduced", checks, t0)
+    return checks
 
 
 # -- 6: shift theorem --------------------------------------------------------
@@ -315,8 +330,8 @@ def _thm1_battery():
     return out
 
 
-def suite_thm1(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("thm1")
+def suite_thm1(seed: int = 0) -> list:
     checks = []
     for name, v, S in _thm1_battery():
         res_search = shift_theorem_search(v, S, max_n=4)
@@ -324,14 +339,14 @@ def suite_thm1(seed: int = 0) -> SuiteReport:
         torsion = sum(res_search.log[0]["torsion_dims"].values())  # n = 0: v itself
         detail = f"N={res_search.n}, torsion dims {torsion}"
         checks.append(Check(f"shift theorem: {name}", ok, detail))
-    return _finish("thm1", checks, t0)
+    return checks
 
 
 # -- 7: the group factor -----------------------------------------------------
 
 
-def suite_group(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("group")
+def suite_group(seed: int = 0) -> list:
     checks = []
     w = Window((3,))
     pairs = [
@@ -398,7 +413,7 @@ def suite_group(seed: int = 0) -> SuiteReport:
                     f"dim={rep.dim}",
                 )
             )
-    return _finish("group", checks, t0)
+    return checks
 
 
 # -- 8: cogeneration ---------------------------------------------------------
@@ -422,8 +437,8 @@ def _thm410_battery():
     return out
 
 
-def suite_thm4_10(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("thm4.10")
+def suite_thm4_10(seed: int = 0) -> list:
     checks = []
     for name, v in _thm410_battery():
         wit = cogenerate(v, max_shift=2, seed=seed)
@@ -439,14 +454,14 @@ def suite_thm4_10(seed: int = 0) -> SuiteReport:
                 for n in wit.window.objects()
             )
         checks.append(Check(f"cogenerate: {name}", ok, detail))
-    return _finish("thm4.10", checks, t0)
+    return checks
 
 
 # -- 9: injective classification --------------------------------------------
 
 
-def suite_thm2(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("thm2")
+def suite_thm2(seed: int = 0) -> list:
     checks = []
     w1 = Window((3,))
     proj_factors = [
@@ -506,14 +521,14 @@ def suite_thm2(seed: int = 0) -> SuiteReport:
             f"matches: {[m.member_index for m in rep.matches]}",
         )
     )
-    return _finish("thm2", checks, t0)
+    return checks
 
 
 # -- 10: round trip and validation -------------------------------------------
 
 
-def suite_roundtrip(seed: int = 0) -> SuiteReport:
-    t0 = time.time()
+@_suite("roundtrip")
+def suite_roundtrip(seed: int = 0) -> list:
     checks = []
     w1 = Window((3,))
     w2 = Window((2, 2))
@@ -555,21 +570,8 @@ def suite_roundtrip(seed: int = 0) -> SuiteReport:
             str(report.first_failure()),
         )
     )
-    return _finish("roundtrip", checks, t0)
+    return checks
 
-
-SUITES = {
-    "lemma2.3": suite_lemma2_3,
-    "commutation": suite_commutation,
-    "torsion": suite_torsion,
-    "degree": suite_degree,
-    "semiinduced": suite_semiinduced,
-    "thm1": suite_thm1,
-    "group": suite_group,
-    "thm4.10": suite_thm4_10,
-    "thm2": suite_thm2,
-    "roundtrip": suite_roundtrip,
-}
 
 ALIASES = {
     "lemma2.8": "degree",

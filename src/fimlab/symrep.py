@@ -644,9 +644,6 @@ class GroupRep:
     dim: int
     gen_mats: tuple
 
-    def elements(self):
-        return _rep_elements(self.group, list(self.gen_mats), self.dim)
-
     @staticmethod
     def trivial(group: GroupTable) -> "GroupRep":
         mats = tuple(RationalMatrix.identity(1) for _ in group.generators)

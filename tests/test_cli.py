@@ -139,6 +139,10 @@ def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     (["build", "coinduced", "--window", "3", "--lambdas", "[[2]"], "--lambdas"),
     (["build", "free", "--n", "1"], "--window"),
     (["build", "tensor"], "inputs"),
+    (["build", "induced", "--window", "3", "--lambdas", "[[true]]"], "--lambdas"),
+    (["build", "induced", "--window", "3", "--lambdas", "[[2.5]]"], "--lambdas"),
+    (["build", "induced", "--window", "3", "--lambdas", '[["2"]]'], "--lambdas"),
+    (["build", "induced", "--window", "3", "--lambdas", "[[1,2]]"], "--lambdas"),
 ])
 def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
     code, payload = run_cli(capsys, *argv, "-o", str(tmp_path / "o.json"))

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fimlab import symrep
 from fimlab.category import (
     GroupTable,
     Morphism,
     Window,
+    aut_swaps,
     compose,
     enumerate_injections,
     generator_keys,
@@ -17,6 +19,7 @@ from fimlab.category import (
     morphism_of_key,
 )
 from fimlab.linalg import RationalMatrix, Subspace, image_basis, kron
+from fimlab.symrep import GroupRep
 from fimlab.modules import (
     MarginError,
     ModuleMap,
@@ -25,11 +28,12 @@ from fimlab.modules import (
     external_tensor,
     hom_space,
     make_cofree,
+    make_coinduced,
     make_free,
+    make_induced,
     restrict_window,
 )
 from fimlab.functors import (
-    aut_element_index,
     aut_table,
     averaging_splitting,
     canonical_map,
@@ -270,6 +274,34 @@ def test_aut_table_orders():
     assert aut_table(()).order == 1
 
 
+@pytest.mark.parametrize("s", [(), (1,), (3,), (2, 3), (3, 1, 2)])
+def test_aut_swaps_are_aut_table_generators_in_order(s):
+    def swap(c, k):
+        img = [list(range(1, x + 1)) for x in s]
+        img[c - 1][k - 1], img[c - 1][k] = k + 1, k
+        return tuple(map(tuple, img))
+
+    assert [aut_element_index(s, swap(c, k)) for c, k in aut_swaps(s)] == list(
+        aut_table(s).generators)
+
+
+def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
+    """Invariants are read off the generators: M(lambda), E(lambda) and
+    F_s(W) list no element of Aut x G."""
+    s3 = GroupTable.symmetric(3)
+    regular = GroupRep.regular(s3)
+    w_rs = ind(make_free((0,), Window((1,)), TRIV), rs_group((3,), TRIV))
+
+    def refuse(*args):
+        raise AssertionError("group elements enumerated")
+
+    monkeypatch.setattr(TruncatedModule, "group_elements_at", refuse)
+    monkeypatch.setattr(symrep, "_rep_elements", refuse)
+    assert make_induced(((2, 1),), Window((3,)), s3, g_rep=regular).dims[(3,)] == 12
+    assert make_coinduced(((2, 1), (1,)), Window((3, 1)), s3).dims[(3, 1)] == 2
+    assert induced_module((3,), (1,), w_rs, TRIV, Window((3, 1)))[0].dims[(3, 1)] == 6
+
+
 def test_shift_preserves_exactness():
     """Shifting a cover sequence stays objectwise exact."""
     from fimlab.homology import free_cover
@@ -375,6 +407,15 @@ def test_free_decompositions_reject_coordinates_out_of_range(decompose, i):
 
 
 # -- F_s(W) against the per-key permutation construction ---------------------
+
+
+def aut_element_index(s, sigma) -> int:
+    """Index of (sigma_1, ..., sigma_k) in aut_table(s)."""
+    idx = 0
+    for x, si in zip(s, sigma):
+        perms = list(itertools.permutations(range(1, x + 1)))
+        idx = idx * len(perms) + perms.index(tuple(si))
+    return idx
 
 
 def _induced_by_permutations(s, S, w_rs, group, window):

@@ -28,7 +28,7 @@ from fimlab.modules import (
     submodule_generated,
     zero_module,
 )
-from fimlab.symrep import decompose
+from fimlab.symrep import GroupRep, decompose
 
 F = Fraction
 TRIV = GroupTable.trivial()
@@ -113,6 +113,14 @@ def test_make_induced_aut_rep_decomposes_correctly():
     v = make_induced(((2,),), Window((3,)), TRIV)
     rep = aut_rep_at(v, (2,))
     assert decompose(rep) == {(((2,),), 0): 1}
+
+
+def test_make_induced_rejects_a_group_rep_that_is_not_a_representation():
+    # g -> -1 has g^3 = -1, so it does not represent C3
+    c3 = GroupTable.cyclic(3)
+    bad = GroupRep(c3, 1, (RationalMatrix([[F(-1)]]),))
+    with pytest.raises(ValueError, match="dimension"):
+        make_induced(((1,),), Window((3,)), c3, g_rep=bad)
 
 
 def test_make_coinduced_sign():
