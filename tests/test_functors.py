@@ -19,7 +19,6 @@ from fimlab.category import (
     morphism_of_key,
 )
 from fimlab.linalg import RationalMatrix, Subspace, image_basis, kron
-from fimlab.symrep import GroupRep
 from fimlab.modules import (
     MarginError,
     ModuleMap,
@@ -52,6 +51,7 @@ from fimlab.functors import (
     shift_prod,
     shift_sum,
 )
+from fimlab.symrep import GroupRep
 
 TRIV = GroupTable.trivial()
 
