@@ -36,11 +36,6 @@ def degree(n: Obj) -> int:
     return sum(n)
 
 
-def deg_S(n: Obj, S) -> int:
-    """Degree along the coordinate subset S (1-based coordinates)."""
-    return sum(n[i - 1] for i in S)
-
-
 def leq(a: Obj, b: Obj) -> bool:
     """The hom-set partial order: injections exist componentwise."""
     if len(a) != len(b):
@@ -196,19 +191,6 @@ class GroupTable:
             cur = parent
         return word
 
-    def conjugacy_classes(self):
-        """Sorted classes (each a sorted tuple), identity class first."""
-        remaining = set(range(self.order))
-        classes = []
-        while remaining:
-            a = min(remaining)
-            orbit = set()
-            for h in range(self.order):
-                orbit.add(self.mult[self.mult[h][a]][self.inverse[h]])
-            classes.append(tuple(sorted(orbit)))
-            remaining -= orbit
-        return classes
-
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -330,13 +312,6 @@ class Morphism:
                 raise ValueError("map is not injective")
             if any(not (1 <= x <= b) for x in img):
                 raise ValueError("image out of range")
-
-    def is_identity(self) -> bool:
-        return (
-            self.source == self.target
-            and self.group_elt == 0
-            and all(img == tuple(range(1, a + 1)) for a, img in zip(self.source, self.maps))
-        )
 
 
 def identity_morphism(n: Obj) -> Morphism:
@@ -552,11 +527,3 @@ def factor_morphism(mor: Morphism, group: GroupTable):
         for j in group.word(mor.group_elt):
             keys.append(("grp", j, at))
     return keys
-
-
-def invert_perm(img: tuple) -> tuple:
-    """Inverse of a permutation given as an image tuple."""
-    inv = [0] * len(img)
-    for x, y in enumerate(img, start=1):
-        inv[y - 1] = x
-    return tuple(inv)

@@ -43,7 +43,13 @@ from .suites import ALIASES, SUITES, run_all, run_suite
 from .symrep import check_partition
 
 
+CONFIG_KEYS = ("window", "m", "group", "seed")
+
+
 def load_config(path) -> dict:
+    """The key = value pairs of a config file, as strings.  An unknown key,
+    or an ``m`` or ``seed`` that is not an integer, raises a ValueError that
+    names the key."""
     out = {}
     if path is None:
         return out
@@ -55,6 +61,14 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (x.strip() for x in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{key}: unknown config key; known: {list(CONFIG_KEYS)}")
+            if key in ("m", "seed"):
+                try:
+                    int(val)
+                except ValueError:
+                    raise ValueError(f"{key}: expected an integer, "
+                                     f"got {val!r}") from None
             out[key] = val
     return out
 
@@ -127,8 +141,14 @@ def _load_group(arg, config) -> GroupTable:
 
 
 def _window_from(args, config) -> Window:
+    """The window of --window or the config; a config ``m`` must match its
+    coordinate count."""
     text = getattr(args, "window", None) or config.get("window")
-    return Window(_flag_coords(text, "--window"))
+    window = Window(_flag_coords(text, "--window"))
+    if "m" in config and int(config["m"]) != window.m:
+        raise ValueError(f"m: config says m = {config['m']}, but the window "
+                         f"{window.bound} has {window.m} coordinates")
+    return window
 
 
 def cmd_validate(args) -> int:

@@ -47,6 +47,7 @@ from .modules import (
     submodule_from_stable_subspaces,
     zero_module,
 )
+from .symrep import regular_rep_matrices
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -153,22 +154,6 @@ def _derivative_presentation(pres, i: int, m: int):
     return Presentation(tuple(slots), rb, pres.observed_only)
 
 
-def exact_four_term_check(v: TruncatedModule, i: int) -> bool:
-    """0 -> K_i V -> V -> Shift_i V -> D_i V -> 0 is objectwise exact."""
-    can = canonical_map(v, i)
-    k = kernel_functor(v, i)
-    d = derivative(v, i)
-    for n in can.source.window.objects():
-        r = can.source.dims[n] - k.dims[n]
-        if r != len(
-            [1 for row in image_basis(can.blocks[n]).basis.rows]
-        ):
-            return False
-        if can.target.dims[n] - r != d.dims[n]:
-            return False
-    return True
-
-
 # -- composites over a subset ---------------------------------------------
 
 
@@ -251,18 +236,13 @@ def ind(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
         return v
     og = group.order
     ident_g = RationalMatrix.identity(og)
+    lreg = regular_rep_matrices(group)
     dims = {n: d * og for n, d in v.dims.items()}
     actions = {}
     for key in generator_keys(v.window, group):
         if key[0] == "grp":
             _, j, n = key
-            g = group.generators[j]
-            lreg = [[_ZERO] * og for _ in range(og)]
-            for h in range(og):
-                lreg[group.mult[g][h]][h] = _ONE
-            actions[key] = kron(
-                RationalMatrix.identity(v.dims[n]), RationalMatrix(lreg, og, og)
-            )
+            actions[key] = kron(RationalMatrix.identity(v.dims[n]), lreg[j])
         else:
             actions[key] = kron(v.actions[key], ident_g)
     return TruncatedModule(v.window, group, dims, actions, v.presentation,

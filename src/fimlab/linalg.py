@@ -94,9 +94,6 @@ class RationalMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -178,11 +175,6 @@ class RationalMatrix:
             for row in self.rows
         )
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
-
     # -- stacking ------------------------------------------------------
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -193,11 +185,6 @@ class RationalMatrix:
             self.nrows,
             self.ncols + other.ncols,
         )
-
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return RationalMatrix(self.rows + other.rows, self.nrows + other.nrows, self.ncols)
 
 
 def block_diag(blocks) -> RationalMatrix:
@@ -379,9 +366,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return self.coordinates(RationalMatrix.column(vec)) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return self.coordinates(other.basis.transpose()) is not None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

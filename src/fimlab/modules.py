@@ -55,7 +55,7 @@ from .linalg import (
     solve,
     solve_matrix,
 )
-from .symrep import GroupRep, ProductRep, specht, _rep_elements
+from .symrep import GroupRep, specht, _rep_elements
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -158,15 +158,6 @@ class Presentation:
         total = self.total_bound(window.m)
         return total is not None and leq(total, window.bound)
 
-    def margin(self, window: Window) -> int | None:
-        total = self.total_bound(window.m)
-        if total is None:
-            return None
-        if not leq(total, window.bound):
-            return -1
-        diffs = [b - t for b, t in zip(window.bound, total)]
-        return min(diffs) if diffs else 0
-
     def to_dict(self) -> dict:
         return {
             "generators": [
@@ -255,9 +246,6 @@ class TruncatedModule:
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
-
-    def action(self, key) -> RationalMatrix:
-        return self.actions[key]
 
     def __eq__(self, other):
         return (
@@ -921,45 +909,6 @@ def restrict_window(v: TruncatedModule, new_window: Window) -> TruncatedModule:
     return TruncatedModule(new_window, v.group, dims, actions, v.presentation, v.name)
 
 
-def permute_coords(v: TruncatedModule, perm) -> TruncatedModule:
-    """Relabel coordinates: new coordinate j carries old coordinate perm[j]
-    (1-based).  Pure bookkeeping; dims and matrices are reused."""
-    perm = tuple(perm)
-    m = v.m
-    if sorted(perm) != list(range(1, m + 1)):
-        raise ValueError("not a permutation of the coordinates")
-
-    def to_old(n_new):
-        return tuple(n_new[perm.index(i + 1)] for i in range(m))
-
-    def to_new(n_old):
-        return tuple(n_old[perm[j] - 1] for j in range(m))
-
-    window = Window(to_new(v.window.bound))
-    dims = {to_new(n): v.dims[n] for n in v.window.objects()}
-    actions = {}
-    for key in generator_keys(window, v.group):
-        if key[0] == "incl":
-            _, i, n = key
-            actions[key] = v.actions[("incl", perm[i - 1], to_old(n))]
-        elif key[0] == "swap":
-            _, i, k, n = key
-            actions[key] = v.actions[("swap", perm[i - 1], k, to_old(n))]
-        else:
-            _, j, n = key
-            actions[key] = v.actions[("grp", j, to_old(n))]
-    pres = None
-    if v.presentation is not None:
-        slots = tuple(
-            (to_new(obj), None if lab is None else tuple(lab[perm[j] - 1] for j in range(m)))
-            for obj, lab in v.presentation.generator_slots
-        )
-        rb = v.presentation.relation_bound
-        pres = Presentation(slots, None if rb is None else to_new(rb),
-                            v.presentation.observed_only)
-    return TruncatedModule(window, v.group, dims, actions, pres, v.name)
-
-
 def _tensor_with_const(v: TruncatedModule, dim_x: int) -> TruncatedModule:
     """Objectwise tensor with a fixed vector space (actions on v only)."""
     dims = {n: d * dim_x for n, d in v.dims.items()}
@@ -1079,19 +1028,6 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
     rel = tuple(x + 1 for x in l)
     mod.presentation = Presentation.make(slots, rel)
     return mod
-
-
-def aut_rep_at(v: TruncatedModule, n) -> ProductRep:
-    """The Aut(n) x G representation carried by the value at n."""
-    n = tuple(n)
-    swap_mats = {(i, k): v.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
-    group_mats = [
-        v.actions[("grp", j, n)] for j in range(len(v.group.generators))
-    ]
-    return ProductRep(
-        ns=n, group=v.group, dim=v.dims[n], swap_mats=swap_mats,
-        group_mats=group_mats,
-    )
 
 
 # -- generators and the free cover ----------------------------------------
@@ -1338,17 +1274,3 @@ def hom_space(v: TruncatedModule, w: TruncatedModule):
     """A basis of Hom(V, W), exact under :func:`check_hom_source`."""
     check_hom_source(v)
     return NaturalitySolver(v, w).basis()
-
-
-def with_trivial_group_action(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
-    """Attach a group factor acting trivially (the group is a direct factor
-    of the category, so identity actions are always functorial)."""
-    if not v.group.is_trivial():
-        raise ValueError("module already carries a group")
-    actions = dict(v.actions)
-    for key in generator_keys(v.window, group):
-        if key[0] == "grp":
-            _, _, n = key
-            actions[key] = RationalMatrix.identity(v.dims[n])
-    return TruncatedModule(v.window, group, dict(v.dims), actions,
-                           v.presentation, v.name)

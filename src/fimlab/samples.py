@@ -22,6 +22,10 @@ from .modules import (
 )
 
 TRIV = GroupTable.trivial()
+# random_presented_module draws 1..MAX_GENS free generators and 0..MAX_RELS
+# relation seeds
+MAX_GENS = 2
+MAX_RELS = 2
 
 
 def point_module(window: Window, group: GroupTable | None = None) -> TruncatedModule:
@@ -37,8 +41,6 @@ def random_presented_module(
     window: Window,
     seed: int,
     group: GroupTable | None = None,
-    max_gens: int = 2,
-    max_rels: int = 2,
     gen_degree: int = 1,
     rel_degree: int = 2,
 ) -> TruncatedModule:
@@ -52,9 +54,9 @@ def random_presented_module(
     objs = window.objects_by_degree()
     gen_objs = [n for n in objs if degree(n) <= gen_degree]
     rel_objs = [n for n in objs if 0 < degree(n) <= rel_degree]
-    gens = [rng.choice(gen_objs) for _ in range(rng.randint(1, max_gens))]
+    gens = [rng.choice(gen_objs) for _ in range(rng.randint(1, MAX_GENS))]
     p, _ = direct_sum(*[make_free(n, window, group) for n in gens])
-    n_rels = rng.randint(0, max_rels)
+    n_rels = rng.randint(0, MAX_RELS)
     seeds = {}
     for _ in range(n_rels):
         at = rng.choice(rel_objs)

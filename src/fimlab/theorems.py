@@ -73,9 +73,14 @@ from .homology import (
     tor_filtration,
 )
 
+# random combinations of Hom basis maps that find_iso tries for an iso
+ISO_TRIES = 40
+# pieces identify_summands takes off its splitting stack before it reports
+# INCONCLUSIVE
+SPLIT_BUDGET = 40
 
-def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0,
-             tries: int = 40) -> ModuleMap | None:
+
+def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0) -> ModuleMap | None:
     """An explicit isomorphism a -> b, or None.  Never concludes from
     dimension equality alone: candidates come from the hom space and are
     verified blockwise."""
@@ -86,7 +91,7 @@ def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0,
         if mp.is_iso():
             return mp
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(ISO_TRIES):
         combo = None
         for mp in maps:
             c = Fraction(rng.randint(-3, 3))
@@ -745,8 +750,7 @@ def _map_from_coords(coords, basis) -> ModuleMap:
     return out
 
 
-def identify_summands(x: TruncatedModule, members, seed: int = 0,
-                      budget: int = 40) -> SummandReport:
+def identify_summands(x: TruncatedModule, members, seed: int = 0) -> SummandReport:
     """Split x into indecomposable pieces by idempotent peeling and match
     each piece to one of the given member modules by explicit isomorphism."""
     stack = [{n: Subspace.full(x.dims[n]) for n in x.window.objects()}]
@@ -755,7 +759,7 @@ def identify_summands(x: TruncatedModule, members, seed: int = 0,
     guard = 0
     while stack:
         guard += 1
-        if guard > budget:
+        if guard > SPLIT_BUDGET:
             return SummandReport([], INCONCLUSIVE, ["splitting budget exceeded"])
         fam = stack.pop()
         if all(sp.dim == 0 for sp in fam.values()):

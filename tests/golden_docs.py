@@ -4,7 +4,8 @@
 to the sha256 of its text; both compute the suite reports unless they are
 given them.  ``test_golden.py`` pins the digests, so a change
 that alters any answer or file fails there and names the document.  Run as a
-script to print the current digests as JSON (it needs no pytest):
+script to print the current digests as JSON (it needs no pytest; it imports
+``oracles.py`` from its own directory):
 
     PYTHONPATH=src python tests/golden_docs.py
 """
@@ -36,12 +37,12 @@ from fimlab.modules import (
     make_induced,
     matrix_to_lists,
     obj_str,
-    with_trivial_group_action,
 )
 from fimlab.samples import point_module, random_presented_module
 from fimlab.suites import _thm1_battery, run_all
-from fimlab.symrep import GroupRep
 from fimlab.theorems import end_ring, shift_theorem_search
+
+from oracles import regular_rep, with_trivial_group_action
 
 TRIV = GroupTable.trivial()
 GROUPS = {"1": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
@@ -132,7 +133,7 @@ def _specht_modules():
         yield (f"coinduced/(1, 1)x(1,)/{gname}",
                make_coinduced(((1, 1), (1,)), Window((2, 2)), group).to_json())
         if gname != "1":
-            regular = GroupRep.regular(group)
+            regular = regular_rep(group)
             yield (f"induced/(1,)/{gname}/regular",
                    make_induced(((1,),), w3, group, g_rep=regular).to_json())
             yield (f"induced/(1,)x(2,)/{gname}/regular",

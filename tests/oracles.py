@@ -1,0 +1,521 @@
+"""Test oracles: independent constructions that the tests check fimlab's
+answers against, and small helpers that only tests need.  The package calls
+none of them.
+
+The symmetric-group part computes characters by the Murnaghan-Nakayama
+rule, character tables of table groups by rational eigenspace splitting of
+the class-sum matrices (a hard error when the table is not rational), and
+multiplicities of irreducibles in representations of S_{n_1} x ... x
+S_{n_m} x G.  The tests use them to check the isotypic type of
+``make_induced`` and the Specht matrices.
+
+pytest and ``golden_docs.py`` (run as a script) both import this file as
+the top-level module ``oracles``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
+
+from fimlab.category import GroupTable, Window, aut_swaps, generator_keys, perm_to_adjacent
+from fimlab.functors import canonical_map, derivative, kernel_functor
+from fimlab.linalg import RationalMatrix, image_basis, kernel_basis, rational_roots, solve_matrix
+from fimlab.modules import Presentation, TruncatedModule
+from fimlab.symrep import (
+    GroupRep,
+    _check_coxeter,
+    _rep_elements,
+    check_partition,
+    hook_length_dim,
+    regular_rep_matrices,
+)
+
+
+# -- permutations, matrices and groups ---------------------------------------
+
+
+def invert_perm(img: tuple) -> tuple:
+    """Inverse of a permutation given as an image tuple."""
+    inv = [0] * len(img)
+    for x, y in enumerate(img, start=1):
+        inv[y - 1] = x
+    return tuple(inv)
+
+
+def trace(mat: RationalMatrix) -> Fraction:
+    if mat.nrows != mat.ncols:
+        raise ValueError("trace of non-square matrix")
+    return sum((mat.rows[i][i] for i in range(mat.nrows)), Fraction(0))
+
+
+def conjugacy_classes(group: GroupTable) -> list:
+    """Sorted classes (each a sorted tuple), identity class first."""
+    remaining = set(range(group.order))
+    classes = []
+    while remaining:
+        a = min(remaining)
+        orbit = {group.mult[group.mult[h][a]][group.inverse[h]] for h in range(group.order)}
+        classes.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return classes
+
+
+def regular_rep(group: GroupTable) -> GroupRep:
+    """The left regular representation of a table group."""
+    return GroupRep(group, group.order, tuple(regular_rep_matrices(group)))
+
+
+def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
+    """The matrix of the permutation ``img`` on a Specht module, as the
+    product of its adjacent-swap matrices."""
+    mat = RationalMatrix.identity(rep.dim)
+    for k in perm_to_adjacent(img):
+        mat = mat * rep.gens[k - 1]
+    return mat
+
+
+# -- modules ------------------------------------------------------------------
+
+
+def with_trivial_group_action(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
+    """Attach a group factor acting trivially (the group is a direct factor
+    of the category, so identity actions are always functorial)."""
+    if not v.group.is_trivial():
+        raise ValueError("module already carries a group")
+    actions = dict(v.actions)
+    for key in generator_keys(v.window, group):
+        if key[0] == "grp":
+            _, _, n = key
+            actions[key] = RationalMatrix.identity(v.dims[n])
+    return TruncatedModule(v.window, group, dict(v.dims), actions,
+                           v.presentation, v.name)
+
+
+def permute_coords(v: TruncatedModule, perm) -> TruncatedModule:
+    """Relabel coordinates: new coordinate j carries old coordinate perm[j]
+    (1-based).  Pure bookkeeping; dims and matrices are reused."""
+    perm = tuple(perm)
+    m = v.m
+    if sorted(perm) != list(range(1, m + 1)):
+        raise ValueError("not a permutation of the coordinates")
+
+    def to_old(n_new):
+        return tuple(n_new[perm.index(i + 1)] for i in range(m))
+
+    def to_new(n_old):
+        return tuple(n_old[perm[j] - 1] for j in range(m))
+
+    window = Window(to_new(v.window.bound))
+    dims = {to_new(n): v.dims[n] for n in v.window.objects()}
+    actions = {}
+    for key in generator_keys(window, v.group):
+        if key[0] == "incl":
+            _, i, n = key
+            actions[key] = v.actions[("incl", perm[i - 1], to_old(n))]
+        elif key[0] == "swap":
+            _, i, k, n = key
+            actions[key] = v.actions[("swap", perm[i - 1], k, to_old(n))]
+        else:
+            _, j, n = key
+            actions[key] = v.actions[("grp", j, to_old(n))]
+    pres = None
+    if v.presentation is not None:
+        slots = tuple(
+            (to_new(obj), None if lab is None else tuple(lab[perm[j] - 1] for j in range(m)))
+            for obj, lab in v.presentation.generator_slots
+        )
+        rb = v.presentation.relation_bound
+        pres = Presentation(slots, None if rb is None else to_new(rb),
+                            v.presentation.observed_only)
+    return TruncatedModule(window, v.group, dims, actions, pres, v.name)
+
+
+def exact_four_term_check(v: TruncatedModule, i: int) -> bool:
+    """0 -> K_i V -> V -> Shift_i V -> D_i V -> 0 is objectwise exact."""
+    can = canonical_map(v, i)
+    k = kernel_functor(v, i)
+    d = derivative(v, i)
+    for n in can.source.window.objects():
+        r = can.source.dims[n] - k.dims[n]
+        if r != image_basis(can.blocks[n]).dim:
+            return False
+        if can.target.dims[n] - r != d.dims[n]:
+            return False
+    return True
+
+
+# -- partitions and classes of S_n --------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n: int):
+    """All partitions of n, descending lexicographic, (n) first."""
+    if n < 0:
+        return ()
+    if n == 0:
+        return ((),)
+
+    def gen(rest, maxpart):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, maxpart), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+
+    return tuple(gen(n, n))
+
+
+def cycle_type_class_size(mu, n: int) -> int:
+    counts = {}
+    for part in mu:
+        counts[part] = counts.get(part, 0) + 1
+    z = prod((k ** c) * factorial(c) for k, c in counts.items())
+    return factorial(n) // z
+
+
+def class_representative(mu, n: int) -> tuple:
+    """A permutation of [n] with cycle type mu, as an image tuple."""
+    img = list(range(1, n + 1))
+    start = 1
+    for part in mu:
+        for x in range(start, start + part - 1):
+            img[x - 1] = x + 1
+        img[start + part - 2] = start
+        start += part
+    return tuple(img)
+
+
+# -- Murnaghan-Nakayama -------------------------------------------------------
+
+
+def _beta_set(lam, length: int):
+    lam = tuple(lam) + (0,) * (length - len(lam))
+    return frozenset(lam[i] + (length - 1 - i) for i in range(length))
+
+
+@lru_cache(maxsize=None)
+def _mn(beta: frozenset, mu: tuple) -> int:
+    if not mu:
+        return 1
+    k = mu[0]
+    rest = mu[1:]
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb >= 0 and nb not in beta:
+            height = sum(1 for x in beta if nb < x < b)
+            total += (-1) ** height * _mn(beta - {b} | {nb}, rest)
+    return total
+
+
+def mn_character(lam, mu) -> int:
+    """chi^lam evaluated on the class of cycle type mu."""
+    lam = check_partition(lam) if lam else ()
+    n = sum(lam)
+    if sum(mu) != n:
+        raise ValueError("cycle type has the wrong size")
+    if n == 0:
+        return 1
+    return _mn(_beta_set(lam, n), tuple(sorted(mu, reverse=True)))
+
+
+@dataclass(frozen=True)
+class CharacterVector:
+    """Values of a class function of S_n, indexed by partitions_of(n)."""
+
+    n: int
+    values: tuple
+
+    def at(self, mu) -> Fraction:
+        return self.values[partitions_of(self.n).index(tuple(mu))]
+
+    @property
+    def dim(self) -> Fraction:
+        return self.at((1,) * self.n) if self.n else self.values[0]
+
+
+def character(lam) -> CharacterVector:
+    lam = check_partition(lam) if lam else ()
+    n = sum(lam)
+    vals = tuple(Fraction(mn_character(lam, mu)) for mu in partitions_of(n))
+    return CharacterVector(n, vals)
+
+
+def character_inner(a: CharacterVector, b: CharacterVector) -> Fraction:
+    if a.n != b.n:
+        raise ValueError("characters of different groups")
+    n = a.n
+    total = Fraction(0)
+    for mu, x, y in zip(partitions_of(n), a.values, b.values):
+        total += cycle_type_class_size(mu, n) * x * y
+    return total / factorial(n)
+
+
+# -- rational character tables for table groups -------------------------------
+
+
+def _char_poly(mat: RationalMatrix):
+    """Faddeev-LeVerrier: coefficients of det(tI - M), highest first."""
+    n = mat.nrows
+    coeffs = [Fraction(1)]
+    m = RationalMatrix.zeros(n, n)
+    ident = RationalMatrix.identity(n)
+    for k in range(1, n + 1):
+        m = mat * m + ident.scale(coeffs[-1])
+        coeffs.append(-trace(mat * m) / k)
+    return coeffs
+
+
+@dataclass(frozen=True)
+class GroupCharacterTable:
+    group: GroupTable
+    classes: tuple  # tuple of sorted element tuples, identity class first
+    table: tuple  # rows: irreducible characters, values per class
+
+    @property
+    def n_irreps(self):
+        return len(self.table)
+
+    def class_of(self, g: int) -> int:
+        for i, cls in enumerate(self.classes):
+            if g in cls:
+                return i
+        raise ValueError("element not in any class")
+
+
+class IrrationalCharacterError(ValueError):
+    """Raised when a group has irrational character values (unsupported)."""
+
+
+@lru_cache(maxsize=None)
+def rational_character_table(group: GroupTable) -> GroupCharacterTable:
+    """Character table by splitting class-sum matrices over Q.
+
+    Works exactly for groups whose character table is rational (symmetric
+    groups, elementary abelian 2-groups, ...); raises
+    IrrationalCharacterError otherwise.
+    """
+    classes = tuple(conjugacy_classes(group))
+    r = len(classes)
+    class_index = [0] * group.order
+    for ci, cls in enumerate(classes):
+        for g in cls:
+            class_index[g] = ci
+    # class multiplication: C_i C_j = sum_k a_ijk C_k, computed by counting.
+    mats = []
+    for i in range(r):
+        rows = [[Fraction(0)] * r for _ in range(r)]
+        for j in range(r):
+            rep = classes[j][0]
+            counts = [0] * r
+            for x in classes[i]:
+                counts[class_index[group.mult[x][rep]]] += 1
+            # coefficient of C_k in C_i * C_j, as operator on class space
+            for k in range(r):
+                if counts[k]:
+                    rows[k][j] = Fraction(counts[k])
+        mats.append(RationalMatrix(rows))
+    # split the class space into common eigenspaces
+    spaces = [RationalMatrix.identity(r)]
+    for m in mats:
+        new_spaces = []
+        for basis in spaces:
+            if basis.nrows == 1:
+                new_spaces.append(basis)
+                continue
+            # action of m on the subspace: m * basis^T = basis^T * a
+            bt = basis.transpose()
+            a = solve_matrix(bt, m * bt)
+            if a is None:
+                raise IrrationalCharacterError(
+                    "class-sum action failed to restrict (irrational table?)"
+                )
+            found_dim = 0
+            for eig in rational_roots(_char_poly(a)):
+                ker = kernel_basis(a - RationalMatrix.identity(a.nrows).scale(eig))
+                if ker.dim == 0:
+                    continue
+                new_spaces.append(ker.basis * basis)
+                found_dim += ker.dim
+            if found_dim != basis.nrows:
+                raise IrrationalCharacterError(
+                    "class-sum matrix does not split rationally; "
+                    "the character table of this group is not rational"
+                )
+        spaces = new_spaces
+    if any(s.nrows != 1 for s in spaces) or len(spaces) != r:
+        raise IrrationalCharacterError(
+            "character table of this group is not rational"
+        )
+    # each 1-dim space carries the central character omega
+    inv_class = [class_index[group.inverse[classes[i][0]]] for i in range(r)]
+    rows = []
+    for s in spaces:
+        omega = list(s.rows[0])
+        if omega[0] == 0:
+            raise IrrationalCharacterError("degenerate central character")
+        omega = [x / omega[0] for x in omega]
+        denom = Fraction(0)
+        for j in range(r):
+            denom += omega[j] * omega[inv_class[j]] / len(classes[j])
+        dim = _fraction_sqrt(Fraction(group.order) / denom)
+        if dim is None:
+            raise IrrationalCharacterError("non-square dimension; irrational table")
+        chi = [omega[j] * dim / len(classes[j]) for j in range(r)]
+        rows.append(tuple(chi))
+    rows.sort(key=lambda chi: (chi[0], chi))
+    return GroupCharacterTable(group, classes, tuple(rows))
+
+
+def _fraction_sqrt(x: Fraction):
+    if x < 0:
+        return None
+    rn = _isqrt(x.numerator)
+    rd = _isqrt(x.denominator)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn, rd)
+
+
+def _isqrt(x: int):
+    if x < 0:
+        return None
+    r = int(x**0.5)
+    for cand in (r - 1, r, r + 1, r + 2):
+        if cand >= 0 and cand * cand == x:
+            return cand
+    return None
+
+
+# -- decomposition of product-group representations ---------------------------
+
+
+@dataclass
+class ProductRep:
+    """Matrices of a representation of S_{n_1} x ... x S_{n_m} x G.
+
+    swap_mats[(i, k)] is the matrix of the adjacent transposition (k, k+1)
+    acting in coordinate i; group_mats[j] the matrix of the j-th generator
+    of G.
+    """
+
+    ns: tuple
+    group: GroupTable
+    dim: int
+    swap_mats: dict
+    group_mats: list
+
+    def validate(self):
+        per_coord = [[self.swap_mats[(i, k)] for k in range(1, n)]
+                     for i, n in enumerate(self.ns, start=1)]
+        for gens in per_coord:
+            for g in gens:
+                if g.shape != (self.dim, self.dim):
+                    raise ValueError("swap matrix has wrong shape")
+            _check_coxeter(gens, self.dim)
+        # distinct coordinates commute; group commutes with everything
+        for a in range(len(per_coord)):
+            for b in range(a + 1, len(per_coord)):
+                for x in per_coord[a]:
+                    for y in per_coord[b]:
+                        if not (x * y == y * x):
+                            raise ValueError("coordinate actions do not commute")
+        for gm in self.group_mats:
+            for x in itertools.chain.from_iterable(per_coord):
+                if not (gm * x == x * gm):
+                    raise ValueError("group action does not commute with Aut")
+        # generator matrices must satisfy the group table
+        rho = _rep_elements(self.group, self.group_mats, self.dim)
+        for a in range(self.group.order):
+            for b in range(self.group.order):
+                if not (rho[a] * rho[b] == rho[self.group.mult[a][b]]):
+                    raise ValueError("group relations fail")
+
+    def perm_matrix(self, i: int, img: tuple) -> RationalMatrix:
+        mat = RationalMatrix.identity(self.dim)
+        for k in perm_to_adjacent(img):
+            mat = mat * self.swap_mats[(i, k)]
+        return mat
+
+
+def aut_rep_at(v: TruncatedModule, n) -> ProductRep:
+    """The Aut(n) x G representation carried by the value at n."""
+    n = tuple(n)
+    swap_mats = {(i, k): v.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
+    group_mats = [
+        v.actions[("grp", j, n)] for j in range(len(v.group.generators))
+    ]
+    return ProductRep(
+        ns=n, group=v.group, dim=v.dims[n], swap_mats=swap_mats,
+        group_mats=group_mats,
+    )
+
+
+def decompose(rep: ProductRep) -> dict:
+    """Multiplicities of the irreducibles of S_{n_1} x ... x S_{n_m} x G.
+
+    Keys are (tuple of partitions, G-irrep index); the G-irrep index refers
+    to the row of rational_character_table(G).  Raises when the relations
+    fail or when G has an irrational character table.
+    """
+    rep.validate()
+    gtable = rational_character_table(rep.group)
+    rho = _rep_elements(rep.group, rep.group_mats, rep.dim)
+    coord_classes = [partitions_of(n) for n in rep.ns]
+
+    # character of rep on a product class: trace of the product of the
+    # coordinate representatives and the G representative.
+    def rep_trace(mus, gclass_idx):
+        mat = RationalMatrix.identity(rep.dim)
+        for i, (mu, n) in enumerate(zip(mus, rep.ns), start=1):
+            mat = mat * rep.perm_matrix(i, class_representative(mu, n))
+        return trace(mat * rho[gtable.classes[gclass_idx][0]])
+
+    order = prod(factorial(n) for n in rep.ns) * rep.group.order
+    ginv_class = [
+        gtable.class_of(rep.group.inverse[cls[0]]) for cls in gtable.classes
+    ]
+    traces = {}
+    for mus in itertools.product(*coord_classes):
+        for gc in range(len(gtable.classes)):
+            traces[(mus, gc)] = rep_trace(mus, gc)
+    result = {}
+    for lams in itertools.product(*coord_classes):
+        for irr_idx in range(gtable.n_irreps):
+            total = Fraction(0)
+            for mus in itertools.product(*coord_classes):
+                size = prod(
+                    cycle_type_class_size(mu, n) for mu, n in zip(mus, rep.ns)
+                )
+                schar = prod(mn_character(lam, mu) for lam, mu in zip(lams, mus))
+                if schar == 0:
+                    continue
+                for gc in range(len(gtable.classes)):
+                    gsize = len(gtable.classes[gc])
+                    # chi_irr on the inverse class pairs with the rep trace
+                    gval = gtable.table[irr_idx][ginv_class[gc]]
+                    if gval == 0:
+                        continue
+                    total += size * gsize * schar * gval * traces[(mus, gc)]
+            mult = total / order
+            if mult:
+                if mult.denominator != 1 or mult < 0:
+                    raise ValueError(
+                        f"non-integral multiplicity {mult}; invalid representation"
+                    )
+                result[(lams, irr_idx)] = int(mult)
+    total_dim = sum(
+        mult * prod(hook_length_dim(lam) for lam in lams)
+        * int(gtable.table[irr][0])
+        for (lams, irr), mult in result.items()
+    )
+    if total_dim != rep.dim:
+        raise ValueError(
+            f"multiplicities account for dim {total_dim}, rep has dim {rep.dim}"
+        )
+    return result

@@ -8,7 +8,6 @@ from fimlab.category import (
     Window,
     compose,
     count_injections,
-    deg_S,
     degree,
     enumerate_injections,
     factor_injection,
@@ -23,6 +22,8 @@ from fimlab.category import (
     std_incl,
     swap_morphism,
 )
+
+from oracles import conjugacy_classes
 
 
 def apply_perm_word(word, n):
@@ -56,8 +57,6 @@ def apply_perm_word(word, n):
 def test_degrees():
     assert degree((0, 0)) == 0
     assert degree((2, 3)) == 5
-    assert deg_S((2, 3), {1}) == 2
-    assert deg_S((2, 3), {2}) == 3
 
 
 def test_leq_examples():
@@ -82,7 +81,7 @@ def test_leq_partial_order_on_window():
 
 def test_enumerate_injections_counts():
     assert len(enumerate_injections((1,), (1,))) == 1
-    assert enumerate_injections((1,), (1,))[0].is_identity()
+    assert enumerate_injections((1,), (1,)) == [identity_morphism((1,))]
     assert len(enumerate_injections((1,), (2,))) == 2
     assert len(enumerate_injections((1, 2), (2, 3))) == 12  # 2 * 6 by brute force
     for a in Window((3, 3)).objects():
@@ -124,7 +123,7 @@ def test_group_table_s3():
     s3 = GroupTable.symmetric(3)
     assert s3.order == 6
     assert len(s3.generators) == 2
-    assert sorted(len(c) for c in s3.conjugacy_classes()) == [1, 2, 3]
+    assert sorted(len(c) for c in conjugacy_classes(s3)) == [1, 2, 3]
     for g in range(6):
         w = s3.word(g)
         acc = 0
@@ -143,7 +142,7 @@ def test_group_table_rejects_bad_tables():
 def test_group_product_order():
     g = GroupTable.product(GroupTable.symmetric(2), GroupTable.cyclic(3))
     assert g.order == 6
-    assert g.conjugacy_classes()[0] == (0,)
+    assert conjugacy_classes(g)[0] == (0,)
 
 
 def test_group_round_trip():

@@ -99,6 +99,30 @@ def test_config_parsing(tmp_path):
     assert parse_coords(conf["window"]) == (3, 3)
 
 
+@pytest.mark.parametrize("text,argv,start", [
+    ("windw = 3\n", ["build", "free", "--n", "1"], "windw:"),
+    ("window = 3\nm = 2\n", ["build", "free", "--n", "1"], "m:"),
+    ("m = 1\n", ["build", "free", "--n", "1", "--window", "3,3"], "m:"),
+    ("seed = abc\n", ["verify-paper", "--suite", "roundtrip"], "seed:"),
+], ids=["unknown-key", "m-vs-config-window", "m-vs-flag-window", "seed-not-int"])
+def test_config_errors_exit_2_naming_the_key(tmp_path, capsys, text, argv, start):
+    cfg = tmp_path / "fimlab.cfg"
+    cfg.write_text(text)
+    if argv[0] == "build":
+        argv = argv + ["-o", str(tmp_path / "o.json")]
+    code, payload = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith(start)
+
+
+def test_config_m_matching_the_window_builds(tmp_path, capsys):
+    cfg = tmp_path / "fimlab.cfg"
+    cfg.write_text("window = 2,2\nm = 2\n")
+    code, payload = run_cli(capsys, "build", "free", "--n", "1,0", "--config", str(cfg),
+                            "-o", str(tmp_path / "o.json"))
+    assert code == 0 and payload["dims"]["(2, 2)"] == 2
+
+
 def test_group_file_build(tmp_path, capsys):
     from fimlab.category import GroupTable
 

@@ -14,7 +14,6 @@ from fimlab.category import (
     enumerate_injections,
     generator_keys,
     injection_index_table,
-    invert_perm,
     leq,
     morphism_of_key,
 )
@@ -39,7 +38,6 @@ from fimlab.functors import (
     derivative,
     derivative_free_decomposition,
     derivative_sum,
-    exact_four_term_check,
     ind,
     induced_module,
     kernel_functor,
@@ -51,7 +49,8 @@ from fimlab.functors import (
     shift_prod,
     shift_sum,
 )
-from fimlab.symrep import GroupRep
+
+from oracles import exact_four_term_check, invert_perm, regular_rep, with_trivial_group_action
 
 TRIV = GroupTable.trivial()
 
@@ -289,7 +288,7 @@ def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
     """Invariants are read off the generators: M(lambda), E(lambda) and
     F_s(W) list no element of Aut x G."""
     s3 = GroupTable.symmetric(3)
-    regular = GroupRep.regular(s3)
+    regular = regular_rep(s3)
     w_rs = ind(make_free((0,), Window((1,)), TRIV), rs_group((3,), TRIV))
 
     def refuse(*args):
@@ -359,8 +358,6 @@ def test_kernel_vanishes_eventually_for_samples():
 def test_induced_module_at_zero_object_is_constant_along_s():
     """F at s = (0): the value is W(t) at every S-level, with identity
     S-direction actions."""
-    from fimlab.modules import with_trivial_group_action
-
     w_rs = with_trivial_group_action(
         make_free((1,), Window((2,)), TRIV), rs_group((0,), TRIV)
     )
@@ -374,7 +371,7 @@ def test_induced_module_at_zero_object_is_constant_along_s():
 
 def test_induced_module_matches_make_induced():
     """F of an irreducible at s agrees with the idempotent construction."""
-    from fimlab.modules import make_induced, with_trivial_group_action
+    from fimlab.modules import make_induced
     from fimlab.modules import hom_space
 
     # W = trivial S_2-rep tensor the constant module on the complement
@@ -481,7 +478,6 @@ def _induced_by_permutations(s, S, w_rs, group, window):
 
 
 def _induced_cases():
-    from fimlab.modules import with_trivial_group_action
     from fimlab.samples import random_presented_module
 
     s2, c3 = GroupTable.symmetric(2), GroupTable.cyclic(3)

@@ -1,5 +1,6 @@
 """Invariants of the package source: its checks are explicit raises, so
-``python -O`` keeps them, and it calls a general solver only where listed."""
+``python -O`` keeps them, it calls a general solver only where listed, and
+every function it defines has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -40,8 +41,6 @@ GENERAL_SOLVES = {
         "powers of an algebra element, which are not an RREF basis",
     ("symrep.py", "specht", "solve_matrix"):
         "the swap action on the polytabloid basis, which is not in RREF",
-    ("symrep.py", "rational_character_table", "solve_matrix"):
-        "class-sum actions on eigenspace bases, which are not in RREF",
 }
 
 
@@ -73,3 +72,82 @@ def test_general_solves_are_on_the_allow_list():
     found = [c for path in sorted(SOURCE.glob("*.py")) for c in _general_solve_calls(path)]
     assert len(found) == len(set(found)), "a function calls one solver twice"
     assert sorted(found) == sorted(GENERAL_SOLVES)
+
+
+# Package definitions that no package code reaches, as (file, qualified
+# name), with the reason each stays.  Everything else is reached from
+# module-level code, from an import in ``fimlab/__init__.py``, from a suite
+# registered with ``suites._suite``, or from the body of a definition so
+# reached.  Code that only tests use lives in ``tests/oracles.py``.
+NO_PACKAGE_CALLER = {}
+
+
+def _referenced(nodes):
+    """Names that code in ``nodes`` reads: bare names, and ``.attr`` for
+    attribute access."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add("." + sub.attr)
+    return out
+
+
+def _definitions(path):
+    """The top-level functions and classes and the non-dunder methods of one
+    source file, as {(file, qualified name): (names that reach it, names its
+    body reads)}, and the names that module-level code reads.  A method is
+    reached through ``.name``; a dunder method's body counts as its class's."""
+    defs, roots = {}, set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            roots |= _referenced([node])
+            continue
+        roots |= _referenced(node.decorator_list)
+        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"
+               for d in node.decorator_list):
+            roots.add(node.name)
+        if isinstance(node, ast.FunctionDef):
+            defs[(path.name, node.name)] = ({node.name, "." + node.name},
+                                            _referenced([node.args, *node.body]))
+            continue
+        methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+        dunders = [m for m in methods if m.name.startswith("__") and m.name.endswith("__")]
+        body = [s for s in node.body if s not in methods] + node.bases + dunders
+        defs[(path.name, node.name)] = ({node.name, "." + node.name}, _referenced(body))
+        for m in methods:
+            roots |= _referenced(m.decorator_list)
+            if m not in dunders:
+                defs[(path.name, f"{node.name}.{m.name}")] = (
+                    {"." + m.name}, _referenced([m.args, *m.body]))
+    return defs, roots
+
+
+def test_every_package_function_has_a_package_caller():
+    defs, live_names = {}, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            live_names |= {a.name for node in tree.body
+                           if isinstance(node, ast.ImportFrom) for a in node.names}
+            continue
+        file_defs, roots = _definitions(path)
+        defs.update(file_defs)
+        live_names |= roots
+    assert set(NO_PACKAGE_CALLER) <= set(defs), "an allow-list entry is gone"
+    assert all(NO_PACKAGE_CALLER.values()), "an allow-list entry has no reason"
+    # reach definitions from the roots; a method needs its class reached too
+    live, grown = set(), True
+    while grown:
+        grown = False
+        for key, (reached_by, body) in defs.items():
+            owner = (key[0], key[1].rsplit(".", 1)[0])
+            reached = reached_by & live_names and ("." not in key[1] or owner in live)
+            if key not in live and (reached or key in NO_PACKAGE_CALLER):
+                live.add(key)
+                live_names |= body
+                grown = True
+    dead = [f"{file}:{name}" for file, name in sorted(set(defs) - live)]
+    assert not dead, f"no caller in the package: {', '.join(dead)}"

