@@ -17,13 +17,16 @@ import json
 
 from fimlab.category import GroupTable, Window
 from fimlab.functors import (
+    averaging_splitting,
     derivative,
+    derivative_free_decomposition,
     ind,
     induced_module,
     kernel_functor,
     rs_group,
+    shift_free_decomposition,
 )
-from fimlab.homology import free_cover, h1
+from fimlab.homology import free_cover, h1, is_S_induced
 from fimlab.modules import (
     MarginError,
     ModuleMap,
@@ -40,7 +43,7 @@ from fimlab.modules import (
 )
 from fimlab.samples import point_module, random_presented_module
 from fimlab.suites import _thm1_battery, run_all
-from fimlab.theorems import end_ring, shift_theorem_search
+from fimlab.theorems import _finite_dim_embedding, cogenerate, end_ring, shift_theorem_search
 
 from oracles import regular_rep, with_trivial_group_action
 
@@ -229,6 +232,79 @@ def _direct_sums():
         yield f"direct_sum/inclusion_{j}", _blocks(incl)
 
 
+def _free_decompositions():
+    """Lemma 2.3: the isomorphisms M(n) + M(n - o_i)^(n_i) -> Shift_i M(n)
+    and M(n - o_i)^(n_i) -> D_i M(n), with their source and target, for
+    every n and i of the two windows the lemma2.3 suite checks."""
+    decompositions = {"shift": shift_free_decomposition,
+                      "derivative": derivative_free_decomposition}
+    for bound in ((3,), (2, 2)):
+        window = Window(bound)
+        for gname, group in GROUPS.items():
+            for n in window.objects():
+                for i in range(1, window.m + 1):
+                    for kind, decompose in decompositions.items():
+                        iso, big, target = decompose(n, i, window, group)
+                        yield (f"decomposition/{kind}/{obj_str(bound)}/{gname}/"
+                               f"{obj_str(n)}/{i}", _dumps({
+                                   "iso": json.loads(_blocks(iso)),
+                                   "big": big.to_dict(),
+                                   "target": target.to_dict()}))
+
+
+def _averaging_splittings():
+    w = Window((3,))
+    for gname in ("S2", "C3"):
+        group = GROUPS[gname]
+        mods = {"free_(1,)": make_free((1,), w, group),
+                "ind_cofree_(1,)": ind(make_cofree((1,), w), group)}
+        for seed in range(2):
+            mods[f"random/{seed}"] = random_presented_module(w, seed, group=group)
+        for label, v in mods.items():
+            phi, eps = averaging_splitting(v)
+            yield f"averaging/{gname}/{label}/phi", _blocks(phi)
+            yield f"averaging/{gname}/{label}/eps", _blocks(eps)
+
+
+def _cogenerations():
+    """cogenerate's witnesses, and the co-free embedding of its
+    finite-dimensional layers taken directly, over 1, S2 and C3."""
+    w = Window((3,))
+    mods = {"cofree_(2,)": make_cofree((2,), w)}
+    for seed in range(4):
+        mods[f"random/{seed}"] = random_presented_module(w, seed)
+    for seed in (0, 3):
+        mods[f"S2/random/{seed}"] = random_presented_module(w, seed, group=GROUPS["S2"])
+    for label, v in mods.items():
+        wit = cogenerate(v)
+        yield f"cogenerate/{label}", _dumps({
+            "status": wit.status,
+            "members": [m.describe() for m in wit.members],
+            "embedding": None if wit.embedding is None
+            else json.loads(_blocks(wit.embedding)),
+        })
+    for gname, group in GROUPS.items():
+        for seed in (0, 3):
+            v = random_presented_module(w, seed, group=group)
+            members, emb, total = _finite_dim_embedding(v, group)
+            yield f"finite_dim_embedding/{gname}/random/{seed}", _dumps({
+                "members": [m.describe() for m in members],
+                "embedding": json.loads(_blocks(emb)),
+                "target": total.to_dict(),
+            })
+
+
+def _counits():
+    """The counit F_s(V[[s]]) -> V that certifies V induced along S."""
+    for gname, group in GROUPS.items():
+        mods = {"free_(1, 1)": make_free((1, 1), Window((2, 2)), group),
+                "induced_(1,)x(1,)": make_induced(((1,), (1,)), Window((2, 2)), group)}
+        for label, v in mods.items():
+            for S in ((1,), (2,), (1, 2)):
+                verdict = is_S_induced(v, S)
+                yield f"counit/{gname}/{label}/{S}", _blocks(verdict.iso)
+
+
 def documents(suite_reports=None):
     yield from _suites(suite_reports)
     yield from _random_modules()
@@ -239,6 +315,10 @@ def documents(suite_reports=None):
     yield from _end_rings()
     yield from _hom_spaces()
     yield from _direct_sums()
+    yield from _free_decompositions()
+    yield from _averaging_splittings()
+    yield from _cogenerations()
+    yield from _counits()
 
 
 def digests(suite_reports=None) -> dict:
