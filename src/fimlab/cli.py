@@ -133,11 +133,19 @@ def _emit(payload, code: int) -> int:
 
 
 def _load_group(arg, config) -> GroupTable:
-    path = arg or config.get("group")
+    """The group table of --group or the config's ``group``, else the
+    trivial group.  A file that cannot be read or is not a group table
+    raises a ValueError that starts with ``--group:`` or ``group:``."""
+    path, where = (arg, "--group") if arg else (config.get("group"), "group")
     if path is None:
         return GroupTable.trivial()
-    with open(path) as fh:
-        return GroupTable.from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            return GroupTable.from_dict(json.load(fh))
+    except OSError as exc:
+        raise ValueError(f"{where}: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _window_from(args, config) -> Window:
@@ -257,6 +265,11 @@ def cmd_endring(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     config = load_config(args.config)
+    # the suites pin their own windows and groups, but a config that build
+    # would refuse is refused here too
+    _load_group(None, config)
+    if "window" in config:
+        _window_from(args, config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     if args.suite == "all":
         reports = run_all(seed=seed)

@@ -17,11 +17,9 @@ from .category import (
     Window,
     add,
     aut_swaps,
-    enumerate_injections,
     generator_keys,
     injection_index_table,
     key_ends,
-    leq,
     sub,
     swap_morphism,
     unit,
@@ -40,6 +38,7 @@ from .modules import (
     TruncatedModule,
     _aut_right_action_matrix,
     _fixed_space,
+    cover_block,
     direct_sum,
     make_free,
     quotient,
@@ -262,7 +261,11 @@ def res(v: TruncatedModule) -> TruncatedModule:
 
 def averaging_splitting(v: TruncatedModule):
     """The pair phi: V -> Ind(Res V), eps: Ind(Res V) -> V with
-    eps o phi = id; phi averages over the group orbit."""
+    eps o phi = id; phi averages over the group orbit.
+
+    On the basis (r, g) of Ind(Res V)(n), group index fastest, row (r, g)
+    of phi is row r of rho(g^-1) / |G|, and eps sends (c, g) to column c of
+    rho(g)."""
     group = v.group
     w = ind(res(v), group)
     og = group.order
@@ -271,25 +274,14 @@ def averaging_splitting(v: TruncatedModule):
     eps_blocks = {}
     for n in v.window.objects():
         d = v.dims[n]
-        rho = v.group_elements_at(n) if d else {0: RationalMatrix.identity(0)}
-        phi = [[_ZERO] * d for _ in range(d * og)]
-        eps = [[_ZERO] * (d * og) for _ in range(d)]
-        for g in range(og):
-            rg = rho.get(g, RationalMatrix.identity(d)) if d else None
-            rginv = rho.get(group.inverse[g]) if d else None
-            for b in range(d):
-                for bp in range(d):
-                    val = rginv.rows[bp][b]
-                    if val:
-                        phi[bp * og + g][b] = val * inv_norm
-                    ev = rg.rows[bp][b]
-                    if ev:
-                        eps[bp][b * og + g] = ev
-        phi_blocks[n] = RationalMatrix(phi, d * og, d)
-        eps_blocks[n] = RationalMatrix(eps, d, d * og)
-    phi_map = ModuleMap(v, w, phi_blocks)
-    eps_map = ModuleMap(w, v, eps_blocks)
-    return phi_map, eps_map
+        rho = v.group_elements_at(n)
+        phi_blocks[n] = RationalMatrix(
+            [[x * inv_norm for x in rho[group.inverse[g]].rows[r]]
+             for r in range(d) for g in range(og)], d * og, d)
+        eps_blocks[n] = RationalMatrix(
+            [[rho[g].rows[r][c] for c in range(d) for g in range(og)]
+             for r in range(d)], d, d * og)
+    return ModuleMap(v, w, phi_blocks), ModuleMap(w, v, eps_blocks)
 
 
 # -- the induced module functor F_s ----------------------------------------
@@ -411,101 +403,71 @@ def _induced_presentation(s, S, not_S, w_rs, m):
 # -- explicit free-module decompositions (shift and derivative) ------------
 
 
+def _shift_generators(n, i: int, shifted: TruncatedModule) -> list:
+    """Generator values of the Lemma 2.3 isomorphism in Shift_i F(n) =
+    F(n)(- + o_i), whose new point is 1 in coordinate i: at n, the injection
+    n -> n + o_i missing it; at n - o_i, for x0 = 1..n_i, the automorphism
+    of n sending x0 to it and the points before x0 one up.  The first is
+    dropped when n lies outside the shifted window.  As [(object, lifts)]
+    for :func:`cover_block`."""
+    m = len(n)
+    og = shifted.group.order
+
+    def unit_vector(obj, img):
+        maps = tuple(img if j == i - 1 else tuple(range(1, x + 1))
+                     for j, x in enumerate(n))
+        r = injection_index_table(n, add(obj, unit(m, i)))[maps] * og
+        return tuple(_ONE if k == r else _ZERO for k in range(shifted.dims[obj]))
+
+    gens = []
+    if shifted.window.contains(n):
+        gens.append((n, [unit_vector(n, tuple(range(2, n[i - 1] + 2)))]))
+    if n[i - 1]:
+        lower = sub(n, unit(m, i))
+        gens.append((lower, [
+            unit_vector(lower, tuple(1 if y == x0 else y + 1 if y < x0 else y
+                                     for y in range(1, n[i - 1] + 1)))
+            for x0 in range(1, n[i - 1] + 1)]))
+    return gens
+
+
+def _lower_copies(n, i: int, window: Window, group: GroupTable) -> list:
+    """The n_i summands M(n - o_i) of Lemma 2.3 on the window."""
+    if not n[i - 1]:
+        return []
+    return [make_free(sub(n, unit(len(n), i)), window, group)] * n[i - 1]
+
+
 def shift_free_decomposition(n, i: int, window: Window,
                              group: GroupTable | None = None):
-    """The explicit isomorphism M(n) + M(n - o_i)^(n_i) -> Shift_i M(n).
-
-    A basis injection into t + o_i either misses the new point (the M(n)
-    part, shift all targets down by one) or hits it at x0 (copy x0 of the
-    M(n - o_i) part).  Returns (iso, big, shifted).
-    """
+    """The isomorphism M(n) + M(n - o_i)^(n_i) -> Shift_i M(n) of Lemma 2.3,
+    the Yoneda map from the generator values of :func:`_shift_generators`.
+    Returns (iso, big, shifted)."""
     group = group or GroupTable.trivial()
     n = tuple(n)
-    m = len(n)
     free = make_free(n, window, group)
     shifted = shift(free, i)
     w2 = shifted.window
-    og = group.order
-    parts = [restrict_window(free, w2)]
-    lower = sub(n, unit(m, i)) if n[i - 1] >= 1 else None
-    for _ in range(n[i - 1]):
-        parts.append(make_free(lower, w2, group))
-    big, _ = direct_sum(*parts)
-    blocks = {}
-    for t in w2.objects():
-        up = add(t, unit(m, i))
-        rows = shifted.dims[t]
-        cols = big.dims[t]
-        mat = [[_ZERO] * cols for _ in range(rows)]
-        if rows:
-            index_up = injection_index_table(n, up)
-            # part 0: M(n)(t): compose with (x -> x+1) in coordinate i
-            offset = 0
-            if leq(n, t):
-                for bi, beta in enumerate(enumerate_injections(n, t)):
-                    maps = []
-                    for j, img in enumerate(beta.maps):
-                        if j == i - 1:
-                            maps.append(tuple(x + 1 for x in img))
-                        else:
-                            maps.append(img)
-                    ti = index_up[tuple(maps)]
-                    for h in range(og):
-                        mat[ti * og + h][offset + bi * og + h] = _ONE
-                offset += free.dims[t]
-            # parts x0 = 1..n_i: insert the new point as image of x0
-            if lower is not None and leq(lower, t):
-                low_injs = enumerate_injections(lower, t)
-                for x0 in range(1, n[i - 1] + 1):
-                    for bi, beta in enumerate(low_injs):
-                        maps = []
-                        for j, img in enumerate(beta.maps):
-                            if j == i - 1:
-                                full = []
-                                for y in range(1, n[i - 1] + 1):
-                                    if y == x0:
-                                        full.append(1)
-                                    elif y < x0:
-                                        full.append(img[y - 1] + 1)
-                                    else:
-                                        full.append(img[y - 2] + 1)
-                                maps.append(tuple(full))
-                            else:
-                                maps.append(img)
-                        ti = index_up[tuple(maps)]
-                        for h in range(og):
-                            mat[ti * og + h][offset + bi * og + h] = _ONE
-                    offset += len(low_injs) * og
-        blocks[t] = RationalMatrix(mat, rows, cols)
-    iso = ModuleMap(big, shifted, blocks)
+    big, _ = direct_sum(restrict_window(free, w2), *_lower_copies(n, i, w2, group))
+    gens = _shift_generators(n, i, shifted)
+    iso = ModuleMap(big, shifted, {t: cover_block(shifted, gens, t) for t in w2.objects()})
     return iso, big, shifted
 
 
 def derivative_free_decomposition(n, i: int, window: Window,
                                   group: GroupTable | None = None):
-    """The explicit isomorphism M(n - o_i)^(n_i) -> D_i M(n) induced by the
-    shift decomposition.  Returns (iso, big, derived)."""
+    """The isomorphism M(n - o_i)^(n_i) -> D_i M(n), the Yoneda map from the
+    automorphism generator values of :func:`_shift_generators` pushed
+    through the projection Shift_i M(n) -> D_i M(n).  Returns (iso, big,
+    derived)."""
     group = group or GroupTable.trivial()
     n = tuple(n)
-    m = len(n)
-    free = make_free(n, window, group)
-    can = canonical_map(free, i)
-    spaces = {t: image_basis(b) for t, b in can.blocks.items()}
-    derived, proj = quotient(can.target, spaces)
-    iso_all, big_all, shifted = shift_free_decomposition(n, i, window, group)
-    w2 = shifted.window
-    lower = sub(n, unit(m, i)) if n[i - 1] >= 1 else None
-    parts = [make_free(lower, w2, group) for _ in range(n[i - 1])]
-    if parts:
-        big, _ = direct_sum(*parts)
-    else:
-        big = zero_module(w2, group)
-    og = group.order
-    blocks = {}
-    for t in w2.objects():
-        first_width = free.dims[t]  # restricted M(n) columns come first
-        cols = list(range(first_width, big_all.dims[t]))
-        mat = proj.blocks[t] * iso_all.blocks[t].columns(cols)
-        blocks[t] = mat
-    iso = ModuleMap(big, derived, blocks)
+    can = canonical_map(make_free(n, window, group), i)
+    derived, proj = quotient(can.target, {t: image_basis(b) for t, b in can.blocks.items()})
+    w2 = derived.window
+    copies = _lower_copies(n, i, w2, group)
+    big = direct_sum(*copies)[0] if copies else zero_module(w2, group)
+    gens = [(obj, [proj.blocks[obj].apply(u) for u in lifts])
+            for obj, lifts in _shift_generators(n, i, can.target) if obj != n]
+    iso = ModuleMap(big, derived, {t: cover_block(derived, gens, t) for t in w2.objects()})
     return iso, big, derived

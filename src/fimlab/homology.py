@@ -31,6 +31,7 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
+    _from_columns,
     close_under_actions,
     cover_block,
     direct_sum,
@@ -53,6 +54,10 @@ from .functors import (
 EXACT = "EXACT"
 WINDOW_BOUNDED = "WINDOW_BOUNDED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# peel steps is_S_semi_induced takes before a nonzero rest makes its
+# certificate INCONCLUSIVE
+MAX_PEELS = 32
 
 
 # -- slices ---------------------------------------------------------------
@@ -350,38 +355,25 @@ class InducedVerdict:
 
 
 def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
-    """The evaluation map F_s(V[[s]]) -> V from the universal property."""
+    """The evaluation map F_s(V[[s]]) -> V from the universal property: on
+    the ambient space, beta (x) w -> V(beta) w, with beta: s -> s' in the S
+    coordinates and the identity elsewhere."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
+    s = tuple(s)
     fsw, fsw_incl = induced_module(s, S, witness, v.group, v.window)
-    # counit on the ambient (unsymmetrized) space: beta (x) w  ->  beta . w
     blocks = {}
     for n in v.window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        if not leq(tuple(s), s_part):
-            blocks[n] = RationalMatrix.zeros(v.dims[n], fsw.dims[n])
-            continue
-        injs = enumerate_injections(tuple(s), s_part)
-        dw = witness.dims[t_part]
         cols = []
-        for beta in injs:
-            maps = [None] * v.m
-            for pos, i in enumerate(S):
-                maps[i - 1] = beta.maps[pos]
-            for pos, i in enumerate(not_S):
-                maps[i - 1] = tuple(range(1, t_part[pos] + 1))
-            mor = Morphism(interleave(S, not_S, tuple(s), t_part), n, tuple(maps), 0)
-            act = v.evaluate(mor)
-            for wcol in range(dw):
-                cols.append(act.col(wcol))
-        big_mat = RationalMatrix(
-            [[cols[c][r] for c in range(len(cols))] for r in range(v.dims[n])],
-            v.dims[n],
-            len(cols),
-        ) if cols else RationalMatrix.zeros(v.dims[n], 0)
-        blocks[n] = big_mat
-    final = {n: blocks[n] * fsw_incl.blocks[n] for n in v.window.objects()}
-    return ModuleMap(fsw, v, final), fsw
+        if leq(s, s_part):
+            ident = tuple(tuple(range(1, x + 1)) for x in t_part)
+            for beta in enumerate_injections(s, s_part):
+                act = v.evaluate(Morphism(interleave(S, not_S, s, t_part), n,
+                                          interleave(S, not_S, beta.maps, ident), 0))
+                cols += [act.col(c) for c in range(witness.dims[t_part])]
+        blocks[n] = _from_columns(cols, v.dims[n]) * fsw_incl.blocks[n]
+    return ModuleMap(fsw, v, blocks), fsw
 
 
 def is_S_induced(v: TruncatedModule, S) -> InducedVerdict:
@@ -464,10 +456,10 @@ class SemiInducedCertificate:
         return all(total[n] == v.dims[n] for n in v.window.objects())
 
 
-def is_S_semi_induced(v: TruncatedModule, S, max_steps: int = 32):
+def is_S_semi_induced(v: TruncatedModule, S):
     """Semi-induced along S: H_1 = 0; a filtration certificate is extracted
     by repeatedly peeling the maximal-degree generator slice (lex-smallest
-    tie-break), at most ``max_steps`` times.  Returns (ok, certificate,
+    tie-break), at most ``MAX_PEELS`` times.  Returns (ok, certificate,
     report)."""
     S = normalize_subset(S, v.m)
     rep = h1(v, S)
@@ -476,10 +468,10 @@ def is_S_semi_induced(v: TruncatedModule, S, max_steps: int = 32):
     status = rep.status_t1
     cur = v
     while ok and not cur.is_zero():
-        # a nonzero rest after max_steps peels is inconclusive, like a
+        # a nonzero rest after MAX_PEELS peels is inconclusive, like a
         # peel that finds no slice or a piece that is not induced
         step = (_peel(cur, S, (h0(cur, S) if steps else rep).h0_slices)
-                if len(steps) < max_steps else None)
+                if len(steps) < MAX_PEELS else None)
         if step is None or not step.verdict.ok:
             status = INCONCLUSIVE
             break

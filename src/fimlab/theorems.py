@@ -17,10 +17,8 @@ from functools import reduce
 
 from .category import (
     GroupTable,
-    Morphism,
     Window,
-    enumerate_injections,
-    leq,
+    count_injections,
 )
 from .linalg import (
     RationalMatrix,
@@ -39,6 +37,7 @@ from .modules import (
     NaturalitySolver,
     Presentation,
     TruncatedModule,
+    _basis_morphisms,
     check_hom_source,
     direct_sum,
     external_tensor,
@@ -246,46 +245,29 @@ class _Inconclusive(Exception):
 
 
 def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
-    """Embed a finite-dimensional module into co-free members via the
-    functionals xi(beta . x) on each support object."""
+    """Embed a finite-dimensional module into co-free members: one E(l)
+    (tensored with kG over a nontrivial group) per basis vector j of each
+    support object l, reached by the functional xi_j(beta . x).  At t its
+    rows are row j of x(beta, g) for the basis (beta, g) of E(l)(t), the
+    morphisms t -> l, group fastest."""
     window = x.window
     support = [n for n in window.objects_by_degree() if x.dims[n] > 0]
-    members = []
-    targets = []
-    maps_to = []
-    og = x.group.order
-    for l in support:
-        d_l = x.dims[l]
-        desc = UMemberDesc(
-            tuple(("cofree", li) for li in l), with_group=not x.group.is_trivial()
-        )
-        built = build_member(desc, window, x.group)
-        for j in range(d_l):
-            members.append(desc)
-            targets.append(built)
-            blocks = {}
-            for t in window.objects():
-                rows = []
-                if leq(t, l):
-                    injs = enumerate_injections(t, l)
-                else:
-                    injs = []
-                # basis of Ind(E(l)) at t (E(l) itself for the trivial
-                # group): (beta, g), group fastest
-                for beta in injs:
-                    for g in range(og):
-                        mor = Morphism(beta.source, beta.target, beta.maps, g)
-                        rows.append(x.evaluate(mor).rows[j])
-                blocks[t] = RationalMatrix(rows, built.dims[t], x.dims[t])
-            maps_to.append(ModuleMap(x, built, blocks))
-    if not members:
+    if not support:
         z = zero_module(window, x.group)
         return [], ModuleMap.zero(x, z), z
-    total, incls = direct_sum(*targets)
-    emb = None
-    for incl, mp in zip(incls, maps_to):
-        piece = incl.compose(mp)
-        emb = piece if emb is None else emb.add(piece)
+    descs = {l: UMemberDesc(tuple(("cofree", li) for li in l),
+                            with_group=not x.group.is_trivial()) for l in support}
+    built = {l: build_member(desc, window, x.group) for l, desc in descs.items()}
+    members = [descs[l] for l in support for _ in range(x.dims[l])]
+    total, _ = direct_sum(*[built[l] for l in support for _ in range(x.dims[l])])
+    blocks = {}
+    for t in window.objects():
+        rows = []
+        for l in support:
+            mats = [x.evaluate(mor) for mor in _basis_morphisms(t, l, x.group)]
+            rows += [mat.rows[j] for j in range(x.dims[l]) for mat in mats]
+        blocks[t] = RationalMatrix(rows, total.dims[t], x.dims[t])
+    emb = ModuleMap(x, total, blocks)
     if not emb.is_injective_objectwise():
         raise _Inconclusive("finite-dimensional embedding failed injectivity")
     return members, emb, total
@@ -501,11 +483,7 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
     blocks = {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        if not leq(tuple(s), s_part):
-            blocks[n] = RationalMatrix.zeros(fs_target.dims[n], fs_source.dims[n])
-            continue
-        ninj = len(enumerate_injections(tuple(s), s_part))
-        big = kron(RationalMatrix.identity(ninj), f.blocks[t_part])
+        big = kron(RationalMatrix.identity(count_injections(s, s_part)), f.blocks[t_part])
         sol = image_basis(tgt_incl.blocks[n]).coordinates(big * src_incl.blocks[n])
         if sol is None:
             raise _Inconclusive("induced map failed to restrict")

@@ -21,10 +21,22 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from fimlab.category import GroupTable, Window, aut_swaps, generator_keys, perm_to_adjacent
-from fimlab.functors import canonical_map, derivative, kernel_functor
+from fimlab.category import (
+    GroupTable,
+    Window,
+    add,
+    aut_swaps,
+    enumerate_injections,
+    generator_keys,
+    injection_index_table,
+    leq,
+    perm_to_adjacent,
+    sub,
+    unit,
+)
+from fimlab.functors import canonical_map, derivative, kernel_functor, shift
 from fimlab.linalg import RationalMatrix, image_basis, kernel_basis, rational_roots, solve_matrix
-from fimlab.modules import Presentation, TruncatedModule
+from fimlab.modules import Presentation, TruncatedModule, make_free, quotient
 from fimlab.symrep import (
     GroupRep,
     _check_coxeter,
@@ -146,6 +158,57 @@ def exact_four_term_check(v: TruncatedModule, i: int) -> bool:
         if can.target.dims[n] - r != d.dims[n]:
             return False
     return True
+
+
+def shift_decomposition_by_indexing(n, i: int, window: Window, group: GroupTable) -> dict:
+    """The blocks of M(n) + M(n - o_i)^(n_i) -> Shift_i M(n), written out
+    injection by injection: a basis injection into t + o_i either misses
+    the new point 1 (the M(n) part, all targets moved up by one) or sends
+    x0 to it (copy x0 of the M(n - o_i) part)."""
+    n = tuple(n)
+    m = len(n)
+    free = make_free(n, window, group)
+    shifted = shift(free, i)
+    og = group.order
+    lower = sub(n, unit(m, i)) if n[i - 1] >= 1 else None
+    blocks = {}
+    for t in shifted.window.objects():
+        rows = shifted.dims[t]
+        columns = []  # the row index of each column's single 1
+        if rows:
+            index_up = injection_index_table(n, add(t, unit(m, i)))
+            if leq(n, t):
+                for beta in enumerate_injections(n, t):
+                    maps = tuple(tuple(x + 1 for x in img) if j == i - 1 else img
+                                 for j, img in enumerate(beta.maps))
+                    columns += [index_up[maps] * og + h for h in range(og)]
+            if lower is not None and leq(lower, t):
+                for x0 in range(1, n[i - 1] + 1):
+                    for beta in enumerate_injections(lower, t):
+                        img = beta.maps[i - 1]
+                        full = tuple(1 if y == x0 else img[y - 1] + 1 if y < x0
+                                     else img[y - 2] + 1 for y in range(1, n[i - 1] + 1))
+                        maps = beta.maps[:i - 1] + (full,) + beta.maps[i:]
+                        columns += [index_up[maps] * og + h for h in range(og)]
+        mat = [[Fraction(0)] * len(columns) for _ in range(rows)]
+        for c, r in enumerate(columns):
+            mat[r][c] = Fraction(1)
+        blocks[t] = RationalMatrix(mat, rows, len(columns))
+    return blocks
+
+
+def derivative_decomposition_by_indexing(n, i: int, window: Window, group: GroupTable) -> dict:
+    """The blocks of M(n - o_i)^(n_i) -> D_i M(n): the M(n - o_i) columns of
+    :func:`shift_decomposition_by_indexing` followed by the projection onto
+    the cokernel of the canonical map."""
+    free = make_free(tuple(n), window, group)
+    can = canonical_map(free, i)
+    _, proj = quotient(can.target, {t: image_basis(b) for t, b in can.blocks.items()})
+    blocks = {}
+    for t, block in shift_decomposition_by_indexing(n, i, window, group).items():
+        cols = list(range(free.dims[t], block.ncols))
+        blocks[t] = proj.blocks[t] * block.columns(cols)
+    return blocks
 
 
 # -- partitions and classes of S_n --------------------------------------------

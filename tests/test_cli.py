@@ -115,6 +115,60 @@ def test_config_errors_exit_2_naming_the_key(tmp_path, capsys, text, argv, start
     assert payload["error"].startswith(start)
 
 
+def _group_files(tmp_path):
+    """Paths for the group config tests: a good S2 table, a missing file,
+    a file that is not JSON and a table that is not a group law."""
+    from fimlab.category import GroupTable
+
+    files = {"good": GroupTable.symmetric(2).to_dict(),
+             "not-json": "{",
+             "bad-table": {"mult": [[0, 1], [0, 0]], "generators": [1], "order": 2}}
+    paths = {"missing": tmp_path / "missing.json"}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(content if isinstance(content, str) else json.dumps(content))
+    return paths
+
+
+@pytest.mark.parametrize("group", ["missing", "not-json", "bad-table"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_bad_group_file_exits_2_naming_its_source(tmp_path, capsys, group, via):
+    path = str(_group_files(tmp_path)[group])
+    argv = ["build", "free", "--n", "0", "--window", "2", "-o", str(tmp_path / "o.json")]
+    if via == "flag":
+        argv += ["--group", path]
+    else:
+        cfg = tmp_path / "fimlab.cfg"
+        cfg.write_text(f"group = {path}\n")
+        argv += ["--config", str(cfg)]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith("--group:" if via == "flag" else "group:")
+
+
+@pytest.mark.parametrize("text,start", [
+    ("window = 3\nm = 2\ngroup = {missing}\n", "group:"),
+    ("group = {not-json}\n", "group:"),
+    ("group = {bad-table}\n", "group:"),
+    ("window = 3\nm = 2\n", "m:"),
+    ("window = 3\nm = 2\ngroup = {good}\n", "m:"),
+], ids=["missing-group", "group-not-json", "group-not-a-table", "m-vs-window",
+        "m-vs-window-good-group"])
+def test_verify_paper_refuses_a_config_that_build_refuses(tmp_path, capsys, text, start):
+    cfg = tmp_path / "fimlab.cfg"
+    cfg.write_text(text.format(**_group_files(tmp_path)))
+    code, payload = run_cli(capsys, "verify-paper", "--suite", "roundtrip", "--config", str(cfg))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"].startswith(start)
+
+
+def test_verify_paper_accepts_a_config_that_build_accepts(tmp_path, capsys):
+    cfg = tmp_path / "fimlab.cfg"
+    cfg.write_text(f"window = 3,3\nm = 2\ngroup = {_group_files(tmp_path)['good']}\n")
+    code, payload = run_cli(capsys, "verify-paper", "--suite", "roundtrip", "--config", str(cfg))
+    assert code == 0 and payload["passed"]
+
+
 def test_config_m_matching_the_window_builds(tmp_path, capsys):
     cfg = tmp_path / "fimlab.cfg"
     cfg.write_text("window = 2,2\nm = 2\n")

@@ -50,7 +50,14 @@ from fimlab.functors import (
     shift_sum,
 )
 
-from oracles import exact_four_term_check, invert_perm, regular_rep, with_trivial_group_action
+from oracles import (
+    derivative_decomposition_by_indexing,
+    exact_four_term_check,
+    invert_perm,
+    regular_rep,
+    shift_decomposition_by_indexing,
+    with_trivial_group_action,
+)
 
 TRIV = GroupTable.trivial()
 
@@ -92,6 +99,21 @@ def test_derivative_free_decomposition_is_iso():
         iso, big, derived = derivative_free_decomposition(n, i, Window(bound), TRIV)
         assert iso.is_natural()
         assert iso.is_iso()
+
+
+@pytest.mark.parametrize("group", [TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3)],
+                         ids=["1", "S2", "C3"])
+@pytest.mark.parametrize("bound", [(3,), (2, 2), (2, 1, 1)])
+def test_free_decompositions_match_the_injection_indexing(bound, group):
+    """Every n and i of the window: the Yoneda maps from generator values
+    equal the decompositions written out injection by injection."""
+    window = Window(bound)
+    for n in window.objects():
+        for i in range(1, window.m + 1):
+            iso, _, _ = shift_free_decomposition(n, i, window, group)
+            assert iso.blocks == shift_decomposition_by_indexing(n, i, window, group)
+            iso, _, _ = derivative_free_decomposition(n, i, window, group)
+            assert iso.blocks == derivative_decomposition_by_indexing(n, i, window, group)
 
 
 def test_derivative_of_free_m1():

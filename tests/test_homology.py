@@ -1,5 +1,6 @@
 import pytest
 
+from fimlab import homology
 from fimlab.category import GroupTable, Window, degree
 from fimlab.linalg import Subspace
 from fimlab.modules import (
@@ -301,15 +302,17 @@ def test_semi_induced_certificate_steps_nest():
                        for n in v.window.objects())
 
 
-def test_semi_induced_search_stops_at_max_steps():
-    """The peeling is bounded: a rest left over after max_steps peels makes
+def test_semi_induced_search_stops_at_max_steps(monkeypatch):
+    """The peeling is bounded: a rest left over after MAX_PEELS peels makes
     the certificate INCONCLUSIVE, not a longer search."""
     w = Window((4,))
     v, _ = direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))
-    ok, cert, _ = is_S_semi_induced(v, (1,), max_steps=1)
+    monkeypatch.setattr(homology, "MAX_PEELS", 1)
+    ok, cert, _ = is_S_semi_induced(v, (1,))
     assert ok and cert.status == INCONCLUSIVE and len(cert.steps) == 1
     assert not cert.steps[0].rest.is_zero()
-    ok, cert, _ = is_S_semi_induced(v, (1,), max_steps=2)
+    monkeypatch.setattr(homology, "MAX_PEELS", 2)
+    ok, cert, _ = is_S_semi_induced(v, (1,))
     assert ok and cert.status == EXACT and len(cert.steps) == 2
 
 
