@@ -148,14 +148,19 @@ def _load_group(arg, config) -> GroupTable:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _check_m(config, window: Window) -> None:
+    """A config ``m`` must match the window's coordinate count."""
+    if "m" in config and int(config["m"]) != window.m:
+        raise ValueError(f"m: config says m = {config['m']}, but the window "
+                         f"{window.bound} has {window.m} coordinates")
+
+
 def _window_from(args, config) -> Window:
     """The window of --window or the config; a config ``m`` must match its
     coordinate count."""
     text = getattr(args, "window", None) or config.get("window")
     window = Window(_flag_coords(text, "--window"))
-    if "m" in config and int(config["m"]) != window.m:
-        raise ValueError(f"m: config says m = {config['m']}, but the window "
-                         f"{window.bound} has {window.m} coordinates")
+    _check_m(config, window)
     return window
 
 
@@ -174,6 +179,14 @@ def cmd_build(args) -> int:
             raise ValueError("inputs: tensor takes exactly two module files")
         a = TruncatedModule.load(args.inputs[0])
         b = TruncatedModule.load(args.inputs[1])
+        # the inputs fix the tensor's window; a given one must agree
+        window = Window(a.window.bound + b.window.bound)
+        _check_m(config, window)
+        if args.window or "window" in config:
+            given = _window_from(args, config)
+            if given != window:
+                raise ValueError(f"--window: {given.bound} differs from the "
+                                 f"tensor's window {window.bound}")
         mod = external_tensor(a, b)
     else:
         window = _window_from(args, config)

@@ -38,7 +38,7 @@ from .modules import (
     TruncatedModule,
     _aut_right_action_matrix,
     _fixed_space,
-    cover_block,
+    cover_blocks,
     direct_sum,
     make_free,
     quotient,
@@ -409,7 +409,7 @@ def _shift_generators(n, i: int, shifted: TruncatedModule) -> list:
     n -> n + o_i missing it; at n - o_i, for x0 = 1..n_i, the automorphism
     of n sending x0 to it and the points before x0 one up.  The first is
     dropped when n lies outside the shifted window.  As [(object, lifts)]
-    for :func:`cover_block`."""
+    for :func:`cover_blocks`."""
     m = len(n)
     og = shifted.group.order
 
@@ -450,7 +450,7 @@ def shift_free_decomposition(n, i: int, window: Window,
     w2 = shifted.window
     big, _ = direct_sum(restrict_window(free, w2), *_lower_copies(n, i, w2, group))
     gens = _shift_generators(n, i, shifted)
-    iso = ModuleMap(big, shifted, {t: cover_block(shifted, gens, t) for t in w2.objects()})
+    iso = ModuleMap(big, shifted, cover_blocks(shifted, gens))
     return iso, big, shifted
 
 
@@ -469,5 +469,5 @@ def derivative_free_decomposition(n, i: int, window: Window,
     big = direct_sum(*copies)[0] if copies else zero_module(w2, group)
     gens = [(obj, [proj.blocks[obj].apply(u) for u in lifts])
             for obj, lifts in _shift_generators(n, i, can.target) if obj != n]
-    iso = ModuleMap(big, derived, {t: cover_block(derived, gens, t) for t in w2.objects()})
+    iso = ModuleMap(big, derived, cover_blocks(derived, gens))
     return iso, big, derived

@@ -33,7 +33,7 @@ from .modules import (
     TruncatedModule,
     _from_columns,
     close_under_actions,
-    cover_block,
+    cover_blocks,
     direct_sum,
     h0_generators,
     make_free,
@@ -193,7 +193,7 @@ def free_cover(v: TruncatedModule):
     p, _ = direct_sum(*[make_free(n, v.window, v.group) for n, _ in slots])
     gbound = Presentation.make(slots, None).gen_bound(v.m)
     p.presentation = Presentation.make(slots, gbound)  # free: no relations
-    pi = ModuleMap(p, v, {t: cover_block(v, gens, t) for t in v.window.objects()})
+    pi = ModuleMap(p, v, cover_blocks(v, gens))
     if not pi.is_surjective_objectwise():
         raise AssertionError("minimal cover failed to surject inside the window")
     ker_spaces = {n: kernel_basis(b) for n, b in pi.blocks.items()}

@@ -3,7 +3,8 @@ group): the central value type of the package.
 
 A :class:`TruncatedModule` stores a dimension per window object and one
 exact rational matrix per category generator; arbitrary morphisms act
-through :func:`fimlab.category.factor_morphism`.  Constructors cover free,
+through :func:`fimlab.category.factor_morphism`, and the cover and Hom read
+every V(beta, h) off an orbit walk instead.  Constructors cover free,
 induced (Specht-isotypic image), co-free, coinduced, external tensor,
 direct sums, submodules and quotients.  Hom(V, W) is computed by Yoneda
 from generators of V read off its own data: a map is a choice of values in
@@ -1127,29 +1128,87 @@ def h0_generators(v: TruncatedModule) -> list:
     return out
 
 
-def _basis_morphisms(n, x, group: GroupTable) -> list:
-    """The basis of F(n)(x) as morphisms (beta, h), in make_free's order."""
-    if not leq(n, x):
-        return []
-    return [Morphism(b.source, b.target, b.maps, h)
-            for b in enumerate_injections(n, x) for h in range(group.order)]
-
-
 def _from_columns(cols, nrows: int) -> RationalMatrix:
     return RationalMatrix(cols, len(cols), nrows).transpose()
 
 
-def cover_block(v: TruncatedModule, gens, x) -> RationalMatrix:
-    """The map P(x) -> V(x) of the cover sending generator i to its lift u_i:
-    column (i, beta, h) is V(beta, h) u_i, generators in order and (beta, h)
-    in the order of make_free's basis."""
-    cols = []
+def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
+    """{x: [V(beta, h) mat for (beta, h) in make_free's basis of F(n)(x)]}
+    for every window object x >= n.
+
+    The injections n -> x form the Aut(x)-orbit of the standard inclusion,
+    so a breadth-first walk from the identity of n reaches each one with a
+    single product: V(incl_{i,y}) composes with a standard inclusion, V(s_k)
+    with an adjacent swap of x.  The group factor is applied once, at the
+    start: V(beta, h) = V(beta) rho_n(h), so the walk carries the blocks
+    rho_n(h) mat side by side.  No step leaves an object where V is zero; an
+    injection the walk misses factors through one, and acts by zero.
+    """
+    n = tuple(n)
+    og = v.group.order
+    width = mat.ncols
+    start = mat
+    if og > 1:
+        rho = v.group_elements_at(n)
+        for h in range(1, og):
+            start = start.hstack(rho[h] * mat)
+    bound = v.window.bound
+    reached = {}
+    frontier = []
+    if v.dims[n]:
+        ident = identity_morphism(n).maps
+        reached[n] = {ident: start}
+        frontier.append((n, ident, start))
+    while frontier:
+        nxt = []
+        for y, maps, img in frontier:
+            # each generator out of y, with what it does to the points of
+            # its coordinate i
+            steps = [(("incl", i, y), i, {p: p + 1 for p in maps[i - 1]})
+                     for i in range(1, len(y) + 1) if y[i - 1] < bound[i - 1]]
+            steps += [(("swap", i, k, y), i, {k: k + 1, k + 1: k})
+                      for i, k in aut_swaps(y)]
+            for key, i, move in steps:
+                z = key_ends(key)[1]
+                if not v.dims[z]:
+                    continue
+                seen = reached.setdefault(z, {})
+                beta = maps[:i - 1] + (tuple(move.get(p, p) for p in maps[i - 1]),) + maps[i:]
+                if beta not in seen:
+                    seen[beta] = v.actions[key] * img
+                    nxt.append((z, beta, seen[beta]))
+        frontier = nxt
+    out = {}
+    for x in v.window.objects():
+        if not leq(n, x):
+            continue
+        seen = reached.get(x, {})
+        mats, zeros = [], None
+        for beta in injection_index_table(n, x):
+            img = seen.get(beta)
+            if img is None:
+                zeros = zeros or [RationalMatrix.zeros(v.dims[x], width)] * og
+                mats.extend(zeros)
+            elif og == 1:
+                mats.append(img)
+            else:
+                mats.extend(img.columns(range(h * width, (h + 1) * width))
+                            for h in range(og))
+        out[x] = mats
+    return out
+
+
+def cover_blocks(v: TruncatedModule, gens) -> dict:
+    """The cover P -> V sending generator i to its lift u_i, as {x: the
+    block P(x) -> V(x)}: column (i, beta, h) is V(beta, h) u_i, generators
+    in order and (beta, h) in the order of make_free's basis.  One orbit
+    walk per generator object reaches every x."""
+    cols = {x: [] for x in v.window.objects()}
     for n, lifts in gens:
-        lift_mat = _from_columns(lifts, v.dims[n])
-        images = [v.evaluate(mor) * lift_mat for mor in _basis_morphisms(n, x, v.group)]
-        for j in range(len(lifts)):
-            cols.extend(img.col(j) for img in images)
-    return _from_columns(cols, v.dims[x])
+        walk = _orbit_walk(v, n, _from_columns(lifts, v.dims[n]))
+        for x, images in walk.items():
+            cols[x].extend(img.col(j) for j in range(len(lifts)) for img in images)
+    return {x: _from_columns(c, v.dims[x]) for x, c in cols.items()}
 
 
 # -- the naturality solver -------------------------------------------------
@@ -1168,6 +1227,10 @@ class NaturalitySolver:
     object of the window, the solutions are exactly the natural
     transformations between the truncated modules.
 
+    Every W(beta, h) comes from one orbit walk of the identity of W(n_i)
+    per generator object (:func:`_orbit_walk`), and every pi_x from
+    :func:`cover_blocks`, so no morphism is factored into generators.
+
     The solutions form the kernel of ``rows``, computed once; ``basis()`` is
     its RREF basis, so a natural map's coordinates in that basis are its
     generator values phi(u_i) = t_i read at the kernel's pivots.
@@ -1183,16 +1246,17 @@ class NaturalitySolver:
         self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
         self._sections = {}
         self.rows = []
+        walks = [_orbit_walk(w, n, RationalMatrix.identity(w.dims[n])) for n, _ in gens]
+        pis = cover_blocks(v, gens)
         for x in v.window.objects():
             terms = []
             offset = 0
-            for n, lifts in gens:
-                wmats = [w.evaluate(mor) for mor in _basis_morphisms(n, x, v.group)]
+            for (n, lifts), walk in zip(gens, walks):
                 for _ in lifts:
-                    terms.extend((offset, wm) for wm in wmats)
+                    terms.extend((offset, wm) for wm in walk.get(x, ()))
                     offset += w.dims[n]
             self._terms[x] = terms
-            pi_x = cover_block(v, gens, x)
+            pi_x = pis[x]
             section = solve_matrix(pi_x, RationalMatrix.identity(v.dims[x]))
             if section is None:
                 raise AssertionError(f"the generators do not span V at {x}")

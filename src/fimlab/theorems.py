@@ -37,7 +37,7 @@ from .modules import (
     NaturalitySolver,
     Presentation,
     TruncatedModule,
-    _basis_morphisms,
+    _orbit_walk,
     check_hom_source,
     direct_sum,
     external_tensor,
@@ -249,7 +249,8 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     (tensored with kG over a nontrivial group) per basis vector j of each
     support object l, reached by the functional xi_j(beta . x).  At t its
     rows are row j of x(beta, g) for the basis (beta, g) of E(l)(t), the
-    morphisms t -> l, group fastest."""
+    morphisms t -> l, group fastest, all read off one orbit walk of the
+    identity at t."""
     window = x.window
     support = [n for n in window.objects_by_degree() if x.dims[n] > 0]
     if not support:
@@ -262,10 +263,10 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     total, _ = direct_sum(*[built[l] for l in support for _ in range(x.dims[l])])
     blocks = {}
     for t in window.objects():
+        walk = _orbit_walk(x, t, RationalMatrix.identity(x.dims[t]))
         rows = []
         for l in support:
-            mats = [x.evaluate(mor) for mor in _basis_morphisms(t, l, x.group)]
-            rows += [mat.rows[j] for j in range(x.dims[l]) for mat in mats]
+            rows += [mat.rows[j] for j in range(x.dims[l]) for mat in walk.get(l, ())]
         blocks[t] = RationalMatrix(rows, total.dims[t], x.dims[t])
     emb = ModuleMap(x, total, blocks)
     if not emb.is_injective_objectwise():

@@ -23,6 +23,7 @@ from math import factorial, prod
 
 from fimlab.category import (
     GroupTable,
+    Morphism,
     Window,
     add,
     aut_swaps,
@@ -209,6 +210,28 @@ def derivative_decomposition_by_indexing(n, i: int, window: Window, group: Group
         cols = list(range(free.dims[t], block.ncols))
         blocks[t] = proj.blocks[t] * block.columns(cols)
     return blocks
+
+
+def evaluate_basis(v: TruncatedModule, n, x) -> list:
+    """V(beta, h) for the basis (beta, h) of F(n)(x) in make_free's order,
+    each morphism factored into generators by ``evaluate``: the route the
+    orbit walk replaced, kept as its reference."""
+    if not leq(n, x):
+        return []
+    return [v.evaluate(Morphism(b.source, b.target, b.maps, h))
+            for b in enumerate_injections(n, x) for h in range(v.group.order)]
+
+
+def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:
+    """The block at x of the cover sending generator i to its lift u_i,
+    column (i, beta, h) = V(beta, h) u_i, by :func:`evaluate_basis`."""
+    cols = []
+    for n, lifts in gens:
+        lift_mat = RationalMatrix(lifts, len(lifts), v.dims[n]).transpose()
+        images = [mat * lift_mat for mat in evaluate_basis(v, n, x)]
+        for j in range(len(lifts)):
+            cols.extend(img.col(j) for img in images)
+    return RationalMatrix(cols, len(cols), v.dims[x]).transpose()
 
 
 # -- partitions and classes of S_n --------------------------------------------

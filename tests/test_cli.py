@@ -221,8 +221,25 @@ def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     (["build", "induced", "--window", "3", "--lambdas", "[[2.5]]"], "--lambdas"),
     (["build", "induced", "--window", "3", "--lambdas", '[["2"]]'], "--lambdas"),
     (["build", "induced", "--window", "3", "--lambdas", "[[1,2]]"], "--lambdas"),
+    (["build", "tensor", "{a}", "{b}", "--config", "{m5}"], "m"),
+    (["build", "tensor", "{a}", "{b}", "--window", "2,3"], "--window"),
+    (["build", "tensor", "{a}", "{b}", "--window", "2"], "--window"),
+    (["build", "tensor", "{a}", "{b}", "--config", "{w3}"], "--window"),
+    (["build", "tensor", "{a}", "{b}", "--config", "{w22m1}"], "m"),
 ])
 def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
+    """The tensor cases fill in two m = 1 modules on the window 2 and
+    config files whose ``m`` or window disagree with the tensor's (2, 2)."""
+    if "{a}" in argv:
+        files = {}
+        for name in ("a", "b"):
+            files[name] = tmp_path / f"{name}.json"
+            run_cli(capsys, "build", "free", "--n", "1", "--window", "2", "-o", str(files[name]))
+        for name, text in (("m5", "m = 5\n"), ("w3", "window = 3\n"),
+                           ("w22m1", "window = 2,2\nm = 1\n")):
+            files[name] = tmp_path / f"{name}.cfg"
+            files[name].write_text(text)
+        argv = [arg.format(**files) for arg in argv]
     code, payload = run_cli(capsys, *argv, "-o", str(tmp_path / "o.json"))
     assert code == 2 and payload["type"] == "ValueError"
     assert payload["error"].startswith(f"{flag}:")

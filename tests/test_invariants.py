@@ -1,8 +1,11 @@
 """Invariants of the package source: its checks are explicit raises, so
-``python -O`` keeps them, it calls a general solver only where listed, and
-every function it defines has a caller in the package."""
+``python -O`` keeps them, it calls a general solver only where listed,
+every function it defines has a caller in the package, and every callable
+the benchmark's layer tracer names exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import fimlab
@@ -151,3 +154,27 @@ def test_every_package_function_has_a_package_caller():
                 grown = True
     dead = [f"{file}:{name}" for file, name in sorted(set(defs) - live)]
     assert not dead, f"no caller in the package: {', '.join(dead)}"
+
+
+def test_tracer_names_live_callables():
+    """Every qualified name in the layer tracer's ``GROUPS`` and every class
+    in its ``CLASSES`` resolves to a callable in fimlab, so a rename cannot
+    leave a group silently counting 0."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, classes in tracer.CLASSES.items():
+        module = importlib.import_module(modname)
+        missing += [f"{modname}.{c}" for c in classes
+                    if not isinstance(getattr(module, c, None), type)]
+    for members in tracer.GROUPS.values():
+        for qualname in members:
+            modname, *attrs = qualname.split(".")
+            obj = importlib.import_module(f"fimlab.{modname}")
+            for attr in attrs:
+                obj = getattr(obj, attr, None)
+            if not callable(obj):
+                missing.append(qualname)
+    assert missing == []

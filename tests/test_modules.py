@@ -28,7 +28,13 @@ from fimlab.modules import (
 )
 from fimlab.symrep import GroupRep
 
-from oracles import aut_rep_at, decompose, permute_coords
+from oracles import (
+    aut_rep_at,
+    cover_block_by_evaluate,
+    decompose,
+    evaluate_basis,
+    permute_coords,
+)
 
 F = Fraction
 TRIV = GroupTable.trivial()
@@ -614,6 +620,56 @@ def test_no_fixpoint_sweeps(monkeypatch):
     seed = Subspace.from_spanning(v.dims[(1, 1)], [range(v.dims[(1, 1)])])
     spaces = close_under_actions(v, {(1, 1): seed})
     assert spaces[(3, 3)].dim > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 3), (5,)]), st.sampled_from(sorted(_GROUPS)),
+       st.integers(0, 500), st.randoms(use_true_random=False))
+def test_orbit_walk_matches_evaluate(bound, group, module_seed, rnd):
+    """The cover blocks, and the walk of an identity from a random object,
+    agree with factoring every basis morphism (beta, h) through evaluate."""
+    from fimlab.modules import _orbit_walk, cover_blocks, h0_generators
+    from fimlab.samples import random_presented_module
+
+    v = random_presented_module(Window(bound), module_seed, _GROUPS[group])
+    objs = v.window.objects()
+    gens = h0_generators(v)
+    blocks = cover_blocks(v, gens)
+    assert list(blocks) == objs
+    for x in objs:
+        assert blocks[x] == cover_block_by_evaluate(v, gens, x)
+    n = rnd.choice(objs)
+    walk = _orbit_walk(v, n, RationalMatrix.identity(v.dims[n]))
+    assert list(walk) == [x for x in objs if leq(n, x)]
+    for x, mats in walk.items():
+        assert mats == evaluate_basis(v, n, x)
+
+
+def test_yoneda_paths_never_evaluate(monkeypatch):
+    """Hom, the free cover, the Lemma 2.3 isomorphisms and the co-free
+    embedding read every V(beta, h) off orbit walks: none factors a
+    morphism through ``evaluate``."""
+    from fimlab import theorems
+    from fimlab.functors import derivative_free_decomposition, shift_free_decomposition
+    from fimlab.homology import free_cover
+    from fimlab.modules import NaturalitySolver
+    from fimlab.samples import random_presented_module
+
+    def forbidden(*args):
+        raise AssertionError("evaluate called")
+
+    window, s2 = Window((3, 2)), GroupTable.symmetric(2)
+    v = random_presented_module(window, 0, s2)
+    e = make_cofree((2, 1), window, s2)
+    monkeypatch.setattr(TruncatedModule, "evaluate", forbidden)
+    assert len(hom_space(v, v)) == NaturalitySolver(v, v).dim > 0
+    assert NaturalitySolver(v, e).dim > 0
+    _, pi, _, _ = free_cover(v)
+    assert pi.is_surjective_objectwise()
+    for decomposition in (shift_free_decomposition, derivative_free_decomposition):
+        assert decomposition((1, 1), 1, window, s2)[0].is_iso()
+    _, emb, _ = theorems._finite_dim_embedding(e, s2)
+    assert emb.is_injective_objectwise()
 
 
 # -- Yoneda coordinates against a solve ------------------------------------
