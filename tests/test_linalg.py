@@ -248,10 +248,16 @@ def _sympy_dm(mat):
 
     qq = sympy.QQ
     return DomainMatrix(
-        [[qq(x.numerator, x.denominator) for x in row] for row in mat.rows],
+        [[qq(x.numerator, x.denominator) for x in row] for row in _entries(mat)],
         mat.shape,
         qq,
     )
+
+
+def _entries(mat):
+    """The entries of a RationalMatrix as lists of Fractions, read through
+    indexing."""
+    return [[mat[i, j] for j in range(mat.ncols)] for i in range(mat.nrows)]
 
 
 def _from_sympy(x):
@@ -499,6 +505,112 @@ def test_submodule_rejects_unstable_subspaces():
     spaces[(1,)] = Subspace.full(1)
     with pytest.raises(ValueError, match="not action-stable"):
         submodule_from_stable_subspaces(p, spaces)
+
+
+# -- rref, kernels, images, quotients and intersections against sympy --------
+
+
+def _sympy_rows(dm):
+    return [[_from_sympy(x) for x in row] for row in dm.to_list()]
+
+
+def _sympy_span(rows, d):
+    """The nonzero rows of sympy's RREF of ``rows`` in Q^d: the canonical
+    basis of their span."""
+    if not rows:
+        return []
+    red, pivots = _sympy_dm(RationalMatrix(rows, len(rows), d)).rref()
+    return _sympy_rows(red)[: len(pivots)]
+
+
+def _sympy_perp(rows, d):
+    """A basis of {x : r . x = 0 for every r in rows}, by sympy's nullspace."""
+    return _sympy_rows(_sympy_dm(RationalMatrix(rows, len(rows), d)).nullspace())
+
+
+# 0 x n, n x 0, 0 x 0 and non-integral inputs, on top of the drawn ones.
+ORACLE_EXAMPLES = [
+    RationalMatrix([], 0, 3),
+    RationalMatrix([[], []], 2, 0),
+    RationalMatrix([], 0, 0),
+    RationalMatrix([[F(1, 2), F(-2, 3), 0], [F(3, 4), F(1, 3), F(5, 6)]]),
+    RationalMatrix([[F(1, 3), F(2, 3)], [F(1, 6), F(1, 3)]]),
+]
+
+
+def with_oracle_examples(test):
+    for mat in ORACLE_EXAMPLES:
+        test = example(mat)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@with_oracle_examples
+def test_rref_matches_sympy(mat):
+    red = rref(mat)
+    assert red.shape == mat.shape
+    assert _entries(red) == _sympy_rows(_sympy_dm(mat).rref()[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@with_oracle_examples
+def test_kernel_basis_matches_sympy(mat):
+    ker = kernel_basis(mat)
+    assert ker.ambient_dim == mat.ncols
+    want = _sympy_span(_sympy_rows(_sympy_dm(mat).nullspace()), mat.ncols)
+    assert _entries(ker.basis) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@with_oracle_examples
+def test_image_basis_matches_sympy(mat):
+    img = image_basis(mat)
+    assert img.ambient_dim == mat.nrows
+    cols = _sympy_dm(mat).columnspace().transpose()
+    assert _entries(img.basis) == _sympy_span(_sympy_rows(cols), mat.nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@with_oracle_examples
+def test_quotient_map_matches_sympy(span):
+    """Q is the last d - k rows of the inverse of [b_1 .. b_k e_f ..]: the
+    coordinates along the complement's unit vectors."""
+    d = span.ncols
+    sub = Subspace.from_spanning(d, _entries(span))
+    free = [j for j in range(d) if j not in sub.pivots]
+    change = _entries(sub.basis) + [[F(int(j == f)) for j in range(d)] for f in free]
+    if d:
+        inv = _sympy_dm(RationalMatrix(change, d, d).transpose()).inv()
+        want = _sympy_rows(inv)[sub.dim:]
+    else:
+        want = []
+    got = quotient_map(d, sub)
+    assert got.shape == (d - sub.dim, d)
+    assert _entries(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda d: st.tuples(matrices(4, d, 0, d), matrices(4, d, 0, d))))
+@example((RationalMatrix([], 0, 3), RationalMatrix([[1, 2, 3]])))
+@example((RationalMatrix([[], []], 2, 0), RationalMatrix([[]], 1, 0)))
+@example((RationalMatrix([[F(1, 2), F(1, 3), 0], [0, F(2, 5), 1]]),
+          RationalMatrix([[F(3, 2), F(17, 15), 1], [0, 0, F(1, 7)]])))
+def test_intersect_matches_sympy(pair):
+    """U ∩ V = (U^perp + V^perp)^perp, each perp a sympy nullspace."""
+    a, b = pair
+    d = a.ncols
+    u = Subspace.from_spanning(d, _entries(a))
+    v = Subspace.from_spanning(d, _entries(b))
+    want = _sympy_span(_sympy_perp(_sympy_perp(_entries(a), d)
+                                   + _sympy_perp(_entries(b), d), d), d)
+    got = u.intersect(v)
+    assert got.ambient_dim == d
+    assert _entries(got.basis) == want
 
 
 # -- rational roots -----------------------------------------------------------
