@@ -9,7 +9,6 @@ returning boundary data of unknown validity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, prod
 
 from .category import (
@@ -30,6 +29,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     kron,
+    _stack_rows,
 )
 from .modules import (
     MarginError,
@@ -48,8 +48,6 @@ from .modules import (
 )
 from .symrep import regular_rep_matrices
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
 _TRIV = GroupTable.trivial()
 
 
@@ -269,18 +267,18 @@ def averaging_splitting(v: TruncatedModule):
     group = v.group
     w = ind(res(v), group)
     og = group.order
-    inv_norm = Fraction(1, og)
     phi_blocks = {}
     eps_blocks = {}
     for n in v.window.objects():
         d = v.dims[n]
         rho = v.group_elements_at(n)
-        phi_blocks[n] = RationalMatrix(
-            [[x * inv_norm for x in rho[group.inverse[g]].rows[r]]
-             for r in range(d) for g in range(og)], d * og, d)
-        eps_blocks[n] = RationalMatrix(
-            [[rho[g].rows[r][c] for c in range(d) for g in range(og)]
-             for r in range(d)], d, d * og)
+        inv = [rho[group.inverse[g]] for g in range(og)]
+        phi_blocks[n] = _stack_rows(
+            ((a.rows[r], a.den * og) for r in range(d) for a in inv), d)
+        # column (c, g) of eps is row c of rho(g)^T
+        rho_t = [rho[g].transpose() for g in range(og)]
+        eps_blocks[n] = _stack_rows(
+            ((a.rows[c], a.den) for c in range(d) for a in rho_t), d).transpose()
     return ModuleMap(v, w, phi_blocks), ModuleMap(w, v, eps_blocks)
 
 
@@ -417,7 +415,7 @@ def _shift_generators(n, i: int, shifted: TruncatedModule) -> list:
         maps = tuple(img if j == i - 1 else tuple(range(1, x + 1))
                      for j, x in enumerate(n))
         r = injection_index_table(n, add(obj, unit(m, i)))[maps] * og
-        return tuple(_ONE if k == r else _ZERO for k in range(shifted.dims[obj]))
+        return tuple(int(k == r) for k in range(shifted.dims[obj]))
 
     gens = []
     if shifted.window.contains(n):

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything in the package that touches a linear map goes through this
-module: matrices are dense grids of ``fractions.Fraction`` entries, and all
-rank-type computations reduce to the integer Gauss-Jordan kernel
-:func:`fimlab._rref_py.rref_int`.  No floating point anywhere.
+module.  A matrix keeps its entries as dense rows of Python ints over one
+positive denominator, with the gcd of every entry and the denominator equal
+to 1, so equal matrices have equal rows and hashes.  Products, sums,
+Kronecker products, stacking and eliminations work on those ints;
+``fractions.Fraction`` appears only where entries cross the API: indexing,
+``col``, ``apply`` and the constructor.  All rank-type computations feed
+the stored rows to the integer Gauss-Jordan kernel
+:func:`fimlab._rref_py.rref_int` (scaling a row does not change its span).
+No floating point anywhere.
 
 A :class:`Subspace` is always stored through the reduced row echelon form of
 a spanning set, so subspace equality is plain matrix equality, and its pivot
@@ -14,12 +20,12 @@ elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from ._rref_py import rref_int
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -32,20 +38,71 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
+def _make(rows, den, nrows, ncols):
+    """The matrix of int row tuples ``rows`` over ``den``, already reduced."""
+    m = object.__new__(RationalMatrix)
+    m.rows = rows
+    m.den = den
+    m.nrows = nrows
+    m.ncols = ncols
+    return m
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+def _reduced(rows, den, nrows, ncols):
+    """The matrix of int row tuples ``rows`` over a positive ``den``, with
+    the gcd of the entries and ``den`` divided out."""
+    if den != 1:
+        g = den
+        for row in rows:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g != 1:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+            den //= g
+    return _make(rows, den, nrows, ncols)
+
+
+def _stack_rows(pairs, ncols):
+    """The matrix whose rows are the int rows r over d, for (r, d) in
+    ``pairs``, each of length ``ncols``."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, d in pairs))
+    rows = tuple(tuple(r) if d == den else tuple(x * (den // d) for x in r)
+                 for r, d in pairs)
+    return _reduced(rows, den, len(rows), ncols)
+
+
+def _scaled(rows, f):
+    return rows if f == 1 else tuple(tuple(x * f for x in row) for row in rows)
+
+
+def _over_common_den(a, b):
+    """The int rows of matrices a and b over their least common
+    denominator, and that denominator."""
+    den = lcm(a.den, b.den)
+    return _scaled(a.rows, den // a.den), _scaled(b.rows, den // b.den), den
+
+
+class RationalMatrix:
+    """Immutable dense matrix with exact rational entries: int ``rows``
+    over the positive ``den``, reduced."""
+
+    __slots__ = ("rows", "den", "nrows", "ncols")
 
     def __init__(self, rows, nrows=None, ncols=None):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        self.rows = rows
+        rows = [tuple(row) for row in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        den = 1
+        if not all(type(x) is int for row in rows for x in row):
+            fracs = [[_as_fraction(x) for x in row] for row in rows]
+            den = lcm(*(x.denominator for row in fracs for x in row))
+            rows = [tuple(x.numerator * (den // x.denominator) for x in row)
+                    for row in fracs]
+        self.rows = tuple(rows)
+        self.den = den
         self.nrows = len(rows) if nrows is None else nrows
         self.ncols = width if ncols is None else ncols
         if self.nrows != len(rows) or (rows and self.ncols != width):
@@ -55,17 +112,18 @@ class RationalMatrix:
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RationalMatrix":
-        return RationalMatrix([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
+        return _make(((0,) * ncols,) * nrows, 1, nrows, ncols)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n, n
+        zero = (0,) * n
+        return _make(
+            tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)), 1, n, n
         )
 
     @staticmethod
     def column(vec) -> "RationalMatrix":
-        return RationalMatrix([[_as_fraction(x)] for x in vec])
+        return RationalMatrix([[x] for x in vec])
 
     # -- basics --------------------------------------------------------
 
@@ -78,74 +136,70 @@ class RationalMatrix:
             isinstance(other, RationalMatrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
+            and self.den == other.den
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.den, self.rows))
 
     def __repr__(self):
         if self.nrows * self.ncols > 36:
             return f"RationalMatrix({self.nrows}x{self.ncols})"
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        body = "; ".join(
+            " ".join(str(Fraction(x, self.den)) for x in row) for row in self.rows
+        )
         return f"RationalMatrix[{body}]"
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.rows[i][j], self.den)
 
     def col(self, j):
-        return tuple(row[j] for row in self.rows)
+        den = self.den
+        return tuple(Fraction(row[j], den) for row in self.rows)
 
     def columns(self, cols) -> "RationalMatrix":
         """The submatrix of the given columns, in the given order."""
-        return RationalMatrix(
-            [[row[j] for j in cols] for row in self.rows], self.nrows, len(cols)
+        cols = tuple(cols)
+        return _reduced(
+            tuple(tuple(row[j] for j in cols) for row in self.rows),
+            self.den, self.nrows, len(cols),
         )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(any(row) for row in self.rows)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [self.col(j) for j in range(self.ncols)], self.ncols, self.nrows
-        )
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return _make(rows, self.den, self.ncols, self.nrows)
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op, name):
         if self.shape != other.shape:
-            raise ValueError("shape mismatch in +")
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.nrows,
-            self.ncols,
-        )
+            raise ValueError(f"shape mismatch in {name}")
+        ra, rb, den = _over_common_den(self, other)
+        rows = tuple(tuple(map(op, a, b)) for a, b in zip(ra, rb))
+        return _reduced(rows, den, self.nrows, self.ncols)
+
+    def __add__(self, other):
+        return self._combine(other, add, "+")
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in -")
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.nrows,
-            self.ncols,
-        )
+        return self._combine(other, sub, "-")
 
     def __neg__(self):
-        return RationalMatrix(
-            [[-a for a in row] for row in self.rows], self.nrows, self.ncols
+        return _make(
+            tuple(tuple(-a for a in row) for row in self.rows),
+            self.den, self.nrows, self.ncols,
         )
 
     def scale(self, c) -> "RationalMatrix":
         c = _as_fraction(c)
-        return RationalMatrix(
-            [[c * a for a in row] for row in self.rows], self.nrows, self.ncols
+        return _reduced(
+            _scaled(self.rows, c.numerator),
+            self.den * c.denominator, self.nrows, self.ncols,
         )
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -153,25 +207,27 @@ class RationalMatrix:
             raise ValueError(
                 f"shape mismatch in *: {self.shape} by {other.shape}"
             )
+        nc = other.ncols
+        if not (self.nrows and self.ncols and nc):
+            return RationalMatrix.zeros(self.nrows, nc)
         orows = other.rows
+        zero = [0] * nc
         out = []
         for arow in self.rows:
-            acc = [_ZERO] * other.ncols
-            for k, a in enumerate(arow):
+            acc = zero
+            for a, brow in zip(arow, orows):
                 if a:
-                    brow = orows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return RationalMatrix(out, self.nrows, other.ncols)
+                    acc = [x + a * b for x, b in zip(acc, brow)]
+            out.append(tuple(acc))
+        return _reduced(tuple(out), self.den * other.den, self.nrows, nc)
 
     def apply(self, vec):
         """Matrix times column vector (a tuple of Fractions)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
+        den = self.den
         return tuple(
-            sum((a * v for a, v in zip(row, vec) if a and v), _ZERO)
+            sum((a * v for a, v in zip(row, vec) if a and v), _ZERO) / den
             for row in self.rows
         )
 
@@ -180,10 +236,10 @@ class RationalMatrix:
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return RationalMatrix(
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-            self.nrows,
-            self.ncols + other.ncols,
+        ra, rb, den = _over_common_den(self, other)
+        return _reduced(
+            tuple(a + b for a, b in zip(ra, rb)),
+            den, self.nrows, self.ncols + other.ncols,
         )
 
 
@@ -191,41 +247,34 @@ def block_diag(blocks) -> RationalMatrix:
     blocks = list(blocks)
     nr = sum(b.nrows for b in blocks)
     nc = sum(b.ncols for b in blocks)
-    out = [[_ZERO] * nc for _ in range(nr)]
-    ro = co = 0
+    den = lcm(*(b.den for b in blocks))
+    out = []
+    co = 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            orow = out[ro + i]
-            for j, x in enumerate(row):
-                orow[co + j] = x
-        ro += b.nrows
+        left = (0,) * co
+        right = (0,) * (nc - co - b.ncols)
+        out += [left + row + right for row in _scaled(b.rows, den // b.den)]
         co += b.ncols
-    return RationalMatrix(out, nr, nc)
+    return _reduced(tuple(out), den, nr, nc)
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Kronecker product; realizes objectwise tensor of linear maps."""
     out = []
+    bzero = (0,) * b.ncols
     for arow in a.rows:
         for brow in b.rows:
             row = []
             for x in arow:
                 if x:
-                    row.extend(x * y for y in brow)
+                    row.extend([x * y for y in brow])
                 else:
-                    row.extend([_ZERO] * b.ncols)
-            out.append(row)
-    return RationalMatrix(out, a.nrows * b.nrows, a.ncols * b.ncols)
+                    row.extend(bzero)
+            out.append(tuple(row))
+    return _reduced(tuple(out), a.den * b.den, a.nrows * b.nrows, a.ncols * b.ncols)
 
 
 # -- echelon form and friends -----------------------------------------
-
-
-def _clear_denominators(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
 
 
 def _divisors(x: int) -> set:
@@ -247,7 +296,7 @@ def rational_roots(coeffs) -> list:
     rational-root theorem, trying p/q and -p/q for p dividing the constant
     term and q the leading coefficient, in a fixed order.
     """
-    ints = _clear_denominators(coeffs)
+    ints = list(RationalMatrix([coeffs]).rows[0])  # times their common denominator
     roots = []
     if ints and ints[-1] == 0:
         roots.append(_ZERO)
@@ -272,20 +321,14 @@ def rref(mat: RationalMatrix) -> RationalMatrix:
     """Reduced row echelon form (canonical; zero rows kept at the bottom)."""
     if mat.nrows == 0 or mat.ncols == 0:
         return mat
-    int_rows = [_clear_denominators(row) for row in mat.rows]
-    _, out_rows, denoms = rref_int(int_rows, mat.ncols)
-    return RationalMatrix(
-        [[Fraction(x, d) for x in row] for row, d in zip(out_rows, denoms)],
-        mat.nrows,
-        mat.ncols,
-    )
+    _, out_rows, denoms = rref_int(mat.rows, mat.ncols)
+    return _stack_rows(zip(out_rows, denoms), mat.ncols)
 
 
 def rank(mat: RationalMatrix) -> int:
     if mat.nrows == 0 or mat.ncols == 0:
         return 0
-    int_rows = [_clear_denominators(row) for row in mat.rows]
-    pivots, _, _ = rref_int(int_rows, mat.ncols)
+    pivots, _, _ = rref_int(mat.rows, mat.ncols)
     return len(pivots)
 
 
@@ -302,21 +345,16 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors) -> "Subspace":
-        vecs = [tuple(_as_fraction(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("spanning vector has wrong length")
-        if not vecs:
-            return Subspace(ambient_dim, RationalMatrix([], 0, ambient_dim))
-        red = rref(RationalMatrix(vecs))
-        keep = [row for row in red.rows if any(x != 0 for x in row)]
-        return Subspace(
-            ambient_dim, RationalMatrix(keep, len(keep), ambient_dim)
-        )
+        vecs = [tuple(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("spanning vector has wrong length")
+        red = rref(RationalMatrix(vecs, len(vecs), ambient_dim))
+        keep = tuple(row for row in red.rows if any(row))
+        return Subspace(ambient_dim, _make(keep, red.den, len(keep), ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix([], 0, ambient_dim))
+        return Subspace(ambient_dim, RationalMatrix.zeros(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -361,7 +399,7 @@ class Subspace:
         """
         if mat.nrows != self.ambient_dim:
             raise ValueError("coordinates need one row per ambient coordinate")
-        x = RationalMatrix([mat.rows[p] for p in self.pivots], self.dim, mat.ncols)
+        x = _reduced(tuple(mat.rows[p] for p in self.pivots), mat.den, self.dim, mat.ncols)
         return x if self.basis.transpose() * x == mat else None
 
     def contains(self, vec) -> bool:
@@ -383,17 +421,14 @@ class Subspace:
         # x in both spans: x = a^T u = b^T v; solve [A^T | -B^T] null space.
         at = self.basis.transpose()
         bt = other.basis.transpose()
-        nul = kernel_basis(at.hstack(bt.scale(-1)))
-        vecs = []
-        for coeffs in nul.basis.rows:
-            u = coeffs[: self.dim]
-            vecs.append(
-                tuple(
-                    sum((c * row[j] for c, row in zip(u, self.basis.rows)), _ZERO)
-                    for j in range(self.ambient_dim)
-                )
-            )
-        return Subspace.from_spanning(self.ambient_dim, vecs)
+        nul = kernel_basis(at.hstack(-bt))
+        # a^T u, with u and a scaled by their denominators: the same span
+        k = self.dim
+        return Subspace.from_spanning(
+            self.ambient_dim,
+            [tuple(sum(map(mul, row[:k], col)) for col in at.rows)
+             for row in nul.basis.rows],
+        )
 
 
 def kernel_basis(mat: RationalMatrix) -> Subspace:
@@ -403,18 +438,20 @@ def kernel_basis(mat: RationalMatrix) -> Subspace:
         return Subspace.zero(0)
     if mat.nrows == 0:
         return Subspace.full(n)
-    int_rows = [_clear_denominators(row) for row in mat.rows]
-    pivots, out_rows, denoms = rref_int(int_rows, n)
+    pivots, out_rows, denoms = rref_int(mat.rows, n)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
     vecs = []
-    for f in free_cols:
-        vec = [_ZERO] * n
-        vec[f] = _ONE
-        for r, c in enumerate(pivots):
-            entry = Fraction(out_rows[r][f], denoms[r])
-            if entry:
-                vec[c] = -entry
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        # e_f minus the pivot variables it forces, times their denominators
+        terms = [(c, out_rows[r][f], denoms[r])
+                 for r, c in enumerate(pivots) if out_rows[r][f]]
+        den = lcm(*(d for _, _, d in terms))
+        vec = [0] * n
+        vec[f] = den
+        for c, x, d in terms:
+            vec[c] = -x * (den // d)
         vecs.append(vec)
     return Subspace.from_spanning(n, vecs)
 
@@ -424,43 +461,37 @@ def image_basis(mat: RationalMatrix) -> Subspace:
     return Subspace.from_spanning(mat.nrows, mat.transpose().rows)
 
 
-def _solve_augmented(mat: RationalMatrix, rhs_rows, k: int):
-    """Rows of one solution X of M X = B from the RREF of [M | B].
+def _solve_augmented(mat: RationalMatrix, rhs: RationalMatrix):
+    """One solution X of M X = B from the RREF of [M | B], or None.
 
-    ``rhs_rows`` are the rows of the k-column right-hand side B.  A pivot
-    among B's columns marks an inconsistent column, and the answer is None.
-    Free variables are zero, so column j of X is what eliminating [M | b_j]
-    alone would give.
+    A pivot among B's columns marks an inconsistent column.  Free variables
+    are zero, so column j of X is what eliminating [M | b_j] alone would
+    give.
     """
-    n = mat.ncols
-    int_rows = [
-        _clear_denominators(row + tuple(b)) for row, b in zip(mat.rows, rhs_rows)
-    ]
-    pivots, out_rows, denoms = rref_int(int_rows, n + k)
+    n, k = mat.ncols, rhs.ncols
+    pivots, out_rows, denoms = rref_int(mat.hstack(rhs).rows, n + k)
     if pivots and pivots[-1] >= n:
         return None
-    x = [[_ZERO] * k for _ in range(n)]
+    x = [((0,) * k, 1)] * n
     for r, c in enumerate(pivots):
-        orow = out_rows[r]
-        x[c] = [Fraction(orow[n + j], denoms[r]) for j in range(k)]
-    return x
+        x[c] = (out_rows[r][n:], denoms[r])
+    return _stack_rows(x, k)
 
 
 def solve(mat: RationalMatrix, b) -> tuple | None:
     """One solution of M x = b, or None when the system is inconsistent."""
-    b = tuple(_as_fraction(x) for x in b)
+    b = tuple(b)
     if len(b) != mat.nrows:
         raise ValueError("right-hand side length mismatch")
-    x = _solve_augmented(mat, [(bi,) for bi in b], 1)
-    return None if x is None else tuple(row[0] for row in x)
+    x = _solve_augmented(mat, RationalMatrix([[bi] for bi in b], len(b), 1))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix | None:
     """Solve M X = B in one elimination; None if any column is inconsistent."""
     if rhs.nrows != mat.nrows:
         raise ValueError("right-hand side length mismatch")
-    x = _solve_augmented(mat, rhs.rows, rhs.ncols)
-    return None if x is None else RationalMatrix(x, mat.ncols, rhs.ncols)
+    return _solve_augmented(mat, rhs)
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix | None:
@@ -483,13 +514,15 @@ def quotient_map(ambient_dim: int, sub: Subspace) -> RationalMatrix:
     """
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace has wrong ambient dimension")
-    pivots = sub.pivots
+    # times the basis denominator: den e_f - sum_r (den b_r)[f] e_{p_r}
+    den = sub.basis.den
+    pairs = list(zip(sub.pivots, sub.basis.rows))
     rows = []
     for f in sub.free_columns:
-        row = [_ZERO] * ambient_dim
-        row[f] = _ONE
-        for p, b in zip(pivots, sub.basis.rows):
+        row = [0] * ambient_dim
+        row[f] = den
+        for p, b in pairs:
             if b[f]:
                 row[p] = -b[f]
-        rows.append(row)
-    return RationalMatrix(rows, len(rows), ambient_dim)
+        rows.append(tuple(row))
+    return _reduced(tuple(rows), den, len(rows), ambient_dim)

@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import mul
 
 from .category import (
     GroupTable,
@@ -55,12 +56,9 @@ from .linalg import (
     rank,
     solve,
     solve_matrix,
+    _stack_rows,
 )
 from .symrep import GroupRep, specht, _rep_elements
-
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-
 
 # -- wire-format helpers -------------------------------------------------
 
@@ -88,7 +86,10 @@ def parse_obj(s: str) -> tuple:
 
 
 def matrix_to_lists(mat: RationalMatrix):
-    return [[fraction_str(x) for x in row] for row in mat.rows]
+    den = mat.den
+    if den == 1:
+        return [[str(x) for x in row] for row in mat.rows]
+    return [[fraction_str(Fraction(x, den)) for x in row] for row in mat.rows]
 
 
 def _obj_field(d, key: str, path: str = "", optional: bool = False):
@@ -104,10 +105,22 @@ def _obj_field(d, key: str, path: str = "", optional: bool = False):
 
 
 def matrix_from_lists(rows, nrows, ncols) -> RationalMatrix:
-    grid = [[parse_fraction(x) for x in row] for row in rows]
-    if len(grid) != nrows or any(len(r) != ncols for r in grid):
+    """The matrix of the wire format: a list of rows, each a list of
+    fraction strings.  Each distinct string is parsed once."""
+    values = {}
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"row {row!r} is not a list")
+        for x in row:
+            if not isinstance(x, str):
+                raise ValueError(f"entry {x!r} is not a string")
+            if x not in values:
+                values[x] = parse_fraction(x)
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ValueError("matrix shape does not match declared dims")
-    return RationalMatrix(grid, nrows, ncols)
+    den = lcm(*(x.denominator for x in values.values()))
+    nums = {s: x.numerator * (den // x.denominator) for s, x in values.items()}
+    return _stack_rows((([nums[x] for x in row], den) for row in rows), ncols)
 
 
 # -- presentations -------------------------------------------------------
@@ -628,7 +641,7 @@ def make_free(n, window: Window, group: GroupTable | None = None,
     actions = {}
     for key in generator_keys(window, group):
         src, tgt = key_ends(key)
-        mat = [[_ZERO] * dims[src] for _ in range(dims[tgt])]
+        mat = [[0] * dims[src] for _ in range(dims[tgt])]
         if dims[src]:
             index = injection_index_table(n, tgt)
             gen_mor = morphism_of_key(key, group)
@@ -638,10 +651,10 @@ def make_free(n, window: Window, group: GroupTable | None = None,
                 if key[0] == "grp":
                     g = group.generators[key[1]]
                     for h in range(og):
-                        mat[new_idx * og + group.mult[g][h]][bi * og + h] = _ONE
+                        mat[new_idx * og + group.mult[g][h]][bi * og + h] = 1
                 else:
                     for h in range(og):
-                        mat[new_idx * og + h][bi * og + h] = _ONE
+                        mat[new_idx * og + h][bi * og + h] = 1
         actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
     pres = Presentation.make([(n, None)], n)
     return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
@@ -669,20 +682,20 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
     actions = {}
     for key in generator_keys(window, group):
         src, tgt = key_ends(key)
-        mat = [[_ZERO] * dims[src] for _ in range(dims[tgt])]
+        mat = [[0] * dims[src] for _ in range(dims[tgt])]
         if dims[src] and dims[tgt]:
             if key[0] == "grp":
                 for bi in range(dims[src]):
-                    mat[bi][bi] = _ONE
+                    mat[bi][bi] = 1
             else:
                 gen_mor = morphism_of_key(key, group)
                 src_index = injection_index_table(src, l)
                 for bi, beta in enumerate(bases[tgt]):
                     gamma = compose(beta, gen_mor, group)
-                    mat[bi][src_index[gamma.maps]] = _ONE
+                    mat[bi][src_index[gamma.maps]] = 1
         elif key[0] == "grp" and dims[src]:
             for bi in range(dims[src]):
-                mat[bi][bi] = _ONE
+                mat[bi][bi] = 1
         actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
     slots = [(t, None) for t in window.objects_by_degree() if dims[t] > 0]
     rel = tuple(x + 1 for x in l)
@@ -697,12 +710,12 @@ def _aut_right_action_matrix(n, t, sigma, group: GroupTable, g: int):
     index = injection_index_table(n, t)
     og = group.order
     d = len(injs) * og
-    mat = [[_ZERO] * d for _ in range(d)]
+    mat = [[0] * d for _ in range(d)]
     for bi, beta in enumerate(injs):
         comp = compose(beta, sigma)
         ni = index[comp.maps]
         for h in range(og):
-            mat[ni * og + group.mult[h][g]][bi * og + h] = _ONE
+            mat[ni * og + group.mult[h][g]][bi * og + h] = 1
     return RationalMatrix(mat, d, d)
 
 
@@ -922,8 +935,8 @@ def _fixed_space(d: int, mats) -> Subspace:
     """The vectors of Q^d fixed by every matrix in ``mats``: the invariants
     of the group they generate, as the kernel of the stacked (A - I)."""
     ident = RationalMatrix.identity(d)
-    rows = [row for mat in mats for row in (mat - ident).rows]
-    return kernel_basis(RationalMatrix(rows, len(rows), d))
+    diffs = [mat - ident for mat in mats]
+    return kernel_basis(_stack_rows(((row, a.den) for a in diffs for row in a.rows), d))
 
 
 def _specht_swaps(n, spechts, tail_dim: int = 1) -> list:
@@ -1016,9 +1029,9 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
         index = injection_index_table(t, l)
         mats = []
         for tau, x_mat in zip(swaps, x_swaps):
-            p_rows = [[_ZERO] * nb for _ in range(nb)]
+            p_rows = [[0] * nb for _ in range(nb)]
             for gi, gamma in enumerate(injs):
-                p_rows[index[compose(tau, gamma).maps]][gi] = _ONE
+                p_rows[index[compose(tau, gamma).maps]][gi] = 1
             mats.append(kron(RationalMatrix(p_rows, nb, nb), x_mat))
         spaces[t] = _fixed_space(big.dims[t], mats)
     mod, _ = submodule_from_stable_subspaces(big, spaces, None,
@@ -1116,7 +1129,7 @@ def h0_generators(v: TruncatedModule) -> list:
         base = span.dim
         lifts = []
         for f in span.free_columns:
-            e = tuple(_ONE if r == f else _ZERO for r in range(d))
+            e = tuple(int(r == f) for r in range(d))
             # the non-pivot unit vectors are independent modulo I(n), so e
             # can lie in the span only once a closure has added more
             if span.dim > base + len(lifts) and span.contains(e):
@@ -1203,12 +1216,13 @@ def cover_blocks(v: TruncatedModule, gens) -> dict:
     block P(x) -> V(x)}: column (i, beta, h) is V(beta, h) u_i, generators
     in order and (beta, h) in the order of make_free's basis.  One orbit
     walk per generator object reaches every x."""
-    cols = {x: [] for x in v.window.objects()}
+    cols = {x: [] for x in v.window.objects()}  # (int column, denominator)
     for n, lifts in gens:
         walk = _orbit_walk(v, n, _from_columns(lifts, v.dims[n]))
         for x, images in walk.items():
-            cols[x].extend(img.col(j) for j in range(len(lifts)) for img in images)
-    return {x: _from_columns(c, v.dims[x]) for x, c in cols.items()}
+            ts = [img.transpose() for img in images]
+            cols[x].extend((t.rows[j], t.den) for j in range(len(lifts)) for t in ts)
+    return {x: _stack_rows(c, v.dims[x]).transpose() for x, c in cols.items()}
 
 
 # -- the naturality solver -------------------------------------------------
@@ -1262,25 +1276,31 @@ class NaturalitySolver:
                 raise AssertionError(f"the generators do not span V at {x}")
             self._sections[x] = section
             for k in kernel_basis(pi_x).basis.rows:
-                self.rows.extend(row for row in self._rows_of(x, k) if any(row))
+                rows, _ = self._rows_of(x, k)
+                self.rows.extend(row for row in rows if any(row))
 
     def _rows_of(self, x, y):
-        """The matrix of t -> Phi_x(t) y, for y in P(x), as rows."""
-        rows = [[_ZERO] * self.nparams for _ in range(self.w.dims[x])]
-        for yc, (offset, wm) in zip(y, self._terms[x]):
-            if not yc:
-                continue
+        """The matrix of t -> Phi_x(t) y, for y in P(x) a sequence of ints,
+        as int rows over the denominator returned with them."""
+        terms = [(yc, offset, wm) for yc, (offset, wm) in zip(y, self._terms[x]) if yc]
+        den = lcm(*(wm.den for _, _, wm in terms))
+        rows = [[0] * self.nparams for _ in range(self.w.dims[x])]
+        for yc, offset, wm in terms:
+            c = yc * (den // wm.den)
             for row, wrow in zip(rows, wm.rows):
                 for j, a in enumerate(wrow):
                     if a:
-                        row[offset + j] += yc * a
-        return rows
+                        row[offset + j] += c * a
+        return rows, den
 
-    def _solution_to_map(self, t) -> ModuleMap:
+    def _solution_to_map(self, t, den) -> ModuleMap:
+        """The map with generator values t / den, t a sequence of ints."""
         blocks = {}
         for x, terms in self._terms.items():
-            cols = [wm.apply(t[offset:offset + wm.ncols]) for offset, wm in terms]
-            blocks[x] = _from_columns(cols, self.w.dims[x]) * self._sections[x]
+            cols = [(tuple(sum(map(mul, row, t[offset:offset + wm.ncols]))
+                           for row in wm.rows), wm.den * den)
+                    for offset, wm in terms]
+            blocks[x] = _stack_rows(cols, self.w.dims[x]).transpose() * self._sections[x]
         return ModuleMap(self.v, self.w, blocks)
 
     @cached_property
@@ -1293,7 +1313,8 @@ class NaturalitySolver:
         return self._kernel.dim
 
     def basis(self):
-        return [self._solution_to_map(t) for t in self._kernel.basis.rows]
+        basis = self._kernel.basis
+        return [self._solution_to_map(t, basis.den) for t in basis.rows]
 
     def coordinates(self, phi: ModuleMap) -> tuple | None:
         """The coordinates of a natural phi: V -> W in ``basis()``, or None
@@ -1307,17 +1328,20 @@ class NaturalitySolver:
         """One natural map satisfying block(n) * r = c for each (n, r, c),
         or None.  Used for extension problems along inclusions."""
         rows = list(self.rows)
-        rhs = [_ZERO] * len(rows)
+        rhs = [0] * len(rows)
         for n, rmat, cmat in conditions:
             n = tuple(n)
             ys = self._sections[n] * rmat  # block(n) r = Phi_n(t) S_n r
-            for j in range(ys.ncols):
-                rows.extend(self._rows_of(n, ys.col(j)))
-                rhs.extend(cmat.col(j))
+            for j, y in enumerate(ys.transpose().rows):
+                # block t / den = Phi_n(t) y, and y / ys.den is column j of S_n r
+                block, den = self._rows_of(n, y)
+                rows.extend(block)
+                rhs.extend(c * den * ys.den for c in cmat.col(j))
         sol = solve(RationalMatrix(rows, len(rows), self.nparams), rhs)
         if sol is None:
             return None
-        return self._solution_to_map(sol)
+        t = RationalMatrix([sol], 1, self.nparams)
+        return self._solution_to_map(t.rows[0], t.den)
 
 
 def check_hom_source(v: TruncatedModule) -> None:

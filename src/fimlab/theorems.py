@@ -30,6 +30,7 @@ from .linalg import (
     rational_roots,
     solve,
     solve_matrix,
+    _stack_rows,
 )
 from .modules import (
     MarginError,
@@ -264,10 +265,9 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     blocks = {}
     for t in window.objects():
         walk = _orbit_walk(x, t, RationalMatrix.identity(x.dims[t]))
-        rows = []
-        for l in support:
-            rows += [mat.rows[j] for j in range(x.dims[l]) for mat in walk.get(l, ())]
-        blocks[t] = RationalMatrix(rows, total.dims[t], x.dims[t])
+        blocks[t] = _stack_rows(
+            ((mat.rows[j], mat.den) for l in support
+             for j in range(x.dims[l]) for mat in walk.get(l, ())), x.dims[t])
     emb = ModuleMap(x, total, blocks)
     if not emb.is_injective_objectwise():
         raise _Inconclusive("finite-dimensional embedding failed injectivity")

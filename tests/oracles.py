@@ -62,7 +62,7 @@ def invert_perm(img: tuple) -> tuple:
 def trace(mat: RationalMatrix) -> Fraction:
     if mat.nrows != mat.ncols:
         raise ValueError("trace of non-square matrix")
-    return sum((mat.rows[i][i] for i in range(mat.nrows)), Fraction(0))
+    return sum((mat[i, i] for i in range(mat.nrows)), Fraction(0))
 
 
 def conjugacy_classes(group: GroupTable) -> list:
@@ -442,7 +442,7 @@ def rational_character_table(group: GroupTable) -> GroupCharacterTable:
     inv_class = [class_index[group.inverse[classes[i][0]]] for i in range(r)]
     rows = []
     for s in spaces:
-        omega = list(s.rows[0])
+        omega = [s[0, j] for j in range(s.ncols)]
         if omega[0] == 0:
             raise IrrationalCharacterError("degenerate central character")
         omega = [x / omega[0] for x in omega]

@@ -215,14 +215,56 @@ def test_inverse_round_trip():
 
 def test_entries_reduced_fractions():
     m = rref(RationalMatrix([[2, 3], [4, 7]]))
-    for row in m.rows:
-        for x in row:
-            assert isinstance(x, Fraction)
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            assert isinstance(m[i, j], Fraction)
+    # stored as int rows over one denominator, sharing no factor with it
+    half = rref(RationalMatrix([[2, 1, 3]]))
+    assert half.rows == ((2, 1, 3),) and half.den == 2
+    assert half[0, 1] == F(1, 2) and half.col(2) == (F(3, 2),)
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
+
+
+def test_integral_matrices_build_no_fraction(monkeypatch):
+    """Products, Kronecker products, transposes, stacking, ranks, kernels
+    and quotient maps work on the stored ints: on integral matrices none of
+    them builds a Fraction."""
+    a = RationalMatrix([[1, 0, 2], [0, -1, 3]])
+    b = RationalMatrix([[2, 1], [0, 1], [1, 1]])
+    sub = Subspace.from_spanning(3, [(1, 2, 0), (0, 2, 1)])
+    quotient = RationalMatrix([["1", "-1/2", "1"]])
+    kernel = RationalMatrix([["1", "-3/2", "-1/2"]])
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fimlab.linalg, "Fraction", forbidden)
+    assert a * b == RationalMatrix([[4, 3], [3, 2]])
+    assert kron(a, b).shape == (6, 6) and kron(b, a).rows[5][5] == 3
+    assert a.transpose() == RationalMatrix([[1, 0], [0, -1], [2, 3]])
+    assert a.hstack(a).shape == (2, 6)
+    assert fimlab.linalg.block_diag([a, b]).shape == (5, 5)
+    assert rank(a) == 2 and rank(b * a) == 2
+    assert kernel_basis(a).basis == kernel
+    # a kernel with a non-integral RREF basis: (1, -1/2, 0) spans it
+    assert kernel_basis(RationalMatrix([[1, 2, 0], [0, 0, 1]])).dim == 1
+    assert kernel_basis(RationalMatrix([[2, 4, 1]])).basis.den == 1
+    assert quotient_map(3, sub) == quotient
+
+
+def test_canonical_form_makes_equal_matrices_equal():
+    half = RationalMatrix([["2/4"]])
+    assert half == RationalMatrix([[Fraction(1, 2)]]) == RationalMatrix([[F(2, 4)]])
+    assert hash(half) == hash(RationalMatrix([[Fraction(1, 2)]]))
+    assert half.rows == ((1,),) and half.den == 2
+    # results of int arithmetic land in the same form
+    assert half * RationalMatrix([[2]]) == RationalMatrix.identity(1)
+    assert (half + half).den == 1 and (half - half) == RationalMatrix.zeros(1, 1)
+    assert RationalMatrix([[2, 4]]).scale(F(1, 4)) == RationalMatrix([["1/2", "1"]])
 
 
 # -- solvers and quotient maps against independent constructions -----------
@@ -412,9 +454,9 @@ def inverse_based_quotient_map(d, sub):
     if sub.dim == 0:
         return RationalMatrix.identity(d)
     free = [j for j in range(d) if j not in sub.pivots]
-    comp = RationalMatrix([[int(j == f) for j in range(d)] for f in free], len(free), d)
-    inv = inverse(RationalMatrix(sub.basis.rows + comp.rows, d, d).transpose())
-    return RationalMatrix(inv.rows[sub.dim:], d - sub.dim, d)
+    comp = [[int(j == f) for j in range(d)] for f in free]
+    inv = inverse(RationalMatrix(_entries(sub.basis) + comp, d, d).transpose())
+    return RationalMatrix(_entries(inv)[sub.dim:], d - sub.dim, d)
 
 
 def test_quotient_map_matches_inverse_construction():

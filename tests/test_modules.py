@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fimlab.category import GroupTable, Window, enumerate_injections, leq
+from fimlab.category import GroupTable, Window, enumerate_injections, key_ends, leq
 from fimlab.linalg import RationalMatrix, Subspace
 from fimlab.modules import (
     MarginError,
@@ -253,8 +253,8 @@ def test_hom_space_identity_present():
     combo = maps[0]
     ratio = None
     n = (1,)
-    assert combo.blocks[n].rows[0][0] != 0
-    scaled = combo.scale(F(1) / combo.blocks[n].rows[0][0])
+    assert combo.blocks[n][0, 0] != 0
+    scaled = combo.scale(F(1) / combo.blocks[n][0, 0])
     assert scaled == blocks_id
 
 
@@ -363,6 +363,13 @@ def test_from_dict_names_nested_module_fields():
         (("dims",), {"(0)": 0, "(2)": 2}, "dims: not one entry per object"),
         (("dims",), {"(0)": 0, "(1)": 1, "(3)": 2}, "dims.(3): outside the window"),
         (("actions", 1, "matrix"), [["1/0"]], "actions[1].matrix: "),
+        # the wire format writes fraction strings; JSON numbers and booleans
+        # would load inexact (0.5, 1e300) or as something else (true)
+        (("actions", 1, "matrix"), [["0"], [0.5]], "actions[1].matrix: entry 0.5 "),
+        (("actions", 1, "matrix"), [["0"], [1e300]], "actions[1].matrix: entry 1e+300 "),
+        (("actions", 1, "matrix"), [["0"], [True]], "actions[1].matrix: entry True "),
+        (("actions", 1, "matrix"), [["0"], [1]], "actions[1].matrix: entry 1 "),
+        (("actions", 1, "matrix"), ["0", "1"], "actions[1].matrix: row '0' "),
         (("presentation", "generators", 0, "at"), 3,
          "presentation.generators[0].at: expected a string"),
         (("presentation", "observed_only"), "yes",
@@ -389,7 +396,7 @@ def test_serialization_rational_strings():
     d = mod.to_dict()
     flat = json.dumps(d)
     assert "/" in flat or all(
-        x.denominator == 1 for mat in mod.actions.values() for row in mat.rows for x in row
+        mat.den == 1 for mat in mod.actions.values()
     )
 
 
@@ -456,8 +463,8 @@ def test_make_coinduced_m2_dims():
 
 
 def _vectorized(mp):
-    return [x for n in mp.source.window.objects() for row in mp.blocks[n].rows
-            for x in row]
+    return [b[i, j] for b in map(mp.blocks.get, mp.source.window.objects())
+            for i in range(b.nrows) for j in range(b.ncols)]
 
 
 def _hom_by_definition(v, w):
@@ -831,6 +838,53 @@ def test_solve_with_conditions():
     one = NaturalitySolver(f1, f1)
     assert one.solve_with_conditions([((2,), e0, e1)]) is None
     assert one.solve_with_conditions([((2,), e0, e0)]) == ModuleMap.identity(f1)
+    # non-integral actions and conditions
+    scaled, phi = _rescaled(f1)
+    solver = NaturalitySolver(f1, scaled)
+    assert [mp.is_natural() for mp in solver.basis()] == [True]
+    r = RationalMatrix([[F(1, 3)], [F(2, 5)]])
+    assert solver.solve_with_conditions([((2,), r, phi.blocks[(2,)] * r)]) == phi
+
+
+def _rescaled(v):
+    """(W, phi): W is V with basis vector j of each W(n) standing for
+    (j + 1) e_j, so its actions are not integral, and phi: V -> W is the
+    isomorphism."""
+    def diag(entries):
+        k = len(entries)
+        return RationalMatrix([[x if i == j else 0 for j, x in enumerate(entries)]
+                               for i in range(k)], k, k)
+
+    up = {n: diag([F(j + 1) for j in range(d)]) for n, d in v.dims.items()}
+    down = {n: diag([F(1, j + 1) for j in range(d)]) for n, d in v.dims.items()}
+    actions = {key: down[key_ends(key)[1]] * a * up[key_ends(key)[0]]
+               for key, a in v.actions.items()}
+    w = TruncatedModule(v.window, v.group, dict(v.dims), actions)
+    assert w.validate().ok and any(a.den != 1 for a in actions.values())
+    phi = ModuleMap(v, w, down)
+    assert phi.is_natural()
+    return w, phi
+
+
+def test_coordinates_match_the_solve_over_non_integral_actions():
+    """Hom into rescaled modules, where the RREF basis of the solutions has
+    a denominator: the basis maps carry it, and maps pushed through the
+    rescaling have the coordinates the solve gives."""
+    from fimlab.modules import NaturalitySolver
+    from fimlab.samples import random_presented_module
+
+    w = Window((2,))
+    v = random_presented_module(w, 0)
+    for target in (make_cofree((2,), w, TRIV), v):
+        scaled, phi = _rescaled(target)
+        solver = NaturalitySolver(v, scaled)
+        basis = solver.basis()
+        assert basis and all(mp.is_natural() for mp in basis)
+        pushed = [phi.compose(b) for b in NaturalitySolver(v, target).basis()]
+        _check_coordinates(solver, basis + pushed + [basis[0].scale(F(3, 2))])
+        # the rescaled source has the same Hom, and the same wire round trip
+        assert NaturalitySolver(scaled, target).dim == NaturalitySolver(target, target).dim
+        assert TruncatedModule.from_dict(scaled.to_dict()).actions == scaled.actions
 
 
 def test_from_dict_bounds_the_window_before_enumerating():

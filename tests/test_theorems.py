@@ -298,7 +298,8 @@ def _ext1_dim_by_restriction(v, i_mod):
     objs = sorted(v.window.objects())
 
     def vec(mp):
-        return [x for n in objs for row in mp.blocks[n].rows for x in row]
+        return [b[i, j] for b in map(mp.blocks.get, objs)
+                for i in range(b.nrows) for j in range(b.ncols)]
 
     bk = RationalMatrix([vec(b) for b in hom_k]).transpose()
     image = [solve(bk, vec(phi.compose(k_incl)))
