@@ -188,6 +188,11 @@ def cmd_build(args) -> int:
                 raise ValueError(f"--window: {given.bound} differs from the "
                                  f"tensor's window {window.bound}")
         mod = external_tensor(a, b)
+        # the inputs fix the tensor's group too; a given one must agree
+        if (args.group or "group" in config) and group != mod.group:
+            where = "--group" if args.group else "group"
+            raise ValueError(f"{where}: the group of order {group.order} differs "
+                             f"from the tensor's group, of order {mod.group.order}")
     else:
         window = _window_from(args, config)
         if args.kind == "free":

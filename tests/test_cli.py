@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fimlab.category import GroupTable
 from fimlab.cli import load_config, main, parse_coords
 
 
@@ -226,23 +227,45 @@ def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     (["build", "tensor", "{a}", "{b}", "--window", "2"], "--window"),
     (["build", "tensor", "{a}", "{b}", "--config", "{w3}"], "--window"),
     (["build", "tensor", "{a}", "{b}", "--config", "{w22m1}"], "m"),
+    (["build", "tensor", "{a}", "{b}", "--group", "{s2}"], "--group"),
+    (["build", "tensor", "{a}", "{b}", "--config", "{gs2}"], "group"),
 ])
 def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
-    """The tensor cases fill in two m = 1 modules on the window 2 and
-    config files whose ``m`` or window disagree with the tensor's (2, 2)."""
+    """The tensor cases fill in two trivial-group m = 1 modules on the
+    window 2, a group file for S_2, and config files whose ``m``, window or
+    group disagree with the tensor's."""
     if "{a}" in argv:
         files = {}
         for name in ("a", "b"):
             files[name] = tmp_path / f"{name}.json"
             run_cli(capsys, "build", "free", "--n", "1", "--window", "2", "-o", str(files[name]))
+        files["s2"] = tmp_path / "s2.json"
+        files["s2"].write_text(json.dumps(GroupTable.symmetric(2).to_dict()))
         for name, text in (("m5", "m = 5\n"), ("w3", "window = 3\n"),
-                           ("w22m1", "window = 2,2\nm = 1\n")):
+                           ("w22m1", "window = 2,2\nm = 1\n"),
+                           ("gs2", f"group = {files['s2']}\n")):
             files[name] = tmp_path / f"{name}.cfg"
             files[name].write_text(text)
         argv = [arg.format(**files) for arg in argv]
     code, payload = run_cli(capsys, *argv, "-o", str(tmp_path / "o.json"))
     assert code == 2 and payload["type"] == "ValueError"
     assert payload["error"].startswith(f"{flag}:")
+
+
+def test_build_tensor_accepts_the_group_of_its_inputs(tmp_path, capsys):
+    """A given group equal to the tensor's is accepted, from --group or a
+    config, and the tensor carries it."""
+    s2 = tmp_path / "s2.json"
+    s2.write_text(json.dumps(GroupTable.symmetric(2).to_dict()))
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"group = {s2}\n")
+    a, b, t = (tmp_path / f"{name}.json" for name in "abt")
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "2", "--group", str(s2), "-o", str(a))
+    run_cli(capsys, "build", "free", "--n", "1", "--window", "2", "-o", str(b))
+    for flags in (["--group", str(s2)], ["--config", str(cfg)]):
+        code, _ = run_cli(capsys, "build", "tensor", str(a), str(b), *flags, "-o", str(t))
+        assert code == 0
+        assert json.loads(t.read_text())["group_ref"] == GroupTable.symmetric(2).to_dict()
 
 
 @pytest.mark.parametrize("i", ["", ",", "one"])
