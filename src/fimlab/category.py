@@ -18,7 +18,17 @@ The generator set used throughout the package:
 
 Every window morphism factors through these (tested exhaustively at small
 windows), which is what lets a truncated module store only generator
-actions.
+actions.  :func:`window_generators` derives the generators of a (window,
+group) pair once, with their ends, and every module builder reads that one
+table.
+
+The basis of the free module F(n)(t) is the set of injections n -> t, and
+an incl or swap generator sends each of them to one injection: incl_i moves
+every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
+there (Church-Ellenberg-Farb, FI-modules and stability, Duke 2015).  So
+every free and co-free generator action is a map of injection indices (a
+permutation for a swap), read off the shared
+:func:`injection_index_table`, and needs no :class:`Morphism`.
 """
 
 from __future__ import annotations
@@ -133,6 +143,8 @@ class GroupTable:
         self.name = name
         if self._generated() != set(range(order)):
             raise ValueError("declared generators do not generate the group")
+        # every cache lookup keyed by the group hashes it
+        self._hash = hash((self.mult, self.generators))
 
     def _generated(self):
         seen = {0}
@@ -154,7 +166,7 @@ class GroupTable:
         )
 
     def __hash__(self):
-        return hash((self.mult, self.generators))
+        return self._hash
 
     def __repr__(self):
         label = self.name or f"order {self.order}"
@@ -353,48 +365,28 @@ def count_injections(a: Obj, b: Obj) -> int:
     return total
 
 
-def enumerate_injections(a: Obj, b: Obj):
-    """All injections a -> b (group part trivial), lexicographic on the
-    concatenated image tuples; this order indexes free-module bases and is
-    part of the file-format contract."""
+def _injection_images(a: Obj, b: Obj):
+    """The image tuples of all injections a -> b, lexicographic on their
+    concatenation; this order indexes free-module bases and is part of the
+    file-format contract."""
     if not leq(a, b):
         raise ValueError(f"empty hom-set: {a} does not embed in {b}")
-    out = []
-    for combo in itertools.product(*[_injections_one(x, y) for x, y in zip(a, b)]):
-        out.append(Morphism(a, b, combo, 0))
-    return out
+    return itertools.product(*[_injections_one(x, y) for x, y in zip(a, b)])
+
+
+def enumerate_injections(a: Obj, b: Obj):
+    """All injections a -> b (group part trivial), in basis order."""
+    return [Morphism(a, b, maps, 0) for maps in _injection_images(a, b)]
 
 
 @lru_cache(maxsize=None)
 def injection_index_table(a: Obj, b: Obj):
-    return {f.maps: i for i, f in enumerate(enumerate_injections(a, b))}
+    """{image tuples: basis index} over the injections a -> b, in basis
+    order; built without a Morphism."""
+    return {maps: i for i, maps in enumerate(_injection_images(a, b))}
 
 
 # -- generators --------------------------------------------------------
-
-
-def std_incl(n: Obj, i: int) -> Morphism:
-    """The standard inclusion n -> n + o_i, x -> x + 1 in coordinate i."""
-    maps = []
-    for j, a in enumerate(n):
-        if j == i - 1:
-            maps.append(tuple(range(2, a + 2)))
-        else:
-            maps.append(tuple(range(1, a + 1)))
-    return Morphism(n, add(n, unit(len(n), i)), tuple(maps), 0)
-
-
-def swap_morphism(n: Obj, i: int, k: int) -> Morphism:
-    """The automorphism of n swapping k and k+1 in coordinate i."""
-    if not (1 <= k < n[i - 1]):
-        raise ValueError("transposition out of range")
-    maps = []
-    for j, a in enumerate(n):
-        img = list(range(1, a + 1))
-        if j == i - 1:
-            img[k - 1], img[k] = img[k], img[k - 1]
-        maps.append(tuple(img))
-    return Morphism(n, n, tuple(maps), 0)
 
 
 def aut_swaps(n: Obj) -> list:
@@ -402,25 +394,6 @@ def aut_swaps(n: Obj) -> list:
     S_{n_m}, as (coordinate, k) for the swap of k and k+1: the generator
     order of ``functors.aut_table(n)`` and of the swap keys at n."""
     return [(i, k) for i, x in enumerate(n, start=1) for k in range(1, x)]
-
-
-def group_morphism(n: Obj, g: int) -> Morphism:
-    mor = identity_morphism(n)
-    return Morphism(mor.source, mor.target, mor.maps, g)
-
-
-def generator_keys(window: Window, group: GroupTable):
-    """Descriptor keys of all generators on the window, deterministic order."""
-    keys = []
-    m = window.m
-    for n in window.objects():
-        for i in range(1, m + 1):
-            if n[i - 1] + 1 <= window.bound[i - 1]:
-                keys.append(("incl", i, n))
-        keys.extend(("swap", i, k, n) for i, k in aut_swaps(n))
-        for j in range(len(group.generators)):
-            keys.append(("grp", j, n))
-    return keys
 
 
 def key_ends(key) -> tuple:
@@ -432,22 +405,26 @@ def key_ends(key) -> tuple:
     return n, n
 
 
-def morphism_of_key(key, group: GroupTable) -> Morphism:
-    kind = key[0]
-    if kind == "incl":
-        _, i, n = key
-        return std_incl(n, i)
-    if kind == "swap":
-        _, i, k, n = key
-        return swap_morphism(n, i, k)
-    if kind == "grp":
-        _, j, n = key
-        return group_morphism(n, group.generators[j])
-    raise ValueError(f"unknown generator key {key!r}")
+@lru_cache(maxsize=None)
+def window_generators(window: Window, group: GroupTable) -> tuple:
+    """Every generator on the window as ``(key, source, target)``, in a
+    deterministic order: per object of ``window.objects()``, its incls by
+    coordinate, then its swaps in ``aut_swaps`` order, then its group
+    generators.  Built once per (window, group) and shared, so it is a
+    tuple of tuples that no caller can change."""
+    out = []
+    for n in window.objects():
+        keys = [("incl", i, n) for i in range(1, window.m + 1)
+                if n[i - 1] < window.bound[i - 1]]
+        keys += [("swap", i, k, n) for i, k in aut_swaps(n)]
+        keys += [("grp", j, n) for j in range(len(group.generators))]
+        out.extend((key, *key_ends(key)) for key in keys)
+    return tuple(out)
 
 
-def generators(window: Window, group: GroupTable):
-    return [morphism_of_key(k, group) for k in generator_keys(window, group)]
+def generator_keys(window: Window, group: GroupTable) -> list:
+    """The keys of :func:`window_generators`, as a fresh list."""
+    return [key for key, _, _ in window_generators(window, group)]
 
 
 # -- factorization into generators --------------------------------------

@@ -16,12 +16,10 @@ from .category import (
     Window,
     add,
     aut_swaps,
-    generator_keys,
     injection_index_table,
-    key_ends,
     sub,
-    swap_morphism,
     unit,
+    window_generators,
 )
 from .linalg import (
     RationalMatrix,
@@ -83,7 +81,7 @@ def shift(v: TruncatedModule, i: int) -> TruncatedModule:
     new_window = Window(sub(v.window.bound, oi))
     dims = {n: v.dims[add(n, oi)] for n in new_window.objects()}
     actions = {}
-    for key in generator_keys(new_window, v.group):
+    for key, _, _ in window_generators(new_window, v.group):
         if key[0] == "incl":
             _, j, n = key
             up = add(n, oi)
@@ -236,7 +234,7 @@ def ind(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
     lreg = regular_rep_matrices(group)
     dims = {n: d * og for n, d in v.dims.items()}
     actions = {}
-    for key in generator_keys(v.window, group):
+    for key, _, _ in window_generators(v.window, group):
         if key[0] == "grp":
             _, j, n = key
             actions[key] = kron(RationalMatrix.identity(v.dims[n]), lreg[j])
@@ -251,7 +249,7 @@ def res(v: TruncatedModule) -> TruncatedModule:
     triv = GroupTable.trivial()
     actions = {
         key: v.actions[key]
-        for key in generator_keys(v.window, triv)
+        for key, _, _ in window_generators(v.window, triv)
     }
     return TruncatedModule(v.window, triv, dict(v.dims), actions,
                            v.presentation, f"Res({v.name})" if v.name else "")
@@ -334,7 +332,7 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         if window.bound[i - 1] < s[pos]:
             raise MarginError("window too small for the inducing object")
 
-    swaps = [swap_morphism(s, c, k) for c, k in aut_swaps(s)]
+    swaps = [("swap", c, k, s) for c, k in aut_swaps(s)]
     # Inj(s, s') is the value of F(s) at s', and the S-coordinate generators
     # act on it as they act on F(s)
     free_s = make_free(s, Window(tuple(window.bound[i - 1] for i in S)))
@@ -360,8 +358,7 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
 
     # generator actions on the big spaces, then restrict
     big_actions = {}
-    for key in generator_keys(window, group):
-        src, _ = key_ends(key)
+    for key, src, _ in window_generators(window, group):
         s_src, t_src = split_obj(src, S, not_S)
         ninj_src = free_s.dims[s_src]
         if key[0] == "grp":

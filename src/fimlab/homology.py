@@ -22,9 +22,9 @@ from .category import (
     count_injections,
     degree,
     enumerate_injections,
-    generator_keys,
     leq,
     unit,
+    window_generators,
 )
 from .linalg import RationalMatrix, Subspace, kernel_basis
 from .modules import (
@@ -76,7 +76,7 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
         dims[t] = v.dims[interleave(S, not_S, s, t)]
     actions = {}
     aut_gens = aut_swaps(s)
-    for key in generator_keys(new_window, group):
+    for key, _, _ in window_generators(new_window, group):
         if key[0] == "incl":
             _, j, t = key
             full = interleave(S, not_S, s, t)

@@ -317,14 +317,6 @@ def rational_roots(coeffs) -> list:
     return roots
 
 
-def rref(mat: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon form (canonical; zero rows kept at the bottom)."""
-    if mat.nrows == 0 or mat.ncols == 0:
-        return mat
-    _, out_rows, denoms = rref_int(mat.rows, mat.ncols)
-    return _stack_rows(zip(out_rows, denoms), mat.ncols)
-
-
 def rank(mat: RationalMatrix) -> int:
     if mat.nrows == 0 or mat.ncols == 0:
         return 0
@@ -333,32 +325,42 @@ def rank(mat: RationalMatrix) -> int:
 
 
 class Subspace:
-    """A subspace of Q^d, stored as an RREF basis (rows) of the span."""
+    """A subspace of Q^d, stored as an RREF basis (rows) of the span, with
+    the pivot column of each basis row.  The pivots are derived from the
+    basis, so they take no part in equality or hashing."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: RationalMatrix):
+    def __init__(self, ambient_dim: int, basis: RationalMatrix, pivots: tuple):
         if basis.ncols != ambient_dim and basis.nrows > 0:
             raise ValueError("basis width must equal ambient dimension")
+        if len(pivots) != basis.nrows:
+            raise ValueError("need one pivot per basis row")
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivots = pivots
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors) -> "Subspace":
         vecs = [tuple(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("spanning vector has wrong length")
-        red = rref(RationalMatrix(vecs, len(vecs), ambient_dim))
-        keep = tuple(row for row in red.rows if any(row))
-        return Subspace(ambient_dim, _make(keep, red.den, len(keep), ambient_dim))
+        mat = RationalMatrix(vecs, len(vecs), ambient_dim)
+        if mat.nrows == 0 or ambient_dim == 0:
+            return Subspace.zero(ambient_dim)
+        pivots, out_rows, denoms = rref_int(mat.rows, ambient_dim)
+        r = len(pivots)
+        return Subspace(ambient_dim, _stack_rows(zip(out_rows[:r], denoms[:r]), ambient_dim),
+                        tuple(pivots))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix.zeros(0, ambient_dim))
+        return Subspace(ambient_dim, RationalMatrix.zeros(0, ambient_dim), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim))
+        return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim),
+                        tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -367,9 +369,7 @@ class Subspace:
     @property
     def pivots(self) -> tuple:
         """Pivot column of each basis row (its leading nonzero entry)."""
-        return tuple(
-            next(j for j, x in enumerate(row) if x) for row in self.basis.rows
-        )
+        return self._pivots
 
     @property
     def free_columns(self) -> list:

@@ -29,6 +29,7 @@ from .category import (
     add,
     aut_swaps,
     compose,
+    count_injections,
     degree,
     enumerate_injections,
     factor_morphism,
@@ -36,12 +37,10 @@ from .category import (
     identity_morphism,
     injection_index_table,
     json_field,
-    key_ends,
     leq,
-    morphism_of_key,
     sub,
-    swap_morphism,
     unit,
+    window_generators,
     _is_int,
 )
 from .linalg import (
@@ -237,11 +236,10 @@ class TruncatedModule:
         for n in window.objects():
             if n not in self.dims:
                 raise ValueError(f"missing dimension at {n}")
-        for key in generator_keys(window, group):
+        for key, src, tgt in window_generators(window, group):
             mat = self.actions.get(key)
             if mat is None:
                 raise ValueError(f"missing action for generator {key}")
-            src, tgt = key_ends(key)
             if mat.shape != (self.dims[tgt], self.dims[src]):
                 raise ValueError(
                     f"action {key} has shape {mat.shape}, expected "
@@ -445,7 +443,7 @@ class TruncatedModule:
         for n in dims:
             if not window.contains(n):
                 raise ValueError(f"dims.{obj_str(n)}: outside the window")
-        known = set(generator_keys(window, group))
+        ends = {key: (src, tgt) for key, src, tgt in window_generators(window, group)}
         actions = {}
         for idx, item in enumerate(json_field(d, "actions", list)):
             path = f"actions[{idx}]"
@@ -460,11 +458,11 @@ class TruncatedModule:
                 key = ("swap", pair[0], pair[1], at)
             else:
                 key = ("grp", json_field(gen, "grp", int, f"{path}.gen"), at)
-            if key not in known:
+            if key not in ends:
                 raise ValueError(f"{path}.gen: no such generator on the window")
             if key in actions:
                 raise ValueError(f"{path}.gen: generator given twice")
-            src, tgt = key_ends(key)
+            src, tgt = ends[key]
             rows = json_field(item, "matrix", list, path)
             try:
                 actions[key] = matrix_from_lists(rows, dims[tgt], dims[src])
@@ -541,8 +539,7 @@ class ModuleMap:
         return self.blocks[tuple(n)]
 
     def is_natural(self) -> bool:
-        for key in generator_keys(self.source.window, self.source.group):
-            src, tgt = key_ends(key)
+        for key, src, tgt in window_generators(self.source.window, self.source.group):
             lhs = self.blocks[tgt] * self.source.actions[key]
             rhs = self.target.actions[key] * self.blocks[src]
             if lhs != rhs:
@@ -609,11 +606,50 @@ class ModuleMap:
 def zero_module(window: Window, group: GroupTable) -> TruncatedModule:
     dims = {n: 0 for n in window.objects()}
     actions = {
-        key: RationalMatrix.zeros(0, 0) for key in generator_keys(window, group)
+        key: RationalMatrix.zeros(0, 0) for key, _, _ in window_generators(window, group)
     }
     return TruncatedModule(
         window, group, dims, actions, Presentation.make([], tuple([0] * window.m))
     )
+
+
+def _after_generator(key, maps) -> tuple:
+    """The image tuples of g o beta for the incl or swap generator g of
+    ``key`` and the injection beta with image tuples ``maps``: incl_i moves
+    every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
+    there."""
+    i = key[1]
+    if key[0] == "incl":
+        moved = tuple(p + 1 for p in maps[i - 1])
+    else:
+        k = key[2]
+        moved = tuple(k + 1 if p == k else k if p == k + 1 else p
+                      for p in maps[i - 1])
+    return maps[:i - 1] + (moved,) + maps[i:]
+
+
+def _before_generator(key, maps) -> tuple:
+    """The image tuples of beta o g for the incl or swap generator g of
+    ``key`` and the injection beta with image tuples ``maps``: incl_i drops
+    the first entry of coordinate i, swap_(i,k) exchanges its positions k
+    and k + 1."""
+    i = key[1]
+    img = maps[i - 1]
+    if key[0] == "incl":
+        moved = img[1:]
+    else:
+        k = key[2]
+        moved = img[:k - 1] + (img[k], img[k - 1]) + img[k + 1:]
+    return maps[:i - 1] + (moved,) + maps[i:]
+
+
+def _monomial(cols, nrows: int, ncols: int) -> RationalMatrix:
+    """The 0/1 matrix with a 1 at (r, cols[r]) for every row r whose
+    ``cols[r]`` is not None."""
+    zero = (0,) * ncols
+    return RationalMatrix(
+        [zero if c is None else zero[:c] + (1,) + zero[c + 1:] for c in cols],
+        nrows, ncols)
 
 
 def make_free(n, window: Window, group: GroupTable | None = None,
@@ -621,41 +657,34 @@ def make_free(n, window: Window, group: GroupTable | None = None,
     """The representable projective at n (tensored with the group algebra).
 
     Basis of the value at t: injections n -> t in enumeration order, each
-    paired with the group elements, group index varying fastest.
+    paired with the group elements, group index varying fastest.  An incl
+    or swap generator acts by a map of injection indices (a permutation
+    for a swap, see :mod:`fimlab.category`) read off the shared
+    ``injection_index_table``, and a group generator g by (beta, h) ->
+    (beta, g h); no morphism is built.
     """
     n = tuple(n)
     group = group or GroupTable.trivial()
     if not window.contains(n):
         raise MarginError(f"generator object {n} lies outside the window")
     og = group.order
-    dims = {}
-    bases = {}
-    for t in window.objects():
-        if leq(n, t):
-            injs = enumerate_injections(n, t)
-            bases[t] = injs
-            dims[t] = len(injs) * og
-        else:
-            bases[t] = []
-            dims[t] = 0
+    dims = {t: count_injections(n, t) * og for t in window.objects()}
     actions = {}
-    for key in generator_keys(window, group):
-        src, tgt = key_ends(key)
-        mat = [[0] * dims[src] for _ in range(dims[tgt])]
+    for key, src, tgt in window_generators(window, group):
+        cols = [None] * dims[tgt]
         if dims[src]:
-            index = injection_index_table(n, tgt)
-            gen_mor = morphism_of_key(key, group)
-            for bi, beta in enumerate(bases[src]):
-                comp = compose(gen_mor, beta, group)
-                new_idx = index[comp.maps]
-                if key[0] == "grp":
-                    g = group.generators[key[1]]
+            if key[0] == "grp":
+                g = group.generators[key[1]]
+                for bi in range(0, dims[src], og):
                     for h in range(og):
-                        mat[new_idx * og + group.mult[g][h]][bi * og + h] = 1
-                else:
+                        cols[bi + group.mult[g][h]] = bi + h
+            else:
+                index = injection_index_table(n, tgt)
+                for bi, beta in enumerate(injection_index_table(n, src)):
+                    new_idx = index[_after_generator(key, beta)] * og
                     for h in range(og):
-                        mat[new_idx * og + h][bi * og + h] = 1
-        actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
+                        cols[new_idx + h] = bi * og + h
+        actions[key] = _monomial(cols, dims[tgt], dims[src])
     pres = Presentation.make([(n, None)], n)
     return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
 
@@ -664,59 +693,44 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
                 name: str = "") -> TruncatedModule:
     """Functions on injections into l: the finite-dimensional co-free
     module.  The group factor acts trivially; tensor with the group algebra
-    via functors.ind when the regular group action is wanted."""
+    via functors.ind when the regular group action is wanted.  A generator
+    g acts by precomposition, beta -> beta o g, read off the shared
+    ``injection_index_table`` as in :func:`make_free`."""
     l = tuple(l)
     group = group or GroupTable.trivial()
     if not window.contains(l):
         raise MarginError(f"cogenerator object {l} lies outside the window")
-    dims = {}
-    bases = {}
-    for t in window.objects():
-        if leq(t, l):
-            injs = enumerate_injections(t, l)
-            bases[t] = injs
-            dims[t] = len(injs)
-        else:
-            bases[t] = []
-            dims[t] = 0
+    dims = {t: count_injections(t, l) for t in window.objects()}
     actions = {}
-    for key in generator_keys(window, group):
-        src, tgt = key_ends(key)
-        mat = [[0] * dims[src] for _ in range(dims[tgt])]
-        if dims[src] and dims[tgt]:
-            if key[0] == "grp":
-                for bi in range(dims[src]):
-                    mat[bi][bi] = 1
-            else:
-                gen_mor = morphism_of_key(key, group)
-                src_index = injection_index_table(src, l)
-                for bi, beta in enumerate(bases[tgt]):
-                    gamma = compose(beta, gen_mor, group)
-                    mat[bi][src_index[gamma.maps]] = 1
-        elif key[0] == "grp" and dims[src]:
-            for bi in range(dims[src]):
-                mat[bi][bi] = 1
-        actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
+    for key, src, tgt in window_generators(window, group):
+        if not (dims[src] and dims[tgt]):
+            cols = [None] * dims[tgt]
+        elif key[0] == "grp":
+            cols = range(dims[src])
+        else:
+            src_index = injection_index_table(src, l)
+            cols = [src_index[_before_generator(key, beta)]
+                    for beta in injection_index_table(tgt, l)]
+        actions[key] = _monomial(cols, dims[tgt], dims[src])
     slots = [(t, None) for t in window.objects_by_degree() if dims[t] > 0]
     rel = tuple(x + 1 for x in l)
     pres = Presentation.make(slots, rel)
     return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
 
 
-def _aut_right_action_matrix(n, t, sigma, group: GroupTable, g: int):
-    """Right action of (sigma, g), sigma an automorphism of n, on the basis
-    of the free module at t: (beta, h) -> (beta o sigma, h * g)."""
-    injs = enumerate_injections(n, t)
+def _aut_right_action_matrix(n, t, swap, group: GroupTable, g: int):
+    """Right action of (sigma, g) on the basis of the free module at t,
+    (beta, h) -> (beta o sigma, h * g), where sigma is the swap generator
+    of n with key ``swap``, or the identity when ``swap`` is None."""
     index = injection_index_table(n, t)
     og = group.order
-    d = len(injs) * og
-    mat = [[0] * d for _ in range(d)]
-    for bi, beta in enumerate(injs):
-        comp = compose(beta, sigma)
-        ni = index[comp.maps]
+    d = len(index) * og
+    cols = [None] * d
+    for bi, beta in enumerate(index):
+        ni = index[beta if swap is None else _before_generator(swap, beta)]
         for h in range(og):
-            mat[ni * og + group.mult[h][g]][bi * og + h] = 1
-    return RationalMatrix(mat, d, d)
+            cols[ni * og + group.mult[h][g]] = bi * og + h
+    return _monomial(cols, d, d)
 
 
 def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
@@ -729,8 +743,7 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
     spaces = {tuple(k): s for k, s in spaces.items()}
     dims = {n: spaces[n].dim for n in v.window.objects()}
     actions = {}
-    for key in generator_keys(v.window, v.group):
-        src, tgt = key_ends(key)
+    for key, src, tgt in window_generators(v.window, v.group):
         rhs = v.actions[key] * spaces[src].basis.transpose()
         restricted = spaces[tgt].coordinates(rhs)
         if restricted is None:
@@ -784,8 +797,7 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
         projs[n] = q
         dims[n] = q.nrows
     actions = {}
-    for key in generator_keys(v.window, v.group):
-        src, tgt = key_ends(key)
+    for key, src, tgt in window_generators(v.window, v.group):
         # induced action B with B . proj_src = proj_tgt . action; proj_src is
         # the identity on the source's free columns, so B is read off there
         big = projs[tgt] * v.actions[key]
@@ -825,7 +837,7 @@ def direct_sum(*mods, name="") -> tuple:
         raise ValueError("summands live on different windows or groups")
     dims = {n: sum(v.dims[n] for v in mods) for n in w.objects()}
     actions = {}
-    for key in generator_keys(w, g):
+    for key, _, _ in window_generators(w, g):
         actions[key] = block_diag([v.actions[key] for v in mods])
     slots = []
     rel = [0] * w.m
@@ -873,7 +885,7 @@ def external_tensor(v: TruncatedModule, w: TruncatedModule, name="") -> Truncate
         for b in w.window.objects():
             dims[a + b] = v.dims[a] * w.dims[b]
     actions = {}
-    for key in generator_keys(window, group):
+    for key, _, _ in window_generators(window, group):
         if key[0] == "incl":
             _, i, nab = key
             a, b = nab[:mv], nab[mv:]
@@ -975,7 +987,7 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     dim_s = prod(r.dim for r in spechts)
     dim_x = dim_s * g_rep.dim
     big = _tensor_with_const(make_free(n, window, group), dim_x)
-    swaps = [swap_morphism(n, i, k) for i, k in aut_swaps(n)]
+    swaps = [("swap", i, k, n) for i, k in aut_swaps(n)]
     x_swaps = _specht_swaps(n, spechts, g_rep.dim)
     # a generator g is fixed together with its inverse: R(1, g^-1) x rho(g)
     x_grp = [kron(RationalMatrix.identity(dim_s), mat) for mat in g_rep.gen_mats]
@@ -986,8 +998,7 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
             continue
         mats = [kron(_aut_right_action_matrix(n, t, sw, group, 0), x)
                 for sw, x in zip(swaps, x_swaps)]
-        mats += [kron(_aut_right_action_matrix(n, t, identity_morphism(n), group,
-                                               group.inverse[g]), x)
+        mats += [kron(_aut_right_action_matrix(n, t, None, group, group.inverse[g]), x)
                  for g, x in zip(group.generators, x_grp)]
         spaces[t] = _fixed_space(big.dims[t], mats)
         expected = prod(comb(a, b) for a, b in zip(t, n)) * dim_x
@@ -1017,7 +1028,7 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
     spechts = [specht(p) for p in lambdas]
     base = make_cofree(l, window, group)
     big = _tensor_with_const(base, prod(r.dim for r in spechts))
-    swaps = [swap_morphism(l, i, k) for i, k in aut_swaps(l)]
+    swaps = [("swap", i, k, l) for i, k in aut_swaps(l)]
     x_swaps = _specht_swaps(l, spechts)
     spaces = {}
     for t in window.objects():
@@ -1025,14 +1036,13 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
         if nb == 0:
             spaces[t] = Subspace.zero(0)
             continue
-        injs = enumerate_injections(t, l)
         index = injection_index_table(t, l)
         mats = []
         for tau, x_mat in zip(swaps, x_swaps):
-            p_rows = [[0] * nb for _ in range(nb)]
-            for gi, gamma in enumerate(injs):
-                p_rows[index[compose(tau, gamma).maps]][gi] = 1
-            mats.append(kron(RationalMatrix(p_rows, nb, nb), x_mat))
+            cols = [None] * nb
+            for gi, gamma in enumerate(index):
+                cols[index[_after_generator(tau, gamma)]] = gi
+            mats.append(kron(_monomial(cols, nb, nb), x_mat))
         spaces[t] = _fixed_space(big.dims[t], mats)
     mod, _ = submodule_from_stable_subspaces(big, spaces, None,
                                              name or f"E{lambdas}")
@@ -1165,7 +1175,11 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
         rho = v.group_elements_at(n)
         for h in range(1, og):
             start = start.hstack(rho[h] * mat)
-    bound = v.window.bound
+    # the incl and swap generators out of each object, into nonzero values
+    steps = {}
+    for key, src, tgt in window_generators(v.window, v.group):
+        if key[0] != "grp" and v.dims[tgt]:
+            steps.setdefault(src, []).append((key, tgt))
     reached = {}
     frontier = []
     if v.dims[n]:
@@ -1175,18 +1189,9 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
     while frontier:
         nxt = []
         for y, maps, img in frontier:
-            # each generator out of y, with what it does to the points of
-            # its coordinate i
-            steps = [(("incl", i, y), i, {p: p + 1 for p in maps[i - 1]})
-                     for i in range(1, len(y) + 1) if y[i - 1] < bound[i - 1]]
-            steps += [(("swap", i, k, y), i, {k: k + 1, k + 1: k})
-                      for i, k in aut_swaps(y)]
-            for key, i, move in steps:
-                z = key_ends(key)[1]
-                if not v.dims[z]:
-                    continue
+            for key, z in steps.get(y, ()):
                 seen = reached.setdefault(z, {})
-                beta = maps[:i - 1] + (tuple(move.get(p, p) for p in maps[i - 1]),) + maps[i:]
+                beta = _after_generator(key, maps)
                 if beta not in seen:
                     seen[beta] = v.actions[key] * img
                     nxt.append((z, beta, seen[beta]))

@@ -21,23 +21,41 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from fimlab._rref_py import rref_int
 from fimlab.category import (
     GroupTable,
     Morphism,
     Window,
     add,
     aut_swaps,
+    compose,
     enumerate_injections,
     generator_keys,
+    identity_morphism,
     injection_index_table,
+    key_ends,
     leq,
     perm_to_adjacent,
     sub,
     unit,
 )
 from fimlab.functors import canonical_map, derivative, kernel_functor, shift
-from fimlab.linalg import RationalMatrix, image_basis, kernel_basis, rational_roots, solve_matrix
-from fimlab.modules import Presentation, TruncatedModule, make_free, quotient
+from fimlab.linalg import (
+    RationalMatrix,
+    image_basis,
+    kernel_basis,
+    rational_roots,
+    solve_matrix,
+    _stack_rows,
+)
+from fimlab.modules import (
+    MarginError,
+    Presentation,
+    TruncatedModule,
+    make_free,
+    obj_str,
+    quotient,
+)
 from fimlab.symrep import (
     GroupRep,
     _check_coxeter,
@@ -49,6 +67,14 @@ from fimlab.symrep import (
 
 
 # -- permutations, matrices and groups ---------------------------------------
+
+
+def rref(mat: RationalMatrix) -> RationalMatrix:
+    """Reduced row echelon form (canonical; zero rows kept at the bottom)."""
+    if mat.nrows == 0 or mat.ncols == 0:
+        return mat
+    _, out_rows, denoms = rref_int(mat.rows, mat.ncols)
+    return _stack_rows(zip(out_rows, denoms), mat.ncols)
 
 
 def invert_perm(img: tuple) -> tuple:
@@ -91,7 +117,141 @@ def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
     return mat
 
 
+# -- generators as morphisms ---------------------------------------------------
+
+
+def std_incl(n, i: int) -> Morphism:
+    """The standard inclusion n -> n + o_i, x -> x + 1 in coordinate i."""
+    maps = []
+    for j, a in enumerate(n):
+        if j == i - 1:
+            maps.append(tuple(range(2, a + 2)))
+        else:
+            maps.append(tuple(range(1, a + 1)))
+    return Morphism(n, add(n, unit(len(n), i)), tuple(maps), 0)
+
+
+def swap_morphism(n, i: int, k: int) -> Morphism:
+    """The automorphism of n swapping k and k+1 in coordinate i."""
+    if not (1 <= k < n[i - 1]):
+        raise ValueError("transposition out of range")
+    maps = []
+    for j, a in enumerate(n):
+        img = list(range(1, a + 1))
+        if j == i - 1:
+            img[k - 1], img[k] = img[k], img[k - 1]
+        maps.append(tuple(img))
+    return Morphism(n, n, tuple(maps), 0)
+
+
+def group_morphism(n, g: int) -> Morphism:
+    mor = identity_morphism(n)
+    return Morphism(mor.source, mor.target, mor.maps, g)
+
+
+def morphism_of_key(key, group: GroupTable) -> Morphism:
+    kind = key[0]
+    if kind == "incl":
+        _, i, n = key
+        return std_incl(n, i)
+    if kind == "swap":
+        _, i, k, n = key
+        return swap_morphism(n, i, k)
+    if kind == "grp":
+        _, j, n = key
+        return group_morphism(n, group.generators[j])
+    raise ValueError(f"unknown generator key {key!r}")
+
+
+def generators(window: Window, group: GroupTable):
+    return [morphism_of_key(k, group) for k in generator_keys(window, group)]
+
+
 # -- modules ------------------------------------------------------------------
+
+
+def make_free_by_compose(n, window: Window, group: GroupTable | None = None,
+                         name: str = "") -> TruncatedModule:
+    """Reference for ``make_free``: each generator action found by composing
+    the generator morphism with every basis injection."""
+    n = tuple(n)
+    group = group or GroupTable.trivial()
+    if not window.contains(n):
+        raise MarginError(f"generator object {n} lies outside the window")
+    og = group.order
+    dims = {}
+    bases = {}
+    for t in window.objects():
+        if leq(n, t):
+            injs = enumerate_injections(n, t)
+            bases[t] = injs
+            dims[t] = len(injs) * og
+        else:
+            bases[t] = []
+            dims[t] = 0
+    actions = {}
+    for key in generator_keys(window, group):
+        src, tgt = key_ends(key)
+        mat = [[0] * dims[src] for _ in range(dims[tgt])]
+        if dims[src]:
+            index = injection_index_table(n, tgt)
+            gen_mor = morphism_of_key(key, group)
+            for bi, beta in enumerate(bases[src]):
+                comp = compose(gen_mor, beta, group)
+                new_idx = index[comp.maps]
+                if key[0] == "grp":
+                    g = group.generators[key[1]]
+                    for h in range(og):
+                        mat[new_idx * og + group.mult[g][h]][bi * og + h] = 1
+                else:
+                    for h in range(og):
+                        mat[new_idx * og + h][bi * og + h] = 1
+        actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
+    pres = Presentation.make([(n, None)], n)
+    return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
+
+
+def make_cofree_by_compose(l, window: Window, group: GroupTable | None = None,
+                           name: str = "") -> TruncatedModule:
+    """Reference for ``make_cofree``: each generator action found by
+    precomposing every basis injection with the generator morphism."""
+    l = tuple(l)
+    group = group or GroupTable.trivial()
+    if not window.contains(l):
+        raise MarginError(f"cogenerator object {l} lies outside the window")
+    dims = {}
+    bases = {}
+    for t in window.objects():
+        if leq(t, l):
+            injs = enumerate_injections(t, l)
+            bases[t] = injs
+            dims[t] = len(injs)
+        else:
+            bases[t] = []
+            dims[t] = 0
+    actions = {}
+    for key in generator_keys(window, group):
+        src, tgt = key_ends(key)
+        mat = [[0] * dims[src] for _ in range(dims[tgt])]
+        if dims[src] and dims[tgt]:
+            if key[0] == "grp":
+                for bi in range(dims[src]):
+                    mat[bi][bi] = 1
+            else:
+                gen_mor = morphism_of_key(key, group)
+                src_index = injection_index_table(src, l)
+                for bi, beta in enumerate(bases[tgt]):
+                    gamma = compose(beta, gen_mor, group)
+                    mat[bi][src_index[gamma.maps]] = 1
+        elif key[0] == "grp" and dims[src]:
+            for bi in range(dims[src]):
+                mat[bi][bi] = 1
+        actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
+    slots = [(t, None) for t in window.objects_by_degree() if dims[t] > 0]
+    rel = tuple(x + 1 for x in l)
+    pres = Presentation.make(slots, rel)
+    return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
+
 
 
 def with_trivial_group_action(v: TruncatedModule, group: GroupTable) -> TruncatedModule:

@@ -13,17 +13,14 @@ from fimlab.category import (
     factor_injection,
     factor_morphism,
     generator_keys,
-    generators,
     identity_morphism,
     key_ends,
     leq,
-    morphism_of_key,
     perm_to_adjacent,
-    std_incl,
-    swap_morphism,
+    window_generators,
 )
 
-from oracles import conjugacy_classes
+from oracles import conjugacy_classes, generators, morphism_of_key, std_incl, swap_morphism
 
 
 def apply_perm_word(word, n):
@@ -164,6 +161,33 @@ def test_generators_window_degenerate():
     keys = generator_keys(Window((1, 1)), GroupTable.trivial())
     assert len([k for k in keys if k[0] == "incl"]) == 4
     assert not [k for k in keys if k[0] == "swap"]
+
+
+def test_generator_table_cannot_be_corrupted():
+    """generator_keys hands out a fresh list over the shared, immutable
+    window_generators table, whose ends are key_ends'."""
+    w, g = Window((2, 1)), GroupTable.symmetric(2)
+    table = window_generators(w, g)
+    assert isinstance(table, tuple)
+    assert all(type(entry) is tuple for entry in table)
+    keys = generator_keys(w, g)
+    expected = list(keys)
+    keys.reverse()
+    keys.append(("incl", 9, (9, 9)))
+    del keys[0]
+    assert generator_keys(w, g) == expected
+    assert window_generators(w, g) is table
+    assert [(key, *key_ends(key)) for key in expected] == list(table)
+
+
+def test_equal_groups_share_one_generator_table():
+    """The hash computed once per group agrees for equal tables, whatever
+    their names, so equal groups meet in one cache entry."""
+    a = GroupTable.symmetric(3)
+    b = GroupTable(a.mult, a.generators, name="another S3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    w = Window((2, 2))
+    assert window_generators(w, a) is window_generators(w, b)
 
 
 def test_perm_to_adjacent_reconstructs():

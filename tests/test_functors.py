@@ -15,7 +15,6 @@ from fimlab.category import (
     generator_keys,
     injection_index_table,
     leq,
-    morphism_of_key,
 )
 from fimlab.linalg import RationalMatrix, Subspace, image_basis, kron
 from fimlab.modules import (
@@ -54,6 +53,7 @@ from oracles import (
     derivative_decomposition_by_indexing,
     exact_four_term_check,
     invert_perm,
+    morphism_of_key,
     regular_rep,
     shift_decomposition_by_indexing,
     with_trivial_group_action,

@@ -19,7 +19,6 @@ from fimlab.linalg import (
     quotient_map,
     rank,
     rational_roots,
-    rref,
     solve,
     solve_matrix,
 )
@@ -29,6 +28,8 @@ from fimlab.modules import (
     quotient,
     submodule_from_stable_subspaces,
 )
+
+from oracles import rref
 
 F = Fraction
 
@@ -613,6 +614,19 @@ def test_image_basis_matches_sympy(mat):
     assert img.ambient_dim == mat.nrows
     cols = _sympy_dm(mat).columnspace().transpose()
     assert _entries(img.basis) == _sympy_span(_sympy_rows(cols), mat.nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@with_oracle_examples
+def test_stored_pivots_match_sympy(mat):
+    """The pivots a subspace keeps from its elimination are sympy's RREF
+    pivots, and the leading entries of its kernel and image bases."""
+    sub = Subspace.from_spanning(mat.ncols, _entries(mat))
+    assert sub.pivots == tuple(_sympy_dm(mat).rref()[1])
+    for space in (sub, kernel_basis(mat), image_basis(mat)):
+        assert space.pivots == tuple(
+            next(j for j, x in enumerate(row) if x) for row in space.basis.rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fimlab.category import GroupTable, Window, enumerate_injections, key_ends, leq
@@ -33,6 +33,8 @@ from oracles import (
     cover_block_by_evaluate,
     decompose,
     evaluate_basis,
+    make_cofree_by_compose,
+    make_free_by_compose,
     permute_coords,
 )
 
@@ -88,6 +90,68 @@ def test_make_cofree_dims():
     assert v.validate(deep=True).ok
     e0 = make_cofree((0,), Window((3,)), TRIV)
     assert [e0.dims[(t,)] for t in range(4)] == [1, 0, 0, 0]
+
+
+_BUILDER_GROUPS = {"trivial": TRIV, "C2": GroupTable.cyclic(2),
+                   "S3": GroupTable.symmetric(3)}
+# per m, the largest window bound coordinate: every builder stays small
+_BUILDER_BOUND = {1: 4, 2: 2, 3: 1}
+
+
+@st.composite
+def _window_and_object(draw):
+    """A window with m in {1, 2, 3}, zero bounds allowed, and an object of
+    it: the origin, the corner, or any other."""
+    m = draw(st.integers(1, 3))
+    bound = tuple(draw(st.lists(st.integers(0, _BUILDER_BOUND[m]), min_size=m, max_size=m)))
+    n = draw(st.one_of(st.just((0,) * m), st.just(bound),
+                       st.tuples(*[st.integers(0, b) for b in bound])))
+    return Window(bound), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_and_object(), st.sampled_from(sorted(_BUILDER_GROUPS)))
+@example((Window((0,)), (0,)), "trivial")
+@example((Window((4,)), (4,)), "S3")
+@example((Window((2, 0)), (0, 0)), "C2")
+@example((Window((2, 2)), (2, 2)), "S3")
+@example((Window((1, 0, 1)), (1, 0, 1)), "C2")
+@example((Window((1, 1, 1)), (0, 0, 0)), "trivial")
+def test_free_and_cofree_match_the_compose_builders(window_and_object, group):
+    """Reading generator actions off injection indices gives the modules
+    that composing generator morphisms with every injection gives."""
+    window, n = window_and_object
+    g = _BUILDER_GROUPS[group]
+    for build, reference in ((make_free, make_free_by_compose),
+                             (make_cofree, make_cofree_by_compose)):
+        got, want = build(n, window, g), reference(n, window, g)
+        assert got.dims == want.dims
+        assert got.actions == want.actions
+        assert got.to_dict() == want.to_dict()
+
+
+def test_free_and_cofree_build_no_morphism(monkeypatch):
+    """make_free and make_cofree compose no morphisms and build none, even
+    with the generator and injection tables cold."""
+    import fimlab.category as category
+    import fimlab.modules as modules
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a morphism was built")
+
+    cases = [((1, 1), Window((2, 3)), TRIV), ((2, 0), Window((3, 1)), GroupTable.symmetric(3))]
+    built = []
+    with monkeypatch.context() as patch:
+        category.injection_index_table.cache_clear()
+        category.window_generators.cache_clear()
+        patch.setattr(category, "compose", forbidden)
+        patch.setattr(modules, "compose", forbidden)
+        patch.setattr(category.Morphism, "__post_init__", forbidden)
+        for n, window, g in cases:
+            built.append((make_free(n, window, g), make_cofree(n, window, g)))
+    for (n, window, g), (free, cofree) in zip(cases, built):
+        assert free == make_free_by_compose(n, window, g)
+        assert cofree == make_cofree_by_compose(n, window, g)
 
 
 def test_cofree_vanishes_above_cogenerator():
@@ -624,6 +688,7 @@ def test_no_fixpoint_sweeps(monkeypatch):
         for n in v.window.objects():
             modules.positive_degree_image(v, (1, 2), n)
     monkeypatch.setattr(modules, "generator_keys", forbidden)
+    monkeypatch.setattr(modules, "window_generators", forbidden)
     seed = Subspace.from_spanning(v.dims[(1, 1)], [range(v.dims[(1, 1)])])
     spaces = close_under_actions(v, {(1, 1): seed})
     assert spaces[(3, 3)].dim > 0
