@@ -141,22 +141,23 @@ class GroupTable:
             generators = tuple(range(1, order)) if order > 1 else ()
         self.generators = tuple(generators)
         self.name = name
-        if self._generated() != set(range(order)):
+        # breadth-first from the identity, multiplying by generators on the
+        # left: {element: (generator index, predecessor)}, in discovery order
+        self.tree = {0: None}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for j, gen in enumerate(self.generators):
+                    b = mult[gen][a]
+                    if b not in self.tree:
+                        self.tree[b] = (j, a)
+                        nxt.append(b)
+            frontier = nxt
+        if len(self.tree) != order:
             raise ValueError("declared generators do not generate the group")
         # every cache lookup keyed by the group hashes it
         self._hash = hash((self.mult, self.generators))
-
-    def _generated(self):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for g in self.generators:
-                b = self.mult[g][a]
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return seen
 
     def __eq__(self, other):
         return (
@@ -178,29 +179,12 @@ class GroupTable:
     def word(self, g: int):
         """g as a product of generators, as indices; matrices multiply in
         the returned order (leftmost factor applied last)."""
-        if g == 0:
-            return []
-        prev = {0: None}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for j, gen in enumerate(self.generators):
-                    b = self.mult[gen][a]
-                    if b not in prev:
-                        prev[b] = (j, a)
-                        nxt.append(b)
-            if g in prev:
-                break
-            frontier = nxt
-        if g not in prev:
-            raise ValueError("generators do not reach element")
+        if g not in self.tree:
+            raise ValueError(f"element {g} is not in the group")
         word = []
-        cur = g
-        while prev[cur] is not None:
-            j, parent = prev[cur]
+        while self.tree[g] is not None:
+            j, g = self.tree[g]
             word.append(j)
-            cur = parent
         return word
 
     # -- constructors ----------------------------------------------------
@@ -403,6 +387,13 @@ def key_ends(key) -> tuple:
     if key[0] == "incl":
         return n, add(n, unit(len(n), key[1]))
     return n, n
+
+
+def rekey(key, coord: int, obj: Obj) -> tuple:
+    """``key`` with its coordinate (a group generator's index) replaced by
+    ``coord`` and its object by ``obj``; a swap keeps its k.  The functors
+    move generators with it."""
+    return (key[0], coord) + key[2:-1] + (obj,)
 
 
 @lru_cache(maxsize=None)

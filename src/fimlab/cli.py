@@ -215,6 +215,9 @@ def cmd_functor(args) -> int:
     coords = _flag_coords(args.i, "-i")
     if not coords:
         raise ValueError("-i: expected a coordinate or a comma-separated subset")
+    for i in coords:
+        if not (1 <= i <= mod.m):
+            raise ValueError(f"-i: coordinate {i} out of range for m={mod.m}")
     if args.op == "shift":
         out = shift(mod, coords[0]) if len(coords) == 1 else shift_sum(mod, coords)
     elif args.op == "derivative":

@@ -17,6 +17,7 @@ from .category import (
     add,
     aut_swaps,
     injection_index_table,
+    rekey,
     sub,
     unit,
     window_generators,
@@ -82,26 +83,14 @@ def shift(v: TruncatedModule, i: int) -> TruncatedModule:
     dims = {n: v.dims[add(n, oi)] for n in new_window.objects()}
     actions = {}
     for key, _, _ in window_generators(new_window, v.group):
-        if key[0] == "incl":
-            _, j, n = key
-            up = add(n, oi)
-            if j != i:
-                actions[key] = v.actions[("incl", j, up)]
-            else:
-                upi = add(up, oi)
-                actions[key] = (
-                    v.actions[("swap", i, 1, upi)] * v.actions[("incl", i, up)]
-                )
-        elif key[0] == "swap":
-            _, j, k, n = key
-            up = add(n, oi)
-            if j != i:
-                actions[key] = v.actions[("swap", j, k, up)]
-            else:
-                actions[key] = v.actions[("swap", i, k + 1, up)]
+        up = add(key[-1], oi)
+        if key[:2] == ("swap", i):
+            mat = v.actions[("swap", i, key[2] + 1, up)]
         else:
-            _, j, n = key
-            actions[key] = v.actions[("grp", j, add(n, oi))]
+            mat = v.actions[rekey(key, key[1], up)]
+        if key[:2] == ("incl", i):
+            mat = v.actions[("swap", i, 1, add(up, oi))] * mat
+        actions[key] = mat
     # shifting preserves generation and relation degree bounds
     return TruncatedModule(new_window, v.group, dims, actions, v.presentation,
                            f"Shift{i}({v.name})" if v.name else "")
@@ -361,21 +350,16 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     for key, src, _ in window_generators(window, group):
         s_src, t_src = split_obj(src, S, not_S)
         ninj_src = free_s.dims[s_src]
-        if key[0] == "grp":
-            # G sits after the aut generators in the product group
-            wkey = ("grp", len(swaps) + key[1], t_src)
-            big_actions[key] = kron(
-                RationalMatrix.identity(ninj_src), w_rs.actions[wkey]
-            )
-        elif key[1] in S:
-            skey = (key[0], S.index(key[1]) + 1) + key[2:-1] + (s_src,)
+        if key[0] != "grp" and key[1] in S:
+            skey = rekey(key, S.index(key[1]) + 1, s_src)
             big_actions[key] = kron(
                 free_s.actions[skey], RationalMatrix.identity(w_rs.dims[t_src])
             )
         else:
-            wkey = (key[0], not_S.index(key[1]) + 1) + key[2:-1] + (t_src,)
+            # G sits after the aut generators in the product group
+            c = len(swaps) + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
             big_actions[key] = kron(
-                RationalMatrix.identity(ninj_src), w_rs.actions[wkey]
+                RationalMatrix.identity(ninj_src), w_rs.actions[rekey(key, c, t_src)]
             )
 
     big = TruncatedModule(window, group, big_dims, big_actions)

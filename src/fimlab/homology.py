@@ -23,6 +23,7 @@ from .category import (
     degree,
     enumerate_injections,
     leq,
+    rekey,
     unit,
     window_generators,
 )
@@ -77,22 +78,15 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
     actions = {}
     aut_gens = aut_swaps(s)
     for key, _, _ in window_generators(new_window, group):
-        if key[0] == "incl":
-            _, j, t = key
-            full = interleave(S, not_S, s, t)
-            actions[key] = v.actions[("incl", not_S[j - 1], full)]
-        elif key[0] == "swap":
-            _, j, k, t = key
-            full = interleave(S, not_S, s, t)
-            actions[key] = v.actions[("swap", not_S[j - 1], k, full)]
+        full = interleave(S, not_S, s, key[-1])
+        j = key[1]
+        if key[0] != "grp":
+            actions[key] = v.actions[rekey(key, not_S[j - 1], full)]
+        elif j < len(aut_gens):
+            pos, k = aut_gens[j]
+            actions[key] = v.actions[("swap", S[pos - 1], k, full)]
         else:
-            _, j, t = key
-            full = interleave(S, not_S, s, t)
-            if j < len(aut_gens):
-                pos, k = aut_gens[j]
-                actions[key] = v.actions[("swap", S[pos - 1], k, full)]
-            else:
-                actions[key] = v.actions[("grp", j - len(aut_gens), full)]
+            actions[key] = v.actions[rekey(key, j - len(aut_gens), full)]
     return TruncatedModule(new_window, group, dims, actions, None,
                            f"{v.name}[[{s}]]" if v.name else "")
 
@@ -191,8 +185,6 @@ def free_cover(v: TruncatedModule):
         return p, ModuleMap.zero(p, v), k, ModuleMap.zero(k, p)
     slots = [(n, None) for n, lifts in gens for _ in lifts]
     p, _ = direct_sum(*[make_free(n, v.window, v.group) for n, _ in slots])
-    gbound = Presentation.make(slots, None).gen_bound(v.m)
-    p.presentation = Presentation.make(slots, gbound)  # free: no relations
     pi = ModuleMap(p, v, cover_blocks(v, gens))
     if not pi.is_surjective_objectwise():
         raise AssertionError("minimal cover failed to surject inside the window")
@@ -242,7 +234,6 @@ class TorsionVerdict:
     status: str
     module: TruncatedModule
     inclusion: ModuleMap
-    computable: dict  # object -> bool: had positive S-margin to test
 
     def is_zero(self) -> bool:
         return all(s.dim == 0 for s in self.spaces.values())
@@ -268,13 +259,11 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
     """
     S = normalize_subset(S, v.m)
     seeds = {}
-    computable = {}
     for n in v.window.objects():
         target = list(n)
         for i in S:
             target[i - 1] = v.window.bound[i - 1]
         target = tuple(target)
-        computable[n] = target != n
         if target == n or v.dims[n] == 0:
             seeds[n] = Subspace.zero(v.dims[n])
             continue
@@ -292,7 +281,7 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
     mod, incl = submodule_from_stable_subspaces(
         v, spaces, tor_pres, f"tors_{S}({v.name})" if v.name else ""
     )
-    return TorsionVerdict(S, spaces, status, mod, incl, computable)
+    return TorsionVerdict(S, spaces, status, mod, incl)
 
 
 def family_coordinates(outer: dict, inner: dict) -> dict | None:

@@ -38,6 +38,7 @@ from .category import (
     injection_index_table,
     json_field,
     leq,
+    rekey,
     sub,
     unit,
     window_generators,
@@ -249,9 +250,6 @@ class TruncatedModule:
     @property
     def m(self) -> int:
         return self.window.m
-
-    def dim(self, n) -> int:
-        return self.dims[tuple(n)]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -886,28 +884,15 @@ def external_tensor(v: TruncatedModule, w: TruncatedModule, name="") -> Truncate
             dims[a + b] = v.dims[a] * w.dims[b]
     actions = {}
     for key, _, _ in window_generators(window, group):
-        if key[0] == "incl":
-            _, i, nab = key
-            a, b = nab[:mv], nab[mv:]
-            if i <= mv:
-                mat = kron(v.actions[("incl", i, a)], RationalMatrix.identity(w.dims[b]))
-            else:
-                mat = kron(RationalMatrix.identity(v.dims[a]), w.actions[("incl", i - mv, b)])
-        elif key[0] == "swap":
-            _, i, k, nab = key
-            a, b = nab[:mv], nab[mv:]
-            if i <= mv:
-                mat = kron(v.actions[("swap", i, k, a)], RationalMatrix.identity(w.dims[b]))
-            else:
-                mat = kron(RationalMatrix.identity(v.dims[a]), w.actions[("swap", i - mv, k, b)])
+        a, b = key[-1][:mv], key[-1][mv:]
+        on_v = g_on_v if key[0] == "grp" else key[1] <= mv
+        if on_v:
+            actions[key] = kron(v.actions[rekey(key, key[1], a)],
+                                RationalMatrix.identity(w.dims[b]))
         else:
-            _, j, nab = key
-            a, b = nab[:mv], nab[mv:]
-            if g_on_v:
-                mat = kron(v.actions[("grp", j, a)], RationalMatrix.identity(w.dims[b]))
-            else:
-                mat = kron(RationalMatrix.identity(v.dims[a]), w.actions[("grp", j, b)])
-        actions[key] = mat
+            c = key[1] if key[0] == "grp" else key[1] - mv
+            actions[key] = kron(RationalMatrix.identity(v.dims[a]),
+                                w.actions[rekey(key, c, b)])
     pres = None
     if v.presentation is not None and w.presentation is not None:
         slots = []

@@ -227,18 +227,10 @@ def _check_coxeter(gens, dim):
 
 def _rep_elements(group: GroupTable, gen_mats, dim):
     """The matrix of every group element, as products of the generator
-    matrices in breadth-first order from the identity."""
+    matrices along the group's breadth-first tree."""
     rho = {0: RationalMatrix.identity(dim)}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for j, gen in enumerate(group.generators):
-                b = group.mult[gen][a]
-                if b not in rho:
-                    rho[b] = gen_mats[j] * rho[a]
-                    nxt.append(b)
-        frontier = nxt
+    for b, (j, a) in itertools.islice(group.tree.items(), 1, None):
+        rho[b] = gen_mats[j] * rho[a]
     return rho
 
 

@@ -611,10 +611,7 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     for x in candidates:
         if all(c == 0 for c in x):
             continue
-        try:
-            mp = _min_poly_in_algebra(mult_q, unit_q, x, q)
-        except AssertionError:
-            continue
+        mp = _min_poly_in_algebra(mult_q, unit_q, x, q)
         for r in rational_roots(mp[::-1]):
             quot = _poly_divide_linear(mp, r)
             # evaluate quot at x, normalize by quot(r)

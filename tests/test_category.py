@@ -127,6 +127,9 @@ def test_group_table_s3():
         for j in reversed(w):
             acc = s3.mult[s3.generators[j]][acc]
         assert acc == g
+    for g in (-1, 6):
+        with pytest.raises(ValueError):
+            s3.word(g)
 
 
 def test_group_table_rejects_bad_tables():

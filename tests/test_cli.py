@@ -201,13 +201,15 @@ def test_validate_malformed_module_exits_2_naming_the_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("op", ["shift", "derivative", "kernel"])
-@pytest.mark.parametrize("i", ["0", "2"])
+@pytest.mark.parametrize("i", ["0", "2", "-1", "1,5"])
 def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     mod = tmp_path / "f1.json"
     run_cli(capsys, "build", "free", "--n", "1", "--window", "3", "-o", str(mod))
     code, payload = run_cli(capsys, op, str(mod), "-i", i, "-o", str(tmp_path / "o.json"))
     assert code == 2 and payload["type"] == "ValueError"
-    assert f"coordinate {i} out of range for m=1" in payload["error"]
+    bad = i.split(",")[-1]
+    assert payload["error"].startswith("-i:")
+    assert f"coordinate {bad} out of range for m=1" in payload["error"]
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -10,6 +10,7 @@ from fimlab.modules import (
     make_cofree,
     make_free,
     make_induced,
+    Presentation,
     quotient,
 )
 from fimlab.functors import derivative_sum, ind, kernel_sum, shift
@@ -165,11 +166,16 @@ def test_h0_additive():
 
 
 def test_free_cover_of_free_is_identity_like():
-    v = make_free((1,), Window((3,)), TRIV)
-    p, pi, k, _ = free_cover(v)
-    assert p.dims == v.dims
-    assert k.is_zero()
-    assert pi.is_surjective_objectwise() and pi.is_injective_objectwise()
+    w = Window((2, 2))
+    two, _ = direct_sum(make_free((1, 0), w, TRIV), make_free((0, 2), w, TRIV))
+    for v, slots, rel in ((make_free((1,), Window((3,)), TRIV), [(1,)], (1,)),
+                          (two, [(1, 0), (0, 2)], (1, 2))):
+        p, pi, k, _ = free_cover(v)
+        assert p.dims == v.dims
+        assert k.is_zero()
+        assert pi.is_surjective_objectwise() and pi.is_injective_objectwise()
+        # free: no relations beyond the generators' own degrees
+        assert p.presentation == Presentation.make([(n, None) for n in slots], rel)
 
 
 def test_free_cover_point_module_kernel():

@@ -1,7 +1,8 @@
 """Invariants of the package source: its checks are explicit raises, so
 ``python -O`` keeps them, it calls a general solver only where listed,
-every function it defines has a caller in the package, and every callable
-the benchmark's layer tracer names exists."""
+every function it defines has a caller in the package, every callable
+the benchmark's layer tracer names exists, and only a module's constructor
+writes its dims and actions."""
 
 import ast
 import importlib
@@ -178,3 +179,48 @@ def test_tracer_names_live_callables():
             if not callable(obj):
                 missing.append(qualname)
     assert missing == []
+
+
+MODULE_DATA = ("actions", "dims")
+MUTATORS = ("update", "pop", "popitem", "clear", "setdefault")
+
+
+def _module_data_writes(path):
+    """Each statement of one source file that assigns to an ``.actions`` or
+    ``.dims`` attribute, assigns into one by item, or calls a mutating dict
+    method on one, outside ``TruncatedModule.__init__``, as file:line."""
+    found = []
+
+    def is_data(node):
+        return isinstance(node, ast.Attribute) and node.attr in MODULE_DATA
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if scope != "TruncatedModule.__init__":
+                targets = []
+                if isinstance(child, ast.Assign):
+                    targets = child.targets
+                elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [child.target]
+                written = [t.value if isinstance(t, ast.Subscript) else t
+                           for t in targets]
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                    if child.func.attr in MUTATORS:
+                        written.append(child.func.value)
+                if any(is_data(w) for w in written):
+                    found.append(f"{path.name}:{child.lineno}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_module_data_is_written_only_by_its_constructor():
+    """A TruncatedModule's dims and actions are set once, in ``__init__``,
+    which checks their shapes; a later write would skip that check and
+    change a module other code may share."""
+    found = [w for path in sorted(SOURCE.glob("*.py")) for w in _module_data_writes(path)]
+    assert found == []

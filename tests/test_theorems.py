@@ -172,6 +172,21 @@ def test_end_ring_matrix_algebra():
     assert er.multiply(er.idempotent_coords, er.idempotent_coords) == er.idempotent_coords
 
 
+def test_end_ring_raises_a_failed_invariant(monkeypatch):
+    """An invariant failure in the idempotent search propagates; it is not
+    read as 'no idempotent here', which would report a local ring."""
+    from fimlab import theorems
+
+    def fail(*args):
+        raise AssertionError("minimal polynomial search overflow")
+
+    monkeypatch.setattr(theorems, "_min_poly_in_algebra", fail)
+    w = Window((3,))
+    x, _ = direct_sum(make_free((0,), w, TRIV), make_free((0,), w, TRIV))
+    with pytest.raises(AssertionError):
+        end_ring(x)
+
+
 def test_end_ring_induced_tensor_coinduced_local():
     w1 = Window((3,))
     a = make_induced(((2,),), w1, TRIV)
