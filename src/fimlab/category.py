@@ -100,6 +100,9 @@ def json_field(d, key: str, kind: type, path: str = "", optional: bool = False):
     return val
 
 
+_NOT_GENERATED = "declared generators do not generate the group"
+
+
 class GroupTable:
     """A finite group given by its multiplication table.
 
@@ -155,7 +158,7 @@ class GroupTable:
                         nxt.append(b)
             frontier = nxt
         if len(self.tree) != order:
-            raise ValueError("declared generators do not generate the group")
+            raise ValueError(_NOT_GENERATED)
         # every cache lookup keyed by the group hashes it
         self._hash = hash((self.mult, self.generators))
 
@@ -257,7 +260,8 @@ class GroupTable:
         try:
             g = GroupTable(mult, tuple(gens), "" if name is None else name)
         except ValueError as exc:
-            raise ValueError(f"mult: {exc}") from None
+            field = "generators" if str(exc) == _NOT_GENERATED else "mult"
+            raise ValueError(f"{field}: {exc}") from None
         if g.order != json_field(d, "order", int):
             raise ValueError("order: declared order does not match table size")
         return g
@@ -268,6 +272,11 @@ class Window:
     """Componentwise truncation box: objects n with n_i <= bound_i."""
 
     bound: Obj
+
+    def __post_init__(self):
+        for i, b in enumerate(self.bound, 1):
+            if b < 0:
+                raise ValueError(f"bound {b} in coordinate {i} is negative")
 
     @property
     def m(self) -> int:

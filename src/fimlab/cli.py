@@ -159,7 +159,11 @@ def _window_from(args, config) -> Window:
     """The window of --window or the config; a config ``m`` must match its
     coordinate count."""
     text = getattr(args, "window", None) or config.get("window")
-    window = Window(_flag_coords(text, "--window"))
+    bound = _flag_coords(text, "--window")
+    try:
+        window = Window(bound)
+    except ValueError as exc:
+        raise ValueError(f"--window: {exc}") from None
     _check_m(config, window)
     return window
 

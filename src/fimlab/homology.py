@@ -186,9 +186,10 @@ def free_cover(v: TruncatedModule):
     slots = [(n, None) for n, lifts in gens for _ in lifts]
     p, _ = direct_sum(*[make_free(n, v.window, v.group) for n, _ in slots])
     pi = ModuleMap(p, v, cover_blocks(v, gens))
-    if not pi.is_surjective_objectwise():
-        raise AssertionError("minimal cover failed to surject inside the window")
     ker_spaces = {n: kernel_basis(b) for n, b in pi.blocks.items()}
+    # rank-nullity: pi is onto at n exactly when its kernel has this dimension
+    if any(ker_spaces[n].dim != p.dims[n] - v.dims[n] for n in ker_spaces):
+        raise AssertionError("minimal cover failed to surject inside the window")
     k_slots = [
         (n, None)
         for n in v.window.objects_by_degree()

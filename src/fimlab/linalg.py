@@ -7,9 +7,8 @@ to 1, so equal matrices have equal rows and hashes.  Products, sums,
 Kronecker products, stacking and eliminations work on those ints;
 ``fractions.Fraction`` appears only where entries cross the API: indexing,
 ``col``, ``apply`` and the constructor.  All rank-type computations feed
-the stored rows to the integer Gauss-Jordan kernel
-:func:`fimlab._rref_py.rref_int` (scaling a row does not change its span).
-No floating point anywhere.
+the stored rows to the integer Gauss-Jordan kernel :func:`rref_int`
+(scaling a row does not change its span).  No floating point anywhere.
 
 A :class:`Subspace` is always stored through the reduced row echelon form of
 a spanning set, so subspace equality is plain matrix equality, and its pivot
@@ -23,9 +22,87 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from ._rref_py import rref_int
-
 _ZERO = Fraction(0)
+
+
+# -- the elimination kernel ----------------------------------------------
+#
+# The package's one elimination path: everything upstream (kernels, images,
+# solvers, hom spaces) reduces to :func:`rref_int`, so it is the hot loop of
+# the whole package.
+
+
+def _row_content(row):
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return 1
+    return g
+
+
+def rref_int(rows, ncols):
+    """Integer Gauss-Jordan elimination of a list of integer rows
+    (denominators already cleared row by row; row scaling does not change
+    the row space) with ``ncols`` columns.
+
+    Returns ``(pivot_cols, out_rows, denoms)``, where row ``r`` of the
+    rational reduced row echelon form equals ``out_rows[r] / denoms[r]``.
+    Pivot rows come first in pivot-column order, zero rows are kept at the
+    bottom with denominator 1, every ``out_rows[r]`` has content 1 and
+    ``denoms[r] > 0``.  The rational RREF of a matrix is unique, so this
+    output is canonical: it does not depend on the elimination order, only
+    the intermediate integer growth does.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            irow = rows[i]
+            q = irow[c]
+            if not q:
+                continue
+            for j in range(ncols):
+                irow[j] = p * irow[j] - q * prow[j]
+            g = _row_content(irow)
+            if g > 1:
+                for j in range(ncols):
+                    irow[j] //= g
+        pivots.append(c)
+        r += 1
+    denoms = []
+    for idx in range(m):
+        row = rows[idx]
+        if idx < len(pivots):
+            g = _row_content(row)
+            if g > 1:
+                for j in range(ncols):
+                    row[j] //= g
+            p = row[pivots[idx]]
+            if p < 0:
+                for j in range(ncols):
+                    row[j] = -row[j]
+                p = -p
+            denoms.append(p)
+        else:
+            denoms.append(1)
+    return pivots, rows, denoms
 
 
 def _as_fraction(x) -> Fraction:
@@ -469,6 +546,8 @@ def _solve_augmented(mat: RationalMatrix, rhs: RationalMatrix):
     give.
     """
     n, k = mat.ncols, rhs.ncols
+    if mat.nrows == 0:  # no equations: the free variables are everything
+        return RationalMatrix.zeros(n, k)
     pivots, out_rows, denoms = rref_int(mat.hstack(rhs).rows, n + k)
     if pivots and pivots[-1] >= n:
         return None

@@ -234,10 +234,19 @@ class TruncatedModule:
         self.actions = dict(actions)
         self.presentation = presentation
         self.name = name
-        for n in window.objects():
+        objects = window.objects()
+        for n in objects:
             if n not in self.dims:
                 raise ValueError(f"missing dimension at {n}")
-        for key, src, tgt in window_generators(window, group):
+        # every object has a dimension, so a longer dict has a stray key
+        if len(self.dims) > len(objects):
+            stray = next(n for n in self.dims if not window.contains(n))
+            raise ValueError(f"dimension given at {stray}, outside the window")
+        for n, d in self.dims.items():
+            if d < 0:
+                raise ValueError(f"negative dimension {d} at {n}")
+        gens = window_generators(window, group)
+        for key, src, tgt in gens:
             mat = self.actions.get(key)
             if mat is None:
                 raise ValueError(f"missing action for generator {key}")
@@ -246,6 +255,10 @@ class TruncatedModule:
                     f"action {key} has shape {mat.shape}, expected "
                     f"({self.dims[tgt]}, {self.dims[src]})"
                 )
+        if len(self.actions) > len(gens):
+            keys = {key for key, _, _ in gens}
+            stray = next(key for key in self.actions if key not in keys)
+            raise ValueError(f"action given for {stray}, not a generator of the window")
 
     @property
     def m(self) -> int:
@@ -423,7 +436,11 @@ class TruncatedModule:
             group = GroupTable.from_dict(group_ref)
         except ValueError as exc:
             raise ValueError(f"group_ref.{exc}") from None
-        window = Window(_obj_field(d, "window"))
+        bound = _obj_field(d, "window")
+        try:
+            window = Window(bound)
+        except ValueError as exc:
+            raise ValueError(f"window: {exc}") from None
         if window.m != json_field(d, "m", int):
             raise ValueError("m: window does not match declared m")
         dims = {}
@@ -434,9 +451,11 @@ class TruncatedModule:
                 raise ValueError(f"dims.{k}: {exc}") from None
             if not _is_int(dim):
                 raise ValueError(f"dims.{k}: expected an integer")
+            if dim < 0:
+                raise ValueError(f"dims.{k}: expected a non-negative integer")
             dims[n] = dim
         # checked before anything walks the window, which may be huge
-        if len(dims) != prod(max(b + 1, 0) for b in window.bound):
+        if len(dims) != prod(b + 1 for b in window.bound):
             raise ValueError("dims: not one entry per object of the window")
         for n in dims:
             if not window.contains(n):
@@ -569,11 +588,6 @@ class ModuleMap:
     def is_injective_objectwise(self) -> bool:
         return all(rank(b) == b.ncols for b in self.blocks.values())
 
-    def is_surjective_objectwise(self) -> bool:
-        return all(
-            rank(b) == self.target.dims[n] for n, b in self.blocks.items()
-        )
-
     def is_iso(self) -> bool:
         return all(
             b.nrows == b.ncols and rank(b) == b.nrows for b in self.blocks.values()
@@ -582,9 +596,6 @@ class ModuleMap:
     def inverse_map(self) -> "ModuleMap":
         blocks = {}
         for n, b in self.blocks.items():
-            if b.nrows == 0:
-                blocks[n] = RationalMatrix.zeros(0, 0)
-                continue
             inv = inverse(b)
             if inv is None:
                 raise ValueError(f"block at {n} is not invertible")
@@ -1049,7 +1060,8 @@ def _close_subspace_under(mats, space: Subspace) -> Subspace:
         for mat in mats:
             if space.dim in (0, space.ambient_dim):
                 return space
-            new = space.add(image_basis(mat * space.basis.transpose()))
+            new = Subspace.from_spanning(
+                space.ambient_dim, space.basis.rows + (space.basis * mat.transpose()).rows)
             if new.dim != space.dim:
                 space = new
                 changed = True
@@ -1227,9 +1239,10 @@ class NaturalitySolver:
     through V exactly when Phi_x kills ker pi_x at every object x, and the
     map V -> W is then Phi_x S_x for a section S_x of pi_x.  ``nparams`` is
     the sum of dim W(n_i); ``rows`` are the constraints, the entries of
-    Phi_x(t) k for k in a basis of each ker pi_x.  As pi is onto at every
-    object of the window, the solutions are exactly the natural
-    transformations between the truncated modules.
+    Phi_x(t) k for k in a basis of each ker pi_x: the nonzero columns of
+    I - S_x pi_x, which are pi_x's free-column kernel vectors, as S_x is
+    zero at the free variables.  As pi is onto at every object of the
+    window, the solutions are exactly the natural maps V -> W.
 
     Every W(beta, h) comes from one orbit walk of the identity of W(n_i)
     per generator object (:func:`_orbit_walk`), and every pi_x from
@@ -1265,9 +1278,11 @@ class NaturalitySolver:
             if section is None:
                 raise AssertionError(f"the generators do not span V at {x}")
             self._sections[x] = section
-            for k in kernel_basis(pi_x).basis.rows:
-                rows, _ = self._rows_of(x, k)
-                self.rows.extend(row for row in rows if any(row))
+            if pi_x.ncols > v.dims[x]:  # else pi_x is onto and square: no kernel
+                residue = RationalMatrix.identity(pi_x.ncols) - section * pi_x
+                for k in filter(any, residue.transpose().rows):
+                    rows, _ = self._rows_of(x, k)
+                    self.rows.extend(row for row in rows if any(row))
 
     def _rows_of(self, x, y):
         """The matrix of t -> Phi_x(t) y, for y in P(x) a sequence of ints,

@@ -683,18 +683,18 @@ def ext1_vanishes(v: TruncatedModule, i_mod: TruncatedModule) -> ExtReport:
     of the restriction Hom(P, I) -> Hom(K, I).
 
     Hom(-, I) is left exact, so the restriction has kernel Hom(V, I); by
-    Yoneda, Hom(P, I) for P = F(n_1) + ... + F(n_r) has dimension
-    dim I(n_1) + ... + dim I(n_r).  The rank is the difference.
+    Yoneda, dim Hom(P, I) for P = F(n_1) + ... + F(n_r) is the parameter
+    count dim I(n_1) + ... + dim I(n_r) of Hom(V, I).  The rank is the difference.
     """
     if v.presentation is None or not v.presentation.fits(v.window):
         raise MarginError("ext1 needs a presented module inside the window")
-    p, _, k, _ = free_cover(v)
+    _, _, k, _ = free_cover(v)
     status = EXACT if _is_window_finite(i_mod) else WINDOW_BOUNDED
     dim_hom_k = NaturalitySolver(k, i_mod).dim
     if dim_hom_k == 0:
         return ExtReport(0, True, status)
-    dim_hom_p = sum(i_mod.dims[n] for n, _ in p.presentation.generator_slots)
-    dim_ext = dim_hom_k - (dim_hom_p - NaturalitySolver(v, i_mod).dim)
+    hom_v = NaturalitySolver(v, i_mod)
+    dim_ext = dim_hom_k - (hom_v.nparams - hom_v.dim)
     return ExtReport(dim_ext, dim_ext == 0, status)
 
 

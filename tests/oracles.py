@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from fimlab._rref_py import rref_int
 from fimlab.category import (
     GroupTable,
     Morphism,
@@ -45,13 +44,17 @@ from fimlab.linalg import (
     image_basis,
     kernel_basis,
     rational_roots,
+    rref_int,
     solve_matrix,
     _stack_rows,
 )
 from fimlab.modules import (
     MarginError,
+    NaturalitySolver,
     Presentation,
     TruncatedModule,
+    cover_blocks,
+    h0_generators,
     make_free,
     obj_str,
     quotient,
@@ -392,6 +395,21 @@ def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:
         for j in range(len(lifts)):
             cols.extend(img.col(j) for img in images)
     return RationalMatrix(cols, len(cols), v.dims[x]).transpose()
+
+
+def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> NaturalitySolver:
+    """NaturalitySolver(v, w) with its constraint rows built from the RREF
+    kernel basis of each cover block pi_x, a second elimination per block:
+    the route that reading ker pi_x off the section replaced, kept as its
+    reference."""
+    solver = NaturalitySolver(v, w)
+    pis = cover_blocks(v, h0_generators(v))
+    solver.rows = []
+    for x in v.window.objects():
+        for k in kernel_basis(pis[x]).basis.rows:
+            rows, _ = solver._rows_of(x, k)
+            solver.rows.extend(row for row in rows if any(row))
+    return solver
 
 
 # -- partitions and classes of S_n --------------------------------------------

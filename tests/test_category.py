@@ -137,6 +137,8 @@ def test_group_table_rejects_bad_tables():
         GroupTable([[0, 1], [1, 1]])  # not a group law
     with pytest.raises(ValueError):
         GroupTable([[1, 0], [0, 1]])  # identity not at 0
+    with pytest.raises(ValueError, match="do not generate"):
+        GroupTable(GroupTable.cyclic(4).mult, (2,))  # 2 generates C2 only
 
 
 def test_group_product_order():

@@ -118,12 +118,14 @@ def test_config_errors_exit_2_naming_the_key(tmp_path, capsys, text, argv, start
 
 def _group_files(tmp_path):
     """Paths for the group config tests: a good S2 table, a missing file,
-    a file that is not JSON and a table that is not a group law."""
+    a file that is not JSON, a table that is not a group law and a C4
+    table whose declared generators do not generate it."""
     from fimlab.category import GroupTable
 
     files = {"good": GroupTable.symmetric(2).to_dict(),
              "not-json": "{",
-             "bad-table": {"mult": [[0, 1], [0, 0]], "generators": [1], "order": 2}}
+             "bad-table": {"mult": [[0, 1], [0, 0]], "generators": [1], "order": 2},
+             "not-generated": {**GroupTable.cyclic(4).to_dict(), "generators": [2]}}
     paths = {"missing": tmp_path / "missing.json"}
     for name, content in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -131,7 +133,7 @@ def _group_files(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("group", ["missing", "not-json", "bad-table"])
+@pytest.mark.parametrize("group", ["missing", "not-json", "bad-table", "not-generated"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_bad_group_file_exits_2_naming_its_source(tmp_path, capsys, group, via):
     path = str(_group_files(tmp_path)[group])
@@ -144,7 +146,10 @@ def test_bad_group_file_exits_2_naming_its_source(tmp_path, capsys, group, via):
         argv += ["--config", str(cfg)]
     code, payload = run_cli(capsys, *argv)
     assert code == 2 and payload["type"] == "ValueError"
-    assert payload["error"].startswith("--group:" if via == "flag" else "group:")
+    source = "--group:" if via == "flag" else "group:"
+    assert payload["error"].startswith(source)
+    if group == "not-generated":
+        assert payload["error"].startswith(f"{source} generators: ")
 
 
 @pytest.mark.parametrize("text,start", [
@@ -200,6 +205,22 @@ def test_validate_malformed_module_exits_2_naming_the_field(tmp_path, capsys):
     assert "group_ref" in payload["error"]
 
 
+@pytest.mark.parametrize("field,value,start", [
+    ("dims", {"(0)": -2}, "dims.(0): expected a non-negative integer"),
+    ("window", "(-1)", "window: bound -1 in coordinate 1 is negative"),
+], ids=["negative-dim", "negative-window"])
+@pytest.mark.parametrize("argv", [["validate"], ["endring"], ["homology", "--S", "1"]],
+                         ids=["validate", "endring", "homology"])
+def test_module_file_with_a_negative_size_exits_2(tmp_path, capsys, field, value, start, argv):
+    doc = {"m": 1, "group_ref": GroupTable.trivial().to_dict(), "window": "(0)",
+           "dims": {"(0)": 1}, "actions": [], "presentation": None, "name": ""}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    code, payload = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"] == start
+
+
 @pytest.mark.parametrize("op", ["shift", "derivative", "kernel"])
 @pytest.mark.parametrize("i", ["0", "2", "-1", "1,5"])
 def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
@@ -231,6 +252,7 @@ def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     (["build", "tensor", "{a}", "{b}", "--config", "{w22m1}"], "m"),
     (["build", "tensor", "{a}", "{b}", "--group", "{s2}"], "--group"),
     (["build", "tensor", "{a}", "{b}", "--config", "{gs2}"], "group"),
+    (["build", "free", "--n", "0", "--window=-1"], "--window"),
 ])
 def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
     """The tensor cases fill in two trivial-group m = 1 modules on the

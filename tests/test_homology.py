@@ -2,7 +2,7 @@ import pytest
 
 from fimlab import homology
 from fimlab.category import GroupTable, Window, degree
-from fimlab.linalg import Subspace
+from fimlab.linalg import RationalMatrix, Subspace, rank
 from fimlab.modules import (
     close_under_actions,
     direct_sum,
@@ -173,9 +173,57 @@ def test_free_cover_of_free_is_identity_like():
         p, pi, k, _ = free_cover(v)
         assert p.dims == v.dims
         assert k.is_zero()
-        assert pi.is_surjective_objectwise() and pi.is_injective_objectwise()
+        assert all(rank(b) == pi.target.dims[n] for n, b in pi.blocks.items())
+        assert pi.is_injective_objectwise()
         # free: no relations beyond the generators' own degrees
         assert p.presentation == Presentation.make([(n, None) for n in slots], rel)
+
+
+def test_a_cover_that_misses_a_generator_raises(monkeypatch):
+    """With the last generator's columns zeroed in every cover block, pi is
+    no longer onto at that generator's object, and both the free cover and
+    the Hom solver refuse it."""
+    from fimlab import modules
+    from fimlab.modules import NaturalitySolver, h0_generators
+
+    v = random_presented_module(Window((3,)), 0)
+    n_last = h0_generators(v)[-1][0]
+    width = make_free(n_last, v.window, v.group).dims
+    real = modules.cover_blocks
+
+    def dropping(v, gens):
+        # the last lift's columns come last at every object
+        out = {}
+        for x, b in real(v, gens).items():
+            keep = b.ncols - width[x]
+            out[x] = b.columns(range(keep)).hstack(RationalMatrix.zeros(b.nrows, width[x]))
+        return out
+
+    monkeypatch.setattr(modules, "cover_blocks", dropping)
+    monkeypatch.setattr(homology, "cover_blocks", dropping)
+    with pytest.raises(AssertionError):
+        free_cover(v)
+    with pytest.raises(AssertionError):
+        NaturalitySolver(v, v)
+
+
+def test_each_cover_block_is_eliminated_once(monkeypatch):
+    """The Hom solver reads ker pi_x off its section, and the free cover
+    reads that pi is onto off the kernel it computes, so neither takes a
+    second elimination of a cover block."""
+    from fimlab import modules
+    from fimlab.modules import NaturalitySolver
+
+    def forbidden(*args):
+        raise AssertionError("a cover block eliminated twice")
+
+    v = random_presented_module(Window((3,)), 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "kernel_basis", forbidden)
+        NaturalitySolver(v, v)
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "rank", forbidden)
+        free_cover(v)
 
 
 def test_free_cover_point_module_kernel():
@@ -183,7 +231,7 @@ def test_free_cover_point_module_kernel():
     p, pi, k, _ = free_cover(e)
     assert [p.dims[(t,)] for t in range(4)] == [1, 1, 1, 1]  # M(0)
     assert [k.dims[(t,)] for t in range(4)] == [0, 1, 1, 1]
-    assert pi.is_surjective_objectwise()
+    assert all(rank(b) == pi.target.dims[n] for n, b in pi.blocks.items())
 
 
 def test_free_cover_induced():
@@ -192,7 +240,7 @@ def test_free_cover_induced():
     # one generator in degree 2, so the cover is a single copy of M(2)
     assert p.dims[(2,)] == 2 and p.dims[(3,)] == 6
     assert v.dims[(2,)] == 1
-    assert pi.is_surjective_objectwise()
+    assert all(rank(b) == pi.target.dims[n] for n, b in pi.blocks.items())
 
 
 def test_h1_free_vanishes():

@@ -36,7 +36,8 @@ GENERAL_SOLVES = {
     ("modules.py", "ModuleMap.inverse_map", "inverse"):
         "the inverse blocks are the answer",
     ("modules.py", "NaturalitySolver.__init__", "solve_matrix"):
-        "a section of each cover block, whose columns are module values",
+        "a section S_x of each cover block, the inverse of its pivot block (the "
+        "lifts are unit vectors only at generator objects); ker pi_x is read off it",
     ("modules.py", "NaturalitySolver.solve_with_conditions", "solve"):
         "an extension problem: the constraint rows with inhomogeneous conditions",
     ("theorems.py", "end_ring", "solve_matrix"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import fimlab.linalg
 import fimlab.modules
-from fimlab._rref_py import rref_int
 from fimlab.category import Window
 from fimlab.linalg import (
     RationalMatrix,
@@ -19,6 +18,7 @@ from fimlab.linalg import (
     quotient_map,
     rank,
     rational_roots,
+    rref_int,
     solve,
     solve_matrix,
 )
