@@ -28,7 +28,8 @@ every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
 there (Church-Ellenberg-Farb, FI-modules and stability, Duke 2015).  So
 every free and co-free generator action is a map of injection indices (a
 permutation for a swap), read off the shared
-:func:`injection_index_table`, and needs no :class:`Morphism`.
+:func:`injection_index_table` and :func:`generator_index_map`, and needs no
+:class:`Morphism`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 
 Obj = tuple  # tuple of m ints
@@ -319,10 +321,6 @@ class Morphism:
                 raise ValueError("image out of range")
 
 
-def identity_morphism(n: Obj) -> Morphism:
-    return Morphism(n, n, tuple(tuple(range(1, a + 1)) for a in n), 0)
-
-
 def compose(f: Morphism, g: Morphism, group: GroupTable | None = None) -> Morphism:
     """f after g; group parts multiply via the group table."""
     if g.target != f.source:
@@ -375,8 +373,38 @@ def enumerate_injections(a: Obj, b: Obj):
 @lru_cache(maxsize=None)
 def injection_index_table(a: Obj, b: Obj):
     """{image tuples: basis index} over the injections a -> b, in basis
-    order; built without a Morphism."""
-    return {maps: i for i, maps in enumerate(_injection_images(a, b))}
+    order; built without a Morphism.  Every caller shares it, so it is a
+    read-only mapping."""
+    return MappingProxyType(
+        {maps: i for i, maps in enumerate(_injection_images(a, b))})
+
+
+def _after_generator(key, maps) -> tuple:
+    """The image tuples of g o beta for the incl or swap generator g of
+    ``key`` and the injection beta with image tuples ``maps``: incl_i moves
+    every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
+    there."""
+    i = key[1]
+    if key[0] == "incl":
+        moved = tuple(p + 1 for p in maps[i - 1])
+    else:
+        k = key[2]
+        moved = tuple(k + 1 if p == k else k if p == k + 1 else p
+                      for p in maps[i - 1])
+    return maps[:i - 1] + (moved,) + maps[i:]
+
+
+@lru_cache(maxsize=None)
+def generator_index_map(n: Obj, key) -> tuple:
+    """The action of the incl or swap generator ``key`` on injection
+    indices, Inj(n, source) -> Inj(n, target): entry b is the basis index
+    of g o beta for the b-th injection beta.  A swap gives a permutation.
+    Shared by the free and coinduced builds and the orbit walk, so a
+    tuple."""
+    src, tgt = key_ends(key)
+    index = injection_index_table(n, tgt)
+    return tuple(index[_after_generator(key, beta)]
+                 for beta in injection_index_table(n, src))
 
 
 # -- generators --------------------------------------------------------

@@ -19,6 +19,7 @@ elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -169,11 +170,12 @@ class RationalMatrix:
 
     def __init__(self, rows, nrows=None, ncols=None):
         rows = [tuple(row) for row in rows]
-        width = len(rows[0]) if rows else 0
-        if any(len(row) != width for row in rows):
+        widths = set(map(len, rows))
+        if len(widths) > 1:
             raise ValueError("ragged rows")
+        width = widths.pop() if widths else 0
         den = 1
-        if not all(type(x) is int for row in rows for x in row):
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
             fracs = [[_as_fraction(x) for x in row] for row in rows]
             den = lcm(*(x.denominator for row in fracs for x in row))
             rows = [tuple(x.numerator * (den // x.denominator) for x in row)
@@ -287,14 +289,26 @@ class RationalMatrix:
         nc = other.ncols
         if not (self.nrows and self.ncols and nc):
             return RationalMatrix.zeros(self.nrows, nc)
+        # each left row pays for its nonzero entries only: a row that is a
+        # single 1 (a monomial generator action) takes the right row as is
         orows = other.rows
-        zero = [0] * nc
+        cols = range(self.ncols)
+        zero = (0,) * nc
         out = []
         for arow in self.rows:
-            acc = zero
-            for a, brow in zip(arow, orows):
-                if a:
-                    acc = [x + a * b for x, b in zip(acc, brow)]
+            nz = list(compress(cols, arow))
+            if not nz:
+                out.append(zero)
+                continue
+            j = nz[0]
+            a = arow[j]
+            if len(nz) == 1 and a == 1:
+                out.append(orows[j])
+                continue
+            acc = [a * b for b in orows[j]]
+            for j in nz[1:]:
+                a = arow[j]
+                acc = [x + a * b for x, b in zip(acc, orows[j])]
             out.append(tuple(acc))
         return _reduced(tuple(out), self.den * other.den, self.nrows, nc)
 
@@ -576,11 +590,9 @@ def solve_matrix(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix | N
 def inverse(mat: RationalMatrix) -> RationalMatrix | None:
     if mat.nrows != mat.ncols:
         return None
-    ident = RationalMatrix.identity(mat.nrows)
-    sol = solve_matrix(mat, ident)
-    if sol is None or mat * sol != ident:
-        return None
-    return sol
+    # a singular M leaves a pivot in the identity block, so a returned X
+    # already satisfies M X = I exactly
+    return solve_matrix(mat, RationalMatrix.identity(mat.nrows))
 
 
 def quotient_map(ambient_dim: int, sub: Subspace) -> RationalMatrix:

@@ -33,8 +33,8 @@ from .category import (
     degree,
     enumerate_injections,
     factor_morphism,
+    generator_index_map,
     generator_keys,
-    identity_morphism,
     injection_index_table,
     json_field,
     leq,
@@ -48,7 +48,6 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     block_diag,
-    image_basis,
     inverse,
     kernel_basis,
     kron,
@@ -230,7 +229,7 @@ class TruncatedModule:
                  presentation: Presentation | None = None, name: str = ""):
         self.window = window
         self.group = group
-        self.dims = {tuple(k): int(v) for k, v in dims.items()}
+        self.dims = {tuple(k): v for k, v in dims.items()}
         self.actions = dict(actions)
         self.presentation = presentation
         self.name = name
@@ -243,6 +242,8 @@ class TruncatedModule:
             stray = next(n for n in self.dims if not window.contains(n))
             raise ValueError(f"dimension given at {stray}, outside the window")
         for n, d in self.dims.items():
+            if type(d) is not int:
+                raise ValueError(f"dimension at {n} is not an integer: {d!r}")
             if d < 0:
                 raise ValueError(f"negative dimension {d} at {n}")
         gens = window_generators(window, group)
@@ -622,21 +623,6 @@ def zero_module(window: Window, group: GroupTable) -> TruncatedModule:
     )
 
 
-def _after_generator(key, maps) -> tuple:
-    """The image tuples of g o beta for the incl or swap generator g of
-    ``key`` and the injection beta with image tuples ``maps``: incl_i moves
-    every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
-    there."""
-    i = key[1]
-    if key[0] == "incl":
-        moved = tuple(p + 1 for p in maps[i - 1])
-    else:
-        k = key[2]
-        moved = tuple(k + 1 if p == k else k if p == k + 1 else p
-                      for p in maps[i - 1])
-    return maps[:i - 1] + (moved,) + maps[i:]
-
-
 def _before_generator(key, maps) -> tuple:
     """The image tuples of beta o g for the incl or swap generator g of
     ``key`` and the injection beta with image tuples ``maps``: incl_i drops
@@ -669,7 +655,7 @@ def make_free(n, window: Window, group: GroupTable | None = None,
     paired with the group elements, group index varying fastest.  An incl
     or swap generator acts by a map of injection indices (a permutation
     for a swap, see :mod:`fimlab.category`) read off the shared
-    ``injection_index_table``, and a group generator g by (beta, h) ->
+    ``generator_index_map``, and a group generator g by (beta, h) ->
     (beta, g h); no morphism is built.
     """
     n = tuple(n)
@@ -688,11 +674,9 @@ def make_free(n, window: Window, group: GroupTable | None = None,
                     for h in range(og):
                         cols[bi + group.mult[g][h]] = bi + h
             else:
-                index = injection_index_table(n, tgt)
-                for bi, beta in enumerate(injection_index_table(n, src)):
-                    new_idx = index[_after_generator(key, beta)] * og
+                for bi, ti in enumerate(generator_index_map(n, key)):
                     for h in range(og):
-                        cols[new_idx + h] = bi * og + h
+                        cols[ti * og + h] = bi * og + h
         actions[key] = _monomial(cols, dims[tgt], dims[src])
     pres = Presentation.make([(n, None)], n)
     return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
@@ -704,7 +688,7 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
     module.  The group factor acts trivially; tensor with the group algebra
     via functors.ind when the regular group action is wanted.  A generator
     g acts by precomposition, beta -> beta o g, read off the shared
-    ``injection_index_table`` as in :func:`make_free`."""
+    ``injection_index_table``."""
     l = tuple(l)
     group = group or GroupTable.trivial()
     if not window.contains(l):
@@ -1032,12 +1016,11 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
         if nb == 0:
             spaces[t] = Subspace.zero(0)
             continue
-        index = injection_index_table(t, l)
         mats = []
         for tau, x_mat in zip(swaps, x_swaps):
             cols = [None] * nb
-            for gi, gamma in enumerate(index):
-                cols[index[_after_generator(tau, gamma)]] = gi
+            for gi, ti in enumerate(generator_index_map(t, tau)):
+                cols[ti] = gi
             mats.append(kron(_monomial(cols, nb, nb), x_mat))
         spaces[t] = _fixed_space(big.dims[t], mats)
     mod, _ = submodule_from_stable_subspaces(big, spaces, None,
@@ -1083,7 +1066,9 @@ def _images_from_below(v: TruncatedModule, S, n, below) -> Subspace:
     it misses in coordinate i: the standard inclusion misses 1, and
     swap_(i,k) after the injection missing k misses k + 1.  An action-stable
     ``below`` is kept in place by those automorphisms (and the group), so
-    n_i moved images per i span everything.  Stops once the span is full.
+    n_i moved images per i span everything.  The moved images of one i go
+    into one elimination, as rows next to the span so far (scaling a row
+    keeps its span); stops once the span is full.
     """
     d = v.dims[n]
     span = Subspace.zero(d)
@@ -1096,12 +1081,14 @@ def _images_from_below(v: TruncatedModule, S, n, below) -> Subspace:
             img = img * below[low].basis.transpose()
         if img.is_zero():
             continue
-        for k in range(1, n[i - 1] + 1):
-            span = image_basis(span.basis.transpose().hstack(img))
-            if span.dim == d:
-                return span
-            if k < n[i - 1]:
-                img = v.actions[("swap", i, k, n)] * img
+        vecs = list(span.basis.rows)
+        vecs += img.transpose().rows
+        for k in range(1, n[i - 1]):
+            img = v.actions[("swap", i, k, n)] * img
+            vecs += img.transpose().rows
+        span = Subspace.from_spanning(d, vecs)
+        if span.dim == d:
+            return span
     return span
 
 
@@ -1177,18 +1164,18 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
     for key, src, tgt in window_generators(v.window, v.group):
         if key[0] != "grp" and v.dims[tgt]:
             steps.setdefault(src, []).append((key, tgt))
+    # injections n -> y by their basis index; the identity of n is index 0
     reached = {}
     frontier = []
     if v.dims[n]:
-        ident = identity_morphism(n).maps
-        reached[n] = {ident: start}
-        frontier.append((n, ident, start))
+        reached[n] = {0: start}
+        frontier.append((n, 0, start))
     while frontier:
         nxt = []
-        for y, maps, img in frontier:
+        for y, bi, img in frontier:
             for key, z in steps.get(y, ()):
                 seen = reached.setdefault(z, {})
-                beta = _after_generator(key, maps)
+                beta = generator_index_map(n, key)[bi]
                 if beta not in seen:
                     seen[beta] = v.actions[key] * img
                     nxt.append((z, beta, seen[beta]))
@@ -1199,7 +1186,7 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
             continue
         seen = reached.get(x, {})
         mats, zeros = [], None
-        for beta in injection_index_table(n, x):
+        for beta in range(count_injections(n, x)):
             img = seen.get(beta)
             if img is None:
                 zeros = zeros or [RationalMatrix.zeros(v.dims[x], width)] * og

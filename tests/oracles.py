@@ -30,7 +30,6 @@ from fimlab.category import (
     compose,
     enumerate_injections,
     generator_keys,
-    identity_morphism,
     injection_index_table,
     key_ends,
     leq,
@@ -43,6 +42,7 @@ from fimlab.linalg import (
     RationalMatrix,
     image_basis,
     kernel_basis,
+    kron,
     rational_roots,
     rref_int,
     solve_matrix,
@@ -58,6 +58,7 @@ from fimlab.modules import (
     make_free,
     obj_str,
     quotient,
+    submodule_from_stable_subspaces,
 )
 from fimlab.symrep import (
     GroupRep,
@@ -66,6 +67,7 @@ from fimlab.symrep import (
     check_partition,
     hook_length_dim,
     regular_rep_matrices,
+    specht,
 )
 
 
@@ -121,6 +123,10 @@ def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
 
 
 # -- generators as morphisms ---------------------------------------------------
+
+
+def identity_morphism(n) -> Morphism:
+    return Morphism(n, n, tuple(tuple(range(1, a + 1)) for a in n), 0)
 
 
 def std_incl(n, i: int) -> Morphism:
@@ -254,6 +260,39 @@ def make_cofree_by_compose(l, window: Window, group: GroupTable | None = None,
     rel = tuple(x + 1 for x in l)
     pres = Presentation.make(slots, rel)
     return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
+
+
+def make_coinduced_by_compose(lambdas, window: Window, group: GroupTable | None = None):
+    """Reference for ``make_coinduced``'s dims and actions: the vectors of
+    (co-free at l) x (outer Specht product) fixed by every swap tau of l,
+    acting on an injection gamma by the composed morphism tau o gamma and
+    on the Specht factor by its Coxeter generator."""
+    group = group or GroupTable.trivial()
+    l = tuple(sum(p) for p in lambdas)
+    spechts = [specht(p) for p in lambdas]
+    dim_s = prod(sp.dim for sp in spechts)
+    base = make_cofree_by_compose(l, window, group)
+    big = TruncatedModule(
+        window, group, {t: d * dim_s for t, d in base.dims.items()},
+        {key: kron(mat, RationalMatrix.identity(dim_s)) for key, mat in base.actions.items()})
+    spaces = {}
+    for t in window.objects():
+        injs = enumerate_injections(t, l) if leq(t, l) else []
+        index = injection_index_table(t, l) if injs else {}
+        diffs = []
+        for i, k in aut_swaps(l):
+            tau = swap_morphism(l, i, k)
+            perm = [[int(index[compose(tau, gamma).maps] == r) for gamma in injs]
+                    for r in range(len(injs))]
+            x_mat = RationalMatrix.identity(1)
+            for j, sp in enumerate(spechts, start=1):
+                x_mat = kron(x_mat, sp.gens[k - 1] if j == i else RationalMatrix.identity(sp.dim))
+            mat = kron(RationalMatrix(perm, len(injs), len(injs)), x_mat)
+            diffs.extend((mat - RationalMatrix.identity(big.dims[t])).rows)
+        d = big.dims[t]
+        spaces[t] = kernel_basis(RationalMatrix(diffs, len(diffs), d))
+    mod, _ = submodule_from_stable_subspaces(big, spaces)
+    return mod
 
 
 

@@ -12,15 +12,23 @@ from fimlab.category import (
     enumerate_injections,
     factor_injection,
     factor_morphism,
+    generator_index_map,
     generator_keys,
-    identity_morphism,
+    injection_index_table,
     key_ends,
     leq,
     perm_to_adjacent,
     window_generators,
 )
 
-from oracles import conjugacy_classes, generators, morphism_of_key, std_incl, swap_morphism
+from oracles import (
+    conjugacy_classes,
+    generators,
+    identity_morphism,
+    morphism_of_key,
+    std_incl,
+    swap_morphism,
+)
 
 
 def apply_perm_word(word, n):
@@ -183,6 +191,33 @@ def test_generator_table_cannot_be_corrupted():
     assert generator_keys(w, g) == expected
     assert window_generators(w, g) is table
     assert [(key, *key_ends(key)) for key in expected] == list(table)
+
+
+def test_shared_index_tables_cannot_be_written():
+    """injection_index_table and generator_index_map hand every caller the
+    same value, so neither accepts item assignment."""
+    index = injection_index_table((1, 0), (3, 1))
+    moved = generator_index_map((1, 0), ("swap", 1, 1, (3, 1)))
+    with pytest.raises(TypeError):
+        index[((1,), ())] = 5
+    with pytest.raises(TypeError):
+        moved[0] = 5
+    assert dict(index) == {maps: i for i, maps in enumerate(
+        mor.maps for mor in enumerate_injections((1, 0), (3, 1)))}
+    assert moved == (1, 0, 2)
+
+
+def test_generator_index_map_matches_composed_morphisms():
+    """Entry b is the index of g o beta_b, g the generator morphism."""
+    w, g = Window((3, 2)), GroupTable.trivial()
+    for n in w.objects():
+        for key, src, tgt in window_generators(w, g):
+            if key[0] == "grp" or not leq(n, src):
+                continue
+            index = injection_index_table(n, tgt)
+            gen = morphism_of_key(key, g)
+            assert generator_index_map(n, key) == tuple(
+                index[compose(gen, beta).maps] for beta in enumerate_injections(n, src))
 
 
 def test_equal_groups_share_one_generator_table():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import fimlab.linalg
 import fimlab.modules
-from fimlab.category import Window
+from fimlab.category import GroupTable, Window, enumerate_injections, sub, unit
 from fimlab.linalg import (
     RationalMatrix,
     Subspace,
@@ -25,6 +26,7 @@ from fimlab.linalg import (
 from fimlab.modules import (
     close_under_actions,
     make_free,
+    positive_degree_image,
     quotient,
     submodule_from_stable_subspaces,
 )
@@ -356,6 +358,55 @@ def test_inverse_matches_sympy(mat):
         assert got == RationalMatrix(want)
 
 
+def test_inverse_of_a_singular_matrix_is_none():
+    assert inverse(RationalMatrix([[1, 2], [2, 4]])) is None
+    assert inverse(RationalMatrix([["1/2", 1], [0, 0]])) is None
+
+
+# Left operands of products: dense, mostly zero, and monomial (one entry
+# per row, +-1 or a fraction), the shape of a generator action.
+sparse_rational = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), rational)
+monomial_entry = st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 4), F(5, 3)])
+
+
+def _monomial_rows(nr, k):
+    if k == 0:
+        return st.just([[] for _ in range(nr)])
+    row = st.tuples(st.integers(0, k - 1), monomial_entry).map(
+        lambda ce: [ce[1] if j == ce[0] else F(0) for j in range(k)])
+    return st.lists(row, min_size=nr, max_size=nr)
+
+
+def _entry_rows(entry, nr, k):
+    return st.lists(st.lists(entry, min_size=k, max_size=k), min_size=nr, max_size=nr)
+
+
+@st.composite
+def products(draw):
+    nr, k, nc = (draw(st.integers(0, 5)) for _ in range(3))
+    kind = draw(st.sampled_from(["dense", "sparse", "monomial"]))
+    if kind == "monomial":
+        left = draw(_monomial_rows(nr, k))
+    else:
+        left = draw(_entry_rows(rational if kind == "dense" else sparse_rational, nr, k))
+    right = draw(_entry_rows(draw(st.sampled_from([rational, sparse_rational])), k, nc))
+    return RationalMatrix(left, nr, k), RationalMatrix(right, k, nc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+@example((RationalMatrix([], 0, 3), RationalMatrix.identity(3)))
+@example((RationalMatrix([[], []], 2, 0), RationalMatrix([], 0, 3)))
+@example((RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[], []], 2, 0)))
+@example((RationalMatrix([[0, 1], [1, 0], [0, 0]]), RationalMatrix([["1/2", 3], [2, 0]])))
+def test_product_matches_sympy(pair):
+    a, b = pair
+    got = a * b
+    want = _sympy_dm(a) * _sympy_dm(b)
+    assert got.shape == want.shape
+    assert got == RationalMatrix(_sympy_rows(want), *want.shape)
+
+
 def test_solve_matrix_with_no_rows():
     m = RationalMatrix([], 0, 3)
     rhs = RationalMatrix([], 0, 2)
@@ -432,6 +483,24 @@ def test_quotient_makes_no_solve_call(monkeypatch):
     q, proj = quotient(p, close_under_actions(p, seeds))
     assert q.dims == {(0,): 0, (1,): 1, (2,): 1, (3,): 1}
     assert proj.is_natural()
+
+
+def test_positive_degree_image_is_one_elimination_per_coordinate(monkeypatch):
+    """I_S V(n) takes at most one kernel call per i in S with n_i > 0, and
+    it is the span of the images of every injection n - o_i -> n."""
+    v = make_free((1, 0), Window((3, 3)), GroupTable.symmetric(2))
+    calls = _count_kernel_calls(monkeypatch)
+    for n in v.window.objects():
+        for S in ((1,), (2,), (1, 2)):
+            del calls[:]
+            got = positive_degree_image(v, S, n)
+            assert len(calls) <= sum(1 for i in S if n[i - 1])
+            images = [v.evaluate(beta) for i in S if n[i - 1]
+                      for beta in enumerate_injections(sub(n, unit(2, i)), n)]
+            if images:
+                assert got == image_basis(reduce(RationalMatrix.hstack, images))
+            else:
+                assert got == Subspace.zero(v.dims[n])
 
 
 def test_quotient_rejects_unstable_subspaces():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fimlab.category import GroupTable, Window, enumerate_injections, key_ends, leq
+from fimlab.category import (
+    GroupTable,
+    Window,
+    enumerate_injections,
+    generator_keys,
+    key_ends,
+    leq,
+)
 from fimlab.linalg import RationalMatrix, Subspace, rank
 from fimlab.modules import (
     MarginError,
@@ -34,6 +41,7 @@ from oracles import (
     decompose,
     evaluate_basis,
     make_cofree_by_compose,
+    make_coinduced_by_compose,
     make_free_by_compose,
     permute_coords,
     solver_by_kernel_basis,
@@ -131,6 +139,26 @@ def test_free_and_cofree_match_the_compose_builders(window_and_object, group):
         assert got.to_dict() == want.to_dict()
 
 
+def test_free_and_coinduced_match_generator_morphisms_on_3_3_with_s2():
+    """The index maps of make_free and make_coinduced give the actions
+    that composing generator morphisms with every injection gives."""
+    window, s2 = Window((3, 3)), GroupTable.symmetric(2)
+    for n in ((0, 0), (1, 0), (1, 1), (2, 1)):
+        assert make_free(n, window, s2).actions == make_free_by_compose(n, window, s2).actions
+    for lambdas in (((2,), (1,)), ((1, 1), (1,)), ((2, 1), (1,)), ((1,), (1, 1))):
+        got, want = make_coinduced(lambdas, window, s2), make_coinduced_by_compose(lambdas, window, s2)
+        assert got.dims == want.dims
+        assert got.actions == want.actions
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "3"])
+def test_module_refuses_a_dimension_that_is_not_an_integer(dim):
+    window = Window((0,))
+    with pytest.raises(ValueError, match=r"dimension at \(0,\) is not an integer"):
+        TruncatedModule(window, TRIV, {(0,): dim},
+                        {key: RationalMatrix.zeros(0, 0) for key in generator_keys(window, TRIV)})
+
+
 def test_free_and_cofree_build_no_morphism(monkeypatch):
     """make_free and make_cofree compose no morphisms and build none, even
     with the generator and injection tables cold."""
@@ -144,6 +172,7 @@ def test_free_and_cofree_build_no_morphism(monkeypatch):
     built = []
     with monkeypatch.context() as patch:
         category.injection_index_table.cache_clear()
+        category.generator_index_map.cache_clear()
         category.window_generators.cache_clear()
         patch.setattr(category, "compose", forbidden)
         patch.setattr(modules, "compose", forbidden)
