@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import mul
 
 from fimlab.category import (
     GroupTable,
@@ -37,12 +38,23 @@ from fimlab.category import (
     sub,
     unit,
 )
-from fimlab.functors import canonical_map, derivative, kernel_functor, shift
+from fimlab.functors import (
+    canonical_map,
+    complement_subset,
+    derivative,
+    kernel_functor,
+    normalize_subset,
+    shift,
+    split_obj,
+)
 from fimlab.linalg import (
     RationalMatrix,
+    Subspace,
+    block_diag,
     image_basis,
     kernel_basis,
     kron,
+    quotient_map,
     rational_roots,
     rref_int,
     solve_matrix,
@@ -450,6 +462,198 @@ def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> Naturality
             solver.rows.extend(row for row in rows if any(row))
     return solver
 
+
+
+# -- every generator, zero values included ------------------------------------
+#
+# The module builders and map checks below visit every generator and object of
+# the window, also where a value is zero and the action or comparison is an
+# empty matrix: the loops that skipping zero ends replaced, kept as their
+# references.
+
+
+def coordinates_by_product(space, mat: RationalMatrix) -> RationalMatrix | None:
+    """``Subspace.coordinates`` with the product check always made."""
+    x = _stack_rows(((mat.rows[p], mat.den) for p in space.pivots), mat.ncols)
+    return x if space.basis.transpose() * x == mat else None
+
+
+def quotient_every_generator(v: TruncatedModule, spaces):
+    """(dims, actions, projection blocks) of ``quotient(v, spaces)``."""
+    projs = {n: quotient_map(v.dims[n], spaces[n]) for n in v.window.objects()}
+    actions = {}
+    for key in generator_keys(v.window, v.group):
+        src, tgt = key_ends(key)
+        big = projs[tgt] * v.actions[key]
+        b = big.columns(spaces[src].free_columns)
+        if b * projs[src] != big:
+            raise ValueError(f"subspaces are not action-stable at {key}")
+        actions[key] = b
+    return {n: q.nrows for n, q in projs.items()}, actions, projs
+
+
+def submodule_every_generator(v: TruncatedModule, spaces):
+    """(dims, actions, inclusion blocks) of
+    ``submodule_from_stable_subspaces(v, spaces)``."""
+    actions = {}
+    for key in generator_keys(v.window, v.group):
+        src, tgt = key_ends(key)
+        rhs = v.actions[key] * spaces[src].basis.transpose()
+        restricted = coordinates_by_product(spaces[tgt], rhs)
+        if restricted is None:
+            raise ValueError(f"subspaces are not action-stable at {key}")
+        actions[key] = restricted
+    dims = {n: spaces[n].dim for n in v.window.objects()}
+    return dims, actions, {n: s.basis.transpose() for n, s in spaces.items()}
+
+
+def is_natural_every_generator(mp) -> bool:
+    """``ModuleMap.is_natural``, comparing both sides at every generator."""
+    for key in generator_keys(mp.source.window, mp.source.group):
+        src, tgt = key_ends(key)
+        lhs = mp.blocks[tgt] * mp.source.actions[key]
+        rhs = mp.target.actions[key] * mp.blocks[src]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def compose_every_object(f, g) -> dict:
+    """The blocks of ``f.compose(g)``, one product per object."""
+    return {n: f.blocks[n] * g.blocks[n] for n in f.blocks}
+
+
+def direct_sum_every_generator(*mods):
+    """(dims, actions, [inclusion blocks per summand]) of
+    ``direct_sum(*mods)``."""
+    w, g = mods[0].window, mods[0].group
+    dims = {n: sum(v.dims[n] for v in mods) for n in w.objects()}
+    actions = {key: block_diag([v.actions[key] for v in mods])
+               for key in generator_keys(w, g)}
+    incls = [{n: block_diag([RationalMatrix.identity(u.dims[n]) if i == j
+                             else RationalMatrix.zeros(u.dims[n], 0)
+                             for i, u in enumerate(mods)])
+              for n in w.objects()}
+             for j in range(len(mods))]
+    return dims, actions, incls
+
+
+def external_tensor_every_generator(v: TruncatedModule, w: TruncatedModule):
+    """(dims, actions) of ``external_tensor(v, w)``."""
+    group = v.group if not v.group.is_trivial() else w.group
+    g_on_v = not v.group.is_trivial()
+    mv = v.m
+    window = Window(v.window.bound + w.window.bound)
+    dims = {a + b: v.dims[a] * w.dims[b]
+            for a in v.window.objects() for b in w.window.objects()}
+    actions = {}
+    for key in generator_keys(window, group):
+        n = key[-1]
+        a, b = n[:mv], n[mv:]
+        on_v = g_on_v if key[0] == "grp" else key[1] <= mv
+        if on_v:
+            actions[key] = kron(v.actions[key[:-1] + (a,)],
+                                RationalMatrix.identity(w.dims[b]))
+        else:
+            c = key[1] if key[0] == "grp" else key[1] - mv
+            actions[key] = kron(RationalMatrix.identity(v.dims[a]),
+                                w.actions[(key[0], c) + key[2:-1] + (b,)])
+    return dims, actions
+
+
+def ind_every_generator(v: TruncatedModule, group: GroupTable):
+    """(dims, actions) of ``functors.ind(v, group)`` for a nontrivial
+    group."""
+    og = group.order
+    lreg = regular_rep_matrices(group)
+    actions = {}
+    for key in generator_keys(v.window, group):
+        if key[0] == "grp":
+            _, j, n = key
+            actions[key] = kron(RationalMatrix.identity(v.dims[n]), lreg[j])
+        else:
+            actions[key] = kron(v.actions[key], RationalMatrix.identity(og))
+    return {n: d * og for n, d in v.dims.items()}, actions
+
+
+def induced_big_actions_every_generator(s, S, w_rs: TruncatedModule,
+                                        group: GroupTable, window: Window) -> dict:
+    """The generator actions on the big spaces Inj(s, s') x W(t) that
+    ``functors.induced_module`` restricts to its fixed subspaces."""
+    S = normalize_subset(S, window.m)
+    not_S = complement_subset(S, window.m)
+    n_swaps = len(aut_swaps(tuple(s)))
+    free_s = make_free(tuple(s), Window(tuple(window.bound[i - 1] for i in S)))
+    actions = {}
+    for key in generator_keys(window, group):
+        s_src, t_src = split_obj(key[-1], S, not_S)
+        if key[0] != "grp" and key[1] in S:
+            skey = (key[0], S.index(key[1]) + 1) + key[2:-1] + (s_src,)
+            actions[key] = kron(free_s.actions[skey],
+                                RationalMatrix.identity(w_rs.dims[t_src]))
+        else:
+            c = n_swaps + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
+            actions[key] = kron(RationalMatrix.identity(free_s.dims[s_src]),
+                                w_rs.actions[(key[0], c) + key[2:-1] + (t_src,)])
+    return actions
+
+
+def shift_every_generator(v: TruncatedModule, i: int):
+    """(dims, actions) of ``functors.shift(v, i)``."""
+    oi = unit(v.m, i)
+    window = Window(sub(v.window.bound, oi))
+    actions = {}
+    for key in generator_keys(window, v.group):
+        up = add(key[-1], oi)
+        if key[:2] == ("swap", i):
+            mat = v.actions[("swap", i, key[2] + 1, up)]
+        else:
+            mat = v.actions[key[:-1] + (up,)]
+        if key[:2] == ("incl", i):
+            mat = v.actions[("swap", i, 1, add(up, oi))] * mat
+        actions[key] = mat
+    return {n: v.dims[add(n, oi)] for n in window.objects()}, actions
+
+
+def solution_blocks_every_object(solver: NaturalitySolver) -> list:
+    """The blocks of each map in ``solver.basis()``, with the product by
+    the section made at every object."""
+    basis = solver._kernel.basis
+    out = []
+    for t in basis.rows:
+        blocks = {}
+        for x, terms in solver._terms.items():
+            cols = [(tuple(sum(map(mul, row, t[offset:offset + wm.ncols]))
+                           for row in wm.rows), wm.den * basis.den)
+                    for offset, wm in terms]
+            blocks[x] = (_stack_rows(cols, solver.w.dims[x]).transpose()
+                         * solver._sections[x])
+        out.append(blocks)
+    return out
+
+
+def images_from_below_every_coordinate(v: TruncatedModule, S, n, below):
+    """``modules._images_from_below``, also at a zero value and through a
+    zero ``below``."""
+    d = v.dims[n]
+    span = Subspace.zero(d)
+    for i in S:
+        if n[i - 1] == 0:
+            continue
+        low = sub(n, unit(v.m, i))
+        img = v.actions[("incl", i, low)]
+        if below is not None:
+            img = img * below[low].basis.transpose()
+        if img.is_zero():
+            continue
+        vecs = list(span.basis.rows) + list(img.transpose().rows)
+        for k in range(1, n[i - 1]):
+            img = v.actions[("swap", i, k, n)] * img
+            vecs += img.transpose().rows
+        span = Subspace.from_spanning(d, vecs)
+        if span.dim == d:
+            return span
+    return span
 
 # -- partitions and classes of S_n --------------------------------------------
 
