@@ -20,7 +20,8 @@ Every window morphism factors through these (tested exhaustively at small
 windows), which is what lets a truncated module store only generator
 actions.  :func:`window_generators` derives the generators of a (window,
 group) pair once, with their ends, and every module builder reads that one
-table.
+table; :func:`split_generators` sets apart those with a zero end, whose
+actions are empty matrices.
 
 The basis of the free module F(n)(t) is the set of injections n -> t, and
 an incl or swap generator sends each of them to one injection: incl_i moves
@@ -448,6 +449,19 @@ def window_generators(window: Window, group: GroupTable) -> tuple:
         keys += [("grp", j, n) for j in range(len(group.generators))]
         out.extend((key, *key_ends(key)) for key in keys)
     return tuple(out)
+
+
+def split_generators(window: Window, group: GroupTable, src_dims, tgt_dims) -> tuple:
+    """:func:`window_generators` as two lists: the generators whose source
+    value in ``src_dims`` and target value in ``tgt_dims`` are both nonzero,
+    and the rest.  A matrix from a zero value or into one is empty, and so
+    is a comparison of two such matrices, so the module builders and map
+    checks work on the first list only and give each generator of the
+    second the empty ``RationalMatrix.zeros``."""
+    live, rest = [], []
+    for gen in window_generators(window, group):
+        (live if src_dims[gen[1]] and tgt_dims[gen[2]] else rest).append(gen)
+    return live, rest
 
 
 def generator_keys(window: Window, group: GroupTable) -> list:

@@ -18,6 +18,7 @@ from .category import (
     aut_swaps,
     injection_index_table,
     rekey,
+    split_generators,
     sub,
     unit,
     window_generators,
@@ -81,8 +82,9 @@ def shift(v: TruncatedModule, i: int) -> TruncatedModule:
     oi = unit(m, i)
     new_window = Window(sub(v.window.bound, oi))
     dims = {n: v.dims[add(n, oi)] for n in new_window.objects()}
-    actions = {}
-    for key, _, _ in window_generators(new_window, v.group):
+    live, rest = split_generators(new_window, v.group, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, _, _ in live:
         up = add(key[-1], oi)
         if key[:2] == ("swap", i):
             mat = v.actions[("swap", i, key[2] + 1, up)]
@@ -222,8 +224,9 @@ def ind(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
     ident_g = RationalMatrix.identity(og)
     lreg = regular_rep_matrices(group)
     dims = {n: d * og for n, d in v.dims.items()}
-    actions = {}
-    for key, _, _ in window_generators(v.window, group):
+    live, rest = split_generators(v.window, group, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, _, _ in live:
         if key[0] == "grp":
             _, j, n = key
             actions[key] = kron(RationalMatrix.identity(v.dims[n]), lreg[j])
@@ -346,8 +349,10 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
                              f"{spaces[n].dim}, expected {expected}")
 
     # generator actions on the big spaces, then restrict
-    big_actions = {}
-    for key, src, _ in window_generators(window, group):
+    live, rest = split_generators(window, group, big_dims, big_dims)
+    big_actions = {key: RationalMatrix.zeros(big_dims[tgt], big_dims[src])
+                   for key, src, tgt in rest}
+    for key, src, _ in live:
         s_src, t_src = split_obj(src, S, not_S)
         ninj_src = free_s.dims[s_src]
         if key[0] != "grp" and key[1] in S:

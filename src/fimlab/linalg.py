@@ -487,9 +487,15 @@ class Subspace:
 
         Basis row r is 1 at its pivot p_r and every other row is 0 there,
         so row r of X is row p_r of ``mat``; the product checks the rest.
+        The full space has the identity basis, so X is ``mat``; where X is
+        empty, basis^T X is zero.
         """
         if mat.nrows != self.ambient_dim:
             raise ValueError("coordinates need one row per ambient coordinate")
+        if self.dim == self.ambient_dim:
+            return mat
+        if not (self.dim and mat.ncols):
+            return RationalMatrix.zeros(self.dim, mat.ncols) if mat.is_zero() else None
         x = _reduced(tuple(mat.rows[p] for p in self.pivots), mat.den, self.dim, mat.ncols)
         return x if self.basis.transpose() * x == mat else None
 

@@ -39,6 +39,7 @@ from .category import (
     json_field,
     leq,
     rekey,
+    split_generators,
     sub,
     unit,
     window_generators,
@@ -467,6 +468,8 @@ class TruncatedModule:
             path = f"actions[{idx}]"
             gen = json_field(item, "gen", dict, path)
             at = _obj_field(gen, "at", f"{path}.gen")
+            if sum(kind in gen for kind in ("incl", "swap", "grp")) != 1:
+                raise ValueError(f"{path}.gen: expected exactly one of incl, swap, grp")
             if "incl" in gen:
                 key = ("incl", json_field(gen, "incl", int, f"{path}.gen"), at)
             elif "swap" in gen:
@@ -492,6 +495,14 @@ class TruncatedModule:
                 pres = Presentation.from_dict(pres)
             except ValueError as exc:
                 raise ValueError(f"presentation.{exc}") from None
+            fields = [(f"generators[{i}].at", obj)
+                      for i, (obj, _) in enumerate(pres.generator_slots)]
+            if pres.relation_bound is not None:
+                fields.append(("relation_bound", pres.relation_bound))
+            for field, obj in fields:
+                if len(obj) != window.m:
+                    raise ValueError(f"presentation.{field}: expected {window.m} "
+                                     f"coordinates, got {len(obj)}")
         name = json_field(d, "name", str, optional=True)
         return TruncatedModule(
             window, group, dims, actions, pres, "" if name is None else name
@@ -523,6 +534,8 @@ class ModuleMap:
     def __init__(self, source: TruncatedModule, target: TruncatedModule, blocks):
         if source.window != target.window:
             raise ValueError("source and target windows differ")
+        if source.group != target.group:
+            raise ValueError("source and target groups differ")
         self.source = source
         self.target = target
         self.blocks = {tuple(k): v for k, v in blocks.items()}
@@ -557,10 +570,17 @@ class ModuleMap:
         return self.blocks[tuple(n)]
 
     def is_natural(self) -> bool:
-        for key, src, tgt in window_generators(self.source.window, self.source.group):
-            lhs = self.blocks[tgt] * self.source.actions[key]
-            rhs = self.target.actions[key] * self.blocks[src]
-            if lhs != rhs:
+        s, t = self.source, self.target
+        live, _ = split_generators(s.window, s.group, s.dims, t.dims)
+        for key, src, tgt in live:
+            # a side through a zero value, the source's at tgt or the
+            # target's at src, is the zero matrix
+            lhs = self.blocks[tgt] * s.actions[key] if s.dims[tgt] else None
+            rhs = t.actions[key] * self.blocks[src] if t.dims[src] else None
+            if lhs is None or rhs is None:
+                if not all(side is None or side.is_zero() for side in (lhs, rhs)):
+                    return False
+            elif lhs != rhs:
                 return False
         return True
 
@@ -568,11 +588,12 @@ class ModuleMap:
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps do not compose")
-        return ModuleMap(
-            other.source,
-            self.target,
-            {n: self.blocks[n] * other.blocks[n] for n in self.blocks},
-        )
+        rows, cols = self.target.dims, other.source.dims
+        blocks = {}
+        for n in self.blocks:
+            blocks[n] = (self.blocks[n] * other.blocks[n] if rows[n] and cols[n]
+                         else RationalMatrix.zeros(rows[n], cols[n]))
+        return ModuleMap(other.source, self.target, blocks)
 
     def add(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(
@@ -735,8 +756,10 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
     """
     spaces = {tuple(k): s for k, s in spaces.items()}
     dims = {n: spaces[n].dim for n in v.window.objects()}
-    actions = {}
-    for key, src, tgt in window_generators(v.window, v.group):
+    # a zero target space inside a nonzero V(tgt) is still checked
+    live, rest = split_generators(v.window, v.group, dims, v.dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, src, tgt in live:
         rhs = v.actions[key] * spaces[src].basis.transpose()
         restricted = spaces[tgt].coordinates(rhs)
         if restricted is None:
@@ -789,13 +812,15 @@ def quotient(v: TruncatedModule, spaces, name="", rel_objects=None):
         q = quotient_map(v.dims[n], spaces[n])
         projs[n] = q
         dims[n] = q.nrows
-    actions = {}
-    for key, src, tgt in window_generators(v.window, v.group):
+    live, rest = split_generators(v.window, v.group, v.dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, src, tgt in live:
         # induced action B with B . proj_src = proj_tgt . action; proj_src is
-        # the identity on the source's free columns, so B is read off there
+        # the identity on the source's free columns, so B is read off there.
+        # Where the quotient is zero at a nonzero V(src), the action must die
         big = projs[tgt] * v.actions[key]
         b = big.columns(spaces[src].free_columns)
-        if b * projs[src] != big:
+        if not (b * projs[src] == big if dims[src] else big.is_zero()):
             raise ValueError(f"subspaces are not action-stable at {key}")
         actions[key] = b
     pres = None
@@ -829,8 +854,9 @@ def direct_sum(*mods, name="") -> tuple:
     if any(v.window != w or v.group != g for v in mods):
         raise ValueError("summands live on different windows or groups")
     dims = {n: sum(v.dims[n] for v in mods) for n in w.objects()}
-    actions = {}
-    for key, _, _ in window_generators(w, g):
+    live, rest = split_generators(w, g, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, _, _ in live:
         actions[key] = block_diag([v.actions[key] for v in mods])
     slots = []
     rel = [0] * w.m
@@ -851,11 +877,13 @@ def direct_sum(*mods, name="") -> tuple:
     total = TruncatedModule(w, g, dims, actions, pres, name)
     incls = []
     for j, v in enumerate(mods):
-        # the identity on summand j, between 0-column blocks of the others
+        # the identity on summand j, between 0-column blocks of the others;
+        # empty where summand j is zero
         blocks = {
             n: block_diag([RationalMatrix.identity(u.dims[n]) if i == j
                            else RationalMatrix.zeros(u.dims[n], 0)
                            for i, u in enumerate(mods)])
+            if v.dims[n] else RationalMatrix.zeros(dims[n], 0)
             for n in w.objects()
         }
         incls.append(ModuleMap(v, total, blocks))
@@ -877,8 +905,9 @@ def external_tensor(v: TruncatedModule, w: TruncatedModule, name="") -> Truncate
     for a in v.window.objects():
         for b in w.window.objects():
             dims[a + b] = v.dims[a] * w.dims[b]
-    actions = {}
-    for key, _, _ in window_generators(window, group):
+    live, rest = split_generators(window, group, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, _, _ in live:
         a, b = key[-1][:mv], key[-1][mv:]
         on_v = g_on_v if key[0] == "grp" else key[1] <= mv
         if on_v:
@@ -1072,12 +1101,16 @@ def _images_from_below(v: TruncatedModule, S, n, below) -> Subspace:
     """
     d = v.dims[n]
     span = Subspace.zero(d)
+    if not d:
+        return span
     for i in S:
         if n[i - 1] == 0:
             continue
         low = sub(n, unit(v.m, i))
         img = v.actions[("incl", i, low)]
         if below is not None:
+            if not below[low].dim:
+                continue
             img = img * below[low].basis.transpose()
         if img.is_zero():
             continue
@@ -1289,6 +1322,9 @@ class NaturalitySolver:
         """The map with generator values t / den, t a sequence of ints."""
         blocks = {}
         for x, terms in self._terms.items():
+            if not (self.v.dims[x] and self.w.dims[x]):
+                blocks[x] = RationalMatrix.zeros(self.w.dims[x], self.v.dims[x])
+                continue
             cols = [(tuple(sum(map(mul, row, t[offset:offset + wm.ncols]))
                            for row in wm.rows), wm.den * den)
                     for offset, wm in terms]

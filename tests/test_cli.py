@@ -333,3 +333,43 @@ def test_verify_paper_has_no_window_flag(capsys):
         main(["verify-paper", "--suite", "roundtrip", "--window", "3"])
     assert exc.value.code == 2
     assert "--window" in capsys.readouterr().err
+
+
+def _free_doc(tmp_path, capsys):
+    """The JSON document of F(1) on the window 2."""
+    path = tmp_path / "f1.json"
+    code, _ = run_cli(capsys, "build", "free", "--n", "1", "--window", "2", "-o", str(path))
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field,start", [
+    ("at", "presentation.generators[0].at: expected 1 coordinates, got 2"),
+    ("relation_bound", "presentation.relation_bound: expected 1 coordinates, got 2"),
+], ids=["generator-at", "relation-bound"])
+@pytest.mark.parametrize("argv", [["validate"], ["endring"], ["homology", "--S", "1"]],
+                         ids=["validate", "endring", "homology"])
+def test_presentation_object_of_the_wrong_arity_exits_2(tmp_path, capsys, field, start, argv):
+    doc = _free_doc(tmp_path, capsys)
+    if field == "at":
+        doc["presentation"]["generators"][0]["at"] = "(1,1)"
+    else:
+        doc["presentation"]["relation_bound"] = "(1,1)"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"] == start
+
+
+@pytest.mark.parametrize("extra", [{"swap": [1, 1]}, {"grp": 0}, {"swap": [1, 1], "grp": 0}],
+                         ids=["incl-swap", "incl-grp", "all-three"])
+def test_action_naming_two_generator_kinds_exits_2(tmp_path, capsys, extra):
+    doc = _free_doc(tmp_path, capsys)
+    idx, item = next((i, a) for i, a in enumerate(doc["actions"]) if "incl" in a["gen"])
+    item["gen"].update(extra)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_cli(capsys, "validate", str(path))
+    assert code == 2 and payload["type"] == "ValueError"
+    assert payload["error"] == f"actions[{idx}].gen: expected exactly one of incl, swap, grp"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimlab import homology
 from fimlab.category import GroupTable, Window, degree
@@ -10,6 +12,7 @@ from fimlab.modules import (
     make_cofree,
     make_free,
     make_induced,
+    NaturalitySolver,
     Presentation,
     quotient,
 )
@@ -573,3 +576,29 @@ def test_h1_counts_h0_of_the_free_cover(monkeypatch):
     for S in ((1,), (2,), (1, 2)):
         h1(v, S, cover=cover)
     assert seen and not any(mod is cover[0] for mod in seen)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(((3,), (2, 2))), st.sampled_from((TRIV, GroupTable.cyclic(2))),
+       st.integers(0, 60), st.integers(0, 60), st.integers(0, 3), st.data())
+def test_h0_h1_and_hom_are_additive_over_direct_sums(bound, group, sv, sw, l, data):
+    # H0, H1 and Hom are additive functors, so on V + W each is the sum;
+    # W is a presented module plus a co-free E(l), zero above its support
+    window = Window(bound)
+    v = random_presented_module(window, sv, group)
+    w, _ = direct_sum(random_presented_module(window, sw, group),
+                      make_cofree(window.objects()[l], window, group))
+    x = random_presented_module(window, sv + sw, group)
+    vw, _ = direct_sum(v, w)
+    S = data.draw(st.sampled_from([(1,), (window.m,), tuple(range(1, window.m + 1))]))
+
+    def total(f):
+        a, b = f(v), f(w)
+        return {n: a[n] + b[n] for n in a}
+
+    assert h0(vw, S).h0_module.dims == total(lambda u: h0(u, S).h0_module.dims)
+    assert h1(vw, S).h1_dims == total(lambda u: h1(u, S).h1_dims)
+    assert (NaturalitySolver(vw, x).dim
+            == NaturalitySolver(v, x).dim + NaturalitySolver(w, x).dim)
+    assert (NaturalitySolver(x, vw).dim
+            == NaturalitySolver(x, v).dim + NaturalitySolver(x, w).dim)

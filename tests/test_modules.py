@@ -378,6 +378,16 @@ def test_module_maps_natural_and_compose():
     assert f.compose(f).is_natural()
 
 
+def test_module_map_refuses_modules_over_different_groups():
+    from fimlab.functors import ind, res
+
+    a = ind(make_cofree((1,), Window((2,))), GroupTable.cyclic(2))
+    blocks = {n: RationalMatrix.identity(d) for n, d in a.dims.items()}
+    for source, target in ((res(a), a), (a, res(a))):
+        with pytest.raises(ValueError, match="^source and target groups differ$"):
+            ModuleMap(source, target, blocks)
+
+
 def test_serialization_round_trip():
     for mod in (
         make_free((1,), Window((2,)), GroupTable.symmetric(2)),

@@ -4,8 +4,11 @@ F(n) vanishes below n, E(l) and torsion pieces above their support, and a
 shifted module wherever its source did.  Each test compares fimlab's answer
 with the reference in ``oracles.py`` that visits every generator and object,
 zero values included, and requires equal dims, actions, blocks and
-``is_natural`` verdicts.
+``is_natural`` verdicts.  A last test checks that the builders and
+``is_natural`` make no product with an empty operand on such modules.
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -223,3 +226,37 @@ def test_coordinates_match_the_product_check(d, k, cols, inside, rnd):
         if inside:
             mat = s.basis.transpose() * RationalMatrix(rows(s.dim, cols), s.dim, cols)
         assert s.coordinates(mat) == coordinates_by_product(s, mat)
+
+
+@contextmanager
+def _empty_products():
+    """The operand shapes of every product with an empty operand made
+    inside the block."""
+    seen = []
+    mul = RationalMatrix.__mul__
+
+    def recording(a, b):
+        if not (a.nrows and a.ncols and b.ncols):
+            seen.append((a.shape, b.shape))
+        return mul(a, b)
+
+    RationalMatrix.__mul__ = recording
+    try:
+        yield seen
+    finally:
+        RationalMatrix.__mul__ = mul
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_heavy_modules(count=2), zero_heavy_modules(m=1, group=TRIV),
+       st.randoms(use_true_random=False))
+def test_builders_and_checks_make_no_empty_product(mods, right, rnd):
+    v, w = mods
+    spaces = _stable_family(v, rnd)
+    with _empty_products() as seen:
+        _, proj = quotient(v, spaces)
+        _, incl = submodule_from_stable_subspaces(v, spaces)
+        _, incls = direct_sum(v, w)
+        external_tensor(v, right[0])
+        assert all(mp.is_natural() for mp in (proj, incl, ModuleMap.zero(v, w), *incls))
+    assert seen == []
