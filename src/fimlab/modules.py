@@ -1192,10 +1192,11 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
         rho = v.group_elements_at(n)
         for h in range(1, og):
             start = start.hstack(rho[h] * mat)
-    # the incl and swap generators out of each object, into nonzero values
+    # the incl and swap generators between nonzero values
     steps = {}
-    for key, src, tgt in window_generators(v.window, v.group):
-        if key[0] != "grp" and v.dims[tgt]:
+    live, _ = split_generators(v.window, v.group, v.dims, v.dims)
+    for key, src, tgt in live:
+        if key[0] != "grp":
             steps.setdefault(src, []).append((key, tgt))
     # injections n -> y by their basis index; the identity of n is index 0
     reached = {}
