@@ -436,6 +436,28 @@ def evaluate_basis(v: TruncatedModule, n, x) -> list:
             for b in enumerate_injections(n, x) for h in range(v.group.order)]
 
 
+def functorial_on_window(v: TruncatedModule) -> bool:
+    """Whether V(g o f) = V(g) V(f) for every composable pair f: a -> b,
+    g: b -> c of window morphisms, every pair of group parts included: the
+    definition of a functor on the window, checked exhaustively.  Each
+    morphism's value comes from ``evaluate``; the reference for
+    ``TruncatedModule.validate``, which checks only generator relations."""
+    objs = v.window.objects()
+    value = {}
+    for a, b in itertools.product(objs, objs):
+        if leq(a, b):
+            mors = [Morphism(a, b, f.maps, h) for f in enumerate_injections(a, b)
+                    for h in range(v.group.order)]
+            value[a, b] = dict(zip(mors, evaluate_basis(v, a, b)))
+    return all(
+        value[a, c][compose(g, f, v.group)] == vg * vf
+        for (a, b), fs in value.items()
+        for c in objs if leq(b, c)
+        for f, vf in fs.items()
+        for g, vg in value[b, c].items()
+    )
+
+
 def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:
     """The block at x of the cover sending generator i to its lift u_i,
     column (i, beta, h) = V(beta, h) u_i, by :func:`evaluate_basis`."""

@@ -33,6 +33,7 @@ from fimlab.modules import (
     submodule_generated,
     zero_module,
 )
+from fimlab.samples import random_presented_module
 from fimlab.symrep import GroupRep
 
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     cover_block_by_evaluate,
     decompose,
     evaluate_basis,
+    functorial_on_window,
     make_cofree_by_compose,
     make_coinduced_by_compose,
     make_free_by_compose,
@@ -54,7 +56,7 @@ TRIV = GroupTable.trivial()
 def test_make_free_constant_module():
     v = make_free((0,), Window((3,)), TRIV)
     assert all(v.dims[t] == 1 for t in v.window.objects())
-    assert v.validate(deep=True).ok
+    assert v.validate().ok
     for key, mat in v.actions.items():
         assert mat == RationalMatrix.identity(1)
 
@@ -64,7 +66,7 @@ def test_make_free_dims():
     assert v.dims[(3,)] == 3
     w = make_free((1, 1), Window((2, 2)), TRIV)
     assert w.dims[(2, 2)] == 4
-    assert w.validate(deep=True).ok
+    assert w.validate().ok
 
 
 def test_free_dims_closed_form():
@@ -96,7 +98,7 @@ def test_make_free_outside_window():
 def test_make_cofree_dims():
     v = make_cofree((2,), Window((4,)), TRIV)
     assert [v.dims[(t,)] for t in range(5)] == [1, 2, 2, 0, 0]
-    assert v.validate(deep=True).ok
+    assert v.validate().ok
     e0 = make_cofree((0,), Window((3,)), TRIV)
     assert [e0.dims[(t,)] for t in range(4)] == [1, 0, 0, 0]
 
@@ -163,7 +165,6 @@ def test_free_and_cofree_build_no_morphism(monkeypatch):
     """make_free and make_cofree compose no morphisms and build none, even
     with the generator and injection tables cold."""
     import fimlab.category as category
-    import fimlab.modules as modules
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a morphism was built")
@@ -175,7 +176,6 @@ def test_free_and_cofree_build_no_morphism(monkeypatch):
         category.generator_index_map.cache_clear()
         category.window_generators.cache_clear()
         patch.setattr(category, "compose", forbidden)
-        patch.setattr(modules, "compose", forbidden)
         patch.setattr(category.Morphism, "__post_init__", forbidden)
         for n, window, g in cases:
             built.append((make_free(n, window, g), make_cofree(n, window, g)))
@@ -226,7 +226,7 @@ def test_make_induced_rejects_a_group_rep_that_is_not_a_representation():
 def test_make_coinduced_sign():
     e = make_coinduced(((1, 1),), Window((3,)), TRIV)
     assert [e.dims[(t,)] for t in range(4)] == [0, 1, 1, 0]
-    assert e.validate(deep=True).ok
+    assert e.validate().ok
 
 
 def test_external_tensor_of_frees():
@@ -314,6 +314,68 @@ def test_validate_flags_corruption():
     report = bad.validate()
     assert not report.ok
     assert report.first_failure() is not None
+
+
+def test_validate_builds_no_morphism(morphism_builds):
+    v = make_free((2,), Window((10,)), TRIV)
+    assert v.validate().ok
+    assert morphism_builds == []
+
+
+def _sign_constant():
+    """The constant module on (2,) with the swap acting by -1.  It breaks
+    one relation only: the swap of the two new points no longer fixes the
+    double inclusion (0,) -> (2,)."""
+    v = make_free((0,), Window((2,)), TRIV)
+    actions = {**v.actions, ("swap", 1, 1, (2,)): RationalMatrix([[-1]])}
+    return TruncatedModule(v.window, v.group, v.dims, actions)
+
+
+@st.composite
+def _maybe_broken_modules(draw):
+    """F(n), E(l), the coinduced sign module or a random presented module on
+    (3,), (4,) or (2,2) over the trivial group or S2, as built or with one
+    action entry bumped, one action scaled or one action's rows reversed."""
+    window = draw(st.sampled_from((Window((3,)), Window((4,)), Window((2, 2)))))
+    group = draw(st.sampled_from((TRIV, GroupTable.symmetric(2))))
+    kind = draw(st.sampled_from(("free", "cofree", "coinduced", "random")))
+    if kind == "coinduced":
+        v = make_coinduced(((1, 1),), Window((3,)))
+    elif kind == "random":
+        v = random_presented_module(window, draw(st.integers(0, 30)), group)
+    else:
+        build = make_free if kind == "free" else make_cofree
+        v = build(draw(st.sampled_from(window.objects())), window, group)
+    keys = sorted(key for key, mat in v.actions.items() if mat.nrows and mat.ncols)
+    mutation = draw(st.sampled_from(("none", "bump", "scale", "reverse")))
+    if mutation == "none" or not keys:
+        return v
+    key = draw(st.sampled_from(keys))
+    mat = v.actions[key]
+    if mutation == "scale":
+        new = mat.scale(draw(st.sampled_from((F(-1), F(2), F(1, 3)))))
+    else:
+        rows = [[mat[i, j] for j in range(mat.ncols)] for i in range(mat.nrows)]
+        if mutation == "bump":
+            rows[draw(st.integers(0, mat.nrows - 1))][draw(st.integers(0, mat.ncols - 1))] += 1
+        else:
+            rows.reverse()
+        new = RationalMatrix(rows, mat.nrows, mat.ncols)
+    return TruncatedModule(v.window, v.group, v.dims, {**v.actions, key: new})
+
+
+@settings(max_examples=30, deadline=None)
+@given(_maybe_broken_modules())
+@example(_sign_constant())
+@example(make_free((0,), Window((3,)), TRIV))
+@example(make_free((1, 1), Window((2, 2)), TRIV))
+@example(make_cofree((2,), Window((4,)), TRIV))
+@example(make_coinduced(((1, 1),), Window((3,)), TRIV))
+def test_validate_is_exactly_functoriality_on_the_window(v):
+    """The generator relations that ``validate`` checks hold exactly when
+    V(g o f) = V(g) V(f) for every composable pair of window morphisms and
+    group parts: on a box window they present the category."""
+    assert v.validate().ok == functorial_on_window(v)
 
 
 def test_hom_space_endomorphisms_of_constant():
