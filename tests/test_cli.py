@@ -343,6 +343,25 @@ def _free_doc(tmp_path, capsys):
     return json.loads(path.read_text())
 
 
+def test_validate_deep_prints_what_validate_prints(tmp_path, capsys, morphism_builds):
+    """``--deep`` adds no work: on F(2) over (10,) and on a module with a
+    broken swap it builds no morphism and prints the bytes and exit code of
+    plain ``validate``."""
+    f2 = tmp_path / "f2.json"
+    run_cli(capsys, "build", "free", "--n", "2", "--window", "10", "-o", str(f2))
+    doc = _free_doc(tmp_path, capsys)
+    item = next(a for a in doc["actions"] if a["gen"] == {"swap": [1, 1], "at": "(2)"})
+    item["matrix"] = [["0", "1"], ["1", "1"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for path, want in ((f2, 0), (bad, 1)):
+        runs = []
+        for argv in (["validate", str(path)], ["validate", "--deep", str(path)]):
+            runs.append((main(argv), capsys.readouterr().out))
+        assert runs[0] == runs[1] and runs[0][0] == want
+    assert morphism_builds == []
+
+
 @pytest.mark.parametrize("field,start", [
     ("at", "presentation.generators[0].at: expected 1 coordinates, got 2"),
     ("relation_bound", "presentation.relation_bound: expected 1 coordinates, got 2"),

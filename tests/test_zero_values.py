@@ -4,8 +4,9 @@ F(n) vanishes below n, E(l) and torsion pieces above their support, and a
 shifted module wherever its source did.  Each test compares fimlab's answer
 with the reference in ``oracles.py`` that visits every generator and object,
 zero values included, and requires equal dims, actions, blocks and
-``is_natural`` verdicts.  A last test checks that the builders and
-``is_natural`` make no product with an empty operand on such modules.
+``is_natural`` verdicts.  The last tests check that the builders,
+``is_natural`` and ``detect_torsion`` make no product with an empty operand
+on such modules.
 """
 
 from contextlib import contextmanager
@@ -30,7 +31,7 @@ from fimlab.modules import (
     quotient,
     submodule_from_stable_subspaces,
 )
-from fimlab.samples import random_presented_module
+from fimlab.samples import random_presented_module, truncated_constant
 
 from oracles import (
     compose_every_object,
@@ -260,3 +261,15 @@ def test_builders_and_checks_make_no_empty_product(mods, right, rnd):
         external_tensor(v, right[0])
         assert all(mp.is_natural() for mp in (proj, incl, ModuleMap.zero(v, w), *incls))
     assert seen == []
+
+
+@pytest.mark.parametrize("bound,S", [((5,), (1,)), ((3, 3), (1,)), ((3, 3), (1, 2))])
+def test_detect_torsion_stops_at_the_first_zero_value(bound, S):
+    """The inclusions from n towards the top of the window meet a zero
+    value, so all of V(n) is torsion; no product with an empty operand is
+    made on the way there."""
+    v = truncated_constant(Window(bound), 2)
+    with _empty_products() as seen:
+        tv = detect_torsion(v, S)
+    assert seen == []
+    assert tv.spaces == {n: Subspace.full(d) for n, d in v.dims.items()}
