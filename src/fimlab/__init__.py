@@ -9,7 +9,7 @@ verification drivers for the shift theorem and the classification of
 finitely generated injectives, all in exact rational arithmetic.
 """
 
-from .category import GroupTable, Morphism, Window
+from .category import GroupTable, Window
 from .linalg import RationalMatrix, Subspace
 from .modules import (
     MarginError,

@@ -1,10 +1,12 @@
 """The truncated product category of finite sets and injections, with an
 optional finite group factor.
 
-Objects are plain tuples ``n = (n_1, ..., n_m)`` of naturals.  Morphisms pair
-a componentwise injection (stored as image tuples, 1-based) with a group
-element index.  A :class:`Window` is the componentwise degree box on which
-all module data lives.
+Objects are plain tuples ``n = (n_1, ..., n_m)`` of naturals.  A morphism
+pairs a componentwise injection with a group element; the package never
+builds one as a value.  An injection a -> b is named by its image tuples
+(1-based) or by its index in :func:`injection_index_table`.  A
+:class:`Window` is the componentwise degree box on which all module data
+lives.
 
 The generator set used throughout the package:
 
@@ -29,8 +31,9 @@ every point of coordinate i up by one, swap_(i,k) exchanges k and k + 1
 there (Church-Ellenberg-Farb, FI-modules and stability, Duke 2015).  So
 every free and co-free generator action is a map of injection indices (a
 permutation for a swap), read off the shared
-:func:`injection_index_table` and :func:`generator_index_map`, and needs no
-:class:`Morphism`.
+:func:`injection_index_table` and :func:`generator_index_map`.  The same
+maps drive the orbit walk (``modules._orbit_walk``), which gives V(beta)
+for every injection beta out of an object.
 """
 
 from __future__ import annotations
@@ -182,17 +185,6 @@ class GroupTable:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def word(self, g: int):
-        """g as a product of generators, as indices; matrices multiply in
-        the returned order (leftmost factor applied last)."""
-        if g not in self.tree:
-            raise ValueError(f"element {g} is not in the group")
-        word = []
-        while self.tree[g] is not None:
-            j, g = self.tree[g]
-            word.append(j)
-        return word
-
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -296,50 +288,6 @@ class Window:
         return sorted(self.objects(), key=lambda n: (degree(n), n))
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """A morphism of the product injection category with group factor:
-    componentwise injections plus a group element.
-
-    ``maps[i]`` is the image tuple (f(1), ..., f(a_i)) of an injection
-    [a_i] -> [b_i].
-    """
-
-    source: Obj
-    target: Obj
-    maps: tuple
-    group_elt: int = 0
-
-    def __post_init__(self):
-        if not (len(self.source) == len(self.target) == len(self.maps)):
-            raise ValueError("coordinate count mismatch")
-        for a, b, img in zip(self.source, self.target, self.maps):
-            if len(img) != a:
-                raise ValueError("image tuple has wrong length")
-            if len(set(img)) != len(img):
-                raise ValueError("map is not injective")
-            if any(not (1 <= x <= b) for x in img):
-                raise ValueError("image out of range")
-
-
-def compose(f: Morphism, g: Morphism, group: GroupTable | None = None) -> Morphism:
-    """f after g; group parts multiply via the group table."""
-    if g.target != f.source:
-        raise ValueError(f"cannot compose: {g.target} != {f.source}")
-    maps = tuple(
-        tuple(fimg[x - 1] for x in gimg) for fimg, gimg in zip(f.maps, g.maps)
-    )
-    if f.group_elt == 0:
-        ge = g.group_elt
-    elif g.group_elt == 0:
-        ge = f.group_elt
-    else:
-        if group is None:
-            raise ValueError("need a group table to compose nontrivial group parts")
-        ge = group.mult[f.group_elt][g.group_elt]
-    return Morphism(g.source, f.target, maps, ge)
-
-
 @lru_cache(maxsize=None)
 def _injections_one(a: int, b: int):
     """All injections [a] -> [b] as image tuples, lexicographic."""
@@ -366,16 +314,10 @@ def _injection_images(a: Obj, b: Obj):
     return itertools.product(*[_injections_one(x, y) for x, y in zip(a, b)])
 
 
-def enumerate_injections(a: Obj, b: Obj):
-    """All injections a -> b (group part trivial), in basis order."""
-    return [Morphism(a, b, maps, 0) for maps in _injection_images(a, b)]
-
-
 @lru_cache(maxsize=None)
 def injection_index_table(a: Obj, b: Obj):
     """{image tuples: basis index} over the injections a -> b, in basis
-    order; built without a Morphism.  Every caller shares it, so it is a
-    read-only mapping."""
+    order.  Every caller shares it, so it is a read-only mapping."""
     return MappingProxyType(
         {maps: i for i, maps in enumerate(_injection_images(a, b))})
 
@@ -468,81 +410,3 @@ def generator_keys(window: Window, group: GroupTable) -> list:
     """The keys of :func:`window_generators`, as a fresh list."""
     return [key for key, _, _ in window_generators(window, group)]
 
-
-# -- factorization into generators --------------------------------------
-
-
-def factor_injection(img: tuple, b: int):
-    """Write an injection [a] -> [b] (image tuple img) as sigma o std^k.
-
-    Returns (sigma, k) with k = b - a and sigma a permutation of [b] as an
-    image tuple; std^k is x -> x + k.
-    """
-    a = len(img)
-    k = b - a
-    sigma = [0] * b
-    for x, y in enumerate(img, start=1):
-        sigma[x + k - 1] = y
-    missing = sorted(set(range(1, b + 1)) - set(img))
-    for slot, y in zip(range(k), missing):
-        sigma[slot] = y
-    return tuple(sigma), k
-
-
-def perm_to_adjacent(sigma: tuple):
-    """sigma as a composition s_{k_1} o ... o s_{k_t} of adjacent swaps.
-
-    Swapping list positions k, k+1 of the image tuple precomposes with s_k,
-    so bubble-sorting records a word with sigma o s_{w_1} o ... o s_{w_t} =
-    id, i.e. sigma = s_{w_t} o ... o s_{w_1}.  The reversed word is returned,
-    so action matrices multiply left to right over it.
-    """
-    n = len(sigma)
-    word = []
-    current = list(sigma)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(1, n):
-            if current[k - 1] > current[k]:
-                current[k - 1], current[k] = current[k], current[k - 1]
-                word.append(k)
-                changed = True
-    word.reverse()
-    return word
-
-
-def factor_morphism(mor: Morphism, group: GroupTable):
-    """Factor a morphism into generator keys.
-
-    Returns keys in matrix-composition order: the action matrix of ``mor``
-    is the product of the generator action matrices taken left to right over
-    the returned list.  Coordinates are raised in ascending order after the
-    group part acts first.
-    """
-    m = len(mor.source)
-    keys = []
-    current = list(mor.source)
-    stages = []  # collect per coordinate, then reverse for matrix order
-    for i in range(1, m + 1):
-        a, b = mor.source[i - 1], mor.target[i - 1]
-        img = mor.maps[i - 1]
-        sigma, k = factor_injection(img, b)
-        incl_keys = []
-        for step in range(k):
-            at = tuple(current)
-            incl_keys.append(("incl", i, at))
-            current[i - 1] += 1
-        at_top = tuple(current)
-        swap_keys = [("swap", i, kk, at_top) for kk in perm_to_adjacent(sigma)]
-        # matrix order: swaps (applied last) first, then inclusions from the
-        # top object down to the source
-        stages.append(swap_keys + incl_keys[::-1])
-    # coordinate m raised last -> its matrices are leftmost
-    for stage in reversed(stages):
-        keys.extend(stage)
-    if mor.group_elt != 0:
-        at = mor.source
-        for j in group.word(mor.group_elt):
-            keys.append(("grp", j, at))
-    return keys

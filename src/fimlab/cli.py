@@ -214,6 +214,14 @@ def cmd_build(args) -> int:
     return _emit({"written": args.output, "dims": dims}, 0)
 
 
+# each functor command: (the functor at one coordinate, its sum over a subset)
+FUNCTORS = {
+    "shift": (shift, shift_sum),
+    "derivative": (derivative, derivative_sum),
+    "kernel": (kernel_functor, kernel_sum),
+}
+
+
 def cmd_functor(args) -> int:
     mod = TruncatedModule.load(args.module)
     coords = _flag_coords(args.i, "-i")
@@ -222,20 +230,8 @@ def cmd_functor(args) -> int:
     for i in coords:
         if not (1 <= i <= mod.m):
             raise ValueError(f"-i: coordinate {i} out of range for m={mod.m}")
-    if args.op == "shift":
-        out = shift(mod, coords[0]) if len(coords) == 1 else shift_sum(mod, coords)
-    elif args.op == "derivative":
-        out = (
-            derivative(mod, coords[0])
-            if len(coords) == 1
-            else derivative_sum(mod, coords)
-        )
-    else:
-        out = (
-            kernel_functor(mod, coords[0])
-            if len(coords) == 1
-            else kernel_sum(mod, coords)
-        )
+    single, total = FUNCTORS[args.op]
+    out = single(mod, coords[0]) if len(coords) == 1 else total(mod, coords)
     out.save(args.output)
     dims = {str(k): v for k, v in sorted(out.dims.items())}
     return _emit({"written": args.output, "dims": dims}, 0)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=cmd_build)
 
-    for op in ("shift", "derivative", "kernel"):
+    for op in FUNCTORS:
         f = sub.add_parser(op, help=f"apply the {op} functor")
         f.add_argument("module")
         f.add_argument("-i", required=True, help="coordinate or comma subset")

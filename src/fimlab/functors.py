@@ -170,27 +170,25 @@ def _common_reduced_window(v: TruncatedModule, S) -> Window:
     return Window(tuple(bound))
 
 
-def shift_sum(v: TruncatedModule, S) -> TruncatedModule:
-    """The direct sum of the coordinate shifts over S, on the common
+def _functor_sum(functor, v: TruncatedModule, S) -> TruncatedModule:
+    """The direct sum of ``functor(v, i)`` over i in S, on the common
     reduced window."""
     S = normalize_subset(S, v.m)
     w = _common_reduced_window(v, S)
-    total, _ = direct_sum(*[restrict_window(shift(v, i), w) for i in S])
+    total, _ = direct_sum(*[restrict_window(functor(v, i), w) for i in S])
     return total
+
+
+def shift_sum(v: TruncatedModule, S) -> TruncatedModule:
+    return _functor_sum(shift, v, S)
 
 
 def derivative_sum(v: TruncatedModule, S) -> TruncatedModule:
-    S = normalize_subset(S, v.m)
-    w = _common_reduced_window(v, S)
-    total, _ = direct_sum(*[restrict_window(derivative(v, i), w) for i in S])
-    return total
+    return _functor_sum(derivative, v, S)
 
 
 def kernel_sum(v: TruncatedModule, S) -> TruncatedModule:
-    S = normalize_subset(S, v.m)
-    w = _common_reduced_window(v, S)
-    total, _ = direct_sum(*[restrict_window(kernel_functor(v, i), w) for i in S])
-    return total
+    return _functor_sum(kernel_functor, v, S)
 
 
 # -- group factor: aut tables, Ind/Res, averaging --------------------------

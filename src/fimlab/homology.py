@@ -15,14 +15,11 @@ import json
 from dataclasses import dataclass
 
 from .category import (
-    Morphism,
     Window,
     add,
     aut_swaps,
     count_injections,
     degree,
-    enumerate_injections,
-    leq,
     rekey,
     unit,
     window_generators,
@@ -33,6 +30,7 @@ from .modules import (
     Presentation,
     TruncatedModule,
     _from_columns,
+    _orbit_walk,
     close_under_actions,
     cover_blocks,
     direct_sum,
@@ -44,6 +42,7 @@ from .modules import (
     zero_module,
 )
 from .functors import (
+    _TRIV,
     complement_subset,
     induced_module,
     interleave,
@@ -268,13 +267,16 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
         if target == n or v.dims[n] == 0:
             seeds[n] = Subspace.zero(v.dims[n])
             continue
-        mat, cur = RationalMatrix.identity(v.dims[n]), n
+        # the composite starts at the first inclusion; target != n, so
+        # there is one
+        mat, cur = None, n
         for i in (i for i in S for _ in range(n[i - 1], v.window.bound[i - 1])):
             nxt = add(cur, unit(v.m, i))
             if v.dims[nxt] == 0:  # the composite is zero: all of V(n) dies
                 seeds[n] = Subspace.full(v.dims[n])
                 break
-            mat, cur = v.actions[("incl", i, cur)] * mat, nxt
+            step = v.actions[("incl", i, cur)]
+            mat, cur = step if mat is None else step * mat, nxt
         else:
             seeds[n] = kernel_basis(mat)
     spaces = close_under_actions(v, seeds)
@@ -349,21 +351,30 @@ class InducedVerdict:
 def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     """The evaluation map F_s(V[[s]]) -> V from the universal property: on
     the ambient space, beta (x) w -> V(beta) w, with beta: s -> s' in the S
-    coordinates and the identity elsewhere."""
+    coordinates and the identity elsewhere.
+
+    At each object t of the complement, V's S-part (u -> V(u x t), over
+    the S coordinates and the trivial group) takes one orbit walk from s,
+    which lists V(beta x id_t) over Inj(s, s') in make_free's order: the
+    order of the ambient basis (beta, c) of F_s(V[[s]])."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
     fsw, fsw_incl = induced_module(s, S, witness, v.group, v.window)
+    s_window = Window(tuple(v.window.bound[i - 1] for i in S))
+    walks = {}
+    for t in witness.window.objects():
+        dims = {u: v.dims[interleave(S, not_S, u, t)] for u in s_window.objects()}
+        actions = {key: v.actions[rekey(key, S[key[1] - 1],
+                                        interleave(S, not_S, key[-1], t))]
+                   for key, _, _ in window_generators(s_window, _TRIV)}
+        part = TruncatedModule(s_window, _TRIV, dims, actions)
+        walks[t] = _orbit_walk(part, s, RationalMatrix.identity(dims[s]))
     blocks = {}
     for n in v.window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        cols = []
-        if leq(s, s_part):
-            ident = tuple(tuple(range(1, x + 1)) for x in t_part)
-            for beta in enumerate_injections(s, s_part):
-                act = v.evaluate(Morphism(interleave(S, not_S, s, t_part), n,
-                                          interleave(S, not_S, beta.maps, ident), 0))
-                cols += [act.col(c) for c in range(witness.dims[t_part])]
+        cols = [img.col(c) for img in walks[t_part].get(s_part, ())
+                for c in range(img.ncols)]
         blocks[n] = _from_columns(cols, v.dims[n]) * fsw_incl.blocks[n]
     return ModuleMap(fsw, v, blocks), fsw
 

@@ -2,9 +2,10 @@
 group): the central value type of the package.
 
 A :class:`TruncatedModule` stores a dimension per window object and one
-exact rational matrix per category generator; arbitrary morphisms act
-through :func:`fimlab.category.factor_morphism`, and the cover and Hom read
-every V(beta, h) off an orbit walk instead.  Constructors cover free,
+exact rational matrix per category generator.  The free cover, Hom and
+the counit of an induced module read the values V(beta, h) of other
+morphisms off an orbit walk (:func:`_orbit_walk`), which reaches each
+injection out of an object with one product.  Constructors cover free,
 induced (Specht-isotypic image), co-free, coinduced, external tensor,
 direct sums, submodules and quotients.  Hom(V, W) is computed by Yoneda
 from generators of V read off its own data: a map is a choice of values in
@@ -24,12 +25,10 @@ from operator import mul
 
 from .category import (
     GroupTable,
-    Morphism,
     Window,
     add,
     aut_swaps,
     count_injections,
-    factor_morphism,
     generator_index_map,
     generator_keys,
     injection_index_table,
@@ -283,20 +282,6 @@ class TruncatedModule:
         label = self.name or "module"
         return f"TruncatedModule({label}, window {self.window.bound}, total dim {total})"
 
-    # -- morphism evaluation ------------------------------------------
-
-    def evaluate(self, mor: Morphism) -> RationalMatrix:
-        """The action matrix of an arbitrary window morphism."""
-        if not (self.window.contains(mor.source) and self.window.contains(mor.target)):
-            raise MarginError(f"morphism {mor} leaves the window")
-        # right to left: the products stay as narrow as the source
-        mat = RationalMatrix.identity(self.dims[mor.source])
-        for key in reversed(factor_morphism(mor, self.group)):
-            mat = self.actions[key] * mat
-        if mat.shape != (self.dims[mor.target], self.dims[mor.source]):
-            raise AssertionError("evaluation produced a wrong shape")
-        return mat
-
     def group_elements_at(self, n):
         """rho(g) for every group element at object n."""
         gen_mats = [self.actions[("grp", j, tuple(n))] for j in range(len(self.group.generators))]
@@ -314,9 +299,10 @@ class TruncatedModule:
         Passing them makes V a functor on the window.  The relations hold in
         FI^m x G and present each FI factor (Church-Ellenberg-Farb, Duke
         Math. J. 164 (2015)); the product adds only that coordinates commute.
-        :func:`factor_morphism` writes a -> b as sigma o (standard
-        inclusions) o g, and a word from a to b meets only objects c with
-        a <= c <= b, all in a box window: no rewriting leaves the window.
+        Every morphism a -> b is sigma o (standard inclusions) o g, with g
+        in G and sigma in Aut(b) a product of adjacent swaps, so a word in
+        the generators from a to b meets only objects c with a <= c <= b,
+        all in a box window: no rewriting leaves the window.
         """
         failures = []
 

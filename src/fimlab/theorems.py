@@ -759,7 +759,6 @@ def identify_summands(x: TruncatedModule, members, seed: int = 0) -> SummandRepo
         stack.append(img_fam)
         stack.append(coimg_fam)
     matches = []
-    used = []
     for fam, mod, incl in pieces:
         found = None
         for idx, member in enumerate(members):
@@ -773,5 +772,4 @@ def identify_summands(x: TruncatedModule, members, seed: int = 0) -> SummandRepo
                 notes + [f"piece with dims {sorted(mod.dims.items())} unmatched"],
             )
         matches.append(found)
-        used.append(found.member_index)
     return SummandReport(matches, EXACT, notes)

@@ -3,8 +3,9 @@
 ``verify_paper`` runs ``fimlab verify-paper --suite <name>`` through the CLI
 entry point at most once per suite and test session, so the acceptance
 criteria and the golden digests read the same reports instead of computing
-``suites.run_all(0)`` twice.  ``morphism_builds`` counts ``Morphism``
-constructions and stops a test that makes more than 10,000.
+``suites.run_all(0)`` twice.  ``morphism_builds`` counts constructions of
+the reference ``Morphism`` in ``oracles.py`` and stops a test that makes
+more than 10,000.
 """
 
 import io
@@ -13,8 +14,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fimlab.category import Morphism
 from fimlab.cli import main
+
+from oracles import Morphism
 
 
 @pytest.fixture(scope="session")

@@ -24,24 +24,23 @@ from operator import mul
 
 from fimlab.category import (
     GroupTable,
-    Morphism,
     Window,
     add,
     aut_swaps,
-    compose,
-    enumerate_injections,
     generator_keys,
     injection_index_table,
     key_ends,
     leq,
-    perm_to_adjacent,
     sub,
     unit,
+    _injection_images,
 )
 from fimlab.functors import (
     canonical_map,
     complement_subset,
     derivative,
+    induced_module,
+    interleave,
     kernel_functor,
     normalize_subset,
     shift,
@@ -131,6 +130,158 @@ def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
     mat = RationalMatrix.identity(rep.dim)
     for k in perm_to_adjacent(img):
         mat = mat * rep.gens[k - 1]
+    return mat
+
+
+# -- morphisms and their factorization into generators -----------------------
+
+
+@dataclass(frozen=True)
+class Morphism:
+    """A morphism of the product injection category with group factor:
+    componentwise injections plus a group element.
+
+    ``maps[i]`` is the image tuple (f(1), ..., f(a_i)) of an injection
+    [a_i] -> [b_i].
+    """
+
+    source: tuple
+    target: tuple
+    maps: tuple
+    group_elt: int = 0
+
+    def __post_init__(self):
+        if not (len(self.source) == len(self.target) == len(self.maps)):
+            raise ValueError("coordinate count mismatch")
+        for a, b, img in zip(self.source, self.target, self.maps):
+            if len(img) != a:
+                raise ValueError("image tuple has wrong length")
+            if len(set(img)) != len(img):
+                raise ValueError("map is not injective")
+            if any(not (1 <= x <= b) for x in img):
+                raise ValueError("image out of range")
+
+
+def compose(f: Morphism, g: Morphism, group: GroupTable | None = None) -> Morphism:
+    """f after g; group parts multiply via the group table."""
+    if g.target != f.source:
+        raise ValueError(f"cannot compose: {g.target} != {f.source}")
+    maps = tuple(
+        tuple(fimg[x - 1] for x in gimg) for fimg, gimg in zip(f.maps, g.maps)
+    )
+    if f.group_elt == 0:
+        ge = g.group_elt
+    elif g.group_elt == 0:
+        ge = f.group_elt
+    else:
+        if group is None:
+            raise ValueError("need a group table to compose nontrivial group parts")
+        ge = group.mult[f.group_elt][g.group_elt]
+    return Morphism(g.source, f.target, maps, ge)
+
+
+def enumerate_injections(a, b) -> list:
+    """All injections a -> b (group part trivial), in basis order."""
+    return [Morphism(a, b, maps, 0) for maps in _injection_images(a, b)]
+
+
+def group_word(group: GroupTable, g: int) -> list:
+    """g as a product of generators, as indices, read off the group's
+    breadth-first tree; matrices multiply in the returned order (leftmost
+    factor applied last)."""
+    if g not in group.tree:
+        raise ValueError(f"element {g} is not in the group")
+    word = []
+    while group.tree[g] is not None:
+        j, g = group.tree[g]
+        word.append(j)
+    return word
+
+
+def factor_injection(img: tuple, b: int):
+    """Write an injection [a] -> [b] (image tuple img) as sigma o std^k.
+
+    Returns (sigma, k) with k = b - a and sigma a permutation of [b] as an
+    image tuple; std^k is x -> x + k.
+    """
+    a = len(img)
+    k = b - a
+    sigma = [0] * b
+    for x, y in enumerate(img, start=1):
+        sigma[x + k - 1] = y
+    missing = sorted(set(range(1, b + 1)) - set(img))
+    for slot, y in zip(range(k), missing):
+        sigma[slot] = y
+    return tuple(sigma), k
+
+
+def perm_to_adjacent(sigma: tuple):
+    """sigma as a composition s_{k_1} o ... o s_{k_t} of adjacent swaps.
+
+    Swapping list positions k, k+1 of the image tuple precomposes with s_k,
+    so bubble-sorting records a word with sigma o s_{w_1} o ... o s_{w_t} =
+    id, i.e. sigma = s_{w_t} o ... o s_{w_1}.  The reversed word is returned,
+    so action matrices multiply left to right over it.
+    """
+    n = len(sigma)
+    word = []
+    current = list(sigma)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(1, n):
+            if current[k - 1] > current[k]:
+                current[k - 1], current[k] = current[k], current[k - 1]
+                word.append(k)
+                changed = True
+    word.reverse()
+    return word
+
+
+def factor_morphism(mor: Morphism, group: GroupTable):
+    """Factor a morphism into generator keys.
+
+    Returns keys in matrix-composition order: the action matrix of ``mor``
+    is the product of the generator action matrices taken left to right over
+    the returned list.  Coordinates are raised in ascending order after the
+    group part acts first.
+    """
+    m = len(mor.source)
+    keys = []
+    current = list(mor.source)
+    stages = []  # collect per coordinate, then reverse for matrix order
+    for i in range(1, m + 1):
+        b = mor.target[i - 1]
+        sigma, k = factor_injection(mor.maps[i - 1], b)
+        incl_keys = []
+        for _ in range(k):
+            incl_keys.append(("incl", i, tuple(current)))
+            current[i - 1] += 1
+        at_top = tuple(current)
+        swap_keys = [("swap", i, kk, at_top) for kk in perm_to_adjacent(sigma)]
+        # matrix order: swaps (applied last) first, then inclusions from the
+        # top object down to the source
+        stages.append(swap_keys + incl_keys[::-1])
+    # coordinate m raised last -> its matrices are leftmost
+    for stage in reversed(stages):
+        keys.extend(stage)
+    if mor.group_elt != 0:
+        keys.extend(("grp", j, mor.source) for j in group_word(group, mor.group_elt))
+    return keys
+
+
+def evaluate(v: TruncatedModule, mor: Morphism) -> RationalMatrix:
+    """V(mor) for an arbitrary window morphism: the product of the
+    generator actions along :func:`factor_morphism`'s word.  The reference
+    for every V(beta) the package reads off an orbit walk."""
+    if not (v.window.contains(mor.source) and v.window.contains(mor.target)):
+        raise MarginError(f"morphism {mor} leaves the window")
+    # right to left: the products stay as narrow as the source
+    mat = RationalMatrix.identity(v.dims[mor.source])
+    for key in reversed(factor_morphism(mor, v.group)):
+        mat = v.actions[key] * mat
+    if mat.shape != (v.dims[mor.target], v.dims[mor.source]):
+        raise AssertionError("evaluation produced a wrong shape")
     return mat
 
 
@@ -432,7 +583,7 @@ def evaluate_basis(v: TruncatedModule, n, x) -> list:
     orbit walk replaced, kept as its reference."""
     if not leq(n, x):
         return []
-    return [v.evaluate(Morphism(b.source, b.target, b.maps, h))
+    return [evaluate(v, Morphism(b.source, b.target, b.maps, h))
             for b in enumerate_injections(n, x) for h in range(v.group.order)]
 
 
@@ -468,6 +619,30 @@ def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:
         for j in range(len(lifts)):
             cols.extend(img.col(j) for img in images)
     return RationalMatrix(cols, len(cols), v.dims[x]).transpose()
+
+
+def counit_blocks_by_evaluate(v: TruncatedModule, s, S, witness: TruncatedModule) -> dict:
+    """The blocks of the counit F_s(V[[s]]) -> V, beta (x) w -> V(beta x
+    id_t) w, with every V(beta x id_t) factored into generators by
+    :func:`evaluate`: the route the orbit walk of V's S-part replaced in
+    ``homology._counit_map``, kept as its reference."""
+    S = normalize_subset(S, v.m)
+    not_S = complement_subset(S, v.m)
+    s = tuple(s)
+    _, fsw_incl = induced_module(s, S, witness, v.group, v.window)
+    blocks = {}
+    for n in v.window.objects():
+        s_part, t_part = split_obj(n, S, not_S)
+        cols = []
+        if leq(s, s_part):
+            ident = tuple(tuple(range(1, x + 1)) for x in t_part)
+            for beta in enumerate_injections(s, s_part):
+                act = evaluate(v, Morphism(interleave(S, not_S, s, t_part), n,
+                                           interleave(S, not_S, beta.maps, ident), 0))
+                cols += [act.col(c) for c in range(witness.dims[t_part])]
+        block = RationalMatrix(cols, len(cols), v.dims[n]).transpose()
+        blocks[n] = block * fsw_incl.blocks[n]
+    return blocks
 
 
 def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> NaturalitySolver:

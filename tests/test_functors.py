@@ -7,11 +7,8 @@ import pytest
 from fimlab import symrep
 from fimlab.category import (
     GroupTable,
-    Morphism,
     Window,
     aut_swaps,
-    compose,
-    enumerate_injections,
     generator_keys,
     injection_index_table,
     leq,
@@ -50,7 +47,10 @@ from fimlab.functors import (
 )
 
 from oracles import (
+    Morphism,
+    compose,
     derivative_decomposition_by_indexing,
+    enumerate_injections,
     exact_four_term_check,
     invert_perm,
     morphism_of_key,

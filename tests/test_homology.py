@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fimlab import homology
@@ -36,6 +38,8 @@ from fimlab.samples import (
     random_presented_module,
     truncated_constant,
 )
+
+from oracles import counit_blocks_by_evaluate, enumerate_injections, evaluate
 
 TRIV = GroupTable.trivial()
 
@@ -315,6 +319,32 @@ def test_is_S_induced_round_trip():
         assert is_S_induced(v, S).ok
 
 
+_COUNIT_GROUPS = {"1": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4,), (2, 2), (3, 2)]), st.sampled_from(sorted(_COUNIT_GROUPS)),
+       st.booleans(), st.integers(0, 300), st.integers(0, 2), st.integers(0, 11))
+@example((3, 2), "S2", False, 0, 0, 4)
+@example((2, 2), "1", False, 1, 2, 4)
+def test_counit_matches_evaluating_every_injection(bound, group, constant, seed,
+                                                   s_choice, s_index):
+    """The counit F_s(V[[s]]) -> V read off the orbit walks of V's S-part
+    equals the one that factors every V(beta x id_t) into generators, for
+    proper and full S and any s, on modules with and without zero values."""
+    window, g = Window(bound), _COUNIT_GROUPS[group]
+    v = (truncated_constant(window, 1 + seed % sum(bound), g) if constant
+         else random_presented_module(window, seed, g))
+    subsets = [S for r in range(1, window.m + 1)
+               for S in combinations(range(1, window.m + 1), r)]
+    S = subsets[s_choice % len(subsets)]
+    s_parts = Window(tuple(bound[i - 1] for i in S)).objects()
+    s = s_parts[s_index % len(s_parts)]
+    witness = slice_module(v, s, S)
+    counit, _ = homology._counit_map(v, s, S, witness)
+    assert counit.blocks == counit_blocks_by_evaluate(v, s, S, witness)
+
+
 def test_point_module_not_induced_or_semi():
     e = point_module(Window((2,)))
     assert not is_S_induced(e, (1,)).ok
@@ -461,7 +491,7 @@ def test_derivative_semi_induced_implication():
 def test_detect_torsion_matches_brute_force_scan():
     """The quotient of M(1) by everything above degree 1 is all torsion at
     (1); a brute-force kernel scan over every window morphism agrees."""
-    from fimlab.category import enumerate_injections, leq as _leq
+    from fimlab.category import leq as _leq
     from fimlab.linalg import kernel_basis
     from fimlab.modules import close_under_actions, quotient
     from fimlab.linalg import Subspace as Sub
@@ -481,7 +511,7 @@ def test_detect_torsion_matches_brute_force_scan():
             if t == n or not _leq(n, t):
                 continue
             for f in enumerate_injections(n, t):
-                brute = brute.add(kernel_basis(k1.evaluate(f)))
+                brute = brute.add(kernel_basis(evaluate(k1, f)))
         assert brute == tv.spaces[n]
 
 

@@ -103,8 +103,9 @@ def _referenced(nodes):
 def _definitions(path):
     """The top-level functions and classes and the non-dunder methods of one
     source file, as {(file, qualified name): (names that reach it, names its
-    body reads)}, and the names that module-level code reads.  A method is
-    reached through ``.name``; a dunder method's body counts as its class's."""
+    body reads)}, and the names that module-level code reads.  A top-level
+    function or class is reached by its bare name, a method through
+    ``.name``; a dunder method's body counts as its class's."""
     defs, roots = {}, set()
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -115,13 +116,13 @@ def _definitions(path):
                for d in node.decorator_list):
             roots.add(node.name)
         if isinstance(node, ast.FunctionDef):
-            defs[(path.name, node.name)] = ({node.name, "." + node.name},
+            defs[(path.name, node.name)] = ({node.name},
                                             _referenced([node.args, *node.body]))
             continue
         methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
         dunders = [m for m in methods if m.name.startswith("__") and m.name.endswith("__")]
         body = [s for s in node.body if s not in methods] + node.bases + dunders
-        defs[(path.name, node.name)] = ({node.name, "." + node.name}, _referenced(body))
+        defs[(path.name, node.name)] = ({node.name}, _referenced(body))
         for m in methods:
             roots |= _referenced(m.decorator_list)
             if m not in dunders:
@@ -156,6 +157,40 @@ def test_every_package_function_has_a_package_caller():
                 grown = True
     dead = [f"{file}:{name}" for file, name in sorted(set(defs) - live)]
     assert not dead, f"no caller in the package: {', '.join(dead)}"
+
+
+# The word factorization: a Morphism value per injection, factored into a
+# generator word and multiplied along it.  Every V(beta) in the package
+# comes from the injection-index tables or the orbit walk instead; the
+# factorization lives in ``tests/oracles.py`` as their reference.
+WORD_FACTORIZATION = ("Morphism", "compose", "enumerate_injections", "evaluate",
+                      "factor_injection", "factor_morphism", "perm_to_adjacent", "word")
+
+
+def test_package_has_no_word_factorization():
+    """The package defines, imports and calls none of the word
+    factorization's names.  ``ModuleMap.compose`` composes natural maps, not
+    morphisms, so a method call ``.compose`` is allowed."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name if node.name != "compose" else None
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr if node.attr != "compose" else None
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in WORD_FACTORIZATION:
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
+    top_level = [node.name for path in sorted(SOURCE.glob("*.py"))
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert "compose" not in top_level
 
 
 def test_tracer_names_live_callables():

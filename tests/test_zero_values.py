@@ -6,9 +6,10 @@ with the reference in ``oracles.py`` that visits every generator and object,
 zero values included, and requires equal dims, actions, blocks and
 ``is_natural`` verdicts.  The last tests check that the builders,
 ``is_natural`` and ``detect_torsion`` make no product with an empty operand
-on such modules.
+on such modules, and that ``detect_torsion`` multiplies into no identity.
 """
 
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -230,14 +231,15 @@ def test_coordinates_match_the_product_check(d, k, cols, inside, rnd):
 
 
 @contextmanager
-def _empty_products():
-    """The operand shapes of every product with an empty operand made
-    inside the block."""
+def _products(keep):
+    """The operand shapes of every product made inside the block for which
+    ``keep(a, b, caller)`` holds, ``caller`` naming the function that
+    multiplies."""
     seen = []
     mul = RationalMatrix.__mul__
 
     def recording(a, b):
-        if not (a.nrows and a.ncols and b.ncols):
+        if keep(a, b, sys._getframe(1).f_code.co_name):
             seen.append((a.shape, b.shape))
         return mul(a, b)
 
@@ -246,6 +248,18 @@ def _empty_products():
         yield seen
     finally:
         RationalMatrix.__mul__ = mul
+
+
+def _empty_products():
+    """Every product with an empty operand."""
+    return _products(lambda a, b, _: not (a.nrows and a.ncols and b.ncols))
+
+
+def _identity_products(caller: str):
+    """Every product with an identity right operand that the function
+    named ``caller`` itself makes."""
+    return _products(lambda a, b, name: name == caller and b.nrows == b.ncols
+                     and b == RationalMatrix.identity(b.nrows))
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,9 +281,11 @@ def test_builders_and_checks_make_no_empty_product(mods, right, rnd):
 def test_detect_torsion_stops_at_the_first_zero_value(bound, S):
     """The inclusions from n towards the top of the window meet a zero
     value, so all of V(n) is torsion; no product with an empty operand is
-    made on the way there."""
+    made on the way there, and the composite starts at the first inclusion,
+    not at an identity."""
     v = truncated_constant(Window(bound), 2)
-    with _empty_products() as seen:
+    with _empty_products() as seen, _identity_products("detect_torsion") as identities:
         tv = detect_torsion(v, S)
     assert seen == []
+    assert identities == []
     assert tv.spaces == {n: Subspace.full(d) for n, d in v.dims.items()}
