@@ -41,10 +41,10 @@ from .modules import (
     cover_blocks,
     direct_sum,
     make_free,
+    make_free_sum,
     quotient,
     restrict_window,
     submodule_from_stable_subspaces,
-    zero_module,
 )
 from .symrep import regular_rep_matrices
 
@@ -413,11 +413,11 @@ def _shift_generators(n, i: int, shifted: TruncatedModule) -> list:
     return gens
 
 
-def _lower_copies(n, i: int, window: Window, group: GroupTable) -> list:
-    """The n_i summands M(n - o_i) of Lemma 2.3 on the window."""
+def _lower_copies(n, i: int) -> list:
+    """The generator objects of the n_i summands M(n - o_i) of Lemma 2.3."""
     if not n[i - 1]:
         return []
-    return [make_free(sub(n, unit(len(n), i)), window, group)] * n[i - 1]
+    return [sub(n, unit(len(n), i))] * n[i - 1]
 
 
 def shift_free_decomposition(n, i: int, window: Window,
@@ -430,7 +430,8 @@ def shift_free_decomposition(n, i: int, window: Window,
     free = make_free(n, window, group)
     shifted = shift(free, i)
     w2 = shifted.window
-    big, _ = direct_sum(restrict_window(free, w2), *_lower_copies(n, i, w2, group))
+    big, _ = direct_sum(restrict_window(free, w2),
+                        make_free_sum(_lower_copies(n, i), w2, group))
     gens = _shift_generators(n, i, shifted)
     iso = ModuleMap(big, shifted, cover_blocks(shifted, gens))
     return iso, big, shifted
@@ -446,9 +447,7 @@ def derivative_free_decomposition(n, i: int, window: Window,
     n = tuple(n)
     can = canonical_map(make_free(n, window, group), i)
     derived, proj = quotient(can.target, {t: image_basis(b) for t, b in can.blocks.items()})
-    w2 = derived.window
-    copies = _lower_copies(n, i, w2, group)
-    big = direct_sum(*copies)[0] if copies else zero_module(w2, group)
+    big = make_free_sum(_lower_copies(n, i), derived.window, group)
     gens = [(obj, [proj.blocks[obj].apply(u) for u in lifts])
             for obj, lifts in _shift_generators(n, i, can.target) if obj != n]
     iso = ModuleMap(big, derived, cover_blocks(derived, gens))

@@ -33,9 +33,8 @@ from .modules import (
     _orbit_walk,
     close_under_actions,
     cover_blocks,
-    direct_sum,
     h0_generators,
-    make_free,
+    make_free_sum,
     positive_degree_image,
     quotient,
     submodule_from_stable_subspaces,
@@ -182,8 +181,7 @@ def free_cover(v: TruncatedModule):
         p = zero_module(v.window, v.group)
         k = zero_module(v.window, v.group)
         return p, ModuleMap.zero(p, v), k, ModuleMap.zero(k, p)
-    slots = [(n, None) for n, lifts in gens for _ in lifts]
-    p, _ = direct_sum(*[make_free(n, v.window, v.group) for n, _ in slots])
+    p = make_free_sum([n for n, lifts in gens for _ in lifts], v.window, v.group)
     pi = ModuleMap(p, v, cover_blocks(v, gens))
     ker_spaces = {n: kernel_basis(b) for n, b in pi.blocks.items()}
     # rank-nullity: pi is onto at n exactly when its kernel has this dimension

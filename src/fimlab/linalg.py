@@ -19,6 +19,7 @@ elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -116,6 +117,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(n):
+    """The rows of the n x n identity, shared by every identity built and
+    by the identity test in products."""
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
+
+
 def _make(rows, den, nrows, ncols):
     """The matrix of int row tuples ``rows`` over ``den``, already reduced."""
     m = object.__new__(RationalMatrix)
@@ -195,10 +204,7 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        zero = (0,) * n
-        return _make(
-            tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)), 1, n, n
-        )
+        return _make(_identity_rows(n), 1, n, n)
 
     @staticmethod
     def column(vec) -> "RationalMatrix":
@@ -287,6 +293,14 @@ class RationalMatrix:
                 f"shape mismatch in *: {self.shape} by {other.shape}"
             )
         nc = other.ncols
+        # an identity operand gives the other one back (matrices are
+        # immutable); a left one must be square: a 0 x k matrix has the
+        # (empty) rows of the 0 x 0 identity
+        if other.den == 1 and other.nrows == nc and other.rows == _identity_rows(nc):
+            return self
+        if (self.den == 1 and self.nrows == self.ncols
+                and self.rows == _identity_rows(self.nrows)):
+            return other
         if not (self.nrows and self.ncols and nc):
             return RationalMatrix.zeros(self.nrows, nc)
         # each left row pays for its nonzero entries only: a row that is a

@@ -616,13 +616,7 @@ class ModuleMap:
 
 
 def zero_module(window: Window, group: GroupTable) -> TruncatedModule:
-    dims = {n: 0 for n in window.objects()}
-    actions = {
-        key: RationalMatrix.zeros(0, 0) for key, _, _ in window_generators(window, group)
-    }
-    return TruncatedModule(
-        window, group, dims, actions, Presentation.make([], tuple([0] * window.m))
-    )
+    return make_free_sum([], window, group)
 
 
 def _before_generator(key, maps) -> tuple:
@@ -651,37 +645,56 @@ def _monomial(cols, nrows: int, ncols: int) -> RationalMatrix:
 
 def make_free(n, window: Window, group: GroupTable | None = None,
               name: str = "") -> TruncatedModule:
-    """The representable projective at n (tensored with the group algebra).
+    """The representable projective at n (tensored with the group algebra):
+    :func:`make_free_sum` on the one generator object n."""
+    return make_free_sum([n], window, group, name or f"M{obj_str(n)}")
 
-    Basis of the value at t: injections n -> t in enumeration order, each
-    paired with the group elements, group index varying fastest.  An incl
-    or swap generator acts by a map of injection indices (a permutation
-    for a swap, see :mod:`fimlab.category`) read off the shared
-    ``generator_index_map``, and a group generator g by (beta, h) ->
-    (beta, g h); no morphism is built.
+
+def make_free_sum(objs, window: Window, group: GroupTable | None = None,
+                  name: str = "") -> TruncatedModule:
+    """The free module F(n_1) + ... + F(n_k) on the generator objects
+    ``objs`` (repeats allowed, none for the zero module), built in one pass.
+
+    Basis of the value at t: summand by summand, and within F(n_j) the
+    injections n_j -> t in enumeration order, each paired with the group
+    elements, group index varying fastest.  An incl or swap generator acts
+    on each summand by a map of injection indices (a permutation for a
+    swap, see :mod:`fimlab.category`) read off the shared
+    ``generator_index_map`` and moved by the summand's row and column
+    offsets, and a group generator g by (beta, h) -> (beta, g h); no
+    morphism and no block matrix is built.  The result equals
+    ``direct_sum`` of the single free modules, without its inclusions.
     """
-    n = tuple(n)
+    objs = [tuple(n) for n in objs]
     group = group or GroupTable.trivial()
-    if not window.contains(n):
-        raise MarginError(f"generator object {n} lies outside the window")
+    for n in objs:
+        if not window.contains(n):
+            raise MarginError(f"generator object {n} lies outside the window")
     og = group.order
-    dims = {t: count_injections(n, t) * og for t in window.objects()}
+    sizes = {t: [count_injections(n, t) * og for n in objs] for t in window.objects()}
+    dims = {t: sum(ds) for t, ds in sizes.items()}
     actions = {}
     for key, src, tgt in window_generators(window, group):
         cols = [None] * dims[tgt]
-        if dims[src]:
-            if key[0] == "grp":
-                g = group.generators[key[1]]
-                for bi in range(0, dims[src], og):
-                    for h in range(og):
-                        cols[bi + group.mult[g][h]] = bi + h
-            else:
-                for bi, ti in enumerate(generator_index_map(n, key)):
-                    for h in range(og):
-                        cols[ti * og + h] = bi * og + h
+        if key[0] == "grp":
+            # every summand's block is a run of |G|-blocks, each (beta, h)
+            mult = group.mult[group.generators[key[1]]]
+            for bi in range(0, dims[src], og):
+                for h in range(og):
+                    cols[bi + mult[h]] = bi + h
+        elif dims[src]:
+            so = to = 0  # the summand's first index at src and at tgt
+            for n, ds, dt in zip(objs, sizes[src], sizes[tgt]):
+                if ds:
+                    for bi, ti in enumerate(generator_index_map(n, key)):
+                        for h in range(og):
+                            cols[to + ti * og + h] = so + bi * og + h
+                so += ds
+                to += dt
         actions[key] = _monomial(cols, dims[tgt], dims[src])
-    pres = Presentation.make([(n, None)], n)
-    return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
+    rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
+    pres = Presentation(tuple((n, None) for n in objs), rel, False)
+    return TruncatedModule(window, group, dims, actions, pres, name)
 
 
 def make_cofree(l, window: Window, group: GroupTable | None = None,

@@ -15,9 +15,9 @@ from .linalg import Subspace
 from .modules import (
     TruncatedModule,
     close_under_actions,
-    direct_sum,
     make_cofree,
     make_free,
+    make_free_sum,
     quotient,
 )
 
@@ -55,7 +55,7 @@ def random_presented_module(
     gen_objs = [n for n in objs if degree(n) <= gen_degree]
     rel_objs = [n for n in objs if 0 < degree(n) <= rel_degree]
     gens = [rng.choice(gen_objs) for _ in range(rng.randint(1, MAX_GENS))]
-    p, _ = direct_sum(*[make_free(n, window, group) for n in gens])
+    p = make_free_sum(gens, window, group)
     n_rels = rng.randint(0, MAX_RELS)
     seeds = {}
     for _ in range(n_rels):

@@ -65,6 +65,7 @@ from fimlab.modules import (
     Presentation,
     TruncatedModule,
     cover_blocks,
+    direct_sum,
     h0_generators,
     make_free,
     obj_str,
@@ -381,6 +382,17 @@ def make_free_by_compose(n, window: Window, group: GroupTable | None = None,
         actions[key] = RationalMatrix(mat, dims[tgt], dims[src])
     pres = Presentation.make([(n, None)], n)
     return TruncatedModule(window, group, dims, actions, pres, name or f"M{obj_str(n)}")
+
+
+def free_sum_by_direct_sum(objs, window: Window, group: GroupTable) -> TruncatedModule:
+    """Reference for ``make_free_sum``: the direct sum of one compose-built
+    free module per object, and for no objects the zero module, with 0 x 0
+    actions and the zero relation bound."""
+    if objs:
+        return direct_sum(*[make_free_by_compose(n, window, group) for n in objs])[0]
+    actions = {key: RationalMatrix.zeros(0, 0) for key in generator_keys(window, group)}
+    return TruncatedModule(window, group, {n: 0 for n in window.objects()}, actions,
+                           Presentation.make([], (0,) * window.m))
 
 
 def make_cofree_by_compose(l, window: Window, group: GroupTable | None = None,

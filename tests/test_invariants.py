@@ -1,8 +1,9 @@
 """Invariants of the package source: its checks are explicit raises, so
 ``python -O`` keeps them, it calls a general solver only where listed,
 every function it defines has a caller in the package, every callable
-the benchmark's layer tracer names exists, and only a module's constructor
-writes its dims and actions."""
+the benchmark's layer tracer names exists, only a module's constructor
+writes its dims and actions, and no direct sum is taken of free modules
+alone."""
 
 import ast
 import importlib
@@ -49,6 +50,11 @@ GENERAL_SOLVES = {
 }
 
 
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _general_solve_calls(path):
     """(file, enclosing function, callee) of each solve, solve_matrix and
     inverse call in one source file."""
@@ -63,8 +69,7 @@ def _general_solve_calls(path):
                 visit(child, f"{scope}.{child.name}" if in_class else scope or child.name)
             else:
                 if isinstance(child, ast.Call):
-                    func = child.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    name = _callee(child)
                     if name in ("solve", "solve_matrix", "inverse"):
                         found.append((path.name, scope, name))
                 visit(child, scope, in_class)
@@ -259,4 +264,31 @@ def test_module_data_is_written_only_by_its_constructor():
     which checks their shapes; a later write would skip that check and
     change a module other code may share."""
     found = [w for path in sorted(SOURCE.glob("*.py")) for w in _module_data_writes(path)]
+    assert found == []
+
+
+def _only_free_modules(arg):
+    """Whether a call argument is ``make_free(...)``, or a starred
+    comprehension of them."""
+    if isinstance(arg, ast.Starred):
+        arg = arg.value
+        if not isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+            return False
+        arg = arg.elt
+    return isinstance(arg, ast.Call) and _callee(arg) == "make_free"
+
+
+def _free_only_direct_sums(path):
+    """Each ``direct_sum`` call of one source file whose arguments are all
+    free modules, as file:line."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and _callee(node) == "direct_sum"
+            and node.args and all(map(_only_free_modules, node.args))]
+
+
+def test_free_sums_are_built_in_one_pass():
+    """A sum of free modules comes from ``make_free_sum``'s index
+    arithmetic, not from ``direct_sum``'s block matrices and inclusions."""
+    found = [c for path in sorted(SOURCE.glob("*.py")) for c in _free_only_direct_sums(path)]
     assert found == []

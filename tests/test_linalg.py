@@ -407,6 +407,53 @@ def test_product_matches_sympy(pair):
     assert got == RationalMatrix(_sympy_rows(want), *want.shape)
 
 
+def _fraction_product(a, b):
+    return [[sum((a[i, k] * b[k, j] for k in range(a.ncols)), F(0))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+@st.composite
+def identity_or_empty_products(draw):
+    """A product with an identity on one side, or an empty dimension."""
+    side = draw(st.sampled_from(["identity left", "identity right", "empty"]))
+    if side == "empty":
+        dims = [draw(st.integers(0, 3)) for _ in range(3)]
+        dims[draw(st.integers(0, 2))] = 0
+        nr, k, nc = dims
+    else:
+        nr, k, nc = (draw(st.integers(0, 4)) for _ in range(3))
+    left = draw(matrices(nr, k, nr, k))
+    right = draw(matrices(k, nc, k, nc))
+    if side == "identity left":
+        left = RationalMatrix.identity(k)
+    elif side == "identity right":
+        right = RationalMatrix.identity(k)
+    return left, right
+
+
+@settings(max_examples=80, deadline=None)
+@given(identity_or_empty_products())
+@example((RationalMatrix([], 0, 3), RationalMatrix.identity(3)))
+@example((RationalMatrix.identity(0), RationalMatrix([], 0, 3)))
+@example((RationalMatrix([], 0, 0), RationalMatrix([], 0, 2)))
+@example((RationalMatrix([], 0, 2), RationalMatrix([[1], [2]])))
+@example((RationalMatrix([[], []], 2, 0), RationalMatrix.identity(0)))
+@example((RationalMatrix.identity(2), RationalMatrix([[], []], 2, 0)))
+@example((RationalMatrix([[1, 0], [0, 1]]), RationalMatrix([["1/2", 3], [2, 0]])))
+def test_product_with_an_identity_or_empty_operand_matches_fractions(pair):
+    """Shape and value agree with a Fraction product, and an identity
+    operand hands the other one back."""
+    a, b = pair
+    got = a * b
+    assert got.shape == (a.nrows, b.ncols)
+    assert [[got[i, j] for j in range(got.ncols)] for i in range(got.nrows)] \
+        == _fraction_product(a, b)
+    if b == RationalMatrix.identity(b.nrows):
+        assert got is a
+    elif a == RationalMatrix.identity(a.nrows):
+        assert got is b
+
+
 def test_solve_matrix_with_no_rows():
     m = RationalMatrix([], 0, 3)
     rhs = RationalMatrix([], 0, 2)

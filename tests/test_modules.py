@@ -26,6 +26,7 @@ from fimlab.modules import (
     make_cofree,
     make_coinduced,
     make_free,
+    make_free_sum,
     make_induced,
     quotient,
     restrict_window,
@@ -43,6 +44,7 @@ from oracles import (
     enumerate_injections,
     evaluate,
     evaluate_basis,
+    free_sum_by_direct_sum,
     functorial_on_window,
     make_cofree_by_compose,
     make_coinduced_by_compose,
@@ -153,6 +155,37 @@ def test_free_and_coinduced_match_generator_morphisms_on_3_3_with_s2():
         got, want = make_coinduced(lambdas, window, s2), make_coinduced_by_compose(lambdas, window, s2)
         assert got.dims == want.dims
         assert got.actions == want.actions
+
+
+_SUM_GROUPS = {"trivial": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
+
+
+@st.composite
+def free_sum_cases(draw):
+    window = Window(draw(st.sampled_from([(4,), (2, 2), (3, 2), (1, 1, 1)])))
+    objs = draw(st.lists(st.sampled_from(window.objects()), max_size=4))
+    return window, objs, draw(st.sampled_from(sorted(_SUM_GROUPS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_sum_cases())
+@example((Window((4,)), [], "trivial"))
+@example((Window((2, 2)), [(2, 2), (0, 1), (2, 2)], "S2"))
+@example((Window((3, 2)), [(1, 0), (1, 0), (3, 2)], "C3"))
+@example((Window((1, 1, 1)), [(1, 1, 1), (0, 0, 0)], "C3"))
+def test_free_sum_is_the_direct_sum_of_free_modules(case):
+    """One pass over the summands' offsets writes, byte for byte, the
+    module that summing compose-built free modules writes."""
+    window, objs, group = case
+    g = _SUM_GROUPS[group]
+    got = make_free_sum(objs, window, g)
+    assert got.to_json() == free_sum_by_direct_sum(objs, window, g).to_json()
+    assert got.validate().ok
+
+
+def test_free_sum_refuses_a_generator_outside_the_window():
+    with pytest.raises(MarginError, match=r"generator object \(3, 0\)"):
+        make_free_sum([(1, 0), (3, 0)], Window((2, 2)), TRIV)
 
 
 @pytest.mark.parametrize("dim", [2.5, True, "3"])
