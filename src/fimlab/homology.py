@@ -32,8 +32,7 @@ from .modules import (
     _from_columns,
     _orbit_walk,
     close_under_actions,
-    cover_blocks,
-    h0_generators,
+    generators_and_cover,
     make_free_sum,
     positive_degree_image,
     quotient,
@@ -171,18 +170,19 @@ def h0(v: TruncatedModule, S) -> HomologyReport:
 def free_cover(v: TruncatedModule):
     """A surjection P -> V from a minimal free module, with its kernel.
 
-    P has one copy of F(n) per generator of ``h0_generators`` (lifts of H_0
-    over the full coordinate set, in increasing degree), so the cover
-    matches every S-homological degree t_0 at once.  Returns
-    (P, pi, K, K_incl).
+    P has one copy of F(n) per generator of V (lifts of H_0 over the full
+    coordinate set, in increasing degree), so the cover matches every
+    S-homological degree t_0 at once.  The generators and pi's blocks come
+    from one walk per generator object (``generators_and_cover``).
+    Returns (P, pi, K, K_incl).
     """
-    gens = h0_generators(v)
+    gens, blocks = generators_and_cover(v)
     if not gens:
         p = zero_module(v.window, v.group)
         k = zero_module(v.window, v.group)
         return p, ModuleMap.zero(p, v), k, ModuleMap.zero(k, p)
     p = make_free_sum([n for n, lifts in gens for _ in lifts], v.window, v.group)
-    pi = ModuleMap(p, v, cover_blocks(v, gens))
+    pi = ModuleMap(p, v, blocks)
     ker_spaces = {n: kernel_basis(b) for n, b in pi.blocks.items()}
     # rank-nullity: pi is onto at n exactly when its kernel has this dimension
     if any(ker_spaces[n].dim != p.dims[n] - v.dims[n] for n in ker_spaces):

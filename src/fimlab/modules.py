@@ -1129,8 +1129,10 @@ def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
     return _images_from_below(v, S, tuple(n), None)
 
 
-def h0_generators(v: TruncatedModule) -> list:
-    """Generators of V as a module, as [(n, lifts)] in increasing degree.
+def generators_and_cover(v: TruncatedModule):
+    """Generators of V as a module and their cover, in one pass:
+    ([(n, lifts)] in increasing degree, {x: the block P(x) -> V(x)} as
+    :func:`cover_blocks` gives it for those generators).
 
     The lifts at n are unit vectors e_f at non-pivot coordinates f of the
     positive-degree image I(n), so ``quotient_map`` sends each to a unit
@@ -1138,12 +1140,21 @@ def h0_generators(v: TruncatedModule) -> list:
     in the swap and group closure of I(n) and the lifts before it, so F(n)
     itself has one generator, not one per element of Aut(n) x G.  The
     images of the lifts under all window morphisms span V at every object.
+
+    I(n) is read off the cover columns walked so far.  A morphism into n
+    from a lower object factors through some n - o_i, and the generators at
+    objects <= n - o_i span V there, so I(n) is the span at n of the
+    images of the generators strictly below n.  Objects are taken in
+    increasing degree, so all of those have been walked when n is reached,
+    and no generator at n or at another object of n's degree reaches n.
+    ``Subspace`` is canonical RREF, so this I(n) is
+    ``positive_degree_image(v, full S, n)`` exactly, and so are the lifts.
     """
-    full_s = tuple(range(1, v.m + 1))
-    out = []
+    cols = {x: [] for x in v.window.objects()}  # (int column, denominator)
+    gens = []
     for n in v.window.objects_by_degree():
         d = v.dims[n]
-        span = positive_degree_image(v, full_s, n)
+        span = Subspace.from_spanning(d, (c for c, _ in cols[n]))
         if span.dim == d:
             continue
         autos = _automorphism_mats(v, n)
@@ -1158,8 +1169,15 @@ def h0_generators(v: TruncatedModule) -> list:
             lifts.append(e)
             span = _close_subspace_under(
                 autos, Subspace.from_spanning(d, span.basis.rows + (e,)))
-        out.append((n, lifts))
-    return out
+        gens.append((n, lifts))
+        _walk_generator(v, n, lifts, cols)
+    return gens, {x: _stack_rows(c, v.dims[x]).transpose() for x, c in cols.items()}
+
+
+def h0_generators(v: TruncatedModule) -> list:
+    """Generators of V as a module, as [(n, lifts)] in increasing degree
+    (:func:`generators_and_cover`)."""
+    return generators_and_cover(v)[0]
 
 
 def _from_columns(cols, nrows: int) -> RationalMatrix:
@@ -1228,17 +1246,25 @@ def _orbit_walk(v: TruncatedModule, n, mat: RationalMatrix) -> dict:
     return out
 
 
+def _walk_generator(v: TruncatedModule, n, lifts, cols) -> None:
+    """Append to ``cols[x]``, at every window object x >= n, the columns
+    V(beta, h) u of the lifts u at n as (int column, denominator), in
+    :func:`cover_blocks`' order.  One orbit walk reaches every x."""
+    walk = _orbit_walk(v, n, _from_columns(lifts, v.dims[n]))
+    for x, images in walk.items():
+        ts = [img.transpose() for img in images]
+        cols[x].extend((t.rows[j], t.den) for j in range(len(lifts)) for t in ts)
+
+
 def cover_blocks(v: TruncatedModule, gens) -> dict:
     """The cover P -> V sending generator i to its lift u_i, as {x: the
     block P(x) -> V(x)}: column (i, beta, h) is V(beta, h) u_i, generators
     in order and (beta, h) in the order of make_free's basis.  One orbit
-    walk per generator object reaches every x."""
+    walk per generator object reaches every x; :func:`generators_and_cover`
+    makes the same walks while it finds V's own generators."""
     cols = {x: [] for x in v.window.objects()}  # (int column, denominator)
     for n, lifts in gens:
-        walk = _orbit_walk(v, n, _from_columns(lifts, v.dims[n]))
-        for x, images in walk.items():
-            ts = [img.transpose() for img in images]
-            cols[x].extend((t.rows[j], t.den) for j in range(len(lifts)) for t in ts)
+        _walk_generator(v, n, lifts, cols)
     return {x: _stack_rows(c, v.dims[x]).transpose() for x, c in cols.items()}
 
 
@@ -1248,20 +1274,22 @@ def cover_blocks(v: TruncatedModule, gens) -> dict:
 class NaturalitySolver:
     """Hom(V, W) by Yoneda from the generators of V.
 
-    With generators u_i in V(n_i) (:func:`h0_generators`) and their cover
-    pi: P = ⊕ F(n_i) -> V, a natural map P -> W is a free choice of
-    t_i in W(n_i), acting by Phi_x(beta, h) = W(beta, h) t_i.  It factors
-    through V exactly when Phi_x kills ker pi_x at every object x, and the
-    map V -> W is then Phi_x S_x for a section S_x of pi_x.  ``nparams`` is
-    the sum of dim W(n_i); ``rows`` are the constraints, the entries of
+    With generators u_i in V(n_i) and their cover pi: P = ⊕ F(n_i) -> V,
+    a natural map P -> W is a free choice of t_i in W(n_i), acting by
+    Phi_x(beta, h) = W(beta, h) t_i.  It factors through V exactly when
+    Phi_x kills ker pi_x at every object x, and the map V -> W is then
+    Phi_x S_x for a section S_x of pi_x.  ``nparams`` is the sum of
+    dim W(n_i); ``rows`` are the constraints, the entries of
     Phi_x(t) k for k in a basis of each ker pi_x: the nonzero columns of
     I - S_x pi_x, which are pi_x's free-column kernel vectors, as S_x is
     zero at the free variables.  As pi is onto at every object of the
     window, the solutions are exactly the natural maps V -> W.
 
-    Every W(beta, h) comes from one orbit walk of the identity of W(n_i)
-    per generator object (:func:`_orbit_walk`), and every pi_x from
-    :func:`cover_blocks`, so no morphism is factored into generators.
+    The generators and every pi_x come from one pass of
+    :func:`generators_and_cover`, which walks each generator object once
+    and reads I(n) off the columns walked so far.  Every W(beta, h) comes
+    from one orbit walk of the identity of W(n_i) per generator object
+    (:func:`_orbit_walk`), so no morphism is factored into generators.
 
     The solutions form the kernel of ``rows``, computed once; ``basis()`` is
     its RREF basis, so a natural map's coordinates in that basis are its
@@ -1273,13 +1301,13 @@ class NaturalitySolver:
             raise ValueError("hom requires matching window and group")
         self.v = v
         self.w = w
-        gens = self._gens = h0_generators(v)
+        gens, pis = generators_and_cover(v)
+        self._gens = gens
         self.nparams = sum(len(lifts) * w.dims[n] for n, lifts in gens)
         self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
         self._sections = {}
         self.rows = []
         walks = [_orbit_walk(w, n, RationalMatrix.identity(w.dims[n])) for n, _ in gens]
-        pis = cover_blocks(v, gens)
         for x in v.window.objects():
             terms = []
             offset = 0

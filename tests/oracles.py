@@ -64,11 +64,14 @@ from fimlab.modules import (
     NaturalitySolver,
     Presentation,
     TruncatedModule,
+    _automorphism_mats,
+    _close_subspace_under,
     cover_blocks,
     direct_sum,
     h0_generators,
     make_free,
     obj_str,
+    positive_degree_image,
     quotient,
     submodule_from_stable_subspaces,
 )
@@ -619,6 +622,32 @@ def functorial_on_window(v: TruncatedModule) -> bool:
         for f, vf in fs.items()
         for g, vg in value[b, c].items()
     )
+
+
+def h0_generators_by_images(v: TruncatedModule) -> list:
+    """``h0_generators`` with I(n) computed at every object by
+    ``positive_degree_image`` over the full coordinate set, from the
+    inclusion images and their swaps: the route that reading I(n) off the
+    cover columns walked so far replaced, kept as its reference."""
+    full_s = tuple(range(1, v.m + 1))
+    out = []
+    for n in v.window.objects_by_degree():
+        d = v.dims[n]
+        span = positive_degree_image(v, full_s, n)
+        if span.dim == d:
+            continue
+        autos = _automorphism_mats(v, n)
+        base = span.dim
+        lifts = []
+        for f in span.free_columns:
+            e = tuple(int(r == f) for r in range(d))
+            if span.dim > base + len(lifts) and span.contains(e):
+                continue
+            lifts.append(e)
+            span = _close_subspace_under(
+                autos, Subspace.from_spanning(d, span.basis.rows + (e,)))
+        out.append((n, lifts))
+    return out
 
 
 def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:

@@ -187,27 +187,22 @@ def test_free_cover_of_free_is_identity_like():
 
 
 def test_a_cover_that_misses_a_generator_raises(monkeypatch):
-    """With the last generator's columns zeroed in every cover block, pi is
-    no longer onto at that generator's object, and both the free cover and
-    the Hom solver refuse it."""
+    """With the last generator's columns zeroed where its walk appends
+    them, pi is no longer onto at that generator's object, and both the
+    free cover and the Hom solver refuse it."""
     from fimlab import modules
     from fimlab.modules import NaturalitySolver, h0_generators
 
     v = random_presented_module(Window((3,)), 0)
     n_last = h0_generators(v)[-1][0]
-    width = make_free(n_last, v.window, v.group).dims
-    real = modules.cover_blocks
+    real = modules._walk_generator
 
-    def dropping(v, gens):
-        # the last lift's columns come last at every object
-        out = {}
-        for x, b in real(v, gens).items():
-            keep = b.ncols - width[x]
-            out[x] = b.columns(range(keep)).hstack(RationalMatrix.zeros(b.nrows, width[x]))
-        return out
+    def dropping(v, n, lifts, cols):
+        if n == n_last:
+            lifts = lifts[:-1] + [(0,) * len(lifts[-1])]
+        real(v, n, lifts, cols)
 
-    monkeypatch.setattr(modules, "cover_blocks", dropping)
-    monkeypatch.setattr(homology, "cover_blocks", dropping)
+    monkeypatch.setattr(modules, "_walk_generator", dropping)
     with pytest.raises(AssertionError):
         free_cover(v)
     with pytest.raises(AssertionError):
@@ -632,3 +627,39 @@ def test_h0_h1_and_hom_are_additive_over_direct_sums(bound, group, sv, sw, l, da
             == NaturalitySolver(v, x).dim + NaturalitySolver(w, x).dim)
     assert (NaturalitySolver(x, vw).dim
             == NaturalitySolver(x, v).dim + NaturalitySolver(x, w).dim)
+
+
+@st.composite
+def asymmetric_modules(draw):
+    """A seeded presented, free or co-free module on (2,2) or (3,2), over
+    the trivial group or C2."""
+    window = Window(draw(st.sampled_from([(2, 2), (3, 2)])))
+    group = draw(st.sampled_from([TRIV, GroupTable.cyclic(2)]))
+    kind = draw(st.sampled_from(["presented", "free", "cofree"]))
+    if kind == "presented":
+        return random_presented_module(window, draw(st.integers(0, 500)), group)
+    n = draw(st.sampled_from([(1, 0), (0, 1), (2, 1), (1, 2)]))
+    return (make_free if kind == "free" else make_cofree)(n, window, group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(asymmetric_modules())
+def test_homology_and_hom_are_invariant_under_permuting_coordinates(v):
+    """Relabelling the coordinates of V, with S relabelled to match, moves
+    H0, H1 and torsion from n to the permuted object and keeps t0, t1 and
+    dim End(V)."""
+    from oracles import permute_coords
+
+    p = permute_coords(v, (2, 1))
+
+    def moved(dims):
+        return {(n[1], n[0]): d for n, d in dims.items()}
+
+    assert NaturalitySolver(p, p).dim == NaturalitySolver(v, v).dim
+    for S in ((1,), (2,), (1, 2)):
+        S_p = tuple(sorted(3 - i for i in S))
+        a, b = h1(v, S), h1(p, S_p)
+        assert (b.t0, b.t1) == (a.t0, a.t1)
+        assert b.h0_module.dims == moved(a.h0_module.dims)
+        assert b.h1_dims == moved(a.h1_dims)
+        assert detect_torsion(p, S_p).dims() == moved(detect_torsion(v, S).dims())

@@ -2,8 +2,8 @@
 ``python -O`` keeps them, it calls a general solver only where listed,
 every function it defines has a caller in the package, every callable
 the benchmark's layer tracer names exists, only a module's constructor
-writes its dims and actions, and no direct sum is taken of free modules
-alone."""
+writes its dims and actions, no direct sum is taken of free modules
+alone, and the generators and their cover come from one walk."""
 
 import ast
 import importlib
@@ -292,3 +292,33 @@ def test_free_sums_are_built_in_one_pass():
     arithmetic, not from ``direct_sum``'s block matrices and inclusions."""
     found = [c for path in sorted(SOURCE.glob("*.py")) for c in _free_only_direct_sums(path)]
     assert found == []
+
+
+def _calls_by_function(path):
+    """{function or Class.method: the names it calls} for one source file;
+    a nested helper's calls count for its outer function."""
+    out = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            funcs = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(f"{node.name}.{m.name}", m) for m in node.body
+                     if isinstance(m, ast.FunctionDef)]
+        else:
+            continue
+        for name, func in funcs:
+            out[name] = {_callee(c) for c in ast.walk(func) if isinstance(c, ast.Call)}
+    return out
+
+
+def test_generators_and_cover_come_from_one_walk():
+    """No package function finds the generators and then walks them again
+    for their cover: ``generators_and_cover`` gives both, and reads I(n) off
+    the columns it has walked rather than from inclusion images."""
+    calls = {(path.name, name): called for path in sorted(SOURCE.glob("*.py"))
+             for name, called in _calls_by_function(path).items()}
+    both = [f"{file}:{name}" for (file, name), called in sorted(calls.items())
+            if {"h0_generators", "cover_blocks"} <= called]
+    assert both == []
+    one_pass = calls[("modules.py", "generators_and_cover")]
+    assert not one_pass & {"positive_degree_image", "_images_from_below"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fimlab.category import (
     GroupTable,
     Window,
+    degree,
     generator_keys,
     key_ends,
     leq,
@@ -20,6 +21,7 @@ from fimlab.modules import (
     Presentation,
     TruncatedModule,
     close_under_actions,
+    cover_blocks,
     direct_sum,
     external_tensor,
     hom_space,
@@ -46,9 +48,11 @@ from oracles import (
     evaluate_basis,
     free_sum_by_direct_sum,
     functorial_on_window,
+    h0_generators_by_images,
     make_cofree_by_compose,
     make_coinduced_by_compose,
     make_free_by_compose,
+    partitions_of,
     permute_coords,
     solver_by_kernel_basis,
 )
@@ -912,6 +916,43 @@ def test_orbit_walk_matches_evaluate(bound, group, module_seed, rnd):
         assert mats == evaluate_basis(v, n, x)
 
 
+@st.composite
+def cover_sources(draw):
+    """A random presented, co-free or induced module on a small window,
+    over the trivial group or C2."""
+    window = Window(draw(st.sampled_from([(3,), (4,), (2, 2), (3, 2)])))
+    group = draw(st.sampled_from([TRIV, GroupTable.cyclic(2)]))
+    kind = draw(st.sampled_from(["presented", "cofree", "induced"]))
+    if kind == "presented":
+        return random_presented_module(window, draw(st.integers(0, 500)), group)
+    n = draw(st.sampled_from(window.objects()))
+    if kind == "cofree":
+        return make_cofree(n, window, group)
+    lambdas = tuple(draw(st.sampled_from(partitions_of(k))) for k in n)
+    return make_induced(lambdas, window, group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_sources())
+def test_one_walk_finds_the_generators_and_the_cover(v):
+    """The generators and cover found in one pass are those of I(n) by
+    inclusion images and of a separate cover walk, and at every object the
+    columns of the generators of lower degree span I(n)."""
+    from fimlab.modules import generators_and_cover, positive_degree_image
+
+    gens, blocks = generators_and_cover(v)
+    assert gens == h0_generators_by_images(v)
+    assert blocks == cover_blocks(v, gens)
+    full_s = tuple(range(1, v.m + 1))
+    objs = v.window.objects()
+    for deg in sorted({degree(n) for n in objs}):
+        below = cover_blocks(v, [(g, lifts) for g, lifts in gens if degree(g) < deg])
+        for n in objs:
+            if degree(n) == deg:
+                span = Subspace.from_spanning(v.dims[n], below[n].transpose().rows)
+                assert span == positive_degree_image(v, full_s, n)
+
+
 def test_yoneda_paths_never_evaluate(morphism_builds):
     """Hom, the free cover, the Lemma 2.3 isomorphisms and the co-free
     embedding read every V(beta, h) off orbit walks: the package has no
@@ -1152,3 +1193,33 @@ def test_from_dict_bounds_the_window_before_enumerating():
     with pytest.raises(ValueError) as info:
         TruncatedModule.from_dict(doc)
     assert str(info.value).startswith("dims")
+
+
+@st.composite
+def kunneth_factors(draw):
+    """Two modules on the window (2,) or (3,), each F(n), E(n) or a seeded
+    presented module over the trivial group; half the time the second is
+    the first, so that Hom is End and nonzero."""
+    window = Window(draw(st.sampled_from([(2,), (3,)])))
+
+    def module():
+        kind = draw(st.sampled_from(["free", "cofree", "presented"]))
+        if kind == "presented":
+            return random_presented_module(window, draw(st.integers(0, 500)))
+        n = (draw(st.integers(0, window.bound[0])),)
+        return (make_free if kind == "free" else make_cofree)(n, window, TRIV)
+
+    a = module()
+    return a, a if draw(st.booleans()) else module()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kunneth_factors(), kunneth_factors())
+def test_hom_between_external_tensors_is_the_product(ac, bd):
+    """Over the trivial group, dim Hom(A ⊠ B, C ⊠ D) = dim Hom(A, C) ·
+    dim Hom(B, D)."""
+    from fimlab.modules import NaturalitySolver
+
+    (a, c), (b, d) = ac, bd
+    got = NaturalitySolver(external_tensor(a, b), external_tensor(c, d)).dim
+    assert got == NaturalitySolver(a, c).dim * NaturalitySolver(b, d).dim
