@@ -173,7 +173,8 @@ def free_cover(v: TruncatedModule):
     P has one copy of F(n) per generator of V (lifts of H_0 over the full
     coordinate set, in increasing degree), so the cover matches every
     S-homological degree t_0 at once.  The generators and pi's blocks come
-    from one walk per generator object (``generators_and_cover``).
+    from one walk per generator object (``generators_and_cover``); a free
+    V needs no walk, and F(n)'s identity pi no elimination for K.
     Returns (P, pi, K, K_incl).
     """
     gens, blocks = generators_and_cover(v)

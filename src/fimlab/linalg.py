@@ -125,6 +125,10 @@ def _identity_rows(n):
     return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
 
 
+def _is_identity(mat) -> bool:
+    return mat.den == 1 and mat.nrows == mat.ncols and mat.rows == _identity_rows(mat.nrows)
+
+
 def _make(rows, den, nrows, ncols):
     """The matrix of int row tuples ``rows`` over ``den``, already reduced."""
     m = object.__new__(RationalMatrix)
@@ -296,10 +300,9 @@ class RationalMatrix:
         # an identity operand gives the other one back (matrices are
         # immutable); a left one must be square: a 0 x k matrix has the
         # (empty) rows of the 0 x 0 identity
-        if other.den == 1 and other.nrows == nc and other.rows == _identity_rows(nc):
+        if _is_identity(other):
             return self
-        if (self.den == 1 and self.nrows == self.ncols
-                and self.rows == _identity_rows(self.nrows)):
+        if _is_identity(self):
             return other
         if not (self.nrows and self.ncols and nc):
             return RationalMatrix.zeros(self.nrows, nc)
@@ -549,6 +552,8 @@ def kernel_basis(mat: RationalMatrix) -> Subspace:
         return Subspace.zero(0)
     if mat.nrows == 0:
         return Subspace.full(n)
+    if _is_identity(mat):
+        return Subspace.zero(n)
     pivots, out_rows, denoms = rref_int(mat.rows, n)
     pivot_set = set(pivots)
     vecs = []
@@ -577,8 +582,10 @@ def _solve_augmented(mat: RationalMatrix, rhs: RationalMatrix):
 
     A pivot among B's columns marks an inconsistent column.  Free variables
     are zero, so column j of X is what eliminating [M | b_j] alone would
-    give.
+    give.  An identity M gives B back, as a product does.
     """
+    if _is_identity(mat):
+        return rhs
     n, k = mat.ncols, rhs.ncols
     if mat.nrows == 0:  # no equations: the free variables are everything
         return RationalMatrix.zeros(n, k)

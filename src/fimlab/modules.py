@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate, groupby
 from math import comb, lcm, prod
 from operator import mul
 
@@ -650,10 +651,10 @@ def make_free(n, window: Window, group: GroupTable | None = None,
     return make_free_sum([n], window, group, name or f"M{obj_str(n)}")
 
 
-def make_free_sum(objs, window: Window, group: GroupTable | None = None,
-                  name: str = "") -> TruncatedModule:
+class FreeModule(TruncatedModule):
     """The free module F(n_1) + ... + F(n_k) on the generator objects
-    ``objs`` (repeats allowed, none for the zero module), built in one pass.
+    ``objs`` (repeats allowed, none for the zero module), built in one pass;
+    :func:`generators_and_cover` reads its generators and cover off ``objs``.
 
     Basis of the value at t: summand by summand, and within F(n_j) the
     injections n_j -> t in enumeration order, each paired with the group
@@ -665,36 +666,46 @@ def make_free_sum(objs, window: Window, group: GroupTable | None = None,
     morphism and no block matrix is built.  The result equals
     ``direct_sum`` of the single free modules, without its inclusions.
     """
-    objs = [tuple(n) for n in objs]
-    group = group or GroupTable.trivial()
-    for n in objs:
-        if not window.contains(n):
-            raise MarginError(f"generator object {n} lies outside the window")
-    og = group.order
-    sizes = {t: [count_injections(n, t) * og for n in objs] for t in window.objects()}
-    dims = {t: sum(ds) for t, ds in sizes.items()}
-    actions = {}
-    for key, src, tgt in window_generators(window, group):
-        cols = [None] * dims[tgt]
-        if key[0] == "grp":
-            # every summand's block is a run of |G|-blocks, each (beta, h)
-            mult = group.mult[group.generators[key[1]]]
-            for bi in range(0, dims[src], og):
-                for h in range(og):
-                    cols[bi + mult[h]] = bi + h
-        elif dims[src]:
-            so = to = 0  # the summand's first index at src and at tgt
-            for n, ds, dt in zip(objs, sizes[src], sizes[tgt]):
-                if ds:
-                    for bi, ti in enumerate(generator_index_map(n, key)):
-                        for h in range(og):
-                            cols[to + ti * og + h] = so + bi * og + h
-                so += ds
-                to += dt
-        actions[key] = _monomial(cols, dims[tgt], dims[src])
-    rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
-    pres = Presentation(tuple((n, None) for n in objs), rel, False)
-    return TruncatedModule(window, group, dims, actions, pres, name)
+
+    def __init__(self, objs, window: Window, group: GroupTable | None = None,
+                 name: str = ""):
+        objs = tuple(tuple(n) for n in objs)
+        group = group or GroupTable.trivial()
+        for n in objs:
+            if not window.contains(n):
+                raise MarginError(f"generator object {n} lies outside the window")
+        og = group.order
+        sizes = {t: [count_injections(n, t) * og for n in objs] for t in window.objects()}
+        dims = {t: sum(ds) for t, ds in sizes.items()}
+        actions = {}
+        for key, src, tgt in window_generators(window, group):
+            cols = [None] * dims[tgt]
+            if key[0] == "grp":
+                # every summand's block is a run of |G|-blocks, each (beta, h)
+                mult = group.mult[group.generators[key[1]]]
+                for bi in range(0, dims[src], og):
+                    for h in range(og):
+                        cols[bi + mult[h]] = bi + h
+            elif dims[src]:
+                so = to = 0  # the summand's first index at src and at tgt
+                for n, ds, dt in zip(objs, sizes[src], sizes[tgt]):
+                    if ds:
+                        for bi, ti in enumerate(generator_index_map(n, key)):
+                            for h in range(og):
+                                cols[to + ti * og + h] = so + bi * og + h
+                    so += ds
+                    to += dt
+            actions[key] = _monomial(cols, dims[tgt], dims[src])
+        rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
+        pres = Presentation(tuple((n, None) for n in objs), rel, False)
+        self.objs = objs
+        super().__init__(window, group, dims, actions, pres, name)
+
+
+def make_free_sum(objs, window: Window, group: GroupTable | None = None,
+                  name: str = "") -> FreeModule:
+    """The free module on the generator objects ``objs``, as a :class:`FreeModule`."""
+    return FreeModule(objs, window, group, name)
 
 
 def make_cofree(l, window: Window, group: GroupTable | None = None,
@@ -1149,7 +1160,35 @@ def generators_and_cover(v: TruncatedModule):
     and no generator at n or at another object of n's degree reaches n.
     ``Subspace`` is canonical RREF, so this I(n) is
     ``positive_degree_image(v, full S, n)`` exactly, and so are the lifts.
+
+    A :class:`FreeModule` gets the lifts this search would pick by index
+    arithmetic.  Let off_j(t) = |G| sum_{i<j} #Inj(n_i, t).  I(n) is spanned
+    by the blocks of the summands with n_j < n, so the free columns at n are
+    the blocks of the summands at n.  Aut(n) x G acts simply transitively on
+    F(n)(n)'s basis, so e_{off_j(n)} closes to its whole block, and the next
+    free column is the next summand's offset.  So the lifts are e_{off_j(n_j)}
+    in (degree rank of n_j, j) order, and the cover permutes summand blocks
+    from that order to ``objs`` order: the identity where the two agree.
     """
+    if isinstance(v, FreeModule):
+        og, objs = v.group.order, v.objs
+        rank = {n: r for r, n in enumerate(v.window.objects_by_degree())}
+        order = sorted(range(len(objs)), key=lambda j: rank[objs[j]])  # stable
+
+        def lift(j):
+            off = og * sum(count_injections(objs[i], objs[j]) for i in range(j))
+            return tuple(int(r == off) for r in range(v.dims[objs[j]]))
+
+        gens = [(n, [lift(j) for j in js]) for n, js in groupby(order, objs.__getitem__)]
+        if order == sorted(order):
+            return gens, {x: RationalMatrix.identity(d) for x, d in v.dims.items()}
+        blocks = {}
+        for x, d in v.dims.items():
+            sizes = [count_injections(n, x) * og for n in objs]
+            start = dict(zip(order, accumulate([sizes[j] for j in order], initial=0)))
+            cols = [c for j, s in enumerate(sizes) for c in range(start[j], start[j] + s)]
+            blocks[x] = _monomial(cols, d, d)
+        return gens, blocks
     cols = {x: [] for x in v.window.objects()}  # (int column, denominator)
     gens = []
     for n in v.window.objects_by_degree():
@@ -1287,9 +1326,10 @@ class NaturalitySolver:
 
     The generators and every pi_x come from one pass of
     :func:`generators_and_cover`, which walks each generator object once
-    and reads I(n) off the columns walked so far.  Every W(beta, h) comes
-    from one orbit walk of the identity of W(n_i) per generator object
-    (:func:`_orbit_walk`), so no morphism is factored into generators.
+    and reads I(n) off the columns walked so far.  A :class:`FreeModule` V
+    needs no walk, and for F(n) each pi_x and its section are identities.
+    Every W(beta, h) comes from one orbit walk of the identity of W(n_i) per
+    generator object (:func:`_orbit_walk`), with no morphism factored.
 
     The solutions form the kernel of ``rows``, computed once; ``basis()`` is
     its RREF basis, so a natural map's coordinates in that basis are its

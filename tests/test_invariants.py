@@ -3,7 +3,9 @@
 every function it defines has a caller in the package, every callable
 the benchmark's layer tracer names exists, only a module's constructor
 writes its dims and actions, no direct sum is taken of free modules
-alone, and the generators and their cover come from one walk."""
+alone, the generators and their cover come from one walk, and only
+``make_free_sum`` builds a ``FreeModule`` and only ``generators_and_cover``
+tests for one."""
 
 import ast
 import importlib
@@ -322,3 +324,37 @@ def test_generators_and_cover_come_from_one_walk():
     assert both == []
     one_pass = calls[("modules.py", "generators_and_cover")]
     assert not one_pass & {"positive_degree_image", "_images_from_below"}
+
+
+def _free_module_uses(path):
+    """(file, enclosing function, use) for each ``FreeModule(...)`` call and
+    each ``isinstance`` test against ``FreeModule`` in one source file."""
+    found = []
+
+    def names_free_module(node):
+        return any(isinstance(n, ast.Name) and n.id == "FreeModule" for n in ast.walk(node))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                if _callee(child) == "FreeModule":
+                    found.append((path.name, scope, "call"))
+                elif _callee(child) == "isinstance" and names_free_module(child):
+                    found.append((path.name, scope, "isinstance"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_free_modules_are_built_and_recognised_in_one_place_each():
+    """A ``FreeModule`` promises its data is the free sum on its ``objs``,
+    and ``generators_and_cover`` answers from that promise.  Only
+    ``make_free_sum`` builds one, so the package cannot forge the promise,
+    and only ``generators_and_cover`` forks on it."""
+    found = [u for path in sorted(SOURCE.glob("*.py")) for u in _free_module_uses(path)]
+    assert sorted(found) == [("modules.py", "generators_and_cover", "isinstance"),
+                             ("modules.py", "make_free_sum", "call")]

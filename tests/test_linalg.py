@@ -519,6 +519,38 @@ def test_each_solver_is_one_elimination(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_an_identity_is_solved_and_has_zero_kernel_without_elimination(monkeypatch, n):
+    calls = _count_kernel_calls(monkeypatch)
+    ident = RationalMatrix.identity(n)
+    rhs = RationalMatrix([[F(i - j, j + 2) for j in range(3)] for i in range(n)], n, 3)
+    assert solve_matrix(ident, rhs) is rhs
+    assert kernel_basis(ident) == Subspace.zero(n)
+    assert calls == []
+
+
+# Matrices with an identity's entries in part, which are not identities.
+IDENTITY_LOOK_ALIKES = {
+    "permutation": RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    "zero row appended": RationalMatrix([[1, 0], [0, 1], [0, 0]]),
+    "identity prefix": RationalMatrix([[1, 0, 0], [0, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_LOOK_ALIKES))
+def test_identity_look_alikes_are_eliminated(monkeypatch, name):
+    mat = IDENTITY_LOOK_ALIKES[name]
+    calls = _count_kernel_calls(monkeypatch)
+    x = RationalMatrix([[F(i + j, 3) for j in range(2)] for i in range(mat.ncols)],
+                       mat.ncols, 2)
+    for rhs in (mat * x, RationalMatrix.identity(mat.nrows)):
+        assert solve_matrix(mat, rhs) == sympy_solve_matrix(mat, rhs)
+    assert len(calls) == 2
+    want = _sympy_span(_sympy_rows(_sympy_dm(mat).nullspace()), mat.ncols)
+    assert _entries(kernel_basis(mat).basis) == want
+    assert len(calls) > 2
+
+
 def test_quotient_makes_no_solve_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("quotient called a solver")

@@ -953,6 +953,68 @@ def test_one_walk_finds_the_generators_and_the_cover(v):
                 assert span == positive_degree_image(v, full_s, n)
 
 
+_FREE_GROUPS = {**_SUM_GROUPS, "C2": GroupTable.cyclic(2)}
+
+
+@st.composite
+def free_module_cases(draw):
+    window = Window(draw(st.sampled_from([(3,), (4,), (2, 2), (3, 2), (1, 1, 1)])))
+    objs = draw(st.lists(st.sampled_from(window.objects()), max_size=2))
+    l = draw(st.sampled_from(window.objects()))
+    return window, objs, draw(st.sampled_from(sorted(_FREE_GROUPS))), l
+
+
+@settings(max_examples=80, deadline=None)
+@given(free_module_cases())
+@example((Window((3,)), [], "trivial", (3,)))
+@example((Window((3, 2)), [(2, 1), (1, 0)], "C2", (2, 1)))
+@example((Window((2, 2)), [(0, 1), (0, 1)], "S2", (1, 1)))
+def test_a_free_module_is_answered_as_the_search_answers(case):
+    """Reading a free module's generators and cover off its summands gives,
+    exactly, what the generator search gives on the same data as a plain
+    module: the same lifts and blocks, Hom basis into a co-free module,
+    free cover and H_1."""
+    from fimlab.homology import free_cover, h1
+    from fimlab.modules import generators_and_cover
+
+    window, objs, group, l = case
+    free = make_free_sum(objs, window, _FREE_GROUPS[group])
+    plain = TruncatedModule.from_dict(free.to_dict())
+    assert type(plain) is TruncatedModule
+    assert generators_and_cover(free) == generators_and_cover(plain)
+    target = make_cofree(l, window, _FREE_GROUPS[group])
+    assert ([phi.blocks for phi in hom_space(free, target)]
+            == [phi.blocks for phi in hom_space(plain, target)])
+    cover, plain_cover = free_cover(free), free_cover(plain)
+    p, pi, k, _ = cover
+    q, rho, kq, _ = plain_cover
+    assert (p.to_json(), pi.blocks, k.to_json()) == (q.to_json(), rho.blocks, kq.to_json())
+    full_s = tuple(range(1, window.m + 1))
+    assert (h1(free, full_s, cover).to_dict()
+            == h1(plain, full_s, plain_cover).to_dict())
+
+
+def test_a_free_module_is_covered_and_solved_without_search(monkeypatch):
+    """F(n) is its own cover, read off with no walk of it, and the identity
+    cover's kernels and sections take no elimination."""
+    import fimlab.linalg
+    import fimlab.modules
+    from fimlab.homology import free_cover
+    from fimlab.modules import NaturalitySolver
+
+    walks, eliminations = [], []
+    walk, kernel = fimlab.modules._orbit_walk, fimlab.linalg.rref_int
+    monkeypatch.setattr(fimlab.modules, "_orbit_walk",
+                        lambda *a: walks.append(a[1]) or walk(*a))
+    monkeypatch.setattr(fimlab.linalg, "rref_int",
+                        lambda *a: eliminations.append(a[1]) or kernel(*a))
+    f = make_free((2,), Window((5,)))
+    free_cover(f)
+    assert (walks, eliminations) == ([], [])
+    NaturalitySolver(f, f)
+    assert (walks, eliminations) == ([(2,)], [])  # the target's walk only
+
+
 def test_yoneda_paths_never_evaluate(morphism_builds):
     """Hom, the free cover, the Lemma 2.3 isomorphisms and the co-free
     embedding read every V(beta, h) off orbit walks: the package has no
