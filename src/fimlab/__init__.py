@@ -22,7 +22,6 @@ from .modules import (
     make_cofree,
     make_coinduced,
     make_free,
-    make_induced,
     quotient,
     submodule_generated,
 )
@@ -35,6 +34,7 @@ from .functors import (
     induced_module,
     kernel_functor,
     kernel_sum,
+    make_induced,
     res,
     shift,
     shift_prod,

@@ -26,13 +26,13 @@ from .modules import (
     make_cofree,
     make_coinduced,
     make_free,
-    make_induced,
 )
 from .functors import (
     derivative,
     derivative_sum,
     kernel_functor,
     kernel_sum,
+    make_induced,
     normalize_subset,
     shift,
     shift_sum,

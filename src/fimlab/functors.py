@@ -1,6 +1,7 @@
 """Shift, kernel and derivative functors, their composites over coordinate
-subsets, the induced-module functor, and the group induction/restriction
-pair with its averaging splitting.
+subsets, the induced-module functor F_s with the induced modules M(lambda)
+built through it, and the group induction/restriction pair with its
+averaging splitting.
 
 Window accounting: one application of the shift in coordinate i consumes one
 unit of window in that coordinate; operations raise MarginError instead of
@@ -9,6 +10,7 @@ returning boundary data of unknown validity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, prod
 
 from .category import (
@@ -38,6 +40,7 @@ from .modules import (
     TruncatedModule,
     _aut_right_action_matrix,
     _fixed_space,
+    _specht_swaps,
     cover_blocks,
     direct_sum,
     make_free,
@@ -46,9 +49,7 @@ from .modules import (
     restrict_window,
     submodule_from_stable_subspaces,
 )
-from .symrep import regular_rep_matrices
-
-_TRIV = GroupTable.trivial()
+from .symrep import GroupRep, regular_rep_matrices, specht
 
 
 def normalize_subset(S, m: int) -> tuple:
@@ -203,8 +204,10 @@ def aut_table(s) -> GroupTable:
     return table
 
 
+@lru_cache(maxsize=None)
 def rs_group(s, group: GroupTable) -> GroupTable:
-    """Aut(s) x G: the group carried by slice modules at s."""
+    """Aut(s) x G: the group carried by slice modules at s.  Built once per
+    (s, group) and shared; a ``GroupTable`` is immutable."""
     return GroupTable.product(aut_table(s), group)
 
 
@@ -337,7 +340,7 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         if d == 0:
             spaces[n] = Subspace.zero(0)
             continue
-        mats = [kron(_aut_right_action_matrix(s, s_part, sw, _TRIV, 0),
+        mats = [kron(_aut_right_action_matrix(s, s_part, sw),
                      w_rs.actions[("grp", j, t_part)])
                 for j, sw in enumerate(swaps)]
         spaces[n] = _fixed_space(d, mats)
@@ -369,6 +372,48 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     pres = _induced_presentation(s, S, not_S, w_rs, m)
     return submodule_from_stable_subspaces(big, spaces, pres,
                                            name or f"F_{s}({w_rs.name})")
+
+
+def make_induced(lambdas, window: Window, group: GroupTable | None = None,
+                 g_rep=None, name: str = "") -> TruncatedModule:
+    """M(lambda) = F_n(X), n = |lambda|: :func:`induced_module` along every
+    coordinate, of the FI^0 module X = (outer Specht product) x (group rep)
+    on which Aut(n) acts by the Specht swaps and G by ``g_rep``.
+
+    ``g_rep`` is a symrep.GroupRep for the group factor (default trivial).
+    One that is not a representation raises ValueError: on kG x V, V the
+    space of rho, the fixed space of L(g) x rho(g) is the functions with
+    f(gh) = rho(g) f(h), and it has dimension dim V exactly when rho
+    respects every relation of G.  :func:`induced_module` checks the
+    dimension of each value.
+    """
+    group = group or GroupTable.trivial()
+    lambdas = tuple(tuple(l) for l in lambdas)
+    if window.m != len(lambdas):
+        raise ValueError("need one partition per coordinate")
+    n = tuple(sum(l) for l in lambdas)
+    if not window.contains(n):
+        raise MarginError(f"generator object {n} lies outside the window")
+    if g_rep is None:
+        g_rep = GroupRep.trivial(group)
+    spechts = [specht(l) for l in lambdas]
+    dim_s = prod(r.dim for r in spechts)
+    mats = _specht_swaps(n, spechts, g_rep.dim)
+    mats += [kron(RationalMatrix.identity(dim_s), r) for r in g_rep.gen_mats]
+    x = TruncatedModule(Window(()), rs_group(n, group), {(): dim_s * g_rep.dim},
+                        {("grp", j, ()): mat for j, mat in enumerate(mats)})
+    pairs = [kron(l, r) for l, r in zip(regular_rep_matrices(group), g_rep.gen_mats)]
+    fixed = _fixed_space(group.order * g_rep.dim, pairs).dim
+    if fixed != g_rep.dim:
+        raise ValueError(f"g_rep is not a representation: the fixed space of "
+                         f"L(g) x rho(g) has dimension {fixed}, expected {g_rep.dim}")
+    pres = Presentation.make([(n, lambdas)], n)
+    name = name or f"M{lambdas}"
+    if not window.m:  # F_() is the identity on FI^0 modules
+        return TruncatedModule(window, group, x.dims, x.actions, pres, name)
+    mod, _ = induced_module(n, range(1, window.m + 1), x, group, window, name)
+    mod.presentation = pres
+    return mod
 
 
 def _induced_presentation(s, S, not_S, w_rs, m):

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .category import (
+    GroupTable,
     Window,
     add,
     aut_swaps,
@@ -40,7 +41,6 @@ from .modules import (
     zero_module,
 )
 from .functors import (
-    _TRIV,
     complement_subset,
     induced_module,
     interleave,
@@ -52,6 +52,8 @@ from .functors import (
 EXACT = "EXACT"
 WINDOW_BOUNDED = "WINDOW_BOUNDED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+_TRIV = GroupTable.trivial()
 
 # peel steps is_S_semi_induced takes before a nonzero rest makes its
 # certificate INCONCLUSIVE

@@ -6,12 +6,13 @@ exact rational matrix per category generator.  The free cover, Hom and
 the counit of an induced module read the values V(beta, h) of other
 morphisms off an orbit walk (:func:`_orbit_walk`), which reaches each
 injection out of an object with one product.  Constructors cover free,
-induced (Specht-isotypic image), co-free, coinduced, external tensor,
-direct sums, submodules and quotients.  Hom(V, W) is computed by Yoneda
-from generators of V read off its own data: a map is a choice of values in
-W at the generators, subject to killing the kernel of V's free cover; with a
-certified presentation inside the window this is the honest Hom space of
-the untruncated modules.
+co-free, coinduced (Specht-isotypic image), external tensor, direct sums,
+submodules and quotients; the induced modules M(lambda) are F_n of their
+Specht representation, built in :mod:`fimlab.functors`.  Hom(V, W) is
+computed by Yoneda from generators of V read off its own data: a map is a
+choice of values in W at the generators, subject to killing the kernel of
+V's free cover; with a certified presentation inside the window this is the
+honest Hom space of the untruncated modules.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .category import (
@@ -55,7 +56,7 @@ from .linalg import (
     solve_matrix,
     _stack_rows,
 )
-from .symrep import GroupRep, specht, _rep_elements
+from .symrep import specht, _rep_elements
 
 # -- wire-format helpers -------------------------------------------------
 
@@ -737,19 +738,14 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
     return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
 
 
-def _aut_right_action_matrix(n, t, swap, group: GroupTable, g: int):
-    """Right action of (sigma, g) on the basis of the free module at t,
-    (beta, h) -> (beta o sigma, h * g), where sigma is the swap generator
-    of n with key ``swap``, or the identity when ``swap`` is None."""
+def _aut_right_action_matrix(n, t, swap):
+    """Right action of the swap generator sigma of n with key ``swap`` on
+    the injections n -> t, beta -> beta o sigma."""
     index = injection_index_table(n, t)
-    og = group.order
-    d = len(index) * og
-    cols = [None] * d
+    cols = [None] * len(index)
     for bi, beta in enumerate(index):
-        ni = index[beta if swap is None else _before_generator(swap, beta)]
-        for h in range(og):
-            cols[ni * og + group.mult[h][g]] = bi * og + h
-    return _monomial(cols, d, d)
+        cols[index[_before_generator(swap, beta)]] = bi
+    return _monomial(cols, len(index), len(index))
 
 
 def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
@@ -949,14 +945,6 @@ def restrict_window(v: TruncatedModule, new_window: Window) -> TruncatedModule:
     return TruncatedModule(new_window, v.group, dims, actions, v.presentation, v.name)
 
 
-def _tensor_with_const(v: TruncatedModule, dim_x: int) -> TruncatedModule:
-    """Objectwise tensor with a fixed vector space (actions on v only)."""
-    dims = {n: d * dim_x for n, d in v.dims.items()}
-    ident = RationalMatrix.identity(dim_x)
-    actions = {k: kron(mat, ident) for k, mat in v.actions.items()}
-    return TruncatedModule(v.window, v.group, dims, actions)
-
-
 def _fixed_space(d: int, mats) -> Subspace:
     """The vectors of Q^d fixed by every matrix in ``mats``: the invariants
     of the group they generate, as the kernel of the stacked (A - I)."""
@@ -976,56 +964,6 @@ def _specht_swaps(n, spechts, tail_dim: int = 1) -> list:
     ]
 
 
-def make_induced(lambdas, window: Window, group: GroupTable | None = None,
-                 g_rep=None, name: str = "") -> TruncatedModule:
-    """The induced module at the Specht data: the vectors of (free module)
-    x X, X = (outer Specht product) x (group rep), fixed by the generators
-    of Aut(n) x G, where (sigma, g) acts on injections x G from the right
-    and by the inverse on X.
-
-    ``g_rep`` is a symrep.GroupRep for the group factor (default trivial).
-    Aut(n) x G acts freely on injections x G, so the value at t has
-    dimension prod_i C(t_i, n_i) * dim X; a mismatch, as from a ``g_rep``
-    that is not a representation, raises ValueError.
-    """
-    group = group or GroupTable.trivial()
-    lambdas = tuple(tuple(l) for l in lambdas)
-    if window.m != len(lambdas):
-        raise ValueError("need one partition per coordinate")
-    n = tuple(sum(l) for l in lambdas)
-    if not window.contains(n):
-        raise MarginError(f"generator object {n} lies outside the window")
-    if g_rep is None:
-        g_rep = GroupRep.trivial(group)
-    spechts = [specht(l) for l in lambdas]
-    dim_s = prod(r.dim for r in spechts)
-    dim_x = dim_s * g_rep.dim
-    big = _tensor_with_const(make_free(n, window, group), dim_x)
-    swaps = [("swap", i, k, n) for i, k in aut_swaps(n)]
-    x_swaps = _specht_swaps(n, spechts, g_rep.dim)
-    # a generator g is fixed together with its inverse: R(1, g^-1) x rho(g)
-    x_grp = [kron(RationalMatrix.identity(dim_s), mat) for mat in g_rep.gen_mats]
-    spaces = {}
-    for t in window.objects():
-        if big.dims[t] == 0:
-            spaces[t] = Subspace.zero(0)
-            continue
-        mats = [kron(_aut_right_action_matrix(n, t, sw, group, 0), x)
-                for sw, x in zip(swaps, x_swaps)]
-        mats += [kron(_aut_right_action_matrix(n, t, None, group, group.inverse[g]), x)
-                 for g, x in zip(group.generators, x_grp)]
-        spaces[t] = _fixed_space(big.dims[t], mats)
-        expected = prod(comb(a, b) for a, b in zip(t, n)) * dim_x
-        if spaces[t].dim != expected:
-            raise ValueError(f"induced value at {t} has dimension "
-                             f"{spaces[t].dim}, expected {expected}")
-    pres = Presentation.make([(n, lambdas)], n)
-    mod, _ = submodule_from_stable_subspaces(
-        big, spaces, pres, name or f"M{lambdas}"
-    )
-    return mod
-
-
 def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
                    name: str = "") -> TruncatedModule:
     """The finite-dimensional injective at the Specht data: the vectors of
@@ -1041,7 +979,10 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
         raise MarginError(f"cogenerator object {l} lies outside the window")
     spechts = [specht(p) for p in lambdas]
     base = make_cofree(l, window, group)
-    big = _tensor_with_const(base, prod(r.dim for r in spechts))
+    dim_x = prod(r.dim for r in spechts)
+    ident_x = RationalMatrix.identity(dim_x)
+    big = TruncatedModule(window, group, {t: d * dim_x for t, d in base.dims.items()},
+                          {k: kron(mat, ident_x) for k, mat in base.actions.items()})
     swaps = [("swap", i, k, l) for i, k in aut_swaps(l)]
     x_swaps = _specht_swaps(l, spechts)
     spaces = {}
@@ -1211,12 +1152,6 @@ def generators_and_cover(v: TruncatedModule):
         gens.append((n, lifts))
         _walk_generator(v, n, lifts, cols)
     return gens, {x: _stack_rows(c, v.dims[x]).transpose() for x, c in cols.items()}
-
-
-def h0_generators(v: TruncatedModule) -> list:
-    """Generators of V as a module, as [(n, lifts)] in increasing degree
-    (:func:`generators_and_cover`)."""
-    return generators_and_cover(v)[0]
 
 
 def _from_columns(cols, nrows: int) -> RationalMatrix:

@@ -24,7 +24,6 @@ from .modules import (
     make_cofree,
     make_coinduced,
     make_free,
-    make_induced,
     restrict_window,
     submodule_from_stable_subspaces,
 )
@@ -34,6 +33,7 @@ from .functors import (
     ind,
     kernel_functor,
     kernel_sum,
+    make_induced,
     res,
     shift,
     shift_free_decomposition,

@@ -42,10 +42,10 @@ from .modules import (
     check_hom_source,
     direct_sum,
     external_tensor,
-    h0_generators,
     hom_space,
     make_cofree,
     make_free,
+    positive_degree_image,
     quotient,
     restrict_window,
     submodule_from_stable_subspaces,
@@ -387,8 +387,12 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
 def _synth_presentation(mod: TruncatedModule) -> Presentation:
     """A window-level presentation: observed generator slots, relations
     bounded by the window (used only to drive searches; statuses formed
-    from it are window-bounded by construction)."""
-    slots = [(n, None) for n, _ in h0_generators(mod)]
+    from it are window-bounded by construction).  The slots are the objects
+    n where the positive-degree image I(n) falls short of V(n), the objects
+    of :func:`generators_and_cover`'s generators, read without a walk."""
+    full_s = tuple(range(1, mod.m + 1))
+    slots = [(n, None) for n in mod.window.objects_by_degree()
+             if positive_degree_image(mod, full_s, n).dim < mod.dims[n]]
     return Presentation.make(slots, mod.window.bound, observed_only=True)
 
 

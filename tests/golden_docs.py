@@ -23,6 +23,7 @@ from fimlab.functors import (
     ind,
     induced_module,
     kernel_functor,
+    make_induced,
     rs_group,
     shift_free_decomposition,
 )
@@ -37,7 +38,6 @@ from fimlab.modules import (
     make_cofree,
     make_coinduced,
     make_free,
-    make_induced,
     matrix_to_lists,
     obj_str,
 )

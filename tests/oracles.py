@@ -68,7 +68,7 @@ from fimlab.modules import (
     _close_subspace_under,
     cover_blocks,
     direct_sum,
-    h0_generators,
+    generators_and_cover,
     make_free,
     obj_str,
     positive_degree_image,
@@ -473,6 +473,60 @@ def make_coinduced_by_compose(lambdas, window: Window, group: GroupTable | None 
     return mod
 
 
+def induced_by_free_fixed_space(lambdas, window: Window, group: GroupTable | None = None,
+                                g_rep: GroupRep | None = None) -> TruncatedModule:
+    """Reference for ``make_induced``: the vectors of (F(n) x G) x X, X =
+    (outer Specht product) x (group rep), fixed by the generators of
+    Aut(n) x G, where (sigma, g) sends the basis element (beta, h) of F(n)
+    to the composed morphism (beta, h) o (sigma, g^-1) and acts on X by
+    the Specht swap of sigma and rho(g).  The route that building M(lambda)
+    as F_n of its Specht representation replaced, kept as its reference."""
+    group = group or GroupTable.trivial()
+    g_rep = g_rep or GroupRep.trivial(group)
+    lambdas = tuple(tuple(l) for l in lambdas)
+    n = tuple(sum(l) for l in lambdas)
+    spechts = [specht(l) for l in lambdas]
+    dim_s = prod(sp.dim for sp in spechts)
+    dim_x = dim_s * g_rep.dim
+    og = group.order
+    free = make_free(n, window, group)
+    big = TruncatedModule(
+        window, group, {t: d * dim_x for t, d in free.dims.items()},
+        {key: kron(mat, RationalMatrix.identity(dim_x)) for key, mat in free.actions.items()})
+
+    def right_action(t, sigma: Morphism):
+        index = injection_index_table(n, t)
+        d = len(index) * og
+        rows = [[0] * d for _ in range(d)]
+        for beta, bi in index.items():
+            for h in range(og):
+                img = compose(Morphism(n, t, beta, h), sigma, group)
+                rows[index[img.maps] * og + img.group_elt][bi * og + h] = 1
+        return RationalMatrix(rows, d, d)
+
+    spaces = {}
+    for t in window.objects():
+        d = big.dims[t]
+        if not d:
+            spaces[t] = Subspace.zero(0)
+            continue
+        mats = []
+        for i, k in aut_swaps(n):
+            x_mat = RationalMatrix.identity(1)
+            for j, sp in enumerate(spechts, start=1):
+                x_mat = kron(x_mat, sp.gens[k - 1] if j == i else RationalMatrix.identity(sp.dim))
+            x_mat = kron(x_mat, RationalMatrix.identity(g_rep.dim))
+            mats.append(kron(right_action(t, swap_morphism(n, i, k)), x_mat))
+        for g, rho in zip(group.generators, g_rep.gen_mats):
+            sigma = Morphism(n, n, identity_morphism(n).maps, group.inverse[g])
+            mats.append(kron(right_action(t, sigma),
+                             kron(RationalMatrix.identity(dim_s), rho)))
+        diffs = [mat - RationalMatrix.identity(d) for mat in mats]
+        spaces[t] = kernel_basis(_stack_rows(((row, a.den) for a in diffs for row in a.rows), d))
+    mod, _ = submodule_from_stable_subspaces(big, spaces, Presentation.make([(n, lambdas)], n),
+                                             f"M{lambdas}")
+    return mod
+
 
 def with_trivial_group_action(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
     """Attach a group factor acting trivially (the group is a direct factor
@@ -625,10 +679,10 @@ def functorial_on_window(v: TruncatedModule) -> bool:
 
 
 def h0_generators_by_images(v: TruncatedModule) -> list:
-    """``h0_generators`` with I(n) computed at every object by
-    ``positive_degree_image`` over the full coordinate set, from the
-    inclusion images and their swaps: the route that reading I(n) off the
-    cover columns walked so far replaced, kept as its reference."""
+    """The generators of ``generators_and_cover``, with I(n) computed at
+    every object by ``positive_degree_image`` over the full coordinate set,
+    from the inclusion images and their swaps: the route that reading I(n)
+    off the cover columns walked so far replaced, kept as its reference."""
     full_s = tuple(range(1, v.m + 1))
     out = []
     for n in v.window.objects_by_degree():
@@ -692,7 +746,7 @@ def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> Naturality
     the route that reading ker pi_x off the section replaced, kept as its
     reference."""
     solver = NaturalitySolver(v, w)
-    pis = cover_blocks(v, h0_generators(v))
+    pis = cover_blocks(v, generators_and_cover(v)[0])
     solver.rows = []
     for x in v.window.objects():
         for k in kernel_basis(pis[x]).basis.rows:

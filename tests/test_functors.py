@@ -24,7 +24,6 @@ from fimlab.modules import (
     make_cofree,
     make_coinduced,
     make_free,
-    make_induced,
     restrict_window,
 )
 from fimlab.functors import (
@@ -38,6 +37,7 @@ from fimlab.functors import (
     induced_module,
     kernel_functor,
     kernel_sum,
+    make_induced,
     res,
     rs_group,
     shift,
@@ -52,6 +52,7 @@ from oracles import (
     derivative_decomposition_by_indexing,
     enumerate_injections,
     exact_four_term_check,
+    induced_by_free_fixed_space,
     invert_perm,
     morphism_of_key,
     regular_rep,
@@ -392,8 +393,8 @@ def test_induced_module_at_zero_object_is_constant_along_s():
 
 
 def test_induced_module_matches_make_induced():
-    """F of an irreducible at s agrees with the idempotent construction."""
-    from fimlab.modules import make_induced
+    """F_s along one coordinate of an irreducible agrees with M(lambda),
+    F_n along every coordinate."""
     from fimlab.modules import hom_space
 
     # W = trivial S_2-rep tensor the constant module on the complement
@@ -404,6 +405,27 @@ def test_induced_module_matches_make_induced():
     assert fs.dims == direct.dims
     maps = hom_space(fs, direct)
     assert any(mp.is_iso() for mp in maps) or _iso_from_combo(maps)
+
+
+_S3, _C3 = GroupTable.symmetric(3), GroupTable.cyclic(3)
+
+
+@pytest.mark.parametrize("lambdas, bound, group, regular", [
+    (((3,),), (4,), _S3, False),
+    (((1, 1, 1),), (4,), _S3, False),
+    (((2,), (1, 1)), (3, 3), TRIV, False),
+    (((2,), ()), (3, 2), _C3, True),
+    (((2, 1),), (3,), _C3, True),
+    (((2, 1),), (3,), _S3, True),
+    ((), (), _C3, True),
+], ids=["S3-3", "S3-111", "2x11", "C3reg-2x0", "C3reg-21", "S3reg-21", "C3reg-m0"])
+def test_make_induced_matches_the_free_fixed_space(lambdas, bound, group, regular):
+    """M(lambda) as F_n of its Specht representation is, byte for byte, the
+    fixed space of Aut(n) x G on (F(n) x G) x X that it replaced."""
+    g_rep = regular_rep(group) if regular else None
+    got = make_induced(lambdas, Window(bound), group, g_rep=g_rep)
+    assert got.to_json() == induced_by_free_fixed_space(lambdas, Window(bound), group,
+                                                        g_rep).to_json()
 
 
 # -- single-coordinate functors refuse coordinates out of range --------------

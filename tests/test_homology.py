@@ -13,12 +13,11 @@ from fimlab.modules import (
     external_tensor,
     make_cofree,
     make_free,
-    make_induced,
     NaturalitySolver,
     Presentation,
     quotient,
 )
-from fimlab.functors import derivative_sum, ind, kernel_sum, shift
+from fimlab.functors import derivative_sum, ind, kernel_sum, make_induced, shift
 from fimlab.homology import (
     EXACT,
     INCONCLUSIVE,
@@ -191,10 +190,10 @@ def test_a_cover_that_misses_a_generator_raises(monkeypatch):
     them, pi is no longer onto at that generator's object, and both the
     free cover and the Hom solver refuse it."""
     from fimlab import modules
-    from fimlab.modules import NaturalitySolver, h0_generators
+    from fimlab.modules import NaturalitySolver, generators_and_cover
 
     v = random_presented_module(Window((3,)), 0)
-    n_last = h0_generators(v)[-1][0]
+    n_last = generators_and_cover(v)[0][-1][0]
     real = modules._walk_generator
 
     def dropping(v, n, lifts, cols):

@@ -320,7 +320,7 @@ def test_generators_and_cover_come_from_one_walk():
     calls = {(path.name, name): called for path in sorted(SOURCE.glob("*.py"))
              for name, called in _calls_by_function(path).items()}
     both = [f"{file}:{name}" for (file, name), called in sorted(calls.items())
-            if {"h0_generators", "cover_blocks"} <= called]
+            if {"generators_and_cover", "cover_blocks"} <= called]
     assert both == []
     one_pass = calls[("modules.py", "generators_and_cover")]
     assert not one_pass & {"positive_degree_image", "_images_from_below"}

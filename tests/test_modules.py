@@ -29,12 +29,12 @@ from fimlab.modules import (
     make_coinduced,
     make_free,
     make_free_sum,
-    make_induced,
     quotient,
     restrict_window,
     submodule_generated,
     zero_module,
 )
+from fimlab.functors import make_induced
 from fimlab.samples import random_presented_module
 from fimlab.symrep import GroupRep
 
@@ -250,11 +250,17 @@ def test_make_induced_aut_rep_decomposes_correctly():
 
 
 def test_make_induced_rejects_a_group_rep_that_is_not_a_representation():
-    # g -> -1 has g^3 = -1, so it does not represent C3
-    c3 = GroupTable.cyclic(3)
-    bad = GroupRep(c3, 1, (RationalMatrix([[F(-1)]]),))
-    with pytest.raises(ValueError, match="dimension"):
-        make_induced(((1,),), Window((3,)), c3, g_rep=bad)
+    c3, s3 = GroupTable.cyclic(3), GroupTable.symmetric(3)
+    bads = [
+        # g -> -1 has g^3 = -1, so it does not represent C3
+        GroupRep(c3, 1, (RationalMatrix([[F(-1)]]),)),
+        # two involutions whose product has order 4, not 3
+        GroupRep(s3, 2, (RationalMatrix([[F(1), F(0)], [F(0), F(-1)]]),
+                         RationalMatrix([[F(0), F(1)], [F(1), F(0)]]))),
+    ]
+    for bad in bads:
+        with pytest.raises(ValueError, match="dimension"):
+            make_induced(((1,),), Window((3,)), bad.group, g_rep=bad)
 
 
 def test_make_coinduced_sign():
@@ -899,12 +905,12 @@ def test_no_fixpoint_sweeps(monkeypatch):
 def test_orbit_walk_matches_evaluate(bound, group, module_seed, rnd):
     """The cover blocks, and the walk of an identity from a random object,
     agree with factoring every basis morphism (beta, h) through evaluate."""
-    from fimlab.modules import _orbit_walk, cover_blocks, h0_generators
+    from fimlab.modules import _orbit_walk, cover_blocks, generators_and_cover
     from fimlab.samples import random_presented_module
 
     v = random_presented_module(Window(bound), module_seed, _GROUPS[group])
     objs = v.window.objects()
-    gens = h0_generators(v)
+    gens = generators_and_cover(v)[0]
     blocks = cover_blocks(v, gens)
     assert list(blocks) == objs
     for x in objs:

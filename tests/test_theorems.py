@@ -8,10 +8,9 @@ from fimlab.modules import (
     hom_space,
     make_cofree,
     make_free,
-    make_induced,
     make_coinduced,
 )
-from fimlab.functors import ind, res
+from fimlab.functors import ind, make_induced, res
 from fimlab.homology import EXACT, INCONCLUSIVE
 from fimlab.samples import point_module, truncated_constant
 from fimlab.theorems import (
@@ -349,7 +348,7 @@ def test_ext1_matches_restriction_construction():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: on the (2, 2) truncation Ext^1 gives dim 1 "
+    "ROADMAP item 2: on the (2, 2) truncation Ext^1 gives dim 1 "
     "(WINDOW_BOUNDED), the failing thm2 check at seeds 102, 203 and 508"))
 def test_ext1_into_an_injective_tensor_vanishes():
     """E(1) x M(1, 1) is injective by the classification, so Ext^1 into it
