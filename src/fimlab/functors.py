@@ -38,8 +38,9 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
-    _aut_right_action_matrix,
+    _before_generator,
     _fixed_space,
+    _monomial,
     _specht_swaps,
     cover_blocks,
     direct_sum,
@@ -204,10 +205,16 @@ def aut_table(s) -> GroupTable:
     return table
 
 
-@lru_cache(maxsize=None)
 def rs_group(s, group: GroupTable) -> GroupTable:
     """Aut(s) x G: the group carried by slice modules at s.  Built once per
-    (s, group) and shared; a ``GroupTable`` is immutable."""
+    (s, group, name) and shared; a ``GroupTable`` is immutable."""
+    return _rs_group(tuple(s), group, group.name)
+
+
+@lru_cache(maxsize=None)
+def _rs_group(s, group: GroupTable, name: str) -> GroupTable:
+    # GroupTable equality ignores the name, but the product's name is built
+    # from it, so C2 and S2 must not share an entry
     return GroupTable.product(aut_table(s), group)
 
 
@@ -291,6 +298,16 @@ def split_obj(n, S, not_S):
         tuple(n[i - 1] for i in S),
         tuple(n[i - 1] for i in not_S),
     )
+
+
+def _aut_right_action_matrix(n, t, swap):
+    """Right action of the swap generator sigma of n with key ``swap`` on
+    the injections n -> t, beta -> beta o sigma."""
+    index = injection_index_table(n, t)
+    cols = [None] * len(index)
+    for bi, beta in enumerate(index):
+        cols[index[_before_generator(swap, beta)]] = bi
+    return _monomial(cols, len(index), len(index))
 
 
 def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,

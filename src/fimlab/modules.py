@@ -738,16 +738,6 @@ def make_cofree(l, window: Window, group: GroupTable | None = None,
     return TruncatedModule(window, group, dims, actions, pres, name or f"E{obj_str(l)}")
 
 
-def _aut_right_action_matrix(n, t, swap):
-    """Right action of the swap generator sigma of n with key ``swap`` on
-    the injections n -> t, beta -> beta o sigma."""
-    index = injection_index_table(n, t)
-    cols = [None] * len(index)
-    for bi, beta in enumerate(index):
-        cols[index[_before_generator(swap, beta)]] = bi
-    return _monomial(cols, len(index), len(index))
-
-
 def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
                                     presentation=None, name=""):
     """Wrap action-stable subspaces as a module plus its inclusion map.

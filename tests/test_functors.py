@@ -296,6 +296,16 @@ def test_aut_table_orders():
     assert aut_table(()).order == 1
 
 
+def test_rs_group_keeps_the_name_of_an_equal_group():
+    # C2 and S2 have the same table, so they compare equal; the slice
+    # groups built from them must still carry their own names
+    c2, s2 = GroupTable.cyclic(2), GroupTable.symmetric(2)
+    assert c2 == s2
+    assert rs_group((1,), c2).name == "1xS1xC2"
+    assert rs_group((1,), s2).name == "1xS1xS2"
+    assert rs_group((1,), c2) is rs_group((1,), c2)
+
+
 @pytest.mark.parametrize("s", [(), (1,), (3,), (2, 3), (3, 1, 2)])
 def test_aut_swaps_are_aut_table_generators_in_order(s):
     def swap(c, k):
