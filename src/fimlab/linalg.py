@@ -125,6 +125,12 @@ def _identity_rows(n):
     return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _unit_rows(n):
+    """{c: e_c} for c in range(n), the shared identity rows, and {None: 0}."""
+    return {None: (0,) * n, **dict(enumerate(_identity_rows(n)))}
+
+
 def _is_identity(mat) -> bool:
     return mat.den == 1 and mat.nrows == mat.ncols and mat.rows == _identity_rows(mat.nrows)
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
 from math import lcm, prod
-from operator import mul
 
 from .category import (
     GroupTable,
@@ -54,7 +53,10 @@ from .linalg import (
     rank,
     solve,
     solve_matrix,
+    _make,
+    _reduced,
     _stack_rows,
+    _unit_rows,
 )
 from .symrep import specht, _rep_elements
 
@@ -250,11 +252,9 @@ class TruncatedModule:
             mat = self.actions.get(key)
             if mat is None:
                 raise ValueError(f"missing action for generator {key}")
-            if mat.shape != (self.dims[tgt], self.dims[src]):
-                raise ValueError(
-                    f"action {key} has shape {mat.shape}, expected "
-                    f"({self.dims[tgt]}, {self.dims[src]})"
-                )
+            if mat.nrows != self.dims[tgt] or mat.ncols != self.dims[src]:
+                raise ValueError(f"action {key} has shape {mat.shape}, expected "
+                                 f"({self.dims[tgt]}, {self.dims[src]})")
         if len(self.actions) > len(gens):
             keys = {key for key, _, _ in gens}
             stray = next(key for key in self.actions if key not in keys)
@@ -527,10 +527,8 @@ class ModuleMap:
             if blk is None:
                 raise ValueError(f"missing block at {n}")
             if blk.shape != (target.dims[n], source.dims[n]):
-                raise ValueError(
-                    f"block at {n} has shape {blk.shape}, expected "
-                    f"({target.dims[n]}, {source.dims[n]})"
-                )
+                raise ValueError(f"block at {n} has shape {blk.shape}, expected "
+                                 f"({target.dims[n]}, {source.dims[n]})")
 
     @staticmethod
     def identity(v: TruncatedModule) -> "ModuleMap":
@@ -637,12 +635,15 @@ def _before_generator(key, maps) -> tuple:
 
 
 def _monomial(cols, nrows: int, ncols: int) -> RationalMatrix:
-    """The 0/1 matrix with a 1 at (r, cols[r]) for every row r whose
-    ``cols[r]`` is not None."""
-    zero = (0,) * ncols
-    return RationalMatrix(
-        [zero if c is None else zero[:c] + (1,) + zero[c + 1:] for c in cols],
-        nrows, ncols)
+    """The 0/1 matrix whose row r is the shared unit row e_{cols[r]} (0 for None);
+    ValueError unless ``cols`` has ``nrows`` entries, each None or in range(ncols)."""
+    try:
+        rows = tuple(map(_unit_rows(ncols).__getitem__, cols))
+    except KeyError as exc:
+        raise ValueError(f"monomial column {exc.args[0]!r} outside range({ncols})") from None
+    if len(rows) != nrows:
+        raise ValueError(f"{len(rows)} monomial columns for {nrows} rows")
+    return _make(rows, 1, nrows, ncols)
 
 
 def make_free(n, window: Window, group: GroupTable | None = None,
@@ -1105,12 +1106,9 @@ def generators_and_cover(v: TruncatedModule):
         og, objs = v.group.order, v.objs
         rank = {n: r for r, n in enumerate(v.window.objects_by_degree())}
         order = sorted(range(len(objs)), key=lambda j: rank[objs[j]])  # stable
-
-        def lift(j):
-            off = og * sum(count_injections(objs[i], objs[j]) for i in range(j))
-            return tuple(int(r == off) for r in range(v.dims[objs[j]]))
-
-        gens = [(n, [lift(j) for j in js]) for n, js in groupby(order, objs.__getitem__)]
+        off = [og * sum(count_injections(m, n) for m in objs[:j]) for j, n in enumerate(objs)]
+        gens = [(n, [_unit_rows(v.dims[n])[off[j]] for j in js])
+                for n, js in groupby(order, objs.__getitem__)]
         if order == sorted(order):
             return gens, {x: RationalMatrix.identity(d) for x, d in v.dims.items()}
         blocks = {}
@@ -1256,9 +1254,9 @@ class NaturalitySolver:
     Every W(beta, h) comes from one orbit walk of the identity of W(n_i) per
     generator object (:func:`_orbit_walk`), with no morphism factored.
 
-    The solutions form the kernel of ``rows``, computed once; ``basis()`` is
-    its RREF basis, so a natural map's coordinates in that basis are its
-    generator values phi(u_i) = t_i read at the kernel's pivots.
+    The solutions form the kernel of ``rows``, computed once; :meth:`_maps`
+    builds the maps of ``basis()``, its RREF basis, and of ``solve_with_conditions``.
+    A map's coordinates in the basis are its generator values t_i at the pivots.
     """
 
     def __init__(self, v: TruncatedModule, w: TruncatedModule):
@@ -1306,18 +1304,18 @@ class NaturalitySolver:
                         row[offset + j] += c * a
         return rows, den
 
-    def _solution_to_map(self, t, den) -> ModuleMap:
-        """The map with generator values t / den, t a sequence of ints."""
-        blocks = {}
+    def _maps(self, t: RationalMatrix) -> list:
+        """The maps whose generator values are the rows of t.  Column j of the one
+        product W(beta, h) T[offset:offset + ncols] per term, T = t^T, is map j's."""
+        tt, blocks = t.transpose(), [{} for _ in t.rows]
         for x, terms in self._terms.items():
-            if not (self.v.dims[x] and self.w.dims[x]):
-                blocks[x] = RationalMatrix.zeros(self.w.dims[x], self.v.dims[x])
-                continue
-            cols = [(tuple(sum(map(mul, row, t[offset:offset + wm.ncols]))
-                           for row in wm.rows), wm.den * den)
-                    for offset, wm in terms]
-            blocks[x] = _stack_rows(cols, self.w.dims[x]).transpose() * self._sections[x]
-        return ModuleMap(self.v, self.w, blocks)
+            dw, dv = self.w.dims[x], self.v.dims[x]
+            cols = [(wm * _reduced(tt.rows[o:o + wm.ncols], tt.den, wm.ncols, t.nrows))
+                    .transpose() for o, wm in terms] if dw and dv else []
+            for j, b in enumerate(blocks):
+                b[x] = (_stack_rows(((c.rows[j], c.den) for c in cols), dw).transpose()
+                        * self._sections[x]) if cols else RationalMatrix.zeros(dw, dv)
+        return [ModuleMap(self.v, self.w, b) for b in blocks]
 
     @cached_property
     def _kernel(self) -> Subspace:
@@ -1329,8 +1327,7 @@ class NaturalitySolver:
         return self._kernel.dim
 
     def basis(self):
-        basis = self._kernel.basis
-        return [self._solution_to_map(t, basis.den) for t in basis.rows]
+        return self._maps(self._kernel.basis)
 
     def coordinates(self, phi: ModuleMap) -> tuple | None:
         """The coordinates of a natural phi: V -> W in ``basis()``, or None
@@ -1354,10 +1351,7 @@ class NaturalitySolver:
                 rows.extend(block)
                 rhs.extend(c * den * ys.den for c in cmat.col(j))
         sol = solve(RationalMatrix(rows, len(rows), self.nparams), rhs)
-        if sol is None:
-            return None
-        t = RationalMatrix([sol], 1, self.nparams)
-        return self._solution_to_map(t.rows[0], t.den)
+        return None if sol is None else self._maps(RationalMatrix([sol], 1, self.nparams))[0]
 
 
 def check_hom_source(v: TruncatedModule) -> None:

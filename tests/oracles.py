@@ -56,11 +56,13 @@ from fimlab.linalg import (
     quotient_map,
     rational_roots,
     rref_int,
+    solve,
     solve_matrix,
     _stack_rows,
 )
 from fimlab.modules import (
     MarginError,
+    ModuleMap,
     NaturalitySolver,
     Presentation,
     TruncatedModule,
@@ -753,6 +755,43 @@ def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> Naturality
             rows, _ = solver._rows_of(x, k)
             solver.rows.extend(row for row in rows if any(row))
     return solver
+
+
+def solution_map_by_dot_products(solver: NaturalitySolver, t, den) -> ModuleMap:
+    """The natural map with generator values t / den, t a sequence of ints,
+    one map at a time: each column of each block is a dot product of every
+    row of every W(beta, h) with the map's parameter slice.  The route that
+    ``NaturalitySolver._maps``' one product per term replaced, kept as its
+    reference."""
+    blocks = {}
+    for x, terms in solver._terms.items():
+        if not (solver.v.dims[x] and solver.w.dims[x]):
+            blocks[x] = RationalMatrix.zeros(solver.w.dims[x], solver.v.dims[x])
+            continue
+        cols = [(tuple(sum(map(mul, row, t[offset:offset + wm.ncols]))
+                       for row in wm.rows), wm.den * den)
+                for offset, wm in terms]
+        blocks[x] = _stack_rows(cols, solver.w.dims[x]).transpose() * solver._sections[x]
+    return ModuleMap(solver.v, solver.w, blocks)
+
+
+def solve_with_conditions_one_map(solver: NaturalitySolver, conditions):
+    """``NaturalitySolver.solve_with_conditions`` with the map built by
+    :func:`solution_map_by_dot_products`."""
+    rows = list(solver.rows)
+    rhs = [0] * len(rows)
+    for n, rmat, cmat in conditions:
+        n = tuple(n)
+        ys = solver._sections[n] * rmat
+        for j, y in enumerate(ys.transpose().rows):
+            block, den = solver._rows_of(n, y)
+            rows.extend(block)
+            rhs.extend(c * den * ys.den for c in cmat.col(j))
+    sol = solve(RationalMatrix(rows, len(rows), solver.nparams), rhs)
+    if sol is None:
+        return None
+    t = RationalMatrix([sol], 1, solver.nparams)
+    return solution_map_by_dot_products(solver, t.rows[0], t.den)
 
 
 

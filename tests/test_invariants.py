@@ -5,7 +5,7 @@ the benchmark's layer tracer names exists, only a module's constructor
 writes its dims and actions, no direct sum is taken of free modules
 alone, the generators and their cover come from one walk, and only
 ``make_free_sum`` builds a ``FreeModule`` and only ``generators_and_cover``
-tests for one."""
+tests for one, and the Hom solver builds its maps in one helper."""
 
 import ast
 import importlib
@@ -358,3 +358,19 @@ def test_free_modules_are_built_and_recognised_in_one_place_each():
     found = [u for path in sorted(SOURCE.glob("*.py")) for u in _free_module_uses(path)]
     assert sorted(found) == [("modules.py", "generators_and_cover", "isinstance"),
                              ("modules.py", "make_free_sum", "call")]
+
+
+def test_hom_maps_are_built_by_one_helper():
+    """``NaturalitySolver.basis`` and ``.solve_with_conditions`` build their
+    maps through ``_maps``, one product per term for all maps at once, and
+    no other solver method builds a ``ModuleMap``.  The one-map dot-product
+    route ``_solution_to_map`` is gone from the package; it lives in
+    ``tests/oracles.py`` as the reference."""
+    calls = {name: called for name, called in _calls_by_function(SOURCE / "modules.py").items()
+             if name.startswith("NaturalitySolver.")}
+    assert "_maps" in calls["NaturalitySolver.basis"]
+    assert "_maps" in calls["NaturalitySolver.solve_with_conditions"]
+    assert [name for name, called in sorted(calls.items())
+            if "ModuleMap" in called] == ["NaturalitySolver._maps"]
+    assert [path.name for path in sorted(SOURCE.glob("*.py"))
+            if "_solution_to_map" in path.read_text()] == []

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -33,6 +34,7 @@ from fimlab.modules import (
     restrict_window,
     submodule_generated,
     zero_module,
+    _monomial,
 )
 from fimlab.functors import make_induced
 from fimlab.samples import random_presented_module
@@ -54,6 +56,9 @@ from oracles import (
     make_free_by_compose,
     partitions_of,
     permute_coords,
+    solution_blocks_every_object,
+    solution_map_by_dot_products,
+    solve_with_conditions_one_map,
     solver_by_kernel_basis,
 )
 
@@ -190,6 +195,40 @@ def test_free_sum_is_the_direct_sum_of_free_modules(case):
 def test_free_sum_refuses_a_generator_outside_the_window():
     with pytest.raises(MarginError, match=r"generator object \(3, 0\)"):
         make_free_sum([(1, 0), (3, 0)], Window((2, 2)), TRIV)
+
+
+@pytest.mark.parametrize("cols, nrows, ncols, message", [
+    ([0, 3], 2, 3, r"monomial column 3 outside range\(3\)"),
+    ([None, -1], 2, 3, r"monomial column -1 outside range\(3\)"),
+    ([0, 1], 3, 3, "2 monomial columns for 3 rows"),
+    ([0, 1, 2, None], 3, 3, "4 monomial columns for 3 rows"),
+])
+def test_monomial_rejects_a_bad_column_or_row_count(cols, nrows, ncols, message):
+    """Shared unit rows would turn column -1 into the last unit row; the
+    range and the row count are checked instead."""
+    with pytest.raises(ValueError, match=message):
+        _monomial(cols, nrows, ncols)
+
+
+@st.composite
+def monomial_cases(draw):
+    ncols = draw(st.integers(0, 6))
+    col = st.none() if ncols == 0 else st.one_of(st.none(), st.integers(0, ncols - 1))
+    return draw(st.lists(col, max_size=7)), ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_cases())
+def test_monomial_equals_the_dense_build(case):
+    """``_monomial`` from shared unit rows is the matrix the constructor
+    builds from fresh dense rows: the same rows, denominator and shape."""
+    cols, ncols = case
+    zero = (0,) * ncols
+    dense = RationalMatrix([zero if c is None else zero[:c] + (1,) + zero[c + 1:]
+                            for c in cols], len(cols), ncols)
+    got = _monomial(cols, len(cols), ncols)
+    assert got == dense
+    assert (got.rows, got.den, got.shape) == (dense.rows, dense.den, dense.shape)
 
 
 @pytest.mark.parametrize("dim", [2.5, True, "3"])
@@ -801,6 +840,81 @@ def test_constraints_read_off_the_section_match_the_kernel_route(bound, group, s
     want = ref.solve_with_conditions([(n, r, c)])
     assert (got is None) == (want is None)
     assert got is None or got.blocks == want.blocks
+
+
+# Pairs (V, W) on a window over a group, by the kernel of the solver's
+# constraint rows: full (no rows bind), empty (no map, with or without
+# parameters) or partial; the sources are free or presented.
+_HOM_KERNELS = {
+    "free sum into a free sum, sections permute": ("full", lambda w, g: (
+        make_free_sum([(2,), (1,)], w, g), make_free_sum([(1,), (2,)], w, g))),
+    "free into a zero value": ("empty", lambda w, g: (
+        make_free((3,), w, g), make_cofree((2,), w, g))),
+    "cofree into the constant": ("empty", lambda w, g: (
+        make_cofree((1,), w, g), make_free((0,), w, g))),
+    "presented into itself": ("partial", lambda w, g: (
+        random_presented_module(w, 0, g),) * 2),
+    "presented into a cofree": ("partial", lambda w, g: (
+        random_presented_module(w, 0, g), make_cofree((2,), w, g))),
+    "presented into its rescaling": ("partial", lambda w, g: (
+        random_presented_module(w, 0, g), _rescaled(random_presented_module(w, 0, g))[0])),
+}
+
+
+def _hom_kernel_case(case, group):
+    from fimlab.modules import NaturalitySolver
+
+    kind, build = _HOM_KERNELS[case]
+    solver = NaturalitySolver(*build(Window((3,)), _GROUPS[group]))
+    dim, nparams = solver.dim, solver.nparams
+    assert {"full": 0 < dim == nparams, "empty": dim == 0,
+            "partial": 0 < dim < nparams}[kind], (dim, nparams)
+    return solver
+
+
+@pytest.mark.parametrize("group", ["C3", "S2"])
+@pytest.mark.parametrize("case", sorted(_HOM_KERNELS))
+def test_hom_basis_built_at_once_matches_the_one_map_routes(case, group):
+    """``basis()`` builds every map from one product per term; each map
+    equals the one-map dot-product route and the every-object route."""
+    solver = _hom_kernel_case(case, group)
+    basis, kernel = solver.basis(), solver._kernel.basis
+    assert len(basis) == solver.dim
+    assert basis == [solution_map_by_dot_products(solver, t, kernel.den) for t in kernel.rows]
+    assert [mp.blocks for mp in basis] == solution_blocks_every_object(solver)
+
+
+@pytest.mark.parametrize("group", ["C3", "S2"])
+@pytest.mark.parametrize("case", sorted(_HOM_KERNELS))
+def test_solve_with_conditions_matches_the_one_map_route(case, group):
+    """The extension problem's map, through the shared helper, equals the
+    one-map route's; it meets its conditions and is natural.  Conditions
+    read off a random natural map are solvable; moved off it, they may not
+    be."""
+    solver = _hom_kernel_case(case, group)
+    v, w = solver.v, solver.w
+    rnd = random.Random(f"{case} {group}")
+    objects = [x for x in v.window.objects() if v.dims[x] and w.dims[x]]
+    trials = [([], True)]  # (conditions, read off a natural map)
+    for trial in range(6 if objects else 0):
+        phi = ModuleMap.zero(v, w)
+        for b in solver.basis():
+            phi = phi.add(b.scale(rnd.randint(-2, 2)))
+        n = rnd.choice(objects)
+        r = RationalMatrix([[rnd.randint(-2, 2) for _ in range(2)]
+                            for _ in range(v.dims[n])])
+        c = phi.blocks[n] * r
+        if trial % 2:
+            c = c + RationalMatrix([[rnd.randint(-1, 1) for _ in range(2)]
+                                    for _ in range(w.dims[n])])
+        trials.append(([(n, r, c)], trial % 2 == 0))
+    for conditions, solvable in trials:
+        got = solver.solve_with_conditions(conditions)
+        assert got == solve_with_conditions_one_map(solver, conditions)
+        assert got is not None or not solvable
+        if got is not None:
+            assert got.is_natural()
+            assert all(got.blocks[n] * r == c for n, r, c in conditions)
 
 
 # -- generated submodules and I_S V against the definitions ------------------
