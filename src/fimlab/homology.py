@@ -158,7 +158,8 @@ def _slices(mod: TruncatedModule, S):
 
 
 def h0(v: TruncatedModule, S) -> HomologyReport:
-    """H_0 along S: the quotient by the positive-S-degree ideal, sliced."""
+    """H_0 along S: the quotient by the positive-S-degree ideal, sliced;
+    a free V's ideal is read off its summand blocks, with no elimination."""
     S = normalize_subset(S, v.m)
     spaces = {n: positive_degree_image(v, S, n) for n in v.window.objects()}
     h0mod, proj = quotient(v, spaces, name=f"H0_{S}({v.name})" if v.name else "")
@@ -207,9 +208,12 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
     none).  It is counted: pi maps I_S P onto I_S V, so H_0 of K -> P -> V
     -> 0 is exact and dim H_1 = dim H_0(K) - dim H_0(P) + dim H_0(V) at
     each n.  P is free on its generator slots g, and F(g)(n), of dimension
-    |G| * #Inj(g, n), survives in H_0 exactly when n has g's S-part."""
+    |G| * #Inj(g, n), survives in H_0 exactly when n has g's S-part.
+    ValueError when ``cover`` is not a cover of V."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
+    if cover is not None and not (cover[1].target is v or cover[1].target == v):
+        raise ValueError("cover is not a cover of v: its pi has another target")
     rep = h0(v, S)
     p, _, k, _ = cover if cover is not None else free_cover(v)
     rep.h1_dims = {}

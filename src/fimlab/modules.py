@@ -656,7 +656,7 @@ def make_free(n, window: Window, group: GroupTable | None = None,
 class FreeModule(TruncatedModule):
     """The free module F(n_1) + ... + F(n_k) on the generator objects
     ``objs`` (repeats allowed, none for the zero module), built in one pass;
-    :func:`generators_and_cover` reads its generators and cover off ``objs``.
+    its generators, cover and I_S V are read off :func:`_free_blocks`.
 
     Basis of the value at t: summand by summand, and within F(n_j) the
     injections n_j -> t in enumeration order, each paired with the group
@@ -677,8 +677,14 @@ class FreeModule(TruncatedModule):
             if not window.contains(n):
                 raise MarginError(f"generator object {n} lies outside the window")
         og = group.order
-        sizes = {t: [count_injections(n, t) * og for n in objs] for t in window.objects()}
-        dims = {t: sum(ds) for t, ds in sizes.items()}
+        layout, dims = {}, {}  # each summand's basis range at t, and its end
+        for t in window.objects():
+            blocks, a = [], 0
+            for n in objs:
+                d = count_injections(n, t) * og
+                blocks.append(range(a, a + d))
+                a += d
+            layout[t], dims[t] = blocks, a
         actions = {}
         for key, src, tgt in window_generators(window, group):
             cols = [None] * dims[tgt]
@@ -689,18 +695,16 @@ class FreeModule(TruncatedModule):
                     for h in range(og):
                         cols[bi + mult[h]] = bi + h
             elif dims[src]:
-                so = to = 0  # the summand's first index at src and at tgt
-                for n, ds, dt in zip(objs, sizes[src], sizes[tgt]):
-                    if ds:
+                for n, bs, bt in zip(objs, layout[src], layout[tgt]):
+                    if bs:
+                        so, to = bs.start, bt.start
                         for bi, ti in enumerate(generator_index_map(n, key)):
                             for h in range(og):
                                 cols[to + ti * og + h] = so + bi * og + h
-                    so += ds
-                    to += dt
             actions[key] = _monomial(cols, dims[tgt], dims[src])
         rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
         pres = Presentation(tuple((n, None) for n in objs), rel, False)
-        self.objs = objs
+        self.objs, self.layout = objs, layout
         super().__init__(window, group, dims, actions, pres, name)
 
 
@@ -708,6 +712,11 @@ def make_free_sum(objs, window: Window, group: GroupTable | None = None,
                   name: str = "") -> FreeModule:
     """The free module on the generator objects ``objs``, as a :class:`FreeModule`."""
     return FreeModule(objs, window, group, name)
+
+
+def _free_blocks(v: TruncatedModule, x):
+    """Each summand's basis range at x, |G| #Inj(n_j, x) long; None unless v is free."""
+    return v.layout[x] if isinstance(v, FreeModule) else None
 
 
 def make_cofree(l, window: Window, group: GroupTable | None = None,
@@ -1068,8 +1077,19 @@ def positive_degree_image(v: TruncatedModule, S, n) -> Subspace:
     Each such morphism factors through some n - o_i -> n with i in S, so
     this is the span of the images of the V(n - o_i)
     (:func:`_images_from_below`).
+
+    A :class:`FreeModule` takes no elimination: the RREF basis is the unit
+    rows at the blocks (:func:`_free_blocks`) of the summands F(g) with
+    g_S != n_S, as an injection g -> n factors through some n - o_i, i in S,
+    exactly then.
     """
-    return _images_from_below(v, S, tuple(n), None)
+    n = tuple(n)
+    blocks = _free_blocks(v, n)
+    if blocks is None:
+        return _images_from_below(v, S, n, None)
+    cols = tuple(c for g, cs in zip(v.objs, blocks) if any(g[i - 1] != n[i - 1] for i in S)
+                 for c in cs)
+    return Subspace(v.dims[n], _monomial(cols, len(cols), v.dims[n]), cols)
 
 
 def generators_and_cover(v: TruncatedModule):
@@ -1093,29 +1113,25 @@ def generators_and_cover(v: TruncatedModule):
     ``Subspace`` is canonical RREF, so this I(n) is
     ``positive_degree_image(v, full S, n)`` exactly, and so are the lifts.
 
-    A :class:`FreeModule` gets the lifts this search would pick by index
-    arithmetic.  Let off_j(t) = |G| sum_{i<j} #Inj(n_i, t).  I(n) is spanned
-    by the blocks of the summands with n_j < n, so the free columns at n are
-    the blocks of the summands at n.  Aut(n) x G acts simply transitively on
-    F(n)(n)'s basis, so e_{off_j(n)} closes to its whole block, and the next
-    free column is the next summand's offset.  So the lifts are e_{off_j(n_j)}
-    in (degree rank of n_j, j) order, and the cover permutes summand blocks
-    from that order to ``objs`` order: the identity where the two agree.
+    A :class:`FreeModule` gets the lifts this search would pick off its
+    summand blocks (:func:`_free_blocks`).  I(n) is spanned by the blocks of
+    the summands with n_j < n, and Aut(n) x G acts simply transitively on
+    F(n)(n)'s basis, so the lifts are the first columns of the blocks at
+    n_j, in (degree rank of n_j, j) order.  The cover permutes summand
+    blocks from that order to ``objs`` order: the identity where they agree.
     """
-    if isinstance(v, FreeModule):
-        og, objs = v.group.order, v.objs
+    layout = {x: _free_blocks(v, x) for x in v.dims}
+    if None not in layout.values():
         rank = {n: r for r, n in enumerate(v.window.objects_by_degree())}
-        order = sorted(range(len(objs)), key=lambda j: rank[objs[j]])  # stable
-        off = [og * sum(count_injections(m, n) for m in objs[:j]) for j, n in enumerate(objs)]
-        gens = [(n, [_unit_rows(v.dims[n])[off[j]] for j in js])
-                for n, js in groupby(order, objs.__getitem__)]
+        order = sorted(range(len(v.objs)), key=lambda j: rank[v.objs[j]])  # stable
+        gens = [(n, [_unit_rows(v.dims[n])[layout[n][j].start] for j in js])
+                for n, js in groupby(order, v.objs.__getitem__)]
         if order == sorted(order):
             return gens, {x: RationalMatrix.identity(d) for x, d in v.dims.items()}
         blocks = {}
         for x, d in v.dims.items():
-            sizes = [count_injections(n, x) * og for n in objs]
-            start = dict(zip(order, accumulate([sizes[j] for j in order], initial=0)))
-            cols = [c for j, s in enumerate(sizes) for c in range(start[j], start[j] + s)]
+            start = dict(zip(order, accumulate([len(layout[x][j]) for j in order], initial=0)))
+            cols = [c for j, r in enumerate(layout[x]) for c in range(start[j], start[j] + len(r))]
             blocks[x] = _monomial(cols, d, d)
         return gens, blocks
     cols = {x: [] for x in v.window.objects()}  # (int column, denominator)

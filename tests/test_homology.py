@@ -15,6 +15,7 @@ from fimlab.modules import (
     make_free,
     NaturalitySolver,
     Presentation,
+    TruncatedModule,
     quotient,
 )
 from fimlab.functors import derivative_sum, ind, kernel_sum, make_induced, shift
@@ -301,6 +302,19 @@ def test_h1_independent_of_cover():
     )
     rep_pad = h1(e, (1,), cover=(p2, pi2, k2, k2incl))
     assert rep_pad.h1_dims == rep_min.h1_dims
+
+
+def test_h1_rejects_another_modules_cover():
+    """A cover of another module is refused rather than counted: counted
+    against it, H_1 of the free F(1) would read -1, 1, 1 at 0, 1, 2.  V's
+    own cover is taken for V and for an equal copy of V."""
+    window = Window((4,))
+    v = make_free((1,), window)
+    with pytest.raises(ValueError, match="cover"):
+        h1(v, (1,), free_cover(random_presented_module(window, 3)))
+    cover = free_cover(v)
+    for u in (v, TruncatedModule.from_dict(v.to_dict())):
+        assert set(h1(u, (1,), cover).h1_dims.values()) == {0}
 
 
 def test_is_S_induced_round_trip():

@@ -4,8 +4,8 @@ every function it defines has a caller in the package, every callable
 the benchmark's layer tracer names exists, only a module's constructor
 writes its dims and actions, no direct sum is taken of free modules
 alone, the generators and their cover come from one walk, and only
-``make_free_sum`` builds a ``FreeModule`` and only ``generators_and_cover``
-tests for one, and the Hom solver builds its maps in one helper."""
+``make_free_sum`` builds a ``FreeModule`` and only ``_free_blocks`` tests
+for one, and the Hom solver builds its maps in one helper."""
 
 import ast
 import importlib
@@ -352,12 +352,16 @@ def _free_module_uses(path):
 
 def test_free_modules_are_built_and_recognised_in_one_place_each():
     """A ``FreeModule`` promises its data is the free sum on its ``objs``,
-    and ``generators_and_cover`` answers from that promise.  Only
-    ``make_free_sum`` builds one, so the package cannot forge the promise,
-    and only ``generators_and_cover`` forks on it."""
+    and ``generators_and_cover`` and ``positive_degree_image`` answer from
+    that promise.  Only ``make_free_sum`` builds one, so the package cannot
+    forge the promise, and only ``_free_blocks`` tests for one: both answers
+    read the summand blocks from it."""
     found = [u for path in sorted(SOURCE.glob("*.py")) for u in _free_module_uses(path)]
-    assert sorted(found) == [("modules.py", "generators_and_cover", "isinstance"),
+    assert sorted(found) == [("modules.py", "_free_blocks", "isinstance"),
                              ("modules.py", "make_free_sum", "call")]
+    calls = _calls_by_function(SOURCE / "modules.py")
+    assert "_free_blocks" in calls["generators_and_cover"]
+    assert "_free_blocks" in calls["positive_degree_image"]
 
 
 def test_hom_maps_are_built_by_one_helper():

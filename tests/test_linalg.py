@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from fimlab.linalg import (
     solve_matrix,
 )
 from fimlab.modules import (
+    TruncatedModule,
     close_under_actions,
     make_free,
     positive_degree_image,
@@ -566,10 +568,12 @@ def test_quotient_makes_no_solve_call(monkeypatch):
 
 def test_positive_degree_image_is_one_elimination_per_coordinate(monkeypatch):
     """I_S V(n) takes at most one kernel call per i in S with n_i > 0, and
-    it is the span of the images of every injection n - o_i -> n."""
-    v = make_free((1, 0), Window((3, 3)), GroupTable.symmetric(2))
+    it is the span of the images of every injection n - o_i -> n, for a
+    free module and for its plain copy, which takes the general route."""
+    free = make_free((1, 0), Window((3, 3)), GroupTable.symmetric(2))
     calls = _count_kernel_calls(monkeypatch)
-    for n in v.window.objects():
+    for v, n in product((free, TruncatedModule.from_dict(free.to_dict())),
+                        free.window.objects()):
         for S in ((1,), (2,), (1, 2)):
             del calls[:]
             got = positive_degree_image(v, S, n)

@@ -986,6 +986,7 @@ def test_positive_degree_image_matches_the_definition(bound, group):
     subsets = [S for r in range(1, window.m + 1)
                for S in combinations(range(1, window.m + 1), r)]
     mods = [make_free((1,) * window.m, window, g)]
+    mods += [TruncatedModule.from_dict(mods[0].to_dict())]  # the general route
     mods += [random_presented_module(window, s, g) for s in range(2)]
     for v in mods:
         for n in window.objects():
@@ -1004,8 +1005,9 @@ def test_no_fixpoint_sweeps(monkeypatch):
     v = make_free((1, 0), Window((3, 3)), GroupTable.symmetric(2))
     with monkeypatch.context() as patch:
         patch.setattr(modules, "_close_subspace_under", forbidden)
-        for n in v.window.objects():
-            modules.positive_degree_image(v, (1, 2), n)
+        for mod in (v, TruncatedModule.from_dict(v.to_dict())):  # direct, general route
+            for n in v.window.objects():
+                modules.positive_degree_image(mod, (1, 2), n)
     monkeypatch.setattr(modules, "generator_keys", forbidden)
     monkeypatch.setattr(modules, "window_generators", forbidden)
     seed = Subspace.from_spanning(v.dims[(1, 1)], [range(v.dims[(1, 1)])])
@@ -1089,13 +1091,19 @@ def free_module_cases(draw):
 @example((Window((3,)), [], "trivial", (3,)))
 @example((Window((3, 2)), [(2, 1), (1, 0)], "C2", (2, 1)))
 @example((Window((2, 2)), [(0, 1), (0, 1)], "S2", (1, 1)))
+@example((Window((1, 1, 1)), [(1, 1, 1), (0, 1, 0), (1, 0, 0)], "C2", (1, 1, 0)))
+@example((Window((4,)), [(3,), (0,), (2,)], "S2", (2,)))
+@example((Window((2, 2)), [], "C3", (1, 1)))
 def test_a_free_module_is_answered_as_the_search_answers(case):
-    """Reading a free module's generators and cover off its summands gives,
-    exactly, what the generator search gives on the same data as a plain
-    module: the same lifts and blocks, Hom basis into a co-free module,
-    free cover and H_1."""
-    from fimlab.homology import free_cover, h1
-    from fimlab.modules import generators_and_cover
+    """Reading a free module's generators, cover and I_S off its summands
+    gives, exactly, what the general routes give on the same data as a
+    plain module: the same lifts and blocks, Hom basis into a co-free
+    module, free cover, and for every nonempty S the positive-degree image
+    at every object, H_0 with its projection, and H_1."""
+    from itertools import combinations
+
+    from fimlab.homology import free_cover, h0, h1
+    from fimlab.modules import generators_and_cover, positive_degree_image
 
     window, objs, group, l = case
     free = make_free_sum(objs, window, _FREE_GROUPS[group])
@@ -1109,9 +1117,15 @@ def test_a_free_module_is_answered_as_the_search_answers(case):
     p, pi, k, _ = cover
     q, rho, kq, _ = plain_cover
     assert (p.to_json(), pi.blocks, k.to_json()) == (q.to_json(), rho.blocks, kq.to_json())
-    full_s = tuple(range(1, window.m + 1))
-    assert (h1(free, full_s, cover).to_dict()
-            == h1(plain, full_s, plain_cover).to_dict())
+    for S in (S for r in range(1, window.m + 1)
+              for S in combinations(range(1, window.m + 1), r)):
+        for n in window.objects():
+            assert positive_degree_image(free, S, n) == positive_degree_image(plain, S, n)
+        rep, plain_rep = h0(free, S), h0(plain, S)
+        assert rep.to_dict() == plain_rep.to_dict()
+        assert rep.h0_module.to_json() == plain_rep.h0_module.to_json()
+        assert rep.h0_projection.blocks == plain_rep.h0_projection.blocks
+        assert h1(free, S, cover).to_dict() == h1(plain, S, plain_cover).to_dict()
 
 
 def test_a_free_module_is_covered_and_solved_without_search(monkeypatch):
