@@ -27,7 +27,7 @@ from fimlab.functors import (
     rs_group,
     shift_free_decomposition,
 )
-from fimlab.homology import free_cover, h1, is_S_induced
+from fimlab.homology import detect_torsion, free_cover, h1, is_S_induced, tor_filtration
 from fimlab.modules import (
     MarginError,
     ModuleMap,
@@ -41,7 +41,7 @@ from fimlab.modules import (
     matrix_to_lists,
     obj_str,
 )
-from fimlab.samples import point_module, random_presented_module
+from fimlab.samples import point_module, random_presented_module, truncated_constant
 from fimlab.suites import _thm1_battery, run_all
 from fimlab.theorems import _finite_dim_embedding, cogenerate, end_ring, shift_theorem_search
 
@@ -305,6 +305,37 @@ def _counits():
                 yield f"counit/{gname}/{label}/{S}", _blocks(verdict.iso)
 
 
+def _spaces(spaces) -> dict:
+    return {obj_str(n): matrix_to_lists(s.basis) for n, s in sorted(spaces.items())}
+
+
+def _torsion():
+    """The S-torsion spaces of ``detect_torsion`` for every nonempty S, and
+    the terms of ``tor_filtration``, as RREF bases: random presented
+    modules, a truncated constant, the point module and a co-free module,
+    over 1, S2 and C3."""
+    for bound in ((3,), (5,), (3, 3), (2, 2, 1)):
+        w = Window(bound)
+        subsets = [S for mask in range(1, 2 ** w.m)
+                   for S in [tuple(i + 1 for i in range(w.m) if mask >> i & 1)]]
+        for gname, group in GROUPS.items():
+            mods = {f"random/{seed}": random_presented_module(w, seed, group=group)
+                    for seed in range(4)}
+            mods["truncated_constant_2"] = truncated_constant(w, 2, group)
+            mods["point"] = point_module(w, group)
+            top = tuple(b - 1 for b in bound)
+            mods[f"cofree_{obj_str(top)}"] = make_cofree(top, w, group)
+            for label, v in mods.items():
+                tag = f"{obj_str(bound)}/{gname}/{label}"
+                for S in subsets:
+                    tv = detect_torsion(v, S)
+                    yield f"torsion/{tag}/{S}", _dumps(
+                        {"verdict": tv.to_dict(), "spaces": _spaces(tv.spaces)})
+                terms, _, status = tor_filtration(v)
+                yield f"tor_filtration/{tag}", _dumps(
+                    {"status": status, "terms": [_spaces(t) for t in terms]})
+
+
 def documents(suite_reports=None):
     yield from _suites(suite_reports)
     yield from _random_modules()
@@ -319,6 +350,7 @@ def documents(suite_reports=None):
     yield from _averaging_splittings()
     yield from _cogenerations()
     yield from _counits()
+    yield from _torsion()
 
 
 def digests(suite_reports=None) -> dict:
