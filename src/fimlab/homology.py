@@ -25,7 +25,7 @@ from .category import (
     unit,
     window_generators,
 )
-from .linalg import RationalMatrix, Subspace, kernel_basis
+from .linalg import RationalMatrix, Subspace, kernel_basis, quotient_map
 from .modules import (
     ModuleMap,
     Presentation,
@@ -255,36 +255,41 @@ class TorsionVerdict:
 
 
 def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
-    """Elements killed by some positive-S-degree morphism inside the window.
+    """The S-torsion of V inside the window: at each object n, the elements
+    killed by some window morphism n -> n' that raises only S-coordinates
+    (n' != n, n'_j = n_j off S).  One that also raises a coordinate off S
+    may kill more; those do not count.
 
-    Kernels along composite canonical inclusions nest, so the kernel of the
-    composite raising every S-coordinate to its window bound captures the
-    union; the result is closed under the action (closure elements are
-    genuinely torsion: kill certificates transport along any morphism).
+    Such a morphism followed by the inclusion of n' into top_S(n), n with
+    its S-coordinates at the window bound, is an injection n -> top_S(n),
+    and these form one Aut(top_S(n))-orbit.  So T(n) is the kernel of the
+    standard inclusion n -> top_S(n), and 0 where n = top_S(n).  With i the
+    first coordinate of S where n has room, that inclusion is incl_i into
+    n + o_i followed by the one from there (top_S(n + o_i) = top_S(n)), so
+    from the top of the window down, T(n) is the preimage of T(n + o_i)
+    under V(incl_i): one kernel per object.
+
+    The family is action-stable as it stands: a morphism n -> p followed by
+    an injection p -> top_S(p) is an injection n -> top_S(p), which factors
+    through an injection n -> top_S(n), so it carries T(n) into T(p).
+    ``submodule_from_stable_subspaces`` raises if it were ever not.
     """
     S = normalize_subset(S, v.m)
-    seeds = {}
-    for n in v.window.objects():
-        target = list(n)
-        for i in S:
-            target[i - 1] = v.window.bound[i - 1]
-        target = tuple(target)
-        if target == n or v.dims[n] == 0:
-            seeds[n] = Subspace.zero(v.dims[n])
+    bound = v.window.bound
+    spaces = dict.fromkeys(v.window.objects())
+    for n in reversed(v.window.objects_by_degree()):
+        i = next((i for i in S if n[i - 1] < bound[i - 1]), None)
+        if i is None or v.dims[n] == 0:
+            spaces[n] = Subspace.zero(v.dims[n])
             continue
-        # the composite starts at the first inclusion; target != n, so
-        # there is one
-        mat, cur = None, n
-        for i in (i for i in S for _ in range(n[i - 1], v.window.bound[i - 1])):
-            nxt = add(cur, unit(v.m, i))
-            if v.dims[nxt] == 0:  # the composite is zero: all of V(n) dies
-                seeds[n] = Subspace.full(v.dims[n])
-                break
-            step = v.actions[("incl", i, cur)]
-            mat, cur = step if mat is None else step * mat, nxt
+        up = add(n, unit(v.m, i))
+        above, step = spaces[up], v.actions[("incl", i, n)]
+        if above.dim == v.dims[up]:
+            spaces[n] = Subspace.full(v.dims[n])
+        elif above.dim == 0:
+            spaces[n] = kernel_basis(step)
         else:
-            seeds[n] = kernel_basis(mat)
-    spaces = close_under_actions(v, seeds)
+            spaces[n] = kernel_basis(quotient_map(v.dims[up], above) * step)
     status = _status(v, relations=True)
     slots = [(n, None) for n in v.window.objects_by_degree() if spaces[n].dim > 0]
     tor_pres = Presentation.make(slots, None)

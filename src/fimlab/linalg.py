@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 
 _ZERO = Fraction(0)
 
@@ -533,22 +533,16 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-free intersection via a kernel computation."""
+        """The kernel of the two quotient maps stacked (:func:`quotient_map`,
+        read off the RREF bases): one elimination.  Scaling a row keeps the
+        kernel, so their int rows stack as they are."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        # x in both spans: x = a^T u = b^T v; solve [A^T | -B^T] null space.
-        at = self.basis.transpose()
-        bt = other.basis.transpose()
-        nul = kernel_basis(at.hstack(-bt))
-        # a^T u, with u and a scaled by their denominators: the same span
-        k = self.dim
-        return Subspace.from_spanning(
-            self.ambient_dim,
-            [tuple(sum(map(mul, row[:k], col)) for col in at.rows)
-             for row in nul.basis.rows],
-        )
+        qa, qb = (quotient_map(self.ambient_dim, s) for s in (self, other))
+        return kernel_basis(_make(qa.rows + qb.rows, 1, qa.nrows + qb.nrows,
+                                  self.ambient_dim))
 
 
 def kernel_basis(mat: RationalMatrix) -> Subspace:

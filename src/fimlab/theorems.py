@@ -58,7 +58,6 @@ from .functors import (
     ind,
     induced_module,
     normalize_subset,
-    shift,
     shift_prod,
     split_obj,
 )
@@ -182,7 +181,7 @@ def _shift_composite_map(v: TruncatedModule, S, n: int) -> ModuleMap:
                 blocks = {
                     t: can.blocks[t] * blocks[t] for t in can.target.window.objects()
                 }
-            cur = shift(cur, i)
+            cur = can.target
     if blocks is None:
         return ModuleMap.identity(v)
     source = restrict_window(v, cur.window)

@@ -68,6 +68,7 @@ from fimlab.modules import (
     TruncatedModule,
     _automorphism_mats,
     _close_subspace_under,
+    close_under_actions,
     cover_blocks,
     direct_sum,
     generators_and_cover,
@@ -985,6 +986,57 @@ def images_from_below_every_coordinate(v: TruncatedModule, S, n, below):
         if span.dim == d:
             return span
     return span
+
+def torsion_by_composites(v: TruncatedModule, S) -> dict:
+    """The S-torsion spaces by the route ``detect_torsion`` once took: at
+    each object n, the kernel of the composite of canonical inclusions that
+    raises each coordinate of S in turn to its window bound (all of V(n)
+    once the composite meets a zero value), closed under the action."""
+    S = normalize_subset(S, v.m)
+    seeds = {}
+    for n in v.window.objects():
+        target = list(n)
+        for i in S:
+            target[i - 1] = v.window.bound[i - 1]
+        if tuple(target) == n or v.dims[n] == 0:
+            seeds[n] = Subspace.zero(v.dims[n])
+            continue
+        mat, cur = RationalMatrix.identity(v.dims[n]), n
+        for i in (i for i in S for _ in range(n[i - 1], v.window.bound[i - 1])):
+            nxt = add(cur, unit(v.m, i))
+            if v.dims[nxt] == 0:
+                seeds[n] = Subspace.full(v.dims[n])
+                break
+            mat, cur = v.actions[("incl", i, cur)] * mat, nxt
+        else:
+            seeds[n] = kernel_basis(mat)
+    return close_under_actions(v, seeds)
+
+
+def torsion_by_definition(v: TruncatedModule, S) -> dict:
+    """The S-torsion spaces from the definition: at each object n, the
+    union of the kernels of V(f), by :func:`evaluate`, over every window
+    morphism f: n -> n' != n, group part included, that raises only
+    coordinates in S.  The union is a subspace because one of the kernels
+    holds all the others; AssertionError if none does."""
+    S = normalize_subset(S, v.m)
+    out = {}
+    for n in v.window.objects():
+        kernels = [Subspace.zero(v.dims[n])]
+        for tgt in v.window.objects():
+            if tgt == n or not leq(n, tgt) or any(
+                    tgt[j] != n[j] for j in range(v.m) if j + 1 not in S):
+                continue
+            for mor in enumerate_injections(n, tgt):
+                for g in range(v.group.order):
+                    kernels.append(kernel_basis(
+                        evaluate(v, Morphism(n, tgt, mor.maps, g))))
+        union = max(kernels, key=lambda k: k.dim)
+        if any(k.add(union) != union for k in kernels):
+            raise AssertionError(f"no kernel at {n} holds all the others")
+        out[n] = union
+    return out
+
 
 # -- partitions and classes of S_n --------------------------------------------
 

@@ -5,7 +5,8 @@ the benchmark's layer tracer names exists, only a module's constructor
 writes its dims and actions, no direct sum is taken of free modules
 alone, the generators and their cover come from one walk, and only
 ``make_free_sum`` builds a ``FreeModule`` and only ``_free_blocks`` tests
-for one, and the Hom solver builds its maps in one helper."""
+for one, the Hom solver builds its maps in one helper, and torsion takes
+no closure pass."""
 
 import ast
 import importlib
@@ -378,3 +379,15 @@ def test_hom_maps_are_built_by_one_helper():
             if "ModuleMap" in called] == ["NaturalitySolver._maps"]
     assert [path.name for path in sorted(SOURCE.glob("*.py"))
             if "_solution_to_map" in path.read_text()] == []
+
+
+def test_torsion_takes_one_kernel_per_object_and_no_closure():
+    """``detect_torsion`` reads T(n) off T(n + o_i) as one kernel, and its
+    family is action-stable as it stands, so it makes no
+    ``close_under_actions`` pass; the composite-chain route lives in
+    ``tests/oracles.py`` as ``torsion_by_composites``.  ``Subspace.intersect``
+    is one kernel of the two stacked quotient maps, with no second
+    elimination."""
+    assert "close_under_actions" not in _calls_by_function(SOURCE / "homology.py")["detect_torsion"]
+    intersect = _calls_by_function(SOURCE / "linalg.py")["Subspace.intersect"]
+    assert "kernel_basis" in intersect and "from_spanning" not in intersect

@@ -4,13 +4,16 @@ F(n) vanishes below n, E(l) and torsion pieces above their support, and a
 shifted module wherever its source did.  Each test compares fimlab's answer
 with the reference in ``oracles.py`` that visits every generator and object,
 zero values included, and requires equal dims, actions, blocks and
-``is_natural`` verdicts.  The last tests check that the builders,
+``is_natural`` verdicts.  ``detect_torsion`` is compared with its old
+composite-chain route and with the definition, on these modules and on
+random presented ones.  The last tests check that the builders,
 ``is_natural`` and ``detect_torsion`` make no product with an empty operand
 on such modules, and that ``detect_torsion`` multiplies into no identity.
 """
 
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -47,11 +50,15 @@ from oracles import (
     shift_every_generator,
     solution_blocks_every_object,
     submodule_every_generator,
+    torsion_by_composites,
+    torsion_by_definition,
     with_trivial_group_action,
 )
 
 TRIV = GroupTable.trivial()
 C2 = GroupTable.cyclic(2)
+S2 = GroupTable.symmetric(2)
+C3 = GroupTable.cyclic(3)
 WINDOWS = {1: Window((3,)), 2: Window((2, 2))}
 KINDS = ("free", "cofree", "torsion", "shifted")
 
@@ -95,6 +102,36 @@ def _stable_family(v, rnd):
             vec = [rnd.randint(-2, 2) for _ in range(v.dims[n])]
             seeds[n] = Subspace.from_spanning(v.dims[n], [vec])
     return close_under_actions(v, seeds)
+
+
+@st.composite
+def torsion_cases(draw):
+    """A zero-heavy module, or a random presented one on (3,), (2,2) or
+    (2,2,1), over 1, S2 or C3.  A co-free summand on the random one makes
+    T(n + o_i) neither 0 nor all of V(n + o_i) at some objects."""
+    group = draw(st.sampled_from((TRIV, S2, C3)))
+    if draw(st.booleans()):
+        return draw(zero_heavy_modules(group=group))[0]
+    window = Window(draw(st.sampled_from(((3,), (2, 2), (2, 2, 1)))))
+    v = random_presented_module(window, draw(st.integers(0, 499)), group)
+    if draw(st.booleans()):
+        top = draw(st.sampled_from(window.objects()))
+        v, _ = direct_sum(v, make_cofree(top, window, group))
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_cases())
+def test_detect_torsion_matches_the_composites_and_the_definition(v):
+    """For every nonempty S, each T(n) is the kernel of the composite
+    inclusion to the top of the window, closed under the action (the old
+    route), and the union of the kernels of every window morphism out of n
+    that raises only S-coordinates."""
+    for k in range(1, v.m + 1):
+        for S in combinations(range(1, v.m + 1), k):
+            spaces = detect_torsion(v, S).spaces
+            assert spaces == torsion_by_composites(v, S)
+            assert spaces == torsion_by_definition(v, S)
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,10 +316,10 @@ def test_builders_and_checks_make_no_empty_product(mods, right, rnd):
 
 @pytest.mark.parametrize("bound,S", [((5,), (1,)), ((3, 3), (1,)), ((3, 3), (1, 2))])
 def test_detect_torsion_stops_at_the_first_zero_value(bound, S):
-    """The inclusions from n towards the top of the window meet a zero
-    value, so all of V(n) is torsion; no product with an empty operand is
-    made on the way there, and the composite starts at the first inclusion,
-    not at an identity."""
+    """Walking down from the top of the window, V is zero above degree 1,
+    so T(n + o_i) is all of V(n + o_i) and all of V(n) is torsion with no
+    kernel taken: no product with an empty operand is made, and none with
+    an identity."""
     v = truncated_constant(Window(bound), 2)
     with _empty_products() as seen, _identity_products("detect_torsion") as identities:
         tv = detect_torsion(v, S)
