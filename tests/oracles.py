@@ -987,6 +987,7 @@ def images_from_below_every_coordinate(v: TruncatedModule, S, n, below):
             return span
     return span
 
+
 def torsion_by_composites(v: TruncatedModule, S) -> dict:
     """The S-torsion spaces by the route ``detect_torsion`` once took: at
     each object n, the kernel of the composite of canonical inclusions that
