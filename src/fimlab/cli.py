@@ -100,10 +100,25 @@ def _flag_subset(text, flag: str, m: int) -> tuple:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _flag_lambdas(text) -> tuple:
-    """The partitions of --lambdas; a missing or malformed value, or one
-    that is not a list of partitions, raises a ValueError that names the
-    flag."""
+def _flag_object(text, flag: str, window: Window) -> tuple:
+    """The window object of a required flag; a missing or malformed value,
+    a wrong coordinate count, a negative entry or an object outside the
+    window raises a ValueError that names the flag."""
+    n = _flag_coords(text, flag)
+    if len(n) != window.m:
+        raise ValueError(f"{flag}: expected {window.m} coordinates, got {len(n)}")
+    if min(n, default=0) < 0:
+        raise ValueError(f"{flag}: negative entry in {n}")
+    if not window.contains(n):
+        raise ValueError(f"{flag}: object {n} lies outside the window {window.bound}")
+    return n
+
+
+def _flag_lambdas(text, window: Window) -> tuple:
+    """The partitions of --lambdas, one per coordinate of the window; a
+    missing or malformed value, one that is not a list of partitions, the
+    wrong number of partitions, or sizes outside the window raise a
+    ValueError that names the flag."""
     if text is None:
         raise ValueError("--lambdas: required")
     try:
@@ -114,9 +129,16 @@ def _flag_lambdas(text) -> tuple:
         raise ValueError(f"--lambdas: expected a JSON list of integer lists, "
                          f"got {text!r}") from None
     try:
-        return tuple(check_partition(p) for p in lambdas)
+        lambdas = tuple(check_partition(p) for p in lambdas)
     except ValueError as exc:
         raise ValueError(f"--lambdas: {exc}") from None
+    if len(lambdas) != window.m:
+        raise ValueError(f"--lambdas: expected {window.m} partitions, one per "
+                         f"coordinate, got {len(lambdas)}")
+    n = tuple(map(sum, lambdas))
+    if not window.contains(n):
+        raise ValueError(f"--lambdas: object {n} lies outside the window {window.bound}")
+    return lambdas
 
 
 def _flag_bound(value: int, flag: str) -> int:
@@ -200,13 +222,13 @@ def cmd_build(args) -> int:
     else:
         window = _window_from(args, config)
         if args.kind == "free":
-            mod = make_free(_flag_coords(args.n, "--n"), window, group)
+            mod = make_free(_flag_object(args.n, "--n", window), window, group)
         elif args.kind == "cofree":
-            mod = make_cofree(_flag_coords(args.l, "--l"), window, group)
+            mod = make_cofree(_flag_object(args.l, "--l", window), window, group)
         elif args.kind == "induced":
-            mod = make_induced(_flag_lambdas(args.lambdas), window, group)
+            mod = make_induced(_flag_lambdas(args.lambdas, window), window, group)
         elif args.kind == "coinduced":
-            mod = make_coinduced(_flag_lambdas(args.lambdas), window, group)
+            mod = make_coinduced(_flag_lambdas(args.lambdas, window), window, group)
         else:
             raise SystemExit(f"unknown build kind {args.kind}")
     mod.save(args.output)

@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, groupby
 from math import lcm, prod
+from types import MappingProxyType
 
 from .category import (
     GroupTable,
@@ -653,10 +654,14 @@ def make_free(n, window: Window, group: GroupTable | None = None,
     return make_free_sum([n], window, group, name or f"M{obj_str(n)}")
 
 
-class FreeModule(TruncatedModule):
-    """The free module F(n_1) + ... + F(n_k) on the generator objects
-    ``objs`` (repeats allowed, none for the zero module), built in one pass;
-    its generators, cover and I_S V are read off :func:`_free_blocks`.
+@lru_cache(maxsize=None)
+def _free_tables(objs, window: Window, group: GroupTable) -> tuple:
+    """The layout, dims, actions and presentation of the free module on
+    ``objs``, built once per (objs, window, group) and shared read-only: the
+    three tables are ``MappingProxyType`` views, each layout value a tuple
+    of ranges, and every action an immutable ``RationalMatrix``.  The group
+    enters only through its table, so groups equal up to name share an
+    entry, and no entry holds the group.
 
     Basis of the value at t: summand by summand, and within F(n_j) the
     injections n_j -> t in enumeration order, each paired with the group
@@ -665,8 +670,50 @@ class FreeModule(TruncatedModule):
     swap, see :mod:`fimlab.category`) read off the shared
     ``generator_index_map`` and moved by the summand's row and column
     offsets, and a group generator g by (beta, h) -> (beta, g h); no
-    morphism and no block matrix is built.  The result equals
-    ``direct_sum`` of the single free modules, without its inclusions.
+    morphism and no block matrix is built."""
+    og = group.order
+    layout, dims = {}, {}  # each summand's basis range at t, and its end
+    for t in window.objects():
+        blocks, a = [], 0
+        for n in objs:
+            d = count_injections(n, t) * og
+            blocks.append(range(a, a + d))
+            a += d
+        layout[t], dims[t] = tuple(blocks), a
+    actions = {}
+    for key, src, tgt in window_generators(window, group):
+        cols = [None] * dims[tgt]
+        if key[0] == "grp":
+            # every summand's block is a run of |G|-blocks, each (beta, h)
+            mult = group.mult[group.generators[key[1]]]
+            for bi in range(0, dims[src], og):
+                for h in range(og):
+                    cols[bi + mult[h]] = bi + h
+        elif dims[src]:
+            for n, bs, bt in zip(objs, layout[src], layout[tgt]):
+                if bs:
+                    so, to = bs.start, bt.start
+                    for bi, ti in enumerate(generator_index_map(n, key)):
+                        for h in range(og):
+                            cols[to + ti * og + h] = so + bi * og + h
+        actions[key] = _monomial(cols, dims[tgt], dims[src])
+    rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
+    pres = Presentation(tuple((n, None) for n in objs), rel, False)
+    return (MappingProxyType(layout), MappingProxyType(dims),
+            MappingProxyType(actions), pres)
+
+
+class FreeModule(TruncatedModule):
+    """The free module F(n_1) + ... + F(n_k) on the generator objects
+    ``objs`` (repeats allowed, none for the zero module); its generators,
+    cover and I_S V are read off :func:`_free_blocks`.
+
+    Its data come from :func:`_free_tables`, built once per (objs, window,
+    group) and shared read-only: each module copies the dims and actions
+    into its own dicts, keeps the caller's group and name, and runs every
+    shape check of :class:`TruncatedModule`; ``layout`` is the shared
+    read-only view.  The result equals ``direct_sum`` of the single free
+    modules, without its inclusions.
     """
 
     def __init__(self, objs, window: Window, group: GroupTable | None = None,
@@ -676,41 +723,18 @@ class FreeModule(TruncatedModule):
         for n in objs:
             if not window.contains(n):
                 raise MarginError(f"generator object {n} lies outside the window")
-        og = group.order
-        layout, dims = {}, {}  # each summand's basis range at t, and its end
-        for t in window.objects():
-            blocks, a = [], 0
-            for n in objs:
-                d = count_injections(n, t) * og
-                blocks.append(range(a, a + d))
-                a += d
-            layout[t], dims[t] = blocks, a
-        actions = {}
-        for key, src, tgt in window_generators(window, group):
-            cols = [None] * dims[tgt]
-            if key[0] == "grp":
-                # every summand's block is a run of |G|-blocks, each (beta, h)
-                mult = group.mult[group.generators[key[1]]]
-                for bi in range(0, dims[src], og):
-                    for h in range(og):
-                        cols[bi + mult[h]] = bi + h
-            elif dims[src]:
-                for n, bs, bt in zip(objs, layout[src], layout[tgt]):
-                    if bs:
-                        so, to = bs.start, bt.start
-                        for bi, ti in enumerate(generator_index_map(n, key)):
-                            for h in range(og):
-                                cols[to + ti * og + h] = so + bi * og + h
-            actions[key] = _monomial(cols, dims[tgt], dims[src])
-        rel = tuple(max(x) for x in zip((0,) * window.m, *objs))
-        pres = Presentation(tuple((n, None) for n in objs), rel, False)
+        layout, dims, actions, pres = _free_tables(objs, window, group)
         self.objs, self.layout = objs, layout
-        super().__init__(window, group, dims, actions, pres, name)
+        # a proxy's copy() is its dict's one-step copy; dict(proxy) would
+        # read it key by key
+        super().__init__(window, group, dims, actions.copy(), pres, name)
 
 
 def make_free_sum(objs, window: Window, group: GroupTable | None = None,
                   name: str = "") -> FreeModule:
-    """The free module on the generator objects ``objs``, as a :class:`FreeModule`."""
+    """The free module on the generator objects ``objs``, as a
+    :class:`FreeModule`: a fresh module over tables shared read-only with
+    every other build of the same (objs, window, group)."""
     return FreeModule(objs, window, group, name)
 
 

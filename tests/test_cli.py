@@ -253,6 +253,15 @@ def test_functor_coordinate_out_of_range_exits_2(tmp_path, capsys, op, i):
     (["build", "tensor", "{a}", "{b}", "--group", "{s2}"], "--group"),
     (["build", "tensor", "{a}", "{b}", "--config", "{gs2}"], "group"),
     (["build", "free", "--n", "0", "--window=-1"], "--window"),
+    (["build", "free", "--n", "1", "--window", "3,3"], "--n"),
+    (["build", "free", "--n", "-1", "--window", "3"], "--n"),
+    (["build", "free", "--n", "4", "--window", "3"], "--n"),
+    (["build", "cofree", "--l", "1,1,1", "--window", "3,3"], "--l"),
+    (["build", "cofree", "--l", "-1", "--window", "3"], "--l"),
+    (["build", "cofree", "--l", "2,4", "--window", "3,3"], "--l"),
+    (["build", "induced", "--lambdas", "[[1],[1]]", "--window", "3"], "--lambdas"),
+    (["build", "coinduced", "--lambdas", "[[1]]", "--window", "3,3"], "--lambdas"),
+    (["build", "induced", "--lambdas", "[[2,2]]", "--window", "3"], "--lambdas"),
 ])
 def test_build_names_the_missing_or_malformed_flag(tmp_path, capsys, argv, flag):
     """The tensor cases fill in two trivial-group m = 1 modules on the

@@ -5,8 +5,9 @@ the benchmark's layer tracer names exists, only a module's constructor
 writes its dims and actions, no direct sum is taken of free modules
 alone, the generators and their cover come from one walk, and only
 ``make_free_sum`` builds a ``FreeModule`` and only ``_free_blocks`` tests
-for one, the Hom solver builds its maps in one helper, and torsion takes
-no closure pass."""
+for one, only the cached ``_free_tables`` writes free-module actions, the
+Hom solver builds its maps in one helper, and torsion takes no closure
+pass."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import importlib.util
 from pathlib import Path
 
 import fimlab
+from fimlab.modules import _free_tables
 
 SOURCE = Path(fimlab.__file__).parent
 
@@ -363,6 +365,19 @@ def test_free_modules_are_built_and_recognised_in_one_place_each():
     calls = _calls_by_function(SOURCE / "modules.py")
     assert "_free_blocks" in calls["generators_and_cover"]
     assert "_free_blocks" in calls["positive_degree_image"]
+
+
+def test_free_module_actions_are_written_by_one_cached_builder():
+    """``FreeModule.__init__`` writes no action itself: it calls neither
+    ``_monomial`` nor ``generator_index_map`` but takes its tables from
+    ``_free_tables``, which is cached per (objs, window, group), so only
+    ``_free_tables`` writes free-module actions."""
+    calls = _calls_by_function(SOURCE / "modules.py")
+    init = calls["FreeModule.__init__"]
+    assert "_free_tables" in init
+    assert not init & {"_monomial", "generator_index_map"}
+    assert {"_monomial", "generator_index_map"} <= calls["_free_tables"]
+    assert hasattr(_free_tables, "cache_info")
 
 
 def test_hom_maps_are_built_by_one_helper():

@@ -34,6 +34,7 @@ from fimlab.modules import (
     restrict_window,
     submodule_generated,
     zero_module,
+    _free_tables,
     _monomial,
 )
 from fimlab.functors import make_induced
@@ -184,12 +185,47 @@ def free_sum_cases(draw):
 @example((Window((1, 1, 1)), [(1, 1, 1), (0, 0, 0)], "C3"))
 def test_free_sum_is_the_direct_sum_of_free_modules(case):
     """One pass over the summands' offsets writes, byte for byte, the
-    module that summing compose-built free modules writes."""
+    module that summing compose-built free modules writes: on a cold or
+    warm table, and on one built again after the tables are dropped."""
     window, objs, group = case
     g = _SUM_GROUPS[group]
-    got = make_free_sum(objs, window, g)
-    assert got.to_json() == free_sum_by_direct_sum(objs, window, g).to_json()
-    assert got.validate().ok
+    want = free_sum_by_direct_sum(objs, window, g).to_json()
+    builds = [make_free_sum(objs, window, g), make_free_sum(objs, window, g)]
+    _free_tables.cache_clear()
+    builds.append(make_free_sum(objs, window, g))
+    for got in builds:
+        assert got.to_json() == want
+        assert got.validate().ok
+
+
+def test_free_tables_are_shared_read_only():
+    """A free module owns its dims and actions, so writing into one build
+    leaves the next build of the same key as it was; the shared layout
+    refuses writes."""
+    window, c2 = Window((2, 1)), GroupTable.cyclic(2)
+    objs = [(1, 0), (0, 1), (1, 0)]
+    want = free_sum_by_direct_sum(objs, window, c2).to_json()
+    first = make_free_sum(objs, window, c2)
+    key = ("incl", 1, (1, 1))
+    first.actions[key] = RationalMatrix.zeros(*first.actions[key].shape)
+    first.dims[(0, 0)] += 1
+    with pytest.raises(TypeError):
+        first.layout[(1, 1)] = ()
+    with pytest.raises(TypeError):
+        first.layout[(1, 1)][0] = range(0)
+    assert make_free_sum(objs, window, c2).to_json() == want
+
+
+def test_free_module_keeps_the_callers_group_and_name():
+    """C2 and S2 have one table and share one entry, but each module
+    carries the group and name it was built with."""
+    window = Window((2,))
+    c2, s2 = GroupTable.cyclic(2), GroupTable.symmetric(2)
+    assert c2 == s2
+    assert make_free_sum([(1,)], window, c2, "a").to_dict()["group_ref"]["name"] == "C2"
+    got = make_free_sum([(1,)], window, s2, "b")
+    assert got.group is s2 and got.name == "b"
+    assert json.loads(got.to_json())["group_ref"]["name"] == "S2"
 
 
 def test_free_sum_refuses_a_generator_outside_the_window():
