@@ -34,6 +34,14 @@ permutation for a swap), read off the shared
 :func:`injection_index_table` and :func:`generator_index_map`.  The same
 maps drive the orbit walk (``modules._orbit_walk``), which gives V(beta)
 for every injection beta out of an object.
+
+The values the layers above ask for again and again are pure functions
+of their tuple keys, built once per key (``lru_cache``) and shared, so each
+is immutable (an int, a tuple or a read-only mapping): a window's objects
+in both orders (:func:`_window_objects`, :func:`_objects_by_degree`),
+:func:`unit`, :func:`count_injections`, the injection and generator index
+tables and :func:`window_generators`.  ``Window.objects()`` and
+``objects_by_degree()`` still hand each caller a fresh list.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ def sub(a: Obj, b: Obj) -> Obj:
     return out
 
 
+@lru_cache(maxsize=None)
 def unit(m: int, i: int) -> Obj:
     """o_i: the object with a single point in coordinate i (1-based)."""
     return tuple(1 if j == i - 1 else 0 for j in range(m))
@@ -281,11 +290,26 @@ class Window:
         return len(n) == self.m and all(0 <= x <= b for x, b in zip(n, self.bound))
 
     def objects(self):
-        """All window objects, lexicographic (last coordinate fastest)."""
-        return list(itertools.product(*[range(b + 1) for b in self.bound]))
+        """All window objects, lexicographic (last coordinate fastest), as a
+        fresh list of the shared :func:`_window_objects` tuple."""
+        return list(_window_objects(self.bound))
 
     def objects_by_degree(self):
-        return sorted(self.objects(), key=lambda n: (degree(n), n))
+        """All window objects by degree, then lexicographic; a fresh list."""
+        return list(_objects_by_degree(self.bound))
+
+
+@lru_cache(maxsize=None)
+def _window_objects(bound: Obj) -> tuple:
+    """The objects of the window with this bound, lexicographic; built once
+    per bound and shared, so a tuple."""
+    return tuple(itertools.product(*[range(b + 1) for b in bound]))
+
+
+@lru_cache(maxsize=None)
+def _objects_by_degree(bound: Obj) -> tuple:
+    """:func:`_window_objects` sorted by (degree, object), shared likewise."""
+    return tuple(sorted(_window_objects(bound), key=lambda n: (degree(n), n)))
 
 
 @lru_cache(maxsize=None)
@@ -296,6 +320,7 @@ def _injections_one(a: int, b: int):
     return tuple(itertools.permutations(range(1, b + 1), a))
 
 
+@lru_cache(maxsize=None)
 def count_injections(a: Obj, b: Obj) -> int:
     total = 1
     for x, y in zip(a, b):

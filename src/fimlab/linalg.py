@@ -14,6 +14,12 @@ A :class:`Subspace` is always stored through the reduced row echelon form of
 a spanning set, so subspace equality is plain matrix equality, and its pivot
 columns give coordinates, containment and quotient maps without a further
 elimination.
+
+Both types are immutable, so the values fixed by a shape alone are built
+once per key (``lru_cache``) and shared: ``RationalMatrix.zeros(r, c)``,
+``RationalMatrix.identity(n)`` (on the shared :func:`_identity_rows`),
+``Subspace.zero(d)`` and ``Subspace.full(d)``.  Only ``_make`` and the two
+constructors write their fields.
 """
 
 from __future__ import annotations
@@ -209,11 +215,16 @@ class RationalMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zeros(nrows: int, ncols: int) -> "RationalMatrix":
+        """The zero matrix of this shape, built once and shared."""
         return _make(((0,) * ncols,) * nrows, 1, nrows, ncols)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "RationalMatrix":
+        """The n x n identity on the shared :func:`_identity_rows`, built
+        once and shared."""
         return _make(_identity_rows(n), 1, n, n)
 
     @staticmethod
@@ -456,23 +467,31 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors) -> "Subspace":
+        """The span of ``vectors``.  Int rows go to :func:`rref_int` as they
+        are; any other entry (Fraction, bool, str) is read by the
+        :class:`RationalMatrix` constructor, which clears denominators."""
         vecs = [tuple(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("spanning vector has wrong length")
-        mat = RationalMatrix(vecs, len(vecs), ambient_dim)
-        if mat.nrows == 0 or ambient_dim == 0:
+        if not vecs or ambient_dim == 0:
             return Subspace.zero(ambient_dim)
-        pivots, out_rows, denoms = rref_int(mat.rows, ambient_dim)
+        if not set(map(type, chain.from_iterable(vecs))) <= {int}:
+            vecs = RationalMatrix(vecs, len(vecs), ambient_dim).rows
+        pivots, out_rows, denoms = rref_int(vecs, ambient_dim)
         r = len(pivots)
         return Subspace(ambient_dim, _stack_rows(zip(out_rows[:r], denoms[:r]), ambient_dim),
                         tuple(pivots))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(ambient_dim: int) -> "Subspace":
+        """The zero subspace of Q^d, built once per d and shared."""
         return Subspace(ambient_dim, RationalMatrix.zeros(0, ambient_dim), ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def full(ambient_dim: int) -> "Subspace":
+        """Q^d itself, on the shared identity, built once per d and shared."""
         return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim),
                         tuple(range(ambient_dim)))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from fimlab.category import (
     injection_index_table,
     key_ends,
     leq,
+    unit,
     window_generators,
 )
 
@@ -192,6 +194,38 @@ def test_generator_table_cannot_be_corrupted():
     assert generator_keys(w, g) == expected
     assert window_generators(w, g) is table
     assert [(key, *key_ends(key)) for key in expected] == list(table)
+
+
+def test_window_objects_are_fresh_lists_over_a_shared_table():
+    """objects() and objects_by_degree() read one table per bound, but each
+    call hands out a fresh list: changing it leaves the next call, and the
+    generator table derived from the objects, as they were."""
+    bound = (1, 0, 2)
+    lex = list(itertools.product(range(2), range(1), range(3)))
+    by_degree = sorted(lex, key=lambda n: (degree(n), n))
+    for read, want in (("objects", lex), ("objects_by_degree", by_degree)):
+        objs = getattr(Window(bound), read)()
+        assert type(objs) is list and objs == want
+        objs.reverse()
+        objs.append((9, 9, 9))
+        del objs[0]
+        again = getattr(Window(bound), read)()
+        assert type(again) is list and again == want and again is not objs
+    table = window_generators(Window(bound), GroupTable.trivial())
+    assert list(dict.fromkeys(src for _, src, _ in table)) == lex
+
+
+def test_cached_object_arithmetic_matches_its_definition():
+    """unit and count_injections are shared per key and agree with their
+    definitions: a single point in coordinate i, and the number of
+    injections counted one by one."""
+    for m in range(1, 4):
+        for i in range(1, m + 1):
+            assert unit(m, i) == tuple(int(j == i) for j in range(1, m + 1))
+            assert unit(m, i) is unit(m, i)
+    for a, b in (((0,), (3,)), ((2, 1), (3, 1)), ((1, 2), (2, 1)), ((2, 2), (3, 2))):
+        want = len(enumerate_injections(a, b)) if leq(a, b) else 0
+        assert count_injections(a, b) == want
 
 
 def test_shared_index_tables_cannot_be_written():

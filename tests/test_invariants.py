@@ -6,8 +6,9 @@ writes its dims and actions, no direct sum is taken of free modules
 alone, the generators and their cover come from one walk, and only
 ``make_free_sum`` builds a ``FreeModule`` and only ``_free_blocks`` tests
 for one, only the cached ``_free_tables`` writes free-module actions, the
-Hom solver builds its maps in one helper, and torsion takes no closure
-pass."""
+Hom solver builds its maps in one helper, torsion takes no closure
+pass, only the constructors write a matrix's or a subspace's fields, and
+every process-lifetime cache is on the allow-list."""
 
 import ast
 import importlib
@@ -231,21 +232,22 @@ MODULE_DATA = ("actions", "dims")
 MUTATORS = ("update", "pop", "popitem", "clear", "setdefault")
 
 
-def _module_data_writes(path):
-    """Each statement of one source file that assigns to an ``.actions`` or
-    ``.dims`` attribute, assigns into one by item, or calls a mutating dict
-    method on one, outside ``TruncatedModule.__init__``, as file:line."""
+def _attribute_writes(path, fields, allowed):
+    """Each statement of one source file that assigns to an attribute named
+    in ``fields``, assigns into one by item, calls a mutating dict method on
+    one, or sets one by ``setattr``, outside the scopes (``Class.method``)
+    for which ``allowed(scope)`` holds, as file:line."""
     found = []
 
-    def is_data(node):
-        return isinstance(node, ast.Attribute) and node.attr in MODULE_DATA
+    def is_field(node):
+        return isinstance(node, ast.Attribute) and node.attr in fields
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if scope != "TruncatedModule.__init__":
+            if not allowed(scope):
                 targets = []
                 if isinstance(child, ast.Assign):
                     targets = child.targets
@@ -256,7 +258,11 @@ def _module_data_writes(path):
                 if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
                     if child.func.attr in MUTATORS:
                         written.append(child.func.value)
-                if any(is_data(w) for w in written):
+                by_setattr = (isinstance(child, ast.Call) and _callee(child) == "setattr"
+                              and len(child.args) > 1
+                              and isinstance(child.args[1], ast.Constant)
+                              and child.args[1].value in fields)
+                if by_setattr or any(is_field(w) for w in written):
                     found.append(f"{path.name}:{child.lineno}")
             visit(child, scope)
 
@@ -268,7 +274,9 @@ def test_module_data_is_written_only_by_its_constructor():
     """A TruncatedModule's dims and actions are set once, in ``__init__``,
     which checks their shapes; a later write would skip that check and
     change a module other code may share."""
-    found = [w for path in sorted(SOURCE.glob("*.py")) for w in _module_data_writes(path)]
+    found = [w for path in sorted(SOURCE.glob("*.py"))
+             for w in _attribute_writes(path, MODULE_DATA,
+                                        lambda scope: scope == "TruncatedModule.__init__")]
     assert found == []
 
 
@@ -406,3 +414,97 @@ def test_torsion_takes_one_kernel_per_object_and_no_closure():
     assert "close_under_actions" not in _calls_by_function(SOURCE / "homology.py")["detect_torsion"]
     intersect = _calls_by_function(SOURCE / "linalg.py")["Subspace.intersect"]
     assert "kernel_basis" in intersect and "from_spanning" not in intersect
+
+
+# The fields of the two shared linear-algebra types.  ``RationalMatrix.zeros``
+# and ``.identity`` and ``Subspace.zero`` and ``.full`` hand one value to
+# every caller, so only the constructors may set these.
+SHARED_FIELDS = ("rows", "den", "nrows", "ncols", "basis", "ambient_dim", "_pivots")
+FIELD_WRITERS = ("_make", "RationalMatrix.__init__", "Subspace.__init__")
+# Classes of their own whose attributes share a field name (the Hom
+# solver's constraint ``rows``).
+OTHER_CLASSES = ("NaturalitySolver",)
+
+
+def test_shared_values_are_written_only_by_their_constructors():
+    """A matrix's or a subspace's fields are set once, by ``_make`` or a
+    constructor; a later write would change every holder of a shared
+    zero, identity or full subspace."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        writers = FIELD_WRITERS if path.name == "linalg.py" else ()
+        found += _attribute_writes(
+            path, SHARED_FIELDS,
+            lambda scope: scope in writers or scope.split(".")[0] in OTHER_CLASSES)
+    assert found == []
+
+
+# Every process-lifetime cache in the package, as (file, qualified name),
+# with the key its value is a pure function of.  Each entry lives as long
+# as the process, so a new cache needs an entry here.  ``cached_property``
+# caches live and die with their instance, so they are not listed.
+PROCESS_CACHES = {
+    ("category.py", "unit"): "(m, i)",
+    ("category.py", "_window_objects"): "the window bound",
+    ("category.py", "_objects_by_degree"): "the window bound",
+    ("category.py", "_injections_one"): "(a, b), two naturals",
+    ("category.py", "count_injections"): "(a, b), two objects",
+    ("category.py", "injection_index_table"): "(a, b), two objects",
+    ("category.py", "generator_index_map"): "(n, generator key)",
+    ("category.py", "window_generators"): "(window, group table and generators)",
+    ("functors.py", "_rs_group"): "(s, group table and generators, name)",
+    ("linalg.py", "_identity_rows"): "n",
+    ("linalg.py", "_unit_rows"): "n",
+    ("linalg.py", "RationalMatrix.zeros"): "(nrows, ncols)",
+    ("linalg.py", "RationalMatrix.identity"): "n",
+    ("linalg.py", "Subspace.zero"): "the ambient dimension",
+    ("linalg.py", "Subspace.full"): "the ambient dimension",
+    ("modules.py", "_free_tables"): "(objects, window, group table and generators)",
+    ("symrep.py", "specht"): "the partition",
+}
+CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+def _decorator_name(dec):
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+
+
+def _cached_functions(path):
+    """(file, qualified name) of each function or method of one source file
+    decorated with ``lru_cache`` or ``cache``, called or bare."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{scope}.{child.name}".lstrip(".")
+                if isinstance(child, ast.FunctionDef) and any(
+                        _decorator_name(d) in CACHE_DECORATORS for d in child.decorator_list):
+                    found.append((path.name, name))
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def process_caches():
+    """The cached callables of ``PROCESS_CACHES``, resolved in fimlab;
+    ``cache_clear()`` on each empties every process-lifetime cache."""
+    out = []
+    for file, qualname in PROCESS_CACHES:
+        obj = importlib.import_module(f"fimlab.{file[:-3]}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        out.append(obj)
+    return out
+
+
+def test_every_process_cache_is_on_the_allow_list():
+    found = [c for path in sorted(SOURCE.glob("*.py")) for c in _cached_functions(path)]
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(PROCESS_CACHES)
+    assert all(PROCESS_CACHES.values()), "an allow-list entry names no key"
+    assert all(hasattr(fn, "cache_clear") for fn in process_caches())

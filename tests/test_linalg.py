@@ -211,6 +211,63 @@ def test_subspace_algebra():
     assert u.contains((2, 5, 0)) and not u.contains((0, 0, 1))
 
 
+def test_shape_values_are_shared_and_equal_fresh_ones():
+    """zeros, identity, Subspace.zero and Subspace.full return one shared
+    value per shape, equal to the same value built afresh."""
+    for r, c in ((0, 0), (0, 3), (2, 0), (2, 3)):
+        z = RationalMatrix.zeros(r, c)
+        assert z is RationalMatrix.zeros(r, c)
+        assert z == RationalMatrix([[0] * c for _ in range(r)], r, c) and z.shape == (r, c)
+    for n in (0, 1, 4):
+        one = RationalMatrix.identity(n)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert one is RationalMatrix.identity(n)
+        assert one == RationalMatrix(rows, n, n)
+        assert one.rows is fimlab.linalg._identity_rows(n)
+        zero, full = Subspace.zero(n), Subspace.full(n)
+        assert zero is Subspace.zero(n) and full is Subspace.full(n)
+        assert zero == Subspace(n, RationalMatrix([], 0, n), ()) and zero.pivots == ()
+        assert full == Subspace(n, RationalMatrix(rows, n, n), tuple(range(n)))
+        assert full.pivots == tuple(range(n)) and full.dim == n
+
+
+SPANNING_INTS = [(2, 4, 0, -6), (1, 2, 3, 0), (0, 0, 0, 0), (3, 6, 3, -6)]
+
+
+@pytest.mark.parametrize("convert", [
+    Fraction,
+    lambda x: F(x, 3),
+    lambda x: str(F(x, 7)),
+    lambda x: x if x % 2 else F(x),
+], ids=["integral Fraction", "Fraction", "str", "mixed int and Fraction"])
+def test_from_spanning_reads_every_entry_type_alike(convert):
+    """Int rows reach the kernel as they are; any other entry goes through
+    the RationalMatrix constructor.  Both give the same subspace, which
+    the textbook elimination confirms."""
+    want = Subspace.from_spanning(4, SPANNING_INTS)
+    assert want.dim == 2 and want.pivots == (0, 2)
+    assert want.basis == RationalMatrix(
+        [r for r in naive_row_reduce(SPANNING_INTS) if any(r)])
+    got = Subspace.from_spanning(4, [[convert(x) for x in v] for v in SPANNING_INTS])
+    assert got == want and got.pivots == want.pivots
+
+
+def test_from_spanning_reads_bool_entries_as_0_and_1():
+    bools = [(True, False, True), (False, True, True), (True, True, False)]
+    got = Subspace.from_spanning(3, bools)
+    assert got == Subspace.from_spanning(3, [tuple(map(int, v)) for v in bools])
+    assert got == Subspace.full(3) and got.pivots == (0, 1, 2)
+
+
+def test_from_spanning_rejects_a_wrong_length_or_inexact_vector():
+    for dim, vecs in ((3, [(1, 2)]), (3, [(1, 2, 3), (1, 2, 3, 4)]), (3, [(F(1, 2), 1)]),
+                      (3, [(True,)]), (2, [()]), (0, [(1,)])):
+        with pytest.raises(ValueError, match="wrong length"):
+            Subspace.from_spanning(dim, vecs)
+    with pytest.raises(TypeError):
+        Subspace.from_spanning(2, [(1, 0.5)])
+
+
 def test_inverse_round_trip():
     m = RationalMatrix([[1, 2], [3, 5]])
     mi = inverse(m)
