@@ -19,7 +19,8 @@ Both types are immutable, so the values fixed by a shape alone are built
 once per key (``lru_cache``) and shared: ``RationalMatrix.zeros(r, c)``,
 ``RationalMatrix.identity(n)`` (on the shared :func:`_identity_rows`),
 ``Subspace.zero(d)`` and ``Subspace.full(d)``.  Only ``_make`` and the two
-constructors write their fields.
+constructors write their fields.  The shared row tables :func:`_unit_rows`
+and :func:`_unit_index` are read-only ``MappingProxyType`` views.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, sub
+from types import MappingProxyType
 
 _ZERO = Fraction(0)
 
@@ -133,8 +135,18 @@ def _identity_rows(n):
 
 @lru_cache(maxsize=None)
 def _unit_rows(n):
-    """{c: e_c} for c in range(n), the shared identity rows, and {None: 0}."""
-    return {None: (0,) * n, **dict(enumerate(_identity_rows(n)))}
+    """{c: e_c} for c in range(n), the shared identity rows, and {None: 0},
+    read-only."""
+    return MappingProxyType({None: (0,) * n, **dict(enumerate(_identity_rows(n)))})
+
+
+@lru_cache(maxsize=None)
+def _unit_index(n):
+    """{e_c: c} for the rows e_c of the n x n identity and {0: n} for the
+    zero row, read-only: the row of a product's right operand, with a zero
+    row appended, that a unit or zero left row picks.  Rows are found by
+    value, not only as the shared tuples."""
+    return MappingProxyType({(0,) * n: n, **{e: c for c, e in enumerate(_identity_rows(n))}})
 
 
 def _is_identity(mat) -> bool:
@@ -323,22 +335,21 @@ class RationalMatrix:
             return other
         if not (self.nrows and self.ncols and nc):
             return RationalMatrix.zeros(self.nrows, nc)
-        # each left row pays for its nonzero entries only: a row that is a
-        # single 1 (a monomial generator action) takes the right row as is
-        orows = other.rows
+        # a unit row e_c (a monomial generator action) takes right row c as
+        # is, and a zero row the zero row appended at index ncols, in one
+        # lookup; any other row pays for its nonzero entries only
+        orows = other.rows + ((0,) * nc,)
+        unit = _unit_index(self.ncols).get
         cols = range(self.ncols)
-        zero = (0,) * nc
         out = []
         for arow in self.rows:
-            nz = list(compress(cols, arow))
-            if not nz:
-                out.append(zero)
+            c = unit(arow)
+            if c is not None:
+                out.append(orows[c])
                 continue
+            nz = list(compress(cols, arow))
             j = nz[0]
             a = arow[j]
-            if len(nz) == 1 and a == 1:
-                out.append(orows[j])
-                continue
             acc = [a * b for b in orows[j]]
             for j in nz[1:]:
                 a = arow[j]

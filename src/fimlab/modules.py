@@ -784,14 +784,14 @@ def submodule_from_stable_subspaces(v: TruncatedModule, spaces,
     # a zero target space inside a nonzero V(tgt) is still checked
     live, rest = split_generators(v.window, v.group, dims, v.dims)
     actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    blocks = {n: s.basis.transpose() for n, s in spaces.items()}  # the inclusion
     for key, src, tgt in live:
-        rhs = v.actions[key] * spaces[src].basis.transpose()
-        restricted = spaces[tgt].coordinates(rhs)
+        restricted = spaces[tgt].coordinates(v.actions[key] * blocks[src])
         if restricted is None:
             raise ValueError(f"subspaces are not action-stable at {key}")
         actions[key] = restricted
     mod = TruncatedModule(v.window, v.group, dims, actions, presentation, name)
-    incl = ModuleMap(mod, v, {n: spaces[n].basis.transpose() for n in spaces})
+    incl = ModuleMap(mod, v, blocks)
     return mod, incl
 
 
@@ -1273,6 +1273,14 @@ def cover_blocks(v: TruncatedModule, gens) -> dict:
 # -- the naturality solver -------------------------------------------------
 
 
+def hom_parameter_count(gens, w: TruncatedModule) -> int:
+    """The number of free generator values t_i in W(n_i) of a natural map out
+    of V with generators ``gens`` (:func:`generators_and_cover`): the sum of
+    dim W(n_i) over the lifts.  A natural map is fixed by those values
+    (Yoneda), so this bounds dim Hom(V, W)."""
+    return sum(len(lifts) * w.dims[n] for n, lifts in gens)
+
+
 class NaturalitySolver:
     """Hom(V, W) by Yoneda from the generators of V.
 
@@ -1281,10 +1289,10 @@ class NaturalitySolver:
     Phi_x(beta, h) = W(beta, h) t_i.  It factors through V exactly when
     Phi_x kills ker pi_x at every object x, and the map V -> W is then
     Phi_x S_x for a section S_x of pi_x.  ``nparams`` is the sum of
-    dim W(n_i); ``rows`` are the constraints, the entries of
-    Phi_x(t) k for k in a basis of each ker pi_x: the nonzero columns of
-    I - S_x pi_x, which are pi_x's free-column kernel vectors, as S_x is
-    zero at the free variables.  As pi is onto at every object of the
+    dim W(n_i) (:func:`hom_parameter_count`); ``rows`` are the
+    constraints, the entries of Phi_x(t) k for k in a basis of each
+    ker pi_x: the nonzero columns of I - S_x pi_x, which are pi_x's
+    free-column kernel vectors, as S_x is zero at the free variables.  As pi is onto at every object of the
     window, the solutions are exactly the natural maps V -> W.
 
     The generators and every pi_x come from one pass of
@@ -1306,7 +1314,7 @@ class NaturalitySolver:
         self.w = w
         gens, pis = generators_and_cover(v)
         self._gens = gens
-        self.nparams = sum(len(lifts) * w.dims[n] for n, lifts in gens)
+        self.nparams = hom_parameter_count(gens, w)
         self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
         self._sections = {}
         self.rows = []

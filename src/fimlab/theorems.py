@@ -42,6 +42,8 @@ from .modules import (
     check_hom_source,
     direct_sum,
     external_tensor,
+    generators_and_cover,
+    hom_parameter_count,
     hom_space,
     make_cofree,
     make_free,
@@ -561,8 +563,21 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     """End(V) with structure constants, the radical via the trace form of
     the regular representation (char 0), and an idempotent search in the
     semisimple quotient with Newton lifting.  Structure constants are the
-    Yoneda coordinates of the compositions (:meth:`NaturalitySolver.coordinates`)."""
+    Yoneda coordinates of the compositions (:meth:`NaturalitySolver.coordinates`).
+
+    A natural map out of V is fixed by its values on V's generators
+    (Yoneda), so dim End(V) <= nparams = sum #lifts_i * dim V(n_i)
+    (:func:`hom_parameter_count`), and id_V is always in End(V).  When
+    nparams is 1, V is nonzero and End(V) = Q id_V, a local ring, so no
+    solver is built.  The solver would give the same data: its one lift
+    is a unit vector in a 1-dimensional V(n), id_V satisfies every
+    constraint row, so the kernel is all of Q^1 and its basis map is id_V."""
     check_hom_source(v)
+    gens, _ = generators_and_cover(v)
+    if hom_parameter_count(gens, v) == 1:
+        one = Fraction(1)
+        return EndRingData(1, (((one,),),), 0, True, False,
+                           [ModuleMap.identity(v)], (one,), None)
     solver = NaturalitySolver(v, v)
     basis = solver.basis()
     d = len(basis)

@@ -455,6 +455,7 @@ PROCESS_CACHES = {
     ("functors.py", "_rs_group"): "(s, group table and generators, name)",
     ("linalg.py", "_identity_rows"): "n",
     ("linalg.py", "_unit_rows"): "n",
+    ("linalg.py", "_unit_index"): "n, the row width",
     ("linalg.py", "RationalMatrix.zeros"): "(nrows, ncols)",
     ("linalg.py", "RationalMatrix.identity"): "n",
     ("linalg.py", "Subspace.zero"): "the ambient dimension",

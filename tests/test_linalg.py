@@ -513,6 +513,53 @@ def test_product_with_an_identity_or_empty_operand_matches_fractions(pair):
         assert got is b
 
 
+def _left_row(kind, c, k, rng):
+    """A left row of width k: the shared unit row e_c, an equal fresh copy of
+    it, the zero row, -e_c, 2 e_c, or a general row."""
+    if kind == "shared unit":
+        return fimlab.linalg._identity_rows(k)[c]
+    if kind == "general":
+        return tuple(rng.randint(-3, 3) for _ in range(k))
+    scale = {"fresh unit": 1, "zero": 0, "minus unit": -1, "twice unit": 2}[kind]
+    return tuple(scale * int(j == c) for j in range(k))
+
+
+LEFT_ROW_KINDS = ("shared unit", "fresh unit", "zero", "minus unit", "twice unit", "general")
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("den", [1, 3])
+def test_unit_and_zero_left_rows_match_the_fraction_product(k, den):
+    """A left row found by value as e_c or 0 takes the right row c or zero;
+    every other row is multiplied out.  Rows of every kind, at every c,
+    against the textbook Fraction product."""
+    rng = random.Random(k * 10 + den)
+    rows = [_left_row(kind, c, k, rng) for kind in LEFT_ROW_KINDS for c in range(k)]
+    rows.append(tuple(1 for _ in range(k)))
+    a = fimlab.linalg._reduced(tuple(rows), den, len(rows), k)
+    shared = fimlab.linalg._identity_rows(k)
+    assert a.rows[0] is shared[0] and a.rows[k] == shared[0] and a.rows[k] is not shared[0]
+    for nc in (1, 3):
+        b = rand_matrix(rng, k, nc)
+        got = a * b
+        assert got.shape == (a.nrows, nc)
+        assert [[got[i, j] for j in range(nc)] for i in range(got.nrows)] \
+            == _fraction_product(a, b)
+
+
+def test_shared_row_tables_are_read_only():
+    """The unit-row tables are process-wide; writing into one raises."""
+    from fimlab.linalg import _unit_index, _unit_rows
+
+    for n in (0, 2):
+        with pytest.raises(TypeError):
+            _unit_rows(n)[0] = (5,) * n
+        with pytest.raises(TypeError):
+            _unit_index(n)[(0,) * n] = 0
+    assert dict(_unit_index(2)) == {(0, 0): 2, (1, 0): 0, (0, 1): 1}
+    assert dict(_unit_rows(2)) == {None: (0, 0), 0: (1, 0), 1: (0, 1)}
+
+
 def test_solve_matrix_with_no_rows():
     m = RationalMatrix([], 0, 3)
     rhs = RationalMatrix([], 0, 2)

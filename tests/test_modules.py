@@ -1257,11 +1257,24 @@ def test_coordinates_match_the_solve_on_the_oracle_pairs():
         _check_coordinates(solver, maps)
 
 
-def test_end_ring_structure_constants_match_the_solve():
-    from fimlab.modules import NaturalitySolver
+def _end_ring_fields(er):
+    """Every field of an ``EndRingData``, maps as their blocks, with the
+    type of every coordinate entry (a tuple of ints equals one of Fractions)."""
+    coords = [c for row in er.structure_constants for c in row] + [er.identity_coords]
+    return (er.dim, er.structure_constants, er.radical_dim, er.is_local,
+            er.search_exhausted, [b.blocks for b in er.basis], er.identity_coords,
+            er.idempotent_coords, {type(x) for c in coords for x in c})
+
+
+def test_end_ring_structure_constants_match_the_solve(monkeypatch):
+    """end_ring agrees with the Hom solver's basis and coordinates, and
+    field by field with its own solver path, also where it skips the
+    solver (one Yoneda parameter: F(1), E(1) and the tensors)."""
+    from fimlab import theorems
+    from fimlab.modules import NaturalitySolver, generators_and_cover, hom_parameter_count
     from fimlab.theorems import end_ring
 
-    w = Window((3,))
+    w, c3 = Window((3,)), GroupTable.cyclic(3)
     mods = [
         direct_sum(make_free((1,), w, TRIV), make_free((1,), w, TRIV))[0],
         direct_sum(make_free((1,), w, TRIV), make_cofree((1,), w, TRIV))[0],
@@ -1271,16 +1284,28 @@ def test_end_ring_structure_constants_match_the_solve():
                         make_induced(((1, 1),), w, TRIV)),
         external_tensor(make_induced(((1, 1),), w, TRIV),
                         make_induced(((1, 1),), w, TRIV)),
+        make_free((1,), w, TRIV),
+        make_free((2,), w, TRIV),
+        make_free((1,), w, c3),
+        make_cofree((1,), w, TRIV),
+        zero_module(w, TRIV),
     ]
+    counts = [hom_parameter_count(generators_and_cover(v)[0], v) for v in mods]
+    assert counts == [4, 3, 1, 1, 1, 1, 2, 3, 1, 0]
     for v in mods:
         er = end_ring(v)
         solver = NaturalitySolver(v, v)
+        assert [b.blocks for b in er.basis] == [b.blocks for b in solver.basis()]
         comps = [a.compose(b) for a in er.basis for b in er.basis]
         _check_coordinates(solver, comps + [ModuleMap.identity(v)])
         assert solver.dim == er.dim == len(er.basis)
         flat = [c for row in er.structure_constants for c in row]
         assert flat == [_coordinates_by_solve(er.basis, comp) for comp in comps]
         assert er.identity_coords == _coordinates_by_solve(er.basis, ModuleMap.identity(v))
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "hom_parameter_count", lambda gens, w: -1)
+            general = end_ring(v)
+        assert _end_ring_fields(er) == _end_ring_fields(general)
 
 
 def test_coordinates_reject_generator_values_outside_the_kernel():

@@ -186,6 +186,32 @@ def test_end_ring_raises_a_failed_invariant(monkeypatch):
         end_ring(x)
 
 
+def test_one_parameter_end_rings_build_no_hom_solver(monkeypatch):
+    """Where V's generators leave one Yoneda parameter, End(V) = Q id_V is
+    answered without the Hom solver: F(1) and three of thm2's tensors are
+    local of dim 1 with the solver unavailable, while F(2), one generator
+    in a 2-dimensional F(2)(2), still needs it."""
+    from fimlab import theorems
+
+    def unavailable(*args):
+        raise AssertionError("NaturalitySolver built")
+
+    monkeypatch.setattr(theorems, "NaturalitySolver", unavailable)
+    w = Window((3,))
+    factor = {"M": make_induced, "E": make_coinduced}
+    mods = [make_free((1,), w, TRIV)] + [
+        external_tensor(factor[k1]((l1,), w, TRIV), factor[k2]((l2,), w, TRIV))
+        for (k1, l1), (k2, l2) in ((("M", (1,)), ("E", (1,))),
+                                   (("E", (2,)), ("M", (1, 1))),
+                                   (("M", (1, 1)), ("M", (1, 1))))]
+    for v in mods:
+        er = end_ring(v)
+        assert er.dim == 1 and er.is_local and er.radical_dim == 0
+        assert is_local_end(v)
+    with pytest.raises(AssertionError, match="NaturalitySolver built"):
+        end_ring(make_free((2,), w, TRIV))
+
+
 def test_end_ring_induced_tensor_coinduced_local():
     w1 = Window((3,))
     a = make_induced(((2,),), w1, TRIV)
