@@ -143,6 +143,11 @@ def _specht_modules():
                    make_induced(((1,), (2,)), w23, group, g_rep=regular).to_json())
     yield ("coinduced/(2, 1)/1/(4,)",
            make_coinduced(((2, 1),), Window((4,))).to_json())
+    w4 = Window((4,))
+    for gname, group in GROUPS.items():
+        for lam in ((3, 1), (2, 2), (2, 1, 1)):
+            yield (f"induced/{lam}/{gname}/(4,)",
+                   make_induced((lam,), w4, group).to_json())
 
 
 def _induced_modules():
@@ -295,12 +300,19 @@ def _cogenerations():
 
 
 def _counits():
-    """The counit F_s(V[[s]]) -> V that certifies V induced along S."""
+    """The counit F_s(V[[s]]) -> V that certifies V induced along S; the
+    induced modules on (4,) and (3, 2) have slices s with Aut(s)
+    nontrivial, so their counits carry the factor |Aut(s)| next to the
+    group."""
     for gname, group in GROUPS.items():
         mods = {"free_(1, 1)": make_free((1, 1), Window((2, 2)), group),
-                "induced_(1,)x(1,)": make_induced(((1,), (1,)), Window((2, 2)), group)}
+                "induced_(1,)x(1,)": make_induced(((1,), (1,)), Window((2, 2)), group),
+                "induced_(2,)/(4,)": make_induced(((2,),), Window((4,)), group),
+                "induced_(2, 1)/(4,)": make_induced(((2, 1),), Window((4,)), group),
+                "induced_(2,)x(1,)/(3, 2)": make_induced(((2,), (1,)), Window((3, 2)),
+                                                          group)}
         for label, v in mods.items():
-            for S in ((1,), (2,), (1, 2)):
+            for S in ((1,),) if v.m == 1 else ((1,), (2,), (1, 2)):
                 verdict = is_S_induced(v, S)
                 yield f"counit/{gname}/{label}/{S}", _blocks(verdict.iso)
 
