@@ -40,7 +40,8 @@ of their tuple keys, built once per key (``lru_cache``) and shared, so each
 is immutable (an int, a tuple or a read-only mapping): a window's objects
 in both orders (:func:`_window_objects`, :func:`_objects_by_degree`),
 :func:`unit`, :func:`count_injections`, the injection and generator index
-tables and :func:`window_generators`.  ``Window.objects()`` and
+tables, the Aut(a)-orbits of Inj(a, b) (:func:`aut_orbit_table`) and
+:func:`window_generators`.  ``Window.objects()`` and
 ``objects_by_degree()`` still hand each caller a fresh list.
 """
 
@@ -373,6 +374,33 @@ def generator_index_map(n: Obj, key) -> tuple:
     index = injection_index_table(n, tgt)
     return tuple(index[_after_generator(key, beta)]
                  for beta in injection_index_table(n, src))
+
+
+@lru_cache(maxsize=None)
+def aut_orbit_table(a: Obj, b: Obj) -> tuple:
+    """The orbits of Aut(a) on Inj(a, b), beta -> beta o sigma, as
+    ``(reps, split)``: ``reps`` lists each orbit's lowest basis index,
+    increasing, and ``split[bi]`` is ``(o, tau, tau_inv)`` for the bi-th
+    injection beta = r_o o tau, with tau and its inverse named by their
+    index in Inj(a, a) (the identity is index 0).
+
+    Aut(a) acts freely, and the basis order is lexicographic on the image
+    tuples, so an orbit's lowest member sorts every coordinate's image
+    tuple: it is the orbit's one order-preserving injection, and tau sends
+    x to the rank of beta(x) in beta's image.  Shared by every F_s build, so
+    tuples."""
+    index = injection_index_table(a, b)
+    auts = injection_index_table(a, a)
+    reps, orbit_of, split = [], {}, []
+    for bi, maps in enumerate(index):
+        ranked = tuple(tuple(sorted(img)) for img in maps)
+        if ranked not in orbit_of:
+            orbit_of[ranked] = len(reps)
+            reps.append(bi)
+        tau = tuple(tuple(r.index(p) + 1 for p in img) for r, img in zip(ranked, maps))
+        inv = tuple(tuple(img.index(x) + 1 for x in range(1, len(img) + 1)) for img in tau)
+        split.append((orbit_of[ranked], auts[tau], auts[inv]))
+    return tuple(reps), tuple(split)
 
 
 # -- generators --------------------------------------------------------

@@ -17,8 +17,12 @@ from .category import (
     GroupTable,
     Window,
     add,
+    aut_orbit_table,
     aut_swaps,
+    count_injections,
+    generator_index_map,
     injection_index_table,
+    leq,
     rekey,
     split_generators,
     sub,
@@ -27,7 +31,7 @@ from .category import (
 )
 from .linalg import (
     RationalMatrix,
-    Subspace,
+    block_diag,
     image_basis,
     kernel_basis,
     kron,
@@ -38,9 +42,7 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
-    _before_generator,
     _fixed_space,
-    _monomial,
     _specht_swaps,
     cover_blocks,
     direct_sum,
@@ -300,30 +302,61 @@ def split_obj(n, S, not_S):
     )
 
 
-def _aut_right_action_matrix(n, t, swap):
-    """Right action of the swap generator sigma of n with key ``swap`` on
-    the injections n -> t, beta -> beta o sigma."""
-    index = injection_index_table(n, t)
-    cols = [None] * len(index)
-    for bi, beta in enumerate(index):
-        cols[index[_before_generator(swap, beta)]] = bi
-    return _monomial(cols, len(index), len(index))
+def _aut_values(s, w_rs: TruncatedModule, t) -> list:
+    """W(tau) at t for every tau in Aut(s), by its index in Inj(s, s): one
+    breadth-first walk from the identity along the swaps of ``aut_swaps(s)``,
+    W(g o tau) = W(g) W(tau), with W(g) the aut generator of ``w_rs`` of the
+    same index.  Every step is checked, so a mismatch, where two words for
+    one tau disagree, means W is not a representation of Aut(s) at t: that
+    raises ValueError, as F_s(W) would not have its dimension then."""
+    steps = [(generator_index_map(s, ("swap", i, k, s)), w_rs.actions[("grp", j, t)])
+             for j, (i, k) in enumerate(aut_swaps(s))]
+    values = [None] * count_injections(s, s)
+    values[0] = RationalMatrix.identity(w_rs.dims[t])
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for tau in frontier:
+            for step, mat in steps:
+                img = mat * values[tau]
+                g_tau = step[tau]
+                if values[g_tau] is None:
+                    values[g_tau] = img
+                    nxt.append(g_tau)
+                elif values[g_tau] != img:
+                    raise ValueError(f"the Aut{s} generators of {w_rs.name or 'W'} "
+                                     f"do not act as a representation at {t}")
+        frontier = nxt
+    return values
 
 
-def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
-                   window: Window, name: str = "") -> tuple:
-    """F_s(W): the induced module of an R_s-module along the coordinate
-    subset S, with its inclusion into the unsymmetrized module.
+def _block_monomial(blocks, nrow_blocks: int, ncol_blocks: int, d: int) -> RationalMatrix:
+    """The matrix of d x d blocks, nrow_blocks by ncol_blocks, that is zero
+    but for block (p, o) = mat for each p -> (o, mat) of ``blocks``."""
+    width = ncol_blocks * d
+    zero = (0,) * width
+    pairs = []
+    for p in range(nrow_blocks):
+        if p in blocks:
+            o, mat = blocks[p]
+            left, right = (0,) * (o * d), (0,) * (width - (o + 1) * d)
+            pairs += [(left + row + right, mat.den) for row in mat.rows]
+        else:
+            pairs += [(zero, 1)] * d
+    return _stack_rows(pairs, width)
 
-    ``w_rs`` lives over the complement coordinates and carries the product
-    group Aut(s) x G (aut generators first); the value of the result at
-    (s' x t) is the Aut(s)-balanced tensor of the free module at s with
-    W(t), realized as the vectors of Inj(s, s') x W(t) fixed by each swap
-    sigma of Aut(s), acting by beta -> beta o sigma paired with W's action
-    of sigma.  Aut(s) acts freely on Inj(s, s'), so the value has dimension
-    prod_i C(s'_i, s_i) * dim W(t); a mismatch raises ValueError.  Returns
-    (module, inclusion) like :func:`submodule_from_stable_subspaces`.
-    """
+
+def _orbits(s, s_part) -> tuple:
+    """:func:`aut_orbit_table` of Inj(s, s_part); no orbit, and no
+    injection, when s does not embed in s_part."""
+    return aut_orbit_table(s, s_part) if leq(s, s_part) else ((), ())
+
+
+def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
+             name: str = "") -> tuple:
+    """F_s(W) as :func:`induced_module` builds it, without the inclusion,
+    and with the values W(tau) of :func:`_aut_values` at each t where W
+    is nonzero.  Returns (module, {t: values})."""
     m = window.m
     S = normalize_subset(S, m)
     not_S = complement_subset(S, m)
@@ -342,53 +375,90 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
         if window.bound[i - 1] < s[pos]:
             raise MarginError("window too small for the inducing object")
 
-    swaps = [("swap", c, k, s) for c, k in aut_swaps(s)]
-    # Inj(s, s') is the value of F(s) at s', and the S-coordinate generators
-    # act on it as they act on F(s)
-    free_s = make_free(s, Window(tuple(window.bound[i - 1] for i in S)))
-
-    # big space at (s' x t): Inj(s, s') x W(t); fixed subspaces of the swaps,
-    # each an involution paired with W's aut generator of the same index
-    spaces = {}
-    big_dims = {}
+    # the value at (s' x t) has the basis (O, k): orbit O of Inj(s, s'),
+    # by its lowest index r, and basis vector k of W(t)
+    dims, values = {}, {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        d = big_dims[n] = free_s.dims[s_part] * w_rs.dims[t_part]
-        if d == 0:
-            spaces[n] = Subspace.zero(0)
-            continue
-        mats = [kron(_aut_right_action_matrix(s, s_part, sw),
-                     w_rs.actions[("grp", j, t_part)])
-                for j, sw in enumerate(swaps)]
-        spaces[n] = _fixed_space(d, mats)
-        expected = prod(comb(a, b) for a, b in zip(s_part, s)) * w_rs.dims[t_part]
-        if spaces[n].dim != expected:
+        d_w = w_rs.dims[t_part]
+        dims[n] = len(_orbits(s, s_part)[0]) * d_w
+        expected = prod(comb(a, b) for a, b in zip(s_part, s)) * d_w
+        if dims[n] != expected:
             raise ValueError(f"induced value at {n} has dimension "
-                             f"{spaces[n].dim}, expected {expected}")
+                             f"{dims[n]}, expected {expected}")
+        if dims[n] and t_part not in values:
+            values[t_part] = _aut_values(s, w_rs, t_part)
 
-    # generator actions on the big spaces, then restrict
-    live, rest = split_generators(window, group, big_dims, big_dims)
-    big_actions = {key: RationalMatrix.zeros(big_dims[tgt], big_dims[src])
-                   for key, src, tgt in rest}
-    for key, src, _ in live:
+    live, rest = split_generators(window, group, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    n_swaps = len(aut_swaps(s))
+    for key, src, tgt in live:
         s_src, t_src = split_obj(src, S, not_S)
-        ninj_src = free_s.dims[s_src]
+        d_w = w_rs.dims[t_src]
+        reps = _orbits(s, s_src)[0]
         if key[0] != "grp" and key[1] in S:
-            skey = rekey(key, S.index(key[1]) + 1, s_src)
-            big_actions[key] = kron(
-                free_s.actions[skey], RationalMatrix.identity(w_rs.dims[t_src])
-            )
+            # g o r = r' o tau sends (O, k) to W(tau) e_k in the orbit of r'
+            s_tgt = split_obj(tgt, S, not_S)[0]
+            tgt_reps, split = _orbits(s, s_tgt)
+            step = generator_index_map(s, rekey(key, S.index(key[1]) + 1, s_src))
+            vals = values[t_src]
+            blocks = {}
+            for o, r in enumerate(reps):
+                p, tau, _ = split[step[r]]
+                blocks[p] = (o, vals[tau])
+            actions[key] = _block_monomial(blocks, len(tgt_reps), len(reps), d_w)
         else:
-            # G sits after the aut generators in the product group
-            c = len(swaps) + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
-            big_actions[key] = kron(
-                RationalMatrix.identity(ninj_src), w_rs.actions[rekey(key, c, t_src)]
-            )
+            # a complement or group generator commutes with Aut(s): W(g) on
+            # every orbit; G sits after the aut generators in the product group
+            c = n_swaps + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
+            actions[key] = block_diag([w_rs.actions[rekey(key, c, t_src)]] * len(reps))
 
-    big = TruncatedModule(window, group, big_dims, big_actions)
     pres = _induced_presentation(s, S, not_S, w_rs, m)
-    return submodule_from_stable_subspaces(big, spaces, pres,
-                                           name or f"F_{s}({w_rs.name})")
+    mod = TruncatedModule(window, group, dims, actions, pres,
+                          name or f"F_{s}({w_rs.name})")
+    return mod, values
+
+
+def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
+                   window: Window, name: str = "") -> tuple:
+    """F_s(W): the induced module of an R_s-module along the coordinate
+    subset S, with its inclusion into the unsymmetrized module.
+
+    ``w_rs`` lives over the complement coordinates and carries the product
+    group Aut(s) x G (aut generators first); the value of the result at
+    (s' x t) is the Aut(s)-balanced tensor of the free module at s with
+    W(t): the vectors of Inj(s, s') x W(t) fixed by each swap sigma of
+    Aut(s), acting by beta -> beta o sigma paired with W's action of sigma.
+
+    That space is written down, not solved for.  Aut(s) acts freely on
+    Inj(s, s'), so a fixed vector is fixed by its value at the lowest
+    injection r of each orbit O (:func:`aut_orbit_table`), and has the value
+    W(tau)^-1 w at r o tau.  Basis vector (O, k) is the one with w = e_k;
+    orbits are disjoint and r's block comes first in O, so these are the
+    rows of the reduced row echelon basis of the fixed space, and the value
+    has dimension prod_i C(s'_i, s_i) * dim W(t).  An S-coordinate
+    generator g sends (O, k) to W(tau) e_k in the orbit of r', where g o r
+    = r' o tau; a complement or group generator g acts as W(g) on each
+    orbit.  A W whose Aut(s) generators are not a representation raises
+    ValueError.
+
+    Returns (module, inclusion), the inclusion as its blocks {n: matrix}
+    into Inj(s, s') x W(t), injection-major.
+    """
+    mod, values = _induced(s, S, w_rs, group, window, name)
+    S = normalize_subset(S, window.m)
+    not_S = complement_subset(S, window.m)
+    s = tuple(s)
+    inclusion = {}
+    for n in window.objects():
+        s_part, t_part = split_obj(n, S, not_S)
+        reps, split = _orbits(s, s_part)
+        d_w = w_rs.dims[t_part]
+        vals = values.get(t_part)
+        blocks = {} if vals is None else {
+            bi: (o, vals[tau_inv]) for bi, (o, _, tau_inv) in enumerate(split)}
+        inclusion[n] = _block_monomial(blocks, len(split), len(reps), d_w)
+    return mod, inclusion
 
 
 def make_induced(lambdas, window: Window, group: GroupTable | None = None,
@@ -428,7 +498,7 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     name = name or f"M{lambdas}"
     if not window.m:  # F_() is the identity on FI^0 modules
         return TruncatedModule(window, group, x.dims, x.actions, pres, name)
-    mod, _ = induced_module(n, range(1, window.m + 1), x, group, window, name)
+    mod, _ = _induced(n, range(1, window.m + 1), x, group, window, name)
     mod.presentation = pres
     return mod
 

@@ -18,6 +18,7 @@ from .category import (
     GroupTable,
     Window,
     add,
+    aut_orbit_table,
     aut_swaps,
     count_injections,
     degree,
@@ -25,12 +26,11 @@ from .category import (
     unit,
     window_generators,
 )
-from .linalg import RationalMatrix, Subspace, kernel_basis, quotient_map
+from .linalg import RationalMatrix, Subspace, kernel_basis, quotient_map, _stack_rows
 from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
-    _from_columns,
     _orbit_walk,
     close_under_actions,
     generators_and_cover,
@@ -42,11 +42,11 @@ from .modules import (
 )
 from .functors import (
     complement_subset,
-    induced_module,
     interleave,
     normalize_subset,
     rs_group,
     split_obj,
+    _induced,
 )
 
 EXACT = "EXACT"
@@ -365,12 +365,16 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
 
     At each object t of the complement, V's S-part (u -> V(u x t), over
     the S coordinates and the trivial group) takes one orbit walk from s,
-    which lists V(beta x id_t) over Inj(s, s') in make_free's order: the
-    order of the ambient basis (beta, c) of F_s(V[[s]])."""
+    which lists V(beta x id_t) over Inj(s, s') in make_free's order.  Basis
+    vector (O, k) of F_s(V[[s]]) is the sum over r o tau in the orbit O of
+    e_(r o tau) (x) W(tau)^-1 e_k (``functors.induced_module``), and V(r o
+    tau) = V(r) W(tau) on the slice, so every term gives V(r) e_k: column
+    (O, k) of the counit is |Aut(s)| V(r x id_t) e_k."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
-    fsw, fsw_incl = induced_module(s, S, witness, v.group, v.window)
+    fsw, _ = _induced(s, S, witness, v.group, v.window)
+    order = count_injections(s, s)
     s_window = Window(tuple(v.window.bound[i - 1] for i in S))
     walks = {}
     for t in witness.window.objects():
@@ -383,9 +387,10 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     blocks = {}
     for n in v.window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        cols = [img.col(c) for img in walks[t_part].get(s_part, ())
-                for c in range(img.ncols)]
-        blocks[n] = _from_columns(cols, v.dims[n]) * fsw_incl.blocks[n]
+        images = walks[t_part].get(s_part)
+        reps = aut_orbit_table(s, s_part)[0] if images else ()
+        cols = [(row, images[r].den) for r in reps for row in images[r].transpose().rows]
+        blocks[n] = _stack_rows(cols, v.dims[n]).transpose().scale(order)
     return ModuleMap(fsw, v, blocks), fsw
 
 

@@ -18,14 +18,14 @@ from functools import reduce
 from .category import (
     GroupTable,
     Window,
-    count_injections,
+    aut_swaps,
 )
 from .linalg import (
     RationalMatrix,
     Subspace,
+    block_diag,
     image_basis,
     kernel_basis,
-    kron,
     quotient_map,
     rational_roots,
     solve,
@@ -58,10 +58,11 @@ from .functors import (
     canonical_map,
     complement_subset,
     ind,
-    induced_module,
     normalize_subset,
     shift_prod,
     split_obj,
+    _induced,
+    _orbits,
 )
 from .homology import (
     EXACT,
@@ -481,19 +482,26 @@ def _lift_member_desc(md: UMemberDesc, s, S, not_S, group) -> UMemberDesc:
 
 
 def _induced_functor_map(s, S, f: ModuleMap, group, window):
-    """F_s applied to a map of R_s-modules (restrict the tensored map to the
-    idempotent images on both sides), as a map F_s(source) -> F_s(target)."""
-    fs_source, src_incl = induced_module(s, S, f.source, group, window)
-    fs_target, tgt_incl = induced_module(s, S, f.target, group, window)
+    """F_s applied to a map of R_s-modules, as a map F_s(source) ->
+    F_s(target).  On the orbit-sum bases of ``functors.induced_module``,
+    where (O, k) has the value W(tau)^-1 e_k at r o tau, f sends (O, k) to
+    the sum of f(e_k)'s coordinates at (O, j) exactly when f commutes with
+    W's Aut(s) generators: then the block at (s' x t) is f_t on each orbit
+    block."""
+    s = tuple(s)
+    fs_source, _ = _induced(s, S, f.source, group, window)
+    fs_target, _ = _induced(s, S, f.target, group, window)
+    S = normalize_subset(S, window.m)
     not_S = complement_subset(S, window.m)
+    for t in f.source.window.objects():
+        fb = f.blocks[t]
+        for j in range(len(aut_swaps(s))):
+            if fb * f.source.actions[("grp", j, t)] != f.target.actions[("grp", j, t)] * fb:
+                raise _Inconclusive("induced map failed to restrict")
     blocks = {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
-        big = kron(RationalMatrix.identity(count_injections(s, s_part)), f.blocks[t_part])
-        sol = image_basis(tgt_incl.blocks[n]).coordinates(big * src_incl.blocks[n])
-        if sol is None:
-            raise _Inconclusive("induced map failed to restrict")
-        blocks[n] = sol
+        blocks[n] = block_diag([f.blocks[t_part]] * len(_orbits(s, s_part)[0]))
     return ModuleMap(fs_source, fs_target, blocks)
 
 

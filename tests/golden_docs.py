@@ -56,7 +56,11 @@ def _dumps(obj) -> str:
 
 
 def _blocks(mp: ModuleMap) -> str:
-    return _dumps({obj_str(n): matrix_to_lists(b) for n, b in sorted(mp.blocks.items())})
+    return _block_dict(mp.blocks)
+
+
+def _block_dict(blocks) -> str:
+    return _dumps({obj_str(n): matrix_to_lists(b) for n, b in sorted(blocks.items())})
 
 
 def _coords(xs):
@@ -175,7 +179,7 @@ def _induced_modules():
             mod, incl = induced_module(s, S, w_rs, group, Window(bound))
             tag = f"induced_module/{gname}/{s}/{S}"
             yield f"{tag}/module", mod.to_json()
-            yield f"{tag}/inclusion", _blocks(incl)
+            yield f"{tag}/inclusion", _block_dict(incl)
 
 
 def _structure(data) -> str:

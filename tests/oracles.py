@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
 from fimlab.category import (
@@ -31,6 +31,8 @@ from fimlab.category import (
     injection_index_table,
     key_ends,
     leq,
+    rekey,
+    split_generators,
     sub,
     unit,
     _injection_images,
@@ -45,6 +47,7 @@ from fimlab.functors import (
     normalize_subset,
     shift,
     split_obj,
+    _induced_presentation,
 )
 from fimlab.linalg import (
     RationalMatrix,
@@ -67,7 +70,10 @@ from fimlab.modules import (
     Presentation,
     TruncatedModule,
     _automorphism_mats,
+    _before_generator,
     _close_subspace_under,
+    _fixed_space,
+    _monomial,
     close_under_actions,
     cover_blocks,
     direct_sum,
@@ -531,6 +537,82 @@ def induced_by_free_fixed_space(lambdas, window: Window, group: GroupTable | Non
     return mod
 
 
+def induced_module_by_fixed_space(s, S, w_rs: TruncatedModule, group: GroupTable,
+                                  window: Window, name: str = "") -> tuple:
+    """Reference for ``functors.induced_module``: F_s(W) solved for as the
+    vectors of Inj(s, s') x W(t) fixed by each swap sigma of Aut(s), acting
+    by beta -> beta o sigma paired with W's action of sigma, and restricted
+    from the big module on those spaces.  The route that writing the
+    orbit-sum basis down replaced, kept as its reference.  Returns (module,
+    inclusion into the big module)."""
+    m = window.m
+    S = normalize_subset(S, m)
+    not_S = complement_subset(S, m)
+    s = tuple(s)
+    swaps = [("swap", c, k, s) for c, k in aut_swaps(s)]
+    free_s = make_free(s, Window(tuple(window.bound[i - 1] for i in S)))
+
+    def right_action(s_part, swap):
+        index = injection_index_table(s, s_part)
+        cols = [None] * len(index)
+        for bi, beta in enumerate(index):
+            cols[index[_before_generator(swap, beta)]] = bi
+        return _monomial(cols, len(index), len(index))
+
+    spaces, big_dims = {}, {}
+    for n in window.objects():
+        s_part, t_part = split_obj(n, S, not_S)
+        d = big_dims[n] = free_s.dims[s_part] * w_rs.dims[t_part]
+        if d == 0:
+            spaces[n] = Subspace.zero(0)
+            continue
+        mats = [kron(right_action(s_part, sw), w_rs.actions[("grp", j, t_part)])
+                for j, sw in enumerate(swaps)]
+        spaces[n] = _fixed_space(d, mats)
+        expected = prod(comb(a, b) for a, b in zip(s_part, s)) * w_rs.dims[t_part]
+        if spaces[n].dim != expected:
+            raise ValueError(f"induced value at {n} has dimension "
+                             f"{spaces[n].dim}, expected {expected}")
+    live, rest = split_generators(window, group, big_dims, big_dims)
+    big_actions = {key: RationalMatrix.zeros(big_dims[tgt], big_dims[src])
+                   for key, src, tgt in rest}
+    for key, src, _ in live:
+        s_src, t_src = split_obj(src, S, not_S)
+        if key[0] != "grp" and key[1] in S:
+            skey = rekey(key, S.index(key[1]) + 1, s_src)
+            big_actions[key] = kron(free_s.actions[skey],
+                                    RationalMatrix.identity(w_rs.dims[t_src]))
+        else:
+            c = len(swaps) + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
+            big_actions[key] = kron(RationalMatrix.identity(free_s.dims[s_src]),
+                                    w_rs.actions[rekey(key, c, t_src)])
+    big = TruncatedModule(window, group, big_dims, big_actions)
+    pres = _induced_presentation(s, S, not_S, w_rs, m)
+    return submodule_from_stable_subspaces(big, spaces, pres,
+                                           name or f"F_{s}({w_rs.name})")
+
+
+def induced_map_by_inclusions(s, S, f: ModuleMap, group: GroupTable, window: Window):
+    """The blocks of F_s(f) for a map f of R_s-modules, read off the
+    fixed-space inclusions: kron(I, f_t) on the source's inclusion, in the
+    coordinates of the target's; None when an image leaves the target's
+    fixed space.  The route that orbit blocks of f_t replaced in
+    ``theorems._induced_functor_map``, kept as its reference."""
+    _, src_incl = induced_module_by_fixed_space(s, S, f.source, group, window)
+    _, tgt_incl = induced_module_by_fixed_space(s, S, f.target, group, window)
+    S = normalize_subset(S, window.m)
+    not_S = complement_subset(S, window.m)
+    blocks = {}
+    for n in window.objects():
+        s_part, t_part = split_obj(n, S, not_S)
+        ninj = len(injection_index_table(tuple(s), s_part)) if leq(tuple(s), s_part) else 0
+        big = kron(RationalMatrix.identity(ninj), f.blocks[t_part])
+        blocks[n] = image_basis(tgt_incl.blocks[n]).coordinates(big * src_incl.blocks[n])
+        if blocks[n] is None:
+            return None
+    return blocks
+
+
 def with_trivial_group_action(v: TruncatedModule, group: GroupTable) -> TruncatedModule:
     """Attach a group factor acting trivially (the group is a direct factor
     of the category, so identity actions are always functorial)."""
@@ -739,7 +821,7 @@ def counit_blocks_by_evaluate(v: TruncatedModule, s, S, witness: TruncatedModule
                                            interleave(S, not_S, beta.maps, ident), 0))
                 cols += [act.col(c) for c in range(witness.dims[t_part])]
         block = RationalMatrix(cols, len(cols), v.dims[n]).transpose()
-        blocks[n] = block * fsw_incl.blocks[n]
+        blocks[n] = block * fsw_incl[n]
     return blocks
 
 

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fimlab import symrep
+from fimlab import linalg, symrep
 from fimlab.category import (
     GroupTable,
     Window,
@@ -17,6 +19,7 @@ from fimlab.linalg import RationalMatrix, Subspace, image_basis, kron
 from fimlab.modules import (
     MarginError,
     ModuleMap,
+    NaturalitySolver,
     TruncatedModule,
     direct_sum,
     external_tensor,
@@ -45,20 +48,27 @@ from fimlab.functors import (
     shift_prod,
     shift_sum,
 )
+from fimlab.homology import slice_module
+from fimlab.samples import random_presented_module
 
 from oracles import (
     Morphism,
+    aut_rep_at,
     compose,
+    decompose,
     derivative_decomposition_by_indexing,
     enumerate_injections,
     exact_four_term_check,
     induced_by_free_fixed_space,
+    induced_module_by_fixed_space,
     invert_perm,
     morphism_of_key,
+    partitions_of,
     regular_rep,
     shift_decomposition_by_indexing,
     with_trivial_group_action,
 )
+from test_invariants import process_caches
 
 TRIV = GroupTable.trivial()
 
@@ -417,7 +427,7 @@ def test_induced_module_matches_make_induced():
     assert any(mp.is_iso() for mp in maps) or _iso_from_combo(maps)
 
 
-_S3, _C3 = GroupTable.symmetric(3), GroupTable.cyclic(3)
+_S2, _S3, _C3 = GroupTable.symmetric(2), GroupTable.symmetric(3), GroupTable.cyclic(3)
 
 
 @pytest.mark.parametrize("lambdas, bound, group, regular", [
@@ -553,7 +563,86 @@ def test_induced_module_matches_the_permutation_construction(case):
     window = Window(bound)
     mod, incl = induced_module(s, S, w_rs, group, window)
     spaces, actions = _induced_by_permutations(s, S, w_rs, group, window)
-    assert incl.target.actions == actions
+    big = TruncatedModule(window, group, {n: sp.ambient_dim for n, sp in spaces.items()},
+                          actions)
     for n in window.objects():
-        assert image_basis(incl.blocks[n]) == spaces[n]
-    assert incl.is_natural() and mod.validate().ok
+        assert image_basis(incl[n]) == spaces[n]
+    assert ModuleMap(mod, big, incl).is_natural() and mod.validate().ok
+
+
+@st.composite
+def _induced_inputs(draw):
+    """(s, S, W, group, window) for F_s(W): W a slice V[[s]] of a random
+    presented module V over the window, or ``ind`` of a free module to
+    Aut(s) x G, on one or two coordinates over 1, S2 or C3."""
+    group = draw(st.sampled_from((TRIV, _S2, _C3)))
+    bound = draw(st.sampled_from(((3,), (4,), (2, 2), (3, 2))))
+    S = draw(st.sampled_from([S for r in range(1, len(bound) + 1)
+                              for S in itertools.combinations(range(1, len(bound) + 1), r)]))
+    not_S = [i for i in range(1, len(bound) + 1) if i not in S]
+    s = tuple(draw(st.integers(0, bound[i - 1])) for i in S)
+    if draw(st.booleans()):
+        v = random_presented_module(Window(bound), draw(st.integers(0, 99)), group)
+        w_rs = slice_module(v, s, S)
+    else:
+        t_bound = tuple(bound[i - 1] for i in not_S)
+        n = tuple(draw(st.integers(0, b)) for b in t_bound)
+        w_rs = ind(make_free(n, Window(t_bound)), rs_group(s, group))
+    return s, S, w_rs, group, Window(bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_induced_inputs())
+def test_induced_module_matches_the_fixed_space_byte_for_byte(case):
+    """The orbit-sum basis written down is the reduced row echelon basis of
+    the fixed space that F_s(W) was solved for: the module JSON and the
+    inclusion blocks agree byte for byte."""
+    s, S, w_rs, group, window = case
+    mod, incl = induced_module(s, S, w_rs, group, window)
+    ref, ref_incl = induced_module_by_fixed_space(s, S, w_rs, group, window)
+    assert mod.to_json() == ref.to_json()
+    assert incl == ref_incl.blocks
+
+
+def _hom_test_modules(kind, window, seed):
+    objs = window.objects()
+    if kind == "random":
+        return random_presented_module(window, seed)
+    if kind == "free":
+        return make_free(objs[seed % len(objs)], window)
+    return make_cofree(objs[seed % len(objs)], window)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("random", "free", "cofree")), st.sampled_from(((4,), (3, 3))),
+       st.integers(0, 99), st.integers(0, 15))
+def test_hom_out_of_an_induced_module_counts_its_specht_factor(kind, bound, seed, pick):
+    """Hom(M(lambda), W) = Hom over Aut(n) from S^lambda to W(n), so its
+    dimension is the multiplicity of lambda in W(n), for every lambda of n."""
+    window = Window(bound)
+    w = _hom_test_modules(kind, window, seed)
+    n = window.objects()[pick % len(window.objects())]
+    mult = decompose(aut_rep_at(w, n))
+    for lambdas in itertools.product(*(partitions_of(x) for x in n)):
+        assert (NaturalitySolver(make_induced(lambdas, window), w).dim
+                == mult.get((lambdas, 0), 0)), lambdas
+
+
+def test_induced_module_builds_no_identity_wider_than_its_values():
+    """Writing F_n(X) down asks ``_identity_rows`` for no width beyond its
+    widest value (45 at (6,) for lambda = (3, 1)); solving for it built 360-
+    and 1,080-wide identities that stayed held for the life of the process."""
+    for fn in process_caches():
+        fn.cache_clear()
+    asked = []
+    rows = linalg._identity_rows
+
+    def recording(n):
+        asked.append(n)
+        return rows(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_identity_rows", recording)
+        mod = make_induced(((3, 1),), Window((6,)))
+    assert max(mod.dims.values()) == 45
+    assert asked and max(asked) <= 45

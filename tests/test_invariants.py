@@ -7,8 +7,9 @@ alone, the generators and their cover come from one walk, and only
 ``make_free_sum`` builds a ``FreeModule`` and only ``_free_blocks`` tests
 for one, only the cached ``_free_tables`` writes free-module actions, the
 Hom solver builds its maps in one helper, torsion takes no closure
-pass, only the constructors write a matrix's or a subspace's fields, and
-every process-lifetime cache is on the allow-list."""
+pass, only the constructors write a matrix's or a subspace's fields,
+every process-lifetime cache is on the allow-list, and induced modules
+are written down rather than solved for."""
 
 import ast
 import importlib
@@ -451,6 +452,7 @@ PROCESS_CACHES = {
     ("category.py", "count_injections"): "(a, b), two objects",
     ("category.py", "injection_index_table"): "(a, b), two objects",
     ("category.py", "generator_index_map"): "(n, generator key)",
+    ("category.py", "aut_orbit_table"): "(a, b), two objects",
     ("category.py", "window_generators"): "(window, group table and generators)",
     ("functors.py", "_rs_group"): "(s, group table and generators, name)",
     ("linalg.py", "_identity_rows"): "n",
@@ -509,3 +511,25 @@ def test_every_process_cache_is_on_the_allow_list():
     assert sorted(found) == sorted(PROCESS_CACHES)
     assert all(PROCESS_CACHES.values()), "an allow-list entry names no key"
     assert all(hasattr(fn, "cache_clear") for fn in process_caches())
+
+
+# What solving for F_s(W) took: the free module at s, the Kronecker product
+# over Inj(s, s') x W(t), the fixed-space kernel and the restriction to it.
+INDUCED_SOLVE = ("kron", "_fixed_space", "make_free", "submodule_from_stable_subspaces")
+
+
+def test_induced_module_is_written_down_not_solved_for():
+    """``induced_module`` and every functors.py helper it reaches write the
+    orbit-sum basis and its block-monomial actions down by index
+    arithmetic, and call none of the solve's steps; the fixed-space route
+    lives in ``tests/oracles.py`` as ``induced_module_by_fixed_space``."""
+    calls = _calls_by_function(SOURCE / "functors.py")
+    reached, todo = set(), ["induced_module"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [c for c in calls[name] if c in calls]
+    assert {"_induced", "_aut_values"} <= reached
+    assert [f"{name}: {c}" for name in sorted(reached)
+            for c in sorted(calls[name] & set(INDUCED_SOLVE))] == []

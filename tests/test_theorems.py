@@ -1,8 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from fimlab.category import GroupTable, Window
+from fimlab.linalg import RationalMatrix
 from fimlab.modules import (
     MarginError,
+    ModuleMap,
     direct_sum,
     external_tensor,
     hom_space,
@@ -10,12 +15,14 @@ from fimlab.modules import (
     make_free,
     make_coinduced,
 )
-from fimlab.functors import ind, make_induced, res
+from fimlab.functors import ind, make_induced, res, rs_group
 from fimlab.homology import EXACT, INCONCLUSIVE
 from fimlab.samples import point_module, truncated_constant
 from fimlab.theorems import (
     build_member,
     UMemberDesc,
+    _Inconclusive,
+    _induced_functor_map,
     cogenerate,
     embed_into_shift,
     end_ring,
@@ -25,6 +32,8 @@ from fimlab.theorems import (
     is_local_end,
     shift_theorem_search,
 )
+
+from oracles import induced_map_by_inclusions
 
 TRIV = GroupTable.trivial()
 
@@ -387,3 +396,31 @@ def test_ext1_into_an_injective_tensor_vanishes():
         external_tensor(make_coinduced(((1,),), w3), make_induced(((1, 1),), w3)),
         Window((2, 2)))
     assert ext1_vanishes(random_presented_module(Window((2, 2)), 610), injective).vanishes
+
+
+@pytest.mark.parametrize("group", [TRIV, GroupTable.cyclic(3)], ids=["1", "C3"])
+def test_induced_map_is_orbit_blocks_of_an_equivariant_map(group):
+    """F_s(f) is f_t on every orbit block, as the fixed-space inclusions
+    give it, when f commutes with Aut(s); any other f does not restrict,
+    by either route.  W is the regular Aut(2) x G module on (1,)."""
+    s, S, window = (2,), (1,), Window((3, 1))
+    w = ind(make_free((0,), Window((1,))), rs_group(s, group))
+    rnd = random.Random(7)
+    swaps = {t: w.actions[("grp", 0, t)] for t in w.window.objects()}
+    restricts = []
+    for trial in range(6):
+        blocks = {}
+        for t, d in w.dims.items():
+            a, b = (Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(2))
+            blocks[t] = (RationalMatrix.identity(d).scale(a) + swaps[t].scale(b) if trial % 2
+                         else RationalMatrix([[rnd.randint(-2, 2) for _ in range(d)]
+                                              for _ in range(d)], d, d))
+        f = ModuleMap(w, w, blocks)
+        ref = induced_map_by_inclusions(s, S, f, group, window)
+        restricts.append(ref is not None)
+        if ref is None:
+            with pytest.raises(_Inconclusive):
+                _induced_functor_map(s, S, f, group, window)
+        else:
+            assert _induced_functor_map(s, S, f, group, window).blocks == ref
+    assert restricts == [False, True] * 3
