@@ -397,7 +397,8 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
         d_w = w_rs.dims[t_src]
         reps = _orbits(s, s_src)[0]
         if key[0] != "grp" and key[1] in S:
-            # g o r = r' o tau sends (O, k) to W(tau) e_k in the orbit of r'
+            # g o r = r' o tau sends (O, k) to W(tau) e_k in the orbit of r';
+            # tau is the identity or an adjacent swap, its own inverse
             s_tgt = split_obj(tgt, S, not_S)[0]
             tgt_reps, split = _orbits(s, s_tgt)
             step = generator_index_map(s, rekey(key, S.index(key[1]) + 1, s_src))
@@ -463,16 +464,17 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
 
 def make_induced(lambdas, window: Window, group: GroupTable | None = None,
                  g_rep=None, name: str = "") -> TruncatedModule:
-    """M(lambda) = F_n(X), n = |lambda|: :func:`induced_module` along every
-    coordinate, of the FI^0 module X = (outer Specht product) x (group rep)
-    on which Aut(n) acts by the Specht swaps and G by ``g_rep``.
+    """M(lambda) = F_n(X), n = |lambda|: F_s of :func:`induced_module` along
+    every coordinate, without its inclusion, of the FI^0 module X = (outer
+    Specht product) x (group rep) on which Aut(n) acts by the Specht swaps
+    and G by ``g_rep``.
 
     ``g_rep`` is a symrep.GroupRep for the group factor (default trivial).
     One that is not a representation raises ValueError: on kG x V, V the
     space of rho, the fixed space of L(g) x rho(g) is the functions with
     f(gh) = rho(g) f(h), and it has dimension dim V exactly when rho
-    respects every relation of G.  :func:`induced_module` checks the
-    dimension of each value.
+    respects every relation of G.  F_s's walk over Aut(n) checks the Specht
+    swaps.
     """
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)

@@ -18,7 +18,6 @@ from .category import (
     GroupTable,
     Window,
     add,
-    aut_orbit_table,
     aut_swaps,
     count_injections,
     degree,
@@ -47,6 +46,7 @@ from .functors import (
     rs_group,
     split_obj,
     _induced,
+    _orbits,
 )
 
 EXACT = "EXACT"
@@ -388,8 +388,8 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     for n in v.window.objects():
         s_part, t_part = split_obj(n, S, not_S)
         images = walks[t_part].get(s_part)
-        reps = aut_orbit_table(s, s_part)[0] if images else ()
-        cols = [(row, images[r].den) for r in reps for row in images[r].transpose().rows]
+        cols = [(row, images[r].den) for r in _orbits(s, s_part)[0]
+                for row in images[r].transpose().rows]
         blocks[n] = _stack_rows(cols, v.dims[n]).transpose().scale(order)
     return ModuleMap(fsw, v, blocks), fsw
 
