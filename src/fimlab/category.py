@@ -379,16 +379,12 @@ def generator_index_map(n: Obj, key) -> tuple:
 @lru_cache(maxsize=None)
 def aut_orbit_table(a: Obj, b: Obj) -> tuple:
     """The orbits of Aut(a) on Inj(a, b), beta -> beta o sigma, as
-    ``(reps, split)``: ``reps`` lists each orbit's lowest basis index,
-    increasing, and ``split[bi]`` is ``(o, tau, tau_inv)`` for the bi-th
-    injection beta = r_o o tau, with tau and its inverse named by their
-    index in Inj(a, a) (the identity is index 0).
-
-    Aut(a) acts freely, and the basis order is lexicographic on the image
-    tuples, so an orbit's lowest member sorts every coordinate's image
-    tuple: it is the orbit's one order-preserving injection, and tau sends
-    x to the rank of beta(x) in beta's image.  Shared by every F_s build, so
-    tuples."""
+    ``(reps, split)``: ``reps`` lists each orbit's lowest basis index, and
+    ``split[bi]`` is ``(o, tau, tau_inv)`` with the bi-th injection beta =
+    r_o o tau, tau and its inverse by their index in Inj(a, a).  The basis
+    is lexicographic on image tuples, so r_o is the orbit's one
+    order-preserving injection and tau(x) is the rank of beta(x) in beta's
+    image."""
     index = injection_index_table(a, b)
     auts = injection_index_table(a, a)
     reps, orbit_of, split = [], {}, []

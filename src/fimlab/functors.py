@@ -35,6 +35,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     kron,
+    _make,
     _stack_rows,
 )
 from .modules import (
@@ -304,11 +305,9 @@ def split_obj(n, S, not_S):
 
 def _aut_values(s, w_rs: TruncatedModule, t) -> list:
     """W(tau) at t for every tau in Aut(s), by its index in Inj(s, s): one
-    breadth-first walk from the identity along the swaps of ``aut_swaps(s)``,
-    W(g o tau) = W(g) W(tau), with W(g) the aut generator of ``w_rs`` of the
-    same index.  Every step is checked, so a mismatch, where two words for
-    one tau disagree, means W is not a representation of Aut(s) at t: that
-    raises ValueError, as F_s(W) would not have its dimension then."""
+    breadth-first walk from the identity, W(g o tau) = W(g) W(tau) for the
+    swaps g of ``aut_swaps(s)``.  Two words for one tau that disagree mean
+    W is not a representation of Aut(s) at t: ValueError."""
     steps = [(generator_index_map(s, ("swap", i, k, s)), w_rs.actions[("grp", j, t)])
              for j, (i, k) in enumerate(aut_swaps(s))]
     values = [None] * count_injections(s, s)
@@ -343,7 +342,12 @@ def _block_monomial(blocks, nrow_blocks: int, ncol_blocks: int, d: int) -> Ratio
             pairs += [(left + row + right, mat.den) for row in mat.rows]
         else:
             pairs += [(zero, 1)] * d
-    return _stack_rows(pairs, width)
+    dens = {mat.den for _, mat in blocks.values()}
+    if len(dens) > 1:
+        return _stack_rows(pairs, width)
+    # reduced blocks over one denominator make a reduced matrix
+    return _make(tuple(row for row, _ in pairs), dens.pop() if dens else 1,
+                 nrow_blocks * d, width)
 
 
 def _orbits(s, s_part) -> tuple:
@@ -354,9 +358,8 @@ def _orbits(s, s_part) -> tuple:
 
 def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
              name: str = "") -> tuple:
-    """F_s(W) as :func:`induced_module` builds it, without the inclusion,
-    and with the values W(tau) of :func:`_aut_values` at each t where W
-    is nonzero.  Returns (module, {t: values})."""
+    """:func:`induced_module` without the inclusion, as (module, values):
+    values[t] is :func:`_aut_values` at each t where W(t) is nonzero."""
     m = window.m
     S = normalize_subset(S, m)
     not_S = complement_subset(S, m)
@@ -377,11 +380,13 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
 
     # the value at (s' x t) has the basis (O, k): orbit O of Inj(s, s'),
     # by its lowest index r, and basis vector k of W(t)
-    dims, values = {}, {}
+    parts, dims, values = {}, {}, {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
+        reps, split = _orbits(s, s_part)
+        parts[n] = s_part, t_part, reps, split
         d_w = w_rs.dims[t_part]
-        dims[n] = len(_orbits(s, s_part)[0]) * d_w
+        dims[n] = len(reps) * d_w
         expected = prod(comb(a, b) for a, b in zip(s_part, s)) * d_w
         if dims[n] != expected:
             raise ValueError(f"induced value at {n} has dimension "
@@ -393,14 +398,12 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
     actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
     n_swaps = len(aut_swaps(s))
     for key, src, tgt in live:
-        s_src, t_src = split_obj(src, S, not_S)
+        s_src, t_src, reps, _ = parts[src]
         d_w = w_rs.dims[t_src]
-        reps = _orbits(s, s_src)[0]
         if key[0] != "grp" and key[1] in S:
             # g o r = r' o tau sends (O, k) to W(tau) e_k in the orbit of r';
             # tau is the identity or an adjacent swap, its own inverse
-            s_tgt = split_obj(tgt, S, not_S)[0]
-            tgt_reps, split = _orbits(s, s_tgt)
+            _, _, tgt_reps, split = parts[tgt]
             step = generator_index_map(s, rekey(key, S.index(key[1]) + 1, s_src))
             vals = values[t_src]
             blocks = {}
@@ -412,7 +415,8 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
             # a complement or group generator commutes with Aut(s): W(g) on
             # every orbit; G sits after the aut generators in the product group
             c = n_swaps + key[1] if key[0] == "grp" else not_S.index(key[1]) + 1
-            actions[key] = block_diag([w_rs.actions[rekey(key, c, t_src)]] * len(reps))
+            mat = w_rs.actions[rekey(key, c, t_src)]
+            actions[key] = mat if len(reps) == 1 else block_diag([mat] * len(reps))
 
     pres = _induced_presentation(s, S, not_S, w_rs, m)
     mod = TruncatedModule(window, group, dims, actions, pres,
@@ -426,22 +430,16 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     subset S, with its inclusion into the unsymmetrized module.
 
     ``w_rs`` lives over the complement coordinates and carries the product
-    group Aut(s) x G (aut generators first); the value of the result at
-    (s' x t) is the Aut(s)-balanced tensor of the free module at s with
-    W(t): the vectors of Inj(s, s') x W(t) fixed by each swap sigma of
-    Aut(s), acting by beta -> beta o sigma paired with W's action of sigma.
-
-    That space is written down, not solved for.  Aut(s) acts freely on
-    Inj(s, s'), so a fixed vector is fixed by its value at the lowest
-    injection r of each orbit O (:func:`aut_orbit_table`), and has the value
-    W(tau)^-1 w at r o tau.  Basis vector (O, k) is the one with w = e_k;
-    orbits are disjoint and r's block comes first in O, so these are the
-    rows of the reduced row echelon basis of the fixed space, and the value
-    has dimension prod_i C(s'_i, s_i) * dim W(t).  An S-coordinate
-    generator g sends (O, k) to W(tau) e_k in the orbit of r', where g o r
-    = r' o tau; a complement or group generator g acts as W(g) on each
-    orbit.  A W whose Aut(s) generators are not a representation raises
-    ValueError.
+    group Aut(s) x G (aut generators first).  The value at (s' x t) is the
+    vectors of Inj(s, s') x W(t) fixed by each swap sigma of Aut(s),
+    beta -> beta o sigma paired with W(sigma), written down: Aut(s) acts
+    freely, so basis vector (O, k) of an orbit O with lowest injection r
+    (:func:`aut_orbit_table`) is e_k at r and W(tau)^-1 e_k at r o tau.
+    These are the RREF basis rows of the fixed space, as the orbits are
+    disjoint and r's block comes first in O.  An S-coordinate generator g
+    sends (O, k) to W(tau) e_k in the orbit of r', where g o r = r' o tau;
+    a complement or group generator acts as W(g) on each orbit.  A W whose
+    Aut(s) generators are not a representation raises ValueError.
 
     Returns (module, inclusion), the inclusion as its blocks {n: matrix}
     into Inj(s, s') x W(t), injection-major.

@@ -363,13 +363,11 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     the ambient space, beta (x) w -> V(beta) w, with beta: s -> s' in the S
     coordinates and the identity elsewhere.
 
-    At each object t of the complement, V's S-part (u -> V(u x t), over
-    the S coordinates and the trivial group) takes one orbit walk from s,
-    which lists V(beta x id_t) over Inj(s, s') in make_free's order.  Basis
-    vector (O, k) of F_s(V[[s]]) is the sum over r o tau in the orbit O of
-    e_(r o tau) (x) W(tau)^-1 e_k (``functors.induced_module``), and V(r o
-    tau) = V(r) W(tau) on the slice, so every term gives V(r) e_k: column
-    (O, k) of the counit is |Aut(s)| V(r x id_t) e_k."""
+    At each object t of the complement, one orbit walk of V's S-part from
+    s lists V(beta x id_t) over Inj(s, s').  Basis vector (O, k) of
+    F_s(V[[s]]) is W(tau)^-1 e_k at each r o tau of O
+    (``functors.induced_module``), and V(r o tau) = V(r) W(tau), so column
+    (O, k) is |Aut(s)| V(r x id_t) e_k."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
@@ -390,7 +388,8 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
         images = walks[t_part].get(s_part)
         cols = [(row, images[r].den) for r in _orbits(s, s_part)[0]
                 for row in images[r].transpose().rows]
-        blocks[n] = _stack_rows(cols, v.dims[n]).transpose().scale(order)
+        block = _stack_rows(cols, v.dims[n]).transpose()
+        blocks[n] = block if order == 1 else block.scale(order)
     return ModuleMap(fsw, v, blocks), fsw
 
 

@@ -483,11 +483,9 @@ def _lift_member_desc(md: UMemberDesc, s, S, not_S, group) -> UMemberDesc:
 
 def _induced_functor_map(s, S, f: ModuleMap, group, window):
     """F_s applied to a map of R_s-modules, as a map F_s(source) ->
-    F_s(target).  On the orbit-sum bases of ``functors.induced_module``,
-    where (O, k) has the value W(tau)^-1 e_k at r o tau, f sends (O, k) to
-    the sum of f(e_k)'s coordinates at (O, j) exactly when f commutes with
-    W's Aut(s) generators: then the block at (s' x t) is f_t on each orbit
-    block."""
+    F_s(target).  On the orbit-sum bases of ``functors.induced_module``
+    the block at (s' x t) is f_t on each orbit, when f commutes with W's
+    Aut(s) generators; otherwise f does not restrict."""
     s = tuple(s)
     fs_source, _ = _induced(s, S, f.source, group, window)
     fs_target, _ = _induced(s, S, f.target, group, window)
