@@ -630,8 +630,8 @@ def test_hom_out_of_an_induced_module_counts_its_specht_factor(kind, bound, seed
 
 def test_induced_module_builds_no_identity_wider_than_its_values():
     """Writing F_n(X) down asks ``_identity_rows`` for no width beyond its
-    widest value (45 at (6,) for lambda = (3, 1)); solving for it built 360-
-    and 1,080-wide identities that stayed held for the life of the process."""
+    widest value (45 at (6,) for lambda = (3, 1)); every width asked stays
+    cached for the life of the process."""
     for fn in process_caches():
         fn.cache_clear()
     asked = []

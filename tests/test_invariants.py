@@ -513,8 +513,9 @@ def test_every_process_cache_is_on_the_allow_list():
     assert all(hasattr(fn, "cache_clear") for fn in process_caches())
 
 
-# What solving for F_s(W) took: the free module at s, the Kronecker product
-# over Inj(s, s') x W(t), the fixed-space kernel and the restriction to it.
+# The steps of solving for F_s(W): the free module at s, the Kronecker
+# product over Inj(s, s') x W(t), the fixed-space kernel and the
+# restriction to it.
 INDUCED_SOLVE = ("kron", "_fixed_space", "make_free", "submodule_from_stable_subspaces")
 
 
