@@ -646,3 +646,19 @@ def test_induced_module_builds_no_identity_wider_than_its_values():
         mod = make_induced(((3, 1),), Window((6,)))
     assert max(mod.dims.values()) == 45
     assert asked and max(asked) <= 45
+
+
+@pytest.mark.parametrize("s, mats", [
+    ((2,), [[[2]]]),
+    ((3,), [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]),
+], ids=["square", "braid"])
+def test_induced_module_rejects_a_w_that_is_not_an_aut_representation(s, mats):
+    """Swaps that fail s^2 = 1, or the braid relation, are not a
+    representation of Aut(s); the fixed space then falls short of its
+    dimension, and writing F_s(W) down raises as solving for it does."""
+    d = len(mats[0])
+    w_rs = TruncatedModule(Window(()), rs_group(s, TRIV), {(): d},
+                           {("grp", j, ()): RationalMatrix(m) for j, m in enumerate(mats)})
+    for build in (induced_module, induced_module_by_fixed_space):
+        with pytest.raises(ValueError):
+            build(s, (1,), w_rs, TRIV, Window((3,)))
