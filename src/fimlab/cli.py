@@ -190,6 +190,15 @@ def _window_from(args, config) -> Window:
     return window
 
 
+def _load_checked(path) -> TruncatedModule:
+    """The module in a file; the first relation it breaks raises a ValueError."""
+    mod = TruncatedModule.load(path)
+    failure = mod.validate().first_failure()
+    if failure is not None:
+        raise ValueError(f"{path}: {failure}")
+    return mod
+
+
 def cmd_validate(args) -> int:
     mod = TruncatedModule.load(args.module)
     report = mod.validate()
@@ -245,7 +254,7 @@ FUNCTORS = {
 
 
 def cmd_functor(args) -> int:
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     coords = _flag_coords(args.i, "-i")
     if not coords:
         raise ValueError("-i: expected a coordinate or a comma-separated subset")
@@ -260,20 +269,20 @@ def cmd_functor(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     rep = h1(mod, _flag_subset(args.S, "--S", mod.m))
     return _emit(rep.to_dict(), 0)
 
 
 def cmd_torsion(args) -> int:
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     verdict = detect_torsion(mod, _flag_subset(args.S, "--S", mod.m))
     return _emit(verdict.to_dict(), 0)
 
 
 def cmd_shift_theorem(args) -> int:
     max_n = _flag_bound(args.max_n, "--max-n")
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     result = shift_theorem_search(mod, _flag_subset(args.S, "--S", mod.m), max_n)
     payload = {"n": result.n, "status": result.status, "log": result.log}
     return _emit(payload, 0 if result.conclusive else 1)
@@ -281,7 +290,7 @@ def cmd_shift_theorem(args) -> int:
 
 def cmd_cogenerate(args) -> int:
     max_shift = _flag_bound(args.max_shift, "--max-shift")
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     wit = cogenerate(mod, max_shift=max_shift)
     payload = {
         "status": wit.status,
@@ -294,7 +303,7 @@ def cmd_cogenerate(args) -> int:
 
 
 def cmd_endring(args) -> int:
-    mod = TruncatedModule.load(args.module)
+    mod = _load_checked(args.module)
     er = end_ring(mod)
     payload = {
         "dim": er.dim,

@@ -1273,14 +1273,6 @@ def cover_blocks(v: TruncatedModule, gens) -> dict:
 # -- the naturality solver -------------------------------------------------
 
 
-def hom_parameter_count(gens, w: TruncatedModule) -> int:
-    """The number of free generator values t_i in W(n_i) of a natural map out
-    of V with generators ``gens`` (:func:`generators_and_cover`): the sum of
-    dim W(n_i) over the lifts.  A natural map is fixed by those values
-    (Yoneda), so this bounds dim Hom(V, W)."""
-    return sum(len(lifts) * w.dims[n] for n, lifts in gens)
-
-
 class NaturalitySolver:
     """Hom(V, W) by Yoneda from the generators of V.
 
@@ -1289,7 +1281,7 @@ class NaturalitySolver:
     Phi_x(beta, h) = W(beta, h) t_i.  It factors through V exactly when
     Phi_x kills ker pi_x at every object x, and the map V -> W is then
     Phi_x S_x for a section S_x of pi_x.  ``nparams`` is the sum of
-    dim W(n_i) (:func:`hom_parameter_count`); ``rows`` are the
+    dim W(n_i), which bounds dim Hom(V, W); ``rows`` are the
     constraints, the entries of Phi_x(t) k for k in a basis of each
     ker pi_x: the nonzero columns of I - S_x pi_x, which are pi_x's
     free-column kernel vectors, as S_x is zero at the free variables.  As pi is onto at every object of the
@@ -1314,7 +1306,7 @@ class NaturalitySolver:
         self.w = w
         gens, pis = generators_and_cover(v)
         self._gens = gens
-        self.nparams = hom_parameter_count(gens, w)
+        self.nparams = sum(len(lifts) * w.dims[n] for n, lifts in gens)
         self._terms = {}  # x -> (parameter offset, W(beta, h)) per column of pi_x
         self._sections = {}
         self.rows = []

@@ -42,8 +42,6 @@ from .modules import (
     check_hom_source,
     direct_sum,
     external_tensor,
-    generators_and_cover,
-    hom_parameter_count,
     hom_space,
     make_cofree,
     make_free,
@@ -386,15 +384,19 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
     return q_members + a_members, emb, target
 
 
+def _h0_dims(v: TruncatedModule) -> dict:
+    """{n: dim H0(V)(n)} over all coordinates, nonzero where V has generators."""
+    full_s = tuple(range(1, v.m + 1))
+    return {n: d - positive_degree_image(v, full_s, n).dim for n, d in v.dims.items()}
+
+
 def _synth_presentation(mod: TruncatedModule) -> Presentation:
     """A window-level presentation: observed generator slots, relations
     bounded by the window (used only to drive searches; statuses formed
     from it are window-bounded by construction).  The slots are the objects
-    n where the positive-degree image I(n) falls short of V(n), the objects
-    of :func:`generators_and_cover`'s generators, read without a walk."""
-    full_s = tuple(range(1, mod.m + 1))
-    slots = [(n, None) for n in mod.window.objects_by_degree()
-             if positive_degree_image(mod, full_s, n).dim < mod.dims[n]]
+    where H0 is nonzero (:func:`_h0_dims`)."""
+    h0 = _h0_dims(mod)
+    slots = [(n, None) for n in mod.window.objects_by_degree() if h0[n]]
     return Presentation.make(slots, mod.window.bound, observed_only=True)
 
 
@@ -572,15 +574,14 @@ def end_ring(v: TruncatedModule) -> EndRingData:
     Yoneda coordinates of the compositions (:meth:`NaturalitySolver.coordinates`).
 
     A natural map out of V is fixed by its values on V's generators
-    (Yoneda), so dim End(V) <= nparams = sum #lifts_i * dim V(n_i)
-    (:func:`hom_parameter_count`), and id_V is always in End(V).  When
-    nparams is 1, V is nonzero and End(V) = Q id_V, a local ring, so no
-    solver is built.  The solver would give the same data: its one lift
-    is a unit vector in a 1-dimensional V(n), id_V satisfies every
-    constraint row, so the kernel is all of Q^1 and its basis map is id_V."""
+    (Yoneda), so dim End(V) <= sum #lifts_n * dim V(n), and id_V is in
+    End(V).  There are 1 to dim H0(V)(n) lifts where H0(V)(n) is nonzero,
+    so the bound is 1 exactly when sum dim H0(V)(n) * dim V(n) is 1.  Then
+    End(V) = Q id_V, a local ring, and no cover or solver is built; the
+    solver's kernel would be Q^1, its basis map id_V.  Any other V goes to
+    the solver, which builds the cover once."""
     check_hom_source(v)
-    gens, _ = generators_and_cover(v)
-    if hom_parameter_count(gens, v) == 1:
+    if sum(d * v.dims[n] for n, d in _h0_dims(v).items()) == 1:
         one = Fraction(1)
         return EndRingData(1, (((one,),),), 0, True, False,
                            [ModuleMap.identity(v)], (one,), None)

@@ -537,6 +537,18 @@ def test_observed_presentations_never_claim_exact():
     assert detect_torsion(shadow, (1,)).status == WINDOW_BOUNDED
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(((3,), (2, 2), (3, 2))), st.integers(0, 99),
+       st.sampled_from((TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3))))
+def test_h0_dims_are_the_full_h0_module(bound, seed, group):
+    """``theorems._h0_dims``, which end_ring and the synthesized
+    presentations read, is H0 over every coordinate, objectwise."""
+    from fimlab.theorems import _h0_dims
+
+    v = random_presented_module(Window(bound), seed, group)
+    assert _h0_dims(v) == h0(v, tuple(range(1, v.m + 1))).h0_module.dims
+
+
 def test_free_cover_is_minimal_under_automorphisms():
     """A free module is its own cover even where its generator has
     automorphisms, with or without a group factor."""

@@ -8,8 +8,9 @@ alone, the generators and their cover come from one walk, and only
 for one, only the cached ``_free_tables`` writes free-module actions, the
 Hom solver builds its maps in one helper, torsion takes no closure
 pass, only the constructors write a matrix's or a subspace's fields,
-every process-lifetime cache is on the allow-list, and induced modules
-are written down rather than solved for."""
+every process-lifetime cache is on the allow-list, induced modules
+are written down rather than solved for, and ``end_ring`` walks no cover
+of its own."""
 
 import ast
 import importlib
@@ -325,6 +326,18 @@ def _calls_by_function(path):
     return out
 
 
+def _reached(calls, root):
+    """The functions of one file that ``root`` reaches through calls within
+    it, given ``_calls_by_function`` of the file; ``root`` included."""
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [c for c in calls[name] if c in calls]
+    return reached
+
+
 def test_generators_and_cover_come_from_one_walk():
     """No package function finds the generators and then walks them again
     for their cover: ``generators_and_cover`` gives both, and reads I(n) off
@@ -525,12 +538,18 @@ def test_induced_module_is_written_down_not_solved_for():
     arithmetic, and call none of the solve's steps; the fixed-space route
     lives in ``tests/oracles.py`` as ``induced_module_by_fixed_space``."""
     calls = _calls_by_function(SOURCE / "functors.py")
-    reached, todo = set(), ["induced_module"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += [c for c in calls[name] if c in calls]
+    reached = _reached(calls, "induced_module")
     assert {"_induced", "_aut_values"} <= reached
     assert [f"{name}: {c}" for name in sorted(reached)
             for c in sorted(calls[name] & set(INDUCED_SOLVE))] == []
+
+
+def test_end_ring_walks_no_cover_of_its_own():
+    """``end_ring`` and every theorems.py helper it reaches read a
+    one-parameter End(V) off H0 dimensions (``_h0_dims``) and walk no cover:
+    any other End(V) goes to ``NaturalitySolver``, which builds it once."""
+    calls = _calls_by_function(SOURCE / "theorems.py")
+    reached = _reached(calls, "end_ring")
+    assert "_h0_dims" in reached and "NaturalitySolver" in calls["end_ring"]
+    walks = {"generators_and_cover", "cover_blocks", "_orbit_walk"}
+    assert [f"{name}: {c}" for name in sorted(reached) for c in sorted(calls[name] & walks)] == []

@@ -1266,12 +1266,20 @@ def _end_ring_fields(er):
             er.idempotent_coords, {type(x) for c in coords for x in c})
 
 
-def test_end_ring_structure_constants_match_the_solve(monkeypatch):
+def _end_ring_by_solver(v):
+    """end_ring(v) with the H0 test disabled, so it always builds the solver."""
+    from fimlab import theorems
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(theorems, "_h0_dims", lambda v: {})
+        return theorems.end_ring(v)
+
+
+def test_end_ring_structure_constants_match_the_solve():
     """end_ring agrees with the Hom solver's basis and coordinates, and
     field by field with its own solver path, also where it skips the
     solver (one Yoneda parameter: F(1), E(1) and the tensors)."""
-    from fimlab import theorems
-    from fimlab.modules import NaturalitySolver, generators_and_cover, hom_parameter_count
+    from fimlab.modules import NaturalitySolver
     from fimlab.theorems import end_ring
 
     w, c3 = Window((3,)), GroupTable.cyclic(3)
@@ -1290,7 +1298,7 @@ def test_end_ring_structure_constants_match_the_solve(monkeypatch):
         make_cofree((1,), w, TRIV),
         zero_module(w, TRIV),
     ]
-    counts = [hom_parameter_count(generators_and_cover(v)[0], v) for v in mods]
+    counts = [NaturalitySolver(v, v).nparams for v in mods]
     assert counts == [4, 3, 1, 1, 1, 1, 2, 3, 1, 0]
     for v in mods:
         er = end_ring(v)
@@ -1302,10 +1310,54 @@ def test_end_ring_structure_constants_match_the_solve(monkeypatch):
         flat = [c for row in er.structure_constants for c in row]
         assert flat == [_coordinates_by_solve(er.basis, comp) for comp in comps]
         assert er.identity_coords == _coordinates_by_solve(er.basis, ModuleMap.identity(v))
-        with monkeypatch.context() as m:
-            m.setattr(theorems, "hom_parameter_count", lambda gens, w: -1)
-            general = end_ring(v)
-        assert _end_ring_fields(er) == _end_ring_fields(general)
+        assert _end_ring_fields(er) == _end_ring_fields(_end_ring_by_solver(v))
+
+
+@st.composite
+def _end_ring_modules(draw):
+    """A module with a presentation: random presented over 1, S2 or C3,
+    co-free, induced, a tensor of induced and co-induced factors, or zero."""
+    group = draw(st.sampled_from(tuple(_GROUPS.values())))
+    kind = draw(st.sampled_from(("random", "cofree", "induced", "tensor", "zero")))
+    bound = draw(st.sampled_from(((3,), (2, 2))))
+    w = Window(bound)
+    if kind == "random":
+        return random_presented_module(w, draw(st.integers(0, 99)), group)
+    if kind == "zero":
+        return zero_module(w, group)
+    if kind == "tensor":  # co-induced sizes stay below the bound, as E(l)'s relations sit at l + 1
+        w1 = Window((3,))
+        lam_a, lam_b = (draw(st.sampled_from(partitions_of(draw(st.integers(0, 2)))))
+                        for _ in range(2))
+        return external_tensor(make_induced((lam_a,), w1, group),
+                               make_coinduced((lam_b,), w1, TRIV))
+    if kind == "cofree":
+        return make_cofree(tuple(draw(st.integers(0, b - 1)) for b in bound), w, group)
+    n = tuple(draw(st.integers(0, b)) for b in bound)
+    return make_induced(tuple(draw(st.sampled_from(partitions_of(k))) for k in n), w, group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_end_ring_modules())
+def test_end_ring_equals_the_solver_in_every_field(v):
+    """end_ring skips the solver exactly where V's generators leave one
+    Yoneda parameter, and gives, field by field, what the solver gives."""
+    from fimlab import theorems
+    from fimlab.modules import NaturalitySolver
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return NaturalitySolver(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(theorems, "NaturalitySolver", counting)
+        er = theorems.end_ring(v)
+    solver = NaturalitySolver(v, v)
+    assert (built == []) == (solver.nparams == 1)
+    assert _end_ring_fields(er) == _end_ring_fields(_end_ring_by_solver(v))
+    assert er.dim == solver.dim
 
 
 def test_coordinates_reject_generator_values_outside_the_kernel():

@@ -221,6 +221,34 @@ def test_one_parameter_end_rings_build_no_hom_solver(monkeypatch):
         end_ring(make_free((2,), w, TRIV))
 
 
+def test_end_rings_of_the_suites_build_the_cover_only_in_the_solver(monkeypatch):
+    """In run_all(0), the 39 one-parameter end rings walk no cover, and the
+    two others (dim 3 and 5) build it once, in the Hom solver.  A profile
+    hook counts the calls of ``generators_and_cover``'s code under any name."""
+    import sys
+    from collections import Counter
+
+    from fimlab import modules, theorems
+    from fimlab.suites import run_all
+
+    code, ring, calls = modules.generators_and_cover.__code__, theorems.end_ring, []
+
+    def counted(v):
+        covers = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is code
+                       and covers.append(event))
+        try:
+            er = ring(v)
+        finally:
+            sys.setprofile(None)
+        calls.append((er.dim, len(covers)))
+        return er
+
+    monkeypatch.setattr(theorems, "end_ring", counted)
+    run_all(0)
+    assert Counter(calls) == {(1, 0): 39, (3, 1): 1, (5, 1): 1}
+
+
 def test_end_ring_induced_tensor_coinduced_local():
     w1 = Window((3,))
     a = make_induced(((2,),), w1, TRIV)
