@@ -212,8 +212,8 @@ def cmd_build(args) -> int:
     if args.kind == "tensor":
         if len(args.inputs) != 2:
             raise ValueError("inputs: tensor takes exactly two module files")
-        a = TruncatedModule.load(args.inputs[0])
-        b = TruncatedModule.load(args.inputs[1])
+        a = _load_checked(args.inputs[0])
+        b = _load_checked(args.inputs[1])
         # the inputs fix the tensor's window; a given one must agree
         window = Window(a.window.bound + b.window.bound)
         _check_m(config, window)

@@ -403,21 +403,23 @@ def test_action_naming_two_generator_kinds_exits_2(tmp_path, capsys, extra):
     assert payload["error"] == f"actions[{idx}].gen: expected exactly one of incl, swap, grp"
 
 
-@pytest.mark.parametrize("argv", [
-    ["endring"], ["homology", "--S", "1"], ["torsion", "--S", "1"],
-    ["shift-theorem", "--S", "1"], ["cogenerate"], ["shift", "-i", "1", "-o", "out.json"],
-], ids=["endring", "homology", "torsion", "shift-theorem", "cogenerate", "functor"])
-def test_analysing_a_module_that_breaks_a_relation_exits_2(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("command,files,rest", [
+    ("endring", 1, []), ("homology", 1, ["--S", "1"]), ("torsion", 1, ["--S", "1"]),
+    ("shift-theorem", 1, ["--S", "1"]), ("cogenerate", 1, []),
+    ("shift", 1, ["-i", "1", "-o", "out.json"]), ("build tensor", 2, ["-o", "out.json"]),
+], ids=["endring", "homology", "torsion", "shift-theorem", "cogenerate", "functor", "tensor"])
+def test_a_module_file_that_breaks_a_relation_exits_2(tmp_path, capsys, monkeypatch,
+                                                       command, files, rest):
     """F(1) with the swap at (2) set to diag(2, 1), which squares to no
-    identity: each command that analyses a module file names the failure
-    that ``validate`` reports first, and exits 2 with nothing written."""
+    identity: each command that reads a module file names the failure that
+    ``validate`` reports first, and exits 2 with nothing written."""
     doc = _free_doc(tmp_path, capsys)
     item = next(a for a in doc["actions"] if a["gen"] == {"swap": [1, 1], "at": "(2)"})
     item["matrix"] = [["2", "0"], ["0", "1"]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    code, payload = run_cli(capsys, argv[0], str(bad), *argv[1:])
+    code, payload = run_cli(capsys, *command.split(), *[str(bad)] * files, *rest)
     assert code == 2 and payload["type"] == "ValueError"
     assert payload["error"] == f"{bad}: swap (1,1) at (2,) is not an involution"
     assert not (tmp_path / "out.json").exists()

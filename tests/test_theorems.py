@@ -234,13 +234,13 @@ def test_end_rings_of_the_suites_build_the_cover_only_in_the_solver(monkeypatch)
     code, ring, calls = modules.generators_and_cover.__code__, theorems.end_ring, []
 
     def counted(v):
-        covers = []
+        covers, hook = [], sys.getprofile()
         sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is code
                        and covers.append(event))
         try:
             er = ring(v)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(hook)
         calls.append((er.dim, len(covers)))
         return er
 
