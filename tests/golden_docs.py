@@ -152,6 +152,13 @@ def _specht_modules():
         for lam in ((3, 1), (2, 2), (2, 1, 1)):
             yield (f"induced/{lam}/{gname}/(4,)",
                    make_induced((lam,), w4, group).to_json())
+            yield (f"coinduced/{lam}/{gname}/(4,)",
+                   make_coinduced((lam,), w4, group).to_json())
+        # the stabiliser invariants are proper and nonzero below l
+        yield (f"coinduced/(2, 1)x(1, 1)/{gname}/(3, 2)",
+               make_coinduced(((2, 1), (1, 1)), Window((3, 2)), group).to_json())
+        yield (f"coinduced/(3, 1)x(1,)/{gname}/(4, 1)",
+               make_coinduced(((3, 1), (1,)), Window((4, 1)), group).to_json())
 
 
 def _induced_modules():
