@@ -147,11 +147,6 @@ class GroupTable:
                     inverse[a] = b
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(order):
-            for b in range(order):
-                for c in range(order):
-                    if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                        raise ValueError("multiplication is not associative")
         self.order = order
         self.mult = mult
         self.inverse = tuple(inverse)
@@ -175,6 +170,12 @@ class GroupTable:
             frontier = nxt
         if len(self.tree) != order:
             raise ValueError(_NOT_GENERATED)
+        # Light's test: the g with (a g) c = a (g c) for all a, c are closed
+        # under products, and the tree writes every element as one
+        for g in self.generators:
+            if any(mult[mult[a][g]] != tuple(map(mult[a].__getitem__, mult[g]))
+                   for a in range(order)):
+                raise ValueError("multiplication is not associative")
         # every cache lookup keyed by the group hashes it
         self._hash = hash((self.mult, self.generators))
 

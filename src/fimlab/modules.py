@@ -6,13 +6,14 @@ exact rational matrix per category generator.  The free cover, Hom and
 the counit of an induced module read the values V(beta, h) of other
 morphisms off an orbit walk (:func:`_orbit_walk`), which reaches each
 injection out of an object with one product.  Constructors cover free,
-co-free, coinduced (Specht-isotypic image), external tensor, direct sums,
-submodules and quotients; the induced modules M(lambda) are F_n of their
-Specht representation, built in :mod:`fimlab.functors`.  Hom(V, W) is
-computed by Yoneda from generators of V read off its own data: a map is a
-choice of values in W at the generators, subject to killing the kernel of
-V's free cover; with a certified presentation inside the window this is the
-honest Hom space of the untruncated modules.
+co-free, coinduced (Specht invariants of one injection's stabiliser),
+external tensor, direct sums, submodules and quotients; the induced
+modules M(lambda) are F_n of their Specht representation, built in
+:mod:`fimlab.functors`.  Hom(V, W) is computed by Yoneda from generators of
+V read off its own data: a map is a choice of values in W at the
+generators, subject to killing the kernel of V's free cover; with a
+certified presentation inside the window this is the honest Hom space of
+the untruncated modules.
 """
 
 from __future__ import annotations
@@ -990,10 +991,14 @@ def _specht_swaps(n, spechts, tail_dim: int = 1) -> list:
 
 def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
                    name: str = "") -> TruncatedModule:
-    """The finite-dimensional injective at the Specht data: the vectors of
-    (co-free) x (outer Specht product) fixed by the generators of Aut(l),
-    acting diagonally (tau o gamma on injections).  The group factor acts
-    trivially, as in make_cofree."""
+    """E(lambda): the Aut(l)-fixed vectors of (co-free at l) x X, X the outer
+    Specht product and l = |lambda|, written down.  Aut(l) is transitive on
+    Inj(t, l), so a fixed vector is its value at the standard inclusion beta0
+    (injection index 0), in X^Stab(beta0): the vectors fixed by the swaps
+    (i, k) with k > t_i.  Every pivot of the fixed space's RREF basis lies at
+    beta0, so its basis is that of X^Stab(beta0).  A generator g: t -> t'
+    acts by X(tau), beta0' o g = tau o beta0: a swap by its Specht generator,
+    incl_i by X(s_(i,1)) ... X(s_(i,t_i)), and the group trivially."""
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)
     if window.m != len(lambdas):
@@ -1002,34 +1007,28 @@ def make_coinduced(lambdas, window: Window, group: GroupTable | None = None,
     if not window.contains(l):
         raise MarginError(f"cogenerator object {l} lies outside the window")
     spechts = [specht(p) for p in lambdas]
-    base = make_cofree(l, window, group)
-    dim_x = prod(r.dim for r in spechts)
-    ident_x = RationalMatrix.identity(dim_x)
-    big = TruncatedModule(window, group, {t: d * dim_x for t, d in base.dims.items()},
-                          {k: kron(mat, ident_x) for k, mat in base.actions.items()})
-    swaps = [("swap", i, k, l) for i, k in aut_swaps(l)]
-    x_swaps = _specht_swaps(l, spechts)
-    spaces = {}
-    for t in window.objects():
-        nb = base.dims[t]
-        if nb == 0:
-            spaces[t] = Subspace.zero(0)
-            continue
-        mats = []
-        for tau, x_mat in zip(swaps, x_swaps):
-            cols = [None] * nb
-            for gi, ti in enumerate(generator_index_map(t, tau)):
-                cols[ti] = gi
-            mats.append(kron(_monomial(cols, nb, nb), x_mat))
-        spaces[t] = _fixed_space(big.dims[t], mats)
-    mod, _ = submodule_from_stable_subspaces(big, spaces, None,
-                                             name or f"E{lambdas}")
-    slots = [
-        (t, None) for t in window.objects_by_degree() if mod.dims[t] > 0
-    ]
+    ident_x = RationalMatrix.identity(prod(r.dim for r in spechts))
+    x_swap = dict(zip(aut_swaps(l), _specht_swaps(l, spechts)))
+    spaces = {t: _fixed_space(ident_x.nrows, [x for (i, k), x in x_swap.items() if k > t[i - 1]])
+              if leq(t, l) else Subspace.zero(0) for t in window.objects()}
+    dims = {t: s.dim for t, s in spaces.items()}
+    live, rest = split_generators(window, group, dims, dims)
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
+    for key, src, tgt in live:
+        if key[0] == "swap":
+            x_tau = x_swap[key[1], key[2]]
+        elif key[0] == "incl":
+            cycle = [x_swap[key[1], k] for k in range(1, src[key[1] - 1] + 1)]
+            x_tau = reduce(RationalMatrix.__mul__, cycle, ident_x)
+        else:
+            x_tau = ident_x
+        actions[key] = spaces[tgt].coordinates(x_tau * spaces[src].basis.transpose())
+        if actions[key] is None:
+            raise ValueError(f"Specht invariants are not action-stable at {key}")
+    slots = [(t, None) for t in window.objects_by_degree() if dims[t] > 0]
     rel = tuple(x + 1 for x in l)
-    mod.presentation = Presentation.make(slots, rel)
-    return mod
+    return TruncatedModule(window, group, dims, actions, Presentation.make(slots, rel),
+                           name or f"E{lambdas}")
 
 
 # -- generators and the free cover ----------------------------------------

@@ -152,6 +152,27 @@ def test_group_table_rejects_bad_tables():
         GroupTable(GroupTable.cyclic(4).mult, (2,))  # 2 generates C2 only
 
 
+# A loop of the smallest order that has one which is not a group: a Latin
+# square with identity 0 (so every element has an inverse) whose law is not
+# associative.  No such loop of order 5 has an element other than 0 that
+# associates with everything.
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+# An order-6 loop in which 1 associates with everything, (a 1) c = a (1 c),
+# and 2 does not; 1 and 2 generate it.
+LOOP_6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+          [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+@pytest.mark.parametrize("mult, generators", [
+    (LOOP_5, None), (LOOP_5, (1, 2)), (LOOP_6, None), (LOOP_6, (1, 2)), (LOOP_6, (2, 1)),
+], ids=["5-default", "5-declared", "6-default", "6-declared-12", "6-declared-21"])
+def test_group_table_rejects_a_loop_that_is_not_associative(mult, generators):
+    """Associativity is checked at the declared generators (Light's test),
+    and each of them counts: in the order-6 loop one of the two passes."""
+    with pytest.raises(ValueError, match="not associative"):
+        GroupTable(mult, generators)
+
+
 def test_group_product_order():
     g = GroupTable.product(GroupTable.symmetric(2), GroupTable.cyclic(3))
     assert g.order == 6

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,7 @@ from fimlab.functors import (
     shift_sum,
 )
 from fimlab.homology import slice_module
-from fimlab.samples import random_presented_module
+from fimlab.samples import random_presented_module, truncated_constant
 
 from oracles import (
     Morphism,
@@ -385,8 +386,6 @@ def test_fs_universal_property_dimensions():
 def test_kernel_vanishes_eventually_for_samples():
     """Some window shift makes the kernel functor vanish, or the window is
     too small and the loop reports nothing (never a wrong positive)."""
-    from fimlab.samples import truncated_constant
-
     v = truncated_constant(Window((4,)), 2)
     found = None
     cur = v
@@ -610,6 +609,8 @@ def _hom_test_modules(kind, window, seed):
         return random_presented_module(window, seed)
     if kind == "free":
         return make_free(objs[seed % len(objs)], window)
+    if kind == "constant":
+        return truncated_constant(window, 1 + seed % sum(window.bound))
     return make_cofree(objs[seed % len(objs)], window)
 
 
@@ -628,10 +629,49 @@ def test_hom_out_of_an_induced_module_counts_its_specht_factor(kind, bound, seed
                 == mult.get((lambdas, 0), 0)), lambdas
 
 
-def test_induced_module_builds_no_identity_wider_than_its_values():
-    """Writing F_n(X) down asks ``_identity_rows`` for no width beyond its
-    widest value (45 at (6,) for lambda = (3, 1)); every width asked stays
-    cached for the life of the process."""
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("random", "free", "cofree", "constant")), st.sampled_from(((4,), (3, 3))),
+       st.integers(0, 99), st.integers(0, 15))
+def test_hom_into_a_coinduced_module_counts_its_specht_factor(kind, bound, seed, pick):
+    """E(lambda) is co-induced from l, so Hom(W, E(lambda)) = Hom over Aut(l)
+    from W(l) to S^lambda: its dimension is the multiplicity of lambda in
+    W(l), for every lambda of l."""
+    window = Window(bound)
+    w = _hom_test_modules(kind, window, seed)
+    l = window.objects()[pick % len(window.objects())]
+    mult = decompose(aut_rep_at(w, l))
+    for lambdas in itertools.product(*(partitions_of(x) for x in l)):
+        assert (NaturalitySolver(w, make_coinduced(lambdas, window)).dim
+                == mult.get((lambdas, 0), 0)), lambdas
+
+
+def _hook_length_dim(mu) -> int:
+    """f^mu, the number of standard tableaux of shape mu, by the hook length
+    formula."""
+    cols = [sum(1 for row in mu if row > c) for c in range(mu[0])] if mu else []
+    return factorial(sum(mu)) // prod(mu[r] - c + cols[c] - r - 1
+                                      for r in range(len(mu)) for c in range(mu[r]))
+
+
+@pytest.mark.parametrize("lam", [(3, 2), (4, 1)])
+def test_coinduced_dims_follow_the_branching_rule(lam):
+    """dim E(lambda)(t) is the dimension of the S_(l - t)-invariants of
+    S^lambda restricted to S_t x S_(l - t): by Pieri's rule, the sum of f^mu
+    over the mu inside lambda with lambda/mu a horizontal strip (mu_j between
+    lambda_(j+1) and lambda_j) of l - t boxes."""
+    l = sum(lam)
+    e = make_coinduced((lam,), Window((l,)))
+    below = lam[1:] + (0,)
+    strips = [tuple(x for x in mu if x)
+              for mu in itertools.product(*(range(b, a + 1) for a, b in zip(lam, below)))]
+    for t in range(l + 1):
+        assert e.dims[(t,)] == sum(_hook_length_dim(mu) for mu in strips if sum(mu) == t), t
+
+
+def _identity_widths(build):
+    """The module ``build()`` makes from cleared process caches, and the
+    widths it asks ``_identity_rows`` for; every width asked stays cached
+    for the life of the process."""
     for fn in process_caches():
         fn.cache_clear()
     asked = []
@@ -643,9 +683,25 @@ def test_induced_module_builds_no_identity_wider_than_its_values():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_identity_rows", recording)
-        mod = make_induced(((3, 1),), Window((6,)))
+        mod = build()
+    return mod, asked
+
+
+def test_induced_module_builds_no_identity_wider_than_its_values():
+    """Writing F_n(X) down asks ``_identity_rows`` for no width beyond its
+    widest value (45 at (6,) for lambda = (3, 1))."""
+    mod, asked = _identity_widths(lambda: make_induced(((3, 1),), Window((6,))))
     assert max(mod.dims.values()) == 45
     assert asked and max(asked) <= 45
+
+
+def test_coinduced_module_builds_no_identity_wider_than_its_values():
+    """Writing E(lambda) down asks ``_identity_rows`` for no width beyond
+    dim S^lambda (5 for lambda = (3, 2), its value at (5,)), although
+    (co-free) x S^lambda is 600 wide at (2,)."""
+    mod, asked = _identity_widths(lambda: make_coinduced(((3, 2),), Window((5,))))
+    assert max(mod.dims.values()) == 5
+    assert asked and max(asked) <= 5
 
 
 @pytest.mark.parametrize("s, mats", [

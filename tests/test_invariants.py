@@ -8,9 +8,9 @@ alone, the generators and their cover come from one walk, and only
 for one, only the cached ``_free_tables`` writes free-module actions, the
 Hom solver builds its maps in one helper, torsion takes no closure
 pass, only the constructors write a matrix's or a subspace's fields,
-every process-lifetime cache is on the allow-list, induced modules
-are written down rather than solved for, and ``end_ring`` walks no cover
-of its own."""
+every process-lifetime cache is on the allow-list, induced and
+co-induced modules are written down rather than solved for, and
+``end_ring`` walks no cover of its own."""
 
 import ast
 import importlib
@@ -542,6 +542,26 @@ def test_induced_module_is_written_down_not_solved_for():
     assert {"_induced", "_aut_values"} <= reached
     assert [f"{name}: {c}" for name in sorted(reached)
             for c in sorted(calls[name] & set(INDUCED_SOLVE))] == []
+
+
+# The steps of solving for E(lambda): the co-free module at l, its
+# injection index maps, the Kronecker product over Inj(t, l) x X and the
+# restriction to the fixed space.
+COINDUCED_SOLVE = ("kron", "make_cofree", "_monomial", "generator_index_map",
+                   "submodule_from_stable_subspaces")
+
+
+def test_coinduced_module_is_written_down_not_solved_for():
+    """``make_coinduced`` and every modules.py helper it reaches build
+    nothing of size Inj(t, l): E(lambda)(t) is the invariants in the Specht
+    product X of one injection's stabiliser, and none of the solve's steps
+    is called; the fixed-space route lives in ``tests/oracles.py`` as
+    ``make_coinduced_by_compose``."""
+    calls = _calls_by_function(SOURCE / "modules.py")
+    reached = _reached(calls, "make_coinduced")
+    assert {"_fixed_space", "_specht_swaps"} <= reached
+    assert [f"{name}: {c}" for name in sorted(reached)
+            for c in sorted(calls[name] & set(COINDUCED_SOLVE))] == []
 
 
 def test_end_ring_walks_no_cover_of_its_own():

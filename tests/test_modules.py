@@ -171,6 +171,31 @@ _SUM_GROUPS = {"trivial": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.
 
 
 @st.composite
+def coinduced_cases(draw):
+    """lambda over m <= 2 coordinates with |lambda_i| <= 3, on the window l
+    or one past it in each coordinate, over 1, S2 or C3."""
+    small = [p for size in range(4) for p in partitions_of(size)]
+    lambdas = tuple(draw(st.sampled_from(small)) for _ in range(draw(st.integers(1, 2))))
+    bound = tuple(sum(p) + draw(st.integers(0, 1)) for p in lambdas)
+    return lambdas, Window(bound), draw(st.sampled_from(list(_SUM_GROUPS.values())))
+
+
+@settings(max_examples=30, deadline=None)
+@given(coinduced_cases())
+@example((((2, 1),), Window((3,)), TRIV))
+@example((((2, 1), (1, 1)), Window((3, 2)), GroupTable.cyclic(3)))
+def test_coinduced_module_matches_the_fixed_space_of_composed_morphisms(case):
+    """E(lambda) written down from the Specht invariants of one injection's
+    stabiliser has the dims and actions of the fixed vectors of
+    (co-free) x X under every swap composed with every injection."""
+    lambdas, window, group = case
+    got = make_coinduced(lambdas, window, group)
+    want = make_coinduced_by_compose(lambdas, window, group)
+    assert got.dims == want.dims
+    assert got.actions == want.actions
+
+
+@st.composite
 def free_sum_cases(draw):
     window = Window(draw(st.sampled_from([(4,), (2, 2), (3, 2), (1, 1, 1)])))
     objs = draw(st.lists(st.sampled_from(window.objects()), max_size=4))
