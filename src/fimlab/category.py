@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from types import MappingProxyType
 
@@ -120,10 +120,12 @@ _NOT_GENERATED = "declared generators do not generate the group"
 
 
 class GroupTable:
-    """A finite group given by its multiplication table.
-
-    Index 0 is the identity.  The table is verified to be a group law on
-    construction; inverses are derived.
+    """A finite group carried by its generators' left multiplications:
+    ``left[j][a]`` is the index of g_j a, and index 0 is the identity.  A
+    table from outside is checked to be a group law and kept; the
+    constructors write ``left`` directly, with no table, and ``mult`` and
+    ``inverse`` are derived along the breadth-first tree on first read.
+    Equality and hash come from (generators, left), which fix the table.
     """
 
     def __init__(self, mult, generators=None, name: str = ""):
@@ -133,58 +135,77 @@ class GroupTable:
             raise ValueError("multiplication table is not square")
         if order == 0:
             raise ValueError("empty group")
-        for row in mult:
-            for x in row:
-                if not (0 <= x < order):
-                    raise ValueError("table entry out of range")
-        for a in range(order):
-            if mult[a][0] != a or mult[0][a] != a:
-                raise ValueError("index 0 is not an identity")
-        inverse = [None] * order
-        for a in range(order):
-            for b in range(order):
-                if mult[a][b] == 0:
-                    inverse[a] = b
-            if inverse[a] is None:
-                raise ValueError(f"element {a} has no inverse")
-        self.order = order
-        self.mult = mult
-        self.inverse = tuple(inverse)
-        self.identity = 0
+        if any(not 0 <= x < order for row in mult for x in row):
+            raise ValueError("table entry out of range")
+        if any(mult[a][0] != a or mult[0][a] != a for a in range(order)):
+            raise ValueError("index 0 is not an identity")
+        inverse = [row.index(0) if 0 in row else None for row in mult]
+        if None in inverse:
+            raise ValueError(f"element {inverse.index(None)} has no inverse")
         if generators is None:
-            generators = tuple(range(1, order)) if order > 1 else ()
-        self.generators = tuple(generators)
-        self.name = name
-        # breadth-first from the identity, multiplying by generators on the
-        # left: {element: (generator index, predecessor)}, in discovery order
-        self.tree = {0: None}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for j, gen in enumerate(self.generators):
-                    b = mult[gen][a]
-                    if b not in self.tree:
-                        self.tree[b] = (j, a)
-                        nxt.append(b)
-            frontier = nxt
-        if len(self.tree) != order:
-            raise ValueError(_NOT_GENERATED)
+            generators = range(1, order)
+        self._carry(order, [mult[g] for g in generators], name)
         # Light's test: the g with (a g) c = a (g c) for all a, c are closed
         # under products, and the tree writes every element as one
         for g in self.generators:
             if any(mult[mult[a][g]] != tuple(map(mult[a].__getitem__, mult[g]))
                    for a in range(order)):
                 raise ValueError("multiplication is not associative")
+        self.mult, self.inverse = mult, tuple(inverse)
+
+    def _carry(self, order: int, left, name: str):
+        """Set the fields from the left rows, and the tree: breadth-first from
+        the identity, {element: (generator index, predecessor)}."""
+        self.order, self.identity, self.name = order, 0, name
+        self.left = tuple(tuple(row) for row in left)
+        self.generators = tuple(row[0] for row in self.left)
+        self.tree = {0: None}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for j, row in enumerate(self.left):
+                    b = row[a]
+                    if b not in self.tree:
+                        self.tree[b] = (j, a)
+                        nxt.append(b)
+            frontier = nxt
+        if len(self.tree) != order:
+            raise ValueError(_NOT_GENERATED)
         # every cache lookup keyed by the group hashes it
-        self._hash = hash((self.mult, self.generators))
+        self._hash = hash((self.generators, self.left))
+
+    @staticmethod
+    def _from_left(order: int, left, name: str) -> "GroupTable":
+        group = object.__new__(GroupTable)
+        group._carry(order, left, name)
+        return group
+
+    @cached_property
+    def mult(self) -> tuple:
+        """The table: row g_j a is row a moved by g_j's left row."""
+        rows = [tuple(range(self.order))] * self.order
+        for b, (j, a) in itertools.islice(self.tree.items(), 1, None):
+            rows[b] = tuple(map(self.left[j].__getitem__, rows[a]))
+        return tuple(rows)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """b^-1 for b = g_1 ... g_r along the tree: the identity moved by
+        g_1^-1, then g_2^-1, ..., then g_r^-1."""
+        undo = [sorted(range(self.order), key=row.__getitem__) for row in self.left]
+        out = []
+        for b in range(self.order):
+            x, step = 0, self.tree[b]
+            while step:
+                x = undo[step[0]][x]
+                step = self.tree[step[1]]
+            out.append(x)
+        return tuple(out)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupTable)
-            and self.mult == other.mult
-            and self.generators == other.generators
-        )
+        return isinstance(other, GroupTable) and (
+            self.generators, self.left) == (other.generators, other.left)
 
     def __hash__(self):
         return self._hash
@@ -200,45 +221,34 @@ class GroupTable:
 
     @staticmethod
     def trivial() -> "GroupTable":
-        return GroupTable(((0,),), (), name="1")
+        return GroupTable._from_left(1, (), "1")
 
     @staticmethod
     def cyclic(k: int) -> "GroupTable":
-        mult = [[(a + b) % k for b in range(k)] for a in range(k)]
-        gens = (1,) if k > 1 else ()
-        return GroupTable(mult, gens, name=f"C{k}")
+        left = [[(a + 1) % k for a in range(k)]] if k > 1 else []
+        return GroupTable._from_left(k, left, f"C{k}")
 
     @staticmethod
     def symmetric(k: int) -> "GroupTable":
-        """S_k on the element list itertools.permutations (identity first)."""
+        """S_k on the element list itertools.permutations (identity first);
+        generator t is the transposition (t, t+1), which exchanges the
+        values t and t + 1 of each permutation it multiplies."""
         perms = list(itertools.permutations(range(1, k + 1)))
         index = {p: i for i, p in enumerate(perms)}
-        mult = [
-            [index[tuple(p[q[x] - 1] for x in range(k))] for q in perms]
-            for p in perms
-        ]
-        gens = []
-        for t in range(1, k):
-            img = list(range(1, k + 1))
-            img[t - 1], img[t] = img[t], img[t - 1]
-            gens.append(index[tuple(img)])
-        return GroupTable(mult, tuple(gens), name=f"S{k}")
+        left = [[index[tuple(t + 1 if x == t else t if x == t + 1 else x for x in p)]
+                 for p in perms] for t in range(1, k)]
+        return GroupTable._from_left(len(perms), left, f"S{k}")
 
     @staticmethod
     def product(a: "GroupTable", b: "GroupTable") -> "GroupTable":
         """Direct product; element (x, y) has index x * b.order + y."""
         ob = b.order
-        mult = []
-        for xa in range(a.order):
-            for xb in range(ob):
-                row = []
-                for ya in range(a.order):
-                    for yb in range(ob):
-                        row.append(a.mult[xa][ya] * ob + b.mult[xb][yb])
-                mult.append(row)
-        gens = tuple(g * ob for g in a.generators) + tuple(b.generators)
+        left = [[row[x] * ob + y for x in range(a.order) for y in range(ob)]
+                for row in a.left]
+        left += [[x * ob + row[y] for x in range(a.order) for y in range(ob)]
+                 for row in b.left]
         name = f"{a.name}x{b.name}" if a.name and b.name else ""
-        return GroupTable(mult, gens, name=name)
+        return GroupTable._from_left(a.order * ob, left, name)
 
     # -- serialization ---------------------------------------------------
 
@@ -406,7 +416,8 @@ def aut_orbit_table(a: Obj, b: Obj) -> tuple:
 def aut_swaps(n: Obj) -> list:
     """The adjacent transpositions generating Aut(n) = S_{n_1} x ... x
     S_{n_m}, as (coordinate, k) for the swap of k and k+1: the generator
-    order of ``functors.aut_table(n)`` and of the swap keys at n."""
+    order of ``functors.aut_table(n)``, whose j-th left row is
+    :func:`generator_index_map` of the j-th swap, and of the swap keys at n."""
     return [(i, k) for i, x in enumerate(n, start=1) for k in range(1, x)]
 
 

@@ -19,7 +19,6 @@ from .category import (
     add,
     aut_orbit_table,
     aut_swaps,
-    count_injections,
     generator_index_map,
     injection_index_table,
     leq,
@@ -53,7 +52,9 @@ from .modules import (
     restrict_window,
     submodule_from_stable_subspaces,
 )
-from .symrep import GroupRep, regular_rep_matrices, specht
+from .symrep import GroupRep, coxeter_failures, regular_rep_matrices, specht, _rep_elements
+
+_TRIV = GroupTable.trivial()
 
 
 def normalize_subset(S, m: int) -> tuple:
@@ -200,9 +201,9 @@ def kernel_sum(v: TruncatedModule, S) -> TruncatedModule:
 
 
 def aut_table(s) -> GroupTable:
-    """Aut(s) = S_{s_1} x ... x S_{s_k} as a table group, left-fold order;
-    its generators are the swaps of ``aut_swaps(s)``, in that order."""
-    table = GroupTable.trivial()
+    """Aut(s) = S_{s_1} x ... x S_{s_k}, the left fold of ``GroupTable.product``
+    (no table); its generators are the swaps of ``aut_swaps(s)``, in order."""
+    table = _TRIV
     for x in s:
         table = GroupTable.product(table, GroupTable.symmetric(x))
     return table
@@ -303,30 +304,17 @@ def split_obj(n, S, not_S):
     )
 
 
-def _aut_values(s, w_rs: TruncatedModule, t) -> list:
-    """W(tau) at t for every tau in Aut(s), by its index in Inj(s, s): one
-    breadth-first walk from the identity, W(g o tau) = W(g) W(tau) for the
-    swaps g of ``aut_swaps(s)``.  Two words for one tau that disagree mean
-    W is not a representation of Aut(s) at t: ValueError."""
-    steps = [(generator_index_map(s, ("swap", i, k, s)), w_rs.actions[("grp", j, t)])
-             for j, (i, k) in enumerate(aut_swaps(s))]
-    values = [None] * count_injections(s, s)
-    values[0] = RationalMatrix.identity(w_rs.dims[t])
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for tau in frontier:
-            for step, mat in steps:
-                img = mat * values[tau]
-                g_tau = step[tau]
-                if values[g_tau] is None:
-                    values[g_tau] = img
-                    nxt.append(g_tau)
-                elif values[g_tau] != img:
-                    raise ValueError(f"the Aut{s} generators of {w_rs.name or 'W'} "
-                                     f"do not act as a representation at {t}")
-        frontier = nxt
-    return values
+def _swap_values(s, w_rs: TruncatedModule, t) -> dict:
+    """W at t on the identity and the swaps of Aut(s), by their index in
+    Inj(s, s), which indexes ``rs_group(s, 1)`` alike.  Swaps that break
+    a Coxeter relation are not a representation of Aut(s): ValueError."""
+    swaps = {ik: w_rs.actions[("grp", j, t)] for j, ik in enumerate(aut_swaps(s))}
+    ident = RationalMatrix.identity(w_rs.dims[t])
+    failures = coxeter_failures(swaps, ident, t)
+    if failures:
+        raise ValueError(f"the Aut{s} generators of {w_rs.name or 'W'} do not act "
+                         f"as a representation: {failures[0]}")
+    return {0: ident, **dict(zip(rs_group(s, _TRIV).generators, swaps.values()))}
 
 
 def _block_monomial(blocks, nrow_blocks: int, ncol_blocks: int, d: int) -> RationalMatrix:
@@ -357,9 +345,9 @@ def _orbits(s, s_part) -> tuple:
 
 
 def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
-             name: str = "") -> tuple:
-    """:func:`induced_module` without the inclusion, as (module, values):
-    values[t] is :func:`_aut_values` at each t where W(t) is nonzero."""
+             name: str = "") -> TruncatedModule:
+    """:func:`induced_module` without the inclusion.  It reads W only at the
+    swaps of Aut(s) (:func:`_swap_values`) where W(t) is nonzero."""
     m = window.m
     S = normalize_subset(S, m)
     not_S = complement_subset(S, m)
@@ -392,7 +380,7 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
             raise ValueError(f"induced value at {n} has dimension "
                              f"{dims[n]}, expected {expected}")
         if dims[n] and t_part not in values:
-            values[t_part] = _aut_values(s, w_rs, t_part)
+            values[t_part] = _swap_values(s, w_rs, t_part)
 
     live, rest = split_generators(window, group, dims, dims)
     actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) for key, src, tgt in rest}
@@ -419,9 +407,8 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
             actions[key] = mat if len(reps) == 1 else block_diag([mat] * len(reps))
 
     pres = _induced_presentation(s, S, not_S, w_rs, m)
-    mod = TruncatedModule(window, group, dims, actions, pres,
-                          name or f"F_{s}({w_rs.name})")
-    return mod, values
+    return TruncatedModule(window, group, dims, actions, pres,
+                           name or f"F_{s}({w_rs.name})")
 
 
 def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
@@ -444,18 +431,21 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     Returns (module, inclusion), the inclusion as its blocks {n: matrix}
     into Inj(s, s') x W(t), injection-major.
     """
-    mod, values = _induced(s, S, w_rs, group, window, name)
+    mod = _induced(s, S, w_rs, group, window, name)
     S = normalize_subset(S, window.m)
     not_S = complement_subset(S, window.m)
     s = tuple(s)
-    inclusion = {}
+    aut = rs_group(s, _TRIV)
+    values, inclusion = {}, {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
         reps, split = _orbits(s, s_part)
         d_w = w_rs.dims[t_part]
-        vals = values.get(t_part)
-        blocks = {} if vals is None else {
-            bi: (o, vals[tau_inv]) for bi, (o, _, tau_inv) in enumerate(split)}
+        if t_part not in values:
+            # every W(tau), along the tree of Aut(s) x 1 over its swaps
+            swaps = [w_rs.actions[("grp", j, t_part)] for j in range(len(aut.generators))]
+            values[t_part] = _rep_elements(aut, swaps, d_w)
+        blocks = {bi: (o, values[t_part][tau_inv]) for bi, (o, _, tau_inv) in enumerate(split)}
         inclusion[n] = _block_monomial(blocks, len(split), len(reps), d_w)
     return mod, inclusion
 
@@ -471,8 +461,8 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     One that is not a representation raises ValueError: on kG x V, V the
     space of rho, the fixed space of L(g) x rho(g) is the functions with
     f(gh) = rho(g) f(h), and it has dimension dim V exactly when rho
-    respects every relation of G.  F_s's walk over Aut(n) checks the Specht
-    swaps.
+    respects every relation of G.  F_s checks the Specht swaps by the
+    Coxeter relations.
     """
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)
@@ -498,7 +488,7 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     name = name or f"M{lambdas}"
     if not window.m:  # F_() is the identity on FI^0 modules
         return TruncatedModule(window, group, x.dims, x.actions, pres, name)
-    mod, _ = _induced(n, range(1, window.m + 1), x, group, window, name)
+    mod = _induced(n, range(1, window.m + 1), x, group, window, name)
     mod.presentation = pres
     return mod
 

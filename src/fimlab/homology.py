@@ -371,7 +371,7 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
-    fsw, _ = _induced(s, S, witness, v.group, v.window)
+    fsw = _induced(s, S, witness, v.group, v.window)
     order = count_injections(s, s)
     s_window = Window(tuple(v.window.bound[i - 1] for i in S))
     walks = {}

@@ -60,7 +60,7 @@ from .linalg import (
     _stack_rows,
     _unit_rows,
 )
-from .symrep import specht, _rep_elements
+from .symrep import coxeter_failures, specht, _rep_elements
 
 # -- wire-format helpers -------------------------------------------------
 
@@ -295,10 +295,13 @@ class TruncatedModule:
 
     def validate(self) -> ValidationReport:
         """Check the generator relations; the report lists each failure.
-        They are the Coxeter relations of each Aut(n); inclusions move swaps
-        up past the new point, commute with the swaps of other coordinates
-        and with each other across coordinates; the swap of two new points
-        fixes the double inclusion; G is represented and commutes with all.
+        They are the Coxeter relations of each Aut(n)
+        (:func:`~fimlab.symrep.coxeter_failures`); inclusions move swaps up
+        past the new point, commute with the swaps of other coordinates and
+        with each other across coordinates; the swap of two new points fixes
+        the double inclusion; G is represented, checked as rho(g) rho(a) =
+        rho(g a) for its generators g (by induction on word length, the same
+        for every word), and commutes with all.
 
         Passing them makes V a functor on the window.  The relations hold in
         FI^m x G and present each FI factor (Church-Ellenberg-Farb, Duke
@@ -315,22 +318,9 @@ class TruncatedModule:
                 failures.append(msg)
 
         m = self.m
-        ident = {n: RationalMatrix.identity(d) for n, d in self.dims.items()}
         for n in self.window.objects():
             swaps = {(i, k): self.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
-            for (i, k), s in swaps.items():
-                check(s * s == ident[n], f"swap ({i},{k}) at {n} is not an involution")
-            for (i, k), s in swaps.items():
-                for (j, l), t in swaps.items():
-                    if (i, k) >= (j, l):
-                        continue
-                    if i == j and abs(k - l) == 1:
-                        check(
-                            s * t * s == t * s * t,
-                            f"braid relation fails at {n} coord {i} ({k},{l})",
-                        )
-                    else:
-                        check(s * t == t * s, f"swaps ({i},{k}),({j},{l}) at {n} do not commute")
+            failures += coxeter_failures(swaps, RationalMatrix.identity(self.dims[n]), n)
             grp_mats = [
                 self.actions[("grp", j, n)] for j in range(len(self.group.generators))
             ]
@@ -339,12 +329,9 @@ class TruncatedModule:
                     check(gm * s == s * gm, f"group action does not commute with swaps at {n}")
             if grp_mats:
                 rho = self.group_elements_at(n)
-                for a in range(self.group.order):
-                    for b in range(self.group.order):
-                        check(
-                            rho[a] * rho[b] == rho[self.group.mult[a][b]],
-                            f"group relations fail at {n}",
-                        )
+                for gm, row in zip(grp_mats, self.group.left):
+                    for a, b in enumerate(row):
+                        check(gm * rho[a] == rho[b], f"group relations fail at {n}")
         # inclusion relations
         for n in self.window.objects():
             for i in range(1, m + 1):
@@ -661,8 +648,8 @@ def _free_tables(objs, window: Window, group: GroupTable) -> tuple:
     ``objs``, built once per (objs, window, group) and shared read-only: the
     three tables are ``MappingProxyType`` views, each layout value a tuple
     of ranges, and every action an immutable ``RationalMatrix``.  The group
-    enters only through its table, so groups equal up to name share an
-    entry, and no entry holds the group.
+    enters only through its generators' left rows, so groups equal up to
+    name share an entry, and no entry holds the group.
 
     Basis of the value at t: summand by summand, and within F(n_j) the
     injections n_j -> t in enumeration order, each paired with the group
@@ -686,10 +673,10 @@ def _free_tables(objs, window: Window, group: GroupTable) -> tuple:
         cols = [None] * dims[tgt]
         if key[0] == "grp":
             # every summand's block is a run of |G|-blocks, each (beta, h)
-            mult = group.mult[group.generators[key[1]]]
+            row = group.left[key[1]]
             for bi in range(0, dims[src], og):
                 for h in range(og):
-                    cols[bi + mult[h]] = bi + h
+                    cols[bi + row[h]] = bi + h
         elif dims[src]:
             for n, bs, bt in zip(objs, layout[src], layout[tgt]):
                 if bs:

@@ -4,8 +4,8 @@ induced and coinduced modules need it.
 Specht modules are built on the standard polytabloid basis inside the
 tabloid permutation module, which keeps every matrix rational (in fact
 integral up to the basis change) and lets the Coxeter relations be verified
-by plain matrix multiplication.  Finite groups given by multiplication table
-act through generator matrices (``GroupRep``).
+by plain matrix multiplication.  Finite groups, carried by their generators'
+left multiplications, act through generator matrices (``GroupRep``).
 """
 
 from __future__ import annotations
@@ -203,23 +203,29 @@ def specht(lam) -> SpechtRep:
         raise AssertionError(
             f"standard tableau count {dim} disagrees with hook formula {expected}"
         )
-    _check_coxeter(rep.gens, dim)
+    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)},
+                                RationalMatrix.identity(dim), f"S^{lam}")
+    if failures:
+        raise ValueError(failures[0])
     return rep
 
 
-def _check_coxeter(gens, dim):
-    ident = RationalMatrix.identity(dim)
-    for i, g in enumerate(gens):
-        if not (g * g == ident):
-            raise ValueError(f"s_{i+1}^2 != 1")
-        for j in range(i + 2, len(gens)):
-            h = gens[j]
-            if not (g * h == h * g):
-                raise ValueError(f"s_{i+1} and s_{j+1} fail to commute")
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if not (a * b * a == b * a * b):
-            raise ValueError(f"braid relation fails at {i+1}")
+def coxeter_failures(swaps: dict, ident, where) -> list:
+    """The relations that the swaps ``swaps[(i, k)]`` of k and k + 1 in
+    coordinate i, in ``aut_swaps`` order, break, as messages: each is an
+    involution, adjacent swaps of one coordinate braid, and all other pairs
+    commute.  These present Aut(n) = S_{n_1} x ... x S_{n_m} (Coxeter)."""
+    failures = []
+    for (i, k), s in swaps.items():
+        if not (s * s == ident):
+            failures.append(f"swap ({i},{k}) at {where} is not an involution")
+    for ((i, k), s), ((j, l), t) in itertools.combinations(swaps.items(), 2):
+        if i == j and abs(k - l) == 1:
+            if not (s * t * s == t * s * t):
+                failures.append(f"braid relation fails at {where} coord {i} ({k},{l})")
+        elif not (s * t == t * s):
+            failures.append(f"swaps ({i},{k}),({j},{l}) at {where} do not commute")
+    return failures
 
 
 # -- group representations ------------------------------------------------
@@ -237,10 +243,10 @@ def _rep_elements(group: GroupTable, gen_mats, dim):
 def regular_rep_matrices(group: GroupTable):
     """Left regular representation matrices of the group generators."""
     mats = []
-    for gen in group.generators:
+    for row in group.left:
         rows = [[Fraction(0)] * group.order for _ in range(group.order)]
-        for a in range(group.order):
-            rows[group.mult[gen][a]][a] = Fraction(1)
+        for a, b in enumerate(row):
+            rows[b][a] = Fraction(1)
         mats.append(RationalMatrix(rows))
     return mats
 

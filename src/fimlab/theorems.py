@@ -489,8 +489,8 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
     the block at (s' x t) is f_t on each orbit, when f commutes with W's
     Aut(s) generators; otherwise f does not restrict."""
     s = tuple(s)
-    fs_source, _ = _induced(s, S, f.source, group, window)
-    fs_target, _ = _induced(s, S, f.target, group, window)
+    fs_source = _induced(s, S, f.source, group, window)
+    fs_target = _induced(s, S, f.target, group, window)
     S = normalize_subset(S, window.m)
     not_S = complement_subset(S, window.m)
     for t in f.source.window.objects():

@@ -86,7 +86,6 @@ from fimlab.modules import (
 )
 from fimlab.symrep import (
     GroupRep,
-    _check_coxeter,
     _rep_elements,
     check_partition,
     hook_length_dim,
@@ -144,6 +143,81 @@ def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
     for k in perm_to_adjacent(img):
         mat = mat * rep.gens[k - 1]
     return mat
+
+
+def _check_coxeter(gens, dim):
+    """The Coxeter relations of S_{len(gens)+1} on the adjacent-swap
+    matrices ``gens``: ValueError on the first that fails."""
+    ident = RationalMatrix.identity(dim)
+    for i, g in enumerate(gens):
+        if not (g * g == ident):
+            raise ValueError(f"s_{i+1}^2 != 1")
+        for j in range(i + 2, len(gens)):
+            h = gens[j]
+            if not (g * h == h * g):
+                raise ValueError(f"s_{i+1} and s_{j+1} fail to commute")
+    for i in range(len(gens) - 1):
+        a, b = gens[i], gens[i + 1]
+        if not (a * b * a == b * a * b):
+            raise ValueError(f"braid relation fails at {i+1}")
+
+
+# -- group tables written out in full ----------------------------------------
+
+
+def symmetric_table(k: int) -> GroupTable:
+    """S_k from its whole multiplication table, p q = p o q on the element
+    list itertools.permutations, generators the adjacent transpositions."""
+    perms = list(itertools.permutations(range(1, k + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    mult = [
+        [index[tuple(p[q[x] - 1] for x in range(k))] for q in perms]
+        for p in perms
+    ]
+    gens = []
+    for t in range(1, k):
+        img = list(range(1, k + 1))
+        img[t - 1], img[t] = img[t], img[t - 1]
+        gens.append(index[tuple(img)])
+    return GroupTable(mult, tuple(gens), name=f"S{k}")
+
+
+def cyclic_table(k: int) -> GroupTable:
+    """C_k from its whole table, a + b mod k, generated by 1."""
+    mult = [[(a + b) % k for b in range(k)] for a in range(k)]
+    return GroupTable(mult, (1,) if k > 1 else (), name=f"C{k}")
+
+
+def product_table(a: GroupTable, b: GroupTable) -> GroupTable:
+    """The direct product from its whole table; (x, y) has index
+    x * b.order + y."""
+    ob = b.order
+    mult = []
+    for xa in range(a.order):
+        for xb in range(ob):
+            row = []
+            for ya in range(a.order):
+                for yb in range(ob):
+                    row.append(a.mult[xa][ya] * ob + b.mult[xb][yb])
+            mult.append(row)
+    gens = tuple(g * ob for g in a.generators) + tuple(b.generators)
+    name = f"{a.name}x{b.name}" if a.name and b.name else ""
+    return GroupTable(mult, gens, name=name)
+
+
+def aut_table_by_fold(s) -> GroupTable:
+    """Aut(s) = S_{s_1} x ... x S_{s_k} as the left fold of
+    :func:`product_table` over :func:`symmetric_table`, from the trivial
+    group's table."""
+    table = GroupTable(((0,),), (), name="1")
+    for x in s:
+        table = product_table(table, symmetric_table(x))
+    return table
+
+
+def rs_group_by_tables(s, group: GroupTable) -> GroupTable:
+    """Aut(s) x G written out in full: the reference for ``rs_group``."""
+    return product_table(aut_table_by_fold(s), group)
 
 
 # -- morphisms and their factorization into generators -----------------------

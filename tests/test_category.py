@@ -21,6 +21,7 @@ from oracles import (
     Morphism,
     compose,
     conjugacy_classes,
+    cyclic_table,
     enumerate_injections,
     factor_injection,
     factor_morphism,
@@ -31,6 +32,7 @@ from oracles import (
     perm_to_adjacent,
     std_incl,
     swap_morphism,
+    symmetric_table,
 )
 
 
@@ -171,6 +173,42 @@ def test_group_table_rejects_a_loop_that_is_not_associative(mult, generators):
     and each of them counts: in the order-6 loop one of the two passes."""
     with pytest.raises(ValueError, match="not associative"):
         GroupTable(mult, generators)
+
+
+def assert_same_group(group, ref):
+    """``group`` equals the full-table reference ``ref`` entry for entry:
+    order, generators, left rows, table, inverses, tree in discovery order,
+    name and wire format; and it is ``==``, with one hash, to the checked
+    table ``GroupTable(ref.mult, ref.generators)``, both ways."""
+    plain = GroupTable(ref.mult, ref.generators)
+    assert group == plain and plain == group and hash(group) == hash(plain)
+    assert (group.order, group.generators, group.name) == (ref.order, ref.generators, ref.name)
+    assert group.left == tuple(ref.mult[g] for g in ref.generators) == plain.left
+    assert list(group.tree.items()) == list(ref.tree.items())
+    assert group.inverse == ref.inverse
+    assert group.mult == ref.mult
+    assert group.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_symmetric_group_equals_its_full_table(k):
+    assert_same_group(GroupTable.symmetric(k), symmetric_table(k))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cyclic_group_equals_its_full_table(k):
+    assert_same_group(GroupTable.cyclic(k), cyclic_table(k))
+
+
+def test_a_constructed_group_derives_its_table_on_first_read():
+    """``symmetric`` writes the generators' left rows only; the table and
+    the inverses are derived when read, and a table from outside is kept."""
+    s4 = GroupTable.symmetric(4)
+    assert "mult" not in vars(s4) and "inverse" not in vars(s4)
+    assert s4.mult[s4.generators[1]] == s4.left[1]
+    assert "mult" in vars(s4)
+    ref = symmetric_table(4)
+    assert vars(GroupTable(ref.mult, ref.generators))["mult"] == ref.mult
 
 
 def test_group_product_order():

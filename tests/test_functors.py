@@ -12,6 +12,7 @@ from fimlab.category import (
     GroupTable,
     Window,
     aut_swaps,
+    generator_index_map,
     generator_keys,
     injection_index_table,
     leq,
@@ -55,7 +56,9 @@ from fimlab.samples import random_presented_module, truncated_constant
 from oracles import (
     Morphism,
     aut_rep_at,
+    aut_table_by_fold,
     compose,
+    cyclic_table,
     decompose,
     derivative_decomposition_by_indexing,
     enumerate_injections,
@@ -66,9 +69,12 @@ from oracles import (
     morphism_of_key,
     partitions_of,
     regular_rep,
+    rs_group_by_tables,
     shift_decomposition_by_indexing,
+    symmetric_table,
     with_trivial_group_action,
 )
+from test_category import assert_same_group
 from test_invariants import process_caches
 
 TRIV = GroupTable.trivial()
@@ -302,9 +308,38 @@ def test_f_s_preserves_surjections():
 
 
 def test_aut_table_orders():
-    assert aut_table((2,)).order == 2
-    assert aut_table((2, 3)).order == 12
-    assert aut_table(()).order == 1
+    assert aut_table_by_fold((2,)).order == 2
+    assert aut_table_by_fold((2, 3)).order == 12
+    assert aut_table_by_fold(()).order == 1
+    for s in ((2,), (2, 3), ()):
+        assert_same_group(aut_table(s), aut_table_by_fold(s))
+
+
+RS_SHAPES = [(), (3,), (2, 2), (1, 3), (3, 2), (4,), (2, 1, 2), (0, 3)]
+# each group with its full-table reference
+RS_GROUPS = {"1": (TRIV, GroupTable(((0,),), (), name="1")),
+             "C2": (GroupTable.cyclic(2), cyclic_table(2)),
+             "S2": (GroupTable.symmetric(2), symmetric_table(2)),
+             "C3": (GroupTable.cyclic(3), cyclic_table(3)),
+             "S3": (GroupTable.symmetric(3), symmetric_table(3))}
+
+
+@pytest.mark.parametrize("g", list(RS_GROUPS))
+@pytest.mark.parametrize("s", RS_SHAPES, ids=str)
+def test_rs_group_equals_the_product_of_full_tables(s, g):
+    """Aut(s) x G written from the generators' left rows equals the left
+    fold of full-table products, entry for entry."""
+    group, ref = RS_GROUPS[g]
+    assert_same_group(rs_group(s, group), rs_group_by_tables(s, ref))
+
+
+@pytest.mark.parametrize("s", RS_SHAPES, ids=str)
+def test_aut_group_left_rows_are_the_swap_index_maps(s):
+    """Aut(s) x 1 indexes Aut(s) as Inj(s, s) does: the left row of its
+    j-th generator is the index map of the j-th swap of ``aut_swaps(s)``."""
+    aut = rs_group(s, TRIV)
+    assert aut.left == tuple(generator_index_map(s, ("swap", i, k, s))
+                             for i, k in aut_swaps(s))
 
 
 def test_rs_group_keeps_the_name_of_an_equal_group():
@@ -325,7 +360,7 @@ def test_aut_swaps_are_aut_table_generators_in_order(s):
         return tuple(map(tuple, img))
 
     assert [aut_element_index(s, swap(c, k)) for c, k in aut_swaps(s)] == list(
-        aut_table(s).generators)
+        aut_table_by_fold(s).generators)
 
 
 def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
@@ -470,7 +505,7 @@ def test_free_decompositions_reject_coordinates_out_of_range(decompose, i):
 
 
 def aut_element_index(s, sigma) -> int:
-    """Index of (sigma_1, ..., sigma_k) in aut_table(s)."""
+    """Index of (sigma_1, ..., sigma_k) in ``aut_table_by_fold(s)``."""
     idx = 0
     for x, si in zip(s, sigma):
         perms = list(itertools.permutations(range(1, x + 1)))
@@ -487,7 +522,7 @@ def _induced_by_permutations(s, S, w_rs, group, window):
     not_S = tuple(i for i in range(1, window.m + 1) if i not in S)
     auts = list(itertools.product(
         *[itertools.permutations(range(1, x + 1)) for x in s]))
-    n_aut_gens = len(aut_table(s).generators)
+    n_aut_gens = len(aut_table_by_fold(s).generators)
 
     def split(n):
         return tuple(n[i - 1] for i in S), tuple(n[i - 1] for i in not_S)

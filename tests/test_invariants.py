@@ -9,8 +9,9 @@ for one, only the cached ``_free_tables`` writes free-module actions, the
 Hom solver builds its maps in one helper, torsion takes no closure
 pass, only the constructors write a matrix's or a subspace's fields,
 every process-lifetime cache is on the allow-list, induced and
-co-induced modules are written down rather than solved for, and
-``end_ring`` walks no cover of its own."""
+co-induced modules are written down rather than solved for,
+``end_ring`` walks no cover of its own, and no library path reads a group's
+whole multiplication table."""
 
 import ast
 import importlib
@@ -18,7 +19,10 @@ import importlib.util
 from pathlib import Path
 
 import fimlab
-from fimlab.modules import _free_tables
+from fimlab.category import GroupTable, Window
+from fimlab.functors import _rs_group, make_induced, rs_group
+from fimlab.homology import h0
+from fimlab.modules import _free_tables, make_free
 
 SOURCE = Path(fimlab.__file__).parent
 
@@ -539,7 +543,7 @@ def test_induced_module_is_written_down_not_solved_for():
     lives in ``tests/oracles.py`` as ``induced_module_by_fixed_space``."""
     calls = _calls_by_function(SOURCE / "functors.py")
     reached = _reached(calls, "induced_module")
-    assert {"_induced", "_aut_values"} <= reached
+    assert {"_induced", "_swap_values"} <= reached
     assert [f"{name}: {c}" for name in sorted(reached)
             for c in sorted(calls[name] & set(INDUCED_SOLVE))] == []
 
@@ -573,3 +577,27 @@ def test_end_ring_walks_no_cover_of_its_own():
     assert "_h0_dims" in reached and "NaturalitySolver" in calls["end_ring"]
     walks = {"generators_and_cover", "cover_blocks", "_orbit_walk"}
     assert [f"{name}: {c}" for name in sorted(reached) for c in sorted(calls[name] & walks)] == []
+
+
+def test_only_the_group_type_reads_a_multiplication_table():
+    """Outside ``category.py`` (the group's input checks, its derivation of
+    the table and its wire format) no package code reads ``.mult``: every
+    reader takes the generators' left rows."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "category.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "mult"]
+    assert found == []
+
+
+def test_slices_and_induced_modules_build_no_aut_table():
+    """H0 of F(6) and M((4,2)) on (6,) carry Aut(6) x 1 by its generators
+    and never derive its 720 x 720 table."""
+    _rs_group.cache_clear()
+    report = h0(make_free((6,), Window((6,))), (1,))
+    make_induced(((4, 2),), Window((6,)))
+    group = rs_group((6,), GroupTable.trivial())
+    assert report.h0_slices[(6,)].group is group and group.order == 720
+    assert "mult" not in vars(group)

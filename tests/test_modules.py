@@ -471,13 +471,28 @@ def _sign_constant():
     return TruncatedModule(v.window, v.group, v.dims, actions)
 
 
+def _second_generator_sign():
+    """The one-dimensional module on (1,) over S3 on which the first
+    generator acts as 1 and the second as -1.  It breaks one relation only:
+    (s_1 s_2)^3 = 1 fails, which no relation of the first generator sees."""
+    actions = {("incl", 1, (0,)): RationalMatrix([[1]])}
+    for n in ((0,), (1,)):
+        actions[("grp", 0, n)] = RationalMatrix([[1]])
+        actions[("grp", 1, n)] = RationalMatrix([[-1]])
+    return TruncatedModule(Window((1,)), GroupTable.symmetric(3), {(0,): 1, (1,): 1}, actions)
+
+
 @st.composite
 def _maybe_broken_modules(draw):
-    """F(n), E(l), the coinduced sign module or a random presented module on
-    (3,), (4,) or (2,2) over the trivial group or S2, as built or with one
-    action entry bumped, one action scaled or one action's rows reversed."""
-    window = draw(st.sampled_from((Window((3,)), Window((4,)), Window((2, 2)))))
-    group = draw(st.sampled_from((TRIV, GroupTable.symmetric(2))))
+    """F(n), E(l), the coinduced sign module or a random presented module
+    over the trivial group, S2, C3 or S3, on (3,) or (2,2), or on (4,) over
+    the first two (the exhaustive oracle over S3 on (4,) takes seconds per
+    module), as built or with one action entry bumped, one action scaled or
+    one action's rows reversed."""
+    group = draw(st.sampled_from((TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3),
+                                  GroupTable.symmetric(3))))
+    windows = (Window((3,)), Window((2, 2)))
+    window = draw(st.sampled_from(windows + (Window((4,)),) if group.order <= 2 else windows))
     kind = draw(st.sampled_from(("free", "cofree", "coinduced", "random")))
     if kind == "coinduced":
         v = make_coinduced(((1, 1),), Window((3,)))
@@ -507,6 +522,7 @@ def _maybe_broken_modules(draw):
 @settings(max_examples=30, deadline=None)
 @given(_maybe_broken_modules())
 @example(_sign_constant())
+@example(_second_generator_sign())
 @example(make_free((0,), Window((3,)), TRIV))
 @example(make_free((1, 1), Window((2, 2)), TRIV))
 @example(make_cofree((2,), Window((4,)), TRIV))
