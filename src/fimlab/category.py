@@ -123,8 +123,8 @@ class GroupTable:
     """A finite group carried by its generators' left multiplications:
     ``left[j][a]`` is the index of g_j a, and index 0 is the identity.  A
     table from outside is checked to be a group law and kept; the
-    constructors write ``left`` directly, with no table, and ``mult`` and
-    ``inverse`` are derived along the breadth-first tree on first read.
+    constructors write ``left`` directly, with no table; ``mult`` is derived
+    along the breadth-first tree on first read, and ``inverse`` from it.
     Equality and hash come from (generators, left), which fix the table.
     """
 
@@ -135,13 +135,20 @@ class GroupTable:
             raise ValueError("multiplication table is not square")
         if order == 0:
             raise ValueError("empty group")
-        if any(not 0 <= x < order for row in mult for x in row):
-            raise ValueError("table entry out of range")
-        if any(mult[a][0] != a or mult[0][a] != a for a in range(order)):
-            raise ValueError("index 0 is not an identity")
-        inverse = [row.index(0) if 0 in row else None for row in mult]
-        if None in inverse:
-            raise ValueError(f"element {inverse.index(None)} has no inverse")
+        for row in mult:
+            for x in row:
+                if not (0 <= x < order):
+                    raise ValueError("table entry out of range")
+        for a in range(order):
+            if mult[a][0] != a or mult[0][a] != a:
+                raise ValueError("index 0 is not an identity")
+        inverse = [None] * order
+        for a in range(order):
+            for b in range(order):
+                if mult[a][b] == 0:
+                    inverse[a] = b
+            if inverse[a] is None:
+                raise ValueError(f"element {a} has no inverse")
         if generators is None:
             generators = range(1, order)
         self._carry(order, [mult[g] for g in generators], name)
@@ -191,17 +198,7 @@ class GroupTable:
 
     @cached_property
     def inverse(self) -> tuple:
-        """b^-1 for b = g_1 ... g_r along the tree: the identity moved by
-        g_1^-1, then g_2^-1, ..., then g_r^-1."""
-        undo = [sorted(range(self.order), key=row.__getitem__) for row in self.left]
-        out = []
-        for b in range(self.order):
-            x, step = 0, self.tree[b]
-            while step:
-                x = undo[step[0]][x]
-                step = self.tree[step[1]]
-            out.append(x)
-        return tuple(out)
+        return tuple(row.index(0) for row in self.mult)
 
     def __eq__(self, other):
         return isinstance(other, GroupTable) and (

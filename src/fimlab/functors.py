@@ -54,8 +54,6 @@ from .modules import (
 )
 from .symrep import GroupRep, coxeter_failures, regular_rep_matrices, specht, _rep_elements
 
-_TRIV = GroupTable.trivial()
-
 
 def normalize_subset(S, m: int) -> tuple:
     S = tuple(sorted(set(int(i) for i in S)))
@@ -203,7 +201,7 @@ def kernel_sum(v: TruncatedModule, S) -> TruncatedModule:
 def aut_table(s) -> GroupTable:
     """Aut(s) = S_{s_1} x ... x S_{s_k}, the left fold of ``GroupTable.product``
     (no table); its generators are the swaps of ``aut_swaps(s)``, in order."""
-    table = _TRIV
+    table = GroupTable.trivial()
     for x in s:
         table = GroupTable.product(table, GroupTable.symmetric(x))
     return table
@@ -314,7 +312,8 @@ def _swap_values(s, w_rs: TruncatedModule, t) -> dict:
     if failures:
         raise ValueError(f"the Aut{s} generators of {w_rs.name or 'W'} do not act "
                          f"as a representation: {failures[0]}")
-    return {0: ident, **dict(zip(rs_group(s, _TRIV).generators, swaps.values()))}
+    aut = rs_group(s, GroupTable.trivial())
+    return {0: ident, **dict(zip(aut.generators, swaps.values()))}
 
 
 def _block_monomial(blocks, nrow_blocks: int, ncol_blocks: int, d: int) -> RationalMatrix:
@@ -435,17 +434,18 @@ def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
     S = normalize_subset(S, window.m)
     not_S = complement_subset(S, window.m)
     s = tuple(s)
-    aut = rs_group(s, _TRIV)
+    aut = rs_group(s, GroupTable.trivial())
     values, inclusion = {}, {}
     for n in window.objects():
         s_part, t_part = split_obj(n, S, not_S)
         reps, split = _orbits(s, s_part)
         d_w = w_rs.dims[t_part]
-        if t_part not in values:
+        if split and t_part not in values:
             # every W(tau), along the tree of Aut(s) x 1 over its swaps
             swaps = [w_rs.actions[("grp", j, t_part)] for j in range(len(aut.generators))]
             values[t_part] = _rep_elements(aut, swaps, d_w)
-        blocks = {bi: (o, values[t_part][tau_inv]) for bi, (o, _, tau_inv) in enumerate(split)}
+        blocks = {bi: (o, values[t_part][tau_inv])
+                  for bi, (o, _, tau_inv) in enumerate(split)}
         inclusion[n] = _block_monomial(blocks, len(split), len(reps), d_w)
     return mod, inclusion
 

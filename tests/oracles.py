@@ -88,6 +88,7 @@ from fimlab.symrep import (
     GroupRep,
     _rep_elements,
     check_partition,
+    coxeter_failures,
     hook_length_dim,
     regular_rep_matrices,
     specht,
@@ -143,23 +144,6 @@ def matrix_of_perm(rep, img: tuple) -> RationalMatrix:
     for k in perm_to_adjacent(img):
         mat = mat * rep.gens[k - 1]
     return mat
-
-
-def _check_coxeter(gens, dim):
-    """The Coxeter relations of S_{len(gens)+1} on the adjacent-swap
-    matrices ``gens``: ValueError on the first that fails."""
-    ident = RationalMatrix.identity(dim)
-    for i, g in enumerate(gens):
-        if not (g * g == ident):
-            raise ValueError(f"s_{i+1}^2 != 1")
-        for j in range(i + 2, len(gens)):
-            h = gens[j]
-            if not (g * h == h * g):
-                raise ValueError(f"s_{i+1} and s_{j+1} fail to commute")
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if not (a * b * a == b * a * b):
-            raise ValueError(f"braid relation fails at {i+1}")
 
 
 # -- group tables written out in full ----------------------------------------
@@ -1464,7 +1448,10 @@ class ProductRep:
             for g in gens:
                 if g.shape != (self.dim, self.dim):
                     raise ValueError("swap matrix has wrong shape")
-            _check_coxeter(gens, self.dim)
+            failures = coxeter_failures({(1, k): g for k, g in enumerate(gens, 1)},
+                                        RationalMatrix.identity(self.dim), self.ns)
+            if failures:
+                raise ValueError(failures[0])
         # distinct coordinates commute; group commutes with everything
         for a in range(len(per_coord)):
             for b in range(a + 1, len(per_coord)):

@@ -360,7 +360,8 @@ def test_aut_swaps_are_aut_table_generators_in_order(s):
         return tuple(map(tuple, img))
 
     assert [aut_element_index(s, swap(c, k)) for c, k in aut_swaps(s)] == list(
-        aut_table_by_fold(s).generators)
+        aut_table(s).generators)
+    assert_same_group(aut_table(s), aut_table_by_fold(s))
 
 
 def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
