@@ -42,7 +42,6 @@ from .modules import (
     ModuleMap,
     Presentation,
     TruncatedModule,
-    _fixed_space,
     _specht_swaps,
     cover_blocks,
     direct_sum,
@@ -52,7 +51,8 @@ from .modules import (
     restrict_window,
     submodule_from_stable_subspaces,
 )
-from .symrep import GroupRep, coxeter_failures, regular_rep_matrices, specht, _rep_elements
+from .symrep import (GroupRep, coxeter_failures, group_failures, regular_rep_matrices, specht,
+                     _rep_elements)
 
 
 def normalize_subset(S, m: int) -> tuple:
@@ -458,11 +458,8 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     and G by ``g_rep``.
 
     ``g_rep`` is a symrep.GroupRep for the group factor (default trivial).
-    One that is not a representation raises ValueError: on kG x V, V the
-    space of rho, the fixed space of L(g) x rho(g) is the functions with
-    f(gh) = rho(g) f(h), and it has dimension dim V exactly when rho
-    respects every relation of G.  F_s checks the Specht swaps by the
-    Coxeter relations.
+    One that is not a representation (:func:`~fimlab.symrep.group_failures`)
+    raises ValueError.  F_s checks the Specht swaps by the Coxeter relations.
     """
     group = group or GroupTable.trivial()
     lambdas = tuple(tuple(l) for l in lambdas)
@@ -479,11 +476,9 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     mats += [kron(RationalMatrix.identity(dim_s), r) for r in g_rep.gen_mats]
     x = TruncatedModule(Window(()), rs_group(n, group), {(): dim_s * g_rep.dim},
                         {("grp", j, ()): mat for j, mat in enumerate(mats)})
-    pairs = [kron(l, r) for l, r in zip(regular_rep_matrices(group), g_rep.gen_mats)]
-    fixed = _fixed_space(group.order * g_rep.dim, pairs).dim
-    if fixed != g_rep.dim:
-        raise ValueError(f"g_rep is not a representation: the fixed space of "
-                         f"L(g) x rho(g) has dimension {fixed}, expected {g_rep.dim}")
+    failures = group_failures(group, g_rep.gen_mats, g_rep.dim, "g_rep")
+    if failures:
+        raise ValueError(f"g_rep is not a representation: {failures[0]}")
     pres = Presentation.make([(n, lambdas)], n)
     name = name or f"M{lambdas}"
     if not window.m:  # F_() is the identity on FI^0 modules

@@ -60,7 +60,7 @@ from .linalg import (
     _stack_rows,
     _unit_rows,
 )
-from .symrep import coxeter_failures, specht, _rep_elements
+from .symrep import coxeter_failures, group_failures, specht, _rep_elements
 
 # -- wire-format helpers -------------------------------------------------
 
@@ -299,9 +299,9 @@ class TruncatedModule:
         (:func:`~fimlab.symrep.coxeter_failures`); inclusions move swaps up
         past the new point, commute with the swaps of other coordinates and
         with each other across coordinates; the swap of two new points fixes
-        the double inclusion; G is represented, checked as rho(g) rho(a) =
-        rho(g a) for its generators g (by induction on word length, the same
-        for every word), and commutes with all.
+        the double inclusion; G is represented
+        (:func:`~fimlab.symrep.group_failures`, one message per failing
+        generator) and commutes with all.
 
         Passing them makes V a functor on the window.  The relations hold in
         FI^m x G and present each FI factor (Church-Ellenberg-Farb, Duke
@@ -327,11 +327,7 @@ class TruncatedModule:
             for gm in grp_mats:
                 for s in swaps.values():
                     check(gm * s == s * gm, f"group action does not commute with swaps at {n}")
-            if grp_mats:
-                rho = self.group_elements_at(n)
-                for gm, row in zip(grp_mats, self.group.left):
-                    for a, b in enumerate(row):
-                        check(gm * rho[a] == rho[b], f"group relations fail at {n}")
+            failures += group_failures(self.group, grp_mats, self.dims[n], n)
         # inclusion relations
         for n in self.window.objects():
             for i in range(1, m + 1):

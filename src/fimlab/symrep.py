@@ -1,11 +1,12 @@
 """Exact symmetric-group representation theory over Q, as far as the
 induced and coinduced modules need it.
 
-Specht modules are built on the standard polytabloid basis inside the
-tabloid permutation module, which keeps every matrix rational (in fact
-integral up to the basis change) and lets the Coxeter relations be verified
-by plain matrix multiplication.  Finite groups, carried by their generators'
-left multiplications, act through generator matrices (``GroupRep``).
+Specht modules are built on the standard polytabloid basis; each swap
+matrix is read off the standard tabloids by substitution through a
+unitriangular block, so every matrix is integral and the Coxeter relations
+are verified by plain matrix multiplication.  Finite groups, carried by
+their generators' left multiplications, act through generator matrices
+(``GroupRep``), checked by :func:`group_failures`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .category import GroupTable
-from .linalg import RationalMatrix, solve_matrix
+from .linalg import RationalMatrix
 
 
 # -- partitions ---------------------------------------------------------
@@ -75,22 +76,6 @@ def standard_tableaux(lam):
 
 
 # -- Specht modules -------------------------------------------------------
-
-
-def _tabloids(lam, n):
-    """All tabloids: tuples of sorted row tuples partitioning [n]."""
-
-    def fill(avail, row):
-        if row == len(lam):
-            return [()]
-        res = []
-        for combo in itertools.combinations(sorted(avail), lam[row]):
-            rest = frozenset(avail - set(combo))
-            for tail in fill(rest, row + 1):
-                res.append((combo,) + tail)
-        return res
-
-    return sorted(fill(frozenset(range(1, n + 1)), 0))
 
 
 def _tabloid_of(rows) -> tuple:
@@ -154,55 +139,60 @@ class SpechtRep:
     gens: tuple
 
 
+def _at_standard(tab, index) -> list:
+    """The polytabloid e_tab, the signed sum of the tabloids {pi tab} over
+    pi in tab's column group, at the standard tabloids only: entry i is the
+    coefficient of the tabloid of the i-th standard tableau (``index``)."""
+    vec = [0] * len(index)
+    for perm_map, sign in _column_group(tab):
+        i = index.get(_tabloid_of(_apply_perm_to_rows(perm_map, tab)))
+        if i is not None:
+            vec[i] += sign
+    return vec
+
+
 @lru_cache(maxsize=None)
 def specht(lam) -> SpechtRep:
-    """The Specht module S^lam with exact matrices for adjacent swaps."""
+    """The Specht module S^lam with exact matrices for adjacent swaps.
+
+    Polytabloids are read at the standard tabloids only; a standard tableau
+    is its own tabloid key.  There the standard polytabloids form an upper
+    unitriangular block in ``standard_tableaux`` order, checked on every
+    call: every other tabloid of e_T is dominated by {T} (James, The
+    Representation Theory of the Symmetric Groups, LNM 682, section 8), and
+    that order, lexicographic in the rows of 1, ..., n, lists it later.
+    Column T of ``gens[k-1]`` is s_k e_T = e_{s_k T} in the standard
+    polytabloids, read off by substitution through the block in that order.
+    """
     lam = check_partition(lam) if lam else ()
     n = sum(lam)
     if n == 0:
         return SpechtRep((), 0, 1, ())
     tabs = standard_tableaux(lam)
-    tabloids = _tabloids(lam, n)
-    tab_index = {t: i for i, t in enumerate(tabloids)}
+    index = {t: i for i, t in enumerate(tabs)}
     dim = len(tabs)
-
-    def polytabloid_vec(tab):
-        vec = [Fraction(0)] * len(tabloids)
-        for perm_map, sign in _column_group(tab):
-            moved = _tabloid_of(_apply_perm_to_rows(perm_map, tab))
-            vec[tab_index[moved]] += sign
-        return vec
-
-    basis = RationalMatrix([polytabloid_vec(t) for t in tabs])  # dim x #tabloids
-    bt = basis.transpose()
-    gens = []
-    for k in range(1, n):
-        swap = {k: k + 1, k + 1: k}
-        prow_index = [
-            tab_index[_tabloid_of(_apply_perm_to_rows(swap, t))] for t in tabloids
-        ]
-        # permutation action on tabloid coordinates: (P v)[new] = v[old]
-        action_bt_cols = []
-        for col in range(dim):
-            vec = bt.col(col)
-            out = [Fraction(0)] * len(tabloids)
-            for old, x in enumerate(vec):
-                if x:
-                    out[prow_index[old]] += x
-            action_bt_cols.append(out)
-        rhs = RationalMatrix(
-            [[action_bt_cols[c][r] for c in range(dim)] for r in range(len(tabloids))]
-        )
-        mat = solve_matrix(bt, rhs)
-        if mat is None:
-            raise AssertionError("polytabloid span was not stable under the swap")
-        gens.append(mat)
-    rep = SpechtRep(lam, n, dim, tuple(gens))
     expected = hook_length_dim(lam)
     if dim != expected:
         raise AssertionError(
             f"standard tableau count {dim} disagrees with hook formula {expected}"
         )
+    block = [_at_standard(t, index) for t in tabs]
+    if any(row[i] != 1 or any(row[:i]) for i, row in enumerate(block)):
+        raise ValueError(f"the standard polytabloids of S^{lam} are not upper "
+                         f"unitriangular at the standard tabloids")
+    gens = []
+    for k in range(1, n):
+        swap = {k: k + 1, k + 1: k}
+        cols = []
+        for t in tabs:
+            coeffs = _at_standard(_apply_perm_to_rows(swap, t), index)
+            for i, row in enumerate(block):
+                if coeffs[i]:
+                    for j in range(i + 1, dim):
+                        coeffs[j] -= coeffs[i] * row[j]
+            cols.append(coeffs)
+        gens.append(RationalMatrix(zip(*cols)))
+    rep = SpechtRep(lam, n, dim, tuple(gens))
     failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)},
                                 RationalMatrix.identity(dim), f"S^{lam}")
     if failures:
@@ -238,6 +228,18 @@ def _rep_elements(group: GroupTable, gen_mats, dim):
     for b, (j, a) in itertools.islice(group.tree.items(), 1, None):
         rho[b] = gen_mats[j] * rho[a]
     return rho
+
+
+def group_failures(group: GroupTable, gen_mats, dim, where) -> list:
+    """The generators j for which rho(g_j) rho(a) = rho(g_j a) fails at
+    some element a, rho built along the group's tree from ``gen_mats``, as
+    messages.  None fail exactly when the matrices represent the group: by
+    induction on word length, every word then multiplies out to the matrix
+    of its element."""
+    rho = _rep_elements(group, gen_mats, dim)
+    return [f"group relations fail at {where} for generator {j}"
+            for j, (g, row) in enumerate(zip(gen_mats, group.left))
+            if any(not (g * rho[a] == rho[b]) for a, b in enumerate(row))]
 
 
 def regular_rep_matrices(group: GroupTable):

@@ -86,12 +86,14 @@ from fimlab.modules import (
 )
 from fimlab.symrep import (
     GroupRep,
+    SpechtRep,
     _rep_elements,
     check_partition,
     coxeter_failures,
     hook_length_dim,
     regular_rep_matrices,
     specht,
+    standard_tableaux,
 )
 
 
@@ -1553,3 +1555,113 @@ def decompose(rep: ProductRep) -> dict:
             f"multiplicities account for dim {total_dim}, rep has dim {rep.dim}"
         )
     return result
+
+
+# -- Specht matrices and the group check by elimination -----------------------
+
+
+def _tabloids(lam, n):
+    """All tabloids: tuples of sorted row tuples partitioning [n]."""
+
+    def fill(avail, row):
+        if row == len(lam):
+            return [()]
+        res = []
+        for combo in itertools.combinations(sorted(avail), lam[row]):
+            rest = frozenset(avail - set(combo))
+            for tail in fill(rest, row + 1):
+                res.append((combo,) + tail)
+        return res
+
+    return sorted(fill(frozenset(range(1, n + 1)), 0))
+
+
+def _moved_tabloid(move: dict, tab) -> tuple:
+    """The tabloid of the tableau ``tab`` with each entry x replaced by
+    move.get(x, x)."""
+    return tuple(tuple(sorted(move.get(x, x) for x in row)) for row in tab)
+
+
+def _column_terms(tab):
+    """(pi, sign of pi) for every pi in the column group of ``tab``, each pi
+    a dict, enumerated column by column with signs by inversion count."""
+    cols = [[row[j] for row in tab if len(row) > j] for j in range(len(tab[0]))]
+    for images in itertools.product(*(itertools.permutations(c) for c in cols)):
+        sign = 1
+        for col, img in zip(cols, images):
+            pos = [col.index(y) for y in img]
+            sign *= (-1) ** sum(a > b for a, b in itertools.combinations(pos, 2))
+        yield {a: b for col, img in zip(cols, images) for a, b in zip(col, img)}, sign
+
+
+def polytabloid_matrix(lam):
+    """The tabloids of shape lam, sorted, and the dim x #tabloids matrix
+    whose row T is the polytabloid e_T of the T-th standard tableau, from
+    this file's own column groups."""
+    n = sum(lam)
+    tabs = standard_tableaux(lam)
+    tabloids = _tabloids(lam, n)
+    tab_index = {t: i for i, t in enumerate(tabloids)}
+
+    def polytabloid_vec(tab):
+        vec = [Fraction(0)] * len(tabloids)
+        for perm_map, sign in _column_terms(tab):
+            moved = _moved_tabloid(perm_map, tab)
+            vec[tab_index[moved]] += sign
+        return vec
+
+    return tabloids, RationalMatrix([polytabloid_vec(t) for t in tabs])
+
+
+def specht_by_solve(lam) -> SpechtRep:
+    """S^lam with each swap matrix solved for in all #tabloids coordinates:
+    the swapped polytabloids against the standard ones, by elimination."""
+    lam = check_partition(lam) if lam else ()
+    n = sum(lam)
+    if n == 0:
+        return SpechtRep((), 0, 1, ())
+    tabs = standard_tableaux(lam)
+    tabloids, basis = polytabloid_matrix(lam)  # dim x #tabloids
+    tab_index = {t: i for i, t in enumerate(tabloids)}
+    dim = len(tabs)
+    bt = basis.transpose()
+    gens = []
+    for k in range(1, n):
+        swap = {k: k + 1, k + 1: k}
+        prow_index = [tab_index[_moved_tabloid(swap, t)] for t in tabloids]
+        # permutation action on tabloid coordinates: (P v)[new] = v[old]
+        action_bt_cols = []
+        for col in range(dim):
+            vec = bt.col(col)
+            out = [Fraction(0)] * len(tabloids)
+            for old, x in enumerate(vec):
+                if x:
+                    out[prow_index[old]] += x
+            action_bt_cols.append(out)
+        rhs = RationalMatrix(
+            [[action_bt_cols[c][r] for c in range(dim)] for r in range(len(tabloids))]
+        )
+        mat = solve_matrix(bt, rhs)
+        if mat is None:
+            raise AssertionError("polytabloid span was not stable under the swap")
+        gens.append(mat)
+    rep = SpechtRep(lam, n, dim, tuple(gens))
+    expected = hook_length_dim(lam)
+    if dim != expected:
+        raise AssertionError(
+            f"standard tableau count {dim} disagrees with hook formula {expected}"
+        )
+    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)},
+                                RationalMatrix.identity(dim), f"S^{lam}")
+    if failures:
+        raise ValueError(failures[0])
+    return rep
+
+
+def is_representation_by_fixed_space(group: GroupTable, gen_mats, dim: int) -> bool:
+    """Whether the generator matrices represent the group, by the fixed
+    space of L(g) x rho(g) on kG x V: it is the functions with f(gh) =
+    rho(g) f(h), and it has dimension dim V exactly when rho respects every
+    relation of G."""
+    pairs = [kron(l, r) for l, r in zip(regular_rep_matrices(group), gen_mats)]
+    return _fixed_space(group.order * dim, pairs).dim == dim

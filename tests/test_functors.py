@@ -366,17 +366,28 @@ def test_aut_swaps_are_aut_table_generators_in_order(s):
 
 def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
     """Invariants are read off the generators: M(lambda), E(lambda) and
-    F_s(W) list no element of Aut x G."""
+    F_s(W) list no element of Aut x G.  M(lambda) lists the elements of G
+    alone, once, to check that ``g_rep`` represents G."""
     s3 = GroupTable.symmetric(3)
     regular = regular_rep(s3)
     w_rs = ind(make_free((0,), Window((1,)), TRIV), rs_group((3,), TRIV))
+    listed = []
+    rep_elements = symrep._rep_elements
+
+    def g_only(group, *args):
+        listed.append(group)
+        if group != s3:
+            raise AssertionError("group elements enumerated")
+        return rep_elements(group, *args)
 
     def refuse(*args):
         raise AssertionError("group elements enumerated")
 
     monkeypatch.setattr(TruncatedModule, "group_elements_at", refuse)
-    monkeypatch.setattr(symrep, "_rep_elements", refuse)
+    monkeypatch.setattr(symrep, "_rep_elements", g_only)
     assert make_induced(((2, 1),), Window((3,)), s3, g_rep=regular).dims[(3,)] == 12
+    assert listed == [s3]
+    monkeypatch.setattr(symrep, "_rep_elements", refuse)
     assert make_coinduced(((2, 1), (1,)), Window((3, 1)), s3).dims[(3, 1)] == 2
     assert induced_module((3,), (1,), w_rs, TRIV, Window((3, 1)))[0].dims[(3, 1)] == 6
 

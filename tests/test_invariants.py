@@ -57,8 +57,6 @@ GENERAL_SOLVES = {
         "the radical lift that seeds the Newton iteration",
     ("theorems.py", "_min_poly_in_algebra", "solve"):
         "powers of an algebra element, which are not an RREF basis",
-    ("symrep.py", "specht", "solve_matrix"):
-        "the swap action on the polytabloid basis, which is not in RREF",
 }
 
 

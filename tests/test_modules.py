@@ -359,7 +359,7 @@ def test_make_induced_rejects_a_group_rep_that_is_not_a_representation():
                          RationalMatrix([[F(0), F(1)], [F(1), F(0)]]))),
     ]
     for bad in bads:
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="group relations fail"):
             make_induced(((1,),), Window((3,)), bad.group, g_rep=bad)
 
 
@@ -480,6 +480,13 @@ def _second_generator_sign():
         actions[("grp", 0, n)] = RationalMatrix([[1]])
         actions[("grp", 1, n)] = RationalMatrix([[-1]])
     return TruncatedModule(Window((1,)), GroupTable.symmetric(3), {(0,): 1, (1,): 1}, actions)
+
+
+def test_validate_names_each_failing_group_generator_once():
+    failures = _second_generator_sign().validate().failures
+    assert len(failures) == len(set(failures))
+    for n in ((0,), (1,)):
+        assert any(f.startswith(f"group relations fail at {n}") for f in failures)
 
 
 @st.composite

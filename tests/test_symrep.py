@@ -2,10 +2,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fimlab.category import GroupTable
 from fimlab.linalg import RationalMatrix
-from fimlab.symrep import hook_length_dim, regular_rep_matrices, specht, standard_tableaux
+from fimlab.symrep import (
+    group_failures,
+    hook_length_dim,
+    regular_rep_matrices,
+    specht,
+    standard_tableaux,
+)
 
 from oracles import (
     CharacterVector,
@@ -16,10 +24,13 @@ from oracles import (
     class_representative,
     cycle_type_class_size,
     decompose,
+    is_representation_by_fixed_space,
     matrix_of_perm,
     mn_character,
     partitions_of,
+    polytabloid_matrix,
     rational_character_table,
+    specht_by_solve,
     trace,
 )
 
@@ -65,6 +76,68 @@ def test_specht_standard_rep_s3():
 def test_specht_dim_squares_sum_to_group_order():
     for n in range(1, 7):
         assert sum(specht(lam).dim ** 2 for lam in partitions_of(n)) == factorial(n)
+
+
+SMALL_PARTITIONS = [lam for n in range(8) for lam in partitions_of(n)]
+
+
+@pytest.mark.parametrize("lam", SMALL_PARTITIONS + [(3, 3, 2)], ids=str)
+def test_specht_equals_the_solve_in_every_tabloid_coordinate(lam):
+    """Substitution at the standard tabloids gives the swap matrices that
+    eliminating over all tabloids gives, entry for entry."""
+    assert specht(lam).gens == specht_by_solve(lam).gens
+
+
+@pytest.mark.parametrize("lam", [lam for lam in SMALL_PARTITIONS if lam], ids=str)
+def test_standard_polytabloids_are_unitriangular_at_the_standard_tabloids(lam):
+    """The fact ``specht`` substitutes through, read off the full
+    polytabloid matrix: at the tabloids of the standard tableaux, in
+    ``standard_tableaux`` order, the polytabloid of the i-th standard
+    tableau has 1 at i and 0 before it."""
+    tabloids, basis = polytabloid_matrix(lam)
+    block = basis.columns([tabloids.index(t) for t in standard_tableaux(lam)])
+    assert block.den == 1
+    for i, row in enumerate(block.rows):
+        assert row[i] == 1 and not any(row[:i])
+
+
+@st.composite
+def _group_matrices(draw):
+    """A group among 1, C2, C3 and S3 with the generator matrices of its
+    regular, trivial or sign representation, or random ones with entries in
+    -1..1 in dimension 1 or 2; in half the draws one entry is moved by 1."""
+    group = draw(st.sampled_from((GroupTable.trivial(), GroupTable.cyclic(2),
+                                  GroupTable.cyclic(3), GroupTable.symmetric(3))))
+    k = len(group.generators)
+    kind = draw(st.sampled_from(("regular", "trivial", "sign", "random")))
+    if kind == "regular":
+        dim, mats = group.order, list(regular_rep_matrices(group))
+    elif kind == "random":
+        dim = draw(st.integers(1, 2))
+        row = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+        mats = [RationalMatrix(draw(st.lists(row, min_size=dim, max_size=dim)))
+                for _ in range(k)]
+    else:
+        dim, mats = 1, [RationalMatrix([[1 if kind == "trivial" else -1]])] * k
+    if k and draw(st.booleans()):
+        j, r, c = (draw(st.integers(0, b - 1)) for b in (k, dim, dim))
+        rows = [list(x) for x in mats[j].rows]
+        rows[r][c] += draw(st.sampled_from((-1, 1)))
+        mats[j] = RationalMatrix(rows)
+    return group, mats, dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(_group_matrices())
+@example((GroupTable.cyclic(3), [RationalMatrix([[-1]])], 1))
+@example((GroupTable.symmetric(3), [RationalMatrix([[1, 0], [0, -1]]),
+                                    RationalMatrix([[0, 1], [1, 0]])], 2))
+def test_group_failures_agree_with_the_fixed_space(case):
+    """The generator check refuses exactly the matrices whose L(g) x rho(g)
+    fixed space on kG x V is not of dimension dim V."""
+    group, mats, dim = case
+    ok = group_failures(group, mats, dim, "V") == []
+    assert ok == is_representation_by_fixed_space(group, mats, dim)
 
 
 def test_class_representative_and_sizes():
