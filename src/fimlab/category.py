@@ -388,8 +388,8 @@ def generator_index_map(n: Obj, key) -> tuple:
 def aut_orbit_table(a: Obj, b: Obj) -> tuple:
     """The orbits of Aut(a) on Inj(a, b), beta -> beta o sigma, as
     ``(reps, split)``: ``reps`` lists each orbit's lowest basis index, and
-    ``split[bi]`` is ``(o, tau, tau_inv)`` with the bi-th injection beta =
-    r_o o tau, tau and its inverse by their index in Inj(a, a).  The basis
+    ``split[bi]`` is ``(o, tau)`` with the bi-th injection beta = r_o o tau,
+    tau by its index in Inj(a, a).  The basis
     is lexicographic on image tuples, so r_o is the orbit's one
     order-preserving injection and tau(x) is the rank of beta(x) in beta's
     image."""
@@ -402,8 +402,7 @@ def aut_orbit_table(a: Obj, b: Obj) -> tuple:
             orbit_of[ranked] = len(reps)
             reps.append(bi)
         tau = tuple(tuple(r.index(p) + 1 for p in img) for r, img in zip(ranked, maps))
-        inv = tuple(tuple(img.index(x) + 1 for x in range(1, len(img) + 1)) for img in tau)
-        split.append((orbit_of[ranked], auts[tau], auts[inv]))
+        split.append((orbit_of[ranked], auts[tau]))
     return tuple(reps), tuple(split)
 
 

@@ -51,8 +51,7 @@ from .modules import (
     restrict_window,
     submodule_from_stable_subspaces,
 )
-from .symrep import (GroupRep, coxeter_failures, group_failures, regular_rep_matrices, specht,
-                     _rep_elements)
+from .symrep import GroupRep, coxeter_failures, group_failures, regular_rep_matrices, specht
 
 
 def normalize_subset(S, m: int) -> tuple:
@@ -343,10 +342,25 @@ def _orbits(s, s_part) -> tuple:
     return aut_orbit_table(s, s_part) if leq(s, s_part) else ((), ())
 
 
-def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
-             name: str = "") -> TruncatedModule:
-    """:func:`induced_module` without the inclusion.  It reads W only at the
-    swaps of Aut(s) (:func:`_swap_values`) where W(t) is nonzero."""
+def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
+                   window: Window, name: str = "") -> TruncatedModule:
+    """F_s(W): the induced module of an R_s-module along the coordinate
+    subset S.
+
+    ``w_rs`` lives over the complement coordinates and carries the product
+    group Aut(s) x G (aut generators first).  The value at (s' x t) is the
+    vectors of Inj(s, s') x W(t) fixed by each swap sigma of Aut(s),
+    beta -> beta o sigma paired with W(sigma), written down: Aut(s) acts
+    freely, so basis vector (O, k) of an orbit O with lowest injection r
+    (:func:`aut_orbit_table`) is e_k at r and W(tau)^-1 e_k at r o tau.
+    These are the RREF basis rows of the fixed space, as the orbits are
+    disjoint and r's block comes first in O.  An S-coordinate generator g
+    sends (O, k) to W(tau) e_k in the orbit of r', where g o r = r' o tau;
+    a complement or group generator acts as W(g) on each orbit.  So W is
+    read only at the swaps of Aut(s) (:func:`_swap_values`) where W(t) is
+    nonzero; a W whose Aut(s) generators are not a representation raises
+    ValueError.
+    """
     m = window.m
     S = normalize_subset(S, m)
     not_S = complement_subset(S, m)
@@ -395,7 +409,7 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
             vals = values[t_src]
             blocks = {}
             for o, r in enumerate(reps):
-                p, tau, _ = split[step[r]]
+                p, tau = split[step[r]]
                 blocks[p] = (o, vals[tau])
             actions[key] = _block_monomial(blocks, len(tgt_reps), len(reps), d_w)
         else:
@@ -410,50 +424,10 @@ def _induced(s, S, w_rs: TruncatedModule, group: GroupTable, window: Window,
                            name or f"F_{s}({w_rs.name})")
 
 
-def induced_module(s, S, w_rs: TruncatedModule, group: GroupTable,
-                   window: Window, name: str = "") -> tuple:
-    """F_s(W): the induced module of an R_s-module along the coordinate
-    subset S, with its inclusion into the unsymmetrized module.
-
-    ``w_rs`` lives over the complement coordinates and carries the product
-    group Aut(s) x G (aut generators first).  The value at (s' x t) is the
-    vectors of Inj(s, s') x W(t) fixed by each swap sigma of Aut(s),
-    beta -> beta o sigma paired with W(sigma), written down: Aut(s) acts
-    freely, so basis vector (O, k) of an orbit O with lowest injection r
-    (:func:`aut_orbit_table`) is e_k at r and W(tau)^-1 e_k at r o tau.
-    These are the RREF basis rows of the fixed space, as the orbits are
-    disjoint and r's block comes first in O.  An S-coordinate generator g
-    sends (O, k) to W(tau) e_k in the orbit of r', where g o r = r' o tau;
-    a complement or group generator acts as W(g) on each orbit.  A W whose
-    Aut(s) generators are not a representation raises ValueError.
-
-    Returns (module, inclusion), the inclusion as its blocks {n: matrix}
-    into Inj(s, s') x W(t), injection-major.
-    """
-    mod = _induced(s, S, w_rs, group, window, name)
-    S = normalize_subset(S, window.m)
-    not_S = complement_subset(S, window.m)
-    s = tuple(s)
-    aut = rs_group(s, GroupTable.trivial())
-    values, inclusion = {}, {}
-    for n in window.objects():
-        s_part, t_part = split_obj(n, S, not_S)
-        reps, split = _orbits(s, s_part)
-        d_w = w_rs.dims[t_part]
-        if split and t_part not in values:
-            # every W(tau), along the tree of Aut(s) x 1 over its swaps
-            swaps = [w_rs.actions[("grp", j, t_part)] for j in range(len(aut.generators))]
-            values[t_part] = _rep_elements(aut, swaps, d_w)
-        blocks = {bi: (o, values[t_part][tau_inv])
-                  for bi, (o, _, tau_inv) in enumerate(split)}
-        inclusion[n] = _block_monomial(blocks, len(split), len(reps), d_w)
-    return mod, inclusion
-
-
 def make_induced(lambdas, window: Window, group: GroupTable | None = None,
                  g_rep=None, name: str = "") -> TruncatedModule:
     """M(lambda) = F_n(X), n = |lambda|: F_s of :func:`induced_module` along
-    every coordinate, without its inclusion, of the FI^0 module X = (outer
+    every coordinate, of the FI^0 module X = (outer
     Specht product) x (group rep) on which Aut(n) acts by the Specht swaps
     and G by ``g_rep``.
 
@@ -483,7 +457,7 @@ def make_induced(lambdas, window: Window, group: GroupTable | None = None,
     name = name or f"M{lambdas}"
     if not window.m:  # F_() is the identity on FI^0 modules
         return TruncatedModule(window, group, x.dims, x.actions, pres, name)
-    mod = _induced(n, range(1, window.m + 1), x, group, window, name)
+    mod = induced_module(n, range(1, window.m + 1), x, group, window, name)
     mod.presentation = pres
     return mod
 

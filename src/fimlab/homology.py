@@ -41,11 +41,11 @@ from .modules import (
 )
 from .functors import (
     complement_subset,
+    induced_module,
     interleave,
     normalize_subset,
     rs_group,
     split_obj,
-    _induced,
     _orbits,
 )
 
@@ -237,8 +237,6 @@ class TorsionVerdict:
     S: tuple
     spaces: dict
     status: str
-    module: TruncatedModule
-    inclusion: ModuleMap
 
     def is_zero(self) -> bool:
         return all(s.dim == 0 for s in self.spaces.values())
@@ -271,8 +269,9 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
 
     The family is action-stable as it stands: a morphism n -> p followed by
     an injection p -> top_S(p) is an injection n -> top_S(p), which factors
-    through an injection n -> top_S(n), so it carries T(n) into T(p).
-    ``submodule_from_stable_subspaces`` raises if it were ever not.
+    through an injection n -> top_S(n), so it carries T(n) into T(p), and
+    ``submodule_from_stable_subspaces`` builds the torsion submodule from
+    ``spaces``.
     """
     S = normalize_subset(S, v.m)
     bound = v.window.bound
@@ -290,13 +289,7 @@ def detect_torsion(v: TruncatedModule, S) -> TorsionVerdict:
             spaces[n] = kernel_basis(step)
         else:
             spaces[n] = kernel_basis(quotient_map(v.dims[up], above) * step)
-    status = _status(v, relations=True)
-    slots = [(n, None) for n in v.window.objects_by_degree() if spaces[n].dim > 0]
-    tor_pres = Presentation.make(slots, None)
-    mod, incl = submodule_from_stable_subspaces(
-        v, spaces, tor_pres, f"tors_{S}({v.name})" if v.name else ""
-    )
-    return TorsionVerdict(S, spaces, status, mod, incl)
+    return TorsionVerdict(S, spaces, _status(v, relations=True))
 
 
 def family_coordinates(outer: dict, inner: dict) -> dict | None:
@@ -371,7 +364,7 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
-    fsw = _induced(s, S, witness, v.group, v.window)
+    fsw = induced_module(s, S, witness, v.group, v.window)
     order = count_injections(s, s)
     s_window = Window(tuple(v.window.bound[i - 1] for i in S))
     walks = {}

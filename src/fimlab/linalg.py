@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 _ZERO = Fraction(0)
@@ -280,10 +280,12 @@ class RationalMatrix:
     def columns(self, cols) -> "RationalMatrix":
         """The submatrix of the given columns, in the given order."""
         cols = tuple(cols)
-        return _reduced(
-            tuple(tuple(row[j] for j in cols) for row in self.rows),
-            self.den, self.nrows, len(cols),
-        )
+        if len(cols) > 1:
+            pick = itemgetter(*cols)
+            rows = tuple(map(pick, self.rows))
+        else:  # itemgetter of one column returns an entry, of none fails
+            rows = tuple((row[cols[0]],) if cols else () for row in self.rows)
+        return _reduced(rows, self.den, self.nrows, len(cols))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.rows)

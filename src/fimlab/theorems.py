@@ -56,10 +56,10 @@ from .functors import (
     canonical_map,
     complement_subset,
     ind,
+    induced_module,
     normalize_subset,
     shift_prod,
     split_obj,
-    _induced,
     _orbits,
 )
 from .homology import (
@@ -90,14 +90,12 @@ def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0) -> ModuleMap
     for mp in maps:
         if mp.is_iso():
             return mp
+    if not maps:
+        return None
     rng = random.Random(seed)
     for _ in range(ISO_TRIES):
-        combo = None
-        for mp in maps:
-            c = Fraction(rng.randint(-3, 3))
-            piece = mp.scale(c)
-            combo = piece if combo is None else combo.add(piece)
-        if combo is not None and combo.is_iso():
+        combo = _map_from_coords([Fraction(rng.randint(-3, 3)) for _ in maps], maps)
+        if combo.is_iso():
             return combo
     return None
 
@@ -245,6 +243,13 @@ class _Inconclusive(Exception):
     pass
 
 
+def _zero_embedding(x: TruncatedModule):
+    """(members, embedding, target) of a module that needs no member: the
+    zero map into the zero module."""
+    z = zero_module(x.window, x.group)
+    return [], ModuleMap.zero(x, z), z
+
+
 def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     """Embed a finite-dimensional module into co-free members: one E(l)
     (tensored with kG over a nontrivial group) per basis vector j of each
@@ -255,8 +260,7 @@ def _finite_dim_embedding(x: TruncatedModule, group: GroupTable):
     window = x.window
     support = [n for n in window.objects_by_degree() if x.dims[n] > 0]
     if not support:
-        z = zero_module(window, x.group)
-        return [], ModuleMap.zero(x, z), z
+        return _zero_embedding(x)
     descs = {l: UMemberDesc(tuple(("cofree", li) for li in l),
                             with_group=not x.group.is_trivial()) for l in support}
     built = {l: build_member(desc, window, x.group) for l, desc in descs.items()}
@@ -318,8 +322,7 @@ def _cogenerate_inner(v: TruncatedModule, max_shift: int, seed: int):
     m = v.m
     group = v.group
     if v.is_zero():
-        z = zero_module(v.window, group)
-        return [], ModuleMap.zero(v, z), z, v.window
+        return (*_zero_embedding(v), v.window)
     if m == 0:
         phi, _ = averaging_splitting(v)
         d = v.dims[()]
@@ -348,8 +351,7 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
     """Embed x along a nested chain [(j, family), ...]; the quotient at each
     level is a {j}-torsion-free layer, the bottom is finite dimensional."""
     if x.is_zero():
-        z = zero_module(x.window, x.group)
-        return [], ModuleMap.zero(x, z), z
+        return _zero_embedding(x)
     if not chain:
         return _finite_dim_embedding(x, x.group)
     j, family = chain[0]
@@ -406,8 +408,7 @@ def _torsion_free_embedding(q: TruncatedModule, S, max_shift, seed):
     semi-induced certificate."""
     S = normalize_subset(S, q.m)
     if q.is_zero():
-        z = zero_module(q.window, q.group)
-        return [], ModuleMap.zero(q, z), z
+        return _zero_embedding(q)
     tor = detect_torsion(q, S)
     if not tor.is_zero():
         raise _Inconclusive("layer is not torsion-free; filtration unusable")
@@ -435,8 +436,7 @@ def _semi_induced_embedding(x: TruncatedModule, steps, S, max_shift, seed):
     product-form isomorphism; the horseshoe joins it to the rest's
     embedding."""
     if not steps:
-        z = zero_module(x.window, x.group)
-        return [], ModuleMap.zero(x, z), z
+        return _zero_embedding(x)
     not_S = complement_subset(S, x.m)
     members, emb, target = [], None, None
     for step in reversed(steps):
@@ -489,8 +489,8 @@ def _induced_functor_map(s, S, f: ModuleMap, group, window):
     the block at (s' x t) is f_t on each orbit, when f commutes with W's
     Aut(s) generators; otherwise f does not restrict."""
     s = tuple(s)
-    fs_source = _induced(s, S, f.source, group, window)
-    fs_target = _induced(s, S, f.target, group, window)
+    fs_source = induced_module(s, S, f.source, group, window)
+    fs_target = induced_module(s, S, f.target, group, window)
     S = normalize_subset(S, window.m)
     not_S = complement_subset(S, window.m)
     for t in f.source.window.objects():

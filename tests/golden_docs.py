@@ -45,7 +45,7 @@ from fimlab.samples import point_module, random_presented_module, truncated_cons
 from fimlab.suites import _thm1_battery, run_all
 from fimlab.theorems import _finite_dim_embedding, cogenerate, end_ring, shift_theorem_search
 
-from oracles import regular_rep, with_trivial_group_action
+from oracles import induced_module_by_fixed_space, regular_rep, with_trivial_group_action
 
 TRIV = GroupTable.trivial()
 GROUPS = {"1": TRIV, "S2": GroupTable.symmetric(2), "C3": GroupTable.cyclic(3)}
@@ -183,10 +183,11 @@ def _induced_modules():
                                                  rs_group((2, 1), group))),
             ]
         for s, S, bound, w_rs in cases:
-            mod, incl = induced_module(s, S, w_rs, group, Window(bound))
+            mod = induced_module(s, S, w_rs, group, Window(bound))
+            _, incl = induced_module_by_fixed_space(s, S, w_rs, group, Window(bound))
             tag = f"induced_module/{gname}/{s}/{S}"
             yield f"{tag}/module", mod.to_json()
-            yield f"{tag}/inclusion", _block_dict(incl)
+            yield f"{tag}/inclusion", _block_dict(incl.blocks)
 
 
 def _structure(data) -> str:

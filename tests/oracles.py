@@ -41,7 +41,6 @@ from fimlab.functors import (
     canonical_map,
     complement_subset,
     derivative,
-    induced_module,
     interleave,
     kernel_functor,
     normalize_subset,
@@ -869,7 +868,7 @@ def counit_blocks_by_evaluate(v: TruncatedModule, s, S, witness: TruncatedModule
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     s = tuple(s)
-    _, fsw_incl = induced_module(s, S, witness, v.group, v.window)
+    _, fsw_incl = induced_module_by_fixed_space(s, S, witness, v.group, v.window)
     blocks = {}
     for n in v.window.objects():
         s_part, t_part = split_obj(n, S, not_S)
@@ -881,7 +880,7 @@ def counit_blocks_by_evaluate(v: TruncatedModule, s, S, witness: TruncatedModule
                                            interleave(S, not_S, beta.maps, ident), 0))
                 cols += [act.col(c) for c in range(witness.dims[t_part])]
         block = RationalMatrix(cols, len(cols), v.dims[n]).transpose()
-        blocks[n] = block * fsw_incl[n]
+        blocks[n] = block * fsw_incl.blocks[n]
     return blocks
 
 

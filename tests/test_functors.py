@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fimlab
 from fimlab import linalg, symrep
 from fimlab.category import (
     GroupTable,
@@ -266,7 +269,7 @@ def test_induced_module_unit_case():
     # s = (1) with trivial Aut: F_s(M(1) over the other coordinate) = M((1,1))
     w1 = Window((2,))
     w_rs = make_free((1,), w1, rs_group((1,), TRIV))
-    out, _ = induced_module((1,), (1,), w_rs, TRIV, Window((2, 2)))
+    out = induced_module((1,), (1,), w_rs, TRIV, Window((2, 2)))
     f = make_free((1, 1), Window((2, 2)), TRIV)
     assert out.dims == f.dims
     assert out.validate().ok
@@ -280,7 +283,7 @@ def test_induced_module_regular_aut_input_is_product():
     g_rs = rs_group(s, TRIV)
     w_prime = make_free((0,), Window((2,)), TRIV)
     w_rs = ind(w_prime, g_rs)  # regular Aut(s)-action
-    out, _ = induced_module(s, (1,), w_rs, TRIV, Window((3, 2)))
+    out = induced_module(s, (1,), w_rs, TRIV, Window((3, 2)))
     ms = make_free((2,), Window((3,)), TRIV)
     tensor = external_tensor(ms, w_prime)
     assert out.dims == tensor.dims
@@ -300,8 +303,8 @@ def test_f_s_preserves_surjections():
 
     spaces = close_under_actions(big, {(1,): Subspace.full(big.dims[(1,)])})
     small, proj = quotient(big, spaces)
-    fs_big, _ = induced_module(s, (1,), big, TRIV, Window((2, 2)))
-    fs_small, _ = induced_module(s, (1,), small, TRIV, Window((2, 2)))
+    fs_big = induced_module(s, (1,), big, TRIV, Window((2, 2)))
+    fs_small = induced_module(s, (1,), small, TRIV, Window((2, 2)))
     assert all(
         fs_big.dims[n] >= fs_small.dims[n] for n in fs_big.window.objects()
     )
@@ -367,12 +370,17 @@ def test_aut_swaps_are_aut_table_generators_in_order(s):
 def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
     """Invariants are read off the generators: M(lambda), E(lambda) and
     F_s(W) list no element of Aut x G.  M(lambda) lists the elements of G
-    alone, once, to check that ``g_rep`` represents G."""
+    alone, once, to check that ``g_rep`` represents G.  Every fimlab module
+    that binds ``_rep_elements`` has its binding patched."""
     s3 = GroupTable.symmetric(3)
     regular = regular_rep(s3)
     w_rs = ind(make_free((0,), Window((1,)), TRIV), rs_group((3,), TRIV))
     listed = []
     rep_elements = symrep._rep_elements
+    binders = [mod for mod in (importlib.import_module(f"fimlab.{info.name}")
+                               for info in pkgutil.iter_modules(fimlab.__path__))
+               if hasattr(mod, "_rep_elements")]
+    assert symrep in binders
 
     def g_only(group, *args):
         listed.append(group)
@@ -383,13 +391,17 @@ def test_induced_constructors_enumerate_no_group_elements(monkeypatch):
     def refuse(*args):
         raise AssertionError("group elements enumerated")
 
+    def patch(fn):
+        for mod in binders:
+            monkeypatch.setattr(mod, "_rep_elements", fn)
+
     monkeypatch.setattr(TruncatedModule, "group_elements_at", refuse)
-    monkeypatch.setattr(symrep, "_rep_elements", g_only)
+    patch(g_only)
     assert make_induced(((2, 1),), Window((3,)), s3, g_rep=regular).dims[(3,)] == 12
     assert listed == [s3]
-    monkeypatch.setattr(symrep, "_rep_elements", refuse)
+    patch(refuse)
     assert make_coinduced(((2, 1), (1,)), Window((3, 1)), s3).dims[(3, 1)] == 2
-    assert induced_module((3,), (1,), w_rs, TRIV, Window((3, 1)))[0].dims[(3, 1)] == 6
+    assert induced_module((3,), (1,), w_rs, TRIV, Window((3, 1))).dims[(3, 1)] == 6
 
 
 def test_shift_preserves_exactness():
@@ -422,7 +434,7 @@ def test_fs_universal_property_dimensions():
     S = (1,)
     g_rs = rs_group(s, TRIV)
     w_rs = make_free((1,), Window((2,)), g_rs)
-    fsw, _ = induced_module(s, S, w_rs, TRIV, Window((2, 2)))
+    fsw = induced_module(s, S, w_rs, TRIV, Window((2, 2)))
     for target_obj in ((1, 1), (0, 0)):
         n_mod = make_free(target_obj, Window((2, 2)), TRIV)
         lhs = len(hs(fsw, n_mod))
@@ -450,7 +462,7 @@ def test_induced_module_at_zero_object_is_constant_along_s():
     w_rs = with_trivial_group_action(
         make_free((1,), Window((2,)), TRIV), rs_group((0,), TRIV)
     )
-    out, _ = induced_module((0,), (1,), w_rs, TRIV, Window((2, 2)))
+    out = induced_module((0,), (1,), w_rs, TRIV, Window((2, 2)))
     for s_level in range(3):
         for t in range(3):
             assert out.dims[(s_level, t)] == w_rs.dims[(t,)]
@@ -466,7 +478,7 @@ def test_induced_module_matches_make_induced():
     # W = trivial S_2-rep tensor the constant module on the complement
     g_rs = rs_group((2,), TRIV)
     w_rs = with_trivial_group_action(make_free((0,), Window((2,)), TRIV), g_rs)
-    fs, _ = induced_module((2,), (1,), w_rs, TRIV, Window((3, 2)))
+    fs = induced_module((2,), (1,), w_rs, TRIV, Window((3, 2)))
     direct = make_induced(((2,), ()), Window((3, 2)), TRIV)
     assert fs.dims == direct.dims
     maps = hom_space(fs, direct)
@@ -607,7 +619,8 @@ def _induced_cases():
 def test_induced_module_matches_the_permutation_construction(case):
     s, S, bound, group, w_rs = case
     window = Window(bound)
-    mod, incl = induced_module(s, S, w_rs, group, window)
+    mod = induced_module(s, S, w_rs, group, window)
+    incl = induced_module_by_fixed_space(s, S, w_rs, group, window)[1].blocks
     spaces, actions = _induced_by_permutations(s, S, w_rs, group, window)
     big = TruncatedModule(window, group, {n: sp.ambient_dim for n, sp in spaces.items()},
                           actions)
@@ -641,13 +654,12 @@ def _induced_inputs(draw):
 @given(_induced_inputs())
 def test_induced_module_matches_the_fixed_space_byte_for_byte(case):
     """The orbit-sum basis written down is the reduced row echelon basis of
-    the fixed space that F_s(W) was solved for: the module JSON and the
-    inclusion blocks agree byte for byte."""
+    the fixed space that F_s(W) was solved for: the module JSON agrees
+    byte for byte."""
     s, S, w_rs, group, window = case
-    mod, incl = induced_module(s, S, w_rs, group, window)
-    ref, ref_incl = induced_module_by_fixed_space(s, S, w_rs, group, window)
+    mod = induced_module(s, S, w_rs, group, window)
+    ref, _ = induced_module_by_fixed_space(s, S, w_rs, group, window)
     assert mod.to_json() == ref.to_json()
-    assert incl == ref_incl.blocks
 
 
 def _hom_test_modules(kind, window, seed):

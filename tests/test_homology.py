@@ -12,11 +12,13 @@ from fimlab.modules import (
     direct_sum,
     external_tensor,
     make_cofree,
+    make_coinduced,
     make_free,
     NaturalitySolver,
     Presentation,
     TruncatedModule,
     quotient,
+    submodule_from_stable_subspaces,
 )
 from fimlab.functors import derivative_sum, ind, kernel_sum, make_induced, shift
 from fimlab.homology import (
@@ -85,11 +87,39 @@ def test_detect_torsion_equivalence_with_kernel():
         assert tv.is_zero() == ks.is_zero(), f"seed {seed}"
 
 
-def test_torsion_stable_is_submodule():
-    v = truncated_constant(Window((3,)), 2)
-    tv = detect_torsion(v, (1,))
-    assert tv.module.validate().ok
-    assert tv.inclusion.is_natural()
+@st.composite
+def torsion_modules(draw):
+    """A module of a kind the golden torsion documents pin (random
+    presented, truncated constant, point, co-free), or, on two coordinates
+    or more, M(lambda) on the first (x) E((1,), ...) on the rest; on (3,),
+    (3,3) or (2,2,1), over 1, S2 or C3."""
+    group = draw(st.sampled_from((TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3))))
+    bound = draw(st.sampled_from(((3,), (3, 3), (2, 2, 1))))
+    w = Window(bound)
+    kinds = ("random", "constant", "point", "cofree") + (("tensor",) if w.m > 1 else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        return random_presented_module(w, draw(st.integers(0, 99)), group)
+    if kind == "constant":
+        return truncated_constant(w, draw(st.integers(0, sum(bound))), group)
+    if kind == "point":
+        return point_module(w, group)
+    if kind == "cofree":
+        return make_cofree(draw(st.sampled_from(w.objects())), w, group)
+    lam = draw(st.sampled_from(((1,), (2,), (1, 1))))
+    return external_tensor(make_induced((lam,), Window(bound[:1]), group),
+                           make_coinduced(((1,),) * (w.m - 1), Window(bound[1:])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_modules())
+def test_torsion_stable_is_submodule(v):
+    """For every nonempty S the torsion spaces are action-stable: the
+    submodule they span builds, validates, and its inclusion is natural."""
+    for k in range(1, v.m + 1):
+        for S in combinations(range(1, v.m + 1), k):
+            mod, incl = submodule_from_stable_subspaces(v, detect_torsion(v, S).spaces)
+            assert mod.validate().ok and incl.is_natural()
 
 
 def test_torsion_free_preserved_by_shift():

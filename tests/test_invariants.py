@@ -423,11 +423,12 @@ def test_hom_maps_are_built_by_one_helper():
 def test_torsion_takes_one_kernel_per_object_and_no_closure():
     """``detect_torsion`` reads T(n) off T(n + o_i) as one kernel, and its
     family is action-stable as it stands, so it makes no
-    ``close_under_actions`` pass; the composite-chain route lives in
-    ``tests/oracles.py`` as ``torsion_by_composites``.  ``Subspace.intersect``
-    is one kernel of the two stacked quotient maps, with no second
-    elimination."""
-    assert "close_under_actions" not in _calls_by_function(SOURCE / "homology.py")["detect_torsion"]
+    ``close_under_actions`` pass, and builds no torsion submodule from it;
+    the composite-chain route lives in ``tests/oracles.py`` as
+    ``torsion_by_composites``.  ``Subspace.intersect`` is one kernel of the
+    two stacked quotient maps, with no second elimination."""
+    calls = _calls_by_function(SOURCE / "homology.py")["detect_torsion"]
+    assert not calls & {"close_under_actions", "submodule_from_stable_subspaces"}
     intersect = _calls_by_function(SOURCE / "linalg.py")["Subspace.intersect"]
     assert "kernel_basis" in intersect and "from_spanning" not in intersect
 
@@ -538,12 +539,13 @@ def test_induced_module_is_written_down_not_solved_for():
     """``induced_module`` and every functors.py helper it reaches write the
     orbit-sum basis and its block-monomial actions down by index
     arithmetic, and call none of the solve's steps; the fixed-space route
-    lives in ``tests/oracles.py`` as ``induced_module_by_fixed_space``."""
+    lives in ``tests/oracles.py`` as ``induced_module_by_fixed_space``.
+    They read W at the swaps of Aut(s) and list no element of Aut(s)."""
     calls = _calls_by_function(SOURCE / "functors.py")
     reached = _reached(calls, "induced_module")
-    assert {"_induced", "_swap_values"} <= reached
+    assert "_swap_values" in reached
     assert [f"{name}: {c}" for name in sorted(reached)
-            for c in sorted(calls[name] & set(INDUCED_SOLVE))] == []
+            for c in sorted(calls[name] & {*INDUCED_SOLVE, "_rep_elements"})] == []
 
 
 # The steps of solving for E(lambda): the co-free module at l, its
