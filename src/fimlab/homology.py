@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .category import (
     GroupTable,
@@ -95,15 +96,29 @@ def slice_module(v: TruncatedModule, s, S) -> TruncatedModule:
 
 @dataclass
 class HomologyReport:
+    """H_0 along S counted from ``spaces`` = I_S V, and H_1 once :func:`h1`
+    fills it in.  The quotient V / I_S V (``h0_module``, which ``quotient``
+    checks is action-stable) and its slices are built on first read."""
+
     S: tuple
-    h0_slices: dict
+    v: TruncatedModule
+    spaces: dict
+    h0_dims: dict
+    slice_keys: tuple
     t0: int
     status_t0: str
-    h0_module: TruncatedModule
-    h0_projection: ModuleMap
     t1: int | None = None
     status_t1: str | None = None
     h1_dims: dict | None = None
+
+    @cached_property
+    def h0_module(self) -> TruncatedModule:
+        name = f"H0_{self.S}({self.v.name})" if self.v.name else ""
+        return quotient(self.v, self.spaces, name=name)[0]
+
+    @cached_property
+    def h0_slices(self) -> dict:
+        return {s: slice_module(self.h0_module, s, self.S) for s in self.slice_keys}
 
     def h1_is_zero(self) -> bool:
         if self.h1_dims is None:
@@ -139,32 +154,19 @@ def _status(v: TruncatedModule, relations: bool) -> str:
     return EXACT if fits else WINDOW_BOUNDED
 
 
-def _slices(mod: TruncatedModule, S):
-    """The nonzero S-slices of ``mod`` in increasing degree of the S-part,
-    and the largest such degree (-1 when there is none)."""
-    not_S = complement_subset(S, mod.m)
-    t_window = Window(tuple(mod.window.bound[i - 1] for i in not_S))
-    s_parts = sorted(
-        {split_obj(n, S, not_S)[0] for n in mod.window.objects()},
-        key=lambda s: (degree(s), s),
-    )
-    slices = {}
-    top = -1
-    for s in s_parts:
-        if any(mod.dims[interleave(S, not_S, s, t)] for t in t_window.objects()):
-            slices[s] = slice_module(mod, s, S)
-            top = max(top, degree(s))
-    return slices, top
-
-
 def h0(v: TruncatedModule, S) -> HomologyReport:
-    """H_0 along S: the quotient by the positive-S-degree ideal, sliced;
-    a free V's ideal is read off its summand blocks, with no elimination."""
+    """H_0 along S, counted from dim I_S V: dim V(n) - dim (I_S V)(n) at each
+    n (a free V's I_S is read off its summand blocks), the S-parts where it
+    is nonzero, by degree, then lexicographically, and t0, their top degree.
+    The report builds the quotient and its slices on first read."""
     S = normalize_subset(S, v.m)
+    not_S = complement_subset(S, v.m)
     spaces = {n: positive_degree_image(v, S, n) for n in v.window.objects()}
-    h0mod, proj = quotient(v, spaces, name=f"H0_{S}({v.name})" if v.name else "")
-    slices, t0 = _slices(h0mod, S)
-    return HomologyReport(S, slices, t0, _status(v, relations=False), h0mod, proj)
+    dims = {n: v.dims[n] - space.dim for n, space in spaces.items()}
+    keys = tuple(sorted({split_obj(n, S, not_S)[0] for n, d in dims.items() if d},
+                        key=lambda s: (degree(s), s)))
+    t0 = degree(keys[-1]) if keys else -1
+    return HomologyReport(S, v, spaces, dims, keys, t0, _status(v, relations=False))
 
 
 # -- free covers and H1 -----------------------------------------------------
@@ -207,9 +209,9 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
     (``h1_dims``) and t1, the largest S-degree where it is nonzero (-1 if
     none).  It is counted: pi maps I_S P onto I_S V, so H_0 of K -> P -> V
     -> 0 is exact and dim H_1 = dim H_0(K) - dim H_0(P) + dim H_0(V) at
-    each n.  P is free on its generator slots g, and F(g)(n), of dimension
-    |G| * #Inj(g, n), survives in H_0 exactly when n has g's S-part.
-    ValueError when ``cover`` is not a cover of V."""
+    each n, each dim X(n) - dim (I_S X)(n) with no quotient built.  F(g)(n)
+    (dim |G| * #Inj(g, n)) for a generator slot g of P survives in H_0
+    exactly when n has g's S-part.  ValueError when ``cover`` is not V's."""
     S = normalize_subset(S, v.m)
     not_S = complement_subset(S, v.m)
     if cover is not None and not (cover[1].target is v or cover[1].target == v):
@@ -222,7 +224,7 @@ def h1(v: TruncatedModule, S, cover=None) -> HomologyReport:
         h0_p = sum(count_injections(g, n) for g, _ in p.presentation.generator_slots
                    if split_obj(g, S, not_S)[0] == s_part)
         rep.h1_dims[n] = (k.dims[n] - positive_degree_image(k, S, n).dim
-                          - v.group.order * h0_p + rep.h0_module.dims[n])
+                          - v.group.order * h0_p + rep.h0_dims[n])
     rep.t1 = max((degree(split_obj(n, S, not_S)[0])
                   for n, d in rep.h1_dims.items() if d), default=-1)
     rep.status_t1 = _status(v, relations=True)
@@ -392,13 +394,12 @@ def is_S_induced(v: TruncatedModule, S) -> InducedVerdict:
     S = normalize_subset(S, v.m)
     rep = h0(v, S)
     reasons = []
-    nonzero = sorted(rep.h0_slices.keys())
     if v.is_zero():
         return InducedVerdict(True, None, None, None, rep.status_t0, ["zero module"])
-    if len(nonzero) != 1:
-        reasons.append(f"H0 lives on {len(nonzero)} slices, need exactly 1")
+    if len(rep.slice_keys) != 1:
+        reasons.append(f"H0 lives on {len(rep.slice_keys)} slices, need exactly 1")
         return InducedVerdict(False, None, None, None, rep.status_t0, reasons)
-    s = nonzero[0]
+    s = rep.slice_keys[0]
     witness = slice_module(v, s, S)
     counit, fsw = _counit_map(v, s, S, witness)
     if not counit.is_natural():
@@ -430,7 +431,7 @@ class PeelStep:
 
 
 def _peel(v: TruncatedModule, S, slices) -> PeelStep | None:
-    """One peel step of v from its H_0 slices along S (None if there are none)."""
+    """One peel step of v from its H_0 slices' S-parts (None if there are none)."""
     if not slices:
         return None
     maxdeg = max(degree(s) for s in slices)
@@ -480,7 +481,7 @@ def is_S_semi_induced(v: TruncatedModule, S):
     while ok and not cur.is_zero():
         # a nonzero rest after MAX_PEELS peels is inconclusive, like a
         # peel that finds no slice or a piece that is not induced
-        step = (_peel(cur, S, (h0(cur, S) if steps else rep).h0_slices)
+        step = (_peel(cur, S, (h0(cur, S) if steps else rep).slice_keys)
                 if len(steps) < MAX_PEELS else None)
         if step is None or not step.verdict.ok:
             status = INCONCLUSIVE

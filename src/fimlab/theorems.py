@@ -45,7 +45,6 @@ from .modules import (
     hom_space,
     make_cofree,
     make_free,
-    positive_degree_image,
     quotient,
     restrict_window,
     submodule_from_stable_subspaces,
@@ -69,6 +68,7 @@ from .homology import (
     detect_torsion,
     family_coordinates,
     free_cover,
+    h0,
     is_S_semi_induced,
     tor_filtration,
 )
@@ -387,9 +387,9 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
 
 
 def _h0_dims(v: TruncatedModule) -> dict:
-    """{n: dim H0(V)(n)} over all coordinates, nonzero where V has generators."""
-    full_s = tuple(range(1, v.m + 1))
-    return {n: d - positive_degree_image(v, full_s, n).dim for n, d in v.dims.items()}
+    """{n: dim H0(V)(n)} over all coordinates (:func:`h0`), nonzero where V
+    has generators; V's own dims when it has no coordinates."""
+    return h0(v, range(1, v.m + 1)).h0_dims if v.m else v.dims
 
 
 def _synth_presentation(mod: TruncatedModule) -> Presentation:
@@ -397,8 +397,8 @@ def _synth_presentation(mod: TruncatedModule) -> Presentation:
     bounded by the window (used only to drive searches; statuses formed
     from it are window-bounded by construction).  The slots are the objects
     where H0 is nonzero (:func:`_h0_dims`)."""
-    h0 = _h0_dims(mod)
-    slots = [(n, None) for n in mod.window.objects_by_degree() if h0[n]]
+    h0_dims = _h0_dims(mod)
+    slots = [(n, None) for n in mod.window.objects_by_degree() if h0_dims[n]]
     return Presentation.make(slots, mod.window.bound, observed_only=True)
 
 

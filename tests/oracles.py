@@ -27,6 +27,7 @@ from fimlab.category import (
     Window,
     add,
     aut_swaps,
+    degree,
     generator_keys,
     injection_index_table,
     key_ends,
@@ -48,6 +49,7 @@ from fimlab.functors import (
     split_obj,
     _induced_presentation,
 )
+from fimlab.homology import _status, slice_module
 from fimlab.linalg import (
     RationalMatrix,
     Subspace,
@@ -846,6 +848,35 @@ def h0_generators_by_images(v: TruncatedModule) -> list:
                 autos, Subspace.from_spanning(d, span.basis.rows + (e,)))
         out.append((n, lifts))
     return out
+
+
+@dataclass
+class QuotientH0:
+    """H_0 along S built outright: the quotient V / I_S V, and one slice
+    module per S-part where it is nonzero."""
+
+    h0_module: TruncatedModule
+    h0_slices: dict
+    t0: int
+    status_t0: str
+
+
+def h0_by_quotient(v: TruncatedModule, S) -> QuotientH0:
+    """H_0 along S as ``homology.h0`` built it before it counted: the
+    quotient by I_S V, and its slices and t0 read off the quotient's dims."""
+    S = normalize_subset(S, v.m)
+    not_S = complement_subset(S, v.m)
+    spaces = {n: positive_degree_image(v, S, n) for n in v.window.objects()}
+    mod, _ = quotient(v, spaces, name=f"H0_{S}({v.name})" if v.name else "")
+    t_window = Window(tuple(mod.window.bound[i - 1] for i in not_S))
+    s_parts = sorted({split_obj(n, S, not_S)[0] for n in mod.window.objects()},
+                     key=lambda s: (degree(s), s))
+    slices, top = {}, -1
+    for s in s_parts:
+        if any(mod.dims[interleave(S, not_S, s, t)] for t in t_window.objects()):
+            slices[s] = slice_module(mod, s, S)
+            top = max(top, degree(s))
+    return QuotientH0(mod, slices, top, _status(v, relations=False))
 
 
 def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:

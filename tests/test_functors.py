@@ -26,13 +26,11 @@ from fimlab.modules import (
     ModuleMap,
     NaturalitySolver,
     TruncatedModule,
-    direct_sum,
     external_tensor,
     hom_space,
     make_cofree,
     make_coinduced,
     make_free,
-    restrict_window,
 )
 from fimlab.functors import (
     aut_table,

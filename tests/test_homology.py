@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fimlab import homology
-from fimlab.category import GroupTable, Window, degree
+from fimlab.category import GroupTable, Window
 from fimlab.linalg import RationalMatrix, Subspace, rank
 from fimlab.modules import (
     close_under_actions,
@@ -571,12 +571,58 @@ def test_observed_presentations_never_claim_exact():
 @given(st.sampled_from(((3,), (2, 2), (3, 2))), st.integers(0, 99),
        st.sampled_from((TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3))))
 def test_h0_dims_are_the_full_h0_module(bound, seed, group):
-    """``theorems._h0_dims``, which end_ring and the synthesized
-    presentations read, is H0 over every coordinate, objectwise."""
-    from fimlab.theorems import _h0_dims
+    """For every nonempty S, H0 counted from dim I_S V (its dims, t0,
+    status and slice S-parts, which h1, the induced tests and end_ring
+    read) is what the quotient V / I_S V built outright gives, and the
+    module and slices the report builds on first read are the oracle's,
+    byte for byte, and valid."""
+    from oracles import h0_by_quotient
 
     v = random_presented_module(Window(bound), seed, group)
-    assert _h0_dims(v) == h0(v, tuple(range(1, v.m + 1))).h0_module.dims
+    for S in (S for r in range(1, v.m + 1) for S in combinations(range(1, v.m + 1), r)):
+        rep, ref = h0(v, S), h0_by_quotient(v, S)
+        assert rep.h0_dims == ref.h0_module.dims
+        assert (rep.t0, rep.status_t0) == (ref.t0, ref.status_t0)
+        assert rep.slice_keys == tuple(ref.h0_slices)
+        assert rep.h0_module.to_json() == ref.h0_module.to_json()
+        assert rep.h0_module.validate().ok
+        assert ({s: m.to_json() for s, m in rep.h0_slices.items()}
+                == {s: m.to_json() for s, m in ref.h0_slices.items()})
+        assert all(m.validate().ok for m in rep.h0_slices.values())
+
+
+def test_library_readers_of_h0_build_no_quotient(monkeypatch):
+    """h1, is_S_induced and end_ring read H0 by its counted fields: every
+    report ``h0`` hands them still has no quotient or slice built, and no
+    quotient is taken along the way.  Every fimlab module that binds
+    ``h0`` or ``quotient`` has its binding patched."""
+    import importlib
+    import pkgutil
+
+    import fimlab
+    from fimlab import theorems
+
+    reports = []
+
+    def spy(v, S):
+        reports.append(h0(v, S))
+        return reports[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an H0 reader built a quotient")
+
+    for info in pkgutil.iter_modules(fimlab.__path__):
+        mod = importlib.import_module(f"fimlab.{info.name}")
+        for name, patch in (("h0", spy), ("quotient", refuse)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, patch)
+    for v in (make_induced(((1,),), Window((3,)), TRIV), make_free((2,), Window((3,)), TRIV)):
+        for call in (lambda: h1(v, (1,)), lambda: is_S_induced(v, (1,)),
+                     lambda: theorems.end_ring(v)):
+            reports.clear()
+            call()
+            assert reports
+            assert not any({"h0_module", "h0_slices"} & set(vars(r)) for r in reports)
 
 
 def test_free_cover_is_minimal_under_automorphisms():
@@ -605,7 +651,7 @@ def _h1_dims_by_solved_section(v, S):
     from fimlab.linalg import RationalMatrix, kernel_basis, solve_matrix
 
     p, _, k, k_incl = free_cover(v)
-    qk, qp = h0(k, S).h0_projection, h0(p, S).h0_projection
+    (_, qk), (_, qp) = quotient(k, h0(k, S).spaces), quotient(p, h0(p, S).spaces)
     dims = {}
     for n in v.window.objects():
         q = qk.blocks[n]
@@ -676,7 +722,7 @@ def test_h0_h1_and_hom_are_additive_over_direct_sums(bound, group, sv, sw, l, da
         a, b = f(v), f(w)
         return {n: a[n] + b[n] for n in a}
 
-    assert h0(vw, S).h0_module.dims == total(lambda u: h0(u, S).h0_module.dims)
+    assert h0(vw, S).h0_dims == total(lambda u: h0(u, S).h0_dims)
     assert h1(vw, S).h1_dims == total(lambda u: h1(u, S).h1_dims)
     assert (NaturalitySolver(vw, x).dim
             == NaturalitySolver(v, x).dim + NaturalitySolver(w, x).dim)
@@ -715,6 +761,6 @@ def test_homology_and_hom_are_invariant_under_permuting_coordinates(v):
         S_p = tuple(sorted(3 - i for i in S))
         a, b = h1(v, S), h1(p, S_p)
         assert (b.t0, b.t1) == (a.t0, a.t1)
-        assert b.h0_module.dims == moved(a.h0_module.dims)
+        assert b.h0_dims == moved(a.h0_dims)
         assert b.h1_dims == moved(a.h1_dims)
         assert detect_torsion(p, S_p).dims() == moved(detect_torsion(v, S).dims())

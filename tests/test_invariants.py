@@ -10,8 +10,9 @@ Hom solver builds its maps in one helper, torsion takes no closure
 pass, only the constructors write a matrix's or a subspace's fields,
 every process-lifetime cache is on the allow-list, induced and
 co-induced modules are written down rather than solved for,
-``end_ring`` walks no cover of its own, and no library path reads a group's
-whole multiplication table."""
+``end_ring`` walks no cover of its own, no library path reads a group's
+whole multiplication table, and no package or test file imports a name it
+never reads."""
 
 import ast
 import importlib
@@ -25,6 +26,7 @@ from fimlab.homology import h0
 from fimlab.modules import _free_tables, make_free
 
 SOURCE = Path(fimlab.__file__).parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_statements_in_package():
@@ -601,3 +603,26 @@ def test_slices_and_induced_modules_build_no_aut_table():
     group = rs_group((6,), GroupTable.trivial())
     assert report.h0_slices[(6,)].group is group and group.order == 720
     assert "mult" not in vars(group)
+
+
+def _unused_imports(path):
+    """Each name a top-level import of one source file binds that no code
+    in the file reads, as file:line:name (``__future__`` flags aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}:{name}" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    """No linter runs here, so this is the unused-import check for the
+    package (``__init__.py`` imports to re-export) and the tests."""
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    found = [u for path in paths + sorted(TESTS.glob("*.py")) for u in _unused_imports(path)]
+    assert found == []

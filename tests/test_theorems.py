@@ -16,7 +16,7 @@ from fimlab.modules import (
     make_coinduced,
 )
 from fimlab.functors import ind, make_induced, res, rs_group
-from fimlab.homology import EXACT, INCONCLUSIVE
+from fimlab.homology import EXACT
 from fimlab.samples import point_module, truncated_constant
 from fimlab.theorems import (
     build_member,
