@@ -56,7 +56,7 @@ from .symrep import GroupRep, coxeter_failures, group_failures, regular_rep_matr
 
 def normalize_subset(S, m: int) -> tuple:
     S = tuple(sorted(set(int(i) for i in S)))
-    if not S:
+    if not S and m:
         raise ValueError("coordinate subset must be nonempty")
     if any(not (1 <= i <= m) for i in S):
         raise ValueError(f"subset {S} out of range for m={m}")

@@ -56,10 +56,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _TRIV = GroupTable.trivial()
 
-# peel steps is_S_semi_induced takes before a nonzero rest makes its
-# certificate INCONCLUSIVE
-MAX_PEELS = 32
-
 
 # -- slices ---------------------------------------------------------------
 
@@ -430,18 +426,17 @@ class PeelStep:
     verdict: InducedVerdict
 
 
-def _peel(v: TruncatedModule, S, slices) -> PeelStep | None:
-    """One peel step of v from its H_0 slices' S-parts (None if there are none)."""
-    if not slices:
-        return None
-    maxdeg = max(degree(s) for s in slices)
-    s = min(t for t in slices if degree(t) == maxdeg)
+def _peel(v: TruncatedModule, S, s, others) -> PeelStep:
+    """Peel the H_0 slice s off v: ``rest`` is the submodule that V
+    generates at ``others``, the other H_0 slices of v, and ``piece`` is
+    v / rest.  Lemma: H_0(rest) along S lives exactly on ``others``.  At
+    any other S-part, rest is spanned by images along morphisms that raise
+    the S-degree, so it is I_S rest there.  At a slice u in ``others``,
+    rest(n) = V(n) for n with S-part u, and I_S rest(n) lies in I_S V(n),
+    which is not V(n) at some such n."""
     not_S = complement_subset(S, v.m)
-    seeds = {}
-    for n in v.window.objects():
-        s_part, _ = split_obj(n, S, not_S)
-        if s_part != s and s_part in slices:
-            seeds[n] = Subspace.full(v.dims[n])
+    seeds = {n: Subspace.full(v.dims[n]) for n in v.window.objects()
+             if split_obj(n, S, not_S)[0] in others}
     rest_spaces = close_under_actions(v, seeds)
     rest, rest_incl = submodule_from_stable_subspaces(v, rest_spaces)
     piece, piece_proj = quotient(v, rest_spaces)
@@ -455,37 +450,40 @@ class SemiInducedCertificate:
     status: str
 
     def verify(self, v: TruncatedModule) -> bool:
-        """Re-check every step witness independently of the search path."""
+        """Re-check the steps independently of the search path: they peel v
+        down to a zero rest, each rest and piece add up to their module's
+        dims, and each piece's counit is a natural isomorphism."""
+        cur = v
         for step in self.steps:
             iso = step.verdict.iso
-            if iso is None or not (iso.is_natural() and iso.is_iso()):
+            if (not (step.module is cur or step.module == cur) or iso is None
+                    or not (iso.is_natural() and iso.is_iso())
+                    or any(step.rest.dims[n] + step.piece.dims[n] != d
+                           for n, d in cur.dims.items())):
                 return False
-        total = {n: 0 for n in v.window.objects()}
-        for step in self.steps:
-            for n, d in step.piece.dims.items():
-                total[n] += d
-        return all(total[n] == v.dims[n] for n in v.window.objects())
+            cur = step.rest
+        return cur.is_zero()
 
 
 def is_S_semi_induced(v: TruncatedModule, S):
-    """Semi-induced along S: H_1 = 0; a filtration certificate is extracted
-    by repeatedly peeling the maximal-degree generator slice (lex-smallest
-    tie-break), at most ``MAX_PEELS`` times.  Returns (ok, certificate,
-    report)."""
+    """Semi-induced along S: H_1 = 0, with a certificate that peels each
+    H_0 slice of V once, top S-degree first, lex-smallest first.  By the
+    lemma in :func:`_peel` each rest's H_0 lives on the slices not yet
+    peeled, so the last rest is zero (else a bug: it raises).  A piece that
+    is not induced makes the certificate INCONCLUSIVE.  Returns (ok,
+    certificate, report)."""
     S = normalize_subset(S, v.m)
     rep = h1(v, S)
     ok = rep.h1_is_zero()
-    steps = []
-    status = rep.status_t1
-    cur = v
-    while ok and not cur.is_zero():
-        # a nonzero rest after MAX_PEELS peels is inconclusive, like a
-        # peel that finds no slice or a piece that is not induced
-        step = (_peel(cur, S, (h0(cur, S) if steps else rep).slice_keys)
-                if len(steps) < MAX_PEELS else None)
-        if step is None or not step.verdict.ok:
+    order = sorted(rep.slice_keys, key=lambda s: (-degree(s), s)) if ok else ()
+    steps, status, cur = [], rep.status_t1, v
+    for i, s in enumerate(order):
+        step = _peel(cur, S, s, order[i + 1:])
+        if not step.verdict.ok:
             status = INCONCLUSIVE
             break
         steps.append(step)
         cur = step.rest
+    if ok and len(steps) == len(order) and not cur.is_zero():
+        raise AssertionError("a rest is nonzero after the last H0 slice was peeled")
     return ok, SemiInducedCertificate(steps, status), rep

@@ -75,9 +75,6 @@ from .homology import (
 
 # random combinations of Hom basis maps that find_iso tries for an iso
 ISO_TRIES = 40
-# pieces identify_summands takes off its splitting stack before it reports
-# INCONCLUSIVE
-SPLIT_BUDGET = 40
 
 
 def find_iso(a: TruncatedModule, b: TruncatedModule, seed: int = 0) -> ModuleMap | None:
@@ -388,8 +385,8 @@ def _embed_chain(x: TruncatedModule, chain, max_shift, seed):
 
 def _h0_dims(v: TruncatedModule) -> dict:
     """{n: dim H0(V)(n)} over all coordinates (:func:`h0`), nonzero where V
-    has generators; V's own dims when it has no coordinates."""
-    return h0(v, range(1, v.m + 1)).h0_dims if v.m else v.dims
+    has generators (V itself when it has no coordinates)."""
+    return h0(v, range(1, v.m + 1)).h0_dims
 
 
 def _synth_presentation(mod: TruncatedModule) -> Presentation:
@@ -753,15 +750,18 @@ def _map_from_coords(coords, basis) -> ModuleMap:
 
 def identify_summands(x: TruncatedModule, members, seed: int = 0) -> SummandReport:
     """Split x into indecomposable pieces by idempotent peeling and match
-    each piece to one of the given member modules by explicit isomorphism."""
+    each piece to a member by explicit isomorphism (INCONCLUSIVE if none
+    matches).  A nontrivial idempotent e splits a nonzero family into the
+    nonzero images of e and 1 - e, so at most max(1, 2 dim x - 1) families
+    are popped; a longer search is a bug and raises."""
     stack = [{n: Subspace.full(x.dims[n]) for n in x.window.objects()}]
     pieces = []
     notes = []
-    guard = 0
+    pops_left = max(1, 2 * x.total_dim() - 1)
     while stack:
-        guard += 1
-        if guard > SPLIT_BUDGET:
-            return SummandReport([], INCONCLUSIVE, ["splitting budget exceeded"])
+        if pops_left == 0:
+            raise AssertionError("an idempotent split left a zero piece")
+        pops_left -= 1
         fam = stack.pop()
         if all(sp.dim == 0 for sp in fam.values()):
             continue

@@ -36,6 +36,7 @@ from fimlab.category import (
     split_generators,
     sub,
     unit,
+    window_generators,
     _injection_images,
 )
 from fimlab.functors import (
@@ -49,7 +50,15 @@ from fimlab.functors import (
     split_obj,
     _induced_presentation,
 )
-from fimlab.homology import _status, slice_module
+from fimlab.homology import (
+    INCONCLUSIVE,
+    SemiInducedCertificate,
+    _peel,
+    _status,
+    h0,
+    h1,
+    slice_module,
+)
 from fimlab.linalg import (
     RationalMatrix,
     Subspace,
@@ -877,6 +886,44 @@ def h0_by_quotient(v: TruncatedModule, S) -> QuotientH0:
             slices[s] = slice_module(mod, s, S)
             top = max(top, degree(s))
     return QuotientH0(mod, slices, top, _status(v, relations=False))
+
+
+def semi_induced_by_recount(v: TruncatedModule, S):
+    """``homology.is_S_semi_induced`` as it searched with a fixed budget:
+    each peel recounts H_0 of the rest, peels its top-degree, lex-smallest
+    slice (seeding the rest from the others), and the search stops as
+    INCONCLUSIVE at a rest with no H_0 slice or after 32 peels."""
+    S = normalize_subset(S, v.m)
+    rep = h1(v, S)
+    ok = rep.h1_is_zero()
+    steps = []
+    status = rep.status_t1
+    cur = v
+    while ok and not cur.is_zero():
+        slices = (h0(cur, S) if steps else rep).slice_keys
+        if not slices or len(steps) == 32:
+            status = INCONCLUSIVE
+            break
+        top = max(degree(s) for s in slices)
+        s = min(t for t in slices if degree(t) == top)
+        step = _peel(cur, S, s, [t for t in slices if t != s])
+        if not step.verdict.ok:
+            status = INCONCLUSIVE
+            break
+        steps.append(step)
+        cur = step.rest
+    return ok, SemiInducedCertificate(steps, status), rep
+
+
+def point_sum(window: Window, objs) -> TruncatedModule:
+    """The sum of the point modules at ``objs``: Q at each of them, 0
+    elsewhere, every inclusion 0 and every swap the identity.  Points at
+    different objects are not isomorphic."""
+    dims = {n: int(n in objs) for n in window.objects()}
+    actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) if key[0] == "incl"
+               else RationalMatrix.identity(dims[src])
+               for key, src, tgt in window_generators(window, GroupTable.trivial())}
+    return TruncatedModule(window, GroupTable.trivial(), dims, actions)
 
 
 def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:

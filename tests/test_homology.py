@@ -19,8 +19,16 @@ from fimlab.modules import (
     TruncatedModule,
     quotient,
     submodule_from_stable_subspaces,
+    zero_module,
 )
-from fimlab.functors import derivative_sum, ind, kernel_sum, make_induced, shift
+from fimlab.functors import (
+    derivative_sum,
+    ind,
+    kernel_sum,
+    make_induced,
+    shift,
+    shift_prod,
+)
 from fimlab.homology import (
     EXACT,
     INCONCLUSIVE,
@@ -427,18 +435,95 @@ def test_semi_induced_certificate_steps_nest():
                        for n in v.window.objects())
 
 
-def test_semi_induced_search_stops_at_max_steps(monkeypatch):
-    """The peeling is bounded: a rest left over after MAX_PEELS peels makes
-    the certificate INCONCLUSIVE, not a longer search."""
+_GROUPS = (TRIV, GroupTable.symmetric(2), GroupTable.cyclic(3))
+
+
+def _subsets(m):
+    return [S for r in range(1, m + 1) for S in combinations(range(1, m + 1), r)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(((4,), (3, 3), (2, 2, 2))), st.integers(0, 299),
+       st.sampled_from(_GROUPS), st.integers(0, 1))
+def test_semi_induced_peel_matches_the_h0_recount(bound, seed, group, n):
+    """Peeling each H0 slice of V once, in the order H0 gives, takes the
+    steps that recounting H0 of every rest took: the same slice, rest and
+    piece at every step, the same verdicts and the same status."""
+    from oracles import semi_induced_by_recount
+
+    for S in _subsets(len(bound)):
+        v = shift_prod(random_presented_module(Window(bound), seed, group), S, n)
+        ok, cert, _ = is_S_semi_induced(v, S)
+        ok_ref, ref, _ = semi_induced_by_recount(v, S)
+        assert (ok, cert.status, len(cert.steps)) == (ok_ref, ref.status, len(ref.steps))
+        for step, want in zip(cert.steps, ref.steps):
+            assert step.s == want.s and step.verdict.ok == want.verdict.ok
+            assert step.rest.dims == want.rest.dims
+            assert step.piece.dims == want.piece.dims
+
+
+@pytest.mark.parametrize("bound,seed,group", [
+    ((4,), 3, TRIV), ((3, 3), 5, TRIV), ((3, 3), 11, GroupTable.symmetric(2)),
+    ((2, 2, 2), 7, GroupTable.cyclic(3)),
+])
+def test_rest_of_a_peel_has_h0_on_the_other_slices(bound, seed, group):
+    """The lemma behind the peel: the submodule that V generates at all its
+    H0 slices but one has H0 on exactly those slices."""
+    v, _ = direct_sum(random_presented_module(Window(bound), seed, group),
+                      make_free(tuple([1] * len(bound)), Window(bound), group))
+    peeled = 0
+    for S in _subsets(v.m):
+        slices = h0(v, S).slice_keys
+        for s in slices:
+            others = tuple(t for t in slices if t != s)
+            step = homology._peel(v, S, s, others)
+            assert h0(step.rest, S).slice_keys == others
+            peeled += len(others) > 0
+    assert peeled
+
+
+def test_semi_induced_peel_counts_no_h0_of_a_rest(monkeypatch):
+    """The peel reads each rest's slices off V's H0: ``h0`` never runs on a
+    rest."""
+    w = Window((4,))
+    v, _ = direct_sum(make_free((2,), w, TRIV), make_free((1,), w, TRIV),
+                      make_free((0,), w, TRIV))
+    seen = []
+    real = homology.h0
+    monkeypatch.setattr(homology, "h0", lambda mod, S: seen.append(mod) or real(mod, S))
+    ok, cert, _ = is_S_semi_induced(v, (1,))
+    assert ok and cert.status == EXACT and len(cert.steps) == 3
+    assert seen and not any(mod is step.rest for mod in seen for step in cert.steps)
+
+
+def test_semi_induced_certificate_verifies_only_its_module():
+    """A certificate checks the module it peels, not only the dims: the one
+    for F(1) + F(0) refuses F(1) + Q (Q at every object, every inclusion 0),
+    which has the same dims and is not semi-induced; a certificate with its
+    last step cut off, or with no steps, refuses a nonzero module."""
+    from oracles import point_sum
+
     w = Window((4,))
     v, _ = direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))
-    monkeypatch.setattr(homology, "MAX_PEELS", 1)
+    u, _ = direct_sum(make_free((1,), w, TRIV), point_sum(w, w.objects()))
     ok, cert, _ = is_S_semi_induced(v, (1,))
-    assert ok and cert.status == INCONCLUSIVE and len(cert.steps) == 1
-    assert not cert.steps[0].rest.is_zero()
-    monkeypatch.setattr(homology, "MAX_PEELS", 2)
-    ok, cert, _ = is_S_semi_induced(v, (1,))
-    assert ok and cert.status == EXACT and len(cert.steps) == 2
+    assert ok and cert.verify(v) and u.dims == v.dims
+    assert not is_S_semi_induced(u, (1,))[0]
+    assert not cert.verify(u)
+    assert not homology.SemiInducedCertificate(cert.steps[:1], cert.status).verify(v)
+    assert not homology.SemiInducedCertificate([], cert.status).verify(v)
+    assert homology.SemiInducedCertificate([], cert.status).verify(zero_module(w, TRIV))
+
+
+def test_h0_of_a_module_with_no_coordinates_is_the_module():
+    """Over FI^0 there is no positive degree, so I_S V = 0 and H0 along the
+    empty subset is V; only m = 0 takes the empty subset."""
+    for group in _GROUPS:
+        v = make_free((), Window(()), group)
+        rep = h0(v, ())
+        assert rep.h0_dims == v.dims and rep.slice_keys == ((),)
+    with pytest.raises(ValueError, match="nonempty"):
+        h0(make_free((0,), Window((2,)), TRIV), ())
 
 
 def test_shift_of_semi_induced_is_semi_induced():

@@ -310,6 +310,24 @@ def test_identify_summands_multiplicity():
     assert [m.member_index for m in rep.matches] == [0, 0]
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_identify_summands_splits_k_points_in_2k_minus_1_end_rings(monkeypatch, k):
+    """A sum of k points at different objects splits into its k points:
+    each split cuts a piece into two nonzero ones, so the split tree has k
+    leaves and 2k - 1 nodes, one End ring each."""
+    from fimlab import theorems
+    from oracles import point_sum
+
+    w = Window((3, 3))
+    objs = w.objects()[:k]
+    rings, real = [], theorems.end_ring
+    monkeypatch.setattr(theorems, "end_ring", lambda v: rings.append(v) or real(v))
+    rep = identify_summands(point_sum(w, objs), [point_sum(w, [n]) for n in objs])
+    assert rep.status == EXACT and len(rep.matches) == k
+    assert sorted(m.member_index for m in rep.matches) == list(range(k))
+    assert len(rings) == 2 * k - 1
+
+
 def test_adjunction_dimension_equality():
     w = Window((3,))
     for g in (GroupTable.symmetric(2), GroupTable.cyclic(3)):
