@@ -306,13 +306,12 @@ def _swap_values(s, w_rs: TruncatedModule, t) -> dict:
     Inj(s, s), which indexes ``rs_group(s, 1)`` alike.  Swaps that break
     a Coxeter relation are not a representation of Aut(s): ValueError."""
     swaps = {ik: w_rs.actions[("grp", j, t)] for j, ik in enumerate(aut_swaps(s))}
-    ident = RationalMatrix.identity(w_rs.dims[t])
-    failures = coxeter_failures(swaps, ident, t)
+    failures = coxeter_failures(swaps, t)
     if failures:
         raise ValueError(f"the Aut{s} generators of {w_rs.name or 'W'} do not act "
                          f"as a representation: {failures[0]}")
     aut = rs_group(s, GroupTable.trivial())
-    return {0: ident, **dict(zip(aut.generators, swaps.values()))}
+    return {0: RationalMatrix.identity(w_rs.dims[t]), **dict(zip(aut.generators, swaps.values()))}
 
 
 def _block_monomial(blocks, nrow_blocks: int, ncol_blocks: int, d: int) -> RationalMatrix:

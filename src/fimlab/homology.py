@@ -341,15 +341,27 @@ def tor_filtration(v: TruncatedModule):
 
 @dataclass
 class InducedVerdict:
+    """The verdict of :func:`is_S_induced` on ``v`` along ``S``.  The
+    witness V[[s]] and the counit F_s(V[[s]]) -> V (``iso``, an isomorphism
+    when ``ok``) are built on first read; both are None without a slice s."""
+
     ok: bool
     s: tuple | None
-    witness: TruncatedModule | None
-    iso: ModuleMap | None
     status: str
     reasons: list
+    v: TruncatedModule
+    S: tuple
+
+    @cached_property
+    def witness(self) -> TruncatedModule | None:
+        return None if self.s is None else slice_module(self.v, self.s, self.S)
+
+    @cached_property
+    def iso(self) -> ModuleMap | None:
+        return None if self.s is None else _counit_map(self.v, self.s, self.S, self.witness)
 
 
-def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
+def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule) -> ModuleMap:
     """The evaluation map F_s(V[[s]]) -> V from the universal property: on
     the ambient space, beta (x) w -> V(beta) w, with beta: s -> s' in the S
     coordinates and the identity elsewhere.
@@ -381,30 +393,37 @@ def _counit_map(v: TruncatedModule, s, S, witness: TruncatedModule):
                 for row in images[r].transpose().rows]
         block = _stack_rows(cols, v.dims[n]).transpose()
         blocks[n] = block if order == 1 else block.scale(order)
-    return ModuleMap(fsw, v, blocks), fsw
+    return ModuleMap(fsw, v, blocks)
 
 
 def is_S_induced(v: TruncatedModule, S) -> InducedVerdict:
-    """Induced along S: H_0 concentrated on one slice and the counit
-    F_s(V[[s]]) -> V an isomorphism (checked blockwise on the window)."""
+    """Induced along S, decided by counting: H_0 lives on one slice s and
+
+        dim V(n) = #Inj(s, n_S) / |Aut(s)| * dim V(s, n_notS)   at every n,
+
+    the right side being dim F_s(V[[s]])(n), as Aut(s) acts freely on
+    Inj(s, n_S).  The count decides because the counit F_s(V[[s]]) -> V
+    is onto in the window.  Its image contains V(n) where n_S = s, as there
+    it is |Aut(s)| times the identity of V[[s]].  Off S-part s, H_0(V)(n) =
+    0, so V(n) = (I_S V)(n), spanned by the images of V(n - o_i), i in S,
+    with n_notS fixed.  The image is a submodule, so by induction on the
+    S-degree of n it is all of V(n).  An onto map of equal dimensions is an
+    isomorphism.  No map is built; ``iso`` builds the counit on first
+    read."""
     S = normalize_subset(S, v.m)
     rep = h0(v, S)
-    reasons = []
     if v.is_zero():
-        return InducedVerdict(True, None, None, None, rep.status_t0, ["zero module"])
+        return InducedVerdict(True, None, rep.status_t0, ["zero module"], v, S)
     if len(rep.slice_keys) != 1:
-        reasons.append(f"H0 lives on {len(rep.slice_keys)} slices, need exactly 1")
-        return InducedVerdict(False, None, None, None, rep.status_t0, reasons)
+        reasons = [f"H0 lives on {len(rep.slice_keys)} slices, need exactly 1"]
+        return InducedVerdict(False, None, rep.status_t0, reasons, v, S)
     s = rep.slice_keys[0]
-    witness = slice_module(v, s, S)
-    counit, fsw = _counit_map(v, s, S, witness)
-    if not counit.is_natural():
-        reasons.append("counit failed naturality")
-        return InducedVerdict(False, s, witness, None, INCONCLUSIVE, reasons)
-    if not counit.is_iso():
-        reasons.append("counit is not an isomorphism")
-        return InducedVerdict(False, s, witness, counit, rep.status_t0, reasons)
-    return InducedVerdict(True, s, witness, counit, rep.status_t0, reasons)
+    not_S = complement_subset(S, v.m)
+    aut = count_injections(s, s)
+    ok = all(d * aut == count_injections(s, u) * v.dims[interleave(S, not_S, s, t)]
+             for n, d in v.dims.items() for u, t in [split_obj(n, S, not_S)])
+    reasons = [] if ok else ["dims differ from those of F_s(V[[s]])"]
+    return InducedVerdict(ok, s, rep.status_t0, reasons, v, S)
 
 
 @dataclass
@@ -447,7 +466,6 @@ def _peel(v: TruncatedModule, S, s, others) -> PeelStep:
 @dataclass
 class SemiInducedCertificate:
     steps: list  # PeelStep, each peeling the previous step's rest
-    status: str
 
     def verify(self, v: TruncatedModule) -> bool:
         """Re-check the steps independently of the search path: they peel v
@@ -469,21 +487,26 @@ def is_S_semi_induced(v: TruncatedModule, S):
     """Semi-induced along S: H_1 = 0, with a certificate that peels each
     H_0 slice of V once, top S-degree first, lex-smallest first.  By the
     lemma in :func:`_peel` each rest's H_0 lives on the slices not yet
-    peeled, so the last rest is zero (else a bug: it raises).  A piece that
-    is not induced makes the certificate INCONCLUSIVE.  Returns (ok,
-    certificate, report)."""
+    peeled, so the last rest is zero.
+
+    Each piece is induced once H_1(V) = 0.  For 0 -> rest -> V -> piece ->
+    0, the lemma makes H_0(rest) -> H_0(V) injective, so H_1(rest) ->
+    H_1(V) -> H_1(piece) -> 0 is exact and H_1(piece) = 0.  The piece's
+    H_0 lives on the one slice s, so its counit F_s(W) -> piece is onto
+    (:func:`is_S_induced`), with kernel C.  F_s(W) is S-acyclic and its
+    H_0 maps isomorphically onto the piece's, so H_0(C) is the image of
+    H_1(piece) = 0, and C = 0.  A piece that is not induced or a nonzero
+    last rest is a bug: it raises.  Returns (ok, certificate, report)."""
     S = normalize_subset(S, v.m)
     rep = h1(v, S)
     ok = rep.h1_is_zero()
     order = sorted(rep.slice_keys, key=lambda s: (-degree(s), s)) if ok else ()
-    steps, status, cur = [], rep.status_t1, v
+    steps, cur = [], v
     for i, s in enumerate(order):
-        step = _peel(cur, S, s, order[i + 1:])
-        if not step.verdict.ok:
-            status = INCONCLUSIVE
-            break
-        steps.append(step)
-        cur = step.rest
-    if ok and len(steps) == len(order) and not cur.is_zero():
+        steps.append(_peel(cur, S, s, order[i + 1:]))
+        cur = steps[-1].rest
+    if not all(step.verdict.ok for step in steps):
+        raise AssertionError("a piece of a module with H1 = 0 is not induced")
+    if ok and not cur.is_zero():
         raise AssertionError("a rest is nonzero after the last H0 slice was peeled")
-    return ok, SemiInducedCertificate(steps, status), rep
+    return ok, SemiInducedCertificate(steps), rep

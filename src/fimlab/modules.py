@@ -320,14 +320,15 @@ class TruncatedModule:
         m = self.m
         for n in self.window.objects():
             swaps = {(i, k): self.actions[("swap", i, k, n)] for i, k in aut_swaps(n)}
-            failures += coxeter_failures(swaps, RationalMatrix.identity(self.dims[n]), n)
+            failures += coxeter_failures(swaps, n)
             grp_mats = [
                 self.actions[("grp", j, n)] for j in range(len(self.group.generators))
             ]
             for gm in grp_mats:
                 for s in swaps.values():
                     check(gm * s == s * gm, f"group action does not commute with swaps at {n}")
-            failures += group_failures(self.group, grp_mats, self.dims[n], n)
+            if grp_mats:
+                failures += group_failures(self.group, grp_mats, self.dims[n], n)
         # inclusion relations
         for n in self.window.objects():
             for i in range(1, m + 1):
@@ -1306,7 +1307,8 @@ class NaturalitySolver:
             if section is None:
                 raise AssertionError(f"the generators do not span V at {x}")
             self._sections[x] = section
-            if pi_x.ncols > v.dims[x]:  # else pi_x is onto and square: no kernel
+            # no kernel where pi_x is onto and square, no rows where W(x) = 0
+            if pi_x.ncols > v.dims[x] and w.dims[x]:
                 residue = RationalMatrix.identity(pi_x.ncols) - section * pi_x
                 for k in filter(any, residue.transpose().rows):
                     rows, _ = self._rows_of(x, k)

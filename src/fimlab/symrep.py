@@ -193,21 +193,21 @@ def specht(lam) -> SpechtRep:
             cols.append(coeffs)
         gens.append(RationalMatrix(zip(*cols)))
     rep = SpechtRep(lam, n, dim, tuple(gens))
-    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)},
-                                RationalMatrix.identity(dim), f"S^{lam}")
+    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)}, f"S^{lam}")
     if failures:
         raise ValueError(failures[0])
     return rep
 
 
-def coxeter_failures(swaps: dict, ident, where) -> list:
+def coxeter_failures(swaps: dict, where) -> list:
     """The relations that the swaps ``swaps[(i, k)]`` of k and k + 1 in
     coordinate i, in ``aut_swaps`` order, break, as messages: each is an
     involution, adjacent swaps of one coordinate braid, and all other pairs
-    commute.  These present Aut(n) = S_{n_1} x ... x S_{n_m} (Coxeter)."""
+    commute.  These present Aut(n) = S_{n_1} x ... x S_{n_m} (Coxeter).
+    With no swaps there is nothing to check, and no identity is built."""
     failures = []
     for (i, k), s in swaps.items():
-        if not (s * s == ident):
+        if not (s * s == RationalMatrix.identity(s.nrows)):
             failures.append(f"swap ({i},{k}) at {where} is not an involution")
     for ((i, k), s), ((j, l), t) in itertools.combinations(swaps.items(), 2):
         if i == j and abs(k - l) == 1:

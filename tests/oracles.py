@@ -53,6 +53,7 @@ from fimlab.functors import (
 from fimlab.homology import (
     INCONCLUSIVE,
     SemiInducedCertificate,
+    _counit_map,
     _peel,
     _status,
     h0,
@@ -892,7 +893,8 @@ def semi_induced_by_recount(v: TruncatedModule, S):
     """``homology.is_S_semi_induced`` as it searched with a fixed budget:
     each peel recounts H_0 of the rest, peels its top-degree, lex-smallest
     slice (seeding the rest from the others), and the search stops as
-    INCONCLUSIVE at a rest with no H_0 slice or after 32 peels."""
+    INCONCLUSIVE at a rest with no H_0 slice or after 32 peels.  Returns
+    (ok, certificate, the search's status, report)."""
     S = normalize_subset(S, v.m)
     rep = h1(v, S)
     ok = rep.h1_is_zero()
@@ -912,18 +914,56 @@ def semi_induced_by_recount(v: TruncatedModule, S):
             break
         steps.append(step)
         cur = step.rest
-    return ok, SemiInducedCertificate(steps, status), rep
+    return ok, SemiInducedCertificate(steps), status, rep
 
 
-def point_sum(window: Window, objs) -> TruncatedModule:
+@dataclass
+class CounitVerdict:
+    """An induced verdict with its witness V[[s]] and counit built outright."""
+
+    ok: bool
+    s: tuple | None
+    witness: TruncatedModule | None
+    iso: ModuleMap | None
+    status: str
+    reasons: list
+
+
+def is_S_induced_by_counit(v: TruncatedModule, S) -> CounitVerdict:
+    """``homology.is_S_induced`` as it decided before it counted dimensions:
+    H_0 on one slice s, then the counit F_s(V[[s]]) -> V built, checked
+    natural (INCONCLUSIVE if not) and checked blockwise for an
+    isomorphism."""
+    S = normalize_subset(S, v.m)
+    rep = h0(v, S)
+    if v.is_zero():
+        return CounitVerdict(True, None, None, None, rep.status_t0, ["zero module"])
+    if len(rep.slice_keys) != 1:
+        reasons = [f"H0 lives on {len(rep.slice_keys)} slices, need exactly 1"]
+        return CounitVerdict(False, None, None, None, rep.status_t0, reasons)
+    s = rep.slice_keys[0]
+    witness = slice_module(v, s, S)
+    counit = _counit_map(v, s, S, witness)
+    if not counit.is_natural():
+        return CounitVerdict(False, s, witness, None, INCONCLUSIVE,
+                             ["counit failed naturality"])
+    if not counit.is_iso():
+        return CounitVerdict(False, s, witness, counit, rep.status_t0,
+                             ["counit is not an isomorphism"])
+    return CounitVerdict(True, s, witness, counit, rep.status_t0, [])
+
+
+def point_sum(window: Window, objs, group: GroupTable | None = None) -> TruncatedModule:
     """The sum of the point modules at ``objs``: Q at each of them, 0
-    elsewhere, every inclusion 0 and every swap the identity.  Points at
-    different objects are not isomorphic."""
+    elsewhere, every inclusion 0, every swap and every element of ``group``
+    (trivial by default) the identity.  Points at different objects are not
+    isomorphic."""
+    group = group or GroupTable.trivial()
     dims = {n: int(n in objs) for n in window.objects()}
     actions = {key: RationalMatrix.zeros(dims[tgt], dims[src]) if key[0] == "incl"
                else RationalMatrix.identity(dims[src])
-               for key, src, tgt in window_generators(window, GroupTable.trivial())}
-    return TruncatedModule(window, GroupTable.trivial(), dims, actions)
+               for key, src, tgt in window_generators(window, group)}
+    return TruncatedModule(window, group, dims, actions)
 
 
 def cover_block_by_evaluate(v: TruncatedModule, gens, x) -> RationalMatrix:
@@ -974,6 +1014,23 @@ def solver_by_kernel_basis(v: TruncatedModule, w: TruncatedModule) -> Naturality
         for k in kernel_basis(pis[x]).basis.rows:
             rows, _ = solver._rows_of(x, k)
             solver.rows.extend(row for row in rows if any(row))
+    return solver
+
+
+def solver_by_full_residue(v: TruncatedModule, w: TruncatedModule) -> NaturalitySolver:
+    """NaturalitySolver(v, w) with its constraint rows read off the residue
+    I - S_x pi_x at every object x where pi_x has a kernel, those with
+    W(x) = 0 included: the route before such objects were skipped, kept as
+    its reference."""
+    solver = NaturalitySolver(v, w)
+    _, pis = generators_and_cover(v)
+    solver.rows = []
+    for x in v.window.objects():
+        if pis[x].ncols > v.dims[x]:
+            residue = RationalMatrix.identity(pis[x].ncols) - solver._sections[x] * pis[x]
+            for k in filter(any, residue.transpose().rows):
+                rows, _ = solver._rows_of(x, k)
+                solver.rows.extend(row for row in rows if any(row))
     return solver
 
 
@@ -1527,8 +1584,7 @@ class ProductRep:
             for g in gens:
                 if g.shape != (self.dim, self.dim):
                     raise ValueError("swap matrix has wrong shape")
-            failures = coxeter_failures({(1, k): g for k, g in enumerate(gens, 1)},
-                                        RationalMatrix.identity(self.dim), self.ns)
+            failures = coxeter_failures({(1, k): g for k, g in enumerate(gens, 1)}, self.ns)
             if failures:
                 raise ValueError(failures[0])
         # distinct coordinates commute; group commutes with everything
@@ -1728,8 +1784,7 @@ def specht_by_solve(lam) -> SpechtRep:
         raise AssertionError(
             f"standard tableau count {dim} disagrees with hook formula {expected}"
         )
-    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)},
-                                RationalMatrix.identity(dim), f"S^{lam}")
+    failures = coxeter_failures({(1, k): g for k, g in enumerate(rep.gens, 1)}, f"S^{lam}")
     if failures:
         raise ValueError(failures[0])
     return rep

@@ -387,8 +387,40 @@ def test_counit_matches_evaluating_every_injection(bound, group, constant, seed,
     s_parts = Window(tuple(bound[i - 1] for i in S)).objects()
     s = s_parts[s_index % len(s_parts)]
     witness = slice_module(v, s, S)
-    counit, _ = homology._counit_map(v, s, S, witness)
+    counit = homology._counit_map(v, s, S, witness)
     assert counit.blocks == counit_blocks_by_evaluate(v, s, S, witness)
+    assert counit.is_natural()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(((4,), (3, 3), (2, 2, 2))), st.integers(0, 299),
+       st.sampled_from(sorted(_COUNIT_GROUPS)), st.integers(0, 1),
+       st.sampled_from(((1,), (2,), (1, 1))))
+def test_induced_by_count_matches_the_counit(bound, seed, group, n, lam):
+    """Counting dimensions gives the verdict, slice and status that building
+    the counit and testing it for an isomorphism gave, and the witness and
+    counit built on first read are the ones built outright; on shifted
+    random modules, points, M(lambda), E(lambda) and sums, along every S."""
+    from oracles import is_S_induced_by_counit
+
+    window, g = Window(bound), _COUNIT_GROUPS[group]
+    lams = tuple(lam if i == seed % window.m else () for i in range(window.m))
+    v = random_presented_module(window, seed, g)
+    m_lam, e_lam = make_induced(lams, window, g), make_coinduced(lams, window, g)
+    fixed = [point_module(window, g), m_lam, e_lam, direct_sum(m_lam, m_lam)[0],
+             direct_sum(m_lam, make_free(tuple([1] * window.m), window, g))[0]]
+    seen = set()
+    for S in _subsets(window.m):
+        shifted = shift_prod(v, S, n)
+        for u in [shifted, direct_sum(shifted, shift_prod(e_lam, S, n))[0], *fixed]:
+            got, want = is_S_induced(u, S), is_S_induced_by_counit(u, S)
+            assert (got.ok, got.s, got.status) == (want.ok, want.s, want.status)
+            assert (got.iso is None) == (want.iso is None)
+            assert got.iso is None or got.iso.blocks == want.iso.blocks
+            assert (got.witness is None
+                    or got.witness.to_json() == want.witness.to_json())
+            seen.add(got.ok)
+    assert seen == {True, False}
 
 
 def test_point_module_not_induced_or_semi():
@@ -418,8 +450,8 @@ def test_semi_induced_certificate_steps_nest():
                     make_free((0, 1), Window((3, 3)), TRIV))[0], (1, 2)),
     ]
     for v, S in cases:
-        ok, cert, _ = is_S_semi_induced(v, S)
-        assert ok and cert.status != INCONCLUSIVE and cert.verify(v)
+        ok, cert, rep = is_S_semi_induced(v, S)
+        assert ok and rep.status_t1 != INCONCLUSIVE and cert.verify(v)
         assert cert.steps and cert.steps[0].module is v
         for step, nxt in zip(cert.steps, cert.steps[1:]):
             assert step.rest is nxt.module
@@ -453,9 +485,9 @@ def test_semi_induced_peel_matches_the_h0_recount(bound, seed, group, n):
 
     for S in _subsets(len(bound)):
         v = shift_prod(random_presented_module(Window(bound), seed, group), S, n)
-        ok, cert, _ = is_S_semi_induced(v, S)
-        ok_ref, ref, _ = semi_induced_by_recount(v, S)
-        assert (ok, cert.status, len(cert.steps)) == (ok_ref, ref.status, len(ref.steps))
+        ok, cert, rep = is_S_semi_induced(v, S)
+        ok_ref, ref, ref_status, _ = semi_induced_by_recount(v, S)
+        assert (ok, rep.status_t1, len(cert.steps)) == (ok_ref, ref_status, len(ref.steps))
         for step, want in zip(cert.steps, ref.steps):
             assert step.s == want.s and step.verdict.ok == want.verdict.ok
             assert step.rest.dims == want.rest.dims
@@ -491,8 +523,8 @@ def test_semi_induced_peel_counts_no_h0_of_a_rest(monkeypatch):
     seen = []
     real = homology.h0
     monkeypatch.setattr(homology, "h0", lambda mod, S: seen.append(mod) or real(mod, S))
-    ok, cert, _ = is_S_semi_induced(v, (1,))
-    assert ok and cert.status == EXACT and len(cert.steps) == 3
+    ok, cert, rep = is_S_semi_induced(v, (1,))
+    assert ok and rep.status_t1 == EXACT and len(cert.steps) == 3
     assert seen and not any(mod is step.rest for mod in seen for step in cert.steps)
 
 
@@ -510,9 +542,9 @@ def test_semi_induced_certificate_verifies_only_its_module():
     assert ok and cert.verify(v) and u.dims == v.dims
     assert not is_S_semi_induced(u, (1,))[0]
     assert not cert.verify(u)
-    assert not homology.SemiInducedCertificate(cert.steps[:1], cert.status).verify(v)
-    assert not homology.SemiInducedCertificate([], cert.status).verify(v)
-    assert homology.SemiInducedCertificate([], cert.status).verify(zero_module(w, TRIV))
+    assert not homology.SemiInducedCertificate(cert.steps[:1]).verify(v)
+    assert not homology.SemiInducedCertificate([]).verify(v)
+    assert homology.SemiInducedCertificate([]).verify(zero_module(w, TRIV))
 
 
 def test_h0_of_a_module_with_no_coordinates_is_the_module():

@@ -482,6 +482,24 @@ def _second_generator_sign():
     return TruncatedModule(Window((1,)), GroupTable.symmetric(3), {(0,): 1, (1,): 1}, actions)
 
 
+def test_validate_builds_no_identity_where_nothing_is_checked(monkeypatch):
+    """An object with no swaps, over a group with no generators, has no
+    relation to check: F((1, 1)) on (2, 2) with dim 10^6 at (0, 0), where
+    every map is empty, validates with no identity wider than 10^4."""
+    d = make_free((1, 1), Window((2, 2)), TRIV).to_dict()
+    d["dims"]["(0,0)"] = 10**6
+    v = TruncatedModule.from_dict(d)
+    real = RationalMatrix.identity
+
+    def refuse(n):
+        if n > 10**4:
+            raise AssertionError(f"an identity of width {n}")
+        return real(n)
+
+    monkeypatch.setattr(RationalMatrix, "identity", staticmethod(refuse))
+    assert v.validate().ok
+
+
 def test_validate_names_each_failing_group_generator_once():
     failures = _second_generator_sign().validate().failures
     assert len(failures) == len(set(failures))
@@ -924,6 +942,33 @@ def test_constraints_read_off_the_section_match_the_kernel_route(bound, group, s
     want = ref.solve_with_conditions([(n, r, c)])
     assert (got is None) == (want is None)
     assert got is None or got.blocks == want.blocks
+
+
+@pytest.mark.parametrize("group", ["trivial", "S2", "C3"])
+def test_solver_skips_objects_where_the_target_is_zero(group):
+    """Skipping the objects x with W(x) = 0 leaves the constraint rows, the
+    dimension and the basis maps of the residue read at every object, entry
+    for entry, on point sums into E(lambda) targets, where such x occur."""
+    from fimlab.modules import NaturalitySolver, generators_and_cover
+
+    from oracles import point_sum, solver_by_full_residue
+
+    g = _GROUPS[group]
+    skipped, dims = 0, []
+    for bound, objs, lams in (((3,), [(0,), (1,)], ((1,),)),
+                              ((3,), [(1,), (2,)], ((2,),)),
+                              ((3,), [(0,), (1,), (2,), (3,)], ((1, 1),)),
+                              ((2, 2), [(0, 0), (1, 1)], ((1,), (1,))),
+                              ((2, 2), [(1, 0), (0, 1), (1, 1)], ((1,), ()))):
+        window = Window(bound)
+        v, w = point_sum(window, objs, g), make_coinduced(lams, window, g)
+        solver, ref = NaturalitySolver(v, w), solver_by_full_residue(v, w)
+        assert solver.rows == ref.rows and solver.dim == ref.dim
+        assert [b.blocks for b in solver.basis()] == [b.blocks for b in ref.basis()]
+        pis = generators_and_cover(v)[1]
+        skipped += sum(pis[x].ncols > v.dims[x] and not w.dims[x] for x in window.objects())
+        dims.append(solver.dim)
+    assert skipped and any(dims)
 
 
 # Pairs (V, W) on a window over a group, by the kernel of the solver's

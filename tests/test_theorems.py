@@ -164,6 +164,26 @@ def test_cogenerate_checks_each_peeled_piece_once(monkeypatch):
     assert len(calls) == len(cert.steps) == 2
 
 
+def test_induced_verdicts_build_no_counit(monkeypatch):
+    """is_S_induced and is_S_semi_induced decide without the counit map,
+    for verdicts of both kinds; reading a verdict's ``iso`` builds it once."""
+    from fimlab.homology import is_S_induced, is_S_semi_induced
+
+    calls = _record_calls(monkeypatch, "_counit_map")
+    w = Window((4,))
+    cases = [(make_induced(((2, 1),), w), (1,)), (point_module(w), (1,)),
+             (direct_sum(make_free((1,), w, TRIV), make_free((0,), w, TRIV))[0], (1,)),
+             (make_free((1, 0), Window((2, 2)), TRIV), (1, 2))]
+    verdicts = []
+    for v, S in cases:
+        verdicts.append(is_S_induced(v, S))
+        verdicts += [step.verdict for step in is_S_semi_induced(v, S)[1].steps]
+    assert calls == []
+    assert {ver.ok for ver in verdicts} == {True, False} and len(verdicts) == 8
+    assert verdicts[0].iso is verdicts[0].iso and verdicts[0].iso.is_iso()
+    assert len(calls) == 1
+
+
 def test_end_ring_scalars():
     er = end_ring(make_free((0,), Window((3,)), TRIV))
     assert er.dim == 1 and er.radical_dim == 0 and er.is_local
